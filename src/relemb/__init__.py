@@ -17,6 +17,7 @@ from .corpus import (
     Vocabulary,
     build_vocabulary,
     extract_noun_pair_contexts,
+    neighbor_slots,
     parse_label,
     parse_semeval,
     parse_tagged_corpus,

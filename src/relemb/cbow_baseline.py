@@ -20,7 +20,7 @@ from scipy.special import expit, log_expit
 
 from .corpus import UNK_WORD
 from .embed_train import (EmbeddingParams, NoiseSampler, SubsamplingFilter,
-                          TrainingLog)
+                          TrainingLog, apply_row_grads, sum_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +55,6 @@ class CbowConfig:
     subsample: float = 1e-5
     epochs: int = 1
     seed: int = 1
-    dtype: str = "float64"
     report_every: int = 500_000
 
     def validate(self):
@@ -69,25 +68,23 @@ class CbowConfig:
 
 
 def cbow_objective_and_grad(window_ids, center, noise_ids, model):
-    """One CBOW sample: objective value plus gradients keyed
-    ``('in'|'out', id)``; window rows share the context-mean gradient."""
-    ctx = model.in_vecs[list(window_ids)].mean(axis=0)
+    """One CBOW sample: objective value plus gradients in the form of
+    :func:`relemb.embed_train.sum_rows`, keyed ``in_vecs`` and
+    ``out_vecs``; window rows share the context-mean gradient."""
+    window_ids = list(window_ids)
+    ctx = model.in_vecs[window_ids].mean(axis=0)
     words = np.concatenate(([center], noise_ids)).astype(np.intp)
-    z = model.out_vecs[words] @ ctx
+    out = model.out_vecs[words]
+    z = out @ ctx
     labels = np.zeros(len(words))
     labels[0] = 1.0
     value = float(log_expit(z[0]) + log_expit(-z[1:]).sum())
     errs = labels - expit(z)
-    grads: dict = {}
-    for wid, err in zip(words, errs):
-        key = ("out", int(wid))
-        g = err * ctx
-        grads[key] = grads[key] + g if key in grads else g
-    g_ctx = (errs @ model.out_vecs[words]) / len(window_ids)
-    for wid in window_ids:
-        key = ("in", int(wid))
-        grads[key] = grads[key] + g_ctx if key in grads else g_ctx
-    return value, grads
+    g_ctx = (errs @ out) / len(window_ids)
+    return value, {
+        "out_vecs": sum_rows(words.tolist(), np.outer(errs, ctx)),
+        "in_vecs": sum_rows(window_ids, [g_ctx] * len(window_ids)),
+    }
 
 
 def train_cbow(sentences, vocab, config):
@@ -107,8 +104,8 @@ def train_cbow(sentences, vocab, config):
     rng = np.random.default_rng(cfg.seed)
     std = 1.0 / math.sqrt(cfg.dim)
     model = CbowModel(
-        in_vecs=rng.normal(0.0, std, size=(vocab.n_words, cfg.dim)).astype(cfg.dtype),
-        out_vecs=np.zeros((vocab.n_words, cfg.dim), dtype=cfg.dtype),
+        in_vecs=rng.normal(0.0, std, size=(vocab.n_words, cfg.dim)),
+        out_vecs=np.zeros((vocab.n_words, cfg.dim)),
         dim=cfg.dim,
         window=cfg.window,
     )
@@ -137,8 +134,7 @@ def train_cbow(sentences, vocab, config):
                     continue
                 noise = sampler.sample(cfg.negatives, rng, exclude=center)
                 value, grads = cbow_objective_and_grad(window, center, noise, model)
-                for (kind, idx), g in grads.items():
-                    (model.in_vecs if kind == "in" else model.out_vecs)[idx] += lr * g
+                apply_row_grads(model, grads, lr)
                 win_sum += value
                 win_count += 1
                 log.steps_taken += 1

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .corpus import ALL_LABELS, label_index
+from .embed_train import sum_rows
 from .features import FeatureOptions, assemble_features, feature_dim, \
     scatter_feature_grad
 
@@ -118,62 +120,75 @@ class AdaGradState:
         return acc
 
 
+def _add_row_grads(first, second):
+    """Sum of two gradients of the :func:`relemb.embed_train.sum_rows`
+    form, adding the rows of `second` after those of `first`."""
+    total = dict(first)
+    for name, (ids, rows) in second.items():
+        if name in total:
+            ids0, rows0 = total[name]
+            total[name] = sum_rows([*ids0, *ids], [*rows0, *rows])
+        else:
+            total[name] = (ids, rows)
+    return total
+
+
 def supervised_objective_and_grad(batch, embed_params, softmax_params, l2,
                                   masks=None, opts=FeatureOptions(),
-                                  fine_tune=True):
+                                  fine_tune=True, features=None):
     """Objective value and gradients for a batch of labeled instances.
 
     The value is ``sum_k log p(label_k | e_k) - (l2/2) * ||theta||^2`` where
     theta covers the softmax parameters and, when `fine_tune` is set, the
     embedding rows touched by the batch (lazy L2).  `masks` supplies one
-    dropout mask per instance or None entries for no dropout.
+    dropout mask per instance or None entries for no dropout.  `features`
+    optionally supplies each instance's assembled vector, for callers that
+    already hold it; by default it is assembled from `embed_params`.
 
-    Returns ``(value, softmax_grads, row_grads)`` with ``softmax_grads =
-    (grad_weights, grad_bias)`` and ``row_grads`` keyed like
+    Returns ``(value, loglik, softmax_grads, row_grads)``: `loglik` is the
+    log-likelihood term of the value alone, ``softmax_grads =
+    (grad_weights, grad_bias)``, and ``row_grads`` has the form of
     :func:`relemb.features.scatter_feature_grad`.
     """
     W, b = softmax_params.weights, softmax_params.bias
-    g_W = np.zeros_like(W)
-    g_b = np.zeros_like(b)
-    row_grads: dict = {}
-    value = 0.0
+    # per-instance terms, summed in batch order; a batch of one is not copied
+    w_parts, b_parts, row_parts = [], [], []
+    loglik = 0.0
     if masks is None:
         masks = [None] * len(batch)
-    for inst, mask in zip(batch, masks):
-        e = assemble_features(inst.context, embed_params, opts).vector
+    if features is None:
+        features = [assemble_features(inst.context, embed_params, opts).vector
+                    for inst in batch]
+    for inst, mask, e in zip(batch, masks, features):
         e_used = e if mask is None else e * mask * 2.0
         o = W @ e_used + b
         o = o - o.max()
         logz = np.log(np.exp(o).sum())
         li = label_index(inst.label)
-        value += float(o[li] - logz)
+        loglik += float(o[li] - logz)
         g_o = -np.exp(o - logz)
         g_o[li] += 1.0
-        g_W += np.outer(g_o, e_used)
-        g_b += g_o
+        w_parts.append(np.outer(g_o, e_used))
+        b_parts.append(g_o)
         if fine_tune:
             g_e = W.T @ g_o
             if mask is not None:
                 g_e = g_e * mask * 2.0
-            for key, g in scatter_feature_grad(g_e, inst.context,
-                                               embed_params, opts).items():
-                if key in row_grads:
-                    row_grads[key] = row_grads[key] + g
-                else:
-                    row_grads[key] = g
+            row_parts.append(scatter_feature_grad(g_e, inst.context,
+                                                  embed_params, opts))
+    g_W = reduce(np.add, w_parts)
+    g_b = reduce(np.add, b_parts)
+    row_grads = reduce(_add_row_grads, row_parts, {})
+    value = loglik
     if l2 > 0:
-        value -= 0.5 * l2 * (float((W * W).sum()) + float((b * b).sum()))
+        value -= 0.5 * l2 * (float(np.vdot(W, W)) + float(b @ b))
         g_W -= l2 * W
         g_b -= l2 * b
-        if fine_tune:
-            arrays = {"noun": embed_params.noun_vecs,
-                      "word": embed_params.word_vecs,
-                      "pred": embed_params.pred_vecs}
-            for (kind, idx) in row_grads:
-                row = arrays[kind][idx]
-                value -= 0.5 * l2 * float(row @ row)
-                row_grads[(kind, idx)] = row_grads[(kind, idx)] - l2 * row
-    return value, (g_W, g_b), row_grads
+        for name, (ids, rows) in row_grads.items():
+            touched = getattr(embed_params, name)[ids]
+            value -= 0.5 * l2 * float(np.vdot(touched, touched))
+            row_grads[name] = (ids, rows - l2 * touched)
+    return value, loglik, (g_W, g_b), row_grads
 
 
 @dataclass
@@ -181,14 +196,13 @@ class ClassifierLog:
     epoch_objective: list[float] = field(default_factory=list)
 
 
-_ROW_ARRAYS = {"noun": "noun_vecs", "word": "word_vecs", "pred": "pred_vecs"}
-
-
 def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
     """Train softmax parameters (and optionally fine-tune the embeddings).
 
-    Runs `config.epochs` passes of shuffled single-instance AdaGrad updates.
-    Returns ``(softmax_params, embed_params_out, log)``; when fine-tuning is
+    Runs `config.epochs` passes of shuffled single-instance AdaGrad steps on
+    the gradient of :func:`supervised_objective_and_grad`; the logged
+    objective is the mean log-likelihood without the L2 term.  Returns
+    ``(softmax_params, embed_params_out, log)``; when fine-tuning is
     disabled the input embedding parameters are returned untouched and
     per-instance features are computed once up front.
     """
@@ -209,7 +223,6 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
     if not cfg.fine_tune:
         cached = np.stack([assemble_features(inst.context, params, opts).vector
                            for inst in instances])
-    label_ids = np.array([label_index(inst.label) for inst in instances])
 
     log = ClassifierLog()
     n = len(instances)
@@ -219,31 +232,18 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
             inst = instances[idx]
             e = cached[idx] if cached is not None else \
                 assemble_features(inst.context, params, opts).vector
-            mask = None
-            if cfg.dropout:
-                e, mask = apply_dropout(e, rng)
-            W = softmax.weights
-            o = W @ e + softmax.bias
-            o = o - o.max()
-            logz = np.log(np.exp(o).sum())
-            li = label_ids[idx]
-            total += float(o[li] - logz)
-            g_o = -np.exp(o - logz)
-            g_o[li] += 1.0
-            g_W = np.outer(g_o, e) - cfg.l2 * W
-            g_b = g_o - cfg.l2 * softmax.bias
-            g_e = W.T @ g_o if cfg.fine_tune else None
+            mask = apply_dropout(e, rng)[1] if cfg.dropout else None
+            _, loglik, (g_W, g_b), rows = supervised_objective_and_grad(
+                [inst], params, softmax, cfg.l2, [mask], opts, cfg.fine_tune,
+                features=[e])
+            total += loglik
             adagrad_update(softmax.weights, g_W, state.weights, cfg.eta)
             adagrad_update(softmax.bias, g_b, state.bias, cfg.eta)
-            if cfg.fine_tune:
-                if mask is not None:
-                    g_e = g_e * mask * 2.0
-                rows = scatter_feature_grad(g_e, inst.context, params, opts)
-                for (kind, ridx), g in rows.items():
-                    row = getattr(params, _ROW_ARRAYS[kind])[ridx]
-                    g = g - cfg.l2 * row
-                    adagrad_update(row, g, state.row((kind, ridx), g.shape),
-                                   cfg.eta)
+            for name, (ids, grads) in rows.items():
+                block = getattr(params, name)
+                for ridx, g in zip(ids.tolist(), grads):
+                    adagrad_update(block[ridx], g,
+                                   state.row((name, ridx), g.shape), cfg.eta)
         log.epoch_objective.append(total / n)
         logger.debug("classifier epoch %d: mean log-likelihood %.4f",
                      epoch + 1, total / n)

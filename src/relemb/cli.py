@@ -165,7 +165,6 @@ _PRETRAIN_SCHEMA = {
     "t": (float, 1e-5),
     "epochs": (int, 1),
     "seed": (int, 1),
-    "threads": (int, 1),
     "report_every": (int, 100_000),
 }
 
@@ -179,7 +178,7 @@ def cmd_pretrain(args):
         config = et.PretrainConfig(
             dim=cfg["d"], window=cfg["c"], negatives=cfg["k"],
             alpha=cfg["alpha"], m_out=contexts.m_out, subsample=cfg["t"],
-            epochs=cfg["epochs"], seed=cfg["seed"], threads=cfg["threads"],
+            epochs=cfg["epochs"], seed=cfg["seed"],
             report_every=cfg["report_every"]).validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -353,6 +352,19 @@ def cmd_cv(args):
     return 0
 
 
+def _load_model_and_classifier(args):
+    """The model and classifier files, checked to agree on the feature
+    dimension: ``(embed_params, softmax_params, feature_options)``."""
+    params = et.load_model(args.model)
+    softmax, opts = cl.load_classifier(args.clf)
+    expected = feature_dim(params, opts)
+    if expected != softmax.weights.shape[1]:
+        raise RuntimeError(
+            f"dimension mismatch: model features have dim {expected}, "
+            f"classifier expects dim {softmax.weights.shape[1]}")
+    return params, softmax, opts
+
+
 def cmd_eval(args):
     schema = {
         "bootstrap": (int, 0),
@@ -362,13 +374,7 @@ def cmd_eval(args):
     cfg = _resolve(args, schema)
     _require_files(args.test, args.vocab, args.model, args.clf)
     vocab = cp.Vocabulary.load(args.vocab)
-    params = et.load_model(args.model)
-    softmax, opts = cl.load_classifier(args.clf)
-    expected = feature_dim(params, opts)
-    if expected != softmax.weights.shape[1]:
-        raise RuntimeError(
-            f"dimension mismatch: model features have dim {expected}, "
-            f"classifier expects dim {softmax.weights.shape[1]}")
+    params, softmax, opts = _load_model_and_classifier(args)
     instances = cp.parse_semeval(args.test, vocab, PARSE_M_OUT)
     pred = cl.predict_many([i.context for i in instances], softmax, params, opts)
     gold = [i.label for i in instances]
@@ -408,8 +414,7 @@ def cmd_ngrams(args):
     cfg = _resolve(args, schema)
     _require_files(args.train, args.vocab, args.model, args.clf)
     vocab = cp.Vocabulary.load(args.vocab)
-    params = et.load_model(args.model)
-    softmax, opts = cl.load_classifier(args.clf)
+    params, softmax, opts = _load_model_and_classifier(args)
     instances = cp.parse_semeval(args.train, vocab, PARSE_M_OUT)
     labels = [cp.parse_label(text) for text in args.label] if args.label \
         else [lab for lab in cp.ALL_LABELS if lab.family != "Other"]
@@ -466,7 +471,6 @@ def build_parser():
     p.add_argument("--t", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--report-every", dest="report_every", type=int)
 
     p = add("cbow", cmd_cbow, help="train the CBOW baseline embeddings")

@@ -22,6 +22,7 @@ __all__ = [
     "TaggedCorpusReader",
     "Vocabulary",
     "NounPairContext",
+    "neighbor_slots",
     "RelationLabel",
     "SemEvalInstance",
     "SemEvalFormatError",
@@ -281,6 +282,26 @@ class NounPairContext:
     @property
     def m_out(self):
         return len(self.w_bef)
+
+
+def neighbor_slots(ctx, i, c, reach=None):
+    """Word ids of the `c` neighbors on each side of between-position `i`.
+
+    `i` is 1-based into ``ctx.w_in``.  Returns ``2*c`` ids: the left
+    neighbors nearest first, then the right neighbors nearest first.  Slots
+    beyond the between-words span, or more than `reach` positions away when
+    `reach` is given, hold ``NULL_WORD``.
+    """
+    w_in = ctx.w_in
+    m_in = len(w_in)
+    if not 1 <= i <= m_in:
+        raise ValueError(f"position {i} outside 1..{m_in}")
+    limit = c if reach is None else min(c, reach)
+    left = [w_in[i - j - 1] if j <= limit and i - j >= 1 else NULL_WORD
+            for j in range(1, c + 1)]
+    right = [w_in[i + j - 1] if j <= limit and i + j <= m_in else NULL_WORD
+             for j in range(1, c + 1)]
+    return left + right
 
 
 def _outside_windows(word_ids, left_pos, right_pos, m_out):

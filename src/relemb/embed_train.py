@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .corpus import NULL_WORD
+from .corpus import neighbor_slots
 
 logger = logging.getLogger(__name__)
 
@@ -30,10 +29,10 @@ __all__ = [
     "initial_params",
     "subsample_discard_prob",
     "pair_discard",
-    "pair_discard_many",
     "build_feature_vector",
     "target_probability",
     "pretrain_objective_and_grad",
+    "sum_rows",
     "apply_row_grads",
     "pretrain_step",
     "train_embeddings",
@@ -92,19 +91,16 @@ class EmbeddingParams:
                 raise FloatingPointError(f"non-finite entries in {name}")
 
 
-def initial_params(n_nouns, n_words, dim, window, rng, dtype="float64",
-                   pred_dim=None):
+def initial_params(n_nouns, n_words, dim, window, rng, pred_dim=None):
     """Gaussian(0, 1/dim) noun/word embeddings, zero prediction weights."""
     std = 1.0 / math.sqrt(dim)
     if pred_dim is None:
         pred_dim = 2 * dim * (2 + window)
-    noun = rng.normal(0.0, std, size=(n_nouns, dim)).astype(dtype)
-    word = rng.normal(0.0, std, size=(n_words, dim)).astype(dtype)
     return EmbeddingParams(
-        noun_vecs=noun,
-        word_vecs=word,
-        pred_vecs=np.zeros((n_words, pred_dim), dtype=dtype),
-        pred_bias=np.zeros(n_words, dtype=dtype),
+        noun_vecs=rng.normal(0.0, std, size=(n_nouns, dim)),
+        word_vecs=rng.normal(0.0, std, size=(n_words, dim)),
+        pred_vecs=np.zeros((n_words, pred_dim)),
+        pred_bias=np.zeros(n_words),
         dim=dim,
         window=window,
     )
@@ -126,8 +122,6 @@ class PretrainConfig:
     subsample: float = 1e-5
     epochs: int = 1
     seed: int = 1
-    threads: int = 1
-    dtype: str = "float64"
     report_every: int = 100_000
 
     def validate(self):
@@ -145,8 +139,6 @@ class PretrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.m_out < 1:
             raise ValueError("m_out must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         return self
 
 
@@ -186,10 +178,6 @@ class SubsamplingFilter:
         # discard iff P_d(w) > r for r ~ U(0,1)
         return self.discard_probs[wid] > rng.random()
 
-    def discard_many(self, wid, size, rng):
-        """Vectorized Bernoulli draws of the discard decision for one id."""
-        return self.discard_probs[wid] > rng.random(size)
-
 
 def pair_discard(n1, n2, noun_filter, rng):
     """Noun-pair subsampling: two independent uniforms, discard if either
@@ -197,13 +185,6 @@ def pair_discard(n1, n2, noun_filter, rng):
     r1 = rng.random()
     r2 = rng.random()
     return noun_filter.discard_probs[n1] > r1 or noun_filter.discard_probs[n2] > r2
-
-
-def pair_discard_many(n1, n2, noun_filter, size, rng):
-    """Vectorized pair_discard decisions for simulation checks."""
-    r1 = rng.random(size)
-    r2 = rng.random(size)
-    return (noun_filter.discard_probs[n1] > r1) | (noun_filter.discard_probs[n2] > r2)
 
 
 class NoiseSampler:
@@ -238,20 +219,11 @@ def build_feature_vector(ctx, i, params):
     side of the target (NULL beyond the between-words span), and the two
     averaged outside windows; length ``2*dim*(2+window)``.
     """
-    m_in = ctx.m_in
-    if not 1 <= i <= m_in:
-        raise ValueError(f"target index {i} outside 1..{m_in}")
-    c = params.window
     w = params.word_vecs
-    slots = []
-    for j in range(1, c + 1):
-        slots.append(ctx.w_in[i - j - 1] if i - j >= 1 else NULL_WORD)
-    for j in range(1, c + 1):
-        slots.append(ctx.w_in[i + j - 1] if i + j <= m_in else NULL_WORD)
     return np.concatenate([
         params.noun_vecs[ctx.n1],
         params.noun_vecs[ctx.n2],
-        w[slots].reshape(-1),
+        w[neighbor_slots(ctx, i, params.window)].reshape(-1),
         w[list(ctx.w_bef)].mean(axis=0),
         w[list(ctx.w_aft)].mean(axis=0),
     ])
@@ -262,70 +234,65 @@ def target_probability(f, wid, params):
     return float(expit(params.pred_vecs[wid] @ f + params.pred_bias[wid]))
 
 
+def sum_rows(ids, rows):
+    """Gradient of one parameter block: ``(unique ids, summed rows)``.
+
+    `rows` is a sequence holding the contribution of each occurrence to row
+    ``ids[j]`` (array rows, or numbers for a 1-D block).  Ids keep the order
+    of their first occurrence, and repeats are added in order of occurrence,
+    so each sum is the sequential sum a per-row accumulator would give.
+    Every gradient in the package is a dict from a parameter attribute name
+    to such a pair.
+    """
+    sums = {}
+    for idx, row in zip(ids, rows):
+        acc = sums.get(idx)
+        sums[idx] = row if acc is None else acc + row
+    return np.fromiter(sums, np.intp, len(sums)), np.array(list(sums.values()))
+
+
 def pretrain_objective_and_grad(ctx, i, params, noise_ids):
     """Objective term and gradients for one (context, target) sample.
 
     Returns ``(value, grads)`` where value is
-    ``log p(target|f) + sum_j log(1 - p(noise_j|f))`` and grads maps
-    ``('noun'|'word'|'pred'|'bias', id)`` to the accumulated gradient of the
-    value with respect to that parameter row.  Duplicate rows (repeated
-    noise draws, shared window/outside words, n1 == n2) accumulate.
+    ``log p(target|f) + sum_j log(1 - p(noise_j|f))`` and grads is the
+    gradient of the value in the form of :func:`sum_rows`, keyed by
+    ``noun_vecs``, ``word_vecs``, ``pred_vecs`` and ``pred_bias``.
+    Duplicate rows (repeated noise draws, shared window/outside words,
+    n1 == n2) accumulate.
     """
-    target = ctx.w_in[i - 1]
     f = build_feature_vector(ctx, i, params)
-    words = np.concatenate(([target], noise_ids)).astype(np.intp)
-    z = params.pred_vecs[words] @ f + params.pred_bias[words]
+    words = np.concatenate(([ctx.w_in[i - 1]], noise_ids)).astype(np.intp)
+    pred = params.pred_vecs[words]
+    z = pred @ f + params.pred_bias[words]
     labels = np.zeros(len(words))
     labels[0] = 1.0
     value = float(log_expit(z[0]) + log_expit(-z[1:]).sum())
     errs = labels - expit(z)
-
-    grads: dict = {}
-
-    def add(kind, idx, g):
-        key = (kind, int(idx))
-        if key in grads:
-            grads[key] = grads[key] + g
-        else:
-            grads[key] = g
-
-    for wid, err, row_f in zip(words, errs, np.outer(errs, f)):
-        add("pred", wid, row_f)
-        add("bias", wid, err)
-    g_f = errs @ params.pred_vecs[words]
+    g_f = errs @ pred
 
     d = params.dim
-    c = params.window
-    m_in = ctx.m_in
-    add("noun", ctx.n1, g_f[0:d])
-    add("noun", ctx.n2, g_f[d:2 * d])
-    off = 2 * d
-    for j in range(1, c + 1):
-        wid = ctx.w_in[i - j - 1] if i - j >= 1 else NULL_WORD
-        add("word", wid, g_f[off:off + d])
-        off += d
-    for j in range(1, c + 1):
-        wid = ctx.w_in[i + j - 1] if i + j <= m_in else NULL_WORD
-        add("word", wid, g_f[off:off + d])
-        off += d
     m_out = ctx.m_out
-    g_bef = g_f[off:off + d] / m_out
-    g_aft = g_f[off + d:off + 2 * d] / m_out
-    for wid in ctx.w_bef:
-        add("word", wid, g_bef)
-    for wid in ctx.w_aft:
-        add("word", wid, g_aft)
+    # f after the noun pair: 2c neighbor slots, then the two outside means
+    *g_slots, g_bef, g_aft = g_f[2 * d:].reshape(-1, d)
+    word_ids = (neighbor_slots(ctx, i, params.window)
+                + list(ctx.w_bef) + list(ctx.w_aft))
+    word_rows = g_slots + [g_bef / m_out] * m_out + [g_aft / m_out] * m_out
+    scored = words.tolist()
+    grads = {
+        "noun_vecs": sum_rows([ctx.n1, ctx.n2], g_f[:2 * d].reshape(2, d)),
+        "word_vecs": sum_rows(word_ids, word_rows),
+        "pred_vecs": sum_rows(scored, np.outer(errs, f)),
+        "pred_bias": sum_rows(scored, errs),
+    }
     return value, grads
 
 
-_GRAD_ARRAYS = {"noun": "noun_vecs", "word": "word_vecs",
-                "pred": "pred_vecs", "bias": "pred_bias"}
-
-
 def apply_row_grads(params, grads, lr):
-    """Gradient-ascent step: add ``lr * grad`` to each addressed row."""
-    for (kind, idx), g in grads.items():
-        getattr(params, _GRAD_ARRAYS[kind])[idx] += lr * g
+    """Gradient-ascent step: add ``lr`` times each summed row of `grads`
+    (see :func:`sum_rows`) to the row of `params` it addresses."""
+    for name, (ids, rows) in grads.items():
+        getattr(params, name)[ids] += lr * rows
 
 
 def pretrain_step(ctx, i, params, lr, k, sampler, rng):
@@ -361,25 +328,23 @@ def _count_targets(contexts):
     return total
 
 
-def _train_shard(contexts, params, cfg, sampler, word_filter, noun_filter,
-                 rng, progress, planned, log, report_every):
-    """Sequential training over one context stream; shared by both modes.
-
-    `progress` is a single-cell list so concurrent shards can share an
-    (unsynchronized) position in the linear learning-rate schedule.
-    """
+def _train_epoch(contexts, params, cfg, sampler, word_filter, noun_filter,
+                 rng, done, planned, log):
+    """One sequential pass over the contexts; `done` is the number of
+    targets already passed in the linear learning-rate schedule.  Returns
+    the updated count."""
     win_sum = 0.0
     win_count = 0
-    next_report = progress[0] + report_every
+    next_report = done + cfg.report_every
     for ctx in contexts:
         if pair_discard(ctx.n1, ctx.n2, noun_filter, rng):
-            progress[0] += ctx.m_in
+            done += ctx.m_in
             log.targets_seen += ctx.m_in
             log.pairs_discarded += 1
             continue
         for i in range(1, ctx.m_in + 1):
-            lr = cfg.alpha * (1.0 - progress[0] / planned)
-            progress[0] += 1
+            lr = cfg.alpha * (1.0 - done / planned)
+            done += 1
             log.targets_seen += 1
             if word_filter.should_discard(ctx.w_in[i - 1], rng):
                 log.targets_discarded += 1
@@ -388,25 +353,23 @@ def _train_shard(contexts, params, cfg, sampler, word_filter, noun_filter,
                                      sampler, rng)
             win_count += 1
             log.steps_taken += 1
-        if progress[0] >= next_report:
-            log.record(progress[0], win_sum, win_count)
+        if done >= next_report:
+            log.record(done, win_sum, win_count)
             logger.info("pretrain: %d/%d targets, window objective %.4f, lr %.5f",
-                        progress[0], planned,
+                        done, planned,
                         win_sum / win_count if win_count else float("nan"),
-                        cfg.alpha * (1.0 - min(progress[0], planned) / planned))
+                        cfg.alpha * (1.0 - min(done, planned) / planned))
             win_sum = 0.0
             win_count = 0
-            next_report += report_every
-    log.record(progress[0], win_sum, win_count)
+            next_report += cfg.report_every
+    log.record(done, win_sum, win_count)
+    return done
 
 
 def train_embeddings(contexts, vocab, config):
     """Train embedding parameters over a re-iterable stream of contexts.
 
-    Returns ``(params, log)``.  With ``threads == 1`` the run is
-    deterministic for a fixed seed; with more threads, workers update the
-    shared parameters without locks and only statistical properties are
-    guaranteed.
+    Returns ``(params, log)``.  The run is deterministic for a fixed seed.
     """
     cfg = config.validate()
     total_targets = _count_targets(contexts)
@@ -416,40 +379,16 @@ def train_embeddings(contexts, vocab, config):
 
     rng = np.random.default_rng(cfg.seed)
     params = initial_params(vocab.n_nouns, vocab.n_words, cfg.dim, cfg.window,
-                            rng, dtype=cfg.dtype)
+                            rng)
     sampler = NoiseSampler(vocab.word_counts)
     word_filter = SubsamplingFilter(vocab.word_counts, cfg.subsample)
     noun_filter = SubsamplingFilter(vocab.noun_counts, cfg.subsample)
 
     log = TrainingLog()
-    progress = [0]
-    for epoch in range(cfg.epochs):
-        if cfg.threads == 1:
-            _train_shard(contexts, params, cfg, sampler, word_filter,
-                         noun_filter, rng, progress, planned, log,
-                         cfg.report_every)
-        else:
-            shards = [[] for _ in range(cfg.threads)]
-            for n, ctx in enumerate(contexts):
-                shards[n % cfg.threads].append(ctx)
-            shard_logs = [TrainingLog() for _ in shards]
-            workers = [
-                threading.Thread(target=_train_shard, args=(
-                    shard, params, cfg, sampler, word_filter, noun_filter,
-                    np.random.default_rng(cfg.seed + 1000 * epoch + 7 * n + 1),
-                    progress, planned, shard_logs[n], cfg.report_every))
-                for n, shard in enumerate(shards)
-            ]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join()
-            for sl in shard_logs:
-                log.windows.extend(sl.windows)
-                log.targets_seen += sl.targets_seen
-                log.steps_taken += sl.steps_taken
-                log.pairs_discarded += sl.pairs_discarded
-                log.targets_discarded += sl.targets_discarded
+    done = 0
+    for _ in range(cfg.epochs):
+        done = _train_epoch(contexts, params, cfg, sampler, word_filter,
+                            noun_filter, rng, done, planned, log)
     params.check_finite()
     return params, log
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import spearmanr
 
-from .corpus import ALL_LABELS, FAMILIES, NULL_WORD, label_index
+from .corpus import ALL_LABELS, FAMILIES, label_index, neighbor_slots
 from .classifier import cross_validate
 from .features import FeatureOptions, ngram_embedding
 
@@ -198,9 +198,10 @@ def top_ngrams(softmax_params, embed_params, opts, instances, label, n,
     if n < 1 or n % 2 == 0 or n > 2 * embed_params.window + 1:
         raise ValueError(f"n must be odd and within 1..{2 * embed_params.window + 1}")
     half = (n - 1) // 2
+    c = embed_params.window
     # between-block offset within the assembled feature vector
     off = 2 * embed_params.dim if opts.include_nouns else 0
-    blk = 2 * embed_params.window * embed_params.dim + embed_params.pred_dim
+    blk = 2 * c * embed_params.dim + embed_params.pred_dim
     class_row = softmax_params.weights[label_index(label), off:off + blk]
 
     seen = {}
@@ -208,10 +209,9 @@ def top_ngrams(softmax_params, embed_params, opts, instances, label, n,
     for inst in instances:
         ctx = inst.context
         for i in range(1, ctx.m_in + 1):
-            words = tuple(
-                ctx.w_in[i + o - 1] if 1 <= i + o <= ctx.m_in else NULL_WORD
-                for o in range(-half, half + 1)
-            )
+            slots = neighbor_slots(ctx, i, c, half)
+            words = (*reversed(slots[:half]), ctx.w_in[i - 1],
+                     *slots[c:c + half])
             if words in seen:
                 continue
             h = ngram_embedding(ctx, i, embed_params, mask_beyond=half)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import NULL_WORD
+from .corpus import neighbor_slots
+from .embed_train import sum_rows
 
 __all__ = [
     "FeatureOptions",
@@ -104,41 +105,37 @@ def ngram_embedding(ctx, i, params, mask_beyond=None):
     than that many positions away (used to score short n-grams against the
     same weights as full ones).
     """
-    m_in = ctx.m_in
-    if not 1 <= i <= m_in:
-        raise ValueError(f"position {i} outside 1..{m_in}")
-    c = params.window
-    limit = c if mask_beyond is None else min(c, mask_beyond)
-    slots = []
-    for j in range(1, c + 1):
-        ok = j <= limit and i - j >= 1
-        slots.append(ctx.w_in[i - j - 1] if ok else NULL_WORD)
-    for j in range(1, c + 1):
-        ok = j <= limit and i + j <= m_in
-        slots.append(ctx.w_in[i + j - 1] if ok else NULL_WORD)
+    slots = neighbor_slots(ctx, i, params.window, mask_beyond)
     return np.concatenate([
         params.word_vecs[slots].reshape(-1),
         params.pred_vecs[ctx.w_in[i - 1]],
     ])
 
 
+def _between_slots(ctx, c):
+    """Neighbor-slot ids of every between-position, one row per position."""
+    return [neighbor_slots(ctx, i, c) for i in range(1, ctx.m_in + 1)]
+
+
 def between_features(ctx, params):
     """Mean n-gram embedding over the words between the pair; zeros when
     there are none."""
-    n = 2 * params.window * params.dim + params.pred_dim
-    if ctx.m_in == 0:
-        return np.zeros(n, dtype=params.word_vecs.dtype)
-    acc = ngram_embedding(ctx, 1, params)
-    for i in range(2, ctx.m_in + 1):
-        acc = acc + ngram_embedding(ctx, i, params)
-    return acc / ctx.m_in
+    m_in = ctx.m_in
+    if m_in == 0:
+        return np.zeros(2 * params.window * params.dim + params.pred_dim)
+    # one n-gram embedding per row; numpy sums a C-contiguous block along
+    # axis 0 row by row, so the mean is the sequential one
+    grams = np.concatenate([
+        params.word_vecs[_between_slots(ctx, params.window)].reshape(m_in, -1),
+        params.pred_vecs[list(ctx.w_in)],
+    ], axis=1)
+    return grams.sum(axis=0) / m_in
 
 
 def between_features_bow(ctx, params):
     """Bag-of-words variant: mean of [word embedding; prediction vector]."""
-    n = params.dim + params.pred_dim
     if ctx.m_in == 0:
-        return np.zeros(n, dtype=params.word_vecs.dtype)
+        return np.zeros(params.dim + params.pred_dim)
     ids = list(ctx.w_in)
     return np.concatenate([
         params.word_vecs[ids].mean(axis=0),
@@ -209,61 +206,43 @@ def scatter_feature_grad(grad_e, ctx, params, opts=FeatureOptions()):
     """Distribute a gradient w.r.t. the assembled vector back onto the
     parameter rows it was built from.
 
-    Returns a dict mapping ``('noun'|'word'|'pred', id)`` to the accumulated
-    row gradient; rows appearing in several slots accumulate.
+    Returns the gradient in the form of
+    :func:`relemb.embed_train.sum_rows`, keyed by ``noun_vecs``,
+    ``word_vecs`` and ``pred_vecs``; rows appearing in several slots
+    accumulate.  Blocks no row contributes to are left out.
     """
     d = params.dim
     c = params.window
-    grads: dict = {}
-
-    def add(kind, idx, g):
-        key = (kind, int(idx))
-        if key in grads:
-            grads[key] = grads[key] + g
-        else:
-            grads[key] = g
-
+    grads = {}
+    word_ids = []
+    word_rows = []
     off = 0
     if opts.include_nouns:
-        add("noun", ctx.n1, grad_e[off:off + d])
-        add("noun", ctx.n2, grad_e[off + d:off + 2 * d])
+        grads["noun_vecs"] = sum_rows([ctx.n1, ctx.n2],
+                                      grad_e[off:off + 2 * d].reshape(2, d))
         off += 2 * d
     if opts.include_between:
         m_in = ctx.m_in
-        if opts.bow_between:
-            blk = d + params.pred_dim
-            if m_in > 0:
-                g_w = grad_e[off:off + d] / m_in
-                g_p = grad_e[off + d:off + blk] / m_in
-                for wid in ctx.w_in:
-                    add("word", wid, g_w)
-                    add("pred", wid, g_p)
-            off += blk
-        else:
-            blk = 2 * c * d + params.pred_dim
-            if m_in > 0:
-                g = grad_e[off:off + blk] / m_in
-                for i in range(1, m_in + 1):
-                    pos = 0
-                    for j in range(1, c + 1):
-                        wid = ctx.w_in[i - j - 1] if i - j >= 1 else NULL_WORD
-                        add("word", wid, g[pos:pos + d])
-                        pos += d
-                    for j in range(1, c + 1):
-                        wid = ctx.w_in[i + j - 1] if i + j <= m_in else NULL_WORD
-                        add("word", wid, g[pos:pos + d])
-                        pos += d
-                    add("pred", ctx.w_in[i - 1], g[pos:])
-            off += blk
+        span = d if opts.bow_between else 2 * c * d
+        blk = span + params.pred_dim
+        if m_in > 0:
+            g = grad_e[off:off + blk] / m_in
+            if opts.bow_between:
+                word_ids += ctx.w_in
+                word_rows += [g[:d]] * m_in
+            else:
+                for slots in _between_slots(ctx, c):
+                    word_ids += slots
+                word_rows += list(g[:span].reshape(2 * c, d)) * m_in
+            grads["pred_vecs"] = sum_rows(ctx.w_in, [g[span:]] * m_in)
+        off += blk
     if opts.include_outside:
         bef, aft = _trim_outside(ctx, opts.m_out)
-        g_bef = grad_e[off:off + d] / len(bef)
-        g_aft = grad_e[off + d:off + 2 * d] / len(aft)
-        for wid in bef:
-            add("word", wid, g_bef)
-        for wid in aft:
-            add("word", wid, g_aft)
-        off += 2 * d
+        word_ids += bef + aft
+        word_rows += ([grad_e[off:off + d] / len(bef)] * len(bef)
+                      + [grad_e[off + d:off + 2 * d] / len(aft)] * len(aft))
+    if word_ids:
+        grads["word_vecs"] = sum_rows(word_ids, word_rows)
     return grads
 
 

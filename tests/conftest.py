@@ -49,37 +49,42 @@ def rel_err(a, b, floor=1e-8):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def check_row_grads(value_fn, arrays, grads, step=1e-5, tol=1e-4):
-    """Central finite differences against a dict of analytic row gradients.
+def check_row_grads(value_fn, params, grads, step=1e-5, tol=1e-4):
+    """Central finite differences against block-form analytic gradients.
 
-    `arrays` maps the grad-key kind to the parameter array it addresses;
-    `value_fn` re-evaluates the objective from the (mutated) arrays.
+    `grads` maps an array attribute of `params` to ``(ids, rows)``, the form
+    of :func:`relemb.embed_train.sum_rows`; the ids of a block must be
+    unique.  `value_fn` re-evaluates the objective from the (mutated)
+    arrays.
     """
     worst = 0.0
-    for (kind, idx), grad in grads.items():
-        arr = arrays[kind]
-        grad = np.atleast_1d(np.asarray(grad, dtype=float))
-        for pos in range(grad.size):
-            if arr.ndim == 1:
-                orig = arr[idx]
-                arr[idx] = orig + step
-                hi = value_fn()
-                arr[idx] = orig - step
-                lo = value_fn()
-                arr[idx] = orig
-            else:
-                orig = arr[idx, pos]
-                arr[idx, pos] = orig + step
-                hi = value_fn()
-                arr[idx, pos] = orig - step
-                lo = value_fn()
-                arr[idx, pos] = orig
-            fd = (hi - lo) / (2 * step)
-            err = rel_err(fd, grad[pos])
-            worst = max(worst, err)
-            assert err < tol, (
-                f"grad mismatch at {kind}[{idx}][{pos}]: "
-                f"analytic {grad[pos]:.8g} vs fd {fd:.8g} (rel err {err:.2e})")
+    for name, (ids, rows) in grads.items():
+        arr = getattr(params, name)
+        ids = [int(i) for i in ids]
+        assert len(set(ids)) == len(ids), f"repeated row ids in {name}: {ids}"
+        for idx, grad in zip(ids, rows):
+            grad = np.atleast_1d(np.asarray(grad, dtype=float))
+            for pos in range(grad.size):
+                if arr.ndim == 1:
+                    orig = arr[idx]
+                    arr[idx] = orig + step
+                    hi = value_fn()
+                    arr[idx] = orig - step
+                    lo = value_fn()
+                    arr[idx] = orig
+                else:
+                    orig = arr[idx, pos]
+                    arr[idx, pos] = orig + step
+                    hi = value_fn()
+                    arr[idx, pos] = orig - step
+                    lo = value_fn()
+                    arr[idx, pos] = orig
+                fd = (hi - lo) / (2 * step)
+                err = rel_err(fd, grad[pos])
+                worst = max(worst, err)
+                assert err < tol, (
+                    f"grad mismatch at {name}[{idx}][{pos}]: "
+                    f"analytic {grad[pos]:.8g} vs fd {fd:.8g} (rel err {err:.2e})")
     return worst
 
 

@@ -51,9 +51,10 @@ class TestSupervisedObjective:
         params.pred_vecs[:] = 0
         (inst,) = _instances(rng, 1, params)
         softmax = cl.SoftmaxParams.zeros(19, feature_dim(params))
-        value, _, _ = cl.supervised_objective_and_grad(
+        value, loglik, _, _ = cl.supervised_objective_and_grad(
             [inst], params, softmax, l2=0.0, fine_tune=False)
         assert value == pytest.approx(-math.log(19))
+        assert loglik == value
 
     @pytest.mark.parametrize("l2,dropout", [(0.0, False), (0.05, False),
                                             (0.05, True)])
@@ -70,31 +71,25 @@ class TestSupervisedObjective:
                      for _ in batch]
 
         def value():
-            v, _, _ = cl.supervised_objective_and_grad(
-                batch, params, softmax, l2, masks, fine_tune=True)
-            return v
+            return cl.supervised_objective_and_grad(
+                batch, params, softmax, l2, masks, fine_tune=True)[0]
 
-        _, (g_W, g_b), row_grads = cl.supervised_objective_and_grad(
+        _, _, (g_W, g_b), row_grads = cl.supervised_objective_and_grad(
             batch, params, softmax, l2, masks, fine_tune=True)
-        grads = dict(row_grads)
-        for r in range(19):
-            grads[("S", r)] = g_W[r]
-        grads[("s", 0)] = g_b
-        arrays = {"noun": params.noun_vecs, "word": params.word_vecs,
-                  "pred": params.pred_vecs, "S": softmax.weights,
-                  "s": softmax.bias.reshape(1, -1)}
-        # bias handled as a single 2-d row for the checker
-        check_row_grads(value, arrays, grads)
+        check_row_grads(value, params, row_grads)
+        rows = np.arange(19)
+        check_row_grads(value, softmax,
+                        {"weights": (rows, g_W), "bias": (rows, g_b)})
 
     def test_l2_term_is_linear_in_params(self, rng):
         params = rand_params(rng, dim=3, window=1)
         softmax = cl.SoftmaxParams(rng.normal(size=(19, feature_dim(params))),
                                    rng.normal(size=19))
         batch = _instances(rng, 2, params)
-        _, (gw0, gb0), _ = cl.supervised_objective_and_grad(
+        _, _, (gw0, gb0), _ = cl.supervised_objective_and_grad(
             batch, params, softmax, 0.0, fine_tune=False)
         lam = 0.3
-        _, (gw1, gb1), _ = cl.supervised_objective_and_grad(
+        _, _, (gw1, gb1), _ = cl.supervised_objective_and_grad(
             batch, params, softmax, lam, fine_tune=False)
         np.testing.assert_allclose(gw1 - gw0, -lam * softmax.weights)
         np.testing.assert_allclose(gb1 - gb0, -lam * softmax.bias)
@@ -248,6 +243,42 @@ class TestTrainClassifier:
                 instances, params, config, FeatureOptions(True, False, False))
             norms.append(np.linalg.norm(softmax.weights))
         assert norms[1] < norms[0]
+
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_one_epoch_is_one_adagrad_step_on_checked_gradient(self, rng,
+                                                               fine_tune):
+        params = rand_params(rng, dim=3, window=1, n_nouns=4, n_words=9)
+        ctx = NounPairContext(2, 2, w_in=(5, 6, 5), w_bef=(3, 5), w_aft=(6, 0))
+        inst = SemEvalInstance(1, ctx, ALL_LABELS[3])
+        opts = FeatureOptions()
+        config = cl.SupervisedConfig(eta=0.1, l2=0.01, epochs=1, dropout=True,
+                                     fine_tune=fine_tune, seed=5)
+        before = params.copy()
+        softmax, tuned, log = cl.train_classifier([inst], params, config, opts)
+
+        # replay the trainer's draws: the epoch's permutation, then the mask
+        replay = np.random.default_rng(config.seed)
+        replay.permutation(1)
+        dim = feature_dim(params, opts)
+        _, mask = cl.apply_dropout(np.ones(dim), replay)
+        start = cl.SoftmaxParams.zeros(len(ALL_LABELS), dim)
+        _, loglik, (g_W, g_b), row_grads = cl.supervised_objective_and_grad(
+            [inst], before, start, config.l2, [mask], opts, fine_tune)
+        assert (len(row_grads) > 0) == fine_tune
+
+        expected = start.copy()
+        cl.adagrad_update(expected.weights, g_W, np.zeros_like(g_W), config.eta)
+        cl.adagrad_update(expected.bias, g_b, np.zeros_like(g_b), config.eta)
+        for name, (ids, rows) in row_grads.items():
+            block = getattr(before, name)
+            for idx, g in zip(ids, rows):
+                cl.adagrad_update(block[idx], g, np.zeros_like(g), config.eta)
+        assert softmax.weights.tobytes() == expected.weights.tobytes()
+        assert softmax.bias.tobytes() == expected.bias.tobytes()
+        for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
+            assert getattr(tuned, name).tobytes() == \
+                getattr(before, name).tobytes(), name
+        assert log.epoch_objective == [loglik]
 
     def test_empty_and_config_validation(self, rng):
         params, instances = _separable_setup(rng)

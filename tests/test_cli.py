@@ -159,7 +159,7 @@ class TestDeterminismAndConfig:
         args = ["pretrain", "--contexts", str(workdir / "contexts.txt"),
                 "--vocab", str(workdir / "vocab.txt"),
                 "--d", "6", "--c", "1", "--k", "3", "--t", "1",
-                "--epochs", "1", "--seed", "7", "--threads", "1"]
+                "--epochs", "1", "--seed", "7"]
         cli.main(args + ["--out", str(workdir / "m1.bin")])
         cli.main(args + ["--out", str(workdir / "m2.bin")])
         assert (workdir / "m1.bin").read_bytes() == (workdir / "m2.bin").read_bytes()
@@ -192,7 +192,7 @@ class TestDeterminismAndConfig:
     def test_config_round_trip_reproduces_output(self, workdir):
         cfg = workdir / "full.cfg"
         cfg.write_text("d = 6\nc = 1\nk = 3\nalpha = 0.025\nt = 1\n"
-                       "epochs = 1\nseed = 7\nthreads = 1\n"
+                       "epochs = 1\nseed = 7\n"
                        "report_every = 100000\n")
         code = cli.main(["pretrain", "--config", str(cfg),
                          "--contexts", str(workdir / "contexts.txt"),
@@ -218,15 +218,19 @@ class TestExitCodes:
         assert cli.main(["no-such-command"]) == 2
         assert cli.main(["pretrain"]) == 2   # missing required args
 
-    def test_dimension_mismatch_exit_1(self, workdir, capsys):
-        # classifier trained against the pretrained model, evaluated with a
+    @pytest.mark.parametrize("command,data_flag", [("eval", "--test"),
+                                                   ("ngrams", "--train")],
+                             ids=["eval", "ngrams"])
+    def test_dimension_mismatch_exit_1(self, workdir, capsys, command,
+                                       data_flag):
+        # classifier trained against the pretrained model, used with a
         # differently sized one
         cli.main(["pretrain", "--contexts", str(workdir / "contexts.txt"),
                   "--vocab", str(workdir / "vocab.txt"),
                   "--out", str(workdir / "small.bin"),
                   "--d", "4", "--c", "1", "--k", "2", "--t", "1",
                   "--epochs", "1"])
-        code = cli.main(["eval", "--test", str(workdir / "test.txt"),
+        code = cli.main([command, data_flag, str(workdir / "test.txt"),
                          "--vocab", str(workdir / "vocab.txt"),
                          "--model", str(workdir / "small.bin"),
                          "--clf", str(workdir / "clf.bin")])

@@ -57,7 +57,7 @@ class TestSubsamplingFilter:
         assert filt.discard_prob(0) == pytest.approx(0.5)
         rng = np.random.default_rng(7)
         n = 1_000_000
-        rate = filt.discard_many(0, n, rng).mean()
+        rate = sum(bool(filt.should_discard(0, rng)) for _ in range(n)) / n
         se = math.sqrt(0.5 * 0.5 / n)
         assert abs(rate - 0.5) < 3 * se
 
@@ -79,9 +79,9 @@ class TestPairDiscard:
         filt = et.SubsamplingFilter([4, 4, 8], t=1 / 16)
         rng = np.random.default_rng(11)
         n = 1_000_000
-        kept = ~et.pair_discard_many(0, 1, filt, n, rng)
+        kept = sum(not et.pair_discard(0, 1, filt, rng) for _ in range(n)) / n
         se = math.sqrt(0.25 * 0.75 / n)
-        assert abs(kept.mean() - 0.25) < 3 * se
+        assert abs(kept - 0.25) < 3 * se
 
     def test_consumes_two_draws(self):
         # both uniforms are always drawn, keeping streams reproducible
@@ -234,9 +234,10 @@ class TestPretrainObjectiveAndGrad:
         ctx = cp.NounPairContext(0, 1, w_in=(5, 6), w_bef=(2,), w_aft=(3,))
         value, grads = et.pretrain_objective_and_grad(ctx, 1, params,
                                                       noise_ids=np.array([7, 8]))
-        assert grads[("bias", 5)] == pytest.approx(0.5)     # 1 - sigma(0)
-        assert grads[("bias", 7)] == pytest.approx(-0.5)
-        assert grads[("bias", 8)] == pytest.approx(-0.5)
+        bias = dict(zip(*grads["pred_bias"]))
+        assert bias[5] == pytest.approx(0.5)     # 1 - sigma(0)
+        assert bias[7] == pytest.approx(-0.5)
+        assert bias[8] == pytest.approx(-0.5)
         assert value == pytest.approx(3 * math.log(0.5))
 
     def test_gradients_match_finite_differences(self):
@@ -248,11 +249,9 @@ class TestPretrainObjectiveAndGrad:
             i = int(rng.integers(1, m_in + 1))
             noise = rng.integers(0, 9, 3)
             _, grads = et.pretrain_objective_and_grad(ctx, i, params, noise)
-            arrays = {"noun": params.noun_vecs, "word": params.word_vecs,
-                      "pred": params.pred_vecs, "bias": params.pred_bias}
             check_row_grads(
                 lambda: et.pretrain_objective_and_grad(ctx, i, params, noise)[0],
-                arrays, grads)
+                params, grads)
 
     def test_duplicate_rows_accumulate(self, rng):
         # n1 == n2: the shared noun row must receive both block gradients
@@ -260,11 +259,9 @@ class TestPretrainObjectiveAndGrad:
         ctx = cp.NounPairContext(1, 1, w_in=(4,), w_bef=(2, 3), w_aft=(5, 6))
         noise = np.array([7])
         _, grads = et.pretrain_objective_and_grad(ctx, 1, params, noise)
-        arrays = {"noun": params.noun_vecs, "word": params.word_vecs,
-                  "pred": params.pred_vecs, "bias": params.pred_bias}
         check_row_grads(
             lambda: et.pretrain_objective_and_grad(ctx, 1, params, noise)[0],
-            arrays, grads)
+            params, grads)
 
 
 class TestPretrainStep:
@@ -290,6 +287,29 @@ class TestPretrainStep:
                                  sampler=et.NoiseSampler(np.arange(1, 13)),
                                  rng=np.random.default_rng(1))
         assert value == pytest.approx(5 * math.log(0.5))
+
+    def test_step_moves_each_row_by_lr_times_checked_gradient(self):
+        # a 6-word inventory and n1 == n2 force repeated noise draws and
+        # shared rows, so the summed rows are exercised too
+        rng = np.random.default_rng(8)
+        params = rand_params(rng, dim=3, window=2, n_nouns=3, n_words=6)
+        ctx = cp.NounPairContext(2, 2, w_in=(3, 4, 3), w_bef=(5, 3),
+                                 w_aft=(4, 0))
+        sampler = et.NoiseSampler(np.arange(1, 7))
+        i, lr, k = 2, 0.3, 8
+        noise = sampler.sample(k, np.random.default_rng(4),
+                               exclude=ctx.w_in[i - 1])
+        assert len(set(noise.tolist())) < k
+        _, grads = et.pretrain_objective_and_grad(ctx, i, params, noise)
+        before = params.copy()
+        et.pretrain_step(ctx, i, params, lr, k, sampler,
+                         np.random.default_rng(4))
+        assert grads.keys() == {"noun_vecs", "word_vecs", "pred_vecs",
+                                "pred_bias"}
+        for name, (ids, rows) in grads.items():
+            expected = getattr(before, name).copy()
+            expected[ids] += lr * rows
+            assert getattr(params, name).tobytes() == expected.tobytes(), name
 
 
 def _pattern_setup():
@@ -350,15 +370,6 @@ class TestTrainEmbeddings:
             if all(p_target > et.target_probability(f, w, params) for w in others):
                 wins += 1
         assert wins >= 0.99 * trials
-
-    def test_multithreaded_mode_trains(self):
-        vocab, contexts = _pattern_setup()
-        cfg = et.PretrainConfig(dim=8, window=2, negatives=5, alpha=0.05,
-                                m_out=2, subsample=1.0, epochs=1, seed=2,
-                                threads=3, report_every=10_000)
-        params, log = et.train_embeddings(contexts, vocab, cfg)
-        params.check_finite()
-        assert log.steps_taken == sum(c.m_in for c in contexts)
 
     def test_learning_rate_schedule_counts_discarded_targets(self):
         # with an aggressive threshold everything is discarded, but the
