@@ -20,7 +20,8 @@ from scipy.special import expit, log_expit
 
 from .corpus import UNK_WORD
 from .embed_train import (EmbeddingParams, NoiseSampler, SubsamplingFilter,
-                          TrainingLog, apply_row_grads, sum_rows)
+                          TrainingLog, apply_row_grads, gather_table,
+                          scatter_table, sum_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -70,9 +71,11 @@ class CbowConfig:
 def cbow_objective_and_grad(window_ids, center, noise_ids, model):
     """One CBOW sample: objective value plus gradients in the form of
     :func:`relemb.embed_train.sum_rows`, keyed ``in_vecs`` and
-    ``out_vecs``; window rows share the context-mean gradient."""
-    window_ids = list(window_ids)
-    ctx = model.in_vecs[window_ids].mean(axis=0)
+    ``out_vecs``.  The context vector is the gather of a one-segment id
+    table, the window's input rows pooled to their mean."""
+    table = (np.array(window_ids, dtype=np.intp),
+             (("in_vecs", 1, len(window_ids)),))
+    ctx = gather_table(model, *table)
     words = np.concatenate(([center], noise_ids)).astype(np.intp)
     out = model.out_vecs[words]
     z = out @ ctx
@@ -80,11 +83,9 @@ def cbow_objective_and_grad(window_ids, center, noise_ids, model):
     labels[0] = 1.0
     value = float(log_expit(z[0]) + log_expit(-z[1:]).sum())
     errs = labels - expit(z)
-    g_ctx = (errs @ out) / len(window_ids)
-    return value, {
-        "out_vecs": sum_rows(words.tolist(), np.outer(errs, ctx)),
-        "in_vecs": sum_rows(window_ids, [g_ctx] * len(window_ids)),
-    }
+    grads = scatter_table(errs @ out, model, *table)
+    grads["out_vecs"] = sum_rows(words.tolist(), np.outer(errs, ctx))
+    return value, grads
 
 
 def train_cbow(sentences, vocab, config):

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .corpus import ALL_LABELS, label_index
-from .embed_train import sum_rows
+from .embed_train import read_blob_file, write_blob_file
 from .features import FeatureOptions, assemble_features, feature_dim, \
     scatter_feature_grad
 
@@ -91,10 +90,10 @@ def softmax_forward(e, weights, bias):
 
 
 def apply_dropout(e, rng):
-    """Inverted dropout at rate 0.5: zero half the elements in expectation,
-    double the survivors.  Returns (masked vector, 0/1 mask)."""
-    mask = (rng.random(e.shape[0]) < 0.5).astype(e.dtype)
-    return e * mask * 2.0, mask
+    """Inverted dropout at rate 0.5 for vector `e`: a 0/1 mask that zeroes
+    half the elements in expectation.  The dropped-out vector is
+    ``e * mask * 2.0``, which doubles the survivors."""
+    return (rng.random(e.shape[0]) < 0.5).astype(e.dtype)
 
 
 def adagrad_update(param, grad, accum, eta, eps=ADAGRAD_EPS):
@@ -120,30 +119,17 @@ class AdaGradState:
         return acc
 
 
-def _add_row_grads(first, second):
-    """Sum of two gradients of the :func:`relemb.embed_train.sum_rows`
-    form, adding the rows of `second` after those of `first`."""
-    total = dict(first)
-    for name, (ids, rows) in second.items():
-        if name in total:
-            ids0, rows0 = total[name]
-            total[name] = sum_rows([*ids0, *ids], [*rows0, *rows])
-        else:
-            total[name] = (ids, rows)
-    return total
+def supervised_objective_and_grad(inst, embed_params, softmax_params, l2,
+                                  mask=None, opts=FeatureOptions(),
+                                  fine_tune=True, e=None):
+    """Objective value and gradients for one labeled instance.
 
-
-def supervised_objective_and_grad(batch, embed_params, softmax_params, l2,
-                                  masks=None, opts=FeatureOptions(),
-                                  fine_tune=True, features=None):
-    """Objective value and gradients for a batch of labeled instances.
-
-    The value is ``sum_k log p(label_k | e_k) - (l2/2) * ||theta||^2`` where
-    theta covers the softmax parameters and, when `fine_tune` is set, the
-    embedding rows touched by the batch (lazy L2).  `masks` supplies one
-    dropout mask per instance or None entries for no dropout.  `features`
-    optionally supplies each instance's assembled vector, for callers that
-    already hold it; by default it is assembled from `embed_params`.
+    The value is ``log p(label | e) - (l2/2) * ||theta||^2`` where theta
+    covers the softmax parameters and, when `fine_tune` is set, the
+    embedding rows the instance touches (lazy L2).  `mask` is a dropout
+    mask from :func:`apply_dropout`, or None for no dropout.  `e` is the
+    instance's assembled vector, for callers that already hold it; by
+    default it is assembled from `embed_params`.
 
     Returns ``(value, loglik, softmax_grads, row_grads)``: `loglik` is the
     log-likelihood term of the value alone, ``softmax_grads =
@@ -151,34 +137,24 @@ def supervised_objective_and_grad(batch, embed_params, softmax_params, l2,
     :func:`relemb.features.scatter_feature_grad`.
     """
     W, b = softmax_params.weights, softmax_params.bias
-    # per-instance terms, summed in batch order; a batch of one is not copied
-    w_parts, b_parts, row_parts = [], [], []
-    loglik = 0.0
-    if masks is None:
-        masks = [None] * len(batch)
-    if features is None:
-        features = [assemble_features(inst.context, embed_params, opts).vector
-                    for inst in batch]
-    for inst, mask, e in zip(batch, masks, features):
-        e_used = e if mask is None else e * mask * 2.0
-        o = W @ e_used + b
-        o = o - o.max()
-        logz = np.log(np.exp(o).sum())
-        li = label_index(inst.label)
-        loglik += float(o[li] - logz)
-        g_o = -np.exp(o - logz)
-        g_o[li] += 1.0
-        w_parts.append(np.outer(g_o, e_used))
-        b_parts.append(g_o)
-        if fine_tune:
-            g_e = W.T @ g_o
-            if mask is not None:
-                g_e = g_e * mask * 2.0
-            row_parts.append(scatter_feature_grad(g_e, inst.context,
-                                                  embed_params, opts))
-    g_W = reduce(np.add, w_parts)
-    g_b = reduce(np.add, b_parts)
-    row_grads = reduce(_add_row_grads, row_parts, {})
+    if e is None:
+        e = assemble_features(inst.context, embed_params, opts)
+    if mask is not None:
+        e = e * mask * 2.0
+    o = W @ e + b
+    o = o - o.max()
+    logz = np.log(np.exp(o).sum())
+    li = label_index(inst.label)
+    loglik = float(o[li] - logz)
+    g_o = -np.exp(o - logz)   # gradient w.r.t. the scores, so the bias's
+    g_o[li] += 1.0
+    g_W, g_b = np.outer(g_o, e), g_o
+    row_grads = {}
+    if fine_tune:
+        g_e = W.T @ g_o
+        if mask is not None:
+            g_e = g_e * mask * 2.0
+        row_grads = scatter_feature_grad(g_e, inst.context, embed_params, opts)
     value = loglik
     if l2 > 0:
         value -= 0.5 * l2 * (float(np.vdot(W, W)) + float(b @ b))
@@ -221,7 +197,7 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
 
     cached = None
     if not cfg.fine_tune:
-        cached = np.stack([assemble_features(inst.context, params, opts).vector
+        cached = np.stack([assemble_features(inst.context, params, opts)
                            for inst in instances])
 
     log = ClassifierLog()
@@ -231,11 +207,10 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
         for idx in rng.permutation(n):
             inst = instances[idx]
             e = cached[idx] if cached is not None else \
-                assemble_features(inst.context, params, opts).vector
-            mask = apply_dropout(e, rng)[1] if cfg.dropout else None
+                assemble_features(inst.context, params, opts)
+            mask = apply_dropout(e, rng) if cfg.dropout else None
             _, loglik, (g_W, g_b), rows = supervised_objective_and_grad(
-                [inst], params, softmax, cfg.l2, [mask], opts, cfg.fine_tune,
-                features=[e])
+                inst, params, softmax, cfg.l2, mask, opts, cfg.fine_tune, e=e)
             total += loglik
             adagrad_update(softmax.weights, g_W, state.weights, cfg.eta)
             adagrad_update(softmax.bias, g_b, state.bias, cfg.eta)
@@ -253,7 +228,7 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
 def predict(ctx, softmax_params, embed_params, opts=FeatureOptions()):
     """Most probable label for a context (no dropout; ties break toward the
     lowest class index)."""
-    e = assemble_features(ctx, embed_params, opts).vector
+    e = assemble_features(ctx, embed_params, opts)
     probs = softmax_forward(e, softmax_params.weights, softmax_params.bias)
     return ALL_LABELS[int(np.argmax(probs))]
 
@@ -300,29 +275,25 @@ def cross_validate(instances, embed_params, settings, folds=10, seed=1,
 
 
 def save_classifier(softmax_params, opts, path):
-    """Binary classifier file: ASCII header with the feature flags, then
-    little-endian float64 weights and bias."""
+    """Classifier file: header ``relemb-clf v1 L= dim= opts=<feature
+    flags>``, then the weights and the bias."""
     header = (f"relemb-clf v1 L={softmax_params.n_labels} "
               f"dim={softmax_params.weights.shape[1]} opts={opts.flags()}")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
-        fh.write(np.ascontiguousarray(softmax_params.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(softmax_params.bias, dtype="<f8").tobytes())
+    write_blob_file(path, header, (softmax_params.weights, softmax_params.bias))
+
+
+def _classifier_shapes(kv):
+    n_labels, dim = int(kv["L"]), int(kv["dim"])
+    return [(n_labels, dim), (n_labels,)]
 
 
 def load_classifier(path):
     """Returns ``(softmax_params, opts)``."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if header[:2] != ["relemb-clf", "v1"]:
-            raise ValueError(f"not a relemb-clf file: {path}")
-        kv = dict(tok.split("=", 1) for tok in header[2:])
-        n_labels = int(kv["L"])
-        dim = int(kv["dim"])
+    kv, (weights, bias) = read_blob_file(path, "relemb-clf",
+                                         ("L", "dim", "opts"),
+                                         _classifier_shapes)
+    try:
         opts = FeatureOptions.from_flags(kv["opts"])
-        blob = fh.read()
-    weights = np.frombuffer(blob, dtype="<f8", count=n_labels * dim) \
-        .reshape(n_labels, dim).copy()
-    bias = np.frombuffer(blob, dtype="<f8", count=n_labels,
-                         offset=n_labels * dim * 8).copy()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return SoftmaxParams(weights, bias), opts

@@ -172,17 +172,6 @@ class Vocabulary:
             return "UNK"
         return self.noun_surfaces[nid]
 
-    def unk_rate(self, sentences):
-        """Fraction of tokens in `sentences` that map to the word UNK id."""
-        total = 0
-        unk = 0
-        for sent in sentences:
-            for w in sent.words:
-                total += 1
-                if self.word_id(w) == UNK_WORD:
-                    unk += 1
-        return unk / total if total else 0.0
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(

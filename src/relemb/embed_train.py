@@ -27,17 +27,21 @@ __all__ = [
     "SubsamplingFilter",
     "TrainingLog",
     "initial_params",
-    "subsample_discard_prob",
     "pair_discard",
+    "pretrain_table",
     "build_feature_vector",
     "target_probability",
     "pretrain_objective_and_grad",
     "sum_rows",
+    "gather_table",
+    "scatter_table",
     "apply_row_grads",
     "pretrain_step",
     "train_embeddings",
     "save_model",
     "load_model",
+    "write_blob_file",
+    "read_blob_file",
     "write_text_vectors",
     "read_text_vectors",
 ]
@@ -142,19 +146,9 @@ class PretrainConfig:
         return self
 
 
-def subsample_discard_prob(count, total, t):
-    """Discard probability max(0, 1 - sqrt(t / p)) for p = count/total."""
-    if total <= 0:
-        raise ValueError("total must be positive")
-    if not 0 < count <= total:
-        raise ValueError("count must satisfy 0 < count <= total")
-    if t <= 0:
-        raise ValueError("subsample threshold must be > 0")
-    return max(0.0, 1.0 - math.sqrt(t * total / count))
-
-
 class SubsamplingFilter:
-    """Per-id discard probabilities over one inventory.
+    """Per-id discard probabilities ``max(0, 1 - sqrt(t / p))`` over one
+    inventory, where ``p`` is the id's share of all counts.
 
     Ids with zero count (NULL, or UNK when nothing fell out of vocabulary)
     are never discarded.
@@ -170,9 +164,6 @@ class SubsamplingFilter:
         nz = counts > 0
         probs[nz] = 1.0 - np.sqrt(t * total / counts[nz])
         self.discard_probs = np.clip(probs, 0.0, 1.0)
-
-    def discard_prob(self, wid):
-        return float(self.discard_probs[wid])
 
     def should_discard(self, wid, rng):
         # discard iff P_d(w) > r for r ~ U(0,1)
@@ -212,28 +203,6 @@ class NoiseSampler:
         return draws
 
 
-def build_feature_vector(ctx, i, params):
-    """Prediction input for target position `i` (1-based) of ``ctx.w_in``.
-
-    Concatenates both noun embeddings, the `window` word embeddings on each
-    side of the target (NULL beyond the between-words span), and the two
-    averaged outside windows; length ``2*dim*(2+window)``.
-    """
-    w = params.word_vecs
-    return np.concatenate([
-        params.noun_vecs[ctx.n1],
-        params.noun_vecs[ctx.n2],
-        w[neighbor_slots(ctx, i, params.window)].reshape(-1),
-        w[list(ctx.w_bef)].mean(axis=0),
-        w[list(ctx.w_aft)].mean(axis=0),
-    ])
-
-
-def target_probability(f, wid, params):
-    """sigma(pred_vecs[wid] . f + pred_bias[wid])."""
-    return float(expit(params.pred_vecs[wid] @ f + params.pred_bias[wid]))
-
-
 def sum_rows(ids, rows):
     """Gradient of one parameter block: ``(unique ids, summed rows)``.
 
@@ -251,6 +220,84 @@ def sum_rows(ids, rows):
     return np.fromiter(sums, np.intp, len(sums)), np.array(list(sums.values()))
 
 
+# An id table describes one feature vector built from parameter rows: a flat
+# int array of row ids and a list of segments ``(name, k, m)``.  Segment `j`
+# reads the next ``k * m`` ids, m pooled rows of k slots each, from the 2-D
+# parameter attribute `name`, and fills ``k * width`` entries of the vector:
+# each slot's rows summed over the m pooled rows, divided by m when m > 1.
+# An empty segment (m = 0) fills zeros.
+
+def gather_table(params, ids, segments):
+    """The feature vector of an id table: its segments concatenated."""
+    parts = []
+    pos = 0
+    for name, k, m in segments:
+        arr = getattr(params, name)
+        end = pos + k * m
+        if m == 1:
+            parts.append(arr[ids[pos:end]].reshape(-1))
+        elif m:
+            # numpy sums a C-contiguous block along axis 0 row by row, so
+            # the mean is the sequential one
+            parts.append(arr[ids[pos:end]].reshape(m, -1).sum(axis=0) / m)
+        else:
+            parts.append(np.zeros(k * arr.shape[1]))
+        pos = end
+    return np.concatenate(parts)
+
+
+def scatter_table(grad, params, ids, segments):
+    """Transpose of :func:`gather_table`: the gradient `grad` w.r.t. the
+    feature vector, carried back onto the rows of `params` it was read from.
+
+    Each slot's gradient, divided by m, goes to the slot's row in every
+    pooled row, in table order.  Returns the gradient in the form of
+    :func:`sum_rows`; attributes no row is read from are left out.
+    """
+    ids = ids.tolist()
+    occurrences = {}
+    pos = off = 0
+    for name, k, m in segments:
+        width = k * getattr(params, name).shape[1]
+        end = pos + k * m
+        if m:
+            g = grad[off:off + width]
+            if m > 1:
+                g = g / m
+            slot_ids, rows = occurrences.setdefault(name, ([], []))
+            slot_ids += ids[pos:end]
+            rows += (list(g.reshape(k, -1)) if k > 1 else [g]) * m
+        pos = end
+        off += width
+    return {name: sum_rows(slot_ids, rows)
+            for name, (slot_ids, rows) in occurrences.items()}
+
+
+def pretrain_table(ctx, i, c):
+    """Id table of the prediction input for target position `i` (1-based)
+    of ``ctx.w_in``: both nouns, the `c` word neighbors on each side of the
+    target (NULL beyond the between-words span), and the two outside
+    windows, each pooled to its mean."""
+    ids = [ctx.n1, ctx.n2, *neighbor_slots(ctx, i, c), *ctx.w_bef, *ctx.w_aft]
+    return np.array(ids, dtype=np.intp), (
+        ("noun_vecs", 2, 1), ("word_vecs", 2 * c, 1),
+        ("word_vecs", 1, len(ctx.w_bef)), ("word_vecs", 1, len(ctx.w_aft)))
+
+
+def build_feature_vector(ctx, i, params, table=None):
+    """Prediction input for target position `i` of `ctx`, length
+    ``2*dim*(2+window)``: the gather of its :func:`pretrain_table`, which
+    callers already holding it pass as `table`."""
+    if table is None:
+        table = pretrain_table(ctx, i, params.window)
+    return gather_table(params, *table)
+
+
+def target_probability(f, wid, params):
+    """sigma(pred_vecs[wid] . f + pred_bias[wid])."""
+    return float(expit(params.pred_vecs[wid] @ f + params.pred_bias[wid]))
+
+
 def pretrain_objective_and_grad(ctx, i, params, noise_ids):
     """Objective term and gradients for one (context, target) sample.
 
@@ -261,7 +308,8 @@ def pretrain_objective_and_grad(ctx, i, params, noise_ids):
     Duplicate rows (repeated noise draws, shared window/outside words,
     n1 == n2) accumulate.
     """
-    f = build_feature_vector(ctx, i, params)
+    table = pretrain_table(ctx, i, params.window)
+    f = build_feature_vector(ctx, i, params, table)
     words = np.concatenate(([ctx.w_in[i - 1]], noise_ids)).astype(np.intp)
     pred = params.pred_vecs[words]
     z = pred @ f + params.pred_bias[words]
@@ -269,22 +317,10 @@ def pretrain_objective_and_grad(ctx, i, params, noise_ids):
     labels[0] = 1.0
     value = float(log_expit(z[0]) + log_expit(-z[1:]).sum())
     errs = labels - expit(z)
-    g_f = errs @ pred
-
-    d = params.dim
-    m_out = ctx.m_out
-    # f after the noun pair: 2c neighbor slots, then the two outside means
-    *g_slots, g_bef, g_aft = g_f[2 * d:].reshape(-1, d)
-    word_ids = (neighbor_slots(ctx, i, params.window)
-                + list(ctx.w_bef) + list(ctx.w_aft))
-    word_rows = g_slots + [g_bef / m_out] * m_out + [g_aft / m_out] * m_out
+    grads = scatter_table(errs @ pred, params, *table)
     scored = words.tolist()
-    grads = {
-        "noun_vecs": sum_rows([ctx.n1, ctx.n2], g_f[:2 * d].reshape(2, d)),
-        "word_vecs": sum_rows(word_ids, word_rows),
-        "pred_vecs": sum_rows(scored, np.outer(errs, f)),
-        "pred_bias": sum_rows(scored, errs),
-    }
+    grads["pred_vecs"] = sum_rows(scored, np.outer(errs, f))
+    grads["pred_bias"] = sum_rows(scored, errs)
     return value, grads
 
 
@@ -395,41 +431,71 @@ def train_embeddings(contexts, vocab, config):
 
 # --- persistence ------------------------------------------------------------
 
+def write_blob_file(path, header, arrays):
+    """Binary artifact: the ASCII `header` line, then each array as
+    little-endian float64, in order."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def read_blob_file(path, magic, required, shapes):
+    """Read a file written by :func:`write_blob_file` whose header is
+    ``<magic> v1 key=value ...``.
+
+    `shapes` maps the header dict to the shapes of the stored arrays.  The
+    magic, the `required` keys and the exact byte length are checked, and
+    every error names `path`.  Returns ``(header dict, arrays)``.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii", "replace").split()
+        blob = fh.read()
+    if header[:2] != [magic, "v1"]:
+        raise ValueError(f"not a {magic} file: {path}")
+    kv = dict(tok.partition("=")[::2] for tok in header[2:])
+    missing = [key for key in required if key not in kv]
+    if missing:
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+    try:
+        dims = shapes(kv)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header value: {exc}") from None
+    sizes = [math.prod(shape) for shape in dims]
+    if len(blob) != 8 * sum(sizes):
+        raise ValueError(f"{path}: header implies {8 * sum(sizes)} data bytes, "
+                         f"file holds {len(blob)}")
+    arrays = []
+    offset = 0
+    for shape, size in zip(dims, sizes):
+        arrays.append(np.frombuffer(blob, dtype="<f8", count=size,
+                                    offset=offset * 8).reshape(shape).copy())
+        offset += size
+    return kv, arrays
+
+
 def save_model(params, path):
-    """Binary model file: ASCII header line, then little-endian float64
-    matrices in order noun_vecs, word_vecs, pred_vecs, pred_bias."""
+    """Model file: header ``relemb-model v1 d= c= nwords= nnouns= [wdim=]``,
+    then matrices noun_vecs, word_vecs, pred_vecs, pred_bias."""
     header = (f"relemb-model v1 d={params.dim} c={params.window} "
               f"nwords={params.n_words} nnouns={params.n_nouns}")
     if params.pred_dim != params.pretrain_feature_dim:
         header += f" wdim={params.pred_dim}"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
-        for arr in (params.noun_vecs, params.word_vecs,
-                    params.pred_vecs, params.pred_bias):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_blob_file(path, header, (params.noun_vecs, params.word_vecs,
+                                   params.pred_vecs, params.pred_bias))
+
+
+def _model_shapes(kv):
+    d, c = int(kv["d"]), int(kv["c"])
+    n_words, n_nouns = int(kv["nwords"]), int(kv["nnouns"])
+    pred_dim = int(kv.get("wdim", 2 * d * (2 + c)))
+    return [(n_nouns, d), (n_words, d), (n_words, pred_dim), (n_words,)]
 
 
 def load_model(path):
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if header[:2] != ["relemb-model", "v1"]:
-            raise ValueError(f"not a relemb-model file: {path}")
-        kv = dict(tok.split("=", 1) for tok in header[2:])
-        d = int(kv["d"])
-        c = int(kv["c"])
-        n_words = int(kv["nwords"])
-        n_nouns = int(kv["nnouns"])
-        pred_dim = int(kv.get("wdim", 2 * d * (2 + c)))
-        blob = fh.read()
-    shapes = [(n_nouns, d), (n_words, d), (n_words, pred_dim), (n_words,)]
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=size,
-                                    offset=offset * 8).reshape(shape).copy())
-        offset += size
-    return EmbeddingParams(arrays[0], arrays[1], arrays[2], arrays[3], d, c)
+    kv, arrays = read_blob_file(path, "relemb-model",
+                                ("d", "c", "nwords", "nnouns"), _model_shapes)
+    return EmbeddingParams(*arrays, int(kv["d"]), int(kv["c"]))
 
 
 def write_text_vectors(surfaces, matrix, path):

@@ -20,7 +20,7 @@ from scipy.stats import spearmanr
 
 from .corpus import ALL_LABELS, FAMILIES, label_index, neighbor_slots
 from .classifier import cross_validate
-from .features import FeatureOptions, ngram_embedding
+from .features import FeatureOptions, between_slice, ngram_embedding
 
 logger = logging.getLogger(__name__)
 
@@ -199,10 +199,8 @@ def top_ngrams(softmax_params, embed_params, opts, instances, label, n,
         raise ValueError(f"n must be odd and within 1..{2 * embed_params.window + 1}")
     half = (n - 1) // 2
     c = embed_params.window
-    # between-block offset within the assembled feature vector
-    off = 2 * embed_params.dim if opts.include_nouns else 0
-    blk = 2 * c * embed_params.dim + embed_params.pred_dim
-    class_row = softmax_params.weights[label_index(label), off:off + blk]
+    class_row = softmax_params.weights[label_index(label),
+                                       between_slice(embed_params, opts)]
 
     seen = {}
     order = []

@@ -1,8 +1,16 @@
 """Classification feature vectors built from trained embedding parameters.
 
-Three blocks are concatenated in fixed order: the noun-pair embeddings, the
-averaged order-aware n-gram embeddings of the words between the pair (or
-their bag-of-words simplification), and the averaged outside windows.
+A context's feature vector is the gather of one id table (see
+:func:`relemb.embed_train.gather_table`), and its gradient the scatter over
+the same table.  Three blocks are table segments, in fixed order:
+
+- nouns: the two noun rows, one ``noun_vecs`` segment of 2 slots;
+- between: the mean n-gram embedding over the words between the pair, a
+  ``word_vecs`` segment of 2c neighbor slots and a ``pred_vecs`` segment of
+  the word itself, both pooled over the span (one ``word_vecs`` slot, the
+  word itself, in the bag-of-words variant); an empty span gives zeros;
+- outside: the before and after windows, one ``word_vecs`` slot each,
+  pooled over the window.
 """
 
 from __future__ import annotations
@@ -11,21 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import neighbor_slots
-from .embed_train import sum_rows
+from .corpus import NULL_WORD, UNK_NOUN, NounPairContext, neighbor_slots
+from .embed_train import gather_table, scatter_table
 
 __all__ = [
     "FeatureOptions",
-    "FeatureVector",
-    "noun_pair_features",
+    "feature_table",
     "ngram_embedding",
-    "between_features",
-    "between_features_bow",
-    "outside_features",
     "assemble_features",
     "feature_dim",
+    "between_slice",
     "scatter_feature_grad",
-    "dump_features",
 ]
 
 
@@ -85,15 +89,15 @@ class FeatureOptions:
         return cls(**kwargs).validate()
 
 
-@dataclass
-class FeatureVector:
-    vector: np.ndarray
-    blocks: dict[str, tuple[int, int]]   # name -> (offset, length)
-
-
-def noun_pair_features(ctx, params):
-    """Concatenated embeddings of the two nouns, length 2*dim."""
-    return np.concatenate([params.noun_vecs[ctx.n1], params.noun_vecs[ctx.n2]])
+def _ngram_table(ctx, positions, c, reach=None):
+    """Row ids and segments of the mean n-gram embedding over
+    between-`positions`."""
+    ids = []
+    for i in positions:
+        ids += neighbor_slots(ctx, i, c, reach)
+    ids += [ctx.w_in[i - 1] for i in positions]
+    m = len(positions)
+    return ids, [("word_vecs", 2 * c, m), ("pred_vecs", 1, m)]
 
 
 def ngram_embedding(ctx, i, params, mask_beyond=None):
@@ -105,42 +109,8 @@ def ngram_embedding(ctx, i, params, mask_beyond=None):
     than that many positions away (used to score short n-grams against the
     same weights as full ones).
     """
-    slots = neighbor_slots(ctx, i, params.window, mask_beyond)
-    return np.concatenate([
-        params.word_vecs[slots].reshape(-1),
-        params.pred_vecs[ctx.w_in[i - 1]],
-    ])
-
-
-def _between_slots(ctx, c):
-    """Neighbor-slot ids of every between-position, one row per position."""
-    return [neighbor_slots(ctx, i, c) for i in range(1, ctx.m_in + 1)]
-
-
-def between_features(ctx, params):
-    """Mean n-gram embedding over the words between the pair; zeros when
-    there are none."""
-    m_in = ctx.m_in
-    if m_in == 0:
-        return np.zeros(2 * params.window * params.dim + params.pred_dim)
-    # one n-gram embedding per row; numpy sums a C-contiguous block along
-    # axis 0 row by row, so the mean is the sequential one
-    grams = np.concatenate([
-        params.word_vecs[_between_slots(ctx, params.window)].reshape(m_in, -1),
-        params.pred_vecs[list(ctx.w_in)],
-    ], axis=1)
-    return grams.sum(axis=0) / m_in
-
-
-def between_features_bow(ctx, params):
-    """Bag-of-words variant: mean of [word embedding; prediction vector]."""
-    if ctx.m_in == 0:
-        return np.zeros(params.dim + params.pred_dim)
-    ids = list(ctx.w_in)
-    return np.concatenate([
-        params.word_vecs[ids].mean(axis=0),
-        params.pred_vecs[ids].mean(axis=0),
-    ])
+    return gather_table(params,
+                        *_ngram_table(ctx, [i], params.window, mask_beyond))
 
 
 def _trim_outside(ctx, m_out):
@@ -153,102 +123,78 @@ def _trim_outside(ctx, m_out):
     return ctx.w_bef[len(ctx.w_bef) - m_out:], ctx.w_aft[:m_out]
 
 
-def outside_features(ctx, params, m_out=None):
-    """Concatenated means of the before/after windows, length 2*dim."""
-    bef, aft = _trim_outside(ctx, m_out)
-    return np.concatenate([
-        params.word_vecs[list(bef)].mean(axis=0),
-        params.word_vecs[list(aft)].mean(axis=0),
-    ])
+def feature_table(ctx, params, opts=FeatureOptions()):
+    """Id table ``(ids, segments)`` of the enabled blocks of `ctx`, in fixed
+    order (nouns, between, outside); see
+    :func:`relemb.embed_train.gather_table`."""
+    ids = []
+    segments = []
+    if opts.include_nouns:
+        ids += (ctx.n1, ctx.n2)
+        segments.append(("noun_vecs", 2, 1))
+    if opts.include_between:
+        if opts.bow_between:
+            # each word's embedding, then each word's prediction vector
+            ids += ctx.w_in + ctx.w_in
+            segments += [("word_vecs", 1, ctx.m_in), ("pred_vecs", 1, ctx.m_in)]
+        else:
+            gram_ids, gram_segments = _ngram_table(
+                ctx, range(1, ctx.m_in + 1), params.window)
+            ids += gram_ids
+            segments += gram_segments
+    if opts.include_outside:
+        bef, aft = _trim_outside(ctx, opts.m_out)
+        ids += bef + aft
+        segments += [("word_vecs", 1, len(bef)), ("word_vecs", 1, len(aft))]
+    return np.array(ids, dtype=np.intp), segments
 
 
 def assemble_features(ctx, params, opts=FeatureOptions()):
-    """Concatenate the enabled blocks in fixed order (nouns, between,
-    outside) and record their offsets."""
+    """The feature vector of `ctx`: the gather of its :func:`feature_table`."""
     opts.validate()
-    parts = []
-    blocks = {}
-    off = 0
-    if opts.include_nouns:
-        v = noun_pair_features(ctx, params)
-        blocks["nouns"] = (off, len(v))
-        off += len(v)
-        parts.append(v)
-    if opts.include_between:
-        v = between_features_bow(ctx, params) if opts.bow_between \
-            else between_features(ctx, params)
-        blocks["between"] = (off, len(v))
-        off += len(v)
-        parts.append(v)
-    if opts.include_outside:
-        v = outside_features(ctx, params, opts.m_out)
-        blocks["outside"] = (off, len(v))
-        off += len(v)
-        parts.append(v)
-    return FeatureVector(np.concatenate(parts), blocks)
+    return gather_table(params, *feature_table(ctx, params, opts))
+
+
+def _probe(m_out):
+    """A context with one between word and outside windows of width
+    `m_out`."""
+    return NounPairContext(UNK_NOUN, UNK_NOUN, (NULL_WORD,),
+                           (NULL_WORD,) * m_out, (NULL_WORD,) * m_out)
+
+
+def _widths(params, opts):
+    """Segments of a one-word context and the width each fills; widths do
+    not depend on the span lengths, so they hold for every context."""
+    segments = feature_table(_probe(opts.m_out or 1), params, opts)[1]
+    return segments, [k * getattr(params, name).shape[1]
+                      for name, k, _ in segments]
 
 
 def feature_dim(params, opts=FeatureOptions()):
     """Length of the assembled vector for these parameters and options."""
     opts.validate()
-    n = 0
-    if opts.include_nouns:
-        n += 2 * params.dim
-    if opts.include_between:
-        n += (params.dim if opts.bow_between
-              else 2 * params.window * params.dim) + params.pred_dim
-    if opts.include_outside:
-        n += 2 * params.dim
-    return n
+    return sum(_widths(params, opts)[1])
+
+
+def between_slice(params, opts=FeatureOptions()):
+    """Where the order-aware between block lies in the assembled vector:
+    the segments a one-position n-gram table fills.  Raises ValueError when
+    the options build no such block."""
+    segments, widths = _widths(params, opts)
+    gram = _ngram_table(_probe(1), [1], params.window)[1]
+    j = segments.index(gram[0])
+    start = sum(widths[:j])
+    return slice(start, start + sum(widths[j:j + len(gram)]))
 
 
 def scatter_feature_grad(grad_e, ctx, params, opts=FeatureOptions()):
     """Distribute a gradient w.r.t. the assembled vector back onto the
-    parameter rows it was built from.
+    parameter rows it was built from: the scatter over the same
+    :func:`feature_table`.
 
     Returns the gradient in the form of
     :func:`relemb.embed_train.sum_rows`, keyed by ``noun_vecs``,
     ``word_vecs`` and ``pred_vecs``; rows appearing in several slots
     accumulate.  Blocks no row contributes to are left out.
     """
-    d = params.dim
-    c = params.window
-    grads = {}
-    word_ids = []
-    word_rows = []
-    off = 0
-    if opts.include_nouns:
-        grads["noun_vecs"] = sum_rows([ctx.n1, ctx.n2],
-                                      grad_e[off:off + 2 * d].reshape(2, d))
-        off += 2 * d
-    if opts.include_between:
-        m_in = ctx.m_in
-        span = d if opts.bow_between else 2 * c * d
-        blk = span + params.pred_dim
-        if m_in > 0:
-            g = grad_e[off:off + blk] / m_in
-            if opts.bow_between:
-                word_ids += ctx.w_in
-                word_rows += [g[:d]] * m_in
-            else:
-                for slots in _between_slots(ctx, c):
-                    word_ids += slots
-                word_rows += list(g[:span].reshape(2 * c, d)) * m_in
-            grads["pred_vecs"] = sum_rows(ctx.w_in, [g[span:]] * m_in)
-        off += blk
-    if opts.include_outside:
-        bef, aft = _trim_outside(ctx, opts.m_out)
-        word_ids += bef + aft
-        word_rows += ([grad_e[off:off + d] / len(bef)] * len(bef)
-                      + [grad_e[off + d:off + 2 * d] / len(aft)] * len(aft))
-    if word_ids:
-        grads["word_vecs"] = sum_rows(word_ids, word_rows)
-    return grads
-
-
-def dump_features(instances, params, opts, fh):
-    """Debug dump, one instance per line: ``id<TAB>label<TAB>v1,v2,...``."""
-    for inst in instances:
-        vec = assemble_features(inst.context, params, opts).vector
-        fh.write(f"{inst.id}\t{inst.label.surface()}\t"
-                 + ",".join(f"{x:.6g}" for x in vec) + "\n")
+    return scatter_table(grad_e, params, *feature_table(ctx, params, opts))

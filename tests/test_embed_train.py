@@ -10,30 +10,33 @@ from relemb.synthetic import make_single_pattern_corpus
 from conftest import make_vocab, rand_params, rand_ctx, check_row_grads
 
 
+def discard_prob(count, total, t):
+    """Discard probability of an id with `count` of `total` occurrences."""
+    return et.SubsamplingFilter([count, total - count], t).discard_probs[0]
+
+
 class TestSubsampleDiscardProb:
     def test_at_threshold_zero(self):
         # p(w) = t  ->  1 - sqrt(1) = 0
-        assert et.subsample_discard_prob(4, 400, t=0.01) == 0.0
+        assert discard_prob(4, 400, t=0.01) == 0.0
 
     def test_four_times_threshold_half(self):
         # p(w) = 4t  ->  1 - sqrt(1/4) = 0.5
-        assert et.subsample_discard_prob(16, 400, t=0.01) == pytest.approx(0.5)
+        assert discard_prob(16, 400, t=0.01) == pytest.approx(0.5)
 
     def test_below_threshold_clamped(self):
         # p(w) = t/4: raw value 1 - 2 = -1, clamped to 0
-        assert et.subsample_discard_prob(1, 400, t=0.01) == 0.0
+        assert discard_prob(1, 400, t=0.01) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            et.subsample_discard_prob(1, 0, t=0.01)
-        with pytest.raises(ValueError):
-            et.subsample_discard_prob(0, 10, t=0.01)
-        with pytest.raises(ValueError):
-            et.subsample_discard_prob(11, 10, t=0.01)
+            et.SubsamplingFilter([0, 0], t=0.01)
 
     def test_monotone_in_frequency(self):
-        probs = [et.subsample_discard_prob(c, 1000, 1e-3) for c in (1, 5, 50, 500)]
-        assert probs == sorted(probs)
+        counts = [1, 5, 50, 500]
+        probs = et.SubsamplingFilter(counts + [1000 - sum(counts)],
+                                     1e-3).discard_probs[:4]
+        assert list(probs) == sorted(probs)
 
 
 class TestSubsamplingFilter:
@@ -42,9 +45,9 @@ class TestSubsamplingFilter:
         filt = et.SubsamplingFilter(counts, t=0.01)
         for wid, c in enumerate(counts):
             if c > 0:
-                assert filt.discard_prob(wid) == pytest.approx(
-                    et.subsample_discard_prob(c, sum(counts), 0.01))
-        assert filt.discard_prob(0) == 0.0   # zero-count id never discarded
+                assert filt.discard_probs[wid] == pytest.approx(
+                    max(0.0, 1.0 - math.sqrt(0.01 * sum(counts) / c)))
+        assert filt.discard_probs[0] == 0.0   # zero-count id never discarded
 
     def test_probability_bounds(self):
         filt = et.SubsamplingFilter([1, 10, 100, 100000], t=1e-4)
@@ -54,7 +57,7 @@ class TestSubsamplingFilter:
     def test_empirical_rate_within_three_se(self):
         # P_d = 0.5 exactly: t*total/count = 1/4 with counts [4,4,8], t=1/16
         filt = et.SubsamplingFilter([4, 4, 8], t=1 / 16)
-        assert filt.discard_prob(0) == pytest.approx(0.5)
+        assert filt.discard_probs[0] == pytest.approx(0.5)
         rng = np.random.default_rng(7)
         n = 1_000_000
         rate = sum(bool(filt.should_discard(0, rng)) for _ in range(n)) / n
@@ -71,7 +74,7 @@ class TestPairDiscard:
     def test_always_discarded_at_prob_one(self):
         # count so dominant that P_d ~ 1: need sqrt(t*total/count) ~ 0
         filt = et.SubsamplingFilter([10**12, 1], t=1e-12)
-        assert filt.discard_prob(0) >= 0.999999
+        assert filt.discard_probs[0] >= 0.999999
         rng = np.random.default_rng(0)
         assert all(et.pair_discard(0, 0, filt, rng) for _ in range(1000))
 

@@ -1,11 +1,29 @@
-import io
-
 import numpy as np
 import pytest
 
 from relemb import features as ft
-from relemb.corpus import NULL_WORD, NounPairContext, RelationLabel, SemEvalInstance
+from relemb.corpus import NULL_WORD, NounPairContext
 from conftest import check_row_grads, rand_params, rand_ctx
+
+
+# Each block is a slice of the vector assembled with every block enabled;
+# the widths are written out here so the tests check the layout as well.
+
+def nouns_block(ctx, params):
+    return ft.assemble_features(ctx, params)[:2 * params.dim]
+
+
+def between_block(ctx, params, bow=False):
+    d = params.dim
+    width = (d if bow else 2 * params.window * d) + params.pred_dim
+    v = ft.assemble_features(ctx, params, ft.FeatureOptions(bow_between=bow))
+    assert v.shape == (2 * d + width + 2 * d,)
+    return v[2 * d:2 * d + width]
+
+
+def outside_block(ctx, params, m_out=None):
+    v = ft.assemble_features(ctx, params, ft.FeatureOptions(m_out=m_out))
+    return v[len(v) - 2 * params.dim:]
 
 
 class TestNounPairBlock:
@@ -14,19 +32,19 @@ class TestNounPairBlock:
         params.noun_vecs[1] = [1.0, 0.0]
         params.noun_vecs[2] = [0.0, 1.0]
         ctx = NounPairContext(1, 2, (3,), (4,), (5,))
-        np.testing.assert_array_equal(ft.noun_pair_features(ctx, params),
+        np.testing.assert_array_equal(nouns_block(ctx, params),
                                       [1, 0, 0, 1])
 
     def test_same_noun_twice(self, rng):
         params = rand_params(rng, dim=3, window=1)
         ctx = NounPairContext(2, 2, (3,), (4,), (5,))
-        v = ft.noun_pair_features(ctx, params)
+        v = nouns_block(ctx, params)
         np.testing.assert_array_equal(v[:3], v[3:])
 
     def test_unknown_noun_uses_unk_row(self, rng):
         params = rand_params(rng, dim=2, window=1)
         ctx = NounPairContext(0, 1, (3,), (4,), (5,))   # id 0 is the noun UNK
-        v = ft.noun_pair_features(ctx, params)
+        v = nouns_block(ctx, params)
         np.testing.assert_array_equal(v[:2], params.noun_vecs[0])
 
 
@@ -100,13 +118,13 @@ class TestBetweenBlock:
     def test_single_word_equals_ngram(self, rng):
         params = rand_params(rng, dim=3, window=2)
         ctx = rand_ctx(rng, m_in=1, m_out=2)
-        np.testing.assert_array_equal(ft.between_features(ctx, params),
+        np.testing.assert_array_equal(between_block(ctx, params),
                                       ft.ngram_embedding(ctx, 1, params))
 
     def test_empty_span_zero_vector(self, rng):
         params = rand_params(rng, dim=3, window=2)
         ctx = NounPairContext(1, 2, (), (3, 4), (5, 6))
-        v = ft.between_features(ctx, params)
+        v = between_block(ctx, params)
         assert v.shape == (2 * 2 * 3 + params.pred_dim,)
         assert np.all(v == 0)
 
@@ -115,7 +133,7 @@ class TestBetweenBlock:
         ctx = rand_ctx(rng, m_in=2, m_out=1)
         expected = (ft.ngram_embedding(ctx, 1, params)
                     + ft.ngram_embedding(ctx, 2, params)) / 2
-        np.testing.assert_allclose(ft.between_features(ctx, params), expected)
+        np.testing.assert_allclose(between_block(ctx, params), expected)
 
     def test_matches_independent_recomputation(self, rng):
         for _ in range(20):
@@ -123,7 +141,7 @@ class TestBetweenBlock:
             c = int(rng.integers(1, 4))
             params = rand_params(rng, dim=d, window=c)
             ctx = rand_ctx(rng, m_in=int(rng.integers(1, 7)), m_out=2)
-            got = ft.between_features(ctx, params)
+            got = between_block(ctx, params)
             expected = _brute_between(ctx, params)
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -132,8 +150,8 @@ class TestBetweenBlock:
         base = rand_ctx(rng, m_in=3, m_out=2)
         other = NounPairContext(base.n1, base.n2, base.w_in,
                                 (7, 8, 9, 10), (1, 2, 3, 4))
-        np.testing.assert_array_equal(ft.between_features(base, params),
-                                      ft.between_features(other, params))
+        np.testing.assert_array_equal(between_block(base, params),
+                                      between_block(other, params))
 
 
 class TestBetweenBowBlock:
@@ -142,13 +160,13 @@ class TestBetweenBowBlock:
         ctx = rand_ctx(rng, m_in=1, m_out=1)
         w = ctx.w_in[0]
         expected = np.concatenate([params.word_vecs[w], params.pred_vecs[w]])
-        np.testing.assert_array_equal(ft.between_features_bow(ctx, params),
+        np.testing.assert_array_equal(between_block(ctx, params, bow=True),
                                       expected)
 
     def test_empty_span_zero_vector(self, rng):
         params = rand_params(rng, dim=3, window=2)
         ctx = NounPairContext(1, 2, (), (3,), (5,))
-        v = ft.between_features_bow(ctx, params)
+        v = between_block(ctx, params, bow=True)
         assert v.shape == (3 + params.pred_dim,)
         assert np.all(v == 0)
 
@@ -156,35 +174,35 @@ class TestBetweenBowBlock:
         params = rand_params(rng, dim=3, window=2)
         a = NounPairContext(1, 2, (3, 4, 5), (6,), (7,))
         b = NounPairContext(1, 2, (5, 3, 4), (6,), (7,))
-        np.testing.assert_allclose(ft.between_features_bow(a, params),
-                                   ft.between_features_bow(b, params))
+        np.testing.assert_allclose(between_block(a, params, bow=True),
+                                   between_block(b, params, bow=True))
 
     def test_order_changes_full_between_block(self, rng):
         params = rand_params(rng, dim=3, window=1)
         a = NounPairContext(1, 2, (3, 4), (6,), (7,))
         b = NounPairContext(1, 2, (4, 3), (6,), (7,))
-        assert not np.allclose(ft.between_features(a, params),
-                               ft.between_features(b, params))
+        assert not np.allclose(between_block(a, params),
+                               between_block(b, params))
 
 
 class TestOutsideBlock:
     def test_all_null_before_window(self, rng):
         params = rand_params(rng, dim=3, window=1)
         ctx = NounPairContext(1, 2, (3,), (NULL_WORD, NULL_WORD), (4, 5))
-        v = ft.outside_features(ctx, params)
+        v = outside_block(ctx, params)
         np.testing.assert_array_equal(v[:3], params.word_vecs[NULL_WORD])
 
     def test_width_one_windows(self, rng):
         params = rand_params(rng, dim=2, window=1)
         ctx = NounPairContext(1, 2, (3,), (4,), (5,))
-        v = ft.outside_features(ctx, params)
+        v = outside_block(ctx, params)
         np.testing.assert_array_equal(v[:2], params.word_vecs[4])
         np.testing.assert_array_equal(v[2:], params.word_vecs[5])
 
     def test_width_two_hand_means(self, rng):
         params = rand_params(rng, dim=2, window=1)
         ctx = NounPairContext(1, 2, (3,), (4, 6), (5, 7))
-        v = ft.outside_features(ctx, params)
+        v = outside_block(ctx, params)
         np.testing.assert_allclose(
             v[:2], (params.word_vecs[4] + params.word_vecs[6]) / 2)
         np.testing.assert_allclose(
@@ -195,45 +213,52 @@ class TestOutsideBlock:
         base = rand_ctx(rng, m_in=3, m_out=2)
         other = NounPairContext(base.n1, base.n2, (9, 9, 9),
                                 base.w_bef, base.w_aft)
-        np.testing.assert_array_equal(ft.outside_features(base, params),
-                                      ft.outside_features(other, params))
+        np.testing.assert_array_equal(outside_block(base, params),
+                                      outside_block(other, params))
 
     def test_m_out_override_matches_narrow_extraction(self, rng):
         params = rand_params(rng, dim=2, window=1)
         wide = NounPairContext(1, 2, (3,), (NULL_WORD, 4, 6), (5, 7, NULL_WORD))
         narrow = NounPairContext(1, 2, (3,), (4, 6), (5, 7))
         np.testing.assert_array_equal(
-            ft.outside_features(wide, params, m_out=2),
-            ft.outside_features(narrow, params))
+            outside_block(wide, params, m_out=2),
+            outside_block(narrow, params))
 
     def test_override_larger_than_window_rejected(self, rng):
         params = rand_params(rng, dim=2, window=1)
         ctx = NounPairContext(1, 2, (3,), (4,), (5,))
         with pytest.raises(ValueError):
-            ft.outside_features(ctx, params, m_out=3)
+            outside_block(ctx, params, m_out=3)
 
 
 class TestAssembly:
     def test_full_vector_dimension(self, rng):
         params = rand_params(rng, dim=100, window=3)
         ctx = rand_ctx(rng, m_in=4, m_out=3)
-        fv = ft.assemble_features(ctx, params)
-        assert fv.vector.shape == (2000,)    # 4*100*(2+3)
-        assert fv.blocks["nouns"] == (0, 200)
-        assert fv.blocks["between"] == (200, 1600)
-        assert fv.blocks["outside"] == (1800, 200)
+        v = ft.assemble_features(ctx, params)
+        assert v.shape == (2000,)    # 4*100*(2+3)
+        only = {"nouns": ft.FeatureOptions(True, False, False),
+                "between": ft.FeatureOptions(False, True, False),
+                "outside": ft.FeatureOptions(False, False, True)}
+        spans = {"nouns": (0, 200), "between": (200, 1600),
+                 "outside": (1800, 200)}
+        for name, (off, length) in spans.items():
+            block = ft.assemble_features(ctx, params, only[name])
+            assert block.shape == (length,)
+            np.testing.assert_array_equal(v[off:off + length], block)
+        assert ft.between_slice(params) == slice(200, 1800)
 
     def test_nouns_only(self, rng):
         params = rand_params(rng, dim=7, window=2)
         opts = ft.FeatureOptions(True, False, False)
-        fv = ft.assemble_features(rand_ctx(rng, 2, 2), params, opts)
-        assert fv.vector.shape == (14,)
+        v = ft.assemble_features(rand_ctx(rng, 2, 2), params, opts)
+        assert v.shape == (14,)
 
     def test_nouns_plus_between(self, rng):
         params = rand_params(rng, dim=5, window=2)
         opts = ft.FeatureOptions(True, True, False)
-        fv = ft.assemble_features(rand_ctx(rng, 2, 2), params, opts)
-        assert fv.vector.shape == (2 * 5 + 4 * 5 * 3,)
+        v = ft.assemble_features(rand_ctx(rng, 2, 2), params, opts)
+        assert v.shape == (2 * 5 + 4 * 5 * 3,)
 
     @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("c", range(1, 5))
@@ -242,14 +267,14 @@ class TestAssembly:
         params = rand_params(rng, dim=d, window=c)
         ctx = rand_ctx(rng, m_in=3, m_out=2)
         assert ft.ngram_embedding(ctx, 1, params).shape == (4 * d * (1 + c),)
-        assert ft.assemble_features(ctx, params).vector.shape == (4 * d * (2 + c),)
+        assert ft.assemble_features(ctx, params).shape == (4 * d * (2 + c),)
         assert ft.feature_dim(params) == 4 * d * (2 + c)
 
     def test_pure_function(self, rng):
         params = rand_params(rng, dim=4, window=2)
         ctx = rand_ctx(rng, m_in=3, m_out=2)
-        a = ft.assemble_features(ctx, params).vector
-        b = ft.assemble_features(ctx, params).vector
+        a = ft.assemble_features(ctx, params)
+        b = ft.assemble_features(ctx, params)
         np.testing.assert_array_equal(a, b)
 
     def test_no_blocks_rejected(self):
@@ -265,8 +290,8 @@ class TestAssembly:
     def test_feature_dim_matches_assembly_for_bow(self, rng):
         params = rand_params(rng, dim=3, window=2)
         opts = ft.FeatureOptions(True, True, True, bow_between=True)
-        fv = ft.assemble_features(rand_ctx(rng, 3, 2), params, opts)
-        assert fv.vector.shape == (ft.feature_dim(params, opts),)
+        v = ft.assemble_features(rand_ctx(rng, 3, 2), params, opts)
+        assert v.shape == (ft.feature_dim(params, opts),)
 
 
 class TestScatterFeatureGrad:
@@ -286,7 +311,7 @@ class TestScatterFeatureGrad:
         grads = ft.scatter_feature_grad(g_e, ctx, params, opts)
 
         def value():
-            return float(g_e @ ft.assemble_features(ctx, params, opts).vector)
+            return float(g_e @ ft.assemble_features(ctx, params, opts))
 
         check_row_grads(value, params, grads)
 
@@ -296,16 +321,3 @@ class TestScatterFeatureGrad:
         opts = ft.FeatureOptions(False, True, False)
         g_e = rng.normal(size=ft.feature_dim(params, opts))
         assert ft.scatter_feature_grad(g_e, ctx, params, opts) == {}
-
-
-def test_dump_features_format(rng):
-    params = rand_params(rng, dim=2, window=1)
-    inst = SemEvalInstance(3, rand_ctx(rng, 2, 2),
-                           RelationLabel("Cause-Effect", "e1,e2"))
-    buf = io.StringIO()
-    ft.dump_features([inst], params, ft.FeatureOptions(), buf)
-    line = buf.getvalue().strip()
-    ident, label, values = line.split("\t")
-    assert ident == "3"
-    assert label == "Cause-Effect(e1,e2)"
-    assert len(values.split(",")) == ft.feature_dim(params)
