@@ -9,6 +9,7 @@ protocol.
 
 from .corpus import (
     ALL_LABELS,
+    ArtifactError,
     ContextFile,
     NounPairContext,
     RelationLabel,

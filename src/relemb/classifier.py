@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import ALL_LABELS, label_index
 from .embed_train import read_blob_file, write_blob_file
 from .features import FeatureOptions, assemble_features, feature_dim, \
-    scatter_feature_grad
+    feature_table, scatter_feature_grad
 
 logger = logging.getLogger(__name__)
 
@@ -121,7 +121,7 @@ class AdaGradState:
 
 def supervised_objective_and_grad(inst, embed_params, softmax_params, l2,
                                   mask=None, opts=FeatureOptions(),
-                                  fine_tune=True, e=None):
+                                  fine_tune=True, e=None, table=None):
     """Objective value and gradients for one labeled instance.
 
     The value is ``log p(label | e) - (l2/2) * ||theta||^2`` where theta
@@ -129,7 +129,9 @@ def supervised_objective_and_grad(inst, embed_params, softmax_params, l2,
     embedding rows the instance touches (lazy L2).  `mask` is a dropout
     mask from :func:`apply_dropout`, or None for no dropout.  `e` is the
     instance's assembled vector, for callers that already hold it; by
-    default it is assembled from `embed_params`.
+    default it is assembled from `embed_params`.  `table` is the instance's
+    :func:`relemb.features.feature_table`, for callers that already hold
+    it.
 
     Returns ``(value, loglik, softmax_grads, row_grads)``: `loglik` is the
     log-likelihood term of the value alone, ``softmax_grads =
@@ -138,7 +140,7 @@ def supervised_objective_and_grad(inst, embed_params, softmax_params, l2,
     """
     W, b = softmax_params.weights, softmax_params.bias
     if e is None:
-        e = assemble_features(inst.context, embed_params, opts)
+        e = assemble_features(inst.context, embed_params, opts, table)
     if mask is not None:
         e = e * mask * 2.0
     o = W @ e + b
@@ -154,7 +156,8 @@ def supervised_objective_and_grad(inst, embed_params, softmax_params, l2,
         g_e = W.T @ g_o
         if mask is not None:
             g_e = g_e * mask * 2.0
-        row_grads = scatter_feature_grad(g_e, inst.context, embed_params, opts)
+        row_grads = scatter_feature_grad(g_e, inst.context, embed_params,
+                                         opts, table)
     value = loglik
     if l2 > 0:
         value -= 0.5 * l2 * (float(np.vdot(W, W)) + float(b @ b))
@@ -206,11 +209,15 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
         total = 0.0
         for idx in rng.permutation(n):
             inst = instances[idx]
-            e = cached[idx] if cached is not None else \
-                assemble_features(inst.context, params, opts)
+            if cached is not None:
+                e, table = cached[idx], None
+            else:
+                table = feature_table(inst.context, params, opts)
+                e = assemble_features(inst.context, params, opts, table)
             mask = apply_dropout(e, rng) if cfg.dropout else None
             _, loglik, (g_W, g_b), rows = supervised_objective_and_grad(
-                inst, params, softmax, cfg.l2, mask, opts, cfg.fine_tune, e=e)
+                inst, params, softmax, cfg.l2, mask, opts, cfg.fine_tune, e=e,
+                table=table)
             total += loglik
             adagrad_update(softmax.weights, g_W, state.weights, cfg.eta)
             adagrad_update(softmax.bias, g_b, state.bias, cfg.eta)

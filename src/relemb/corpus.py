@@ -26,6 +26,7 @@ __all__ = [
     "RelationLabel",
     "SemEvalInstance",
     "SemEvalFormatError",
+    "ArtifactError",
     "parse_tagged_corpus",
     "build_vocabulary",
     "extract_noun_pair_contexts",
@@ -350,29 +351,66 @@ def write_contexts(contexts, m_out, path):
     return n
 
 
+class ArtifactError(ValueError):
+    """A malformed input file; the message names the file, and the line
+    where there is one."""
+
+
 class ContextFile:
-    """Re-iterable reader for the extracted-context file format."""
+    """Re-iterable reader for the extracted-context file format.
+
+    Each line must hold four tab-separated fields of non-negative integer
+    ids: two nouns, the words between them, and the two outside windows of
+    exactly the header's ``m_out`` ids each.  A line that does not raises
+    :class:`ArtifactError` naming ``path:line``.
+    """
 
     def __init__(self, path):
         self.path = path
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
         if header[:2] != ["relemb-contexts", "v1"]:
-            raise ValueError(f"not a relemb-contexts file: {path}")
-        self.m_out = int(dict(t.split("=", 1) for t in header[2:])["m_out"])
+            raise ArtifactError(f"not a relemb-contexts file: {path}")
+        try:
+            self.m_out = int(dict(t.split("=", 1) for t in header[2:])["m_out"])
+        except (KeyError, ValueError):
+            raise ArtifactError(f"{path}:1: header lacks an integer m_out") \
+                from None
 
     def __iter__(self):
+        m_out = self.m_out
         with open(self.path, encoding="utf-8") as fh:
             fh.readline()
-            for line in fh:
-                pair, w_in, w_bef, w_aft = line.rstrip("\n").split("\t")
-                n1, n2 = pair.split(" ")
-                yield NounPairContext(
-                    n1=int(n1), n2=int(n2),
-                    w_in=tuple(int(x) for x in w_in.split(" ") if x),
-                    w_bef=tuple(int(x) for x in w_bef.split(" ") if x),
-                    w_aft=tuple(int(x) for x in w_aft.split(" ") if x),
-                )
+            for lineno, line in enumerate(fh, 2):
+                try:
+                    pair, w_in, w_bef, w_aft = [
+                        tuple(map(int, field.split()))
+                        for field in line.rstrip("\n").split("\t")]
+                except ValueError:
+                    pair = None
+                if (pair is None or len(pair) != 2 or len(w_bef) != m_out
+                        or len(w_aft) != m_out or "-" in line):
+                    raise ArtifactError(
+                        f"{self.path}:{lineno}: {self._fault(line)}")
+                yield NounPairContext(pair[0], pair[1], w_in, w_bef, w_aft)
+
+    def _fault(self, line):
+        """What is wrong with a line that failed the checks of
+        :meth:`__iter__`."""
+        fields = [field.split() for field in line.rstrip("\n").split("\t")]
+        if len(fields) != 4:
+            return f"{len(fields)} tab-separated fields, expected 4"
+        for tok in sum(fields, []):
+            if tok.startswith("-"):
+                return f"negative id {tok!r}"
+            try:
+                int(tok)
+            except ValueError:
+                return f"non-integer id {tok!r}"
+        if len(fields[0]) != 2:
+            return f"{len(fields[0])} noun ids, expected 2"
+        return (f"outside windows of {len(fields[2])} and {len(fields[3])} "
+                f"ids, header has m_out={self.m_out}")
 
 
 # --- relation labels -------------------------------------------------------

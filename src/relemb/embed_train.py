@@ -5,6 +5,16 @@ local window, and the averaged outside windows.  A per-word logistic
 regression discriminates the true target from ``k`` noise words drawn from a
 count^0.75 unigram distribution; frequent targets and frequent noun pairs
 are stochastically discarded before training.
+
+Training makes every random draw in Python, in a fixed order, and queues
+each step it decides to take in a batch: the ids of the step's
+:func:`pretrain_table`, the target and its noise ids, and the learning
+rate.  A step reads no random draws, so taking it later gives the same
+step.  The batch is taken in one call before each progress record and
+whenever it holds ``_BATCH_STEPS`` steps.  It runs through the compiled
+steps of :mod:`relemb.pretrain_kernel` when a C compiler is found, and
+otherwise through the numpy steps (:func:`pretrain_objective_and_grad`'s
+arithmetic and :func:`apply_row_grads`), which stay the reference.
 """
 
 from __future__ import annotations
@@ -16,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .corpus import neighbor_slots
+from . import pretrain_kernel
+from .corpus import ArtifactError, neighbor_slots
 
 logger = logging.getLogger(__name__)
 
@@ -273,24 +284,25 @@ def scatter_table(grad, params, ids, segments):
             for name, (slot_ids, rows) in occurrences.items()}
 
 
+def _pretrain_segments(c, m_bef, m_aft):
+    return (("noun_vecs", 2, 1), ("word_vecs", 2 * c, 1),
+            ("word_vecs", 1, m_bef), ("word_vecs", 1, m_aft))
+
+
 def pretrain_table(ctx, i, c):
     """Id table of the prediction input for target position `i` (1-based)
     of ``ctx.w_in``: both nouns, the `c` word neighbors on each side of the
     target (NULL beyond the between-words span), and the two outside
     windows, each pooled to its mean."""
     ids = [ctx.n1, ctx.n2, *neighbor_slots(ctx, i, c), *ctx.w_bef, *ctx.w_aft]
-    return np.array(ids, dtype=np.intp), (
-        ("noun_vecs", 2, 1), ("word_vecs", 2 * c, 1),
-        ("word_vecs", 1, len(ctx.w_bef)), ("word_vecs", 1, len(ctx.w_aft)))
+    return (np.array(ids, dtype=np.intp),
+            _pretrain_segments(c, len(ctx.w_bef), len(ctx.w_aft)))
 
 
-def build_feature_vector(ctx, i, params, table=None):
+def build_feature_vector(ctx, i, params):
     """Prediction input for target position `i` of `ctx`, length
-    ``2*dim*(2+window)``: the gather of its :func:`pretrain_table`, which
-    callers already holding it pass as `table`."""
-    if table is None:
-        table = pretrain_table(ctx, i, params.window)
-    return gather_table(params, *table)
+    ``2*dim*(2+window)``: the gather of its :func:`pretrain_table`."""
+    return gather_table(params, *pretrain_table(ctx, i, params.window))
 
 
 def target_probability(f, wid, params):
@@ -308,9 +320,16 @@ def pretrain_objective_and_grad(ctx, i, params, noise_ids):
     Duplicate rows (repeated noise draws, shared window/outside words,
     n1 == n2) accumulate.
     """
-    table = pretrain_table(ctx, i, params.window)
-    f = build_feature_vector(ctx, i, params, table)
     words = np.concatenate(([ctx.w_in[i - 1]], noise_ids)).astype(np.intp)
+    return _objective_and_grad(params, pretrain_table(ctx, i, params.window),
+                               words)
+
+
+def _objective_and_grad(params, table, words):
+    """:func:`pretrain_objective_and_grad` of the step whose prediction
+    input is the id table `table` and whose scored words are `words`, the
+    target first."""
+    f = gather_table(params, *table)
     pred = params.pred_vecs[words]
     z = pred @ f + params.pred_bias[words]
     labels = np.zeros(len(words))
@@ -355,17 +374,104 @@ class TrainingLog:
             self.windows.append((processed, total / count))
 
 
-def _count_targets(contexts):
+def _check_ids(ids, bound, what):
+    bad = (ids < 0) | (ids >= bound)
+    if bad.any():
+        raise ValueError(f"{what} id {ids[bad][0]} outside [0, {bound})")
+
+
+def _context_fault(ctx, vocab, m_out):
+    """What is wrong with a context that failed the checks of
+    :func:`_count_targets`."""
+    if not ctx.w_in:
+        return "no words between the pair"
+    if len(ctx.w_bef) != m_out or len(ctx.w_aft) != m_out:
+        return (f"outside windows of {len(ctx.w_bef)} and {len(ctx.w_aft)} "
+                f"ids, m_out is {m_out}")
+    for ids, bound, what in (
+            ((ctx.n1, ctx.n2), vocab.n_nouns, "noun"),
+            (ctx.w_in + ctx.w_bef + ctx.w_aft, vocab.n_words, "word")):
+        bad = [x for x in ids if not 0 <= x < bound]
+        if bad:
+            return f"{what} id {bad[0]} outside [0, {bound})"
+
+
+def _count_targets(contexts, vocab, m_out):
+    """Targets in one pass over `contexts`, checking every context first:
+    at least one word between the pair, outside windows `m_out` wide, and
+    every id in the vocabulary's range."""
+    n_nouns, n_words = vocab.n_nouns, vocab.n_words
     total = 0
-    for ctx in contexts:
-        if ctx.m_in < 1:
-            raise ValueError("pretraining context with no words between the pair")
-        total += ctx.m_in
+    for n, ctx in enumerate(contexts):
+        words = ctx.w_in + ctx.w_bef + ctx.w_aft
+        if not (ctx.w_in and len(ctx.w_bef) == m_out == len(ctx.w_aft)
+                and 0 <= ctx.n1 < n_nouns and 0 <= ctx.n2 < n_nouns
+                and 0 <= min(words) and max(words) < n_words):
+            raise ValueError(f"pretraining context {n}: "
+                             f"{_context_fault(ctx, vocab, m_out)}")
+        total += len(ctx.w_in)
     return total
 
 
-def _train_epoch(contexts, params, cfg, sampler, word_filter, noun_filter,
-                 rng, done, planned, log):
+# Steps a batch holds before it is taken; at d=100, c=3, k=25 its buffers
+# take 1.4 MB.
+_BATCH_STEPS = 4096
+
+
+class _StepBatch:
+    """Steps drawn but not yet taken, in order: the ids of each step's
+    :func:`pretrain_table`, its target and noise ids, and its rate."""
+
+    def __init__(self, params, cfg, kernel):
+        self.params = params
+        self.kernel = kernel
+        self.m_out = cfg.m_out
+        self.segments = _pretrain_segments(cfg.window, cfg.m_out, cfg.m_out)
+        self.ids = np.empty((_BATCH_STEPS, 2 + 2 * cfg.window + 2 * cfg.m_out),
+                            np.int64)
+        self.words = np.empty((_BATCH_STEPS, 1 + cfg.negatives), np.int64)
+        self.lrs = np.empty(_BATCH_STEPS)
+        self.n = 0
+
+    def add(self, ids, target, noise, lr):
+        """Queue one step; returns True when the batch is full."""
+        n = self.n
+        self.ids[n] = ids
+        self.words[n, 0] = target
+        self.words[n, 1:] = noise
+        self.lrs[n] = lr
+        self.n = n + 1
+        return self.n == _BATCH_STEPS
+
+    def take(self, total):
+        """Take the queued steps in order and empty the batch.  Returns
+        `total` plus the steps' pre-update objective values, added in
+        order."""
+        n, self.n = self.n, 0
+        if not n:
+            return total
+        params = self.params
+        ids, words, lrs = self.ids[:n], self.words[:n], self.lrs[:n]
+        # the compiled steps read rows at these ids unchecked
+        _check_ids(ids[:, :2], params.n_nouns, "noun")
+        _check_ids(ids[:, 2:], params.n_words, "word")
+        _check_ids(words, params.n_words, "word")
+        if self.kernel is not None:
+            values = self.kernel(params, ids, words, lrs, self.m_out).tolist()
+        else:
+            values = []
+            for row, scored, lr in zip(ids, words, lrs.tolist()):
+                value, grads = _objective_and_grad(
+                    params, (row, self.segments), scored)
+                apply_row_grads(params, grads, lr)
+                values.append(value)
+        for value in values:
+            total += value
+        return total
+
+
+def _train_epoch(contexts, cfg, sampler, word_filter, noun_filter, rng, done,
+                 planned, log, batch):
     """One sequential pass over the contexts; `done` is the number of
     targets already passed in the linear learning-rate schedule.  Returns
     the updated count."""
@@ -382,14 +488,18 @@ def _train_epoch(contexts, params, cfg, sampler, word_filter, noun_filter,
             lr = cfg.alpha * (1.0 - done / planned)
             done += 1
             log.targets_seen += 1
-            if word_filter.should_discard(ctx.w_in[i - 1], rng):
+            target = ctx.w_in[i - 1]
+            if word_filter.should_discard(target, rng):
                 log.targets_discarded += 1
                 continue
-            win_sum += pretrain_step(ctx, i, params, lr, cfg.negatives,
-                                     sampler, rng)
+            noise = sampler.sample(cfg.negatives, rng, exclude=target)
+            if batch.add(pretrain_table(ctx, i, cfg.window)[0], target, noise,
+                         lr):
+                win_sum = batch.take(win_sum)
             win_count += 1
             log.steps_taken += 1
         if done >= next_report:
+            win_sum = batch.take(win_sum)
             log.record(done, win_sum, win_count)
             logger.info("pretrain: %d/%d targets, window objective %.4f, lr %.5f",
                         done, planned,
@@ -398,17 +508,18 @@ def _train_epoch(contexts, params, cfg, sampler, word_filter, noun_filter,
             win_sum = 0.0
             win_count = 0
             next_report += cfg.report_every
-    log.record(done, win_sum, win_count)
+    log.record(done, batch.take(win_sum), win_count)
     return done
 
 
 def train_embeddings(contexts, vocab, config):
-    """Train embedding parameters over a re-iterable stream of contexts.
+    """Train embedding parameters over a re-iterable stream of contexts,
+    whose outside windows are all ``config.m_out`` wide.
 
     Returns ``(params, log)``.  The run is deterministic for a fixed seed.
     """
     cfg = config.validate()
-    total_targets = _count_targets(contexts)
+    total_targets = _count_targets(contexts, vocab, cfg.m_out)
     if total_targets == 0:
         raise ValueError("context stream is empty")
     planned = cfg.epochs * total_targets
@@ -420,11 +531,15 @@ def train_embeddings(contexts, vocab, config):
     word_filter = SubsamplingFilter(vocab.word_counts, cfg.subsample)
     noun_filter = SubsamplingFilter(vocab.noun_counts, cfg.subsample)
 
+    kernel = pretrain_kernel.load()
+    logger.info("pretrain: taking %s steps",
+                "numpy" if kernel is None else "compiled")
+    batch = _StepBatch(params, cfg, kernel)
     log = TrainingLog()
     done = 0
     for _ in range(cfg.epochs):
-        done = _train_epoch(contexts, params, cfg, sampler, word_filter,
-                            noun_filter, rng, done, planned, log)
+        done = _train_epoch(contexts, cfg, sampler, word_filter, noun_filter,
+                            rng, done, planned, log, batch)
     params.check_finite()
     return params, log
 
@@ -452,18 +567,18 @@ def read_blob_file(path, magic, required, shapes):
         header = fh.readline().decode("ascii", "replace").split()
         blob = fh.read()
     if header[:2] != [magic, "v1"]:
-        raise ValueError(f"not a {magic} file: {path}")
+        raise ArtifactError(f"not a {magic} file: {path}")
     kv = dict(tok.partition("=")[::2] for tok in header[2:])
     missing = [key for key in required if key not in kv]
     if missing:
-        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+        raise ArtifactError(f"{path}: header lacks {', '.join(missing)}")
     try:
         dims = shapes(kv)
     except ValueError as exc:
-        raise ValueError(f"{path}: bad header value: {exc}") from None
+        raise ArtifactError(f"{path}: bad header value: {exc}") from None
     sizes = [math.prod(shape) for shape in dims]
     if len(blob) != 8 * sum(sizes):
-        raise ValueError(f"{path}: header implies {8 * sum(sizes)} data bytes, "
+        raise ArtifactError(f"{path}: header implies {8 * sum(sizes)} data bytes, "
                          f"file holds {len(blob)}")
     arrays = []
     offset = 0

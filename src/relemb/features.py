@@ -149,10 +149,13 @@ def feature_table(ctx, params, opts=FeatureOptions()):
     return np.array(ids, dtype=np.intp), segments
 
 
-def assemble_features(ctx, params, opts=FeatureOptions()):
-    """The feature vector of `ctx`: the gather of its :func:`feature_table`."""
+def assemble_features(ctx, params, opts=FeatureOptions(), table=None):
+    """The feature vector of `ctx`: the gather of its :func:`feature_table`,
+    which callers already holding it pass as `table`."""
     opts.validate()
-    return gather_table(params, *feature_table(ctx, params, opts))
+    if table is None:
+        table = feature_table(ctx, params, opts)
+    return gather_table(params, *table)
 
 
 def _probe(m_out):
@@ -187,14 +190,18 @@ def between_slice(params, opts=FeatureOptions()):
     return slice(start, start + sum(widths[j:j + len(gram)]))
 
 
-def scatter_feature_grad(grad_e, ctx, params, opts=FeatureOptions()):
+def scatter_feature_grad(grad_e, ctx, params, opts=FeatureOptions(),
+                         table=None):
     """Distribute a gradient w.r.t. the assembled vector back onto the
     parameter rows it was built from: the scatter over the same
-    :func:`feature_table`.
+    :func:`feature_table`, which callers already holding it pass as
+    `table`.
 
     Returns the gradient in the form of
     :func:`relemb.embed_train.sum_rows`, keyed by ``noun_vecs``,
     ``word_vecs`` and ``pred_vecs``; rows appearing in several slots
     accumulate.  Blocks no row contributes to are left out.
     """
-    return scatter_table(grad_e, params, *feature_table(ctx, params, opts))
+    if table is None:
+        table = feature_table(ctx, params, opts)
+    return scatter_table(grad_e, params, *table)

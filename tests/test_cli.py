@@ -218,6 +218,28 @@ class TestExitCodes:
         assert cli.main(["no-such-command"]) == 2
         assert cli.main(["pretrain"]) == 2   # missing required args
 
+    def test_truncated_model_exit_2(self, workdir, capsys):
+        bad = workdir / "truncated.bin"
+        bad.write_bytes((workdir / "tuned.bin").read_bytes()[:-8])
+        code = cli.main(["eval", "--test", str(workdir / "test.txt"),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--model", str(bad),
+                         "--clf", str(workdir / "clf.bin")])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_bad_context_line_exit_2(self, workdir, capsys):
+        bad = workdir / "bad_contexts.txt"
+        lines = (workdir / "contexts.txt").read_text().splitlines(True)
+        bad.write_text("".join(lines[:5]) + "1 2\t3 -4\t0 0 0\t0 0 0\n")
+        code = cli.main(["pretrain", "--contexts", str(bad),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--out", str(workdir / "never.bin"),
+                         "--d", "4", "--c", "1", "--k", "2", "--t", "1"])
+        assert code == 2
+        assert f"{bad}:6: negative id" in capsys.readouterr().err
+        assert not (workdir / "never.bin").exists()
+
     @pytest.mark.parametrize("command,data_flag", [("eval", "--test"),
                                                    ("ngrams", "--train")],
                              ids=["eval", "ngrams"])

@@ -298,3 +298,18 @@ class TestContextFile:
             [(c.n1, c.n2, c.w_in, c.w_bef, c.w_aft) for c in ctxs]
         # re-iterable
         assert len(list(reader)) == len(ctxs)
+
+    @pytest.mark.parametrize("line,message", [
+        ("3 4\t5 -1\t0 0 0 7 8\t9 10 0 0 0", "negative id"),
+        ("3 4\t5 6\t0 0 7 8\t9 10 0 0 0", "outside windows of 4 and 5"),
+        ("3 4\t5 6\t0 0 0 7 8", "3 tab-separated fields"),
+        ("3 4\t5 x\t0 0 0 7 8\t9 10 0 0 0", "non-integer id"),
+        ("3\t5 6\t0 0 0 7 8\t9 10 0 0 0", "1 noun ids"),
+    ], ids=["negative", "short_window", "fields", "non_integer", "one_noun"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "ctx.txt"
+        path.write_text("relemb-contexts v1 m_out=5\n"
+                        "3 4\t5 6\t0 0 0 7 8\t9 10 0 0 0\n" + line + "\n")
+        reader = cp.ContextFile(path)
+        with pytest.raises(cp.ArtifactError, match=f"{path}:3: {message}"):
+            list(reader)

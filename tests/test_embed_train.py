@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from relemb import corpus as cp
 from relemb import embed_train as et
+from relemb import pretrain_kernel
 from relemb.synthetic import make_single_pattern_corpus
 from conftest import make_vocab, rand_params, rand_ctx, check_row_grads
 
@@ -326,6 +328,14 @@ def _pattern_setup():
 
 
 class TestTrainEmbeddings:
+    """Runs on the compiled steps; TestTrainEmbeddingsNumpy repeats every
+    case on the numpy steps."""
+
+    @pytest.fixture(autouse=True)
+    def backend(self):
+        if pretrain_kernel.load() is None:
+            pytest.skip("no C compiler found; training takes the numpy steps")
+
     def test_empty_stream_rejected(self):
         vocab = make_vocab({"a": 3}, {"a": 3})
         with pytest.raises(ValueError):
@@ -384,6 +394,70 @@ class TestTrainEmbeddings:
         params, log = et.train_embeddings(contexts[:200], vocab, cfg)
         assert log.targets_seen == 2 * sum(c.m_in for c in contexts[:200])
         assert log.steps_taken == 0
+
+    def test_batch_cap_does_not_change_the_run(self, monkeypatch):
+        vocab, contexts = _pattern_setup()
+        cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
+                                m_out=2, subsample=1e-3, epochs=2, seed=3,
+                                report_every=500)
+        p1, log1 = et.train_embeddings(contexts[:300], vocab, cfg)
+        monkeypatch.setattr(et, "_BATCH_STEPS", 7)
+        p2, log2 = et.train_embeddings(contexts[:300], vocab, cfg)
+        assert log1 == log2
+        assert 0 < log1.targets_discarded < log1.targets_seen
+        for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
+            assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes()
+
+    @pytest.mark.parametrize("where,bad", [("w_in", 9999), ("w_aft", -1),
+                                           ("n2", 9999), ("n1", -1)])
+    def test_out_of_range_id_rejected_before_training(self, where, bad):
+        vocab, contexts = _pattern_setup()
+        contexts = contexts[:50]
+        old = getattr(contexts[30], where)
+        new = bad if where in ("n1", "n2") else old[:-1] + (bad,)
+        contexts[30] = dataclasses.replace(contexts[30], **{where: new})
+        cfg = et.PretrainConfig(dim=4, window=1, negatives=2, m_out=2,
+                                subsample=1.0)
+        with pytest.raises(ValueError, match=f"context 30: .* id {bad} "):
+            et.train_embeddings(contexts, vocab, cfg)
+
+    def test_outside_width_must_equal_m_out(self):
+        vocab, contexts = _pattern_setup()
+        cfg = et.PretrainConfig(dim=4, window=1, negatives=2, m_out=3,
+                                subsample=1.0)
+        with pytest.raises(ValueError, match="context 0: outside windows"):
+            et.train_embeddings(contexts[:5], vocab, cfg)
+
+
+class TestTrainEmbeddingsNumpy(TestTrainEmbeddings):
+    """Every TestTrainEmbeddings case on the numpy steps."""
+
+    @pytest.fixture(autouse=True)
+    def backend(self, monkeypatch):
+        monkeypatch.setattr(pretrain_kernel, "load", lambda: None)
+
+
+def test_kernel_and_numpy_runs_agree(monkeypatch):
+    if pretrain_kernel.load() is None:
+        pytest.skip("no C compiler found; training takes the numpy steps")
+    vocab, contexts = _pattern_setup()
+    cfg = et.PretrainConfig(dim=8, window=3, negatives=6, alpha=0.05,
+                            m_out=2, subsample=1e-3, epochs=1, seed=4,
+                            report_every=300)
+    p1, log1 = et.train_embeddings(contexts[:400], vocab, cfg)
+    monkeypatch.setattr(pretrain_kernel, "load", lambda: None)
+    p2, log2 = et.train_embeddings(contexts[:400], vocab, cfg)
+    assert (log1.targets_seen, log1.steps_taken, log1.pairs_discarded,
+            log1.targets_discarded) == (
+        log2.targets_seen, log2.steps_taken, log2.pairs_discarded,
+        log2.targets_discarded)
+    assert [n for n, _ in log1.windows] == [n for n, _ in log2.windows]
+    np.testing.assert_allclose([m for _, m in log1.windows],
+                               [m for _, m in log2.windows], rtol=1e-9)
+    for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
+        want = getattr(p2, name)
+        np.testing.assert_allclose(getattr(p1, name), want, rtol=1e-9,
+                                   atol=1e-9 * np.abs(want).max())
 
 
 class TestModelIO:
