@@ -6,6 +6,13 @@ doubled at train time) so prediction needs no adjustment.  When embedding
 fine-tuning is enabled, gradients flow through the feature blocks back to
 the embedding rows; L2 is applied lazily, only to rows touched by the
 current instance.
+
+Every instance's feature table is built once, before the first epoch.  Each
+epoch draws its permutation and then all its dropout masks in Python, and
+takes its updates in one call to the compiled classifier epoch of
+:mod:`relemb.kernels` when a C compiler is found, and otherwise through the
+numpy steps (:func:`supervised_objective_and_grad` and
+:func:`adagrad_update`), which stay the reference.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ALL_LABELS, label_index
-from .embed_train import read_blob_file, write_blob_file
+from . import kernels
+from .corpus import ALL_LABELS, ArtifactError, label_index
+from .embed_train import _check_ids, read_blob_file, write_blob_file
 from .features import FeatureOptions, assemble_features, feature_dim, \
     feature_table, scatter_feature_grad
 
@@ -57,6 +65,11 @@ class SoftmaxParams:
 
     def copy(self):
         return SoftmaxParams(self.weights.copy(), self.bias.copy())
+
+    def check_finite(self):
+        for name in ("weights", "bias"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise FloatingPointError(f"non-finite entries in {name}")
 
 
 @dataclass
@@ -103,35 +116,41 @@ def adagrad_update(param, grad, accum, eta, eps=ADAGRAD_EPS):
 
 
 class AdaGradState:
-    """Per-element squared-gradient accumulators; embedding-row accumulators
-    are allocated lazily per touched row to bound memory."""
+    """Squared-gradient accumulators: one per softmax element and one per
+    element of every embedding row a training table touches.  The tables
+    are fixed before training, so the row accumulators are compact:
+    ``rows[name][j]`` belongs to row ``touched[name][j]`` (sorted ids) of
+    the block `name`."""
 
-    def __init__(self, softmax_params):
+    def __init__(self, softmax_params, embed_params, touched):
         self.weights = np.zeros_like(softmax_params.weights)
         self.bias = np.zeros_like(softmax_params.bias)
-        self.rows: dict = {}
+        self.touched = touched
+        self.rows = {name: np.zeros((len(ids),
+                                     getattr(embed_params, name).shape[1]))
+                     for name, ids in touched.items()}
 
-    def row(self, key, size):
-        acc = self.rows.get(key)
-        if acc is None:
-            acc = np.zeros(size)
-            self.rows[key] = acc
-        return acc
+    def step_rows(self, embed_params, name, ids, grads, eta):
+        """One AdaGrad step on each of the distinct rows `ids` of the block
+        `name`; elementwise, so the same as one step per row."""
+        block, acc = getattr(embed_params, name), self.rows[name]
+        slots = np.searchsorted(self.touched[name], ids)
+        rows, accum = block[ids], acc[slots]
+        adagrad_update(rows, grads, accum, eta)
+        block[ids], acc[slots] = rows, accum
 
 
 def supervised_objective_and_grad(inst, embed_params, softmax_params, l2,
                                   mask=None, opts=FeatureOptions(),
-                                  fine_tune=True, e=None, table=None):
+                                  fine_tune=True, table=None):
     """Objective value and gradients for one labeled instance.
 
     The value is ``log p(label | e) - (l2/2) * ||theta||^2`` where theta
     covers the softmax parameters and, when `fine_tune` is set, the
     embedding rows the instance touches (lazy L2).  `mask` is a dropout
-    mask from :func:`apply_dropout`, or None for no dropout.  `e` is the
-    instance's assembled vector, for callers that already hold it; by
-    default it is assembled from `embed_params`.  `table` is the instance's
-    :func:`relemb.features.feature_table`, for callers that already hold
-    it.
+    mask from :func:`apply_dropout`, or None for no dropout.  `table` is
+    the instance's :func:`relemb.features.feature_table`, for callers that
+    already hold it.
 
     Returns ``(value, loglik, softmax_grads, row_grads)``: `loglik` is the
     log-likelihood term of the value alone, ``softmax_grads =
@@ -139,8 +158,7 @@ def supervised_objective_and_grad(inst, embed_params, softmax_params, l2,
     :func:`relemb.features.scatter_feature_grad`.
     """
     W, b = softmax_params.weights, softmax_params.bias
-    if e is None:
-        e = assemble_features(inst.context, embed_params, opts, table)
+    e = assemble_features(inst.context, embed_params, opts, table)
     if mask is not None:
         e = e * mask * 2.0
     o = W @ e + b
@@ -175,6 +193,58 @@ class ClassifierLog:
     epoch_objective: list[float] = field(default_factory=list)
 
 
+class _Tables:
+    """The feature tables of the training instances, built once and packed
+    for the compiled epoch.
+
+    ``tables[i]`` is instance i's :func:`relemb.features.feature_table`.
+    Every table has the same ``segments`` ``(name, k)``; ``m[i]`` holds
+    instance i's pooled-row count per segment, and its entries are
+    ``starts[i]:starts[i + 1]`` of the flat ``ids``.  ``firsts[q]`` is
+    where in its own table the first entry of q's block and row lies, so
+    repeated rows are summed before their step, and ``slots[q]`` is the
+    row's accumulator row in the compact layout over ``touched``, the
+    sorted rows each block's entries read (empty unless `fine_tune`).
+    Every id is checked against its block here, before either backend
+    reads it.
+    """
+
+    def __init__(self, instances, params, opts, fine_tune):
+        self.labels = np.array([label_index(inst.label) for inst in instances],
+                               np.int64)
+        self.tables = [feature_table(inst.context, params, opts)
+                       for inst in instances]
+        self.segments = [(name, k) for name, k, _ in self.tables[0][1]]
+        self.m = np.array([[m for _, _, m in segments]
+                           for _, segments in self.tables], np.int64)
+        lengths = [len(ids) for ids, _ in self.tables]
+        self.starts = np.zeros(len(lengths) + 1, np.int64)
+        np.cumsum(lengths, out=self.starts[1:])
+        self.ids = np.concatenate([ids for ids, _ in self.tables]
+                                  ).astype(np.int64)
+
+        names = sorted({name for name, _ in self.segments})
+        blocks = np.array([names.index(name) for name, _ in self.segments])
+        k = np.array([k for _, k in self.segments])
+        block = np.repeat(np.tile(blocks, len(lengths)),
+                          (self.m * k).ravel())
+        self.slots = np.zeros_like(self.ids)
+        self.touched = {}
+        for b, name in enumerate(names):
+            ids = self.ids[block == b]
+            _check_ids(ids, getattr(params, name).shape[0], name)
+            if fine_tune:
+                self.touched[name] = np.unique(ids)
+                self.slots[block == b] = np.searchsorted(self.touched[name],
+                                                         ids)
+        owner = np.repeat(np.arange(len(lengths)), lengths)
+        key = ((owner * len(names) + block) * (self.ids.max(initial=0) + 1)
+               + self.ids)
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        self.firsts = first[inverse] - self.starts[owner]
+
+
 def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
     """Train softmax parameters (and optionally fine-tune the embeddings).
 
@@ -182,53 +252,58 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
     the gradient of :func:`supervised_objective_and_grad`; the logged
     objective is the mean log-likelihood without the L2 term.  Returns
     ``(softmax_params, embed_params_out, log)``; when fine-tuning is
-    disabled the input embedding parameters are returned untouched and
-    per-instance features are computed once up front.
+    disabled the input embedding parameters are returned untouched.
+    Raises FloatingPointError when a returned array holds a non-finite
+    entry.
     """
     cfg = config.validate()
     opts.validate()
     if not instances:
         raise ValueError("no training instances")
-    for inst in instances:
-        label_index(inst.label)
 
     params = embed_params.copy() if cfg.fine_tune else embed_params
     dim = feature_dim(params, opts)
     softmax = SoftmaxParams.zeros(len(ALL_LABELS), dim)
-    state = AdaGradState(softmax)
+    tables = _Tables(instances, params, opts, cfg.fine_tune)
+    state = AdaGradState(softmax, params, tables.touched)
+    compiled = kernels.load()
+    logger.info("train: taking %s steps",
+                "numpy" if compiled is None else "compiled")
     rng = np.random.default_rng(cfg.seed)
-
-    cached = None
-    if not cfg.fine_tune:
-        cached = np.stack([assemble_features(inst.context, params, opts)
-                           for inst in instances])
 
     log = ClassifierLog()
     n = len(instances)
     for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        # one draw for the epoch: the stream of n apply_dropout calls
+        masks = rng.random((n, dim)) < 0.5 if cfg.dropout else None
+        if compiled is None:
+            logliks = []
+            for t, idx in enumerate(order.tolist()):
+                mask = None if masks is None else masks[t].astype(float)
+                _, loglik, (g_W, g_b), rows = supervised_objective_and_grad(
+                    instances[idx], params, softmax, cfg.l2, mask, opts,
+                    cfg.fine_tune, tables.tables[idx])
+                logliks.append(loglik)
+                adagrad_update(softmax.weights, g_W, state.weights, cfg.eta)
+                adagrad_update(softmax.bias, g_b, state.bias, cfg.eta)
+                for name, (ids, grads) in rows.items():
+                    state.step_rows(params, name, ids, grads, cfg.eta)
+        else:
+            logliks = compiled.classifier_epoch(
+                tables, order, masks, softmax, state, params, cfg,
+                ADAGRAD_EPS).tolist()
+        # sequential, as the per-update sum was (from Python 3.12 the
+        # builtin sum() compensates)
         total = 0.0
-        for idx in rng.permutation(n):
-            inst = instances[idx]
-            if cached is not None:
-                e, table = cached[idx], None
-            else:
-                table = feature_table(inst.context, params, opts)
-                e = assemble_features(inst.context, params, opts, table)
-            mask = apply_dropout(e, rng) if cfg.dropout else None
-            _, loglik, (g_W, g_b), rows = supervised_objective_and_grad(
-                inst, params, softmax, cfg.l2, mask, opts, cfg.fine_tune, e=e,
-                table=table)
+        for loglik in logliks:
             total += loglik
-            adagrad_update(softmax.weights, g_W, state.weights, cfg.eta)
-            adagrad_update(softmax.bias, g_b, state.bias, cfg.eta)
-            for name, (ids, grads) in rows.items():
-                block = getattr(params, name)
-                for ridx, g in zip(ids.tolist(), grads):
-                    adagrad_update(block[ridx], g,
-                                   state.row((name, ridx), g.shape), cfg.eta)
         log.epoch_objective.append(total / n)
         logger.debug("classifier epoch %d: mean log-likelihood %.4f",
                      epoch + 1, total / n)
+    softmax.check_finite()
+    if cfg.fine_tune:
+        params.check_finite()
     return softmax, params, log
 
 
@@ -302,5 +377,5 @@ def load_classifier(path):
     try:
         opts = FeatureOptions.from_flags(kv["opts"])
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ArtifactError(f"{path}: {exc}") from None
     return SoftmaxParams(weights, bias), opts

@@ -186,26 +186,47 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
+        """Read a file written by :meth:`save`.  A malformed file raises
+        :class:`ArtifactError` naming ``path:line``: a bad magic or header,
+        a line that is not ``surface<TAB>count`` with a non-negative integer
+        count, or other than the announced number of lines."""
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if header[:2] != ["relemb-vocab", "v1"]:
-                raise ValueError(f"not a relemb-vocab file: {path}")
-            n_words, n_nouns = int(header[2]), int(header[3])
-            lowercase = True
-            for tok in header[4:]:
-                if tok.startswith("lowercase="):
-                    lowercase = bool(int(tok.split("=", 1)[1]))
-            word_surfaces, word_counts = [], []
-            for _ in range(n_words):
-                surface, count = fh.readline().rstrip("\n").split("\t")
-                word_surfaces.append(surface)
-                word_counts.append(int(count))
-            noun_surfaces, noun_counts = [], []
-            for _ in range(n_nouns):
-                surface, count = fh.readline().rstrip("\n").split("\t")
-                noun_surfaces.append(surface)
-                noun_counts.append(int(count))
-        return cls(word_surfaces, noun_surfaces, word_counts, noun_counts, lowercase)
+                raise ArtifactError(f"{path}:1: not a relemb-vocab file")
+            try:
+                n_words, n_nouns = int(header[2]), int(header[3])
+                flags = dict(tok.split("=", 1) for tok in header[4:])
+                lowercase = bool(int(flags.get("lowercase", 1)))
+            except (IndexError, ValueError):
+                n_words = n_nouns = -1
+            if n_words < 0 or n_nouns < 0:
+                raise ArtifactError(
+                    f"{path}:1: header needs non-negative integer word and "
+                    f"noun counts and an integer lowercase flag")
+            surfaces, counts = [], []
+            for lineno, line in enumerate(fh, 2):
+                if len(surfaces) == n_words + n_nouns:
+                    raise ArtifactError(
+                        f"{path}:{lineno}: more lines than the header's "
+                        f"{n_words} words and {n_nouns} nouns")
+                parts = line.rstrip("\n").split("\t")
+                try:
+                    count = int(parts[1]) if len(parts) == 2 and parts[0] else -1
+                except ValueError:
+                    count = -1
+                if count < 0:
+                    raise ArtifactError(
+                        f"{path}:{lineno}: expected surface<TAB>count with a "
+                        f"non-negative integer count")
+                surfaces.append(parts[0])
+                counts.append(count)
+        if len(surfaces) < n_words + n_nouns:
+            raise ArtifactError(
+                f"{path}:{len(surfaces) + 2}: file ends after {len(surfaces)} "
+                f"of the header's {n_words} words and {n_nouns} nouns")
+        return cls(surfaces[:n_words], surfaces[n_words:], counts[:n_words],
+                   counts[n_words:], lowercase)
 
 
 def _rank(counter, limit):

@@ -12,7 +12,7 @@ each step it decides to take in a batch: the ids of the step's
 rate.  A step reads no random draws, so taking it later gives the same
 step.  The batch is taken in one call before each progress record and
 whenever it holds ``_BATCH_STEPS`` steps.  It runs through the compiled
-steps of :mod:`relemb.pretrain_kernel` when a C compiler is found, and
+pretraining steps of :mod:`relemb.kernels` when a C compiler is found, and
 otherwise through the numpy steps (:func:`pretrain_objective_and_grad`'s
 arithmetic and :func:`apply_row_grads`), which stay the reference.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, log_expit
 
-from . import pretrain_kernel
+from . import kernels
 from .corpus import ArtifactError, neighbor_slots
 
 logger = logging.getLogger(__name__)
@@ -531,10 +531,11 @@ def train_embeddings(contexts, vocab, config):
     word_filter = SubsamplingFilter(vocab.word_counts, cfg.subsample)
     noun_filter = SubsamplingFilter(vocab.noun_counts, cfg.subsample)
 
-    kernel = pretrain_kernel.load()
+    compiled = kernels.load()
     logger.info("pretrain: taking %s steps",
-                "numpy" if kernel is None else "compiled")
-    batch = _StepBatch(params, cfg, kernel)
+                "numpy" if compiled is None else "compiled")
+    batch = _StepBatch(params, cfg,
+                       None if compiled is None else compiled.pretrain_steps)
     log = TrainingLog()
     done = 0
     for _ in range(cfg.epochs):

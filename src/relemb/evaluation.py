@@ -155,7 +155,9 @@ def spearman_wordsim(pairs, params, vocab, matrix="noun"):
     similarities under the selected embedding matrix ("noun" or "word").
 
     Out-of-vocabulary words fall back to their UNK embedding and the pair is
-    reported in the result.
+    reported in the result.  When every similarity or every human score is
+    the same, rho is undefined: it is NaN, and a warning names the
+    constant side.
     """
     if matrix == "noun":
         vecs, lookup, unk = params.noun_vecs, vocab.noun_id, 0
@@ -175,6 +177,13 @@ def spearman_wordsim(pairs, params, vocab, matrix="noun"):
         denom = np.linalg.norm(v1) * np.linalg.norm(v2)
         sims.append(float(v1 @ v2 / denom) if denom > 0 else 0.0)
         human.append(score)
+    constant = [side for side, values in (("human scores", human),
+                                          ("cosine similarities", sims))
+                if len(set(values)) < 2]
+    if constant:
+        logger.warning("wordsim: all %d %s are equal, so Spearman's rho is "
+                       "undefined (NaN)", len(pairs), " and all ".join(constant))
+        return WordSimResult(float("nan"), len(pairs), oov)
     rho = float(spearmanr(human, sims).statistic)
     return WordSimResult(rho, len(pairs), oov)
 

@@ -1,0 +1,477 @@
+"""Compiled steps: negative-sampling pretraining over id tables, and whole
+epochs of the softmax classifier.
+
+:func:`load` compiles the C source below with the system ``gcc`` at its
+first call, caches the shared object out of tree and binds both entry
+points through ``ctypes``.  Nothing is compiled or loaded at import.  The
+compiled code takes the same arithmetic as the numpy steps of
+``embed_train`` and ``classifier``, which stay the reference and the
+fallback when no compiler is found.
+
+The flags leave out ``-ffast-math``: an object linked with it as
+``-shared`` pulls in ``crtfastmath.o``, whose constructor turns on
+flush-to-zero for the whole process, numpy included, and it would also drop
+inf/NaN semantics.  ``-fassociative-math`` (with the flags it needs) is
+what lets the dot products vectorize.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+
+logger = logging.getLogger(__name__)
+
+__all__ = ["SOURCE", "FLAGS", "Kernels", "load"]
+
+SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+static double log_sigmoid(double x)
+{
+    return x >= 0.0 ? -log1p(exp(-x)) : x - log1p(exp(x));
+}
+
+static double sigmoid(double x)
+{
+    if (x >= 0.0)
+        return 1.0 / (1.0 + exp(-x));
+    double e = exp(x);
+    return e / (1.0 + e);
+}
+
+/* dst = the k slots of the m pooled rows `ids` of vecs (row r, slot j at
+   ids[r * k + j]), each slot summed over the pooled rows row by row and
+   then divided by m: k * w entries, zeros when m == 0. */
+static void gather(double *restrict dst, const double *vecs,
+                   const int64_t *ids, int64_t k, int64_t m, int64_t w)
+{
+    if (m == 0) {
+        memset(dst, 0, k * w * sizeof *dst);
+        return;
+    }
+    for (int64_t j = 0; j < k; j++)
+        memcpy(dst + j * w, vecs + ids[j] * w, w * sizeof *dst);
+    for (int64_t r = 1; r < m; r++)
+        for (int64_t j = 0; j < k; j++) {
+            const double *row = vecs + ids[r * k + j] * w;
+            for (int64_t x = 0; x < w; x++)
+                dst[j * w + x] += row[x];
+        }
+    if (m > 1)
+        for (int64_t x = 0; x < k * w; x++)
+            dst[x] /= m;
+}
+
+/* Each of the m rows `ids` of vecs += lr * (g / m). */
+static void spread(double *vecs, const int64_t *ids, int64_t m, int64_t d,
+                   double lr, const double *restrict g)
+{
+    for (int64_t r = 0; r < m; r++) {
+        double *row = vecs + ids[r] * d;
+        for (int64_t x = 0; x < d; x++)
+            row[x] += lr * (g[x] / m);
+    }
+}
+
+/* Steps s = 0..n-1, in order.  Row s of `ids` is the step's pretraining
+   table: 2 noun ids, 2c neighbour word ids, then two outside windows of m
+   word ids each.  Row s of `words` is the target, then k noise ids.  Every
+   id must be in range.  `work` holds 2p + k1 doubles. */
+void relemb_pretrain_steps(int64_t n, int64_t d, int64_t c, int64_t m,
+                           int64_t k1, const int64_t *ids,
+                           const int64_t *words, const double *lrs,
+                           double *noun_vecs, double *word_vecs,
+                           double *pred_vecs, double *pred_bias,
+                           double *values, double *work)
+{
+    const int64_t width = 2 + 2 * c + 2 * m, p = 2 * d * (2 + c);
+    double *restrict f = work, *restrict g = work + p,
+           *restrict err = work + 2 * p;
+    for (int64_t s = 0; s < n; s++) {
+        const int64_t *row = ids + s * width, *scored = words + s * k1;
+        const int64_t *outside = row + 2 + 2 * c;
+        const double lr = lrs[s];
+
+        /* f: the gather of the table */
+        gather(f, noun_vecs, row, 2, 1, d);
+        gather(f + 2 * d, word_vecs, row + 2, 2 * c, 1, d);
+        gather(f + (2 + 2 * c) * d, word_vecs, outside, 1, m, d);
+        gather(f + (3 + 2 * c) * d, word_vecs, outside + m, 1, m, d);
+
+        /* scores, errs and g = errs @ pred, all from the pre-update rows */
+        double target_term = 0.0, noise_terms = 0.0;
+        memset(g, 0, p * sizeof *g);
+        for (int64_t j = 0; j < k1; j++) {
+            const double *w = pred_vecs + scored[j] * p;
+            double z = 0.0;
+            for (int64_t x = 0; x < p; x++)
+                z += w[x] * f[x];
+            z += pred_bias[scored[j]];
+            if (j == 0)
+                target_term = log_sigmoid(z);
+            else
+                noise_terms += log_sigmoid(-z);
+            err[j] = (j == 0) - sigmoid(z);
+            for (int64_t x = 0; x < p; x++)
+                g[x] += err[j] * w[x];
+        }
+        values[s] = target_term + noise_terms;
+
+        for (int64_t j = 0; j < k1; j++) {
+            double *w = pred_vecs + scored[j] * p;
+            for (int64_t x = 0; x < p; x++)
+                w[x] += lr * (err[j] * f[x]);
+            pred_bias[scored[j]] += lr * err[j];
+        }
+
+        /* the scatter of lr * g back through the table */
+        for (int64_t j = 0; j < 2 + 2 * c; j++)
+            spread(j < 2 ? noun_vecs : word_vecs, row + j, 1, d, lr,
+                   g + j * d);
+        spread(word_vecs, outside, m, d, lr, g + (2 + 2 * c) * d);
+        spread(word_vecs, outside + m, m, d, lr, g + (3 + 2 * c) * d);
+    }
+}
+/* One AdaGrad ascent step on the n entries of param, whose gradient is g
+   less l2 times param when l2 > 0. */
+static void adagrad(double *restrict param, double *restrict acc,
+                    const double *restrict g, int64_t n, double l2,
+                    double eta, double eps)
+{
+    for (int64_t x = 0; x < n; x++) {
+        const double gx = l2 > 0.0 ? g[x] - l2 * param[x] : g[x];
+        acc[x] += gx * gx;
+        param[x] += eta * gx / (sqrt(acc[x]) + eps);
+    }
+}
+
+/* One epoch of the softmax classifier: update t = 0..n-1 trains on
+   instance order[t].  Instance i's feature table is entries starts[i] ..
+   starts[i + 1] - 1 of ids, firsts and slots; its n_seg segments read the
+   parameter block segs[2s] (0 noun, 1 word, 2 prediction vectors) with
+   segs[2s + 1] slots, over ms[i * n_seg + s] pooled rows.  firsts[q] is
+   where in its table the first entry of q's block and row lies, and
+   slots[q] is that row's accumulator row.  Every id and slot must be in
+   range.
+
+   Per update: gather e and apply mask row t (when dropout); write the
+   log-likelihood of labels[i] under the max-shifted softmax to logliks[t];
+   take the L2-regularised AdaGrad step on W and bias, with g_e = W^T g_o
+   (masked) read from the pre-update W; when fine-tuning, sum each row's
+   shares of g_e in table order and take one AdaGrad step per row, with
+   lazy L2.  `work` holds 2 dim + n_labels + len * max(d, pred_w)
+   doubles, len the longest table. */
+void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
+                             int64_t n_seg, const int64_t *segs,
+                             const int64_t *ms, const int64_t *starts,
+                             const int64_t *ids, const int64_t *firsts,
+                             const int64_t *slots, const int64_t *order,
+                             const int64_t *labels, const uint8_t *masks,
+                             int64_t dropout, int64_t fine_tune, double eta,
+                             double eps, double l2, double *W, double *bias,
+                             double *acc_W, double *acc_b, int64_t d,
+                             int64_t pred_w, double *noun_vecs,
+                             double *word_vecs, double *pred_vecs,
+                             double *acc_noun, double *acc_word,
+                             double *acc_pred, double *logliks, double *work)
+{
+    double *const vecs[3] = {noun_vecs, word_vecs, pred_vecs},
+           *const accs[3] = {acc_noun, acc_word, acc_pred};
+    const int64_t widths[3] = {d, d, pred_w}, w_max = d > pred_w ? d : pred_w;
+    double *restrict e = work, *restrict g_e = work + dim,
+           *restrict g_o = work + 2 * dim, *restrict sums = g_o + n_labels;
+    for (int64_t t = 0; t < n; t++) {
+        const int64_t i = order[t], *m = ms + i * n_seg, li = labels[i];
+        const int64_t *row_ids = ids + starts[i], *first = firsts + starts[i],
+                      *slot = slots + starts[i];
+        const uint8_t *mask = dropout ? masks + t * dim : masks;
+
+        /* e: the gather of the table, then the dropout mask */
+        for (int64_t s = 0, q = 0, off = 0; s < n_seg; s++) {
+            const int64_t b = segs[2 * s], k = segs[2 * s + 1];
+            gather(e + off, vecs[b], row_ids + q, k, m[s], widths[b]);
+            q += k * m[s];
+            off += k * widths[b];
+        }
+        if (dropout)
+            for (int64_t x = 0; x < dim; x++)
+                e[x] = e[x] * mask[x] * 2.0;
+
+        /* g_o: the gradient of the log-likelihood w.r.t. the scores */
+        double top = -INFINITY, z = 0.0;
+        for (int64_t l = 0; l < n_labels; l++) {
+            const double *w = W + l * dim;
+            double o = 0.0;
+            for (int64_t x = 0; x < dim; x++)
+                o += w[x] * e[x];
+            g_o[l] = o + bias[l];
+            if (g_o[l] > top)
+                top = g_o[l];
+        }
+        for (int64_t l = 0; l < n_labels; l++) {
+            g_o[l] -= top;
+            z += exp(g_o[l]);
+        }
+        const double logz = log(z);
+        logliks[t] = g_o[li] - logz;
+        for (int64_t l = 0; l < n_labels; l++)
+            g_o[l] = -exp(g_o[l] - logz);
+        g_o[li] += 1.0;
+
+        /* g_e from the pre-update W, then the steps on W and bias */
+        if (fine_tune)
+            memset(g_e, 0, dim * sizeof *g_e);
+        for (int64_t l = 0; l < n_labels; l++) {
+            double *w = W + l * dim, *acc = acc_W + l * dim;
+            const double go = g_o[l];
+            for (int64_t x = 0; x < dim; x++) {
+                double g = go * e[x];
+                if (fine_tune)
+                    g_e[x] += w[x] * go;
+                if (l2 > 0.0)
+                    g -= l2 * w[x];
+                acc[x] += g * g;
+                w[x] += eta * g / (sqrt(acc[x]) + eps);
+            }
+        }
+        adagrad(bias, acc_b, g_o, n_labels, l2, eta, eps);
+        if (!fine_tune)
+            continue;
+
+        /* the scatter: each entry's share of g_e, divided by m, summed
+           into the sum of its row's first entry in table order; then one
+           step per row */
+        if (dropout)
+            for (int64_t x = 0; x < dim; x++)
+                g_e[x] = g_e[x] * mask[x] * 2.0;
+        for (int64_t s = 0, q = 0, off = 0; s < n_seg; s++) {
+            const int64_t b = segs[2 * s], k = segs[2 * s + 1], w = widths[b];
+            for (int64_t r = 0; r < m[s]; r++)
+                for (int64_t j = 0; j < k; j++, q++) {
+                    double *sum = sums + first[q] * w_max;
+                    const double *g = g_e + off + j * w;
+                    if (first[q] == q)
+                        for (int64_t x = 0; x < w; x++)
+                            sum[x] = g[x] / m[s];
+                    else
+                        for (int64_t x = 0; x < w; x++)
+                            sum[x] += g[x] / m[s];
+                }
+            off += k * w;
+        }
+        for (int64_t s = 0, q = 0; s < n_seg; s++) {
+            const int64_t b = segs[2 * s], w = widths[b];
+            for (const int64_t end = q + segs[2 * s + 1] * m[s]; q < end; q++)
+                if (first[q] == q)
+                    adagrad(vecs[b] + row_ids[q] * w, accs[b] + slot[q] * w,
+                            sums + q * w_max, w, l2, eta, eps);
+        }
+    }
+}
+"""
+
+FLAGS = ("-O3", "-march=native", "-fno-math-errno", "-fno-trapping-math",
+         "-fassociative-math", "-fno-signed-zeros", "-shared", "-fPIC")
+
+_IDS = np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
+_INTS = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+_MASKS = np.ctypeslib.ndpointer(np.uint8, ndim=2, flags="C_CONTIGUOUS")
+
+# The parameter blocks a classifier table reads, numbered as in the C code.
+_BLOCKS = ("noun_vecs", "word_vecs", "pred_vecs")
+
+
+def _doubles(ndim):
+    return np.ctypeslib.ndpointer(np.float64, ndim=ndim, flags="C_CONTIGUOUS")
+
+
+def _cpu_flags():
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return line
+    except OSError:
+        pass
+    return platform.machine() + " " + platform.processor()
+
+
+def _cache_path(gcc):
+    """Where the object built by `gcc` from this source and these flags
+    for this CPU is cached."""
+    version = subprocess.run([gcc, "--version"], capture_output=True,
+                             text=True, check=True).stdout
+    key = hashlib.sha256("\0".join(
+        (SOURCE, " ".join(FLAGS), version, _cpu_flags())).encode()).hexdigest()
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root) / "relemb" / f"kernels-{key[:20]}.so"
+
+
+def _compile(gcc, path):
+    """Build the object at `path` through a temporary file beside it, so
+    that no reader sees a partial object."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run([gcc, *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                       input=SOURCE, capture_output=True, text=True, check=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+class Kernels(NamedTuple):
+    """The two entry points of one loaded object."""
+
+    pretrain_steps: object
+    classifier_epoch: object
+
+
+def _bind_pretrain(lib):
+    fn = lib.relemb_pretrain_steps
+    fn.argtypes = ([ctypes.c_int64] * 5 + [_IDS, _IDS, _doubles(1)]
+                   + [_doubles(2)] * 3 + [_doubles(1)] * 3)
+    fn.restype = None
+
+    def steps(params, ids, words, lrs, m_out):
+        """Take the steps of one batch in order and return their pre-update
+        objective values.  `ids` holds one pretraining table per row (its
+        outside windows `m_out` wide), `words` the target then the noise
+        ids, `lrs` the rates.  The caller has checked that every id is in
+        range; shapes are checked here."""
+        n, k1 = words.shape
+        d, c = params.dim, params.window
+        p = 2 * d * (2 + c)
+        if (ids.shape != (n, 2 + 2 * c + 2 * m_out) or lrs.shape != (n,)
+                or params.noun_vecs.shape[1] != d
+                or params.word_vecs.shape[1] != d
+                or params.pred_vecs.shape != (params.n_words, p)
+                or params.pred_bias.shape != (params.n_words,)):
+            raise ValueError("pretrain kernel: inconsistent batch or "
+                             "parameter shapes")
+        values = np.empty(n)
+        fn(n, d, c, m_out, k1, ids, words, lrs, params.noun_vecs,
+           params.word_vecs, params.pred_vecs, params.pred_bias, values,
+           np.empty(2 * p + k1))
+        return values
+
+    steps.library = lib   # keeps the object loaded while `steps` lives
+    return steps
+
+
+def _bind_classifier(lib):
+    fn = lib.relemb_classifier_epoch
+    fn.argtypes = ([ctypes.c_int64] * 4 + [_IDS, _IDS] + [_INTS] * 6
+                   + [_MASKS] + [ctypes.c_int64] * 2 + [ctypes.c_double] * 3
+                   + [_doubles(2), _doubles(1), _doubles(2), _doubles(1)]
+                   + [ctypes.c_int64] * 2 + [_doubles(2)] * 6
+                   + [_doubles(1)] * 2)
+    fn.restype = None
+
+    def epoch(tables, order, masks, softmax, state, params, cfg, eps):
+        """Take one epoch of classifier updates, on the instances in
+        `order`, and return each update's log-likelihood.
+
+        `tables` holds the packed feature tables: ``segments`` (name, k)
+        shared by every table, per-instance pooled-row counts ``m`` and
+        table ``starts``, per-entry ``ids``, ``firsts`` and ``slots``, and
+        ``labels``.  `masks` is one boolean dropout mask per update, or
+        None for no dropout.  `softmax`, its accumulators `state` (whose
+        ``rows`` hold the compact row accumulators of the blocks the
+        tables read) and, when ``cfg.fine_tune``, `params` are updated in
+        place.  The caller has checked every id and slot; shapes are
+        checked here."""
+        n = len(order)
+        d, pred_w = params.word_vecs.shape[1], params.pred_vecs.shape[1]
+        widths = {"noun_vecs": d, "word_vecs": d, "pred_vecs": pred_w}
+        segs = np.array([(_BLOCKS.index(name), k)
+                         for name, k in tables.segments], np.int64)
+        dim = int(sum(k * widths[name] for name, k in tables.segments))
+        n_labels = softmax.bias.shape[0]
+        total = int(tables.starts[-1])
+        accs = [state.rows.get(name, np.zeros((0, widths[name])))
+                for name in _BLOCKS]
+        if masks is None:
+            masks = np.zeros((0, dim), bool)
+        if (tables.m.shape != (n, len(segs)) or tables.starts.shape != (n + 1,)
+                or tables.labels.shape != (n,)
+                or any(a.shape != (total,) for a in
+                       (tables.ids, tables.firsts, tables.slots))
+                or masks.shape not in ((n, dim), (0, dim))
+                or softmax.weights.shape != (n_labels, dim)
+                or state.weights.shape != (n_labels, dim)
+                or state.bias.shape != (n_labels,)
+                or params.noun_vecs.shape[1] != d
+                or any(a.shape[1] != widths[name]
+                       for a, name in zip(accs, _BLOCKS))):
+            raise ValueError("classifier kernel: inconsistent table, mask or "
+                             "parameter shapes")
+        if not ((0 <= order) & (order < n)).all() or not (
+                (0 <= tables.labels) & (tables.labels < n_labels)).all():
+            raise ValueError("classifier kernel: order or label out of range")
+        longest = int(np.diff(tables.starts).max())
+        logliks = np.empty(n)
+        fn(n, n_labels, dim, len(segs), segs, tables.m, tables.starts,
+           tables.ids, tables.firsts, tables.slots, order, tables.labels,
+           masks.view(np.uint8), len(masks) > 0, cfg.fine_tune, cfg.eta, eps,
+           cfg.l2, softmax.weights, softmax.bias, state.weights, state.bias,
+           d, pred_w, params.noun_vecs, params.word_vecs, params.pred_vecs,
+           *accs, logliks,
+           np.empty(2 * dim + n_labels + longest * max(d, pred_w)))
+        return logliks
+
+    epoch.library = lib
+    return epoch
+
+
+def _bind(lib):
+    return Kernels(_bind_pretrain(lib), _bind_classifier(lib))
+
+
+@functools.cache
+def load():
+    """The compiled entry points as :class:`Kernels`, built at the first
+    call; None when no ``gcc`` is found or the build fails, so the numpy
+    steps run instead.
+
+    The object is cached under ``$XDG_CACHE_HOME/relemb`` (default
+    ``~/.cache/relemb``), keyed by a hash of the source, the flags, the
+    compiler version and the CPU flags.  When that directory cannot be
+    written it is built in a temporary directory removed after loading.
+    """
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        return None
+    try:
+        path = _cache_path(gcc)
+        if not path.exists():
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError:
+                pass
+            if not os.access(path.parent, os.W_OK):
+                with tempfile.TemporaryDirectory(prefix="relemb-") as tmp:
+                    local = Path(tmp) / path.name
+                    _compile(gcc, local)
+                    return _bind(ctypes.CDLL(str(local)))
+            _compile(gcc, path)
+        return _bind(ctypes.CDLL(str(path)))
+    except subprocess.CalledProcessError as exc:
+        logger.warning("kernels: %s failed: %s", gcc,
+                       exc.stderr.strip() or exc)
+        return None

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from relemb import classifier as cl
+from relemb import kernels
 from relemb.corpus import ALL_LABELS, NounPairContext, RelationLabel, SemEvalInstance
 from relemb.features import FeatureOptions, assemble_features, feature_dim
 from conftest import check_row_grads, rand_params, rand_ctx
@@ -180,7 +182,22 @@ def _separable_setup(rng, n=48):
     return params, instances
 
 
+@pytest.fixture
+def numpy_backend(monkeypatch):
+    """Train through the numpy steps, whose arithmetic a test replays
+    exactly."""
+    monkeypatch.setattr(kernels, "load", lambda: None)
+
+
 class TestTrainClassifier:
+    """Runs on the compiled epoch; TestTrainClassifierNumpy repeats every
+    case on the numpy steps."""
+
+    @pytest.fixture(autouse=True)
+    def backend(self):
+        if kernels.load() is None:
+            pytest.skip("no C compiler found; training takes the numpy steps")
+
     def test_separable_reaches_full_training_accuracy(self, rng):
         params, instances = _separable_setup(rng)
         config = cl.SupervisedConfig(eta=0.2, l2=0.0, epochs=50, dropout=False,
@@ -243,8 +260,8 @@ class TestTrainClassifier:
         assert norms[1] < norms[0]
 
     @pytest.mark.parametrize("fine_tune", [False, True])
-    def test_one_epoch_is_one_adagrad_step_on_checked_gradient(self, rng,
-                                                               fine_tune):
+    def test_one_epoch_is_one_adagrad_step_on_checked_gradient(
+            self, rng, fine_tune, numpy_backend):
         params = rand_params(rng, dim=3, window=1, n_nouns=4, n_words=9)
         ctx = NounPairContext(2, 2, w_in=(5, 6, 5), w_bef=(3, 5), w_aft=(6, 0))
         inst = SemEvalInstance(1, ctx, ALL_LABELS[3])
@@ -286,6 +303,102 @@ class TestTrainClassifier:
             cl.SupervisedConfig(epochs=0).validate()
         with pytest.raises(ValueError):
             cl.SupervisedConfig(eta=0.0).validate()
+
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_non_finite_result_raises(self, rng, fine_tune):
+        params, instances = _separable_setup(rng)
+        params.noun_vecs[instances[0].context.n1, 0] = 1e308
+        config = cl.SupervisedConfig(eta=0.1, epochs=2, dropout=True,
+                                     fine_tune=fine_tune, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match="non-finite entries in weights"):
+                cl.train_classifier(instances, params, config)
+
+    @pytest.mark.parametrize("where,bad", [("w_in", 9999), ("w_aft", -1),
+                                           ("n2", 9999), ("n1", -1)])
+    def test_out_of_range_id_rejected_before_training(self, rng, where, bad):
+        params, instances = _separable_setup(rng)
+        ctx = instances[7].context
+        new = bad if where in ("n1", "n2") else getattr(ctx, where)[:-1] + (bad,)
+        instances[7] = dataclasses.replace(
+            instances[7], context=dataclasses.replace(ctx, **{where: new}))
+        before = params.copy()
+        config = cl.SupervisedConfig(epochs=1, fine_tune=True)
+        with pytest.raises(ValueError, match=f" id {bad} outside"):
+            cl.train_classifier(instances, params, config)
+        assert params.word_vecs.tobytes() == before.word_vecs.tobytes()
+
+
+class TestTrainClassifierNumpy(TestTrainClassifier):
+    """Every TestTrainClassifier case on the numpy steps."""
+
+    @pytest.fixture(autouse=True)
+    def backend(self, monkeypatch):
+        monkeypatch.setattr(kernels, "load", lambda: None)
+
+
+def _epoch_setup(rng, n=14, m_out=3):
+    """Short contexts over 3 nouns and 7 words: repeated rows within a
+    table, n1 == n2 and NULL neighbour slots all occur."""
+    params = rand_params(rng, dim=3, window=2, n_nouns=3, n_words=7)
+    instances = []
+    for k in range(n):
+        ctx = rand_ctx(rng, int(rng.integers(0, 5)), m_out, 3, 7)
+        if k % 4 == 0:
+            ctx = dataclasses.replace(ctx, n2=ctx.n1)
+        instances.append(SemEvalInstance(
+            k, ctx, ALL_LABELS[int(rng.integers(0, len(ALL_LABELS)))]))
+    return params, instances
+
+
+_OPTIONS = {
+    "default": FeatureOptions(),
+    "bow_between": FeatureOptions(bow_between=True),
+    "nouns": FeatureOptions(True, False, False),
+    "between": FeatureOptions(False, True, False),
+    "outside": FeatureOptions(False, False, True),
+    "m_out": FeatureOptions(m_out=2),
+}
+
+
+@pytest.mark.parametrize("options", list(_OPTIONS))
+@pytest.mark.parametrize("l2", [0.0, 0.01])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("fine_tune", [False, True])
+def test_kernel_matches_numpy_epochs(monkeypatch, fine_tune, dropout, l2,
+                                     options):
+    compiled = kernels.load()
+    if compiled is None:
+        pytest.skip("no C compiler found; training takes the numpy steps")
+    rng = np.random.default_rng(7)
+    params, instances = _epoch_setup(rng)
+    contexts = [inst.context for inst in instances]
+    assert any(ctx.n1 == ctx.n2 for ctx in contexts)
+    assert any(len(set(ctx.w_in + ctx.w_bef + ctx.w_aft))
+               < len(ctx.w_in + ctx.w_bef + ctx.w_aft) for ctx in contexts)
+    assert any(0 < ctx.m_in < 5 for ctx in contexts)   # NULL neighbour slots
+    opts = _OPTIONS[options]
+    config = cl.SupervisedConfig(eta=0.1, l2=l2, epochs=4, dropout=dropout,
+                                 fine_tune=fine_tune, seed=3)
+    got_softmax, got, got_log = cl.train_classifier(instances, params, config,
+                                                    opts)
+    monkeypatch.setattr(kernels, "load", lambda: None)
+    want_softmax, want, want_log = cl.train_classifier(instances, params,
+                                                       config, opts)
+    np.testing.assert_allclose(got_log.epoch_objective,
+                               want_log.epoch_objective, rtol=1e-9)
+    pairs = [(getattr(got_softmax, name), getattr(want_softmax, name), name)
+             for name in ("weights", "bias")]
+    pairs += [(getattr(got, name), getattr(want, name), name)
+              for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias")]
+    for actual, desired, name in pairs:
+        np.testing.assert_allclose(actual, desired, rtol=1e-9,
+                                   atol=1e-9 * np.abs(desired).max(),
+                                   err_msg=name)
+    tuned = [name for name in ("noun_vecs", "word_vecs", "pred_vecs")
+             if getattr(got, name).tobytes() != getattr(params, name).tobytes()]
+    assert bool(tuned) == fine_tune
 
 
 class TestPredict:

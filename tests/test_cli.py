@@ -228,6 +228,30 @@ class TestExitCodes:
         assert code == 2
         assert str(bad) in capsys.readouterr().err
 
+    def test_bad_classifier_opts_exit_2(self, workdir, capsys):
+        bad = workdir / "bad_opts.bin"
+        blob = (workdir / "clf.bin").read_bytes()
+        assert b"opts=nouns," in blob
+        bad.write_bytes(blob.replace(b"opts=nouns,", b"opts=nounz,", 1))
+        code = cli.main(["eval", "--test", str(workdir / "test.txt"),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--model", str(workdir / "tuned.bin"),
+                         "--clf", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "nounz" in err
+
+    def test_truncated_vocab_exit_2(self, workdir, capsys):
+        bad = workdir / "truncated_vocab.txt"
+        lines = (workdir / "vocab.txt").read_text().splitlines(True)
+        bad.write_text("".join(lines[:-1]) + lines[-1].split("\t")[0])
+        code = cli.main(["eval", "--test", str(workdir / "test.txt"),
+                         "--vocab", str(bad),
+                         "--model", str(workdir / "tuned.bin"),
+                         "--clf", str(workdir / "clf.bin")])
+        assert code == 2
+        assert f"{bad}:{len(lines)}: " in capsys.readouterr().err
+
     def test_bad_context_line_exit_2(self, workdir, capsys):
         bad = workdir / "bad_contexts.txt"
         lines = (workdir / "contexts.txt").read_text().splitlines(True)

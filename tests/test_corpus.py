@@ -110,6 +110,32 @@ class TestVocabulary:
         assert loaded.lowercase == vocab.lowercase
         assert loaded.word_id("cause") == vocab.word_id("cause")
 
+    @pytest.mark.parametrize("case,line", [
+        ("magic", 1), ("header_count", 1), ("lowercase_flag", 1),
+        ("truncated", 6), ("extra_line", 8), ("no_tab", 3),
+        ("negative_count", 4), ("non_integer_count", 5), ("empty_surface", 2),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, case, line):
+        vocab = make_vocab({"cause": 3, "of": 2}, {"effect": 4})
+        path = tmp_path / "vocab.txt"
+        vocab.save(path)
+        lines = path.read_text().splitlines(True)
+        assert len(lines) == 7      # header, 4 words, 2 nouns
+        lines[0] = {
+            "magic": "relemb-vocabulary v1 4 2 lowercase=1\n",
+            "header_count": "relemb-vocab v1 4 two lowercase=1\n",
+            "lowercase_flag": "relemb-vocab v1 4 2 lowercase=yes\n",
+        }.get(case, lines[0])
+        edits = {"truncated": lines[:5], "extra_line": lines + ["more\t1\n"]}
+        lines = edits.get(case, lines)
+        bad = {"no_tab": "<UNK> 0\n", "negative_count": "cause\t-3\n",
+               "non_integer_count": "of\t2.0\n", "empty_surface": "\t0\n"}
+        if case in bad:
+            lines[line - 1] = bad[case]
+        path.write_text("".join(lines))
+        with pytest.raises(cp.ArtifactError, match=f"^{path}:{line}: "):
+            cp.Vocabulary.load(path)
+
 
 def _tag_sentence(words, noun_positions):
     tags = tuple("NN" if i in noun_positions else "DT"

@@ -7,7 +7,7 @@ import pytest
 
 from relemb import corpus as cp
 from relemb import embed_train as et
-from relemb import pretrain_kernel
+from relemb import kernels
 from relemb.synthetic import make_single_pattern_corpus
 from conftest import make_vocab, rand_params, rand_ctx, check_row_grads
 
@@ -333,7 +333,7 @@ class TestTrainEmbeddings:
 
     @pytest.fixture(autouse=True)
     def backend(self):
-        if pretrain_kernel.load() is None:
+        if kernels.load() is None:
             pytest.skip("no C compiler found; training takes the numpy steps")
 
     def test_empty_stream_rejected(self):
@@ -434,18 +434,18 @@ class TestTrainEmbeddingsNumpy(TestTrainEmbeddings):
 
     @pytest.fixture(autouse=True)
     def backend(self, monkeypatch):
-        monkeypatch.setattr(pretrain_kernel, "load", lambda: None)
+        monkeypatch.setattr(kernels, "load", lambda: None)
 
 
 def test_kernel_and_numpy_runs_agree(monkeypatch):
-    if pretrain_kernel.load() is None:
+    if kernels.load() is None:
         pytest.skip("no C compiler found; training takes the numpy steps")
     vocab, contexts = _pattern_setup()
     cfg = et.PretrainConfig(dim=8, window=3, negatives=6, alpha=0.05,
                             m_out=2, subsample=1e-3, epochs=1, seed=4,
                             report_every=300)
     p1, log1 = et.train_embeddings(contexts[:400], vocab, cfg)
-    monkeypatch.setattr(pretrain_kernel, "load", lambda: None)
+    monkeypatch.setattr(kernels, "load", lambda: None)
     p2, log2 = et.train_embeddings(contexts[:400], vocab, cfg)
     assert (log1.targets_seen, log1.steps_taken, log1.pairs_discarded,
             log1.targets_discarded) == (

@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 
 import numpy as np
@@ -200,6 +201,20 @@ class TestWordSim:
                                                               4.0, 5.0])]
         result = ev.spearman_wordsim(pairs, params, vocab, "word")
         assert result.rho == pytest.approx(8.5 / math.sqrt(95), abs=1e-12)
+
+    @pytest.mark.parametrize("constant", ["cosine similarities",
+                                          "human scores"])
+    def test_constant_side_warns_and_gives_nan(self, caplog, constant):
+        if constant == "human scores":
+            sims, human = [0.1, 0.3, 0.2], [2.0, 2.0, 2.0]
+        else:
+            sims, human = [0.3, 0.3, 0.3], [1.0, 2.0, 3.0]
+        vocab, params = _wordsim_fixture(sims)
+        pairs = [(f"a{i}", f"b{i}", h) for i, h in enumerate(human)]
+        with caplog.at_level(logging.WARNING, logger="relemb.evaluation"):
+            result = ev.spearman_wordsim(pairs, params, vocab, "word")
+        assert math.isnan(result.rho)
+        assert f"all 3 {constant} are equal" in caplog.text
 
     def test_pair_order_invariance(self):
         sims = [0.1, 0.3, 0.2, 0.5, 0.4]

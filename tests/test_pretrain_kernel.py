@@ -1,5 +1,5 @@
 """The compiled pretraining steps against the numpy reference, and the
-build that produces them."""
+build of the compiled object in :mod:`relemb.kernels`."""
 
 import dataclasses
 import logging
@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from relemb import embed_train as et
-from relemb import pretrain_kernel
+from relemb import kernels
 from conftest import make_vocab, rand_ctx, rand_params
 
 
 @pytest.fixture
 def kernel():
-    steps = pretrain_kernel.load()
-    if steps is None:
+    compiled = kernels.load()
+    if compiled is None:
         pytest.skip("no C compiler found; training takes the numpy steps")
-    return steps
+    return compiled.pretrain_steps
 
 
 def _drawn_steps(rng, c, m_out, k, n_steps, n_nouns=3, n_words=7):
@@ -79,45 +79,46 @@ def test_kernel_keeps_subnormals(kernel):
 
 def test_build_is_cached_and_reused(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    if pretrain_kernel.load.__wrapped__() is None:
+    if kernels.load.__wrapped__() is None:
         pytest.skip("no C compiler found")
     assert [p.suffix for p in (tmp_path / "relemb").iterdir()] == [".so"]
 
     def no_compile(gcc, path):
         raise AssertionError("compiled again")
 
-    monkeypatch.setattr(pretrain_kernel, "_compile", no_compile)
-    assert pretrain_kernel.load.__wrapped__() is not None
+    monkeypatch.setattr(kernels, "_compile", no_compile)
+    assert kernels.load.__wrapped__() is not None
 
 
 def test_unwritable_cache_builds_for_this_process(tmp_path, monkeypatch):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    steps = pretrain_kernel.load.__wrapped__()
-    if steps is None:
+    compiled = kernels.load.__wrapped__()
+    if compiled is None:
         pytest.skip("no C compiler found")
     params = rand_params(np.random.default_rng(0), 2, 1, n_nouns=3, n_words=7)
     ids = np.zeros((1, 6), np.int64)
     words = np.array([[1, 2, 3]], np.int64)
-    assert np.isfinite(steps(params, ids, words, np.array([0.1]), 1)).all()
+    assert np.isfinite(compiled.pretrain_steps(params, ids, words,
+                                              np.array([0.1]), 1)).all()
     assert [p.name for p in tmp_path.iterdir()] == ["not-a-directory"]
 
 
 def test_failed_build_falls_back_with_a_warning(tmp_path, monkeypatch, caplog):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(pretrain_kernel, "SOURCE", "this is not C")
-    if pretrain_kernel.shutil.which("gcc") is None:
+    monkeypatch.setattr(kernels, "SOURCE", "this is not C")
+    if kernels.shutil.which("gcc") is None:
         pytest.skip("no C compiler found")
-    with caplog.at_level(logging.WARNING, logger="relemb.pretrain_kernel"):
-        assert pretrain_kernel.load.__wrapped__() is None
+    with caplog.at_level(logging.WARNING, logger="relemb.kernels"):
+        assert kernels.load.__wrapped__() is None
     assert "failed" in caplog.text
     assert list((tmp_path / "relemb").iterdir()) == []
 
 
 def test_no_compiler_means_numpy_steps(monkeypatch, caplog):
-    monkeypatch.setattr(pretrain_kernel.shutil, "which", lambda name: None)
-    monkeypatch.setattr(pretrain_kernel, "load", pretrain_kernel.load.__wrapped__)
+    monkeypatch.setattr(kernels.shutil, "which", lambda name: None)
+    monkeypatch.setattr(kernels, "load", kernels.load.__wrapped__)
     vocab = make_vocab({"a": 5, "b": 4, "c": 3}, {"x": 6})
     ctx = rand_ctx(np.random.default_rng(1), 3, 2, n_nouns=2, n_words=5)
     cfg = et.PretrainConfig(dim=2, window=1, negatives=2, m_out=2,
