@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 from .corpus import UNK_WORD
 from .embed_train import (EmbeddingParams, NoiseSampler, SubsamplingFilter,
                           TrainingLog, apply_row_grads, gather_table,
-                          scatter_table, sum_rows)
+                          log_sigmoid, scatter_table, sigmoid, sum_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -81,8 +80,8 @@ def cbow_objective_and_grad(window_ids, center, noise_ids, model):
     z = out @ ctx
     labels = np.zeros(len(words))
     labels[0] = 1.0
-    value = float(log_expit(z[0]) + log_expit(-z[1:]).sum())
-    errs = labels - expit(z)
+    value = float(log_sigmoid(z[0]) + log_sigmoid(-z[1:]).sum())
+    errs = labels - sigmoid(z)
     grads = scatter_table(errs @ out, model, *table)
     grads["out_vecs"] = sum_rows(words.tolist(), np.outer(errs, ctx))
     return value, grads

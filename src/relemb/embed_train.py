@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 from . import kernels
 from .corpus import ArtifactError, neighbor_slots
@@ -38,6 +37,8 @@ __all__ = [
     "SubsamplingFilter",
     "TrainingLog",
     "initial_params",
+    "sigmoid",
+    "log_sigmoid",
     "pair_discard",
     "pretrain_table",
     "build_feature_vector",
@@ -305,9 +306,21 @@ def build_feature_vector(ctx, i, params):
     return gather_table(params, *pretrain_table(ctx, i, params.window))
 
 
+def sigmoid(x):
+    """Logistic function ``1/(1+exp(-x))``; exp's overflow for x below
+    about -709 gives the exact limit 0, so it is not reported."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def log_sigmoid(x):
+    """``log sigmoid(x) = -log(1+exp(-x))``, finite for every finite x."""
+    return -np.logaddexp(0.0, -x)
+
+
 def target_probability(f, wid, params):
     """sigma(pred_vecs[wid] . f + pred_bias[wid])."""
-    return float(expit(params.pred_vecs[wid] @ f + params.pred_bias[wid]))
+    return float(sigmoid(params.pred_vecs[wid] @ f + params.pred_bias[wid]))
 
 
 def pretrain_objective_and_grad(ctx, i, params, noise_ids):
@@ -334,8 +347,8 @@ def _objective_and_grad(params, table, words):
     z = pred @ f + params.pred_bias[words]
     labels = np.zeros(len(words))
     labels[0] = 1.0
-    value = float(log_expit(z[0]) + log_expit(-z[1:]).sum())
-    errs = labels - expit(z)
+    value = float(log_sigmoid(z[0]) + log_sigmoid(-z[1:]).sum())
+    errs = labels - sigmoid(z)
     grads = scatter_table(errs @ pred, params, *table)
     scored = words.tolist()
     grads["pred_vecs"] = sum_rows(scored, np.outer(errs, f))

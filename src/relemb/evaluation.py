@@ -16,7 +16,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .corpus import ALL_LABELS, FAMILIES, label_index, neighbor_slots
 from .classifier import cross_validate
@@ -150,6 +149,14 @@ def read_wordsim(source):
     return pairs
 
 
+def _average_ranks(values):
+    """Ranks 1..n of `values`, each run of ties given the mean of the ranks
+    it spans."""
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
 def spearman_wordsim(pairs, params, vocab, matrix="noun"):
     """Spearman rank correlation between human scores and cosine
     similarities under the selected embedding matrix ("noun" or "word").
@@ -184,7 +191,7 @@ def spearman_wordsim(pairs, params, vocab, matrix="noun"):
         logger.warning("wordsim: all %d %s are equal, so Spearman's rho is "
                        "undefined (NaN)", len(pairs), " and all ".join(constant))
         return WordSimResult(float("nan"), len(pairs), oov)
-    rho = float(spearmanr(human, sims).statistic)
+    rho = float(np.corrcoef(_average_ranks(human), _average_ranks(sims))[0, 1])
     return WordSimResult(rho, len(pairs), oov)
 
 

@@ -62,11 +62,6 @@ class PatternSpec:
         return [s[np.searchsorted(cum, rng.random(), side="right")]
                 for s, cum in zip(self.slots, self._cums)]
 
-    def matches(self, words):
-        """Whether a trigram of surfaces is a realization of this pattern."""
-        return len(words) == len(self.slots) and all(
-            w in s for w, s in zip(words, self.slots))
-
 
 def default_patterns():
     # Cues mark the family only; direction is readable from word order alone.

@@ -1,4 +1,7 @@
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,3 +288,14 @@ class TestExitCodes:
         assert "dimension mismatch" in err
         assert "48" in err        # 4*4*(2+1): features of the small model
         assert "192" in err       # 4*12*(2+2): dim the classifier expects
+
+
+def test_import_does_not_load_scipy():
+    """A CLI process imports no scipy: the runtime does not use it, and
+    importing it would cost most of each process's start-up time."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import relemb.cli; import sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,10 +226,32 @@ class TestTargetProbability:
         params.pred_vecs[2] = 0.0
         ctx = rand_ctx(rng, 2, 2)
         f = et.build_feature_vector(ctx, 1, params)
-        params.pred_bias[2] = 1000.0
-        assert et.target_probability(f, 2, params) == 1.0
-        params.pred_bias[2] = -1000.0
-        assert et.target_probability(f, 2, params) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params.pred_bias[2] = 1000.0
+            assert et.target_probability(f, 2, params) == 1.0
+            params.pred_bias[2] = -1000.0
+            assert et.target_probability(f, 2, params) == 0.0
+
+
+class TestSigmoidForms:
+    """The numpy forms against scipy's, which is only a test reference."""
+
+    @staticmethod
+    def _points():
+        return np.concatenate((np.random.default_rng(3).normal(size=100_000),
+                               [1000.0, -1000.0, 745.0, -745.0, 710.0, -710.0]))
+
+    def test_sigmoid_matches_expit(self):
+        expit = pytest.importorskip("scipy.special").expit
+        x = self._points()
+        np.testing.assert_allclose(et.sigmoid(x), expit(x), rtol=4.4e-16,
+                                   atol=0.0)
+
+    def test_log_sigmoid_equals_log_expit(self):
+        log_expit = pytest.importorskip("scipy.special").log_expit
+        x = self._points()
+        np.testing.assert_array_equal(et.log_sigmoid(x), log_expit(x))
 
 
 class TestPretrainObjectiveAndGrad:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from relemb import evaluation as ev
 from relemb.classifier import SoftmaxParams, SupervisedConfig
@@ -241,6 +242,42 @@ class TestWordSim:
         assert r_word.rho == pytest.approx(1.0)
         with pytest.raises(ValueError):
             ev.spearman_wordsim(pairs, params, vocab, "embedding")
+
+    @staticmethod
+    def _check_against_spearmanr(human, grid):
+        """rho over pairs whose cosines are ``k/1000`` for k in `grid`:
+        distinct k keep distinct, equally ordered cosines, so scipy's rho on
+        (human, grid) is the reference."""
+        spearmanr = pytest.importorskip("scipy.stats").spearmanr
+        vocab, params = _wordsim_fixture([k / 1000 for k in grid])
+        pairs = [(f"a{i}", f"b{i}", h) for i, h in enumerate(human)]
+        rho = ev.spearman_wordsim(pairs, params, vocab, "word").rho
+        assert rho == pytest.approx(spearmanr(human, grid).statistic,
+                                    rel=0.0, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rho_matches_spearmanr(self, data):
+        pytest.importorskip("scipy.stats")
+        n = data.draw(st.integers(3, 60), label="n")
+        tied = data.draw(st.booleans(), label="tied")
+        humans = (st.sampled_from([0.0, 1.5, 2.0, 7.25]) if tied
+                  else st.floats(-10.0, 10.0, allow_nan=False))
+        ks = st.integers(-3, 3) if tied else st.integers(-999, 999)
+        human = data.draw(st.lists(humans, min_size=n, max_size=n),
+                          label="human")
+        grid = data.draw(st.lists(ks, min_size=n, max_size=n), label="grid")
+        assume(len(set(human)) > 1 and len(set(grid)) > 1)
+        self._check_against_spearmanr(human, grid)
+
+    @pytest.mark.parametrize("human, grid", [
+        ([1.0, 2.0, 3.0], [10, 30, 20]),
+        ([1.0, 1.0, 3.0], [10, 30, 20]),
+        ([1.0, 2.0, 3.0], [20, 20, 10]),
+        ([2.0, 1.0, 2.0], [5, 5, -5]),
+    ])
+    def test_rho_matches_spearmanr_with_three_pairs(self, human, grid):
+        self._check_against_spearmanr(human, grid)
 
     def test_read_wordsim_formats(self, tmp_path):
         comma = tmp_path / "c.csv"
