@@ -10,6 +10,7 @@ protocol.
 from .corpus import (
     ALL_LABELS,
     ArtifactError,
+    ConfigError,
     ContextFile,
     NounPairContext,
     RelationLabel,

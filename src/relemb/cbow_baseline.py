@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import UNK_WORD
+from .corpus import UNK_WORD, ConfigError
 from .embed_train import (EmbeddingParams, NoiseSampler, SubsamplingFilter,
                           TrainingLog, apply_row_grads, gather_table,
                           log_sigmoid, scatter_table, sigmoid, sum_rows)
@@ -59,11 +59,11 @@ class CbowConfig:
 
     def validate(self):
         if self.dim < 1 or self.window < 1 or self.negatives < 1:
-            raise ValueError("dim, window, and negatives must be >= 1")
+            raise ConfigError("dim, window, and negatives must be >= 1")
         if not self.alpha > 0 or not self.subsample > 0:
-            raise ValueError("alpha and subsample must be > 0")
+            raise ConfigError("alpha and subsample must be > 0")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         return self
 
 
@@ -178,13 +178,13 @@ def import_as_initialization(model, vocab):
     )
 
 
-def align_text_vectors(surfaces, matrix, vocab, strict=False):
+def align_text_vectors(surfaces, matrix, vocab):
     """Map interchange-format vectors onto the word inventory.
 
     Returns ``(aligned, missing)`` where `aligned` has one row per word id.
-    Words absent from the file take the file's UNK row; with `strict` the
-    missing surfaces raise instead.  The file must provide an UNK row
-    (surface ``UNK`` or ``<UNK>``) unless nothing is missing.
+    Words absent from the file take the file's UNK row.  The file must
+    provide an UNK row (surface ``UNK`` or ``<UNK>``) unless nothing is
+    missing.
     """
     index = {s: i for i, s in enumerate(surfaces)}
     unk_row = index.get("UNK", index.get("<UNK>"))
@@ -205,6 +205,4 @@ def align_text_vectors(surfaces, matrix, vocab, strict=False):
                     f"vectors lack {surface!r} and provide no UNK fallback")
             row = unk_row
         aligned[wid] = matrix[row]
-    if strict and missing:
-        raise ValueError("vectors missing words: " + ", ".join(missing[:20]))
     return aligned, missing

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .corpus import ALL_LABELS, ArtifactError, label_index
+from .corpus import ALL_LABELS, ArtifactError, ConfigError, label_index
 from .embed_train import _check_ids, read_blob_file, write_blob_file
 from .features import FeatureOptions, assemble_features, feature_dim, \
     feature_table, scatter_feature_grad
@@ -80,17 +80,14 @@ class SupervisedConfig:
     dropout: bool = True        # rate fixed at 0.5
     fine_tune: bool = True
     seed: int = 1
-    folds: int = 10
 
     def validate(self):
         if not self.eta > 0:
-            raise ValueError("eta must be > 0")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+            raise ConfigError("eta must be > 0")
+        if not self.l2 >= 0:
+            raise ConfigError("l2 must be >= 0")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+            raise ConfigError("epochs must be >= 1")
         return self
 
 
@@ -322,22 +319,18 @@ def predict_many(contexts, softmax_params, embed_params, opts=FeatureOptions()):
 def make_folds(n, folds, seed):
     """Seeded partition of range(n) into `folds` near-equal validation sets."""
     if folds < 2:
-        raise ValueError("folds must be >= 2")
+        raise ConfigError("folds must be >= 2")
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
-def cross_validate(instances, embed_params, settings, folds=10, seed=1,
-                   scorer=None):
-    """Mean cross-validation score per setting under one shared fold split.
+def cross_validate(instances, embed_params, settings, folds=10, seed=1):
+    """Mean official macro-F1 per setting under one shared fold split.
 
-    `settings` is a list of ``(name, SupervisedConfig, FeatureOptions)``;
-    `scorer` maps (gold labels, predicted labels) to a float and defaults to
-    the official macro-F1.  Returns a list of ``(name, mean, fold_scores)``.
+    `settings` is a list of ``(name, SupervisedConfig, FeatureOptions)``.
+    Returns a list of ``(name, mean, fold_scores)``.
     """
-    if scorer is None:
-        from .evaluation import score_semeval
-        scorer = lambda gold, pred: score_semeval(gold, pred).macro_f1
+    from .evaluation import score_semeval   # evaluation imports this module
     n = len(instances)
     splits = make_folds(n, folds, seed)
     results = []
@@ -350,7 +343,7 @@ def cross_validate(instances, embed_params, settings, folds=10, seed=1,
             softmax, tuned, _ = train_classifier(train, embed_params, config, opts)
             pred = predict_many([t.context for t in test], softmax, tuned, opts)
             gold = [t.label for t in test]
-            fold_scores.append(scorer(gold, pred))
+            fold_scores.append(score_semeval(gold, pred).macro_f1)
         results.append((name, float(np.mean(fold_scores)), fold_scores))
         logger.info("cv %s: %.2f", name, results[-1][1])
     return results
@@ -376,6 +369,6 @@ def load_classifier(path):
                                          _classifier_shapes)
     try:
         opts = FeatureOptions.from_flags(kv["opts"])
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ArtifactError(f"{path}: {exc}") from None
     return SoftmaxParams(weights, bias), opts

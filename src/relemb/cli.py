@@ -4,12 +4,15 @@ eval, wordsim, ngrams.
 Every subcommand accepts ``--config FILE`` with ``key = value`` lines;
 explicit command-line flags override file values, unknown keys are rejected,
 and the fully resolved configuration is logged before the run.  Exit codes:
-0 success, 1 runtime failure, 2 usage error.
+0 success; 2 for a usage error, a bad setting (:class:`relemb.corpus.ConfigError`)
+or a missing or malformed input file (:class:`relemb.corpus.ArtifactError`,
+naming the file and, where there is one, the line); 1 for any other failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import logging
 import os
@@ -22,6 +25,7 @@ from . import embed_train as et
 from . import cbow_baseline as cb
 from . import classifier as cl
 from . import evaluation as ev
+from .corpus import ConfigError
 from .features import FeatureOptions, feature_dim
 
 logger = logging.getLogger("relemb")
@@ -31,19 +35,85 @@ logger = logging.getLogger("relemb")
 PARSE_M_OUT = 10
 
 
-class UsageError(Exception):
-    pass
+def _int_bool(text):
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _matrix(text):
+    if text not in ("noun", "word"):
+        raise ValueError(f"expected noun or word, got {text!r}")
+    return text
+
+
+def _list_of(item):
+    """Type of a non-empty comma-separated list of `item` values."""
+    def parse(text):
+        values = [item(x) for x in text.split(",") if x]
+        if not values:
+            raise ValueError("empty list")
+        return values
+    parse.__name__ = f"{item.__name__}_list"
+    return parse
+
+
+# Every setting of every subcommand: config key -> (type, default).  Each
+# key is also the flag ``--key``, with ``_`` written as ``-``.  A flag
+# overrides the config file, which overrides the default; flag and file
+# values go through the same type.
+_EMBED_OPTIONS = {
+    "d": (int, 100),
+    "c": (int, 3),
+    "k": (int, 25),
+    "alpha": (float, 0.025),
+    "t": (float, 1e-5),
+    "epochs": (int, 1),
+    "seed": (int, 1),
+}
+_TRAIN_OPTIONS = {
+    "eta": (float, 0.1),
+    "l2": (float, 1e-4),
+    "epochs": (int, 20),
+    "dropout": (_int_bool, True),
+    "fine_tune": (_int_bool, True),
+    "m_out": (int, 5),
+    "seed": (int, 1),
+    "features": (str, "nouns,between,outside"),
+    "d": (int, 100),
+    "c": (int, 3),
+}
+# cv searches the grid of these train settings, each given as a list.
+_GRID = ("eta", "l2", "epochs", "m_out", "dropout")
+
+OPTIONS = {
+    "build-vocab": {
+        "max_words": (int, 300_000),
+        "max_nouns": (int, 300_000),
+        "lowercase": (_int_bool, True),
+    },
+    "extract": {"m_out": (int, 5), "max_between": (int, 10)},
+    "pretrain": {**_EMBED_OPTIONS, "report_every": (int, 100_000)},
+    "cbow": _EMBED_OPTIONS,
+    "train": _TRAIN_OPTIONS,
+    "cv": {**_TRAIN_OPTIONS, "folds": (int, 10),
+           **{key: (_list_of(_TRAIN_OPTIONS[key][0]), [_TRAIN_OPTIONS[key][1]])
+              for key in _GRID}},
+    "eval": {"bootstrap": (int, 0), "level": (float, 0.95), "seed": (int, 1)},
+    "wordsim": {"matrix": (_matrix, "noun")},
+    "ngrams": {"n": (_list_of(int), [1, 3]), "top": (int, 5)},
+}
 
 
 def _require_files(*paths):
     for p in paths:
-        if p is None:
-            continue
-        if not os.path.exists(p):
-            raise UsageError(f"input path does not exist: {p}")
+        if p is not None and not os.path.exists(p):
+            raise ConfigError(f"input path does not exist: {p}")
 
 
-def _read_config_file(path):
+def _read_config_file(path, options):
+    """The ``key = value`` lines of `path`, each value through its key's
+    type in `options`."""
     _require_files(path)
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -51,34 +121,29 @@ def _read_config_file(path):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{ln}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key, eq, text = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ConfigError(f"{path}:{ln}: expected 'key = value'")
+            if key not in options:
+                raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
+            try:
+                values[key] = options[key][0](text)
+            except ValueError:
+                raise ConfigError(f"{path}:{ln}: bad value for config key "
+                                  f"{key}: {text!r}") from None
     return values
 
 
-def _resolve(args, schema):
-    """Merge defaults, config-file values, and explicit flags; log result."""
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(schema)
-        if unknown:
-            raise UsageError("unknown config keys: " + ", ".join(sorted(unknown)))
-    resolved = {}
-    for key, (typ, default) in schema.items():
-        value = default
-        if key in file_values:
-            try:
-                value = typ(file_values[key])
-            except ValueError:
-                raise UsageError(f"bad value for config key {key}: "
-                                 f"{file_values[key]!r}") from None
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            value = cli_value
-        resolved[key] = value
+def _resolve(args):
+    """The subcommand's settings: defaults, then config-file values, then
+    explicit flags; the result is logged."""
+    options = OPTIONS[args.command]
+    resolved = {key: default for key, (_, default) in options.items()}
+    if args.config:
+        resolved.update(_read_config_file(args.config, options))
+    for key in options:
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
     logger.info("resolved config: %s",
                 " ".join(f"{k}={v}" for k, v in sorted(resolved.items())))
     return resolved
@@ -102,19 +167,10 @@ def _corpus_stream(paths):
     return _Multi(paths)
 
 
-def _int_bool(text):
-    return bool(int(text))
-
-
 # --- subcommands -------------------------------------------------------------
 
 def cmd_build_vocab(args):
-    schema = {
-        "max_words": (int, 300_000),
-        "max_nouns": (int, 300_000),
-        "lowercase": (_int_bool, True),
-    }
-    cfg = _resolve(args, schema)
+    cfg = _resolve(args)
     _require_files(*args.corpus)
     stream = _corpus_stream(args.corpus)
     vocab = cp.build_vocabulary(stream, cfg["max_words"], cfg["max_nouns"],
@@ -131,22 +187,17 @@ def cmd_build_vocab(args):
 
 
 def cmd_extract(args):
-    schema = {
-        "m_out": (int, 5),
-        "max_between": (int, 10),
-    }
-    cfg = _resolve(args, schema)
+    cfg = _resolve(args)
     _require_files(*args.corpus, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
     stream = _corpus_stream(args.corpus)
     stats = {"sentences": 0, "targets": 0}
 
     def gen():
-        for n, sent in enumerate(stream):
+        for sent in stream:
             stats["sentences"] += 1
             for ctx in cp.extract_noun_pair_contexts(
-                    sent, vocab, cfg["m_out"], cfg["max_between"],
-                    sentence_ref=n):
+                    sent, vocab, cfg["m_out"], cfg["max_between"]):
                 stats["targets"] += ctx.m_in
                 yield ctx
 
@@ -157,31 +208,16 @@ def cmd_extract(args):
     return 0
 
 
-_PRETRAIN_SCHEMA = {
-    "d": (int, 100),
-    "c": (int, 3),
-    "k": (int, 25),
-    "alpha": (float, 0.025),
-    "t": (float, 1e-5),
-    "epochs": (int, 1),
-    "seed": (int, 1),
-    "report_every": (int, 100_000),
-}
-
-
 def cmd_pretrain(args):
-    cfg = _resolve(args, _PRETRAIN_SCHEMA)
+    cfg = _resolve(args)
     _require_files(args.contexts, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
     contexts = cp.ContextFile(args.contexts)
-    try:
-        config = et.PretrainConfig(
-            dim=cfg["d"], window=cfg["c"], negatives=cfg["k"],
-            alpha=cfg["alpha"], m_out=contexts.m_out, subsample=cfg["t"],
-            epochs=cfg["epochs"], seed=cfg["seed"],
-            report_every=cfg["report_every"]).validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = et.PretrainConfig(
+        dim=cfg["d"], window=cfg["c"], negatives=cfg["k"],
+        alpha=cfg["alpha"], m_out=contexts.m_out, subsample=cfg["t"],
+        epochs=cfg["epochs"], seed=cfg["seed"],
+        report_every=cfg["report_every"]).validate()
     params, log = et.train_embeddings(contexts, vocab, config)
     et.save_model(params, args.out)
     print(f"targets seen: {log.targets_seen}")
@@ -192,26 +228,14 @@ def cmd_pretrain(args):
 
 
 def cmd_cbow(args):
-    schema = {
-        "d": (int, 100),
-        "c": (int, 3),
-        "k": (int, 25),
-        "alpha": (float, 0.025),
-        "t": (float, 1e-5),
-        "epochs": (int, 1),
-        "seed": (int, 1),
-    }
-    cfg = _resolve(args, schema)
+    cfg = _resolve(args)
     _require_files(*args.corpus, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
     stream = _corpus_stream(args.corpus)
-    try:
-        config = cb.CbowConfig(
-            dim=cfg["d"], window=cfg["c"], negatives=cfg["k"],
-            alpha=cfg["alpha"], subsample=cfg["t"], epochs=cfg["epochs"],
-            seed=cfg["seed"]).validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = cb.CbowConfig(
+        dim=cfg["d"], window=cfg["c"], negatives=cfg["k"],
+        alpha=cfg["alpha"], subsample=cfg["t"], epochs=cfg["epochs"],
+        seed=cfg["seed"]).validate()
     model, log = cb.train_cbow(stream, vocab, config)
     params = cb.import_as_initialization(model, vocab)
     et.save_model(params, args.out)
@@ -225,20 +249,6 @@ def cmd_cbow(args):
     return 0
 
 
-_TRAIN_SCHEMA = {
-    "eta": (float, 0.1),
-    "l2": (float, 1e-4),
-    "epochs": (int, 20),
-    "dropout": (_int_bool, True),
-    "fine_tune": (_int_bool, True),
-    "m_out": (int, 5),
-    "seed": (int, 1),
-    "features": (str, "nouns,between,outside"),
-    "d": (int, 100),
-    "c": (int, 3),
-}
-
-
 def _load_embeddings(args, cfg, vocab):
     """Pretrained model file, random initialization, or imported vectors."""
     if args.model:
@@ -250,7 +260,7 @@ def _load_embeddings(args, cfg, vocab):
                                  cfg["d"], cfg["c"], rng)
     if args.init == "w2v":
         if not (args.vectors_in and args.vectors_out):
-            raise UsageError("--init w2v needs --vectors-in and --vectors-out")
+            raise ConfigError("--init w2v needs --vectors-in and --vectors-out")
         _require_files(args.vectors_in, args.vectors_out)
         s_in, m_in = et.read_text_vectors(args.vectors_in)
         s_out, m_out = et.read_text_vectors(args.vectors_out)
@@ -260,35 +270,28 @@ def _load_embeddings(args, cfg, vocab):
             logger.info("imported vectors: %d words fall back to UNK", len(missing))
         model = cb.CbowModel(in_aligned, out_aligned, m_in.shape[1], cfg["c"])
         return cb.import_as_initialization(model, vocab)
-    raise UsageError("provide --model FILE or --init rand|w2v")
+    raise ConfigError("provide --model FILE or --init rand|w2v")
 
 
-def _feature_options(cfg):
-    try:
-        base = FeatureOptions.from_flags(cfg["features"])
-        if cfg["m_out"] > PARSE_M_OUT:
-            raise ValueError(f"m_out must be <= {PARSE_M_OUT}")
-        return FeatureOptions(base.include_nouns, base.include_between,
-                              base.include_outside, base.bow_between,
-                              m_out=cfg["m_out"]).validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _feature_options(features, m_out):
+    """The blocks named by `features`, with outside windows `m_out` wide."""
+    if m_out > PARSE_M_OUT:
+        raise ConfigError(f"m_out must be <= {PARSE_M_OUT}")
+    return dataclasses.replace(FeatureOptions.from_flags(features),
+                               m_out=m_out).validate()
 
 
 def cmd_train(args):
-    cfg = _resolve(args, _TRAIN_SCHEMA)
+    cfg = _resolve(args)
+    opts = _feature_options(cfg["features"], cfg["m_out"])
+    config = cl.SupervisedConfig(
+        eta=cfg["eta"], l2=cfg["l2"], epochs=cfg["epochs"],
+        dropout=cfg["dropout"], fine_tune=cfg["fine_tune"],
+        seed=cfg["seed"]).validate()
     _require_files(args.train, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
     instances = cp.parse_semeval(args.train, vocab, PARSE_M_OUT)
     params = _load_embeddings(args, cfg, vocab)
-    opts = _feature_options(cfg)
-    try:
-        config = cl.SupervisedConfig(
-            eta=cfg["eta"], l2=cfg["l2"], epochs=cfg["epochs"],
-            dropout=cfg["dropout"], fine_tune=cfg["fine_tune"],
-            seed=cfg["seed"]).validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     softmax, tuned, log = cl.train_classifier(instances, params, config, opts)
     cl.save_classifier(softmax, opts, args.out)
     if args.out_model:
@@ -299,48 +302,21 @@ def cmd_train(args):
     return 0
 
 
-def _float_list(text):
-    return [float(x) for x in text.split(",") if x]
-
-
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x]
-
-
 def cmd_cv(args):
-    schema = dict(_TRAIN_SCHEMA)
-    schema.update({
-        "folds": (int, 10),
-        "eta": (_float_list, [0.1]),
-        "l2": (_float_list, [1e-4]),
-        "epochs": (_int_list, [20]),
-        "m_out": (_int_list, [5]),
-        "dropout": (str, "1"),
-    })
-    cfg = _resolve(args, schema)
-    _require_files(args.train, args.vocab)
-    vocab = cp.Vocabulary.load(args.vocab)
-    instances = cp.parse_semeval(args.train, vocab, PARSE_M_OUT)
-    params = _load_embeddings(args, cfg, vocab)
-    try:
-        base = FeatureOptions.from_flags(cfg["features"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    dropouts = [bool(int(x)) for x in str(cfg["dropout"]).split(",") if x != ""]
+    cfg = _resolve(args)
     settings = []
     for eta, l2, epochs, m_out, dropout in itertools.product(
-            cfg["eta"], cfg["l2"], cfg["epochs"], cfg["m_out"], dropouts):
-        if m_out > PARSE_M_OUT:
-            raise UsageError(f"m_out must be <= {PARSE_M_OUT}")
+            *(cfg[key] for key in _GRID)):
         name = f"eta={eta} l2={l2} epochs={epochs} m_out={m_out} dropout={int(dropout)}"
         config = cl.SupervisedConfig(eta=eta, l2=l2, epochs=epochs,
                                      dropout=dropout,
                                      fine_tune=cfg["fine_tune"],
-                                     seed=cfg["seed"], folds=cfg["folds"])
-        opts = FeatureOptions(base.include_nouns, base.include_between,
-                              base.include_outside, base.bow_between,
-                              m_out=m_out)
-        settings.append((name, config, opts))
+                                     seed=cfg["seed"]).validate()
+        settings.append((name, config, _feature_options(cfg["features"], m_out)))
+    _require_files(args.train, args.vocab)
+    vocab = cp.Vocabulary.load(args.vocab)
+    instances = cp.parse_semeval(args.train, vocab, PARSE_M_OUT)
+    params = _load_embeddings(args, cfg, vocab)
     results = cl.cross_validate(instances, params, settings,
                                 folds=cfg["folds"], seed=cfg["seed"])
     width = max(len(name) for name, _, _ in results)
@@ -366,12 +342,7 @@ def _load_model_and_classifier(args):
 
 
 def cmd_eval(args):
-    schema = {
-        "bootstrap": (int, 0),
-        "level": (float, 0.95),
-        "seed": (int, 1),
-    }
-    cfg = _resolve(args, schema)
+    cfg = _resolve(args)
     _require_files(args.test, args.vocab, args.model, args.clf)
     vocab = cp.Vocabulary.load(args.vocab)
     params, softmax, opts = _load_model_and_classifier(args)
@@ -393,8 +364,7 @@ def cmd_eval(args):
 
 
 def cmd_wordsim(args):
-    schema = {"matrix": (str, "noun")}
-    cfg = _resolve(args, schema)
+    cfg = _resolve(args)
     _require_files(args.pairs, args.vocab, args.model)
     vocab = cp.Vocabulary.load(args.vocab)
     params = et.load_model(args.model)
@@ -407,25 +377,17 @@ def cmd_wordsim(args):
 
 
 def cmd_ngrams(args):
-    schema = {
-        "n": (_int_list, [1, 3]),
-        "top": (int, 5),
-    }
-    cfg = _resolve(args, schema)
+    cfg = _resolve(args)
     _require_files(args.train, args.vocab, args.model, args.clf)
     vocab = cp.Vocabulary.load(args.vocab)
     params, softmax, opts = _load_model_and_classifier(args)
     instances = cp.parse_semeval(args.train, vocab, PARSE_M_OUT)
-    labels = [cp.parse_label(text) for text in args.label] if args.label \
-        else [lab for lab in cp.ALL_LABELS if lab.family != "Other"]
+    labels = args.label or [lab for lab in cp.ALL_LABELS if lab.family != "Other"]
     for label in labels:
         print(f"== {label.surface()}")
         for n in cfg["n"]:
-            try:
-                ranked = ev.top_ngrams(softmax, params, opts, instances,
-                                       label, n, cfg["top"], vocab=vocab)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            ranked = ev.top_ngrams(softmax, params, opts, instances,
+                                   label, n, cfg["top"], vocab=vocab)
             for words, score in ranked:
                 print(f"  {n}-gram  {' '.join(words):<40} {score:9.4f}")
     return 0
@@ -433,122 +395,59 @@ def cmd_ngrams(args):
 
 # --- parser ------------------------------------------------------------------
 
+_REQUIRED = {"required": True}
+_INPUTS = {"nargs": "+", "required": True}
+_EMBED_SOURCE = {"model": {}, "init": {"choices": ("rand", "w2v")},
+                 "vectors_in": {}, "vectors_out": {}}
+
+# Each subcommand's function, help line, and the arguments that are not
+# settings (file paths, the embedding source, ngrams' labels) with their
+# ``add_argument`` keywords.
+COMMANDS = {
+    "build-vocab": (cmd_build_vocab, "count a tagged corpus",
+                    {"corpus": _INPUTS, "out": _REQUIRED}),
+    "extract": (cmd_extract, "extract noun-pair contexts",
+                {"corpus": _INPUTS, "vocab": _REQUIRED, "out": _REQUIRED}),
+    "pretrain": (cmd_pretrain, "train noun-pair embeddings",
+                 {"contexts": _REQUIRED, "vocab": _REQUIRED, "out": _REQUIRED}),
+    "cbow": (cmd_cbow, "train the CBOW baseline embeddings",
+             {"corpus": _INPUTS, "vocab": _REQUIRED, "out": _REQUIRED,
+              "export_text": {}}),
+    "train": (cmd_train, "train the relation classifier",
+              {"train": _REQUIRED, "vocab": _REQUIRED, "out": _REQUIRED,
+               "out_model": {}, **_EMBED_SOURCE}),
+    "cv": (cmd_cv, "cross-validate a hyperparameter grid",
+           {"train": _REQUIRED, "vocab": _REQUIRED, **_EMBED_SOURCE}),
+    "eval": (cmd_eval, "score a labeled test file",
+             {"test": _REQUIRED, "vocab": _REQUIRED, "model": _REQUIRED,
+              "clf": _REQUIRED, "pred": {}, "report": {}}),
+    "wordsim": (cmd_wordsim, "word-similarity correlation",
+                {"pairs": _REQUIRED, "vocab": _REQUIRED, "model": _REQUIRED}),
+    "ngrams": (cmd_ngrams, "top n-grams per relation class",
+               {"train": _REQUIRED, "vocab": _REQUIRED, "model": _REQUIRED,
+                "clf": _REQUIRED,
+                "label": {"action": "append", "type": cp.parse_label}}),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="relemb",
         description="relation-classification embeddings: pretraining, "
                     "classification, and evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (func, help_line, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.set_defaults(func=func)
         p.add_argument("--config", help="key = value configuration file")
-        return p
-
-    p = add("build-vocab", cmd_build_vocab, help="count a tagged corpus")
-    p.add_argument("--corpus", nargs="+", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--max-words", dest="max_words", type=int)
-    p.add_argument("--max-nouns", dest="max_nouns", type=int)
-    p.add_argument("--lowercase", type=_int_bool)
-
-    p = add("extract", cmd_extract, help="extract noun-pair contexts")
-    p.add_argument("--corpus", nargs="+", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--m-out", dest="m_out", type=int)
-    p.add_argument("--max-between", dest="max_between", type=int)
-
-    p = add("pretrain", cmd_pretrain, help="train noun-pair embeddings")
-    p.add_argument("--contexts", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--report-every", dest="report_every", type=int)
-
-    p = add("cbow", cmd_cbow, help="train the CBOW baseline embeddings")
-    p.add_argument("--corpus", nargs="+", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--export-text", dest="export_text")
-    p.add_argument("--d", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-
-    def add_embed_source(p):
-        p.add_argument("--model")
-        p.add_argument("--init", choices=("rand", "w2v"))
-        p.add_argument("--vectors-in", dest="vectors_in")
-        p.add_argument("--vectors-out", dest="vectors_out")
-        p.add_argument("--d", type=int)
-        p.add_argument("--c", type=int)
-
-    p = add("train", cmd_train, help="train the relation classifier")
-    p.add_argument("--train", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--out-model", dest="out_model")
-    add_embed_source(p)
-    p.add_argument("--features")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--dropout", type=_int_bool)
-    p.add_argument("--fine-tune", dest="fine_tune", type=_int_bool)
-    p.add_argument("--m-out", dest="m_out", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("cv", cmd_cv, help="cross-validate a hyperparameter grid")
-    p.add_argument("--train", required=True)
-    p.add_argument("--vocab", required=True)
-    add_embed_source(p)
-    p.add_argument("--features")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--eta", type=_float_list)
-    p.add_argument("--l2", type=_float_list)
-    p.add_argument("--epochs", type=_int_list)
-    p.add_argument("--m-out", dest="m_out", type=_int_list)
-    p.add_argument("--dropout")
-    p.add_argument("--fine-tune", dest="fine_tune", type=_int_bool)
-    p.add_argument("--seed", type=int)
-
-    p = add("eval", cmd_eval, help="score a labeled test file")
-    p.add_argument("--test", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--clf", required=True)
-    p.add_argument("--pred")
-    p.add_argument("--report")
-    p.add_argument("--bootstrap", type=int)
-    p.add_argument("--level", type=float)
-    p.add_argument("--seed", type=int)
-
-    p = add("wordsim", cmd_wordsim, help="word-similarity correlation")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--matrix", choices=("noun", "word"))
-
-    p = add("ngrams", cmd_ngrams, help="top n-grams per relation class")
-    p.add_argument("--train", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--clf", required=True)
-    p.add_argument("--label", action="append")
-    p.add_argument("--n", type=_int_list)
-    p.add_argument("--top", type=int)
-
+        for key, kwargs in arguments.items():
+            p.add_argument(_flag(key), **kwargs)
+        for key, (typ, _) in OPTIONS[name].items():
+            p.add_argument(_flag(key), type=typ)
     return parser
 
 
@@ -562,10 +461,7 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, cp.ArtifactError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, cp.ArtifactError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

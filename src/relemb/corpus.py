@@ -27,6 +27,7 @@ __all__ = [
     "SemEvalInstance",
     "SemEvalFormatError",
     "ArtifactError",
+    "ConfigError",
     "parse_tagged_corpus",
     "build_vocabulary",
     "extract_noun_pair_contexts",
@@ -245,7 +246,7 @@ def build_vocabulary(sentences, max_words, max_nouns, lowercase=True):
     folded into the UNK slots.
     """
     if max_words < 1 or max_nouns < 1:
-        raise ValueError("max_words and max_nouns must be >= 1")
+        raise ConfigError("max_words and max_nouns must be >= 1")
     word_counter: Counter = Counter()
     noun_counter: Counter = Counter()
     for sent in sentences:
@@ -284,7 +285,6 @@ class NounPairContext:
     w_in: tuple[int, ...]
     w_bef: tuple[int, ...]
     w_aft: tuple[int, ...]
-    sentence_ref: int | str | None = None
 
     @property
     def m_in(self):
@@ -323,16 +323,15 @@ def _outside_windows(word_ids, left_pos, right_pos, m_out):
     return bef, aft
 
 
-def extract_noun_pair_contexts(sentence, vocab, m_out, max_between=10,
-                               sentence_ref=None):
+def extract_noun_pair_contexts(sentence, vocab, m_out, max_between=10):
     """Emit every ordered noun pair of `sentence` with 1..`max_between`
     intervening tokens, as pretraining contexts.
 
     Pairs with zero words between them carry no prediction target and are
     omitted, as are pairs further apart than `max_between`.
     """
-    if m_out < 1:
-        raise ValueError("m_out must be >= 1")
+    if m_out < 1 or max_between < 1:
+        raise ConfigError("m_out and max_between must be >= 1")
     positions = sentence.noun_positions()
     if len(positions) < 2:
         return []
@@ -351,7 +350,6 @@ def extract_noun_pair_contexts(sentence, vocab, m_out, max_between=10,
                 w_in=tuple(word_ids[p1 + 1:p2]),
                 w_bef=bef,
                 w_aft=aft,
-                sentence_ref=sentence_ref,
             ))
     return out
 
@@ -377,13 +375,19 @@ class ArtifactError(ValueError):
     where there is one."""
 
 
+class ConfigError(ValueError):
+    """An invalid setting: a configuration value or an argument outside the
+    range its function accepts."""
+
+
 class ContextFile:
     """Re-iterable reader for the extracted-context file format.
 
-    Each line must hold four tab-separated fields of non-negative integer
-    ids: two nouns, the words between them, and the two outside windows of
-    exactly the header's ``m_out`` ids each.  A line that does not raises
-    :class:`ArtifactError` naming ``path:line``.
+    The header's ``m_out`` must be a positive integer.  Each line must hold
+    four tab-separated fields of non-negative integer ids: two nouns, one or
+    more words between them, and the two outside windows of exactly
+    ``m_out`` ids each.  A file that does not raises :class:`ArtifactError`
+    naming ``path:line``.
     """
 
     def __init__(self, path):
@@ -395,8 +399,10 @@ class ContextFile:
         try:
             self.m_out = int(dict(t.split("=", 1) for t in header[2:])["m_out"])
         except (KeyError, ValueError):
-            raise ArtifactError(f"{path}:1: header lacks an integer m_out") \
-                from None
+            self.m_out = 0
+        if self.m_out < 1:
+            raise ArtifactError(f"{path}:1: header lacks a positive integer "
+                                f"m_out")
 
     def __iter__(self):
         m_out = self.m_out
@@ -409,8 +415,9 @@ class ContextFile:
                         for field in line.rstrip("\n").split("\t")]
                 except ValueError:
                     pair = None
-                if (pair is None or len(pair) != 2 or len(w_bef) != m_out
-                        or len(w_aft) != m_out or "-" in line):
+                if (pair is None or len(pair) != 2 or not w_in
+                        or len(w_bef) != m_out or len(w_aft) != m_out
+                        or "-" in line):
                     raise ArtifactError(
                         f"{self.path}:{lineno}: {self._fault(line)}")
                 yield NounPairContext(pair[0], pair[1], w_in, w_bef, w_aft)
@@ -430,6 +437,8 @@ class ContextFile:
                 return f"non-integer id {tok!r}"
         if len(fields[0]) != 2:
             return f"{len(fields[0])} noun ids, expected 2"
+        if not fields[1]:
+            return "no words between the pair"
         return (f"outside windows of {len(fields[2])} and {len(fields[3])} "
                 f"ids, header has m_out={self.m_out}")
 
@@ -501,11 +510,12 @@ def tokenize(text):
     return _TOKEN_RE.findall(text)
 
 
-class SemEvalFormatError(ValueError):
-    """Raised for a malformed labeled instance; carries the instance id."""
+class SemEvalFormatError(ArtifactError):
+    """A malformed labeled instance.  The message names the instance id,
+    after ``path:line: `` when the instances are read from a file."""
 
-    def __init__(self, instance_id, message):
-        super().__init__(f"instance {instance_id}: {message}")
+    def __init__(self, instance_id, message, where):
+        super().__init__(f"{where}instance {instance_id}: {message}")
         self.instance_id = instance_id
 
 
@@ -519,13 +529,13 @@ class SemEvalInstance:
 _SENT_LINE_RE = re.compile(r"^(\d+)\t\"(.*)\"\s*$")
 
 
-def _entity_spans(instance_id, sentence):
+def _entity_spans(sentence):
     m1 = re.search(r"<e1>(.*?)</e1>", sentence, flags=re.S)
     m2 = re.search(r"<e2>(.*?)</e2>", sentence, flags=re.S)
     if m1 is None or m2 is None:
-        raise SemEvalFormatError(instance_id, "missing <e1>/<e2> markup")
+        raise ValueError("missing <e1>/<e2> markup")
     if m1.start() > m2.start():
-        raise SemEvalFormatError(instance_id, "entity markup out of order")
+        raise ValueError("entity markup out of order")
     before = sentence[:m1.start()]
     e1 = m1.group(1)
     middle = sentence[m1.end():m2.start()]
@@ -534,15 +544,15 @@ def _entity_spans(instance_id, sentence):
     return before, e1, middle, e2, after
 
 
-def _instance_context(instance_id, sentence, vocab, m_out):
-    before, e1, middle, e2, after = _entity_spans(instance_id, sentence)
+def _instance_context(sentence, vocab, m_out):
+    before, e1, middle, e2, after = _entity_spans(sentence)
     toks_before = tokenize(before)
     toks_e1 = tokenize(e1)
     toks_middle = tokenize(middle)
     toks_e2 = tokenize(e2)
     toks_after = tokenize(after)
     if not toks_e1 or not toks_e2:
-        raise SemEvalFormatError(instance_id, "empty entity span")
+        raise ValueError("empty entity span")
     tokens = toks_before + toks_e1 + toks_middle + toks_e2 + toks_after
     # Multi-token entities are reduced to their last (head) token.
     p1 = len(toks_before) + len(toks_e1) - 1
@@ -555,7 +565,6 @@ def _instance_context(instance_id, sentence, vocab, m_out):
         w_in=tuple(word_ids[p1 + 1:p2]),
         w_bef=bef,
         w_aft=aft,
-        sentence_ref=instance_id,
     )
 
 
@@ -564,13 +573,20 @@ def parse_semeval(source, vocab, m_out):
 
     `source` may be a path, an open text file, or an iterable of lines.
     Unlike pretraining extraction, adjacent entities (no words between) are
-    allowed and there is no distance cut-off.
+    allowed and there is no distance cut-off.  A malformed instance raises
+    :class:`SemEvalFormatError`, naming ``path:line`` when `source` is a
+    path.
     """
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
+    named = isinstance(source, str) or hasattr(source, "__fspath__")
+    if named:
         with open(source, encoding="utf-8") as fh:
             lines = fh.readlines()
     else:
         lines = list(source)
+
+    def fault(i, instance_id, message):
+        where = f"{source}:{i + 1}: " if named else ""
+        return SemEvalFormatError(instance_id, message, where)
 
     instances = []
     i = 0
@@ -582,22 +598,26 @@ def parse_semeval(source, vocab, m_out):
             continue
         m = _SENT_LINE_RE.match(lines[i].rstrip("\n"))
         if m is None:
-            raise SemEvalFormatError(len(instances) + 1,
-                                     f"expected '<id>\\t\"<sentence>\"', got {line!r}")
+            raise fault(i, len(instances) + 1,
+                        f"expected '<id>\\t\"<sentence>\"', got {line!r}")
         instance_id = int(m.group(1))
         sentence = m.group(2)
+        sentence_line = i
         i += 1
         while i < n and not lines[i].strip():
             i += 1
         if i >= n:
-            raise SemEvalFormatError(instance_id, "missing label line")
+            raise fault(sentence_line, instance_id, "missing label line")
         try:
             label = parse_label(lines[i])
         except ValueError as exc:
-            raise SemEvalFormatError(instance_id, str(exc)) from None
+            raise fault(i, instance_id, str(exc)) from None
         i += 1
         if i < n and lines[i].strip().startswith("Comment"):
             i += 1
-        ctx = _instance_context(instance_id, sentence, vocab, m_out)
+        try:
+            ctx = _instance_context(sentence, vocab, m_out)
+        except ValueError as exc:
+            raise fault(sentence_line, instance_id, str(exc)) from None
         instances.append(SemEvalInstance(instance_id, ctx, label))
     return instances

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .corpus import ArtifactError, neighbor_slots
+from .corpus import ArtifactError, ConfigError, ContextFile, neighbor_slots
 
 logger = logging.getLogger(__name__)
 
@@ -109,6 +109,8 @@ class EmbeddingParams:
 
 def initial_params(n_nouns, n_words, dim, window, rng, pred_dim=None):
     """Gaussian(0, 1/dim) noun/word embeddings, zero prediction weights."""
+    if dim < 1 or window < 1:
+        raise ConfigError("dim and window must be >= 1")
     std = 1.0 / math.sqrt(dim)
     if pred_dim is None:
         pred_dim = 2 * dim * (2 + window)
@@ -142,19 +144,21 @@ class PretrainConfig:
 
     def validate(self):
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise ConfigError("dim must be >= 1")
         if self.window < 1:
-            raise ValueError("window must be >= 1")
+            raise ConfigError("window must be >= 1")
         if self.negatives < 1:
-            raise ValueError("negatives must be >= 1")
+            raise ConfigError("negatives must be >= 1")
         if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+            raise ConfigError("alpha must be > 0")
         if not self.subsample > 0:
-            raise ValueError("subsample threshold must be > 0")
+            raise ConfigError("subsample threshold must be > 0")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.m_out < 1:
-            raise ValueError("m_out must be >= 1")
+            raise ConfigError("m_out must be >= 1")
+        if self.report_every < 1:
+            raise ConfigError("report_every must be >= 1")
         return self
 
 
@@ -193,8 +197,8 @@ def pair_discard(n1, n2, noun_filter, rng):
 class NoiseSampler:
     """Unigram noise distribution weighted by count^0.75."""
 
-    def __init__(self, counts, power=0.75):
-        weights = np.asarray(counts, dtype=np.float64) ** power
+    def __init__(self, counts):
+        weights = np.asarray(counts, dtype=np.float64) ** 0.75
         total = weights.sum()
         if total <= 0:
             raise ValueError("noise distribution has no mass")
@@ -412,7 +416,8 @@ def _context_fault(ctx, vocab, m_out):
 def _count_targets(contexts, vocab, m_out):
     """Targets in one pass over `contexts`, checking every context first:
     at least one word between the pair, outside windows `m_out` wide, and
-    every id in the vocabulary's range."""
+    every id in the vocabulary's range.  A fault in a :class:`ContextFile`
+    raises :class:`ArtifactError` naming ``path:line``."""
     n_nouns, n_words = vocab.n_nouns, vocab.n_words
     total = 0
     for n, ctx in enumerate(contexts):
@@ -420,8 +425,11 @@ def _count_targets(contexts, vocab, m_out):
         if not (ctx.w_in and len(ctx.w_bef) == m_out == len(ctx.w_aft)
                 and 0 <= ctx.n1 < n_nouns and 0 <= ctx.n2 < n_nouns
                 and 0 <= min(words) and max(words) < n_words):
-            raise ValueError(f"pretraining context {n}: "
-                             f"{_context_fault(ctx, vocab, m_out)}")
+            fault = _context_fault(ctx, vocab, m_out)
+            if isinstance(contexts, ContextFile):
+                # the header is line 1
+                raise ArtifactError(f"{contexts.path}:{n + 2}: {fault}")
+            raise ValueError(f"pretraining context {n}: {fault}")
         total += len(ctx.w_in)
     return total
 
@@ -636,16 +644,30 @@ def write_text_vectors(surfaces, matrix, path):
 
 
 def read_text_vectors(path):
-    """Read the interchange text format; returns (surfaces, matrix)."""
+    """Read the interchange text format; returns (surfaces, matrix).
+
+    Blank lines are skipped.  Every other line must hold a word and as many
+    numbers as the first such line, or :class:`ArtifactError` names
+    ``path:line``.
+    """
     surfaces = []
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
+            parts = line.rstrip("\n").split(" ")
+            try:
+                row = [float(x) for x in parts[1:]]
+            except ValueError:
+                row = []
+            width = len(rows[0]) if rows else len(row)
+            if not row or len(row) != width:
+                raise ArtifactError(
+                    f"{path}:{lineno}: expected a word and "
+                    f"{width or 'one or more'} numbers")
             surfaces.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
+            rows.append(row)
     if not rows:
-        raise ValueError(f"no vectors in {path}")
+        raise ArtifactError(f"{path}: no vectors")
     return surfaces, np.asarray(rows, dtype=np.float64)

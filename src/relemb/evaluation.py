@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ALL_LABELS, FAMILIES, label_index, neighbor_slots
+from .corpus import ALL_LABELS, FAMILIES, ConfigError, label_index, \
+    neighbor_slots
 from .classifier import cross_validate
 from .features import FeatureOptions, between_slice, ngram_embedding
 
@@ -104,7 +105,9 @@ def bootstrap_ci(gold, pred, iterations=1000, level=0.95, seed=1):
     ((1-level)/2, (1+level)/2) percentiles of the resampled scores.
     """
     if iterations < 100:
-        raise ValueError("iterations must be >= 100")
+        raise ConfigError("iterations must be >= 100")
+    if not 0 < level < 1:
+        raise ConfigError("level must be between 0 and 1")
     gold_ids = np.array([label_index(g) for g in gold])
     pred_ids = np.array([label_index(p) for p in pred])
     n = len(gold_ids)
@@ -172,7 +175,7 @@ def spearman_wordsim(pairs, params, vocab, matrix="noun"):
         from .corpus import UNK_WORD
         vecs, lookup, unk = params.word_vecs, vocab.word_id, UNK_WORD
     else:
-        raise ValueError("matrix must be 'noun' or 'word'")
+        raise ConfigError("matrix must be 'noun' or 'word'")
     human = []
     sims = []
     oov = []
@@ -210,9 +213,12 @@ def top_ngrams(softmax_params, embed_params, opts, instances, label, n,
     surfaces when `vocab` is given.
     """
     if not opts.include_between or opts.bow_between:
-        raise ValueError("classifier has no order-aware between block")
+        raise ConfigError("classifier has no order-aware between block")
     if n < 1 or n % 2 == 0 or n > 2 * embed_params.window + 1:
-        raise ValueError(f"n must be odd and within 1..{2 * embed_params.window + 1}")
+        raise ConfigError(
+            f"n must be odd and within 1..{2 * embed_params.window + 1}")
+    if top_k < 1:
+        raise ConfigError("top_k must be >= 1")
     half = (n - 1) // 2
     c = embed_params.window
     class_row = softmax_params.weights[label_index(label),

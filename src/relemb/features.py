@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import NULL_WORD, UNK_NOUN, NounPairContext, neighbor_slots
+from .corpus import NULL_WORD, UNK_NOUN, ConfigError, NounPairContext, \
+    neighbor_slots
 from .embed_train import gather_table, scatter_table
 
 __all__ = [
@@ -50,9 +51,9 @@ class FeatureOptions:
 
     def validate(self):
         if not (self.include_nouns or self.include_between or self.include_outside):
-            raise ValueError("at least one feature block must be enabled")
+            raise ConfigError("at least one feature block must be enabled")
         if self.m_out is not None and self.m_out < 1:
-            raise ValueError("m_out override must be >= 1")
+            raise ConfigError("m_out override must be >= 1")
         return self
 
     def flags(self):
@@ -82,10 +83,10 @@ class FeatureOptions:
                 kwargs["bow_between"] = True
             elif tok == "outside":
                 kwargs["include_outside"] = True
-            elif tok.startswith("m_out="):
-                kwargs["m_out"] = int(tok.split("=", 1)[1])
+            elif tok.startswith("m_out=") and tok[6:].isdecimal():
+                kwargs["m_out"] = int(tok[6:])
             elif tok:
-                raise ValueError(f"unknown feature flag: {tok!r}")
+                raise ConfigError(f"unknown feature flag: {tok!r}")
         return cls(**kwargs).validate()
 
 

@@ -151,13 +151,6 @@ class TestAlignTextVectors:
         np.testing.assert_array_equal(aligned[vocab.word_id("dog")], [9.0, 9.0])
         np.testing.assert_array_equal(aligned[vocab.word_id("cat")], [1.0, 2.0])
 
-    def test_strict_mode_raises(self):
-        vocab = make_vocab({"cat": 2, "dog": 1}, {"cat": 2})
-        surfaces = ["<NULL>", "<UNK>", "cat"]
-        matrix = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="dog"):
-            cb.align_text_vectors(surfaces, matrix, vocab, strict=True)
-
     def test_no_unk_row_and_missing_words(self):
         vocab = make_vocab({"cat": 2, "dog": 1}, {"cat": 2})
         with pytest.raises(ValueError, match="UNK"):

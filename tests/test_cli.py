@@ -1,3 +1,4 @@
+import argparse
 import logging
 import os
 import subprocess
@@ -288,6 +289,173 @@ class TestExitCodes:
         assert "dimension mismatch" in err
         assert "48" in err        # 4*4*(2+1): features of the small model
         assert "192" in err       # 4*12*(2+2): dim the classifier expects
+
+    @pytest.mark.parametrize("argv,config", [
+        (["wordsim", "--pairs", "{pairs}", "--model", "{model}"],
+         "matrix = foo\n"),
+        (["cv", "--train", "{train}", "--model", "{model}", "--epochs", "0"],
+         None),
+        (["cv", "--train", "{train}", "--model", "{model}", "--folds", "1"],
+         None),
+        (["cv", "--train", "{train}", "--model", "{model}", "--eta", "0"],
+         None),
+        (["cv", "--train", "{train}", "--model", "{model}", "--dropout", "x"],
+         None),
+        (["extract", "--corpus", "{corpus}", "--out", "{out}", "--m-out", "0"],
+         None),
+        (["build-vocab", "--corpus", "{corpus}", "--out", "{out}",
+          "--max-words", "0"], None),
+        (["eval", "--test", "{test}", "--model", "{model}", "--clf", "{clf}",
+          "--bootstrap", "5"], None),
+        (["eval", "--test", "{test}", "--model", "{model}", "--clf", "{clf}",
+          "--bootstrap", "100", "--level", "2"], None),
+        (["train", "--train", "{train}", "--model", "{model}", "--out",
+          "{out}", "--features", "nounz"], None),
+        (["ngrams", "--train", "{train}", "--model", "{model}", "--clf",
+          "{clf}", "--n", "2"], None),
+    ], ids=["wordsim_config_matrix", "cv_epochs", "cv_folds", "cv_eta",
+            "cv_dropout", "extract_m_out", "build_vocab_max_words",
+            "eval_bootstrap", "eval_level", "train_features", "ngrams_n"])
+    def test_bad_setting_exit_2(self, workdir, tmp_path, capsys, argv,
+                                config):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("noun01,noun02,5.0\nnoun03,noun04,3.0\n")
+        paths = {"pairs": pairs, "model": workdir / "tuned.bin",
+                 "train": workdir / "train.txt", "test": workdir / "test.txt",
+                 "clf": workdir / "clf.bin",
+                 "corpus": workdir / "corpus.tagged", "out": tmp_path / "out"}
+        argv = [a.format(**paths) for a in argv]
+        if argv[0] != "build-vocab":
+            argv += ["--vocab", str(workdir / "vocab.txt")]
+        if config is not None:
+            (tmp_path / "bad.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "bad.cfg")]
+        assert cli.main(argv) == 2
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "1 2\t3 9999\t0 0 0\t0 0 0", "9999 2\t3 4\t0 0 0\t0 0 0",
+        "1 2\t\t0 0 0\t0 0 0", None,
+    ], ids=["w_in", "n1", "empty_between", "m_out_0"])
+    def test_bad_context_file_exit_2(self, workdir, tmp_path, capsys, line):
+        """A bad line 6 of the context file, or (None) a header m_out of 0."""
+        bad = tmp_path / "contexts.txt"
+        lines = (workdir / "contexts.txt").read_text().splitlines(True)
+        if line is None:
+            bad.write_text("relemb-contexts v1 m_out=0\n")
+            lineno = 1
+        else:
+            bad.write_text("".join(lines[:5]) + line + "\n"
+                           + "".join(lines[5:]))
+            lineno = 6
+        code = cli.main(["pretrain", "--contexts", str(bad),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--out", str(tmp_path / "never.bin"),
+                         "--d", "4", "--c", "1", "--k", "2", "--t", "1"])
+        assert code == 2
+        assert f"{bad}:{lineno}:" in capsys.readouterr().err
+        assert not (tmp_path / "never.bin").exists()
+
+    def test_malformed_semeval_exit_2(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "test.txt"
+        text = (workdir / "test.txt").read_text()
+        bad.write_text(text + '9999\t"no entity markup"\nOther\n')
+        code = cli.main(["eval", "--test", str(bad),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--model", str(workdir / "tuned.bin"),
+                         "--clf", str(workdir / "clf.bin")])
+        assert code == 2
+        lineno = len(text.splitlines()) + 1
+        assert f"{bad}:{lineno}: instance 9999: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["cat 1", "cat 1 x", "cat"],
+                             ids=["ragged", "non_float", "one_field"])
+    def test_malformed_text_vectors_exit_2(self, workdir, tmp_path, capsys,
+                                           row):
+        good = tmp_path / "good.txt"
+        good.write_text("<NULL> 0 0\n<UNK> 0.5 0.5\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("<NULL> 0 0\n\n<UNK> 0.5 0.5\n" + row + "\n")
+        code = cli.main(["train", "--train", str(workdir / "train.txt"),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--init", "w2v", "--vectors-in", str(bad),
+                         "--vectors-out", str(good), "--c", "2",
+                         "--out", str(tmp_path / "clf.bin"),
+                         "--epochs", "1", "--m-out", "3"])
+        assert code == 2
+        assert f"{bad}:4: " in capsys.readouterr().err
+
+
+# Every subcommand's flags; each flag's dest is its name with ``-`` as ``_``.
+SURFACE = {
+    "build-vocab": "--config --corpus --out --max-words --max-nouns "
+                   "--lowercase",
+    "extract": "--config --corpus --vocab --out --m-out --max-between",
+    "pretrain": "--config --contexts --vocab --out --d --c --k --alpha --t "
+                "--epochs --seed --report-every",
+    "cbow": "--config --corpus --vocab --out --export-text --d --c --k "
+            "--alpha --t --epochs --seed",
+    "train": "--config --train --vocab --out --out-model --model --init "
+             "--vectors-in --vectors-out --d --c --features --eta --l2 "
+             "--epochs --dropout --fine-tune --m-out --seed",
+    "cv": "--config --train --vocab --model --init --vectors-in "
+          "--vectors-out --d --c --features --folds --eta --l2 --epochs "
+          "--m-out --dropout --fine-tune --seed",
+    "eval": "--config --test --vocab --model --clf --pred --report "
+            "--bootstrap --level --seed",
+    "wordsim": "--config --pairs --vocab --model --matrix",
+    "ngrams": "--config --train --vocab --model --clf --label --n --top",
+}
+
+
+def _subparsers():
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_cli_surface_is_pinned():
+    expected = {(command, flag, flag[2:].replace("-", "_"))
+                for command, flags in SURFACE.items() for flag in flags.split()}
+    actual = {(command, flag, action.dest)
+              for command, parser in _subparsers().items()
+              for action in parser._actions for flag in action.option_strings
+              if flag not in ("-h", "--help")}
+    assert len(expected) == 96
+    assert actual == expected
+
+
+# A value other than the default for every setting, valid for both the
+# scalar (train) and list (cv) forms of a key.
+SAMPLES = {
+    "max_words": "7", "max_nouns": "7", "lowercase": "0", "m_out": "3",
+    "max_between": "4", "d": "8", "c": "2", "k": "4", "alpha": "0.5",
+    "t": "0.5", "epochs": "3", "seed": "9", "report_every": "50",
+    "eta": "0.5", "l2": "0.5", "dropout": "0", "fine_tune": "0",
+    "features": "nouns,outside", "folds": "3", "bootstrap": "200",
+    "level": "0.9", "matrix": "word", "n": "3", "top": "2",
+}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, options in cli.OPTIONS.items()
+    for key in options])
+def test_config_value_equals_flag_value(tmp_path, command, key):
+    """``key = v`` in a config file resolves to the same value as
+    ``--key v``."""
+    required = []
+    for action in _subparsers()[command]._actions:
+        if action.required:
+            required += [action.option_strings[0], "x"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {SAMPLES[key]}\n")
+    parser = cli.build_parser()
+    from_flag = cli._resolve(parser.parse_args(
+        [command, *required, "--" + key.replace("_", "-"), SAMPLES[key]]))
+    from_file = cli._resolve(parser.parse_args(
+        [command, *required, "--config", str(cfg)]))
+    assert from_file == from_flag
+    assert from_flag[key] != cli.OPTIONS[command][key][1]
 
 
 def test_import_does_not_load_scipy():
