@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -87,16 +88,35 @@ def cbow_objective_and_grad(window_ids, center, noise_ids, model):
     return value, grads
 
 
+def _corpus_ids(sentences, vocab):
+    """Word ids of every token of `sentences`, read once: a flat array, and
+    the offsets of the sentences in it (length: sentences + 1)."""
+    lengths = []
+
+    def words():
+        for sent in sentences:
+            lengths.append(len(sent.words))
+            yield sent.words
+
+    ids = np.fromiter(chain.from_iterable(map(vocab.word_ids, words())),
+                      np.intp)
+    offsets = np.zeros(len(lengths) + 1, np.int64)
+    offsets[1:] = np.cumsum(lengths)
+    return ids, offsets
+
+
 def train_cbow(sentences, vocab, config):
-    """Train a CbowModel over a re-iterable stream of tagged sentences.
+    """Train a CbowModel over one read of a stream of tagged sentences.
 
     Input vectors start Gaussian(0, 1/dim), output vectors at zero.
-    Subsampling removes tokens from the sequence before windowing; the
-    learning rate decays linearly over ``epochs * total tokens``.  Seeded
-    runs are deterministic.  Returns ``(model, log)``.
+    Subsampling removes tokens from the sequence before windowing: each
+    sentence draws one uniform per token, and then the noise of its steps.
+    The learning rate decays linearly over ``epochs * total tokens``.
+    Seeded runs are deterministic.  Returns ``(model, log)``.
     """
     cfg = config.validate()
-    total_tokens = sum(len(s) for s in sentences)
+    ids, offsets = _corpus_ids(sentences, vocab)
+    total_tokens = len(ids)
     if total_tokens == 0:
         raise ValueError("sentence stream is empty")
     planned = cfg.epochs * total_tokens
@@ -110,28 +130,30 @@ def train_cbow(sentences, vocab, config):
         window=cfg.window,
     )
     sampler = NoiseSampler(vocab.word_counts)
-    word_filter = SubsamplingFilter(vocab.word_counts, cfg.subsample)
+    discard_probs = SubsamplingFilter(vocab.word_counts,
+                                      cfg.subsample).discard_probs
 
     log = TrainingLog()
     processed = 0
     win_sum, win_count, next_report = 0.0, 0, cfg.report_every
     c = cfg.window
+    bounds = offsets.tolist()
     for _ in range(cfg.epochs):
-        for sent in sentences:
-            ids = [vocab.word_id(w) for w in sent.words]
+        for lo, hi in zip(bounds, bounds[1:]):
             lr = cfg.alpha * (1.0 - processed / planned)
-            kept = []
-            for wid in ids:
-                processed += 1
-                log.targets_seen += 1
-                if word_filter.should_discard(wid, rng):
-                    log.targets_discarded += 1
-                else:
-                    kept.append(wid)
+            sent = ids[lo:hi]
+            # a token is discarded iff its discard probability exceeds its
+            # uniform draw
+            dropped = discard_probs[sent] > rng.random(hi - lo)
+            n_dropped = int(np.count_nonzero(dropped))
+            processed += hi - lo
+            log.targets_seen += hi - lo
+            log.targets_discarded += n_dropped
+            # a step needs a non-empty window, so two kept tokens
+            kept = (sent[~dropped].tolist()
+                    if hi - lo - n_dropped > 1 else [])
             for t, center in enumerate(kept):
                 window = kept[max(0, t - c):t] + kept[t + 1:t + 1 + c]
-                if not window:
-                    continue
                 noise = sampler.sample(cfg.negatives, rng, exclude=center)
                 value, grads = cbow_objective_and_grad(window, center, noise, model)
                 apply_row_grads(model, grads, lr)

@@ -317,9 +317,13 @@ def predict_many(contexts, softmax_params, embed_params, opts=FeatureOptions()):
 
 
 def make_folds(n, folds, seed):
-    """Seeded partition of range(n) into `folds` near-equal validation sets."""
+    """Seeded partition of range(n) into `folds` near-equal, non-empty
+    validation sets."""
     if folds < 2:
         raise ConfigError("folds must be >= 2")
+    if folds > n:
+        raise ConfigError(f"{folds} folds need at least {folds} instances, "
+                          f"got {n}")
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 

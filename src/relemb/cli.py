@@ -149,52 +149,34 @@ def _resolve(args):
     return resolved
 
 
-def _corpus_stream(paths):
-    class _Multi:
-        def __init__(self, paths):
-            self.paths = paths
-            self.readers = []
-
-        def __iter__(self):
-            self.readers = [cp.parse_tagged_corpus(p) for p in self.paths]
-            for r in self.readers:
-                yield from r
-
-        @property
-        def skipped_lines(self):
-            return sum(r.skipped_lines for r in self.readers)
-
-    return _Multi(paths)
-
-
 # --- subcommands -------------------------------------------------------------
 
 def cmd_build_vocab(args):
     cfg = _resolve(args)
     _require_files(*args.corpus)
-    stream = _corpus_stream(args.corpus)
-    vocab = cp.build_vocabulary(stream, cfg["max_words"], cfg["max_nouns"],
+    corpus = cp.parse_tagged_corpus(*args.corpus)
+    vocab = cp.build_vocabulary(corpus, cfg["max_words"], cfg["max_nouns"],
                                 cfg["lowercase"])
     vocab.save(args.out)
-    n_sentences = sum(r.sentences_read for r in stream.readers)
-    print(f"sentences: {n_sentences}")
+    print(f"sentences: {corpus.sentences_read}")
     print(f"tokens: {vocab.total_token_count}")
     print(f"noun tokens: {vocab.total_noun_count}")
     print(f"word inventory: {vocab.n_words} (incl NULL, UNK)")
     print(f"noun inventory: {vocab.n_nouns} (incl UNK)")
-    print(f"skipped lines: {stream.skipped_lines}")
+    print(f"skipped lines: {corpus.skipped_lines}")
     return 0
 
 
 def cmd_extract(args):
     cfg = _resolve(args)
+    cp.check_extract_settings(cfg["m_out"], cfg["max_between"])
     _require_files(*args.corpus, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
-    stream = _corpus_stream(args.corpus)
+    corpus = cp.parse_tagged_corpus(*args.corpus)
     stats = {"sentences": 0, "targets": 0}
 
     def gen():
-        for sent in stream:
+        for sent in corpus:
             stats["sentences"] += 1
             for ctx in cp.extract_noun_pair_contexts(
                     sent, vocab, cfg["m_out"], cfg["max_between"]):
@@ -205,6 +187,7 @@ def cmd_extract(args):
     print(f"sentences: {stats['sentences']}")
     print(f"pairs: {n_pairs}")
     print(f"targets: {stats['targets']}")
+    print(f"skipped lines: {corpus.skipped_lines}")
     return 0
 
 
@@ -231,12 +214,12 @@ def cmd_cbow(args):
     cfg = _resolve(args)
     _require_files(*args.corpus, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
-    stream = _corpus_stream(args.corpus)
+    corpus = cp.parse_tagged_corpus(*args.corpus)
     config = cb.CbowConfig(
         dim=cfg["d"], window=cfg["c"], negatives=cfg["k"],
         alpha=cfg["alpha"], subsample=cfg["t"], epochs=cfg["epochs"],
         seed=cfg["seed"]).validate()
-    model, log = cb.train_cbow(stream, vocab, config)
+    model, log = cb.train_cbow(corpus, vocab, config)
     params = cb.import_as_initialization(model, vocab)
     et.save_model(params, args.out)
     if args.export_text:
@@ -245,6 +228,7 @@ def cmd_cbow(args):
         et.write_text_vectors(surfaces, model.out_vecs, args.export_text + ".out.txt")
     print(f"tokens seen: {log.targets_seen}")
     print(f"updates: {log.steps_taken}")
+    print(f"skipped lines: {corpus.skipped_lines}")
     print(f"model: {args.out}")
     return 0
 

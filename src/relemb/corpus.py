@@ -10,6 +10,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat
+
+import numpy as np
 
 __all__ = [
     "NOUN_TAGS",
@@ -30,12 +34,14 @@ __all__ = [
     "ConfigError",
     "parse_tagged_corpus",
     "build_vocabulary",
+    "check_extract_settings",
     "extract_noun_pair_contexts",
     "parse_semeval",
     "parse_label",
     "label_index",
     "tokenize",
     "write_contexts",
+    "ContextArrays",
     "ContextFile",
 ]
 
@@ -67,50 +73,56 @@ class TaggedSentence:
 
 
 class TaggedCorpusReader:
-    """Iterate ``surface<TAB>POS`` sentences from a text stream or path.
+    """Iterate ``surface<TAB>POS`` sentences from text streams or paths, one
+    source after another; the end of a source ends its last sentence.
 
     Malformed lines (wrong column count, empty fields) are skipped and
     counted in ``skipped_lines``.  Blank lines separate sentences; leading
-    and repeated blanks are ignored.  Iterating a path-backed reader twice
-    re-reads the file.
+    and repeated blanks are ignored.  Each pass re-reads the path sources
+    and restarts ``skipped_lines`` and ``sentences_read``.
     """
 
-    def __init__(self, source):
-        self._source = source
+    def __init__(self, *sources):
+        self._sources = sources
         self.skipped_lines = 0
         self.sentences_read = 0
 
-    def _lines(self):
-        if isinstance(self._source, (str,)) or hasattr(self._source, "__fspath__"):
-            with open(self._source, encoding="utf-8") as fh:
-                yield from fh
-        else:
-            yield from self._source
-
     def __iter__(self):
+        self.skipped_lines = self.sentences_read = 0
+        for source in self._sources:
+            if isinstance(source, str) or hasattr(source, "__fspath__"):
+                with open(source, encoding="utf-8") as fh:
+                    yield from self._sentences(fh)
+            else:
+                yield from self._sentences(source)
+
+    def _sentences(self, lines):
         words, tags = [], []
-        for line in self._lines():
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                if words:
-                    self.sentences_read += 1
-                    yield TaggedSentence(tuple(words), tuple(tags))
-                    words, tags = [], []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
+        for line in lines:
+            # A token line splits at its one tab into two fields, neither
+            # empty and not both whitespace, once the trailing newlines and
+            # then carriage returns are stripped.
+            word, _, tag = line.partition("\t")
+            tag = tag.rstrip("\n").rstrip("\r")
+            if (word and tag and "\t" not in tag
+                    and not (word.isspace() and tag.isspace())):
+                words.append(word)
+                tags.append(tag)
+            elif line.strip():
                 self.skipped_lines += 1
-                continue
-            words.append(parts[0])
-            tags.append(parts[1])
+            elif words:
+                self.sentences_read += 1
+                yield TaggedSentence(tuple(words), tuple(tags))
+                words, tags = [], []
         if words:
             self.sentences_read += 1
             yield TaggedSentence(tuple(words), tuple(tags))
 
 
-def parse_tagged_corpus(source):
-    """Return a :class:`TaggedCorpusReader` over a path, file object, or lines."""
-    return TaggedCorpusReader(source)
+def parse_tagged_corpus(*sources):
+    """Return a :class:`TaggedCorpusReader` over paths, file objects, or
+    iterables of lines."""
+    return TaggedCorpusReader(*sources)
 
 
 @dataclass
@@ -153,14 +165,23 @@ class Vocabulary:
     def total_noun_count(self):
         return sum(self.noun_counts)
 
-    def _norm(self, surface):
-        return surface.lower() if self.lowercase else surface
+    def _ids(self, table, unk, surfaces):
+        """The one surface -> id map: ids in `table` of the normalised
+        `surfaces`, `unk` for those outside it, as a list."""
+        keys = map(str.lower, surfaces) if self.lowercase else surfaces
+        return list(map(table.get, keys, repeat(unk)))
+
+    def word_ids(self, surfaces):
+        return self._ids(self._word_ids, UNK_WORD, surfaces)
+
+    def noun_ids(self, surfaces):
+        return self._ids(self._noun_ids, UNK_NOUN, surfaces)
 
     def word_id(self, surface):
-        return self._word_ids.get(self._norm(surface), UNK_WORD)
+        return self.word_ids((surface,))[0]
 
     def noun_id(self, surface):
-        return self._noun_ids.get(self._norm(surface), UNK_NOUN)
+        return self.noun_ids((surface,))[0]
 
     def word_surface(self, wid):
         if wid == NULL_WORD:
@@ -247,14 +268,14 @@ def build_vocabulary(sentences, max_words, max_nouns, lowercase=True):
     """
     if max_words < 1 or max_nouns < 1:
         raise ConfigError("max_words and max_nouns must be >= 1")
+    # Counter keeps first-occurrence order, which breaks count ties.
     word_counter: Counter = Counter()
     noun_counter: Counter = Counter()
     for sent in sentences:
-        for surface, tag in zip(sent.words, sent.tags):
-            key = surface.lower() if lowercase else surface
-            word_counter[key] += 1
-            if tag in NOUN_TAGS:
-                noun_counter[key] += 1
+        keys = list(map(str.lower, sent.words)) if lowercase else sent.words
+        word_counter.update(keys)
+        noun_counter.update([key for key, tag in zip(keys, sent.tags)
+                             if tag in NOUN_TAGS])
     total_tokens = sum(word_counter.values())
     total_nouns = sum(noun_counter.values())
 
@@ -323,6 +344,13 @@ def _outside_windows(word_ids, left_pos, right_pos, m_out):
     return bef, aft
 
 
+def check_extract_settings(m_out, max_between):
+    """Raise :class:`ConfigError` unless the settings of
+    :func:`extract_noun_pair_contexts` are valid."""
+    if m_out < 1 or max_between < 1:
+        raise ConfigError("m_out and max_between must be >= 1")
+
+
 def extract_noun_pair_contexts(sentence, vocab, m_out, max_between=10):
     """Emit every ordered noun pair of `sentence` with 1..`max_between`
     intervening tokens, as pretraining contexts.
@@ -330,12 +358,12 @@ def extract_noun_pair_contexts(sentence, vocab, m_out, max_between=10):
     Pairs with zero words between them carry no prediction target and are
     omitted, as are pairs further apart than `max_between`.
     """
-    if m_out < 1 or max_between < 1:
-        raise ConfigError("m_out and max_between must be >= 1")
+    check_extract_settings(m_out, max_between)
     positions = sentence.noun_positions()
     if len(positions) < 2:
         return []
-    word_ids = [vocab.word_id(w) for w in sentence.words]
+    word_ids = vocab.word_ids(sentence.words)
+    noun_ids = vocab.noun_ids([sentence.words[p] for p in positions])
     out = []
     for a in range(len(positions) - 1):
         for b in range(a + 1, len(positions)):
@@ -345,8 +373,8 @@ def extract_noun_pair_contexts(sentence, vocab, m_out, max_between=10):
                 continue
             bef, aft = _outside_windows(word_ids, p1, p2, m_out)
             out.append(NounPairContext(
-                n1=vocab.noun_id(sentence.words[p1]),
-                n2=vocab.noun_id(sentence.words[p2]),
+                n1=noun_ids[a],
+                n2=noun_ids[b],
                 w_in=tuple(word_ids[p1 + 1:p2]),
                 w_bef=bef,
                 w_aft=aft,
@@ -380,14 +408,92 @@ class ConfigError(ValueError):
     range its function accepts."""
 
 
+@dataclass
+class ContextArrays:
+    """Contexts packed into flat id arrays, in order.
+
+    Context ``r`` has nouns ``n1[r]`` and ``n2[r]``, the words between them
+    ``w_in[offsets[r]:offsets[r + 1]]``, and outside windows ``w_bef[r]``
+    and ``w_aft[r]`` (shape ``(n, m_out)``).  ``path`` names the context
+    file the arrays were read from, if any.  ``fault``, when set, is the
+    error the input ended on: it held a malformed context right after the
+    last packed one.  Iterating yields the contexts, then raises ``fault``.
+    """
+
+    n1: np.ndarray
+    n2: np.ndarray
+    offsets: np.ndarray
+    w_in: np.ndarray
+    w_bef: np.ndarray
+    w_aft: np.ndarray
+    path: object = None
+    fault: Exception | None = None
+
+    @classmethod
+    def pack(cls, contexts, m_out):
+        """Arrays of a list of contexts whose outside windows are all
+        `m_out` wide."""
+        n = len(contexts)
+        offsets = np.zeros(n + 1, np.int64)
+        offsets[1:] = np.cumsum([len(c.w_in) for c in contexts])
+        return cls(
+            np.array([c.n1 for c in contexts], np.int64),
+            np.array([c.n2 for c in contexts], np.int64),
+            offsets,
+            np.fromiter(chain.from_iterable(c.w_in for c in contexts),
+                        np.int64, offsets[-1]),
+            np.array([c.w_bef for c in contexts], np.int64).reshape(n, m_out),
+            np.array([c.w_aft for c in contexts], np.int64).reshape(n, m_out))
+
+    def __len__(self):
+        return len(self.n1)
+
+    @property
+    def m_out(self):
+        return self.w_bef.shape[1]
+
+    def context(self, r):
+        return NounPairContext(
+            int(self.n1[r]), int(self.n2[r]),
+            tuple(self.w_in[self.offsets[r]:self.offsets[r + 1]].tolist()),
+            tuple(self.w_bef[r].tolist()), tuple(self.w_aft[r].tolist()))
+
+    def error(self, r, message):
+        """The error for a fault in context `r`: :class:`ArtifactError`
+        naming ``path:line`` for arrays read from a file, else ValueError
+        naming the context's index."""
+        if self.path is None:
+            return ValueError(f"pretraining context {r}: {message}")
+        # the header is line 1
+        return ArtifactError(f"{self.path}:{r + 2}: {message}")
+
+    def __iter__(self):
+        # Python ints, converted a block of contexts at a time
+        for lo in range(0, len(self), 1024):
+            hi = min(lo + 1024, len(self))
+            off = self.offsets[lo:hi + 1]
+            w_in = self.w_in[off[0]:off[-1]].tolist()
+            off = (off - off[0]).tolist()
+            for j, (n1, n2, bef, aft) in enumerate(zip(
+                    self.n1[lo:hi].tolist(), self.n2[lo:hi].tolist(),
+                    self.w_bef[lo:hi].tolist(), self.w_aft[lo:hi].tolist())):
+                yield NounPairContext(n1, n2, tuple(w_in[off[j]:off[j + 1]]),
+                                      tuple(bef), tuple(aft))
+        if self.fault is not None:
+            raise self.fault
+
+
 class ContextFile:
-    """Re-iterable reader for the extracted-context file format.
+    """Reader for the extracted-context file format.
 
     The header's ``m_out`` must be a positive integer.  Each line must hold
-    four tab-separated fields of non-negative integer ids: two nouns, one or
-    more words between them, and the two outside windows of exactly
-    ``m_out`` ids each.  A file that does not raises :class:`ArtifactError`
-    naming ``path:line``.
+    four tab-separated fields of space-separated ids, each written in at
+    most 18 ASCII digits: two nouns, one or more words between them, and
+    the two outside windows of exactly ``m_out`` ids each.  Newlines are
+    read as in text mode.  The body is read once, at first use, into
+    :attr:`arrays`; iterating yields its contexts, and after them raises
+    :class:`ArtifactError` naming ``path:line`` of the first line that
+    breaks a rule.
     """
 
     def __init__(self, path):
@@ -404,43 +510,135 @@ class ContextFile:
             raise ArtifactError(f"{path}:1: header lacks a positive integer "
                                 f"m_out")
 
-    def __iter__(self):
-        m_out = self.m_out
+    @cached_property
+    def arrays(self):
         with open(self.path, encoding="utf-8") as fh:
             fh.readline()
-            for lineno, line in enumerate(fh, 2):
-                try:
-                    pair, w_in, w_bef, w_aft = [
-                        tuple(map(int, field.split()))
-                        for field in line.rstrip("\n").split("\t")]
-                except ValueError:
-                    pair = None
-                if (pair is None or len(pair) != 2 or not w_in
-                        or len(w_bef) != m_out or len(w_aft) != m_out
-                        or "-" in line):
-                    raise ArtifactError(
-                        f"{self.path}:{lineno}: {self._fault(line)}")
-                yield NounPairContext(pair[0], pair[1], w_in, w_bef, w_aft)
+            return _parse_context_body(fh, self.m_out, self.path)
 
-    def _fault(self, line):
-        """What is wrong with a line that failed the checks of
-        :meth:`__iter__`."""
-        fields = [field.split() for field in line.rstrip("\n").split("\t")]
-        if len(fields) != 4:
-            return f"{len(fields)} tab-separated fields, expected 4"
-        for tok in sum(fields, []):
-            if tok.startswith("-"):
-                return f"negative id {tok!r}"
-            try:
-                int(tok)
-            except ValueError:
-                return f"non-integer id {tok!r}"
-        if len(fields[0]) != 2:
-            return f"{len(fields[0])} noun ids, expected 2"
-        if not fields[1]:
-            return "no words between the pair"
-        return (f"outside windows of {len(fields[2])} and {len(fields[3])} "
-                f"ids, header has m_out={self.m_out}")
+    def __iter__(self):
+        return iter(self.arrays)
+
+
+# Ids longer than this could overflow int64.
+_MAX_DIGITS = 18
+
+# Byte classes of a context-file body: the ids' digits, the whitespace
+# between ids (the bytes ``bytes.split`` splits on, less tab and newline),
+# the tab between fields and the newline ending a line.  Any other byte
+# makes its line malformed.
+_OTHER, _DIGIT, _SPACE, _TAB, _NEWLINE = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
+_BYTE_CLASS[np.frombuffer(b" \x0b\x0c", np.uint8)] = _SPACE
+_BYTE_CLASS[ord("\t")] = _TAB
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+
+
+def _line_blocks(fh, size=1 << 18):
+    """The rest of text file `fh` as UTF-8 bytes, in blocks of whole
+    lines, each ending in a newline; the last block may be empty."""
+    tail = ""
+    while text := fh.read(size):
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield (tail + text[:cut]).encode()
+            tail = text[cut:]
+        else:
+            tail += text
+    yield (tail + "\n").encode() if tail else b""
+
+
+def _parse_context_body(fh, m_out, path):
+    """:class:`ContextArrays` of the lines of a context file after its
+    header, read from `fh` in one pass of :func:`_parse_lines` blocks.  The
+    arrays stop at the first malformed line, and its :func:`_line_fault`
+    becomes their fault.  Ids are stored as int32 when they fit."""
+    parts, bad_line = [], None
+    for block in _line_blocks(fh):
+        parsed, bad_line = _parse_lines(block, m_out)
+        parts.append(parsed)
+        if bad_line is not None:
+            break
+    n1, n2, m_in, w_in, w_bef, w_aft = map(np.concatenate, zip(*parts))
+    offsets = np.zeros(len(n1) + 1, np.int64)
+    offsets[1:] = np.cumsum(m_in)
+    arrays = ContextArrays(n1, n2, offsets, w_in, w_bef, w_aft, path)
+    if bad_line is not None:
+        arrays.fault = arrays.error(len(n1), _line_fault(bad_line, m_out))
+    return arrays
+
+
+def _parse_lines(block, m_out):
+    """Parse `block`, context-file lines as bytes each ending in a newline,
+    with every check run over the whole block at once.  Returns the columns
+    ``(n1, n2, m_in, w_in, w_bef, w_aft)`` of the lines before the first
+    that fails a check, and that line (without its newline) or None."""
+    cls = _BYTE_CLASS[np.frombuffer(block, np.uint8)]
+    line_end = np.flatnonzero(cls == _NEWLINE)
+    line_start = np.concatenate(([0], line_end + 1))
+    n = len(line_end)
+    digit = cls == _DIGIT
+    id_start = digit.copy()
+    id_start[1:] &= ~digit[:-1]
+    id_start = np.flatnonzero(id_start)
+    long_id = digit.copy()    # where a digit has _MAX_DIGITS more after it
+    for k in range(1, _MAX_DIGITS + 1):
+        long_id[:-k] &= digit[k:]
+    tabs = np.flatnonzero(cls == _TAB)
+
+    def line_of(pos):
+        return np.searchsorted(line_end, pos)
+
+    bad = np.bincount(line_of(tabs), minlength=n) != 3
+    bad[line_of(np.flatnonzero(cls == _OTHER))] = True
+    bad[line_of(np.flatnonzero(long_id[:-_MAX_DIGITS]))] = True
+    good = int(bad.argmax()) if bad.any() else n
+    # the lines before `good` hold three tabs each: count each field's ids
+    bounds = np.column_stack((line_start[:good],
+                              tabs[:3 * good].reshape(good, 3),
+                              line_end[:good]))
+    counts = np.diff(np.searchsorted(id_start, bounds), axis=1)
+    bad = ((counts[:, 0] != 2) | (counts[:, 1] < 1) | (counts[:, 2] != m_out)
+           | (counts[:, 3] != m_out))
+    if bad.any():
+        good = int(bad.argmax())
+
+    ids = np.fromstring(block[:line_start[good]], np.int64, sep=" ")
+    if not ids.size or ids.max() <= np.iinfo(np.int32).max:
+        ids = ids.astype(np.int32)
+    m_in = counts[:good, 1]
+    first = np.zeros(good, np.int64)
+    first[1:] = np.cumsum(2 + m_in + 2 * m_out)[:-1]
+    w_in = (np.repeat(first + 2 + m_in - np.cumsum(m_in), m_in)
+            + np.arange(m_in.sum()))
+    outside = (first + 2 + m_in)[:, None] + np.arange(m_out)
+    columns = (ids[first], ids[first + 1], m_in, ids[w_in], ids[outside],
+               ids[outside + m_out])
+    return columns, (block[line_start[good]:line_end[good]] if good < n
+                     else None)
+
+
+def _line_fault(line, m_out):
+    """What is wrong with `line`, a context-file line (bytes, without its
+    newline) that failed a check of :func:`_parse_lines`."""
+    fields = [field.split() for field in line.split(b"\t")]
+    if len(fields) != 4:
+        return f"{len(fields)} tab-separated fields, expected 4"
+    for tok in chain.from_iterable(fields):
+        text = tok.decode("utf-8", "replace")
+        if tok.startswith(b"-"):
+            return f"negative id {text!r}"
+        if not tok.isdigit():
+            return f"non-integer id {text!r}"
+        if len(tok) > _MAX_DIGITS:
+            return f"id {text} has more than {_MAX_DIGITS} digits"
+    if len(fields[0]) != 2:
+        return f"{len(fields[0])} noun ids, expected 2"
+    if not fields[1]:
+        return "no words between the pair"
+    return (f"outside windows of {len(fields[2])} and {len(fields[3])} "
+            f"ids, header has m_out={m_out}")
 
 
 # --- relation labels -------------------------------------------------------
@@ -557,11 +755,12 @@ def _instance_context(sentence, vocab, m_out):
     # Multi-token entities are reduced to their last (head) token.
     p1 = len(toks_before) + len(toks_e1) - 1
     p2 = len(toks_before) + len(toks_e1) + len(toks_middle) + len(toks_e2) - 1
-    word_ids = [vocab.word_id(w) for w in tokens]
+    word_ids = vocab.word_ids(tokens)
+    n1, n2 = vocab.noun_ids((tokens[p1], tokens[p2]))
     bef, aft = _outside_windows(word_ids, p1, p2, m_out)
     return NounPairContext(
-        n1=vocab.noun_id(tokens[p1]),
-        n2=vocab.noun_id(tokens[p2]),
+        n1=n1,
+        n2=n2,
         w_in=tuple(word_ids[p1 + 1:p2]),
         w_bef=bef,
         w_aft=aft,

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .corpus import ArtifactError, ConfigError, ContextFile, neighbor_slots
+from .corpus import (ArtifactError, ConfigError, ContextArrays, ContextFile,
+                     neighbor_slots)
 
 logger = logging.getLogger(__name__)
 
@@ -399,7 +400,7 @@ def _check_ids(ids, bound, what):
 
 def _context_fault(ctx, vocab, m_out):
     """What is wrong with a context that failed the checks of
-    :func:`_count_targets`."""
+    :func:`_count_targets` or :func:`_context_arrays`."""
     if not ctx.w_in:
         return "no words between the pair"
     if len(ctx.w_bef) != m_out or len(ctx.w_aft) != m_out:
@@ -413,25 +414,48 @@ def _context_fault(ctx, vocab, m_out):
             return f"{what} id {bad[0]} outside [0, {bound})"
 
 
+def _context_arrays(contexts, vocab, m_out):
+    """`contexts` as :class:`ContextArrays`: a :class:`ContextFile`'s
+    arrays, or a sequence of contexts packed up to the first with no words
+    between the pair or outside windows not `m_out` wide, which becomes the
+    arrays' fault."""
+    if isinstance(contexts, ContextFile):
+        return contexts.arrays
+    rows = []
+    for ctx in contexts:
+        if not ctx.w_in or len(ctx.w_bef) != m_out or len(ctx.w_aft) != m_out:
+            arrays = ContextArrays.pack(rows, m_out)
+            arrays.fault = arrays.error(len(rows),
+                                        _context_fault(ctx, vocab, m_out))
+            return arrays
+        rows.append(ctx)
+    return ContextArrays.pack(rows, m_out)
+
+
 def _count_targets(contexts, vocab, m_out):
-    """Targets in one pass over `contexts`, checking every context first:
-    at least one word between the pair, outside windows `m_out` wide, and
-    every id in the vocabulary's range.  A fault in a :class:`ContextFile`
-    raises :class:`ArtifactError` naming ``path:line``."""
+    """Targets of `contexts`, read once into :func:`_context_arrays` and
+    checked first, in order: outside windows `m_out` wide and every id in
+    the vocabulary's range, then the fault the arrays end on.  A fault in a
+    :class:`ContextFile` raises :class:`ArtifactError` naming
+    ``path:line``."""
+    arrays = _context_arrays(contexts, vocab, m_out)
     n_nouns, n_words = vocab.n_nouns, vocab.n_words
-    total = 0
-    for n, ctx in enumerate(contexts):
-        words = ctx.w_in + ctx.w_bef + ctx.w_aft
-        if not (ctx.w_in and len(ctx.w_bef) == m_out == len(ctx.w_aft)
-                and 0 <= ctx.n1 < n_nouns and 0 <= ctx.n2 < n_nouns
-                and 0 <= min(words) and max(words) < n_words):
-            fault = _context_fault(ctx, vocab, m_out)
-            if isinstance(contexts, ContextFile):
-                # the header is line 1
-                raise ArtifactError(f"{contexts.path}:{n + 2}: {fault}")
-            raise ValueError(f"pretraining context {n}: {fault}")
-        total += len(ctx.w_in)
-    return total
+
+    def out_of_range(ids, bound):
+        return (ids < 0) | (ids >= bound)
+
+    bad = (out_of_range(arrays.n1, n_nouns) | out_of_range(arrays.n2, n_nouns)
+           | out_of_range(arrays.w_bef, n_words).any(axis=1)
+           | out_of_range(arrays.w_aft, n_words).any(axis=1)
+           | (arrays.m_out != m_out))
+    words = np.flatnonzero(out_of_range(arrays.w_in, n_words))
+    bad[np.searchsorted(arrays.offsets, words, side="right") - 1] = True
+    if bad.any():
+        r = int(bad.argmax())
+        raise arrays.error(r, _context_fault(arrays.context(r), vocab, m_out))
+    if arrays.fault is not None:
+        raise arrays.fault
+    return int(arrays.offsets[-1])
 
 
 # Steps a batch holds before it is taken; at d=100, c=3, k=25 its buffers

@@ -8,7 +8,7 @@ from relemb import cbow_baseline as cb
 from relemb import corpus as cp
 from relemb import embed_train as et
 from relemb.features import feature_dim
-from relemb.synthetic import make_collocation_corpus
+from relemb.synthetic import make_collocation_corpus, make_synthetic_data
 from conftest import check_row_grads, make_vocab
 
 
@@ -97,6 +97,69 @@ class TestTrainCbow:
         _, log = cb.train_cbow(sents, vocab, cfg)
         means = [m for _, m in log.windows]
         assert means[-1] > means[0]
+
+
+def _per_token_cbow(sentences, vocab, cfg):
+    """train_cbow before it read its corpus once: the token count from a
+    first pass, then per token one id lookup and one subsampling draw."""
+    total_tokens = sum(len(s) for s in sentences)
+    planned = cfg.epochs * total_tokens
+    rng = np.random.default_rng(cfg.seed)
+    std = 1.0 / math.sqrt(cfg.dim)
+    model = cb.CbowModel(rng.normal(0.0, std, size=(vocab.n_words, cfg.dim)),
+                         np.zeros((vocab.n_words, cfg.dim)), cfg.dim,
+                         cfg.window)
+    sampler = et.NoiseSampler(vocab.word_counts)
+    word_filter = et.SubsamplingFilter(vocab.word_counts, cfg.subsample)
+    log = et.TrainingLog()
+    processed = 0
+    win_sum, win_count, next_report = 0.0, 0, cfg.report_every
+    c = cfg.window
+    for _ in range(cfg.epochs):
+        for sent in sentences:
+            ids = [vocab.word_id(w) for w in sent.words]
+            lr = cfg.alpha * (1.0 - processed / planned)
+            kept = []
+            for wid in ids:
+                processed += 1
+                log.targets_seen += 1
+                if word_filter.should_discard(wid, rng):
+                    log.targets_discarded += 1
+                else:
+                    kept.append(wid)
+            for t, center in enumerate(kept):
+                window = kept[max(0, t - c):t] + kept[t + 1:t + 1 + c]
+                if not window:
+                    continue
+                noise = sampler.sample(cfg.negatives, rng, exclude=center)
+                value, grads = cb.cbow_objective_and_grad(window, center,
+                                                          noise, model)
+                et.apply_row_grads(model, grads, lr)
+                win_sum += value
+                win_count += 1
+                log.steps_taken += 1
+            if processed >= next_report:
+                log.record(processed, win_sum, win_count)
+                win_sum, win_count = 0.0, 0
+                next_report += cfg.report_every
+    log.record(processed, win_sum, win_count)
+    return model, log
+
+
+def test_one_read_matches_per_token_subsampling():
+    data = make_synthetic_data(n_pretrain=300, n_train_per_class=1,
+                               n_test_per_class=1, seed=4)
+    sents, vocab = _vocab_from(data.tagged_text)
+    cfg = cb.CbowConfig(dim=6, window=2, negatives=4, alpha=0.05,
+                        subsample=2e-3, epochs=2, seed=9, report_every=700)
+    model, log = cb.train_cbow(cp.parse_tagged_corpus(
+        io.StringIO(data.tagged_text)), vocab, cfg)
+    want_model, want_log = _per_token_cbow(sents, vocab, cfg)
+    assert 0 < log.targets_discarded < log.targets_seen
+    assert log.steps_taken > 0 and len(log.windows) > 2
+    assert log == want_log
+    assert np.array_equal(model.in_vecs, want_model.in_vecs)
+    assert np.array_equal(model.out_vecs, want_model.out_vecs)
 
 
 class TestImportAsInitialization:

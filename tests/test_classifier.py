@@ -6,7 +6,8 @@ import pytest
 
 from relemb import classifier as cl
 from relemb import kernels
-from relemb.corpus import ALL_LABELS, NounPairContext, RelationLabel, SemEvalInstance
+from relemb.corpus import (ALL_LABELS, ConfigError, NounPairContext,
+                           RelationLabel, SemEvalInstance)
 from relemb.features import FeatureOptions, assemble_features, feature_dim
 from conftest import check_row_grads, rand_params, rand_ctx
 
@@ -442,6 +443,11 @@ class TestCrossValidation:
         seen = np.concatenate(splits)
         assert len(seen) == 8000
         assert len(np.unique(seen)) == 8000
+
+    def test_more_folds_than_instances_rejected(self):
+        with pytest.raises(ConfigError, match="12 folds need at least 12"):
+            cl.make_folds(8, 12, seed=1)
+        assert [len(s) for s in cl.make_folds(8, 8, seed=1)] == [1] * 8
 
     def test_fold_split_depends_only_on_seed(self):
         a = cl.make_folds(100, 5, seed=3)

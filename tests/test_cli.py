@@ -59,6 +59,20 @@ class TestPipeline:
         assert "pairs: 1500" in out       # one noun pair per synthetic sentence
         assert "targets: 4500" in out
 
+    @pytest.mark.parametrize("command", ["extract", "cbow"])
+    def test_skipped_lines_reported(self, workdir, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus.tagged"
+        lines = (workdir / "corpus.tagged").read_text().splitlines(True)
+        corpus.write_text("".join(lines[:40]) + "no tab here\n"
+                          + "".join(lines[40:400]))
+        extra = (["--d", "4", "--c", "1", "--k", "2", "--t", "1"]
+                 if command == "cbow" else [])
+        code = cli.main([command, "--corpus", str(corpus),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--out", str(tmp_path / "out"), *extra])
+        assert code == 0
+        assert "skipped lines: 1\n" in capsys.readouterr().out
+
     def test_eval_reports_scores(self, workdir, capsys):
         code = cli.main(["eval", "--test", str(workdir / "test.txt"),
                          "--vocab", str(workdir / "vocab.txt"),
@@ -255,6 +269,25 @@ class TestExitCodes:
                          "--clf", str(workdir / "clf.bin")])
         assert code == 2
         assert f"{bad}:{len(lines)}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--m-out", "--max-between"])
+    def test_extract_bad_setting_leaves_no_file(self, workdir, tmp_path,
+                                                flag):
+        out = tmp_path / "contexts.txt"
+        code = cli.main(["extract", "--corpus", str(workdir / "corpus.tagged"),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--out", str(out), flag, "0"])
+        assert code == 2
+        assert not out.exists()
+
+    def test_cv_more_folds_than_instances_exit_2(self, workdir, capsys):
+        code = cli.main(["cv", "--train", str(workdir / "train.txt"),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--model", str(workdir / "model.bin"),
+                         "--folds", "1000", "--epochs", "1", "--m-out", "3"])
+        assert code == 2
+        assert "1000 folds need at least 1000 instances" in \
+            capsys.readouterr().err
 
     def test_bad_context_line_exit_2(self, workdir, capsys):
         bad = workdir / "bad_contexts.txt"

@@ -1,7 +1,9 @@
 import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from relemb import corpus as cp
 from conftest import make_vocab
@@ -339,3 +341,234 @@ class TestContextFile:
         reader = cp.ContextFile(path)
         with pytest.raises(cp.ArtifactError, match=f"{path}:3: {message}"):
             list(reader)
+
+
+class TestContextFileFormat:
+    def _write(self, tmp_path, body, m_out=5):
+        path = tmp_path / "ctx.txt"
+        path.write_bytes(b"relemb-contexts v1 m_out=%d\n" % m_out + body)
+        return path
+
+    def test_crlf_and_unterminated_last_line(self, tmp_path):
+        path = self._write(tmp_path, b"3 4\t5 6\t0 0 0 7 8\t9 10 0 0 0\r\n"
+                                     b"1 2\t3\t0 0 0 0 0\t0 0 0 0 0")
+        loaded = list(cp.ContextFile(path))
+        assert [(c.n1, c.w_in, c.w_aft) for c in loaded] == [
+            (3, (5, 6), (9, 10, 0, 0, 0)), (1, (3,), (0, 0, 0, 0, 0))]
+
+    def test_blank_line_is_malformed(self, tmp_path):
+        path = self._write(tmp_path, b"3 4\t5 6\t0 0 0 7 8\t9 10 0 0 0\n\n")
+        with pytest.raises(cp.ArtifactError,
+                           match=f"{path}:3: 1 tab-separated fields"):
+            list(cp.ContextFile(path))
+
+    def test_ids_too_long_for_int64_rejected(self, tmp_path):
+        line = b"1 2\t%s\t0 0 0 0 0\t0 0 0 0 0\n"
+        path = self._write(tmp_path, line % (b"9" * 18) + line % (b"9" * 19))
+        reader = cp.ContextFile(path)
+        with pytest.raises(cp.ArtifactError,
+                           match=f"{path}:3: id 9{{19}} has more than 18"):
+            list(reader)
+        # the 18-digit id before it is read exactly, as int64
+        assert reader.arrays.w_in.tolist() == [10 ** 18 - 1]
+        assert reader.arrays.w_in.dtype == np.int64
+
+    def test_small_ids_stored_as_int32(self, tmp_path):
+        path = self._write(tmp_path, b"3 4\t5 6\t0 0 0 7 8\t9 10 0 0 0\n")
+        arrays = cp.ContextFile(path).arrays
+        assert arrays.w_bef.dtype == np.int32
+        assert arrays.offsets.tolist() == [0, 2]
+
+    def test_non_ascii_and_plus_signs_are_not_ids(self, tmp_path):
+        for bad, shown in [("٣", "٣"), ("+5", "+5"), ("1_0", "1_0")]:
+            path = self._write(tmp_path, f"3 4\t{bad}\t0 0 0 0 0\t0 0 0 0 0\n"
+                               .encode())
+            with pytest.raises(cp.ArtifactError,
+                               match=re.escape(f"{path}:2: non-integer id "
+                                               f"'{shown}'")):
+                list(cp.ContextFile(path))
+
+
+# --- property tests --------------------------------------------------------
+
+def _reference_reader(lines):
+    """The per-line body of the tagged-corpus reader before its partition
+    fast path: ``(sentences as (words, tags), skipped lines)``."""
+    sents, skipped, words, tags = [], 0, [], []
+    for line in lines:
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            if words:
+                sents.append((tuple(words), tuple(tags)))
+                words, tags = [], []
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            skipped += 1
+            continue
+        words.append(parts[0])
+        tags.append(parts[1])
+    if words:
+        sents.append((tuple(words), tuple(tags)))
+    return sents, skipped
+
+
+def _reference_vocabulary(sents, max_words, max_nouns, lowercase):
+    """build_vocabulary's counting before it used Counter.update: one
+    increment per token, ties ranked by first occurrence."""
+    words, nouns = {}, {}
+    for sent_words, sent_tags in sents:
+        for surface, tag in zip(sent_words, sent_tags):
+            key = surface.lower() if lowercase else surface
+            words[key] = words.get(key, 0) + 1
+            if tag in cp.NOUN_TAGS:
+                nouns[key] = nouns.get(key, 0) + 1
+    ranked_w = sorted(words.items(), key=lambda kv: -kv[1])[:max_words]
+    ranked_n = sorted(nouns.items(), key=lambda kv: -kv[1])[:max_nouns]
+    return ([s for s, _ in ranked_w], [c for _, c in ranked_w],
+            [s for s, _ in ranked_n], [c for _, c in ranked_n])
+
+
+_SURFACES = st.sampled_from(["a", "B", "b", "Cat", "cat", "dog", "x y",
+                             "é", "Ünit", " ", "zz"])
+_TAGS = st.sampled_from(["NN", "NNS", "NNP", "NNPS", "VB", "DT", "NN ", " "])
+_ODD_LINES = st.sampled_from([
+    "", " ", "\t", " \t ", "\r", "  \r", "oops", "a\tb\tc", "\tNN", "w\t",
+    "w\t\r", "\t\t", "cat\tNN\r", "dog\tVB\r\r", "x\t \r"])
+_LINES = st.lists(st.one_of(
+    st.builds(lambda w, t: f"{w}\t{t}", _SURFACES, _TAGS), _ODD_LINES),
+    max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=_LINES, final_newline=st.booleans(), lowercase=st.booleans(),
+       max_words=st.integers(1, 8), max_nouns=st.integers(1, 8))
+def test_reader_vocabulary_and_id_map_match_references(
+        lines, final_newline, lowercase, max_words, max_nouns):
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    reader = cp.parse_tagged_corpus(io.StringIO(text))
+    sents = list(reader)
+    want, skipped = _reference_reader(io.StringIO(text))
+    assert [(s.words, s.tags) for s in sents] == want
+    assert reader.skipped_lines == skipped
+    assert reader.sentences_read == len(want)
+    if not sents:
+        return
+
+    vocab = cp.build_vocabulary(sents, max_words, max_nouns, lowercase)
+    words, word_counts, nouns, noun_counts = _reference_vocabulary(
+        want, max_words, max_nouns, lowercase)
+    assert vocab.word_surfaces[2:] == words
+    assert vocab.word_counts[2:] == word_counts
+    assert vocab.noun_surfaces[1:] == nouns
+    assert vocab.noun_counts[1:] == noun_counts
+
+    word_table = {s: i for i, s in enumerate(vocab.word_surfaces) if i >= 2}
+    noun_table = {s: i for i, s in enumerate(vocab.noun_surfaces) if i >= 1}
+
+    def key(surface):
+        return surface.lower() if lowercase else surface
+
+    for sent in sents:
+        assert vocab.word_ids(sent.words) == [
+            word_table.get(key(w), cp.UNK_WORD) for w in sent.words]
+        assert vocab.word_ids(sent.words) == [vocab.word_id(w)
+                                              for w in sent.words]
+        assert vocab.noun_ids(sent.words) == [
+            noun_table.get(key(w), cp.UNK_NOUN) for w in sent.words]
+
+
+def test_reader_over_several_sources(tmp_path):
+    first, second = tmp_path / "a.tag", tmp_path / "b.tag"
+    first.write_text("a\tNN\nbad\nb\tNN")            # no closing blank line
+    second.write_text("c\tNN\n\nd\tVB\n\n")
+    reader = cp.parse_tagged_corpus(first, io.StringIO("e\tNN\n"), second)
+    sents = [s.words for s in reader]
+    assert sents == [("a", "b"), ("e",), ("c",), ("d",)]
+    assert (reader.sentences_read, reader.skipped_lines) == (4, 1)
+    # a second pass re-reads the files (the stream is spent) and restarts
+    # the counts
+    assert [s.words for s in reader] == [("a", "b"), ("c",), ("d",)]
+    assert (reader.sentences_read, reader.skipped_lines) == (3, 1)
+
+
+_CONTEXTS = st.integers(1, 4).flatmap(lambda m_out: st.tuples(
+    st.just(m_out),
+    st.lists(st.builds(
+        cp.NounPairContext,
+        st.integers(0, 10 ** 18 - 1), st.integers(0, 300),
+        st.lists(st.integers(0, 300), min_size=1, max_size=5).map(tuple),
+        st.lists(st.integers(0, 300), min_size=m_out,
+                 max_size=m_out).map(tuple),
+        st.lists(st.integers(0, 2 ** 31), min_size=m_out,
+                 max_size=m_out).map(tuple)),
+        max_size=12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_CONTEXTS)
+def test_context_file_round_trip(data, tmp_path_factory):
+    m_out, contexts = data
+    path = tmp_path_factory.mktemp("ctx") / "ctx.txt"
+    assert cp.write_contexts(contexts, m_out, path) == len(contexts)
+    reader = cp.ContextFile(path)
+    assert list(reader) == contexts
+    arrays = reader.arrays
+    assert len(arrays) == len(contexts) and arrays.fault is None
+    assert [arrays.context(r) for r in range(len(contexts))] == contexts
+    assert arrays.offsets[-1] == sum(c.m_in for c in contexts)
+
+
+def _corrupt(fields, kind, pick):
+    """Fields of a context line, changed to break one rule; returns the
+    fields and the message the reader must give."""
+    m_out = len(fields[2])
+    if kind == "fields":
+        return fields[:3], "3 tab-separated fields, expected 4"
+    if kind == "extra_field":
+        return fields + [["7"]], "5 tab-separated fields, expected 4"
+    if kind in ("negative", "non_integer"):
+        f = pick % 4
+        slot = (pick // 4) % len(fields[f])
+        tok = "-7" if kind == "negative" else "7x"
+        fields[f][slot] = tok
+        name = "negative id" if kind == "negative" else "non-integer id"
+        return fields, f"{name} '{tok}'"
+    if kind == "window":
+        side = 2 + pick % 2
+        fields[side] = fields[side][1:]
+        widths = [len(fields[2]), len(fields[3])]
+        return fields, (f"outside windows of {widths[0]} and {widths[1]} "
+                        f"ids, header has m_out={m_out}")
+    if kind == "between":
+        fields[1] = []
+        return fields, "no words between the pair"
+    if kind == "nouns":
+        fields[0] = fields[0][:1]
+        return fields, "1 noun ids, expected 2"
+    raise AssertionError(kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_CONTEXTS, row=st.integers(0, 11), pick=st.integers(0, 100),
+       kind=st.sampled_from(["fields", "extra_field", "negative",
+                             "non_integer", "window", "between", "nouns"]))
+def test_corrupt_line_names_path_and_line(data, row, pick, kind,
+                                          tmp_path_factory):
+    m_out, contexts = data
+    assume(contexts)
+    row %= len(contexts)
+    lines = []
+    for ctx in contexts:
+        lines.append([[str(x) for x in ids] for ids in (
+            (ctx.n1, ctx.n2), ctx.w_in, ctx.w_bef, ctx.w_aft)])
+    lines[row], message = _corrupt(lines[row], kind, pick)
+    path = tmp_path_factory.mktemp("ctx") / "ctx.txt"
+    path.write_text(f"relemb-contexts v1 m_out={m_out}\n" + "".join(
+        "\t".join(" ".join(f) for f in fields) + "\n" for fields in lines))
+    seen = []
+    with pytest.raises(cp.ArtifactError) as err:
+        for ctx in cp.ContextFile(path):
+            seen.append(ctx)
+    assert str(err.value) == f"{path}:{row + 2}: {message}"
+    assert seen == contexts[:row]

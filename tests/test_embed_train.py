@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relemb import corpus as cp
 from relemb import embed_train as et
@@ -450,6 +451,84 @@ class TestTrainEmbeddings:
                                 subsample=1.0)
         with pytest.raises(ValueError, match="context 0: outside windows"):
             et.train_embeddings(contexts[:5], vocab, cfg)
+
+
+class TestContextFileInput:
+    """train_embeddings over a context file: one parse, the checks of a
+    context list, faults named by ``path:line``."""
+
+    _CFG = et.PretrainConfig(dim=4, window=1, negatives=2, m_out=2,
+                             subsample=1.0)
+
+    def _file(self, tmp_path, contexts, lines=None):
+        path = tmp_path / "ctx.txt"
+        cp.write_contexts(contexts, 2, path)
+        if lines:
+            text = path.read_text().splitlines(True)
+            for row, line in lines.items():
+                text[row + 1] = line + "\n"
+            path.write_text("".join(text))
+        return path
+
+    def test_two_epochs_parse_the_file_once(self, tmp_path, monkeypatch):
+        vocab, contexts = _pattern_setup()
+        path = self._file(tmp_path, contexts[:300])
+        calls = []
+        parse = cp._parse_context_body
+        monkeypatch.setattr(cp, "_parse_context_body",
+                            lambda *a: calls.append(a) or parse(*a))
+        cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
+                                m_out=2, subsample=1e-3, epochs=2, seed=3,
+                                report_every=500)
+        p1, log1 = et.train_embeddings(cp.ContextFile(path), vocab, cfg)
+        assert len(calls) == 1
+        p2, log2 = et.train_embeddings(contexts[:300], vocab, cfg)
+        assert log1 == log2 and log1.steps_taken > 0
+        for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
+            assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(row=st.integers(0, 29), slot=st.integers(0, 7),
+           excess=st.integers(0, 10 ** 17))
+    def test_out_of_range_id_names_path_and_line(self, tmp_path_factory, row,
+                                                 slot, excess):
+        vocab, contexts = _pattern_setup()
+        ctx = contexts[row]
+        ids = [ctx.n1, ctx.n2, *ctx.w_in, *ctx.w_bef, *ctx.w_aft]
+        slot %= len(ids)
+        what, bound = (("noun", vocab.n_nouns) if slot < 2
+                       else ("word", vocab.n_words))
+        ids[slot] = bound + excess
+        bad = cp.NounPairContext(ids[0], ids[1], tuple(ids[2:-4]),
+                                 tuple(ids[-4:-2]), tuple(ids[-2:]))
+        path = self._file(tmp_path_factory.mktemp("ctx"),
+                          contexts[:row] + [bad] + contexts[row + 1:30])
+        with pytest.raises(cp.ArtifactError) as err:
+            et.train_embeddings(cp.ContextFile(path), vocab, self._CFG)
+        assert str(err.value) == (f"{path}:{row + 2}: {what} id "
+                                  f"{bound + excess} outside [0, {bound})")
+
+    @pytest.mark.parametrize("range_row,format_row,line", [
+        (3, 7, 3), (7, 3, 3)], ids=["range_first", "format_first"])
+    def test_first_faulty_line_is_named(self, tmp_path, range_row, format_row,
+                                        line):
+        """A range fault and a format fault: the earlier line is named,
+        as a line-by-line reader would."""
+        vocab, contexts = _pattern_setup()
+        path = self._file(tmp_path, contexts[:10], {
+            range_row: "1 2\t9999\t0 0\t0 0",
+            format_row: "1 2\t3\t0 0\t0"})
+        with pytest.raises(cp.ArtifactError, match=f"{path}:{line + 2}: "):
+            et.train_embeddings(cp.ContextFile(path), vocab, self._CFG)
+
+    def test_config_m_out_other_than_the_file_s(self, tmp_path):
+        vocab, contexts = _pattern_setup()
+        path = self._file(tmp_path, contexts[:10])
+        cfg = dataclasses.replace(self._CFG, m_out=3)
+        with pytest.raises(cp.ArtifactError,
+                           match=f"{path}:2: outside windows of 2 and 2 ids, "
+                                 f"m_out is 3"):
+            et.train_embeddings(cp.ContextFile(path), vocab, cfg)
 
 
 class TestTrainEmbeddingsNumpy(TestTrainEmbeddings):
