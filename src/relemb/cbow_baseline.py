@@ -18,6 +18,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import kernels
 from .corpus import UNK_WORD, ConfigError
 from .embed_train import (EmbeddingParams, NoiseSampler, SubsamplingFilter,
                           TrainingLog, apply_row_grads, gather_table,
@@ -99,41 +100,22 @@ def _corpus_ids(sentences, vocab):
             yield sent.words
 
     ids = np.fromiter(chain.from_iterable(map(vocab.word_ids, words())),
-                      np.intp)
+                      np.int64)
     offsets = np.zeros(len(lengths) + 1, np.int64)
     offsets[1:] = np.cumsum(lengths)
     return ids, offsets
 
 
-def train_cbow(sentences, vocab, config):
-    """Train a CbowModel over one read of a stream of tagged sentences.
+def _report(log, processed, planned, win_sum, win_count):
+    log.record(processed, win_sum, win_count)
+    logger.info("cbow: %d/%d tokens, window objective %.4f", processed,
+                planned, win_sum / win_count if win_count else float("nan"))
 
-    Input vectors start Gaussian(0, 1/dim), output vectors at zero.
-    Subsampling removes tokens from the sequence before windowing: each
-    sentence draws one uniform per token, and then the noise of its steps.
-    The learning rate decays linearly over ``epochs * total tokens``.
-    Seeded runs are deterministic.  Returns ``(model, log)``.
-    """
-    cfg = config.validate()
-    ids, offsets = _corpus_ids(sentences, vocab)
-    total_tokens = len(ids)
-    if total_tokens == 0:
-        raise ValueError("sentence stream is empty")
-    planned = cfg.epochs * total_tokens
 
-    rng = np.random.default_rng(cfg.seed)
-    std = 1.0 / math.sqrt(cfg.dim)
-    model = CbowModel(
-        in_vecs=rng.normal(0.0, std, size=(vocab.n_words, cfg.dim)),
-        out_vecs=np.zeros((vocab.n_words, cfg.dim)),
-        dim=cfg.dim,
-        window=cfg.window,
-    )
-    sampler = NoiseSampler(vocab.word_counts)
-    discard_probs = SubsamplingFilter(vocab.word_counts,
-                                      cfg.subsample).discard_probs
-
-    log = TrainingLog()
+def _train_numpy(model, ids, offsets, discard_probs, sampler, cfg, planned,
+                 rng, log):
+    """The epochs of :func:`train_cbow` in numpy steps, the reference for
+    the compiled walk, which makes the same draws in the same order."""
     processed = 0
     win_sum, win_count, next_report = 0.0, 0, cfg.report_every
     c = cfg.window
@@ -161,13 +143,62 @@ def train_cbow(sentences, vocab, config):
                 win_count += 1
                 log.steps_taken += 1
             if processed >= next_report:
-                log.record(processed, win_sum, win_count)
-                logger.info("cbow: %d/%d tokens, window objective %.4f",
-                            processed, planned,
-                            win_sum / win_count if win_count else float("nan"))
+                _report(log, processed, planned, win_sum, win_count)
                 win_sum, win_count = 0.0, 0
                 next_report += cfg.report_every
     log.record(processed, win_sum, win_count)
+
+
+def train_cbow(sentences, vocab, config):
+    """Train a CbowModel over one read of a stream of tagged sentences.
+
+    Input vectors start Gaussian(0, 1/dim), output vectors at zero.
+    Subsampling removes tokens from the sequence before windowing: each
+    sentence draws one uniform per token, and then the noise of its steps.
+    The learning rate decays linearly over ``epochs * total tokens``.
+    Seeded runs are deterministic.  The compiled CBOW walk of
+    :mod:`relemb.kernels` makes the same draws in the same order when a C
+    compiler is found.  Returns ``(model, log)``.
+    """
+    cfg = config.validate()
+    ids, offsets = _corpus_ids(sentences, vocab)
+    total_tokens = len(ids)
+    if total_tokens == 0:
+        raise ValueError("sentence stream is empty")
+    planned = cfg.epochs * total_tokens
+
+    rng = np.random.default_rng(cfg.seed)
+    std = 1.0 / math.sqrt(cfg.dim)
+    model = CbowModel(
+        in_vecs=rng.normal(0.0, std, size=(vocab.n_words, cfg.dim)),
+        out_vecs=np.zeros((vocab.n_words, cfg.dim)),
+        dim=cfg.dim,
+        window=cfg.window,
+    )
+    sampler = NoiseSampler(vocab.word_counts)
+    discard_probs = SubsamplingFilter(vocab.word_counts,
+                                      cfg.subsample).discard_probs
+
+    log = TrainingLog()
+    compiled = kernels.load()
+    if compiled is None:
+        _train_numpy(model, ids, offsets, discard_probs, sampler, cfg,
+                     planned, rng, log)
+    else:
+        progress = kernels.Progress(next_report=cfg.report_every)
+        for _ in range(cfg.epochs):
+            progress.at = 0
+            while compiled.cbow_sentences(
+                    model, ids, offsets, discard_probs, sampler,
+                    cfg.negatives, cfg.alpha, planned, rng, progress):
+                _report(log, progress.done, planned, progress.win_sum,
+                        progress.win_count)
+                progress.win_sum, progress.win_count = 0.0, 0
+                progress.next_report += cfg.report_every
+        log.targets_seen = progress.done
+        log.steps_taken = progress.steps
+        log.targets_discarded = progress.targets_discarded
+        log.record(progress.done, progress.win_sum, progress.win_count)
     model.check_finite()
     return model, log
 

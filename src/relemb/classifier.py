@@ -26,7 +26,7 @@ from . import kernels
 from .corpus import ALL_LABELS, ArtifactError, ConfigError, label_index
 from .embed_train import _check_ids, read_blob_file, write_blob_file
 from .features import FeatureOptions, assemble_features, feature_dim, \
-    feature_table, scatter_feature_grad
+    feature_tables, scatter_feature_grad
 
 logger = logging.getLogger(__name__)
 
@@ -209,8 +209,8 @@ class _Tables:
     def __init__(self, instances, params, opts, fine_tune):
         self.labels = np.array([label_index(inst.label) for inst in instances],
                                np.int64)
-        self.tables = [feature_table(inst.context, params, opts)
-                       for inst in instances]
+        self.tables = feature_tables([inst.context for inst in instances],
+                                     params, opts)
         self.segments = [(name, k) for name, k, _ in self.tables[0][1]]
         self.m = np.array([[m for _, _, m in segments]
                            for _, segments in self.tables], np.int64)
@@ -304,16 +304,31 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
     return softmax, params, log
 
 
-def predict(ctx, softmax_params, embed_params, opts=FeatureOptions()):
+def predict(ctx, softmax_params, embed_params, opts=FeatureOptions(),
+            table=None):
     """Most probable label for a context (no dropout; ties break toward the
-    lowest class index)."""
-    e = assemble_features(ctx, embed_params, opts)
+    lowest class index).  `table` is the context's
+    :func:`relemb.features.feature_table`, for callers that already hold
+    it."""
+    e = assemble_features(ctx, embed_params, opts, table)
     probs = softmax_forward(e, softmax_params.weights, softmax_params.bias)
     return ALL_LABELS[int(np.argmax(probs))]
 
 
+# Contexts whose feature tables predict_many holds at once.
+_PREDICT_BLOCK = 256
+
+
 def predict_many(contexts, softmax_params, embed_params, opts=FeatureOptions()):
-    return [predict(ctx, softmax_params, embed_params, opts) for ctx in contexts]
+    contexts = list(contexts)
+    opts.validate()
+    labels = []
+    for lo in range(0, len(contexts), _PREDICT_BLOCK):
+        block = contexts[lo:lo + _PREDICT_BLOCK]
+        labels += [predict(ctx, softmax_params, embed_params, opts, table)
+                   for ctx, table in zip(block, feature_tables(
+                       block, embed_params, opts))]
+    return labels
 
 
 def make_folds(n, folds, seed):

@@ -27,11 +27,13 @@ __all__ = [
     "Vocabulary",
     "NounPairContext",
     "neighbor_slots",
+    "neighbor_slot_rows",
     "RelationLabel",
     "SemEvalInstance",
     "SemEvalFormatError",
     "ArtifactError",
     "ConfigError",
+    "not_utf8",
     "parse_tagged_corpus",
     "build_vocabulary",
     "check_extract_settings",
@@ -91,8 +93,11 @@ class TaggedCorpusReader:
         self.skipped_lines = self.sentences_read = 0
         for source in self._sources:
             if isinstance(source, str) or hasattr(source, "__fspath__"):
-                with open(source, encoding="utf-8") as fh:
-                    yield from self._sentences(fh)
+                try:
+                    with open(source, encoding="utf-8") as fh:
+                        yield from self._sentences(fh)
+                except UnicodeDecodeError:
+                    raise not_utf8(source) from None
             else:
                 yield from self._sentences(source)
 
@@ -211,7 +216,15 @@ class Vocabulary:
         """Read a file written by :meth:`save`.  A malformed file raises
         :class:`ArtifactError` naming ``path:line``: a bad magic or header,
         a line that is not ``surface<TAB>count`` with a non-negative integer
-        count, or other than the announced number of lines."""
+        count, other than the announced number of lines, or bytes that are
+        not UTF-8."""
+        try:
+            return cls._load(path)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+
+    @classmethod
+    def _load(cls, path):
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if header[:2] != ["relemb-vocab", "v1"]:
@@ -316,24 +329,36 @@ class NounPairContext:
         return len(self.w_bef)
 
 
-def neighbor_slots(ctx, i, c, reach=None):
-    """Word ids of the `c` neighbors on each side of between-position `i`.
-
-    `i` is 1-based into ``ctx.w_in``.  Returns ``2*c`` ids: the left
-    neighbors nearest first, then the right neighbors nearest first.  Slots
-    beyond the between-words span, or more than `reach` positions away when
-    `reach` is given, hold ``NULL_WORD``.
+def neighbor_slot_rows(w_in, offsets, c, reach=None):
+    """The neighbour slots of every target of the contexts whose words
+    between the pair are ``w_in[offsets[r]:offsets[r + 1]]``, in order:
+    an int64 array with one row of ``2*c`` word ids per target of
+    ``w_in[offsets[0]:offsets[-1]]``.  A row holds the left neighbours
+    nearest first, then the right neighbours nearest first.  Slots beyond
+    the target's between-words span, or more than `reach` positions away
+    when `reach` is given, hold ``NULL_WORD``.  This is the one definition
+    of the slot layout.
     """
-    w_in = ctx.w_in
-    m_in = len(w_in)
+    w_in = np.asarray(w_in, np.int64)
+    offsets = np.asarray(offsets, np.int64)
+    steps = np.array([*range(-1, -c - 1, -1), *range(1, c + 1)])
+    near = np.arange(offsets[0], offsets[-1])[:, None] + steps
+    m_in = offsets[1:] - offsets[:-1]
+    inside = ((near >= np.repeat(offsets[:-1], m_in)[:, None])
+              & (near < np.repeat(offsets[1:], m_in)[:, None]))
+    if reach is not None:
+        inside &= abs(steps) <= reach
+    return np.where(inside, w_in.take(near, mode="clip"), NULL_WORD)
+
+
+def neighbor_slots(ctx, i, c, reach=None):
+    """Word ids of the `c` neighbors on each side of between-position `i`
+    (1-based into ``ctx.w_in``): row ``i - 1`` of
+    :func:`neighbor_slot_rows` of the one context, as a list."""
+    m_in = len(ctx.w_in)
     if not 1 <= i <= m_in:
         raise ValueError(f"position {i} outside 1..{m_in}")
-    limit = c if reach is None else min(c, reach)
-    left = [w_in[i - j - 1] if j <= limit and i - j >= 1 else NULL_WORD
-            for j in range(1, c + 1)]
-    right = [w_in[i + j - 1] if j <= limit and i + j <= m_in else NULL_WORD
-             for j in range(1, c + 1)]
-    return left + right
+    return neighbor_slot_rows(ctx.w_in, (0, m_in), c, reach)[i - 1].tolist()
 
 
 def _outside_windows(word_ids, left_pos, right_pos, m_out):
@@ -403,6 +428,22 @@ class ArtifactError(ValueError):
     where there is one."""
 
 
+def not_utf8(path):
+    """The :class:`ArtifactError` for text file `path`, a read of which
+    raised UnicodeDecodeError, naming ``path:line`` of its first byte that
+    is not UTF-8.  The file is read again as bytes, because the offset a
+    text-mode read reports counts from the start of its decode chunk."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ArtifactError(f"{path}:{line}: not UTF-8: byte "
+                             f"0x{data[exc.start]:02x}")
+    return ArtifactError(f"{path}: not UTF-8")
+
+
 class ConfigError(ValueError):
     """An invalid setting: a configuration value or an argument outside the
     range its function accepts."""
@@ -452,6 +493,16 @@ class ContextArrays:
     def m_out(self):
         return self.w_bef.shape[1]
 
+    def block(self, lo, hi):
+        """Contexts `lo` .. `hi` - 1 as int64 arrays of their own, their
+        offsets from 0."""
+        off = self.offsets[lo:hi + 1]
+        return ContextArrays(
+            *(np.ascontiguousarray(a, np.int64) for a in (
+                self.n1[lo:hi], self.n2[lo:hi], off - off[0],
+                self.w_in[off[0]:off[-1]], self.w_bef[lo:hi],
+                self.w_aft[lo:hi])))
+
     def context(self, r):
         return NounPairContext(
             int(self.n1[r]), int(self.n2[r]),
@@ -498,8 +549,11 @@ class ContextFile:
 
     def __init__(self, path):
         self.path = path
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().split()
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
         if header[:2] != ["relemb-contexts", "v1"]:
             raise ArtifactError(f"not a relemb-contexts file: {path}")
         try:
@@ -512,9 +566,12 @@ class ContextFile:
 
     @cached_property
     def arrays(self):
-        with open(self.path, encoding="utf-8") as fh:
-            fh.readline()
-            return _parse_context_body(fh, self.m_out, self.path)
+        try:
+            with open(self.path, encoding="utf-8") as fh:
+                fh.readline()
+                return _parse_context_body(fh, self.m_out, self.path)
+        except UnicodeDecodeError:
+            raise not_utf8(self.path) from None
 
     def __iter__(self):
         return iter(self.arrays)
@@ -778,8 +835,11 @@ def parse_semeval(source, vocab, m_out):
     """
     named = isinstance(source, str) or hasattr(source, "__fspath__")
     if named:
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise not_utf8(source) from None
     else:
         lines = list(source)
 

@@ -6,15 +6,17 @@ regression discriminates the true target from ``k`` noise words drawn from a
 count^0.75 unigram distribution; frequent targets and frequent noun pairs
 are stochastically discarded before training.
 
-Training makes every random draw in Python, in a fixed order, and queues
-each step it decides to take in a batch: the ids of the step's
-:func:`pretrain_table`, the target and its noise ids, and the learning
-rate.  A step reads no random draws, so taking it later gives the same
-step.  The batch is taken in one call before each progress record and
-whenever it holds ``_BATCH_STEPS`` steps.  It runs through the compiled
-pretraining steps of :mod:`relemb.kernels` when a C compiler is found, and
-otherwise through the numpy steps (:func:`pretrain_objective_and_grad`'s
-arithmetic and :func:`apply_row_grads`), which stay the reference.
+Training walks the contexts in order.  Per context it draws the pair's two
+subsampling uniforms; per target of a kept pair it sets the linear rate,
+draws the target's subsampling uniform, then its noise (clashes with the
+target drawn again), and takes the step.  When a C compiler is found, that
+walk runs in the compiled pretraining entry point of :mod:`relemb.kernels`,
+over blocks of contexts read from :class:`~relemb.corpus.ContextArrays`:
+C makes the same draws in the same order from the run's own generator,
+through numpy's ``bitgen_t``, and returns to Python at each progress
+record.  Otherwise the numpy loop (:func:`pretrain_step`, built on
+:func:`pretrain_objective_and_grad` and :func:`apply_row_grads`) runs; it
+stays the reference.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import (ArtifactError, ConfigError, ContextArrays, ContextFile,
-                     neighbor_slots)
+                     neighbor_slot_rows, neighbor_slots, not_utf8)
 
 logger = logging.getLogger(__name__)
 
@@ -196,7 +198,8 @@ def pair_discard(n1, n2, noun_filter, rng):
 
 
 class NoiseSampler:
-    """Unigram noise distribution weighted by count^0.75."""
+    """Unigram noise distribution weighted by count^0.75: ``probs`` per
+    id, and their running sums ``cum``, whose last entry is exactly 1."""
 
     def __init__(self, counts):
         weights = np.asarray(counts, dtype=np.float64) ** 0.75
@@ -204,18 +207,18 @@ class NoiseSampler:
         if total <= 0:
             raise ValueError("noise distribution has no mass")
         self.probs = weights / total
-        self._cum = np.cumsum(self.probs)
-        self._cum[-1] = 1.0
+        self.cum = np.cumsum(self.probs)
+        self.cum[-1] = 1.0
 
     def sample(self, k, rng, exclude=None):
         """Draw `k` ids; draws equal to `exclude` are re-drawn while an
         alternative exists."""
-        draws = np.searchsorted(self._cum, rng.random(k), side="right")
+        draws = np.searchsorted(self.cum, rng.random(k), side="right")
         if exclude is not None and self.probs[exclude] < 1.0:
             clash = draws == exclude
             while clash.any():
                 draws[clash] = np.searchsorted(
-                    self._cum, rng.random(int(clash.sum())), side="right")
+                    self.cum, rng.random(int(clash.sum())), side="right")
                 clash = draws == exclude
         return draws
 
@@ -400,7 +403,7 @@ def _check_ids(ids, bound, what):
 
 def _context_fault(ctx, vocab, m_out):
     """What is wrong with a context that failed the checks of
-    :func:`_count_targets` or :func:`_context_arrays`."""
+    :func:`_checked_arrays` or :func:`_context_arrays`."""
     if not ctx.w_in:
         return "no words between the pair"
     if len(ctx.w_bef) != m_out or len(ctx.w_aft) != m_out:
@@ -432,10 +435,10 @@ def _context_arrays(contexts, vocab, m_out):
     return ContextArrays.pack(rows, m_out)
 
 
-def _count_targets(contexts, vocab, m_out):
-    """Targets of `contexts`, read once into :func:`_context_arrays` and
-    checked first, in order: outside windows `m_out` wide and every id in
-    the vocabulary's range, then the fault the arrays end on.  A fault in a
+def _checked_arrays(contexts, vocab, m_out):
+    """`contexts` read once into :func:`_context_arrays` and checked first,
+    in order: outside windows `m_out` wide and every id in the
+    vocabulary's range, then the fault the arrays end on.  A fault in a
     :class:`ContextFile` raises :class:`ArtifactError` naming
     ``path:line``."""
     arrays = _context_arrays(contexts, vocab, m_out)
@@ -455,106 +458,101 @@ def _count_targets(contexts, vocab, m_out):
         raise arrays.error(r, _context_fault(arrays.context(r), vocab, m_out))
     if arrays.fault is not None:
         raise arrays.fault
-    return int(arrays.offsets[-1])
+    return arrays
 
 
-# Steps a batch holds before it is taken; at d=100, c=3, k=25 its buffers
-# take 1.4 MB.
+# Targets a block of contexts holds for one compiled call (one context may
+# exceed it); at d=100, c=3 its neighbour slots take 200 kB.
 _BATCH_STEPS = 4096
 
 
-class _StepBatch:
-    """Steps drawn but not yet taken, in order: the ids of each step's
-    :func:`pretrain_table`, its target and noise ids, and its rate."""
+class _Draws:
+    """What a pretraining run draws from: the noise sampler and the pair
+    and target subsampling filters, the rate schedule, and the generator."""
 
-    def __init__(self, params, cfg, kernel):
-        self.params = params
-        self.kernel = kernel
-        self.m_out = cfg.m_out
-        self.segments = _pretrain_segments(cfg.window, cfg.m_out, cfg.m_out)
-        self.ids = np.empty((_BATCH_STEPS, 2 + 2 * cfg.window + 2 * cfg.m_out),
-                            np.int64)
-        self.words = np.empty((_BATCH_STEPS, 1 + cfg.negatives), np.int64)
-        self.lrs = np.empty(_BATCH_STEPS)
-        self.n = 0
+    def __init__(self, cfg, vocab, planned, rng):
+        self.cfg = cfg
+        self.planned = planned
+        self.rng = rng
+        self.noise = NoiseSampler(vocab.word_counts)
+        self.words = SubsamplingFilter(vocab.word_counts, cfg.subsample)
+        self.nouns = SubsamplingFilter(vocab.noun_counts, cfg.subsample)
 
-    def add(self, ids, target, noise, lr):
-        """Queue one step; returns True when the batch is full."""
-        n = self.n
-        self.ids[n] = ids
-        self.words[n, 0] = target
-        self.words[n, 1:] = noise
-        self.lrs[n] = lr
-        self.n = n + 1
-        return self.n == _BATCH_STEPS
-
-    def take(self, total):
-        """Take the queued steps in order and empty the batch.  Returns
-        `total` plus the steps' pre-update objective values, added in
-        order."""
-        n, self.n = self.n, 0
-        if not n:
-            return total
-        params = self.params
-        ids, words, lrs = self.ids[:n], self.words[:n], self.lrs[:n]
-        # the compiled steps read rows at these ids unchecked
-        _check_ids(ids[:, :2], params.n_nouns, "noun")
-        _check_ids(ids[:, 2:], params.n_words, "word")
-        _check_ids(words, params.n_words, "word")
-        if self.kernel is not None:
-            values = self.kernel(params, ids, words, lrs, self.m_out).tolist()
-        else:
-            values = []
-            for row, scored, lr in zip(ids, words, lrs.tolist()):
-                value, grads = _objective_and_grad(
-                    params, (row, self.segments), scored)
-                apply_row_grads(params, grads, lr)
-                values.append(value)
-        for value in values:
-            total += value
-        return total
+    def rate(self, done):
+        return self.cfg.alpha * (1.0 - done / self.planned)
 
 
-def _train_epoch(contexts, cfg, sampler, word_filter, noun_filter, rng, done,
-                 planned, log, batch):
-    """One sequential pass over the contexts; `done` is the number of
-    targets already passed in the linear learning-rate schedule.  Returns
-    the updated count."""
+def _report(log, done, draws, win_sum, win_count):
+    log.record(done, win_sum, win_count)
+    logger.info("pretrain: %d/%d targets, window objective %.4f, lr %.5f",
+                done, draws.planned,
+                win_sum / win_count if win_count else float("nan"),
+                draws.rate(min(done, draws.planned)))
+
+
+def _train_epoch(arrays, params, draws, done, log):
+    """One sequential pass of numpy steps over the contexts; `done` is the
+    number of targets already passed in the linear learning-rate schedule.
+    Returns the updated count."""
+    cfg, rng = draws.cfg, draws.rng
     win_sum = 0.0
     win_count = 0
     next_report = done + cfg.report_every
-    for ctx in contexts:
-        if pair_discard(ctx.n1, ctx.n2, noun_filter, rng):
+    for ctx in arrays:
+        if pair_discard(ctx.n1, ctx.n2, draws.nouns, rng):
             done += ctx.m_in
             log.targets_seen += ctx.m_in
             log.pairs_discarded += 1
             continue
         for i in range(1, ctx.m_in + 1):
-            lr = cfg.alpha * (1.0 - done / planned)
+            lr = draws.rate(done)
             done += 1
             log.targets_seen += 1
-            target = ctx.w_in[i - 1]
-            if word_filter.should_discard(target, rng):
+            if draws.words.should_discard(ctx.w_in[i - 1], rng):
                 log.targets_discarded += 1
                 continue
-            noise = sampler.sample(cfg.negatives, rng, exclude=target)
-            if batch.add(pretrain_table(ctx, i, cfg.window)[0], target, noise,
-                         lr):
-                win_sum = batch.take(win_sum)
+            win_sum += pretrain_step(ctx, i, params, lr, cfg.negatives,
+                                     draws.noise, rng)
             win_count += 1
             log.steps_taken += 1
         if done >= next_report:
-            win_sum = batch.take(win_sum)
-            log.record(done, win_sum, win_count)
-            logger.info("pretrain: %d/%d targets, window objective %.4f, lr %.5f",
-                        done, planned,
-                        win_sum / win_count if win_count else float("nan"),
-                        cfg.alpha * (1.0 - min(done, planned) / planned))
+            _report(log, done, draws, win_sum, win_count)
             win_sum = 0.0
             win_count = 0
             next_report += cfg.report_every
-    log.record(done, batch.take(win_sum), win_count)
+    log.record(done, win_sum, win_count)
     return done
+
+
+def _compiled_epoch(kernel, arrays, params, draws, done, log):
+    """:func:`_train_epoch` through the compiled walk, which makes the same
+    draws in the same order and takes each step right after them, over
+    blocks of at most ``_BATCH_STEPS`` targets."""
+    cfg = draws.cfg
+    progress = kernels.Progress(done=done, next_report=done + cfg.report_every)
+    offsets = arrays.offsets
+    lo = 0
+    while lo < len(arrays):
+        hi = max(lo + 1, int(np.searchsorted(
+            offsets, offsets[lo] + _BATCH_STEPS, side="right")) - 1)
+        block = arrays.block(lo, hi)
+        slots = neighbor_slot_rows(block.w_in, block.offsets, cfg.window)
+        progress.at = 0
+        while kernel(params, block, slots, draws.nouns.discard_probs,
+                     draws.words.discard_probs, draws.noise, cfg.negatives,
+                     cfg.alpha, draws.planned, draws.rng, progress):
+            _report(log, progress.done, draws, progress.win_sum,
+                    progress.win_count)
+            progress.win_sum = 0.0
+            progress.win_count = 0
+            progress.next_report += cfg.report_every
+        lo = hi
+    log.targets_seen += progress.done - done
+    log.steps_taken += progress.steps
+    log.pairs_discarded += progress.pairs_discarded
+    log.targets_discarded += progress.targets_discarded
+    log.record(progress.done, progress.win_sum, progress.win_count)
+    return progress.done
 
 
 def train_embeddings(contexts, vocab, config):
@@ -564,28 +562,27 @@ def train_embeddings(contexts, vocab, config):
     Returns ``(params, log)``.  The run is deterministic for a fixed seed.
     """
     cfg = config.validate()
-    total_targets = _count_targets(contexts, vocab, cfg.m_out)
+    arrays = _checked_arrays(contexts, vocab, cfg.m_out)
+    total_targets = int(arrays.offsets[-1])
     if total_targets == 0:
         raise ValueError("context stream is empty")
-    planned = cfg.epochs * total_targets
 
     rng = np.random.default_rng(cfg.seed)
     params = initial_params(vocab.n_nouns, vocab.n_words, cfg.dim, cfg.window,
                             rng)
-    sampler = NoiseSampler(vocab.word_counts)
-    word_filter = SubsamplingFilter(vocab.word_counts, cfg.subsample)
-    noun_filter = SubsamplingFilter(vocab.noun_counts, cfg.subsample)
+    draws = _Draws(cfg, vocab, cfg.epochs * total_targets, rng)
 
     compiled = kernels.load()
     logger.info("pretrain: taking %s steps",
                 "numpy" if compiled is None else "compiled")
-    batch = _StepBatch(params, cfg,
-                       None if compiled is None else compiled.pretrain_steps)
     log = TrainingLog()
     done = 0
     for _ in range(cfg.epochs):
-        done = _train_epoch(contexts, cfg, sampler, word_filter, noun_filter,
-                            rng, done, planned, log, batch)
+        if compiled is None:
+            done = _train_epoch(arrays, params, draws, done, log)
+        else:
+            done = _compiled_epoch(compiled.pretrain_contexts, arrays, params,
+                                   draws, done, log)
     params.check_finite()
     return params, log
 
@@ -671,9 +668,16 @@ def read_text_vectors(path):
     """Read the interchange text format; returns (surfaces, matrix).
 
     Blank lines are skipped.  Every other line must hold a word and as many
-    numbers as the first such line, or :class:`ArtifactError` names
-    ``path:line``.
+    numbers as the first such line, and every byte must be UTF-8, or
+    :class:`ArtifactError` names ``path:line``.
     """
+    try:
+        return _read_text_vectors(path)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
+def _read_text_vectors(path):
     surfaces = []
     rows = []
     with open(path, encoding="utf-8") as fh:

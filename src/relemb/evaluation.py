@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ALL_LABELS, FAMILIES, ConfigError, label_index, \
-    neighbor_slots
+    neighbor_slots, not_utf8
 from .classifier import cross_validate
 from .features import FeatureOptions, between_slice, ngram_embedding
 
@@ -57,32 +57,40 @@ class EvalReport:
 
 
 def _macro_from_confusion(confusion):
-    """Official macro-F1 (percent) from a 19x19 gold-by-predicted matrix.
+    """Official macro-F1 (percent) from a 19x19 gold-by-predicted matrix,
+    or from each of a stack of them (shape ``(..., 19, 19)``), and the
+    per-family scores, in arrays over the stack.
 
-    Families absent from both gold and predictions do not enter the
-    average, which reduces to the usual 9-family mean on full data.
+    Family F1s are added one family at a time, in family order.  Families
+    absent from both gold and predictions do not enter the average, which
+    reduces to the usual 9-family mean on full data.
     """
+    confusion = np.asarray(confusion)
     per_family = {}
-    f1s = []
+    total = np.zeros(confusion.shape[:-2])
+    count = np.zeros(confusion.shape[:-2], np.int64)
     for fam, (a, b) in _FAMILY_SLOTS.items():
-        tp = confusion[a, a] + confusion[b, b]
-        gold_n = confusion[[a, b], :].sum()
-        pred_n = confusion[:, [a, b]].sum()
-        precision = tp / pred_n if pred_n else 0.0
-        recall = tp / gold_n if gold_n else 0.0
-        f1 = 2 * precision * recall / (precision + recall) \
-            if precision + recall else 0.0
+        tp = confusion[..., a, a] + confusion[..., b, b]
+        gold_n = confusion[..., [a, b], :].sum(axis=(-2, -1))
+        pred_n = confusion[..., :, [a, b]].sum(axis=(-2, -1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            precision = np.where(pred_n > 0, tp / pred_n, 0.0)
+            recall = np.where(gold_n > 0, tp / gold_n, 0.0)
+            f1 = np.where(precision + recall > 0, 2 * precision * recall
+                          / (precision + recall), 0.0)
         per_family[fam] = {
             "precision": 100.0 * precision,
             "recall": 100.0 * recall,
             "f1": 100.0 * f1,
-            "gold": int(gold_n),
-            "pred": int(pred_n),
-            "tp": int(tp),
+            "gold": gold_n,
+            "pred": pred_n,
+            "tp": tp,
         }
-        if gold_n or pred_n:
-            f1s.append(f1)
-    macro = 100.0 * sum(f1s) / len(f1s) if f1s else 0.0
+        present = (gold_n > 0) | (pred_n > 0)
+        total += np.where(present, f1, 0.0)
+        count += present
+    with np.errstate(invalid="ignore", divide="ignore"):
+        macro = np.where(count > 0, 100.0 * total / count, 0.0)
     return macro, per_family
 
 
@@ -94,30 +102,45 @@ def score_semeval(gold, pred):
     for g, p in zip(gold, pred):
         confusion[label_index(g), label_index(p)] += 1
     macro, per_family = _macro_from_confusion(confusion)
+    per_family = {fam: {key: value.item() for key, value in scores.items()}
+                  for fam, scores in per_family.items()}
     accuracy = 100.0 * float(np.trace(confusion)) / len(gold) if gold else 0.0
-    return EvalReport(per_family, macro, accuracy, confusion, len(gold))
+    return EvalReport(per_family, macro.item(), accuracy, confusion, len(gold))
+
+
+# Resampled instances one bincount counts; bounds the memory of a block.
+_BOOTSTRAP_BLOCK = 1 << 15
 
 
 def bootstrap_ci(gold, pred, iterations=1000, level=0.95, seed=1):
     """Percentile bootstrap interval for the official macro-F1.
 
-    Instances are resampled with replacement `iterations` times; returns the
-    ((1-level)/2, (1+level)/2) percentiles of the resampled scores.
+    Instances are resampled with replacement `iterations` times, one
+    ``rng.integers(0, n, n)`` draw each; returns the ((1-level)/2,
+    (1+level)/2) percentiles of the resampled scores.  The confusion
+    matrices of a block of resamples are counted with one bincount.
     """
     if iterations < 100:
         raise ConfigError("iterations must be >= 100")
     if not 0 < level < 1:
         raise ConfigError("level must be between 0 and 1")
-    gold_ids = np.array([label_index(g) for g in gold])
-    pred_ids = np.array([label_index(p) for p in pred])
-    n = len(gold_ids)
+    if len(gold) != len(pred):
+        raise ValueError(f"length mismatch: {len(gold)} gold vs "
+                         f"{len(pred)} predicted")
+    cells = _N_LABELS * _N_LABELS
+    pairs = np.array([label_index(g) * _N_LABELS + label_index(p)
+                      for g, p in zip(gold, pred)], np.int64)
+    n = len(pairs)
     rng = np.random.default_rng(seed)
     scores = np.empty(iterations)
-    for it in range(iterations):
-        idx = rng.integers(0, n, n)
-        confusion = np.zeros((_N_LABELS, _N_LABELS), dtype=np.int64)
-        np.add.at(confusion, (gold_ids[idx], pred_ids[idx]), 1)
-        scores[it], _ = _macro_from_confusion(confusion)
+    per_block = max(1, _BOOTSTRAP_BLOCK // max(n, 1))
+    for lo in range(0, iterations, per_block):
+        hi = min(lo + per_block, iterations)
+        codes = np.concatenate([pairs[rng.integers(0, n, n)] + it * cells
+                                for it in range(hi - lo)])
+        confusion = np.bincount(codes, minlength=(hi - lo) * cells)
+        scores[lo:hi] = _macro_from_confusion(
+            confusion.reshape(hi - lo, _N_LABELS, _N_LABELS))[0]
     lo, hi = np.percentile(scores, [50 * (1 - level), 50 * (1 + level)])
     return float(lo), float(hi)
 
@@ -135,8 +158,11 @@ def read_wordsim(source):
     """Read ``word1,word2,score`` pairs (comma- or tab-separated, optional
     header line)."""
     if isinstance(source, str) or hasattr(source, "__fspath__"):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError:
+            raise not_utf8(source) from None
     else:
         text = source.read()
     pairs = []

@@ -16,16 +16,18 @@ the same table.  Three blocks are table segments, in fixed order:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .corpus import NULL_WORD, UNK_NOUN, ConfigError, NounPairContext, \
-    neighbor_slots
+    neighbor_slot_rows
 from .embed_train import gather_table, scatter_table
 
 __all__ = [
     "FeatureOptions",
     "feature_table",
+    "feature_tables",
     "ngram_embedding",
     "assemble_features",
     "feature_dim",
@@ -90,13 +92,16 @@ class FeatureOptions:
         return cls(**kwargs).validate()
 
 
-def _ngram_table(ctx, positions, c, reach=None):
+def _ngram_table(ctx, positions, c, reach=None, slots=None):
     """Row ids and segments of the mean n-gram embedding over
-    between-`positions`."""
-    ids = []
-    for i in positions:
-        ids += neighbor_slots(ctx, i, c, reach)
-    ids += [ctx.w_in[i - 1] for i in positions]
+    between-`positions` (1-based).  `slots` holds the context's
+    :func:`~relemb.corpus.neighbor_slot_rows` when the caller has them."""
+    rows = [i - 1 for i in positions]
+    if not all(0 <= r < ctx.m_in for r in rows):
+        raise ValueError(f"positions {list(positions)} outside 1..{ctx.m_in}")
+    if slots is None:
+        slots = neighbor_slot_rows(ctx.w_in, (0, ctx.m_in), c, reach)
+    ids = slots[rows].ravel().tolist() + [ctx.w_in[r] for r in rows]
     m = len(positions)
     return ids, [("word_vecs", 2 * c, m), ("pred_vecs", 1, m)]
 
@@ -124,10 +129,11 @@ def _trim_outside(ctx, m_out):
     return ctx.w_bef[len(ctx.w_bef) - m_out:], ctx.w_aft[:m_out]
 
 
-def feature_table(ctx, params, opts=FeatureOptions()):
+def feature_table(ctx, params, opts=FeatureOptions(), slots=None):
     """Id table ``(ids, segments)`` of the enabled blocks of `ctx`, in fixed
     order (nouns, between, outside); see
-    :func:`relemb.embed_train.gather_table`."""
+    :func:`relemb.embed_train.gather_table`.  `slots` holds the context's
+    neighbour slots when the caller has them (see :func:`feature_tables`)."""
     ids = []
     segments = []
     if opts.include_nouns:
@@ -140,7 +146,7 @@ def feature_table(ctx, params, opts=FeatureOptions()):
             segments += [("word_vecs", 1, ctx.m_in), ("pred_vecs", 1, ctx.m_in)]
         else:
             gram_ids, gram_segments = _ngram_table(
-                ctx, range(1, ctx.m_in + 1), params.window)
+                ctx, range(1, ctx.m_in + 1), params.window, slots=slots)
             ids += gram_ids
             segments += gram_segments
     if opts.include_outside:
@@ -148,6 +154,18 @@ def feature_table(ctx, params, opts=FeatureOptions()):
         ids += bef + aft
         segments += [("word_vecs", 1, len(bef)), ("word_vecs", 1, len(aft))]
     return np.array(ids, dtype=np.intp), segments
+
+
+def feature_tables(contexts, params, opts=FeatureOptions()):
+    """:func:`feature_table` of each of `contexts`, their neighbour slots
+    read with one :func:`~relemb.corpus.neighbor_slot_rows` call."""
+    contexts = list(contexts)
+    offsets = np.cumsum([0] + [ctx.m_in for ctx in contexts])
+    slots = neighbor_slot_rows(
+        np.fromiter(chain.from_iterable(ctx.w_in for ctx in contexts),
+                    np.int64, offsets[-1]), offsets, params.window)
+    return [feature_table(ctx, params, opts, slots[lo:hi])
+            for ctx, lo, hi in zip(contexts, offsets, offsets[1:])]
 
 
 def assemble_features(ctx, params, opts=FeatureOptions(), table=None):

@@ -1,12 +1,20 @@
-"""Compiled steps: negative-sampling pretraining over id tables, and whole
-epochs of the softmax classifier.
+"""Compiled training loops: noun-pair pretraining and CBOW, each drawing
+and stepping in one C loop, and whole epochs of the softmax classifier.
 
 :func:`load` compiles the C source below with the system ``gcc`` at its
-first call, caches the shared object out of tree and binds both entry
+first call, caches the shared object out of tree and binds the entry
 points through ``ctypes``.  Nothing is compiled or loaded at import.  The
 compiled code takes the same arithmetic as the numpy steps of
-``embed_train`` and ``classifier``, which stay the reference and the
-fallback when no compiler is found.
+``embed_train``, ``cbow_baseline`` and ``classifier``, which stay the
+reference and the fallback when no compiler is found.
+
+The pretraining and CBOW walks make every random draw of the numpy loops,
+in the same order, from the caller's ``numpy.random.Generator``: its
+``bit_generator.ctypes.bit_generator`` is numpy's ``bitgen_t``, whose
+``next_double`` is one ``Generator.random()`` draw, so the stream stays
+bit-identical and the generator ends where the numpy loop leaves it.  The
+generator's lock is held for each call.  A walk returns at each progress
+record, so the caller logs the same windows.
 
 The flags leave out ``-ffast-math``: an object linked with it as
 ``-shared`` pulls in ``crtfastmath.o``, whose constructor turns on
@@ -33,7 +41,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["SOURCE", "FLAGS", "Kernels", "load"]
+__all__ = ["SOURCE", "FLAGS", "Kernels", "Progress", "load"]
 
 SOURCE = r"""
 #include <math.h>
@@ -87,65 +95,245 @@ static void spread(double *vecs, const int64_t *ids, int64_t m, int64_t d,
     }
 }
 
-/* Steps s = 0..n-1, in order.  Row s of `ids` is the step's pretraining
-   table: 2 noun ids, 2c neighbour word ids, then two outside windows of m
-   word ids each.  Row s of `words` is the target, then k noise ids.  Every
-   id must be in range.  `work` holds 2p + k1 doubles. */
-void relemb_pretrain_steps(int64_t n, int64_t d, int64_t c, int64_t m,
-                           int64_t k1, const int64_t *ids,
-                           const int64_t *words, const double *lrs,
-                           double *noun_vecs, double *word_vecs,
-                           double *pred_vecs, double *pred_bias,
-                           double *values, double *work)
+/* numpy's bitgen_t (numpy/random/bitgen.h): next_double(state) is one
+   Generator.random() draw. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} bitgen_t;
+
+/* Where a walk stands, shared with Python: the next context or sentence,
+   the targets passed in the rate schedule, the next report point, the
+   log's counts and the open window's objective sum and step count. */
+typedef struct {
+    int64_t at, done, next_report, steps, pairs_discarded,
+        targets_discarded, win_count;
+    double win_sum;
+} progress_t;
+
+/* The noise inventory: cum[i] is the cumulative probability of ids 0..i
+   (cum[n - 1] == 1), probs[i] that of id i. */
+typedef struct {
+    const double *cum, *probs;
+    int64_t n;
+} noise_t;
+
+static double uniform(bitgen_t *bg)
 {
-    const int64_t width = 2 + 2 * c + 2 * m, p = 2 * d * (2 + c);
-    double *restrict f = work, *restrict g = work + p,
-           *restrict err = work + 2 * p;
-    for (int64_t s = 0; s < n; s++) {
-        const int64_t *row = ids + s * width, *scored = words + s * k1;
-        const int64_t *outside = row + 2 + 2 * c;
-        const double lr = lrs[s];
+    return bg->next_double(bg->state);
+}
 
-        /* f: the gather of the table */
-        gather(f, noun_vecs, row, 2, 1, d);
-        gather(f + 2 * d, word_vecs, row + 2, 2 * c, 1, d);
-        gather(f + (2 + 2 * c) * d, word_vecs, outside, 1, m, d);
-        gather(f + (3 + 2 * c) * d, word_vecs, outside + m, 1, m, d);
+/* One noise id: the first i with cum[i] > a uniform draw, as
+   searchsorted(side="right"). */
+static int64_t draw_id(bitgen_t *bg, const noise_t *noise)
+{
+    const double u = uniform(bg);
+    int64_t lo = 0, hi = noise->n;
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (noise->cum[mid] > u)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
 
-        /* scores, errs and g = errs @ pred, all from the pre-update rows */
-        double target_term = 0.0, noise_terms = 0.0;
-        memset(g, 0, p * sizeof *g);
-        for (int64_t j = 0; j < k1; j++) {
-            const double *w = pred_vecs + scored[j] * p;
-            double z = 0.0;
-            for (int64_t x = 0; x < p; x++)
-                z += w[x] * f[x];
-            z += pred_bias[scored[j]];
-            if (j == 0)
-                target_term = log_sigmoid(z);
-            else
-                noise_terms += log_sigmoid(-z);
-            err[j] = (j == 0) - sigmoid(z);
-            for (int64_t x = 0; x < p; x++)
-                g[x] += err[j] * w[x];
-        }
-        values[s] = target_term + noise_terms;
-
-        for (int64_t j = 0; j < k1; j++) {
-            double *w = pred_vecs + scored[j] * p;
-            for (int64_t x = 0; x < p; x++)
-                w[x] += lr * (err[j] * f[x]);
-            pred_bias[scored[j]] += lr * err[j];
-        }
-
-        /* the scatter of lr * g back through the table */
-        for (int64_t j = 0; j < 2 + 2 * c; j++)
-            spread(j < 2 ? noun_vecs : word_vecs, row + j, 1, d, lr,
-                   g + j * d);
-        spread(word_vecs, outside, m, d, lr, g + (2 + 2 * c) * d);
-        spread(word_vecs, outside + m, m, d, lr, g + (3 + 2 * c) * d);
+/* words[1..k]: k noise ids for the target words[0], drawn in order; while
+   the target has a rival, every position that drew it draws again, in
+   ascending order, round after round until none does. */
+static void draw_noise(bitgen_t *bg, const noise_t *noise, int64_t k,
+                       int64_t *words)
+{
+    for (int64_t j = 1; j <= k; j++)
+        words[j] = draw_id(bg, noise);
+    if (!(noise->probs[words[0]] < 1.0))
+        return;
+    for (int clash = 1; clash;) {
+        clash = 0;
+        for (int64_t j = 1; j <= k; j++)
+            if (words[j] == words[0]) {
+                words[j] = draw_id(bg, noise);
+                clash = 1;
+            }
     }
 }
+
+/* The negative-sampling step on the prediction input f (p entries) for
+   the k1 rows `scored` of pred, target first, with bias when not NULL.
+   Returns log sigma(z_0) + sum_j log sigma(-z_j); leaves in g the
+   errors times the pre-update rows, summed; then moves each scored row by
+   lr * err_j * f (and its bias by lr * err_j).  err holds k1 doubles. */
+static double score(const double *restrict f, int64_t p,
+                    const int64_t *scored, int64_t k1, double *pred,
+                    double *bias, double lr, double *restrict g,
+                    double *restrict err)
+{
+    double target_term = 0.0, noise_terms = 0.0;
+    memset(g, 0, p * sizeof *g);
+    for (int64_t j = 0; j < k1; j++) {
+        const double *w = pred + scored[j] * p;
+        double z = 0.0;
+        for (int64_t x = 0; x < p; x++)
+            z += w[x] * f[x];
+        if (bias)
+            z += bias[scored[j]];
+        if (j == 0)
+            target_term = log_sigmoid(z);
+        else
+            noise_terms += log_sigmoid(-z);
+        err[j] = (j == 0) - sigmoid(z);
+        for (int64_t x = 0; x < p; x++)
+            g[x] += err[j] * w[x];
+    }
+    for (int64_t j = 0; j < k1; j++) {
+        double *w = pred + scored[j] * p;
+        for (int64_t x = 0; x < p; x++)
+            w[x] += lr * (err[j] * f[x]);
+        if (bias)
+            bias[scored[j]] += lr * err[j];
+    }
+    return target_term + noise_terms;
+}
+
+/* One pretraining step: its table is the nouns, the 2c neighbour `slots`
+   and the outside windows `bef` and `aft` of m ids each; `scored` holds
+   the target then the noise ids.  `work` holds 2p + k1 doubles. */
+static double pretrain_step(int64_t d, int64_t c, int64_t m, int64_t k1,
+                            const int64_t *nouns, const int64_t *slots,
+                            const int64_t *bef, const int64_t *aft,
+                            const int64_t *scored, double lr,
+                            double *noun_vecs, double *word_vecs,
+                            double *pred_vecs, double *pred_bias,
+                            double *work)
+{
+    const int64_t p = 2 * d * (2 + c);
+    double *restrict f = work, *restrict g = work + p;
+
+    /* f: the gather of the table */
+    gather(f, noun_vecs, nouns, 2, 1, d);
+    gather(f + 2 * d, word_vecs, slots, 2 * c, 1, d);
+    gather(f + (2 + 2 * c) * d, word_vecs, bef, 1, m, d);
+    gather(f + (3 + 2 * c) * d, word_vecs, aft, 1, m, d);
+
+    const double value = score(f, p, scored, k1, pred_vecs, pred_bias, lr,
+                               g, work + 2 * p);
+
+    /* the scatter of lr * g back through the table */
+    spread(noun_vecs, nouns, 1, d, lr, g);
+    spread(noun_vecs, nouns + 1, 1, d, lr, g + d);
+    for (int64_t j = 0; j < 2 * c; j++)
+        spread(word_vecs, slots + j, 1, d, lr, g + (2 + j) * d);
+    spread(word_vecs, bef, m, d, lr, g + (2 + 2 * c) * d);
+    spread(word_vecs, aft, m, d, lr, g + (3 + 2 * c) * d);
+    return value;
+}
+
+/* Pretraining over contexts pr->at .. n-1, in order, drawing as the numpy
+   loop does.  Context r has nouns n1[r] and n2[r], targets w_in[offsets[r]
+   .. offsets[r + 1] - 1] with neighbour slots 2c per target in `slots`,
+   and outside windows bef and aft, m ids per context.  Per context: two
+   pair draws, both taken, and the pair is discarded if either noun's
+   discard probability exceeds its draw.  Per target of a kept pair: the
+   rate alpha * (1 - done / planned), one discard draw, then k noise draws
+   and the step.  Returns 1 after the first kept context that leaves done
+   at or past pr->next_report, 0 at the end.  Every id must be in range;
+   `work` holds 2p + k + 1 doubles and `words` k + 1 ids. */
+int64_t relemb_pretrain_contexts(
+    int64_t n, int64_t d, int64_t c, int64_t m, int64_t k,
+    const int64_t *n1, const int64_t *n2, const int64_t *offsets,
+    const int64_t *w_in, const int64_t *slots, const int64_t *bef,
+    const int64_t *aft, const double *noun_discard,
+    const double *word_discard, const double *cum, const double *probs,
+    int64_t n_words, double alpha, int64_t planned, double *noun_vecs,
+    double *word_vecs, double *pred_vecs, double *pred_bias,
+    progress_t *pr, double *work, int64_t *words, bitgen_t *bg)
+{
+    const noise_t noise = {cum, probs, n_words};
+    while (pr->at < n) {
+        const int64_t r = pr->at++, first = offsets[r], last = offsets[r + 1];
+        const int64_t nouns[2] = {n1[r], n2[r]};
+        const double u1 = uniform(bg), u2 = uniform(bg);
+        if (noun_discard[nouns[0]] > u1 || noun_discard[nouns[1]] > u2) {
+            pr->done += last - first;
+            pr->pairs_discarded++;
+            continue;
+        }
+        for (int64_t t = first; t < last; t++) {
+            const double lr = alpha * (1.0 - (double)pr->done / planned);
+            pr->done++;
+            if (word_discard[w_in[t]] > uniform(bg)) {
+                pr->targets_discarded++;
+                continue;
+            }
+            words[0] = w_in[t];
+            draw_noise(bg, &noise, k, words);
+            pr->win_sum += pretrain_step(d, c, m, k + 1, nouns,
+                                         slots + t * 2 * c, bef + r * m,
+                                         aft + r * m, words, lr, noun_vecs,
+                                         word_vecs, pred_vecs, pred_bias,
+                                         work);
+            pr->win_count++;
+            pr->steps++;
+        }
+        if (pr->done >= pr->next_report)
+            return 1;
+    }
+    return 0;
+}
+
+/* CBOW over sentences pr->at .. n-1 of the flat `ids` (sentence s is
+   ids[offsets[s] .. offsets[s + 1] - 1]), drawing as the numpy loop does.
+   Per sentence: the rate alpha * (1 - done / planned), one discard draw
+   per token, and, when at least two tokens are kept, per kept centre in
+   turn k noise draws and the step, whose input is the mean of the
+   in_vecs of the c kept tokens on each side, scored against out_vecs
+   with no bias.  Returns 1 after the first sentence that leaves done at
+   or past pr->next_report, 0 at the end.  `work` holds 2d + k + 1
+   doubles, and `scratch` k + 1 + 2c ids plus the longest sentence's. */
+int64_t relemb_cbow_sentences(
+    int64_t n, int64_t d, int64_t c, int64_t k, const int64_t *offsets,
+    const int64_t *ids, const double *discard, const double *cum,
+    const double *probs, int64_t n_words, double alpha, int64_t planned,
+    double *in_vecs, double *out_vecs, progress_t *pr, double *work,
+    int64_t *scratch, bitgen_t *bg)
+{
+    const noise_t noise = {cum, probs, n_words};
+    double *restrict f = work, *restrict g = work + d;
+    int64_t *words = scratch, *window = words + k + 1, *kept = window + 2 * c;
+    while (pr->at < n) {
+        const int64_t s = pr->at++, first = offsets[s], last = offsets[s + 1];
+        const double lr = alpha * (1.0 - (double)pr->done / planned);
+        int64_t n_kept = 0;
+        for (int64_t t = first; t < last; t++)
+            if (!(discard[ids[t]] > uniform(bg)))
+                kept[n_kept++] = ids[t];
+        pr->done += last - first;
+        pr->targets_discarded += last - first - n_kept;
+        for (int64_t t = 0; n_kept > 1 && t < n_kept; t++) {
+            int64_t m = 0;
+            for (int64_t j = t > c ? t - c : 0; j < t; j++)
+                window[m++] = kept[j];
+            for (int64_t j = t + 1; j <= t + c && j < n_kept; j++)
+                window[m++] = kept[j];
+            words[0] = kept[t];
+            draw_noise(bg, &noise, k, words);
+            gather(f, in_vecs, window, 1, m, d);
+            pr->win_sum += score(f, d, words, k + 1, out_vecs, NULL, lr, g,
+                                 work + 2 * d);
+            spread(in_vecs, window, m, d, lr, g);
+            pr->win_count++;
+            pr->steps++;
+        }
+        if (pr->done >= pr->next_report)
+            return 1;
+    }
+    return 0;
+}
+
 /* One AdaGrad ascent step on the n entries of param, whose gradient is g
    less l2 times param when l2 > 0. */
 static void adagrad(double *restrict param, double *restrict acc,
@@ -335,43 +523,129 @@ def _compile(gcc, path):
             os.unlink(tmp)
 
 
-class Kernels(NamedTuple):
-    """The two entry points of one loaded object."""
+class Progress(ctypes.Structure):
+    """Where a compiled walk stands, read and written by C: the next
+    context or sentence (``at``), the targets passed in the rate schedule
+    (``done``), the next report point, the log's counts, and the open
+    window's objective sum and step count.  A walk returns at each report
+    point; the caller records the window, resets it, moves
+    ``next_report`` on and calls again."""
 
-    pretrain_steps: object
+    _fields_ = [(name, ctypes.c_int64) for name in (
+        "at", "done", "next_report", "steps", "pairs_discarded",
+        "targets_discarded", "win_count")] + [("win_sum", ctypes.c_double)]
+
+
+class Kernels(NamedTuple):
+    """The three entry points of one loaded object."""
+
+    pretrain_contexts: object
+    cbow_sentences: object
     classifier_epoch: object
 
 
-def _bind_pretrain(lib):
-    fn = lib.relemb_pretrain_steps
-    fn.argtypes = ([ctypes.c_int64] * 5 + [_IDS, _IDS, _doubles(1)]
-                   + [_doubles(2)] * 3 + [_doubles(1)] * 3)
-    fn.restype = None
+def _check_draws(noise, discard, n_words, progress, n, planned):
+    """Raise ValueError unless the noise tables and the discard
+    probabilities cover the `n_words` ids, a draw cannot search past the
+    last id, and `progress` lies within the `n` contexts or sentences."""
+    if (noise.cum.shape != (n_words,) or noise.probs.shape != (n_words,)
+            or discard.shape != (n_words,) or not noise.cum[-1] == 1.0
+            or not 0 <= progress.at <= n or planned < 1):
+        raise ValueError("kernel: inconsistent noise, discard or progress")
 
-    def steps(params, ids, words, lrs, m_out):
-        """Take the steps of one batch in order and return their pre-update
-        objective values.  `ids` holds one pretraining table per row (its
-        outside windows `m_out` wide), `words` the target then the noise
-        ids, `lrs` the rates.  The caller has checked that every id is in
-        range; shapes are checked here."""
-        n, k1 = words.shape
-        d, c = params.dim, params.window
+
+def _call(fn, rng, *args):
+    """`fn` on `args` and, last, `rng`'s bit generator, held for the
+    call."""
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        return bool(fn(*args, bitgen.ctypes.bit_generator))
+
+
+def _bind_pretrain(lib):
+    fn = lib.relemb_pretrain_contexts
+    fn.argtypes = ([ctypes.c_int64] * 5 + [_INTS] * 4 + [_IDS, _IDS, _IDS]
+                   + [_doubles(1)] * 4
+                   + [ctypes.c_int64, ctypes.c_double, ctypes.c_int64]
+                   + [_doubles(2)] * 3
+                   + [_doubles(1), ctypes.POINTER(Progress), _doubles(1),
+                      _INTS, ctypes.c_void_p])
+    fn.restype = ctypes.c_int64
+
+    def contexts(params, block, slots, noun_discard, word_discard, noise,
+                 negatives, alpha, planned, rng, progress):
+        """Pretrain over the contexts of `block` (int64
+        :class:`~relemb.corpus.ContextArrays` with offsets from 0) from
+        ``progress.at``, drawing from `rng` as the numpy loop does.  `slots`
+        holds each target's neighbour slots, `noise` the noise tables
+        ``cum`` and ``probs``.  Returns True when it stopped at a report
+        point.  The caller has checked that every id is in range; shapes
+        are checked here."""
+        n, (d, c) = len(block.n1), (params.dim, params.window)
         p = 2 * d * (2 + c)
-        if (ids.shape != (n, 2 + 2 * c + 2 * m_out) or lrs.shape != (n,)
+        if (block.n2.shape != (n,) or block.offsets.shape != (n + 1,)
+                or block.offsets[0] != 0
+                or (np.diff(block.offsets) < 0).any()
+                or block.w_in.shape != (block.offsets[-1],)
+                or slots.shape != (len(block.w_in), 2 * c)
+                or block.w_bef.shape != block.w_aft.shape
+                or len(block.w_bef) != n
+                or noun_discard.shape != (params.n_nouns,)
                 or params.noun_vecs.shape[1] != d
                 or params.word_vecs.shape[1] != d
                 or params.pred_vecs.shape != (params.n_words, p)
                 or params.pred_bias.shape != (params.n_words,)):
-            raise ValueError("pretrain kernel: inconsistent batch or "
+            raise ValueError("pretrain kernel: inconsistent block or "
                              "parameter shapes")
-        values = np.empty(n)
-        fn(n, d, c, m_out, k1, ids, words, lrs, params.noun_vecs,
-           params.word_vecs, params.pred_vecs, params.pred_bias, values,
-           np.empty(2 * p + k1))
-        return values
+        _check_draws(noise, word_discard, params.n_words, progress, n,
+                     planned)
+        return _call(fn, rng, n, d, c, block.w_bef.shape[1], negatives,
+                     block.n1, block.n2, block.offsets, block.w_in, slots,
+                     block.w_bef, block.w_aft, noun_discard, word_discard,
+                     noise.cum, noise.probs, params.n_words, alpha, planned,
+                     params.noun_vecs, params.word_vecs, params.pred_vecs,
+                     params.pred_bias, ctypes.byref(progress),
+                     np.empty(2 * p + negatives + 1),
+                     np.empty(negatives + 1, np.int64))
 
-    steps.library = lib   # keeps the object loaded while `steps` lives
-    return steps
+    contexts.library = lib   # keeps the object loaded while it lives
+    return contexts
+
+
+def _bind_cbow(lib):
+    fn = lib.relemb_cbow_sentences
+    fn.argtypes = ([ctypes.c_int64] * 4 + [_INTS] * 2 + [_doubles(1)] * 3
+                   + [ctypes.c_int64, ctypes.c_double, ctypes.c_int64]
+                   + [_doubles(2)] * 2
+                   + [ctypes.POINTER(Progress), _doubles(1), _INTS,
+                      ctypes.c_void_p])
+    fn.restype = ctypes.c_int64
+
+    def sentences(model, ids, offsets, discard, noise, negatives, alpha,
+                  planned, rng, progress):
+        """Train CBOW over the sentences of the flat int64 `ids` (sentence
+        s is ``ids[offsets[s]:offsets[s + 1]]``) from ``progress.at``,
+        drawing from `rng` as the numpy loop does.  Returns True when it
+        stopped at a report point.  Ids must be in range; shapes are
+        checked here."""
+        n, (n_words, d) = len(offsets) - 1, model.in_vecs.shape
+        c = model.window
+        lengths = np.diff(offsets)
+        if (n < 0 or offsets[0] != 0 or (lengths < 0).any()
+                or ids.shape != (offsets[-1],)
+                or model.out_vecs.shape != (n_words, d)):
+            raise ValueError("cbow kernel: inconsistent sentence or "
+                             "parameter shapes")
+        _check_draws(noise, discard, n_words, progress, n, planned)
+        longest = int(lengths.max(initial=0))
+        return _call(fn, rng, n, d, c, negatives, offsets, ids, discard,
+                     noise.cum, noise.probs, n_words, alpha, planned,
+                     model.in_vecs, model.out_vecs, ctypes.byref(progress),
+                     np.empty(2 * d + negatives + 1),
+                     np.empty(negatives + 1 + 2 * c + longest, np.int64))
+
+    sentences.library = lib
+    return sentences
 
 
 def _bind_classifier(lib):
@@ -440,7 +714,7 @@ def _bind_classifier(lib):
 
 
 def _bind(lib):
-    return Kernels(_bind_pretrain(lib), _bind_classifier(lib))
+    return Kernels(_bind_pretrain(lib), _bind_cbow(lib), _bind_classifier(lib))
 
 
 @functools.cache

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from relemb import cbow_baseline as cb
 from relemb import corpus as cp
 from relemb import embed_train as et
+from relemb import kernels
 from relemb.features import feature_dim
 from relemb.synthetic import make_collocation_corpus, make_synthetic_data
 from conftest import check_row_grads, make_vocab
@@ -146,7 +148,7 @@ def _per_token_cbow(sentences, vocab, cfg):
     return model, log
 
 
-def test_one_read_matches_per_token_subsampling():
+def _one_read_and_per_token():
     data = make_synthetic_data(n_pretrain=300, n_train_per_class=1,
                                n_test_per_class=1, seed=4)
     sents, vocab = _vocab_from(data.tagged_text)
@@ -157,9 +159,32 @@ def test_one_read_matches_per_token_subsampling():
     want_model, want_log = _per_token_cbow(sents, vocab, cfg)
     assert 0 < log.targets_discarded < log.targets_seen
     assert log.steps_taken > 0 and len(log.windows) > 2
+    return model, log, want_model, want_log
+
+
+def test_one_read_matches_per_token_subsampling(monkeypatch):
+    monkeypatch.setattr(kernels, "load", lambda: None)
+    model, log, want_model, want_log = _one_read_and_per_token()
     assert log == want_log
     assert np.array_equal(model.in_vecs, want_model.in_vecs)
     assert np.array_equal(model.out_vecs, want_model.out_vecs)
+
+
+def test_one_read_matches_per_token_subsampling_compiled():
+    # the compiled steps sum in another order: the same draws and counts,
+    # values and parameters within 1e-9
+    if kernels.load() is None:
+        pytest.skip("no C compiler found; training takes the numpy steps")
+    model, log, want_model, want_log = _one_read_and_per_token()
+    assert dataclasses.replace(log, windows=[]) == dataclasses.replace(
+        want_log, windows=[])
+    assert [n for n, _ in log.windows] == [n for n, _ in want_log.windows]
+    np.testing.assert_allclose([v for _, v in log.windows],
+                               [v for _, v in want_log.windows], rtol=1e-9)
+    for got, want in ((model.in_vecs, want_model.in_vecs),
+                      (model.out_vecs, want_model.out_vecs)):
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-9 * np.abs(want).max())
 
 
 class TestImportAsInitialization:

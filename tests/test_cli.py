@@ -289,6 +289,53 @@ class TestExitCodes:
         assert "1000 folds need at least 1000 instances" in \
             capsys.readouterr().err
 
+    # reader: (the pipeline file or the text a byte 0xff is written into,
+    # the line it goes on, the command that reads it); a text-mode read
+    # decodes the first lines of a file with its header
+    _NOT_UTF8 = {
+        "corpus": ("corpus.tagged", 3, ["build-vocab", "--corpus", "{bad}",
+                                        "--out", "{tmp}/v.txt"]),
+        "vocab": ("vocab.txt", 3, [
+            "extract", "--corpus", "{w}/corpus.tagged", "--vocab", "{bad}",
+            "--out", "{tmp}/c.txt"]),
+        "contexts_header": ("contexts.txt", 3, [
+            "pretrain", "--contexts", "{bad}", "--vocab", "{w}/vocab.txt",
+            "--out", "{tmp}/m.bin"]),
+        "contexts_body": ("contexts.txt", -1, [
+            "pretrain", "--contexts", "{bad}", "--vocab", "{w}/vocab.txt",
+            "--out", "{tmp}/m.bin"]),
+        "semeval": ("train.txt", 3, ["eval", "--test", "{bad}",
+                                     "--vocab", "{w}/vocab.txt",
+                                     "--model", "{w}/tuned.bin",
+                                     "--clf", "{w}/clf.bin"]),
+        "vectors": ("UNK 0.1 0.2\nthe 0.3 0.4\nof 0.5 0.6\n", 3, [
+            "train", "--train", "{w}/train.txt", "--vocab", "{w}/vocab.txt",
+            "--init", "w2v", "--vectors-in", "{bad}", "--vectors-out",
+            "{bad}", "--out", "{tmp}/clf.bin"]),
+        "wordsim": ("w1,w2,score\nthe,of,1.0\nof,the,2.0\n", 3, [
+            "wordsim", "--pairs", "{bad}", "--vocab", "{w}/vocab.txt",
+            "--model", "{w}/model.bin"]),
+        "config": ("d = 4\n# comment\nc = 1\n", 3, [
+            "pretrain", "--contexts", "{w}/contexts.txt",
+            "--vocab", "{w}/vocab.txt", "--out", "{tmp}/m.bin",
+            "--config", "{bad}"]),
+    }
+
+    @pytest.mark.parametrize("reader", list(_NOT_UTF8))
+    def test_non_utf8_input_exit_2(self, workdir, tmp_path, capsys, reader):
+        source, line, argv = self._NOT_UTF8[reader]
+        text = ((workdir / source).read_bytes() if "\n" not in source
+                else source.encode())
+        lines = text.splitlines(True)
+        line = line if line > 0 else len(lines) + 1 + line
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        bad = tmp_path / f"bad-{reader}"
+        bad.write_bytes(b"".join(lines))
+        code = cli.main([arg.format(bad=bad, tmp=tmp_path, w=workdir)
+                         for arg in argv])
+        assert code == 2
+        assert f"{bad}:{line}: not UTF-8" in capsys.readouterr().err
+
     def test_bad_context_line_exit_2(self, workdir, capsys):
         bad = workdir / "bad_contexts.txt"
         lines = (workdir / "contexts.txt").read_text().splitlines(True)

@@ -572,3 +572,39 @@ def test_corrupt_line_names_path_and_line(data, row, pick, kind,
             seen.append(ctx)
     assert str(err.value) == f"{path}:{row + 2}: {message}"
     assert seen == contexts[:row]
+
+
+def _reference_slots(w_in, i, c, reach):
+    """neighbor_slots before the array form: one list per position."""
+    m_in = len(w_in)
+    limit = c if reach is None else min(c, reach)
+    left = [w_in[i - j - 1] if j <= limit and i - j >= 1 else cp.NULL_WORD
+            for j in range(1, c + 1)]
+    right = [w_in[i + j - 1] if j <= limit and i + j <= m_in else cp.NULL_WORD
+             for j in range(1, c + 1)]
+    return left + right
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans=st.lists(st.lists(st.integers(2, 50), min_size=1, max_size=8),
+                      min_size=1, max_size=6),
+       c=st.integers(1, 4),
+       reach=st.one_of(st.none(), st.integers(0, 5)),
+       cut=st.data())
+def test_neighbor_slot_rows_match_per_context_form(spans, c, reach, cut):
+    w_in = np.array([w for span in spans for w in span], np.int32)
+    offsets = np.cumsum([0] + [len(span) for span in spans])
+    want = [_reference_slots(span, i, c, reach)
+            for span in spans for i in range(1, len(span) + 1)]
+    rows = cp.neighbor_slot_rows(w_in, offsets, c, reach)
+    assert rows.dtype == np.int64 and rows.tolist() == want
+    # a block of the contexts, read from the whole array
+    lo = cut.draw(st.integers(0, len(spans) - 1))
+    hi = cut.draw(st.integers(lo + 1, len(spans)))
+    assert (cp.neighbor_slot_rows(w_in, offsets[lo:hi + 1], c, reach).tolist()
+            == want[offsets[lo]:offsets[hi]])
+    for span in spans:
+        ctx = cp.NounPairContext(0, 0, tuple(span), (0,), (0,))
+        for i in range(1, len(span) + 1):
+            assert (cp.neighbor_slots(ctx, i, c, reach)
+                    == _reference_slots(span, i, c, reach))

@@ -150,6 +150,33 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             ev.bootstrap_ci([CE12], [CE12], iterations=10)
 
+    @pytest.mark.parametrize("seed", [1, 8])
+    @pytest.mark.parametrize("level", [0.9, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 37, 150])
+    def test_matches_per_iteration_loop(self, monkeypatch, n, level, seed):
+        # gold never holds the last four families and predictions never
+        # the first two, so some families are absent from one or both
+        rng = np.random.default_rng(n + seed)
+        gold = [ALL_LABELS[i] for i in rng.choice([*range(10), 18], n)]
+        pred = [ALL_LABELS[i] for i in rng.integers(4, 19, n)]
+        monkeypatch.setattr(ev, "_BOOTSTRAP_BLOCK", 300)   # blocks of 2-300
+        want = _per_iteration_bootstrap(gold, pred, 130, level, seed)
+        assert ev.bootstrap_ci(gold, pred, 130, level, seed) == want
+
+
+def _per_iteration_bootstrap(gold, pred, iterations, level, seed):
+    """bootstrap_ci before it counted every resample at once: one
+    resample and one score at a time."""
+    rng = np.random.default_rng(seed)
+    n = len(gold)
+    scores = []
+    for _ in range(iterations):
+        idx = rng.integers(0, n, n)
+        scores.append(brute_force_scores([gold[i] for i in idx],
+                                         [pred[i] for i in idx])[0])
+    lo, hi = np.percentile(scores, [50 * (1 - level), 50 * (1 + level)])
+    return float(lo), float(hi)
+
 
 def _pair_embeddings(sims):
     """Word vectors for pairs (a_i, b_i) whose cosines equal `sims`."""

@@ -1,14 +1,18 @@
-"""The compiled pretraining steps against the numpy reference, and the
-build of the compiled object in :mod:`relemb.kernels`."""
+"""The compiled pretraining and CBOW walks against the numpy loops they
+replace, and the build of the compiled object in :mod:`relemb.kernels`."""
 
 import dataclasses
 import logging
+import subprocess
 
 import numpy as np
 import pytest
 
+from relemb import cbow_baseline as cb
 from relemb import embed_train as et
 from relemb import kernels
+from relemb.corpus import (ContextArrays, NounPairContext, TaggedSentence,
+                           neighbor_slot_rows)
 from conftest import make_vocab, rand_ctx, rand_params
 
 
@@ -17,58 +21,172 @@ def kernel():
     compiled = kernels.load()
     if compiled is None:
         pytest.skip("no C compiler found; training takes the numpy steps")
-    return compiled.pretrain_steps
+    return compiled
 
 
-def _drawn_steps(rng, c, m_out, k, n_steps, n_nouns=3, n_words=7):
-    """`n_steps` queued steps over random short contexts: 3 nouns make
-    n1 == n2 common, spans of 1-3 words leave NULL neighbour slots, and k
-    noise draws from 7 words repeat ids."""
-    sampler = et.NoiseSampler(np.arange(1, n_words + 1))
-    steps = []
-    while len(steps) < n_steps:
-        ctx = rand_ctx(rng, int(rng.integers(1, 4)), m_out, n_nouns, n_words)
+def _on_both_backends(monkeypatch, train, *args):
+    """`train(*args)` on the compiled walk, then on the numpy loop; each
+    result with the state its generator ended in, to pin the draws it
+    consumed.  `train` makes one generator with ``default_rng``."""
+    runs = []
+    for backend in ("compiled", "numpy"):
+        made = []
+        real = np.random.default_rng
+
+        def recording(*a, **kw):
+            made.append(real(*a, **kw))
+            return made[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", recording)
+            if backend == "numpy":
+                patch.setattr(kernels, "load", lambda: None)
+            result = train(*args)
+        (rng,) = made
+        runs.append((result, rng.bit_generator.state))
+    return runs
+
+
+def _assert_same_run(runs, names):
+    """The compiled and numpy runs made the same draws and counts, and
+    agree on window objectives and parameters to 1e-9."""
+    ((got, got_log), got_state), ((want, want_log), want_state) = runs
+    assert got_state == want_state
+    counts = ("targets_seen", "steps_taken", "pairs_discarded",
+              "targets_discarded")
+    assert ([getattr(got_log, c) for c in counts]
+            == [getattr(want_log, c) for c in counts])
+    assert [n for n, _ in got_log.windows] == [n for n, _ in want_log.windows]
+    np.testing.assert_allclose([v for _, v in got_log.windows],
+                               [v for _, v in want_log.windows], rtol=1e-9)
+    for name in names:
+        ref = getattr(want, name)
+        np.testing.assert_allclose(getattr(got, name), ref, rtol=1e-9,
+                                   atol=1e-9 * np.abs(ref).max(),
+                                   err_msg=name)
+
+
+def _random_contexts(rng, n, m_out, n_nouns, n_words, p_words=None):
+    """`n` contexts of 1-4 words between the pair, drawn with `p_words`;
+    one in five has n1 == n2."""
+    contexts = []
+    for _ in range(n):
+        ctx = NounPairContext(
+            int(rng.integers(0, n_nouns)), int(rng.integers(0, n_nouns)),
+            tuple(rng.choice(n_words, int(rng.integers(1, 5)), p=p_words)
+                  .tolist()),
+            tuple(rng.integers(0, n_words, m_out).tolist()),
+            tuple(rng.integers(0, n_words, m_out).tolist()))
         if rng.random() < 0.2:
             ctx = dataclasses.replace(ctx, n2=ctx.n1)
-        for i in range(1, ctx.m_in + 1):
-            target = ctx.w_in[i - 1]
-            noise = sampler.sample(k, rng, exclude=target)
-            steps.append((et.pretrain_table(ctx, i, c)[0], target, noise,
-                          0.1 * rng.random()))
-    return steps
+        contexts.append(ctx)
+    return contexts
 
 
-def _take(params, cfg, steps, kernel):
-    batch = et._StepBatch(params, cfg, kernel)
-    total = 0.0
-    for step in steps:
-        if batch.add(*step):
-            total = batch.take(total)
-    return batch.take(total)
+_PARAMS = ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias")
 
 
 @pytest.mark.parametrize("m_out", [1, 3])
 @pytest.mark.parametrize("c", [1, 3])
 @pytest.mark.parametrize("d", [1, 3])
-def test_kernel_matches_numpy_steps(kernel, d, c, m_out):
+def test_kernel_matches_numpy_steps(kernel, monkeypatch, d, c, m_out):
     rng = np.random.default_rng(100 * d + 10 * c + m_out)
-    k = 8
-    cfg = et.PretrainConfig(dim=d, window=c, negatives=k, m_out=m_out)
-    steps = _drawn_steps(rng, c, m_out, k, n_steps=1200)
-    assert any(ids[0] == ids[1] for ids, *_ in steps)
-    assert any(len(set(noise.tolist())) < k for _, _, noise, _ in steps)
-    assert any((ids[2:2 + 2 * c] == 0).any() for ids, *_ in steps)
+    vocab = make_vocab({f"w{i}": i + 1 for i in range(5)},
+                       {"x": 3, "y": 2})
+    contexts = _random_contexts(rng, 400, m_out, vocab.n_nouns, vocab.n_words)
+    cfg = et.PretrainConfig(dim=d, window=c, negatives=8, alpha=0.1,
+                            m_out=m_out, subsample=1.0, report_every=97)
+    runs = _on_both_backends(monkeypatch, et.train_embeddings, contexts,
+                             vocab, cfg)
+    assert runs[0][0][1].steps_taken == sum(x.m_in for x in contexts)
+    _assert_same_run(runs, _PARAMS)
 
-    ref = rand_params(rng, d, c, n_nouns=3, n_words=7)
-    got = ref.copy()
-    ref_total = _take(ref, cfg, steps, None)
-    got_total = _take(got, cfg, steps, kernel)
-    ref.check_finite()
-    assert got_total == pytest.approx(ref_total, rel=1e-9)
-    for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
-        want = getattr(ref, name)
-        np.testing.assert_allclose(getattr(got, name), want, rtol=1e-9,
-                                   atol=1e-9 * np.abs(want).max(), err_msg=name)
+
+# one word with ~90% of the noise mass, so that noise draws clash with it
+_HEAVY = {"heavy": 3 * 10 ** 6, **{f"w{i}": 10 ** 4 for i in range(6)}}
+
+# name: word counts, noun counts, subsampling threshold, report_every, and
+# the share of targets that are the first word
+_SCENARIOS = {
+    "forced_clashes": (_HEAVY, {"x": 5, "y": 5}, 1.0, 1000, 0.6),
+    "one_word_noise": ({"only": 7}, {"x": 5, "y": 5}, 1.0, 1000, 1.0),
+    "pairs_and_targets_discarded": (
+        {"a": 900, "b": 50, "c": 40, "d": 30}, {"x": 800, "y": 3, "z": 2},
+        2e-2, 1000, None),
+    # a report point every few contexts: discarded pairs pass over some
+    "reports_straddle_discards": (
+        {"a": 900, "b": 50, "c": 40, "d": 30}, {"x": 800, "y": 3, "z": 2},
+        2e-2, 7, None),
+}
+
+
+def _scenario_vocab(name):
+    words, nouns, t, report_every, heavy = _SCENARIOS[name]
+    vocab = make_vocab(words, nouns)
+    if heavy is None:
+        p_words = None
+    else:
+        p_words = np.full(vocab.n_words,
+                          (1 - heavy) / max(vocab.n_words - 3, 1))
+        p_words[:2] = 0.0
+        p_words[2] = heavy
+    return vocab, p_words, t, report_every
+
+
+@pytest.mark.parametrize("name", list(_SCENARIOS))
+def test_pretraining_walk_draws_as_numpy(kernel, monkeypatch, name):
+    vocab, p_words, t, report_every = _scenario_vocab(name)
+    rng = np.random.default_rng(len(name))
+    contexts = _random_contexts(rng, 300, 2, vocab.n_nouns, vocab.n_words,
+                                p_words)
+    cfg = et.PretrainConfig(dim=3, window=2, negatives=6, alpha=0.1, m_out=2,
+                            subsample=t, epochs=2, seed=7,
+                            report_every=report_every)
+    # blocks of a few targets, so that report points also fall inside them
+    monkeypatch.setattr(et, "_BATCH_STEPS", 5)
+    runs = _on_both_backends(monkeypatch, et.train_embeddings, contexts,
+                             vocab, cfg)
+    log = runs[0][0][1]
+    assert log.steps_taken > 0
+    if name == "forced_clashes":
+        assert et.NoiseSampler(vocab.word_counts).probs[2] > 0.85
+    if t < 1.0:
+        assert log.pairs_discarded > 0
+        assert 0 < log.targets_discarded
+    _assert_same_run(runs, _PARAMS)
+
+
+@pytest.mark.parametrize("name", list(_SCENARIOS))
+def test_cbow_walk_draws_as_numpy(kernel, monkeypatch, name):
+    vocab, p_words, t, report_every = _scenario_vocab(name)
+    rng = np.random.default_rng(len(name))
+    sentences = [
+        TaggedSentence(words, ("NN",) * len(words)) for words in (
+            tuple(vocab.word_surfaces[i] for i in rng.choice(
+                np.arange(2, vocab.n_words), int(rng.integers(1, 9)),
+                p=None if p_words is None else p_words[2:]))
+            for _ in range(200))]
+    cfg = cb.CbowConfig(dim=3, window=2, negatives=6, alpha=0.1,
+                        subsample=t, epochs=2, seed=7,
+                        report_every=report_every)
+    runs = _on_both_backends(monkeypatch, cb.train_cbow, sentences, vocab,
+                             cfg)
+    log = runs[0][0][1]
+    assert log.steps_taken > 0
+    if t < 1.0:
+        assert 0 < log.targets_discarded < log.targets_seen
+    _assert_same_run(runs, ("in_vecs", "out_vecs"))
+
+
+def test_kernel_source_builds_without_warnings(tmp_path):
+    gcc = kernels.shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("no C compiler found")
+    build = subprocess.run(
+        [gcc, *kernels.FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c", "-",
+         "-o", str(tmp_path / "kernels.so"), "-lm"],
+        input=kernels.SOURCE, capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
 
 
 def test_kernel_keeps_subnormals(kernel):
@@ -98,10 +216,14 @@ def test_unwritable_cache_builds_for_this_process(tmp_path, monkeypatch):
     if compiled is None:
         pytest.skip("no C compiler found")
     params = rand_params(np.random.default_rng(0), 2, 1, n_nouns=3, n_words=7)
-    ids = np.zeros((1, 6), np.int64)
-    words = np.array([[1, 2, 3]], np.int64)
-    assert np.isfinite(compiled.pretrain_steps(params, ids, words,
-                                              np.array([0.1]), 1)).all()
+    block = ContextArrays.pack([NounPairContext(1, 2, (3, 4), (5,), (6,))], 1)
+    progress = kernels.Progress(next_report=100)
+    compiled.pretrain_contexts(
+        params, block, neighbor_slot_rows(block.w_in, block.offsets, 1),
+        np.zeros(3), np.zeros(7), et.NoiseSampler(np.arange(1, 8)), 2, 0.1,
+        10, np.random.default_rng(0), progress)
+    assert (progress.at, progress.steps) == (1, 2)
+    params.check_finite()
     assert [p.name for p in tmp_path.iterdir()] == ["not-a-directory"]
 
 
