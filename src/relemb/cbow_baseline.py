@@ -14,12 +14,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import kernels
-from .corpus import UNK_WORD, ConfigError
+from .corpus import UNK_WORD, ConfigError, token_blocks
 from .embed_train import (EmbeddingParams, NoiseSampler, SubsamplingFilter,
                           TrainingLog, apply_row_grads, gather_table,
                           log_sigmoid, scatter_table, sigmoid, sum_rows)
@@ -90,20 +89,16 @@ def cbow_objective_and_grad(window_ids, center, noise_ids, model):
 
 
 def _corpus_ids(sentences, vocab):
-    """Word ids of every token of `sentences`, read once: a flat array, and
-    the offsets of the sentences in it (length: sentences + 1)."""
-    lengths = []
-
-    def words():
-        for sent in sentences:
-            lengths.append(len(sent.words))
-            yield sent.words
-
-    ids = np.fromiter(chain.from_iterable(map(vocab.word_ids, words())),
-                      np.int64)
-    offsets = np.zeros(len(lengths) + 1, np.int64)
-    offsets[1:] = np.cumsum(lengths)
-    return ids, offsets
+    """Word ids of every token of `sentences`, read once as
+    :func:`~relemb.corpus.token_blocks`: a flat array, and the offsets of
+    the sentences in it (length: sentences + 1)."""
+    ids, offsets = [np.zeros(0, np.int64)], [np.zeros(1, np.int64)]
+    n = 0
+    for block in token_blocks(sentences):
+        ids.append(block.word_ids(vocab))
+        offsets.append(block.offsets[1:] + n)
+        n += len(block.ids)
+    return np.concatenate(ids), np.concatenate(offsets)
 
 
 def _report(log, processed, planned, win_sum, win_count):
@@ -150,7 +145,9 @@ def _train_numpy(model, ids, offsets, discard_probs, sampler, cfg, planned,
 
 
 def train_cbow(sentences, vocab, config):
-    """Train a CbowModel over one read of a stream of tagged sentences.
+    """Train a CbowModel over one read of a tagged corpus: a
+    :class:`~relemb.corpus.TaggedCorpusReader` or an iterable of tagged
+    sentences.
 
     Input vectors start Gaussian(0, 1/dim), output vectors at zero.
     Subsampling removes tokens from the sequence before windowing: each

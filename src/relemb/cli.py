@@ -180,20 +180,20 @@ def cmd_extract(args):
     _require_files(*args.corpus, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
     corpus = cp.parse_tagged_corpus(*args.corpus)
-    stats = {"sentences": 0, "targets": 0}
+    targets = 0
 
-    def gen():
-        for sent in corpus:
-            stats["sentences"] += 1
-            for ctx in cp.extract_noun_pair_contexts(
-                    sent, vocab, cfg["m_out"], cfg["max_between"]):
-                stats["targets"] += ctx.m_in
-                yield ctx
+    def contexts():
+        nonlocal targets
+        for block in corpus.blocks():
+            arrays = cp.extract_noun_pair_contexts(
+                block, vocab, cfg["m_out"], cfg["max_between"])
+            targets += int(arrays.offsets[-1])
+            yield arrays
 
-    n_pairs = cp.write_contexts(gen(), cfg["m_out"], args.out)
-    print(f"sentences: {stats['sentences']}")
+    n_pairs = cp.write_contexts(contexts(), cfg["m_out"], args.out)
+    print(f"sentences: {corpus.sentences_read}")
     print(f"pairs: {n_pairs}")
-    print(f"targets: {stats['targets']}")
+    print(f"targets: {targets}")
     print(f"skipped lines: {corpus.skipped_lines}")
     return 0
 

@@ -3,10 +3,20 @@
 The tagged-corpus format is one token per line as ``surface<TAB>POS`` with a
 blank line terminating each sentence.  Labeled relation data uses the
 SemEval-2010 Task 8 distribution format.
+
+A tagged corpus is read once, as :class:`TokenBlock` arrays: each path in
+bounded byte blocks whose lines are checked with numpy, and any block those
+checks do not settle, and every stream, through the reader's per-line loop,
+which stays the reference.  Counting (:func:`build_vocabulary`), pair
+extraction (:func:`extract_noun_pair_contexts`, into
+:class:`ContextArrays`), writing (:func:`write_contexts`) and the CBOW
+baseline's id arrays work on those arrays.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,6 +48,8 @@ __all__ = [
     "build_vocabulary",
     "check_extract_settings",
     "extract_noun_pair_contexts",
+    "TokenBlock",
+    "token_blocks",
     "parse_semeval",
     "parse_label",
     "label_index",
@@ -70,18 +82,31 @@ class TaggedSentence:
     def __len__(self):
         return len(self.words)
 
-    def noun_positions(self):
-        return [i for i, t in enumerate(self.tags) if t in NOUN_TAGS]
+
+def _is_path(source):
+    return isinstance(source, str) or hasattr(source, "__fspath__")
 
 
 class TaggedCorpusReader:
-    """Iterate ``surface<TAB>POS`` sentences from text streams or paths, one
-    source after another; the end of a source ends its last sentence.
+    """Read ``surface<TAB>POS`` sentences from paths, text streams or
+    iterables of lines, one source after another; the end of a source ends
+    its last sentence.
 
-    Malformed lines (wrong column count, empty fields) are skipped and
-    counted in ``skipped_lines``.  Blank lines separate sentences; leading
-    and repeated blanks are ignored.  Each pass re-reads the path sources
-    and restarts ``skipped_lines`` and ``sentences_read``.
+    A line is a token if its one tab splits it into two non-empty fields
+    that are not both whitespace.  Any other line that is not whitespace
+    only is skipped and counted in ``skipped_lines``.  Whitespace-only
+    lines separate sentences; leading and repeated ones are ignored.  Paths
+    are read as UTF-8 with universal newlines, and bytes that are not UTF-8
+    raise :class:`ArtifactError` naming ``path:line``.  Each pass re-reads
+    the path sources and restarts ``skipped_lines`` and ``sentences_read``.
+
+    Iterating yields :class:`TaggedSentence` objects from the per-line loop,
+    the reference for these rules.  :meth:`blocks` yields the same
+    sentences as :class:`TokenBlock` arrays.  It reads each path in bounded
+    byte blocks and checks every line of a block at once with numpy
+    (:func:`_scan_tagged`).  A block those checks do not settle (a line of
+    multi-byte characters and whitespace only, or two surfaces whose hashes
+    agree) goes through the per-line loop, as do streams and line iterables.
     """
 
     def __init__(self, *sources):
@@ -92,7 +117,7 @@ class TaggedCorpusReader:
     def __iter__(self):
         self.skipped_lines = self.sentences_read = 0
         for source in self._sources:
-            if isinstance(source, str) or hasattr(source, "__fspath__"):
+            if _is_path(source):
                 try:
                     with open(source, encoding="utf-8") as fh:
                         yield from self._sentences(fh)
@@ -100,6 +125,45 @@ class TaggedCorpusReader:
                     raise not_utf8(source) from None
             else:
                 yield from self._sentences(source)
+
+    def blocks(self):
+        """One pass over the sources as :class:`TokenBlock` objects, each
+        holding whole sentences."""
+        self.skipped_lines = self.sentences_read = 0
+        for source in self._sources:
+            if _is_path(source):
+                try:
+                    yield from self._path_blocks(source)
+                except UnicodeDecodeError:
+                    raise not_utf8(source) from None
+            else:
+                yield from _sentence_blocks(self._sentences(source))
+
+    def _path_blocks(self, path):
+        with open(path, "rb") as fh:
+            data = b""
+            while True:
+                # a sentence longer than a block grows the next read
+                chunk = fh.read(max(_TAGGED_BLOCK, len(data)))
+                final = not chunk
+                data += chunk
+                if not data:
+                    return
+                block, skipped, used = _scan_tagged(data, final)
+                if used:
+                    if block is None:    # the loop counts its own lines
+                        lines = io.TextIOWrapper(io.BytesIO(data[:used]),
+                                                 encoding="utf-8")
+                        block = TokenBlock.of_sentences(
+                            list(self._sentences(lines)))
+                    else:
+                        self.skipped_lines += skipped
+                        self.sentences_read += len(block.offsets) - 1
+                    if len(block.ids):
+                        yield block
+                    data = data[used:]
+                if final:
+                    return
 
     def _sentences(self, lines):
         words, tags = [], []
@@ -128,6 +192,184 @@ def parse_tagged_corpus(*sources):
     """Return a :class:`TaggedCorpusReader` over paths, file objects, or
     iterables of lines."""
     return TaggedCorpusReader(*sources)
+
+
+@dataclass
+class TokenBlock:
+    """Whole sentences as token arrays.  Token ``j`` has surface
+    ``surfaces[ids[j]]`` and is tagged NN, NNS, NNP or NNPS when
+    ``noun[j]``; sentence ``s`` holds tokens ``offsets[s]`` ..
+    ``offsets[s + 1] - 1``.  ``surfaces`` are distinct, in the order of
+    their first occurrence."""
+
+    surfaces: list[str]
+    ids: np.ndarray
+    noun: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of_sentences(cls, sentences):
+        index = {}
+        ids = [index.setdefault(w, len(index))
+               for sent in sentences for w in sent.words]
+        noun = [t in NOUN_TAGS for sent in sentences for t in sent.tags]
+        offsets = np.zeros(len(sentences) + 1, np.int64)
+        offsets[1:] = np.cumsum([len(sent) for sent in sentences])
+        return cls(list(index), np.array(ids, np.int64), np.array(noun, bool),
+                   offsets)
+
+    def word_ids(self, vocab):
+        """The word id of every token, an int64 array."""
+        return np.array(vocab.word_ids(self.surfaces), np.int64)[self.ids]
+
+
+def _sentence_blocks(sentences, size=1 << 14):
+    """:class:`TokenBlock` objects of about `size` tokens of `sentences`."""
+    batch, n = [], 0
+    for sent in sentences:
+        batch.append(sent)
+        n += len(sent)
+        if n >= size:
+            yield TokenBlock.of_sentences(batch)
+            batch, n = [], 0
+    if batch:
+        yield TokenBlock.of_sentences(batch)
+
+
+def token_blocks(sentences):
+    """`sentences` as :class:`TokenBlock` objects: the blocks of a
+    :class:`TaggedCorpusReader`, else those of an iterable of
+    :class:`TaggedSentence`."""
+    if isinstance(sentences, TaggedCorpusReader):
+        return sentences.blocks()
+    return _sentence_blocks(sentences)
+
+
+# Bytes of a tagged-corpus path read at a time.  A block holds the bytes up
+# to its last blank line, and the rest starts the next one.
+_TAGGED_BLOCK = 1 << 16
+
+
+def _solid(a):
+    """Where bytes `a` are characters of their own that are not whitespace
+    in ``str.isspace`` terms: ASCII other than tab, newline, carriage
+    return, \\x0b, \\x0c, \\x1c .. \\x1f and space."""
+    return (a > 32) & (a < 128) | (a < 9) | (a > 13) & (a < 28)
+
+
+# MASKS[k] keeps the first k bytes of a little-endian uint64.
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+# Each noun tag's bytes, little-endian, with its length above them.
+_NOUN_TAG_KEYS = np.array([int.from_bytes(t.encode(), "little") | len(t) << 32
+                           for t in sorted(NOUN_TAGS)], np.uint64)
+_HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _spans(starts, lengths):
+    """The positions ``starts[r] .. starts[r] + lengths[r] - 1``, row after
+    row, as one array."""
+    first = np.cumsum(lengths) - lengths
+    return np.repeat(starts - first, lengths) + np.arange(lengths.sum())
+
+
+def _scan_tagged(data, final):
+    """Read the lines of `data`, tagged-corpus bytes from a line start,
+    with every check run over all of them at once.  Returns ``(block,
+    skipped, used)``: the :class:`TokenBlock` of ``data[:used]``, the
+    number of skipped lines in it, and `used`.  Unless `final`, `used` ends
+    after the last line of ASCII whitespace only, or is 0 when there is
+    none, and the bytes after it are left for the next call.  `block` is
+    None when the per-line loop must read ``data[:used]``: a line there
+    holds multi-byte characters and no other character that is not
+    whitespace, or two surfaces share a hash."""
+    a = np.frombuffer(data, np.uint8)
+    # Only the bytes that are not solid are listed: line ends, tabs, other
+    # whitespace and the bytes of multi-byte characters.  A line's other
+    # bytes are solid, so positions in this list count them.
+    at = np.flatnonzero(~_solid(a))
+    byte = a[at]
+    lf, cr = byte == 10, byte == 13
+    crlf = np.append(cr[:-1] & lf[1:] & (at[1:] == at[:-1] + 1), False)
+    ends = np.flatnonzero(cr | lf & ~np.roll(crlf, 1))   # \r\n ends at \r
+    stops = at[ends]
+    nexts = stops + 1 + crlf[ends]        # the byte after each line end
+    after = ends + 1 + crlf[ends]         # and its place in the list
+    if final and (not len(ends) or nexts[-1] < len(a)):
+        ends, after = np.append(ends, len(at)), np.append(after, len(at))
+        stops, nexts = np.append(stops, len(a)), np.append(nexts, len(a))
+    starts = np.concatenate(([0], nexts[:-1]))
+    firsts = np.concatenate(([0], after[:-1]))
+
+    def before(mask):
+        """How many listed bytes `mask` marks before each list index."""
+        return np.concatenate(([0], np.cumsum(mask)))
+
+    n_solid = (stops - starts) - (ends - firsts)
+    multi = before(byte >= 0x80)
+    n_multi = multi[ends] - multi[firsts]
+    blank = (n_solid == 0) & (n_multi == 0)
+    n_lines = len(ends)
+    if not final:
+        n_lines = int(np.flatnonzero(blank)[-1]) + 1 if blank.any() else 0
+    used = int(nexts[n_lines - 1]) if n_lines else 0
+    if not used:
+        return None, 0, 0
+    if n_multi[:n_lines].any():
+        data[:used].decode("utf-8")          # raises on bytes not UTF-8
+        if ((n_solid[:n_lines] == 0) & (n_multi[:n_lines] > 0)).any():
+            return None, 0, used
+
+    # a token line holds one tab between two non-empty fields, one of them
+    # with a solid byte
+    is_tab = byte == 9
+    tabs = before(is_tab)
+    one = np.flatnonzero(tabs[ends[:n_lines]] - tabs[firsts[:n_lines]] == 1)
+    tab_at = np.flatnonzero(is_tab)[tabs[firsts[one]]]
+    lo, tab, hi = starts[one], at[tab_at], stops[one]
+    token = ((tab > lo) & (hi > tab + 1)
+             & ((tab - lo > tab_at - firsts[one])
+                | (hi - tab - 1 > ends[one] - tab_at - 1)))
+    lines = one[token]
+    skipped = int(np.count_nonzero(n_solid[:n_lines])) - len(lines)
+    word_lo, word_hi, tag_hi = lo[token], tab[token], hi[token]
+    sentence = np.cumsum(blank[:n_lines])[lines]
+    offsets = np.zeros(1, np.int64)
+    if len(lines):
+        breaks = np.flatnonzero(np.diff(sentence)) + 1
+        offsets = np.concatenate((offsets, breaks, [len(lines)]))
+
+    # bytes i .. i + 7 as one little-endian uint64, for every i
+    window = np.ndarray(len(a), "<u8", data + bytes(7), strides=(1,))
+
+    def chunk(lo, length):
+        """The first `length` bytes (at most 8) at each `lo`, as uint64."""
+        return (window[np.minimum(lo, len(a) - 1)]
+                & _MASKS[np.clip(length, 0, 8)])
+
+    # surfaces: a hash over the 8-byte chunks, checked chunk by chunk
+    length = word_hi - word_lo
+    key = length.astype(np.uint64)
+    chunks = [chunk(word_lo + j, length - j)
+              for j in range(0, int(length.max(initial=0)), 8)]
+    for part in chunks:
+        key = key * _HASH_BASE + part
+    _, ids = np.unique(key.view(np.int64), return_inverse=True)
+    first = np.full(ids.max(initial=-1) + 1, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    rep = first[ids]
+    if any((part != part[rep]).any() for part in [length, *chunks]):
+        return None, 0, used
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    surfaces = [data[i:j].decode("utf-8") for i, j in zip(
+        word_lo[first[order]].tolist(), word_hi[first[order]].tolist())]
+
+    tag_len = tag_hi - word_hi - 1
+    tag = chunk(word_hi + 1, np.minimum(tag_len, 4)) | (
+        np.minimum(tag_len, 5).astype(np.uint64) << np.uint64(32))
+    noun = np.isin(tag, _NOUN_TAG_KEYS)
+    return TokenBlock(surfaces, rank[ids], noun, offsets), skipped, used
 
 
 @dataclass
@@ -277,18 +519,22 @@ def build_vocabulary(sentences, max_words, max_nouns, lowercase=True):
     The word inventory keeps the `max_words` most frequent surface forms of
     all tokens; the noun inventory keeps the `max_nouns` most frequent
     surfaces among tokens tagged NN/NNS/NNP/NNPS.  Out-of-inventory mass is
-    folded into the UNK slots.
+    folded into the UNK slots.  `sentences` is read once, as
+    :func:`token_blocks`.
     """
     if max_words < 1 or max_nouns < 1:
         raise ConfigError("max_words and max_nouns must be >= 1")
     # Counter keeps first-occurrence order, which breaks count ties.
     word_counter: Counter = Counter()
     noun_counter: Counter = Counter()
-    for sent in sentences:
-        keys = list(map(str.lower, sent.words)) if lowercase else sent.words
-        word_counter.update(keys)
-        noun_counter.update([key for key, tag in zip(keys, sent.tags)
-                             if tag in NOUN_TAGS])
+    for block in token_blocks(sentences):
+        keys = ([s.lower() for s in block.surfaces] if lowercase
+                else block.surfaces)
+        for counter, ids in ((word_counter, block.ids),
+                             (noun_counter, block.ids[block.noun])):
+            counts = np.bincount(ids, minlength=len(keys)).tolist()
+            for i in dict.fromkeys(ids.tolist()):    # first occurrences
+                counter[keys[i]] += counts[i]
     total_tokens = sum(word_counter.values())
     total_nouns = sum(noun_counter.values())
 
@@ -376,51 +622,116 @@ def check_extract_settings(m_out, max_between):
         raise ConfigError("m_out and max_between must be >= 1")
 
 
-def extract_noun_pair_contexts(sentence, vocab, m_out, max_between=10):
-    """Emit every ordered noun pair of `sentence` with 1..`max_between`
-    intervening tokens, as pretraining contexts.
+def extract_noun_pair_contexts(tokens, vocab, m_out, max_between=10):
+    """Every ordered noun pair of each sentence of `tokens` (a
+    :class:`TokenBlock` or one :class:`TaggedSentence`) with 1..`max_between`
+    intervening tokens, as the :class:`ContextArrays` of pretraining
+    contexts: sentence by sentence, by first noun, then by second noun.
 
     Pairs with zero words between them carry no prediction target and are
     omitted, as are pairs further apart than `max_between`.
     """
     check_extract_settings(m_out, max_between)
-    positions = sentence.noun_positions()
-    if len(positions) < 2:
-        return []
-    word_ids = vocab.word_ids(sentence.words)
-    noun_ids = vocab.noun_ids([sentence.words[p] for p in positions])
-    out = []
-    for a in range(len(positions) - 1):
-        for b in range(a + 1, len(positions)):
-            p1, p2 = positions[a], positions[b]
-            between = p2 - p1 - 1
-            if between < 1 or between > max_between:
-                continue
-            bef, aft = _outside_windows(word_ids, p1, p2, m_out)
-            out.append(NounPairContext(
-                n1=noun_ids[a],
-                n2=noun_ids[b],
-                w_in=tuple(word_ids[p1 + 1:p2]),
-                w_bef=bef,
-                w_aft=aft,
-            ))
-    return out
+    if isinstance(tokens, TaggedSentence):
+        tokens = TokenBlock.of_sentences([tokens])
+    pos = np.flatnonzero(tokens.noun)
+    sentence = np.searchsorted(tokens.offsets, pos, side="right") - 1
+    # pairs (a, a + k) of nouns k apart in noun order; such a pair spans at
+    # least k - 1 words, so k stops growing once no pair is near enough
+    firsts = []
+    for k in range(1, len(pos)):
+        a = np.arange(len(pos) - k)
+        between = pos[a + k] - pos[a] - 1
+        if not (between <= max_between).any():
+            break
+        firsts.append(a[(sentence[a] == sentence[a + k]) & (between >= 1)
+                        & (between <= max_between)])
+    a = np.concatenate([np.zeros(0, np.int64), *firsts])
+    b = a + np.repeat(np.arange(1, len(firsts) + 1), list(map(len, firsts)))
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    p1, p2, sentence = pos[a], pos[b], sentence[a]
+
+    word_ids = tokens.word_ids(vocab)
+    noun_ids = np.array(vocab.noun_ids(tokens.surfaces), np.int64)
+    offsets = np.zeros(len(a) + 1, np.int64)
+    offsets[1:] = np.cumsum(p2 - p1 - 1)
+    bef = p1[:, None] - m_out + np.arange(m_out)
+    aft = p2[:, None] + 1 + np.arange(m_out)
+    return ContextArrays(
+        noun_ids[tokens.ids[p1]], noun_ids[tokens.ids[p2]], offsets,
+        word_ids[_spans(p1 + 1, p2 - p1 - 1)],
+        np.where(bef >= tokens.offsets[sentence][:, None],
+                 word_ids.take(bef, mode="clip"), NULL_WORD),
+        np.where(aft < tokens.offsets[sentence + 1][:, None],
+                 word_ids.take(aft, mode="clip"), NULL_WORD))
 
 
 def write_contexts(contexts, m_out, path):
     """Extracted-context file: header ``relemb-contexts v1 m_out=<m>`` then
-    one tab-separated line of id lists per context."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"relemb-contexts v1 m_out={m_out}\n")
-        n = 0
-        for ctx in contexts:
-            fh.write("{} {}\t{}\t{}\t{}\n".format(
-                ctx.n1, ctx.n2,
-                " ".join(map(str, ctx.w_in)),
-                " ".join(map(str, ctx.w_bef)),
-                " ".join(map(str, ctx.w_aft))))
-            n += 1
+    one tab-separated line of id lists per context.  `contexts` is a
+    :class:`ContextArrays`, or an iterable of them or of
+    :class:`NounPairContext` objects.  The file is written beside `path`
+    and moved there once complete, so an error while `contexts` are read
+    leaves `path` as it was.  Returns the number of contexts written."""
+    if isinstance(contexts, ContextArrays):
+        contexts = (contexts,)
+    part = f"{os.fspath(path)}.part"
+    n = 0
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write(f"relemb-contexts v1 m_out={m_out}\n")
+            for arrays in _context_blocks(contexts, m_out):
+                fh.write(_context_lines(arrays))
+                n += len(arrays)
+        os.replace(part, path)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        raise
     return n
+
+
+def _context_blocks(contexts, m_out, size=1024):
+    """`contexts`, :class:`ContextArrays` and :class:`NounPairContext`
+    objects, as :class:`ContextArrays`; runs of the latter are packed up to
+    `size` at a time."""
+    run = []
+    for item in contexts:
+        if isinstance(item, ContextArrays):
+            if run:
+                yield ContextArrays.pack(run, m_out)
+                run = []
+            yield item
+        else:
+            run.append(item)
+            if len(run) == size:
+                yield ContextArrays.pack(run, m_out)
+                run = []
+    if run:
+        yield ContextArrays.pack(run, m_out)
+
+
+def _context_lines(arrays):
+    """The context-file lines of `arrays`, as one string: every id written
+    once per distinct id, then joined with the separator after it."""
+    m_out = arrays.m_out
+    m_in = np.diff(arrays.offsets)
+    width = 2 + m_in + 2 * m_out
+    line = np.cumsum(width) - width               # each line's first id
+    ids = np.empty(int(width.sum()), np.int64)
+    seps = np.zeros(len(ids), np.int64)           # 0: " ", 1: tab, 2: newline
+    outside = (line + 2 + m_in)[:, None] + np.arange(m_out)
+    ids[line] = arrays.n1
+    ids[line + 1] = arrays.n2
+    ids[_spans(line + 2, m_in)] = arrays.w_in
+    ids[outside] = arrays.w_bef
+    ids[outside + m_out] = arrays.w_aft
+    seps[line + 1] = seps[line + 1 + m_in] = seps[line + 1 + m_in + m_out] = 1
+    seps[line + width - 1] = 2
+    distinct, index = np.unique(ids, return_inverse=True)
+    table = [f"{i}{sep}" for i in distinct.tolist() for sep in " \t\n"]
+    return "".join(map(table.__getitem__, (index * 3 + seps).tolist()))
 
 
 class ArtifactError(ValueError):

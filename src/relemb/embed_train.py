@@ -298,12 +298,15 @@ def _pretrain_segments(c, m_bef, m_aft):
             ("word_vecs", 1, m_bef), ("word_vecs", 1, m_aft))
 
 
-def pretrain_table(ctx, i, c):
+def pretrain_table(ctx, i, c, slots=None):
     """Id table of the prediction input for target position `i` (1-based)
     of ``ctx.w_in``: both nouns, the `c` word neighbors on each side of the
     target (NULL beyond the between-words span), and the two outside
-    windows, each pooled to its mean."""
-    ids = [ctx.n1, ctx.n2, *neighbor_slots(ctx, i, c), *ctx.w_bef, *ctx.w_aft]
+    windows, each pooled to its mean.  `slots` holds the target's row of
+    :func:`~relemb.corpus.neighbor_slot_rows` when the caller has it."""
+    if slots is None:
+        slots = neighbor_slots(ctx, i, c)
+    ids = [ctx.n1, ctx.n2, *slots, *ctx.w_bef, *ctx.w_aft]
     return (np.array(ids, dtype=np.intp),
             _pretrain_segments(c, len(ctx.w_bef), len(ctx.w_aft)))
 
@@ -331,7 +334,7 @@ def target_probability(f, wid, params):
     return float(sigmoid(params.pred_vecs[wid] @ f + params.pred_bias[wid]))
 
 
-def pretrain_objective_and_grad(ctx, i, params, noise_ids):
+def pretrain_objective_and_grad(ctx, i, params, noise_ids, slots=None):
     """Objective term and gradients for one (context, target) sample.
 
     Returns ``(value, grads)`` where value is
@@ -339,11 +342,11 @@ def pretrain_objective_and_grad(ctx, i, params, noise_ids):
     gradient of the value in the form of :func:`sum_rows`, keyed by
     ``noun_vecs``, ``word_vecs``, ``pred_vecs`` and ``pred_bias``.
     Duplicate rows (repeated noise draws, shared window/outside words,
-    n1 == n2) accumulate.
+    n1 == n2) accumulate.  `slots` is as for :func:`pretrain_table`.
     """
     words = np.concatenate(([ctx.w_in[i - 1]], noise_ids)).astype(np.intp)
-    return _objective_and_grad(params, pretrain_table(ctx, i, params.window),
-                               words)
+    return _objective_and_grad(
+        params, pretrain_table(ctx, i, params.window, slots), words)
 
 
 def _objective_and_grad(params, table, words):
@@ -371,11 +374,12 @@ def apply_row_grads(params, grads, lr):
         getattr(params, name)[ids] += lr * rows
 
 
-def pretrain_step(ctx, i, params, lr, k, sampler, rng):
-    """Draw noise, take one ascent step, return the pre-update objective."""
+def pretrain_step(ctx, i, params, lr, k, sampler, rng, slots=None):
+    """Draw noise, take one ascent step, return the pre-update objective.
+    `slots` is as for :func:`pretrain_table`."""
     target = ctx.w_in[i - 1]
     noise = sampler.sample(k, rng, exclude=target)
-    value, grads = pretrain_objective_and_grad(ctx, i, params, noise)
+    value, grads = pretrain_objective_and_grad(ctx, i, params, noise, slots)
     apply_row_grads(params, grads, lr)
     return value
 
@@ -490,6 +494,20 @@ def _report(log, done, draws, win_sum, win_count):
                 draws.rate(min(done, draws.planned)))
 
 
+def _blocks(arrays, c):
+    """`arrays` in blocks of at most ``_BATCH_STEPS`` targets (one context
+    may exceed it), each with the :func:`neighbor_slot_rows` of its
+    targets for window `c`."""
+    offsets = arrays.offsets
+    lo = 0
+    while lo < len(arrays):
+        hi = max(lo + 1, int(np.searchsorted(
+            offsets, offsets[lo] + _BATCH_STEPS, side="right")) - 1)
+        block = arrays.block(lo, hi)
+        yield block, neighbor_slot_rows(block.w_in, block.offsets, c)
+        lo = hi
+
+
 def _train_epoch(arrays, params, draws, done, log):
     """One sequential pass of numpy steps over the contexts; `done` is the
     number of targets already passed in the linear learning-rate schedule.
@@ -498,28 +516,31 @@ def _train_epoch(arrays, params, draws, done, log):
     win_sum = 0.0
     win_count = 0
     next_report = done + cfg.report_every
-    for ctx in arrays:
-        if pair_discard(ctx.n1, ctx.n2, draws.nouns, rng):
-            done += ctx.m_in
-            log.targets_seen += ctx.m_in
-            log.pairs_discarded += 1
-            continue
-        for i in range(1, ctx.m_in + 1):
-            lr = draws.rate(done)
-            done += 1
-            log.targets_seen += 1
-            if draws.words.should_discard(ctx.w_in[i - 1], rng):
-                log.targets_discarded += 1
+    for block, slots in _blocks(arrays, cfg.window):
+        slots = slots.tolist()
+        for ctx, first in zip(block, block.offsets.tolist()):
+            if pair_discard(ctx.n1, ctx.n2, draws.nouns, rng):
+                done += ctx.m_in
+                log.targets_seen += ctx.m_in
+                log.pairs_discarded += 1
                 continue
-            win_sum += pretrain_step(ctx, i, params, lr, cfg.negatives,
-                                     draws.noise, rng)
-            win_count += 1
-            log.steps_taken += 1
-        if done >= next_report:
-            _report(log, done, draws, win_sum, win_count)
-            win_sum = 0.0
-            win_count = 0
-            next_report += cfg.report_every
+            for i in range(1, ctx.m_in + 1):
+                lr = draws.rate(done)
+                done += 1
+                log.targets_seen += 1
+                if draws.words.should_discard(ctx.w_in[i - 1], rng):
+                    log.targets_discarded += 1
+                    continue
+                win_sum += pretrain_step(ctx, i, params, lr, cfg.negatives,
+                                         draws.noise, rng,
+                                         slots[first + i - 1])
+                win_count += 1
+                log.steps_taken += 1
+            if done >= next_report:
+                _report(log, done, draws, win_sum, win_count)
+                win_sum = 0.0
+                win_count = 0
+                next_report += cfg.report_every
     log.record(done, win_sum, win_count)
     return done
 
@@ -530,13 +551,7 @@ def _compiled_epoch(kernel, arrays, params, draws, done, log):
     blocks of at most ``_BATCH_STEPS`` targets."""
     cfg = draws.cfg
     progress = kernels.Progress(done=done, next_report=done + cfg.report_every)
-    offsets = arrays.offsets
-    lo = 0
-    while lo < len(arrays):
-        hi = max(lo + 1, int(np.searchsorted(
-            offsets, offsets[lo] + _BATCH_STEPS, side="right")) - 1)
-        block = arrays.block(lo, hi)
-        slots = neighbor_slot_rows(block.w_in, block.offsets, cfg.window)
+    for block, slots in _blocks(arrays, cfg.window):
         progress.at = 0
         while kernel(params, block, slots, draws.nouns.discard_probs,
                      draws.words.discard_probs, draws.noise, cfg.negatives,
@@ -546,7 +561,6 @@ def _compiled_epoch(kernel, arrays, params, draws, done, log):
             progress.win_sum = 0.0
             progress.win_count = 0
             progress.next_report += cfg.report_every
-        lo = hi
     log.targets_seen += progress.done - done
     log.steps_taken += progress.steps
     log.pairs_discarded += progress.pairs_discarded

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ALL_LABELS, FAMILIES, ConfigError, label_index, \
-    neighbor_slots, not_utf8
+    neighbor_slot_rows, not_utf8
 from .classifier import cross_validate
 from .features import FeatureOptions, between_slice, ngram_embedding
 
@@ -254,13 +254,13 @@ def top_ngrams(softmax_params, embed_params, opts, instances, label, n,
     order = []
     for inst in instances:
         ctx = inst.context
-        for i in range(1, ctx.m_in + 1):
-            slots = neighbor_slots(ctx, i, c, half)
-            words = (*reversed(slots[:half]), ctx.w_in[i - 1],
-                     *slots[c:c + half])
+        slots = neighbor_slot_rows(ctx.w_in, (0, ctx.m_in), c, half)
+        for i, row in enumerate(slots.tolist(), 1):
+            words = (*reversed(row[:half]), ctx.w_in[i - 1], *row[c:c + half])
             if words in seen:
                 continue
-            h = ngram_embedding(ctx, i, embed_params, mask_beyond=half)
+            h = ngram_embedding(ctx, i, embed_params, mask_beyond=half,
+                                slots=slots)
             seen[words] = float(class_row @ h)
             order.append(words)
     ranked = sorted(order, key=lambda w: -seen[w])[:top_k]

@@ -106,17 +106,19 @@ def _ngram_table(ctx, positions, c, reach=None, slots=None):
     return ids, [("word_vecs", 2 * c, m), ("pred_vecs", 1, m)]
 
 
-def ngram_embedding(ctx, i, params, mask_beyond=None):
+def ngram_embedding(ctx, i, params, mask_beyond=None, slots=None):
     """Order-aware n-gram embedding for between-word position `i` (1-based).
 
     Concatenates the word embeddings of the `window` neighbors on each side
     with the prediction vector of the word itself; out-of-span slots use the
     NULL embedding.  `mask_beyond` additionally NULLs neighbor slots more
     than that many positions away (used to score short n-grams against the
-    same weights as full ones).
+    same weights as full ones).  `slots` holds the context's
+    :func:`~relemb.corpus.neighbor_slot_rows` with reach `mask_beyond` when
+    the caller has them.
     """
-    return gather_table(params,
-                        *_ngram_table(ctx, [i], params.window, mask_beyond))
+    return gather_table(params, *_ngram_table(ctx, [i], params.window,
+                                              mask_beyond, slots))
 
 
 def _trim_outside(ctx, m_out):

@@ -336,6 +336,28 @@ class TestExitCodes:
         assert code == 2
         assert f"{bad}:{line}: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_extract_fault_after_written_blocks_keeps_out(
+            self, workdir, tmp_path, capsys, monkeypatch, existing):
+        """A bad byte read after earlier blocks gave contexts: exit 2, and
+        `--out` is left as it was, absent or whole."""
+        monkeypatch.setattr(cli.cp, "_TAGGED_BLOCK", 1 << 12)
+        lines = (workdir / "corpus.tagged").read_bytes().splitlines(True)
+        bad = tmp_path / "bad.tag"
+        bad.write_bytes(b"".join(lines[:2000]) + b"\xff\tNN\n")
+        out = tmp_path / "contexts.txt"
+        if existing:
+            out.write_bytes(b"earlier contexts\n")
+        code = cli.main(["extract", "--corpus", str(bad),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--out", str(out)])
+        assert code == 2
+        assert f"{bad}:2001: not UTF-8" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["bad.tag", "contexts.txt"] if existing else ["bad.tag"])
+        if existing:
+            assert out.read_bytes() == b"earlier contexts\n"
+
     def test_bad_context_line_exit_2(self, workdir, capsys):
         bad = workdir / "bad_contexts.txt"
         lines = (workdir / "contexts.txt").read_text().splitlines(True)

@@ -155,11 +155,11 @@ class TestExtraction:
     def test_pair_beyond_max_between_omitted(self):
         words = [f"w{i}" for i in range(13)]
         sent = _tag_sentence(words, {0, 12})   # 11 words between
-        assert cp.extract_noun_pair_contexts(sent, _grid_vocab(), 3) == []
+        assert len(cp.extract_noun_pair_contexts(sent, _grid_vocab(), 3)) == 0
 
     def test_adjacent_pair_omitted(self):
         sent = _tag_sentence(["w0", "w1"], {0, 1})
-        assert cp.extract_noun_pair_contexts(sent, _grid_vocab(), 3) == []
+        assert len(cp.extract_noun_pair_contexts(sent, _grid_vocab(), 3)) == 0
 
     def test_three_nouns_three_ordered_pairs(self):
         words = [f"w{i}" for i in range(10)]
@@ -187,7 +187,7 @@ class TestExtraction:
 
     def test_fewer_than_two_nouns(self):
         sent = _tag_sentence(["w0", "w1", "w2"], {1})
-        assert cp.extract_noun_pair_contexts(sent, _grid_vocab(), 2) == []
+        assert len(cp.extract_noun_pair_contexts(sent, _grid_vocab(), 2)) == 0
 
     def test_pair_count_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -608,3 +608,244 @@ def test_neighbor_slot_rows_match_per_context_form(spans, c, reach, cut):
         for i in range(1, len(span) + 1):
             assert (cp.neighbor_slots(ctx, i, c, reach)
                     == _reference_slots(span, i, c, reach))
+
+
+# --- the block reader and the array stages -----------------------------------
+
+def _block_sentences(blocks):
+    """``(words, noun flags)`` of every sentence of `blocks`, checking that
+    each block lists distinct surfaces in first-occurrence order."""
+    out = []
+    for block in blocks:
+        ids = block.ids.tolist()
+        assert sorted(set(ids)) == list(range(len(block.surfaces)))
+        assert [ids.index(i) for i in range(len(block.surfaces))] == sorted(
+            ids.index(i) for i in range(len(block.surfaces)))
+        assert len(set(block.surfaces)) == len(block.surfaces)
+        bounds = block.offsets.tolist()
+        assert bounds[0] == 0 and bounds[-1] == len(ids)
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert hi > lo
+            out.append((tuple(block.surfaces[i] for i in ids[lo:hi]),
+                        tuple(block.noun[lo:hi].tolist())))
+    return out
+
+
+# Fields of tagged lines: whitespace in and out of ASCII (\x0b, \x1c, \xa0,
+# U+3000), a surface whose lower() is longer (İx), the noun tags and near
+# misses.
+_FIELDS = st.sampled_from([
+    "a", "A", "cat", "Cat", "İx", "ǅ", "é", "x y", "a\x00", "\xa0", "\x1c",
+    "\x0b", " ", "　", "", "NN", "NNS", "NNP", "NNPS", "NNPSX", "NX",
+    "VB", "NN ", "N\xa0"])
+_RAW_LINES = st.one_of(
+    st.builds(lambda w, t: f"{w}\t{t}", _FIELDS, _FIELDS),
+    st.sampled_from(["", " ", "\t", "\xa0\t\xa0", "\xa0", "\x1c", "oops",
+                     "a\tb\tc", "\tNN", "w\t", "\t\t", "é", "　 ",
+                     "x\tNN\t", "\x1c\tNN"]))
+_SOURCES = st.lists(
+    st.tuples(st.lists(st.tuples(_RAW_LINES,
+                                 st.sampled_from(["\n", "\r\n", "\r"])),
+                       max_size=25),
+              st.booleans()),
+    min_size=1, max_size=3)
+
+
+def _write_sources(root, sources):
+    paths = []
+    for n, (lines, final_end) in enumerate(sources):
+        text = "".join(line + end for line, end in lines)
+        if lines and not final_end:
+            text = text[:-len(lines[-1][1])]
+        path = root / f"part{n}.tag"
+        path.write_bytes(text.encode("utf-8"))
+        paths.append(path)
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(sources=_SOURCES, block=st.integers(1, 48))
+def test_block_reader_matches_per_line_loop(sources, block, tmp_path_factory):
+    """Blocks a few bytes long, so lines, CRLF pairs and sentences straddle
+    them: the token arrays and counts equal the per-line loop's."""
+    paths = _write_sources(tmp_path_factory.mktemp("tag"), sources)
+    reader = cp.parse_tagged_corpus(*paths)
+    sents = list(reader)
+    want = (reader.skipped_lines, reader.sentences_read)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "_TAGGED_BLOCK", block)
+        got = _block_sentences(reader.blocks())
+    assert got == [(s.words, tuple(t in cp.NOUN_TAGS for t in s.tags))
+                   for s in sents]
+    assert (reader.skipped_lines, reader.sentences_read) == want
+    assert want[1] == len(sents)
+
+
+def test_byte_path_reads_line_ends_whitespace_and_utf8(tmp_path,
+                                                       monkeypatch):
+    """The numpy checks settle these lines by themselves: the per-line loop
+    never runs."""
+    path = tmp_path / "c.tag"
+    path.write_bytes("a\tNN\r\nİb\tVB\rc\tNN\t\n\x1c\t \x0b\n\xa0\tNNS\n"
+                     "\n\r\n \r\nd e\tNNP\n\tNN\nf\t\nz\tNNPS".encode())
+    reader = cp.parse_tagged_corpus(path)
+    want = [(s.words, s.tags) for s in reader]
+    counts = (reader.skipped_lines, reader.sentences_read)
+    assert want == [(("a", "İb"), ("NN", "VB")), (("\xa0",), ("NNS",)),
+                    (("d e", "z"), ("NNP", "NNPS"))]
+    assert counts == (3, 3)
+
+    def per_line_loop(self, lines):
+        raise AssertionError("the per-line loop ran")
+
+    monkeypatch.setattr(cp.TaggedCorpusReader, "_sentences", per_line_loop)
+    assert _block_sentences(reader.blocks()) == [
+        (words, tuple(t in cp.NOUN_TAGS for t in tags))
+        for words, tags in want]
+    assert (reader.skipped_lines, reader.sentences_read) == counts
+
+
+@pytest.mark.parametrize("line", ["\xa0\t\xa0", "　", "é\t "])
+def test_unsettled_block_goes_through_per_line_loop(tmp_path, line):
+    path = tmp_path / "c.tag"
+    path.write_text(f"a\tNN\n{line}\nb\tNN\n\nc\tVB\n", encoding="utf-8")
+    reader = cp.parse_tagged_corpus(path)
+    want = [(s.words, tuple(t in cp.NOUN_TAGS for t in s.tags))
+            for s in reader]
+    counts = (reader.skipped_lines, reader.sentences_read)
+    assert _block_sentences(reader.blocks()) == want
+    assert (reader.skipped_lines, reader.sentences_read) == counts
+
+
+def test_surfaces_with_one_hash_go_through_per_line_loop(tmp_path,
+                                                         monkeypatch):
+    # with base 0 a surface's hash is its last 8-byte chunk
+    monkeypatch.setattr(cp, "_HASH_BASE", np.uint64(0))
+    path = tmp_path / "c.tag"
+    path.write_text("abcdefghij\tNN\nzzzzzzzzij\tNN\nabcdefghij\tVB\n",
+                    encoding="utf-8")
+    reader = cp.parse_tagged_corpus(path)
+    (block,) = reader.blocks()
+    assert block.surfaces == ["abcdefghij", "zzzzzzzzij"]
+    assert block.ids.tolist() == [0, 1, 0]
+    assert block.noun.tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("block", [16, 1 << 16])
+def test_block_reader_names_the_line_of_a_bad_byte(tmp_path, monkeypatch,
+                                                   block):
+    monkeypatch.setattr(cp, "_TAGGED_BLOCK", block)
+    path = tmp_path / "c.tag"
+    path.write_bytes(b"a\tNN\nb\tNN\n\n" * 5 + b"c\t\xffNN\n")
+    reader = cp.parse_tagged_corpus(path)
+    with pytest.raises(cp.ArtifactError, match=f"^{path}:16: not UTF-8"):
+        list(reader.blocks())
+
+
+def _reference_extract(sentence, vocab, m_out, max_between):
+    """extract_noun_pair_contexts before the array form: one sentence, one
+    pair at a time."""
+    positions = [i for i, t in enumerate(sentence.tags) if t in cp.NOUN_TAGS]
+    word_ids = vocab.word_ids(sentence.words)
+    noun_ids = vocab.noun_ids([sentence.words[p] for p in positions])
+    out = []
+    for a in range(len(positions) - 1):
+        for b in range(a + 1, len(positions)):
+            p1, p2 = positions[a], positions[b]
+            if not 1 <= p2 - p1 - 1 <= max_between:
+                continue
+            bef = word_ids[max(0, p1 - m_out):p1]
+            aft = word_ids[p2 + 1:p2 + 1 + m_out]
+            out.append(cp.NounPairContext(
+                noun_ids[a], noun_ids[b], tuple(word_ids[p1 + 1:p2]),
+                (cp.NULL_WORD,) * (m_out - len(bef)) + tuple(bef),
+                tuple(aft) + (cp.NULL_WORD,) * (m_out - len(aft))))
+    return out
+
+
+def _reference_context_text(contexts, m_out):
+    """write_contexts before the array form, as text."""
+    return f"relemb-contexts v1 m_out={m_out}\n" + "".join(
+        "{} {}\t{}\t{}\t{}\n".format(
+            c.n1, c.n2, " ".join(map(str, c.w_in)),
+            " ".join(map(str, c.w_bef)), " ".join(map(str, c.w_aft)))
+        for c in contexts)
+
+
+def _counter_vocabulary(sentences, max_words, max_nouns, lowercase):
+    """build_vocabulary before the array form: Counter.update per
+    sentence, ranked by a stable sort on count."""
+    from collections import Counter
+
+    words, nouns = Counter(), Counter()
+    for sent in sentences:
+        keys = [w.lower() for w in sent.words] if lowercase else sent.words
+        words.update(keys)
+        nouns.update([k for k, t in zip(keys, sent.tags) if t in cp.NOUN_TAGS])
+    ranked_w = sorted(words.items(), key=lambda kv: -kv[1])[:max_words]
+    ranked_n = sorted(nouns.items(), key=lambda kv: -kv[1])[:max_nouns]
+    return cp.Vocabulary(
+        ["<NULL>", "<UNK>"] + [s for s, _ in ranked_w],
+        ["<UNK>"] + [s for s, _ in ranked_n],
+        [0, sum(words.values()) - sum(c for _, c in ranked_w)]
+        + [c for _, c in ranked_w],
+        [sum(nouns.values()) - sum(c for _, c in ranked_n)]
+        + [c for _, c in ranked_n], lowercase)
+
+
+@st.composite
+def _tagged_sentences(draw):
+    """Sentences of 1-14 tokens with 0-6 nouns, edges included."""
+    sents = []
+    for _ in range(draw(st.integers(1, 10))):
+        n = draw(st.integers(1, 14))
+        nouns = draw(st.sets(st.integers(0, n - 1), max_size=6))
+        words = draw(st.lists(st.sampled_from(
+            ["a", "A", "b", "B", "cat", "Cat", "dog", "x", "İ", "é"]),
+            min_size=n, max_size=n))
+        tags = [draw(st.sampled_from(sorted(cp.NOUN_TAGS))) if i in nouns
+                else draw(st.sampled_from(["DT", "VB", "NNX", "N"]))
+                for i in range(n)]
+        sents.append(cp.TaggedSentence(tuple(words), tuple(tags)))
+    return sents
+
+
+@settings(max_examples=200, deadline=None)
+@given(sents=_tagged_sentences(), cuts=st.lists(st.integers(0, 10),
+                                                max_size=2),
+       block=st.integers(1, 64), max_between=st.integers(1, 12),
+       m_out=st.integers(1, 6), max_words=st.integers(1, 12),
+       max_nouns=st.integers(1, 8), lowercase=st.booleans())
+def test_extraction_and_counting_match_per_sentence_references(
+        sents, cuts, block, max_between, m_out, max_words, max_nouns,
+        lowercase, tmp_path_factory):
+    root = tmp_path_factory.mktemp("arrays")
+    bounds = [0, *sorted(c % (len(sents) + 1) for c in cuts), len(sents)]
+    paths = []
+    for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        paths.append(root / f"part{n}.tag")
+        paths[-1].write_text("".join(
+            "".join(f"{w}\t{t}\n" for w, t in zip(s.words, s.tags)) + "\n"
+            for s in sents[lo:hi]), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "_TAGGED_BLOCK", block)
+        want = _counter_vocabulary(sents, max_words, max_nouns, lowercase)
+        want.save(root / "want.txt")
+        for source in (cp.parse_tagged_corpus(*paths), sents):
+            vocab = cp.build_vocabulary(source, max_words, max_nouns,
+                                        lowercase)
+            vocab.save(root / "vocab.txt")
+            assert ((root / "vocab.txt").read_bytes()
+                    == (root / "want.txt").read_bytes())
+
+        reference = [ctx for s in sents for ctx in _reference_extract(
+            s, vocab, m_out, max_between)]
+        contexts = (cp.extract_noun_pair_contexts(b, vocab, m_out, max_between)
+                    for b in cp.parse_tagged_corpus(*paths).blocks())
+        assert cp.write_contexts(contexts, m_out, root / "c.txt") == len(
+            reference)
+    assert (root / "c.txt").read_text() == _reference_context_text(
+        reference, m_out)
+    assert [ctx for s in sents for ctx in cp.extract_noun_pair_contexts(
+        s, vocab, m_out, max_between)] == reference
+    assert not (root / "c.txt.part").exists()
