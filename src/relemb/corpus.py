@@ -341,23 +341,24 @@ def _scan_tagged(data, final):
     # bytes i .. i + 7 as one little-endian uint64, for every i
     window = np.ndarray(len(a), "<u8", data + bytes(7), strides=(1,))
 
-    def chunk(lo, length):
-        """The first `length` bytes (at most 8) at each `lo`, as uint64."""
-        return (window[np.minimum(lo, len(a) - 1)]
-                & _MASKS[np.clip(length, 0, 8)])
-
-    # surfaces: a hash over the 8-byte chunks, checked chunk by chunk
+    # surfaces: a hash over each word's 8-byte chunks, then every chunk
+    # checked against the first token with the same hash
     length = word_hi - word_lo
+    n_chunks = (length + 7) >> 3
+    chunk_at = np.cumsum(n_chunks) - n_chunks     # each word's first chunk
+    row = np.repeat(np.arange(len(length)), n_chunks)
+    k = np.arange(len(row)) - chunk_at[row]       # its place in its word
+    part = (window[word_lo[row] + 8 * k]
+            & _MASKS[np.minimum(length[row] - 8 * k, 8)])
     key = length.astype(np.uint64)
-    chunks = [chunk(word_lo + j, length - j)
-              for j in range(0, int(length.max(initial=0)), 8)]
-    for part in chunks:
-        key = key * _HASH_BASE + part
-    _, ids = np.unique(key.view(np.int64), return_inverse=True)
-    first = np.full(ids.max(initial=-1) + 1, len(ids))
-    np.minimum.at(first, ids, np.arange(len(ids)))
+    if len(row):
+        powers = np.cumprod(np.full(int(n_chunks.max()), _HASH_BASE))
+        key += np.add.reduceat(part * powers[k], chunk_at)
+    _, first, ids = np.unique(key.view(np.int64), return_index=True,
+                              return_inverse=True)
     rep = first[ids]
-    if any((part != part[rep]).any() for part in [length, *chunks]):
+    if ((length != length[rep]).any()
+            or (part != part[chunk_at[rep[row]] + k]).any()):
         return None, 0, used
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -366,7 +367,7 @@ def _scan_tagged(data, final):
         word_lo[first[order]].tolist(), word_hi[first[order]].tolist())]
 
     tag_len = tag_hi - word_hi - 1
-    tag = chunk(word_hi + 1, np.minimum(tag_len, 4)) | (
+    tag = window[word_hi + 1] & _MASKS[np.minimum(tag_len, 4)] | (
         np.minimum(tag_len, 5).astype(np.uint64) << np.uint64(32))
     noun = np.isin(tag, _NOUN_TAG_KEYS)
     return TokenBlock(surfaces, rank[ids], noun, offsets), skipped, used
@@ -530,11 +531,15 @@ def build_vocabulary(sentences, max_words, max_nouns, lowercase=True):
     for block in token_blocks(sentences):
         keys = ([s.lower() for s in block.surfaces] if lowercase
                 else block.surfaces)
-        for counter, ids in ((word_counter, block.ids),
-                             (noun_counter, block.ids[block.noun])):
-            counts = np.bincount(ids, minlength=len(keys)).tolist()
-            for i in dict.fromkeys(ids.tolist()):    # first occurrences
-                counter[keys[i]] += counts[i]
+        # a block's surfaces are in first-occurrence order; its nouns' are
+        # the noun tokens' ids in first-occurrence order
+        counts = np.bincount(block.ids, minlength=len(keys)).tolist()
+        for key, n in zip(keys, counts):
+            word_counter[key] += n
+        nouns = block.ids[block.noun]
+        counts = np.bincount(nouns, minlength=len(keys)).tolist()
+        for i in dict.fromkeys(nouns.tolist()):
+            noun_counter[keys[i]] += counts[i]
     total_tokens = sum(word_counter.values())
     total_nouns = sum(noun_counter.values())
 
@@ -670,10 +675,10 @@ def extract_noun_pair_contexts(tokens, vocab, m_out, max_between=10):
 def write_contexts(contexts, m_out, path):
     """Extracted-context file: header ``relemb-contexts v1 m_out=<m>`` then
     one tab-separated line of id lists per context.  `contexts` is a
-    :class:`ContextArrays`, or an iterable of them or of
-    :class:`NounPairContext` objects.  The file is written beside `path`
-    and moved there once complete, so an error while `contexts` are read
-    leaves `path` as it was.  Returns the number of contexts written."""
+    :class:`ContextArrays` or an iterable of them.  The file is written
+    beside `path` and moved there once complete, so an error while
+    `contexts` are read leaves `path` as it was.  Returns the number of
+    contexts written."""
     if isinstance(contexts, ContextArrays):
         contexts = (contexts,)
     part = f"{os.fspath(path)}.part"
@@ -681,7 +686,7 @@ def write_contexts(contexts, m_out, path):
     try:
         with open(part, "w", encoding="utf-8") as fh:
             fh.write(f"relemb-contexts v1 m_out={m_out}\n")
-            for arrays in _context_blocks(contexts, m_out):
+            for arrays in contexts:
                 fh.write(_context_lines(arrays))
                 n += len(arrays)
         os.replace(part, path)
@@ -690,26 +695,6 @@ def write_contexts(contexts, m_out, path):
             os.remove(part)
         raise
     return n
-
-
-def _context_blocks(contexts, m_out, size=1024):
-    """`contexts`, :class:`ContextArrays` and :class:`NounPairContext`
-    objects, as :class:`ContextArrays`; runs of the latter are packed up to
-    `size` at a time."""
-    run = []
-    for item in contexts:
-        if isinstance(item, ContextArrays):
-            if run:
-                yield ContextArrays.pack(run, m_out)
-                run = []
-            yield item
-        else:
-            run.append(item)
-            if len(run) == size:
-                yield ContextArrays.pack(run, m_out)
-                run = []
-    if run:
-        yield ContextArrays.pack(run, m_out)
 
 
 def _context_lines(arrays):

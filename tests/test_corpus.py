@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -510,7 +511,8 @@ _CONTEXTS = st.integers(1, 4).flatmap(lambda m_out: st.tuples(
 def test_context_file_round_trip(data, tmp_path_factory):
     m_out, contexts = data
     path = tmp_path_factory.mktemp("ctx") / "ctx.txt"
-    assert cp.write_contexts(contexts, m_out, path) == len(contexts)
+    assert cp.write_contexts(cp.ContextArrays.pack(contexts, m_out), m_out,
+                             path) == len(contexts)
     reader = cp.ContextFile(path)
     assert list(reader) == contexts
     arrays = reader.arrays
@@ -719,7 +721,7 @@ def test_unsettled_block_goes_through_per_line_loop(tmp_path, line):
 
 def test_surfaces_with_one_hash_go_through_per_line_loop(tmp_path,
                                                          monkeypatch):
-    # with base 0 a surface's hash is its last 8-byte chunk
+    # with base 0 a surface's hash is its length
     monkeypatch.setattr(cp, "_HASH_BASE", np.uint64(0))
     path = tmp_path / "c.tag"
     path.write_text("abcdefghij\tNN\nzzzzzzzzij\tNN\nabcdefghij\tVB\n",
@@ -729,6 +731,31 @@ def test_surfaces_with_one_hash_go_through_per_line_loop(tmp_path,
     assert block.surfaces == ["abcdefghij", "zzzzzzzzij"]
     assert block.ids.tolist() == [0, 1, 0]
     assert block.noun.tolist() == [True, True, False]
+
+
+def test_long_words_read_in_bounded_memory(tmp_path):
+    """Words of many KiB among thousands of short tokens: the surfaces
+    equal the per-line loop's, and the scan's arrays grow with the bytes
+    of the words, not with their number times the longest word."""
+    long = "x" * (16 << 10)
+    lines = [f"w{i % 300}\t{'NN' if i % 3 else 'VB'}" for i in range(4000)]
+    lines[10:10] = [f"{long}\tNN", f"{long[:-1]}y\tNN", f"{long}\tVB",
+                    f"y{long}\tNNS", f"{long}é\tNN"]
+    for i in range(len(lines) - 7, 0, -7):
+        lines.insert(i, "")
+    path = tmp_path / "c.tag"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reader = cp.parse_tagged_corpus(path)
+    want = [(s.words, tuple(t in cp.NOUN_TAGS for t in s.tags))
+            for s in reader]
+    tracemalloc.start()
+    try:
+        blocks = list(reader.blocks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _block_sentences(blocks) == want
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("block", [16, 1 << 16])

@@ -462,7 +462,7 @@ class TestContextFileInput:
 
     def _file(self, tmp_path, contexts, lines=None):
         path = tmp_path / "ctx.txt"
-        cp.write_contexts(contexts, 2, path)
+        cp.write_contexts(cp.ContextArrays.pack(contexts, 2), 2, path)
         if lines:
             text = path.read_text().splitlines(True)
             for row, line in lines.items():
