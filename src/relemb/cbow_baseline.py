@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .corpus import UNK_WORD, ConfigError, token_blocks
+from .corpus import UNK_WORD, token_blocks
 from .embed_train import (EmbeddingParams, NoiseSampler, SubsamplingFilter,
                           TrainingLog, apply_row_grads, gather_table,
                           log_sigmoid, scatter_table, sigmoid, sum_rows)
@@ -27,7 +27,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "CbowModel",
-    "CbowConfig",
     "cbow_objective_and_grad",
     "train_cbow",
     "import_as_initialization",
@@ -45,27 +44,6 @@ class CbowModel:
     def check_finite(self):
         if not (np.isfinite(self.in_vecs).all() and np.isfinite(self.out_vecs).all()):
             raise FloatingPointError("non-finite CBOW parameters")
-
-
-@dataclass
-class CbowConfig:
-    dim: int = 100
-    window: int = 3
-    negatives: int = 25
-    alpha: float = 0.025
-    subsample: float = 1e-5
-    epochs: int = 1
-    seed: int = 1
-    report_every: int = 500_000
-
-    def validate(self):
-        if self.dim < 1 or self.window < 1 or self.negatives < 1:
-            raise ConfigError("dim, window, and negatives must be >= 1")
-        if not self.alpha > 0 or not self.subsample > 0:
-            raise ConfigError("alpha and subsample must be > 0")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        return self
 
 
 def cbow_objective_and_grad(window_ids, center, noise_ids, model):
@@ -147,7 +125,8 @@ def _train_numpy(model, ids, offsets, discard_probs, sampler, cfg, planned,
 def train_cbow(sentences, vocab, config):
     """Train a CbowModel over one read of a tagged corpus: a
     :class:`~relemb.corpus.TaggedCorpusReader` or an iterable of tagged
-    sentences.
+    sentences, with the settings of a
+    :class:`~relemb.embed_train.PretrainConfig`.
 
     Input vectors start Gaussian(0, 1/dim), output vectors at zero.
     Subsampling removes tokens from the sequence before windowing: each

@@ -58,30 +58,46 @@ def _list_of(item):
     return parse
 
 
+def _options(config, fields):
+    """Options for the settings of dataclass instance `config` named by
+    `fields` (config key -> field): each typed as, and defaulting to, the
+    field's value."""
+    options = {}
+    for key, name in fields.items():
+        default = getattr(config, name)
+        typ = _int_bool if isinstance(default, bool) else type(default)
+        options[key] = (typ, default)
+    return options
+
+
+def _config(cls, fields, cfg):
+    """The `cls` config of the resolved settings `cfg`, validated: each
+    field of `fields` (config key -> field) that `cfg` holds; the others
+    keep their defaults."""
+    return cls(**{name: cfg[key] for key, name in fields.items()
+                  if key in cfg}).validate()
+
+
+# Config keys of the settings of both embedding trainers (cbow has no
+# report_every), and of the classifier's.
+_PRETRAIN_FIELDS = {"d": "dim", "c": "window", "k": "negatives",
+                    "alpha": "alpha", "t": "subsample", "epochs": "epochs",
+                    "seed": "seed", "report_every": "report_every"}
+_SUPERVISED_FIELDS = {key: key for key in (
+    "eta", "l2", "epochs", "dropout", "fine_tune", "seed")}
+
 # Every setting of every subcommand: config key -> (type, default).  Each
 # key is also the flag ``--key``, with ``_`` written as ``-``.  A flag
 # overrides the config file, which overrides the default; flag and file
-# values go through the same type.
-_EMBED_OPTIONS = {
-    "d": (int, 100),
-    "c": (int, 3),
-    "k": (int, 25),
-    "alpha": (float, 0.025),
-    "t": (float, 1e-5),
-    "epochs": (int, 1),
-    "seed": (int, 1),
-}
+# values go through the same type.  Defaults a config class declares are
+# read from it.
+_PRETRAIN_OPTIONS = _options(et.PretrainConfig(), _PRETRAIN_FIELDS)
 _TRAIN_OPTIONS = {
-    "eta": (float, 0.1),
-    "l2": (float, 1e-4),
-    "epochs": (int, 20),
-    "dropout": (_int_bool, True),
-    "fine_tune": (_int_bool, True),
+    **_options(cl.SupervisedConfig(), _SUPERVISED_FIELDS),
     "m_out": (int, 5),
-    "seed": (int, 1),
-    "features": (str, "nouns,between,outside"),
-    "d": (int, 100),
-    "c": (int, 3),
+    "features": (str, FeatureOptions().flags()),
+    "d": _PRETRAIN_OPTIONS["d"],
+    "c": _PRETRAIN_OPTIONS["c"],
 }
 # cv searches the grid of these train settings, each given as a list.
 _GRID = ("eta", "l2", "epochs", "m_out", "dropout")
@@ -93,8 +109,9 @@ OPTIONS = {
         "lowercase": (_int_bool, True),
     },
     "extract": {"m_out": (int, 5), "max_between": (int, 10)},
-    "pretrain": {**_EMBED_OPTIONS, "report_every": (int, 100_000)},
-    "cbow": _EMBED_OPTIONS,
+    "pretrain": _PRETRAIN_OPTIONS,
+    "cbow": {key: option for key, option in _PRETRAIN_OPTIONS.items()
+             if key != "report_every"},
     "train": _TRAIN_OPTIONS,
     "cv": {**_TRAIN_OPTIONS, "folds": (int, 10),
            **{key: (_list_of(_TRAIN_OPTIONS[key][0]), [_TRAIN_OPTIONS[key][1]])
@@ -202,13 +219,9 @@ def cmd_pretrain(args):
     cfg = _resolve(args)
     _require_files(args.contexts, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
-    contexts = cp.ContextFile(args.contexts)
-    config = et.PretrainConfig(
-        dim=cfg["d"], window=cfg["c"], negatives=cfg["k"],
-        alpha=cfg["alpha"], m_out=contexts.m_out, subsample=cfg["t"],
-        epochs=cfg["epochs"], seed=cfg["seed"],
-        report_every=cfg["report_every"]).validate()
-    params, log = et.train_embeddings(contexts, vocab, config)
+    config = _config(et.PretrainConfig, _PRETRAIN_FIELDS, cfg)
+    params, log = et.train_embeddings(cp.ContextFile(args.contexts), vocab,
+                                      config)
     et.save_model(params, args.out)
     print(f"targets seen: {log.targets_seen}")
     print(f"updates: {log.steps_taken}")
@@ -222,10 +235,7 @@ def cmd_cbow(args):
     _require_files(*args.corpus, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
     corpus = cp.parse_tagged_corpus(*args.corpus)
-    config = cb.CbowConfig(
-        dim=cfg["d"], window=cfg["c"], negatives=cfg["k"],
-        alpha=cfg["alpha"], subsample=cfg["t"], epochs=cfg["epochs"],
-        seed=cfg["seed"]).validate()
+    config = _config(et.PretrainConfig, _PRETRAIN_FIELDS, cfg)
     model, log = cb.train_cbow(corpus, vocab, config)
     params = cb.import_as_initialization(model, vocab)
     et.save_model(params, args.out)
@@ -275,10 +285,7 @@ def _feature_options(features, m_out):
 def cmd_train(args):
     cfg = _resolve(args)
     opts = _feature_options(cfg["features"], cfg["m_out"])
-    config = cl.SupervisedConfig(
-        eta=cfg["eta"], l2=cfg["l2"], epochs=cfg["epochs"],
-        dropout=cfg["dropout"], fine_tune=cfg["fine_tune"],
-        seed=cfg["seed"]).validate()
+    config = _config(cl.SupervisedConfig, _SUPERVISED_FIELDS, cfg)
     _require_files(args.train, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
     instances = cp.parse_semeval(args.train, vocab, PARSE_M_OUT)
@@ -296,14 +303,14 @@ def cmd_train(args):
 def cmd_cv(args):
     cfg = _resolve(args)
     settings = []
-    for eta, l2, epochs, m_out, dropout in itertools.product(
-            *(cfg[key] for key in _GRID)):
-        name = f"eta={eta} l2={l2} epochs={epochs} m_out={m_out} dropout={int(dropout)}"
-        config = cl.SupervisedConfig(eta=eta, l2=l2, epochs=epochs,
-                                     dropout=dropout,
-                                     fine_tune=cfg["fine_tune"],
-                                     seed=cfg["seed"]).validate()
-        settings.append((name, config, _feature_options(cfg["features"], m_out)))
+    for values in itertools.product(*(cfg[key] for key in _GRID)):
+        point = {**cfg, **dict(zip(_GRID, values))}
+        name = (f"eta={point['eta']} l2={point['l2']} "
+                f"epochs={point['epochs']} m_out={point['m_out']} "
+                f"dropout={int(point['dropout'])}")
+        config = _config(cl.SupervisedConfig, _SUPERVISED_FIELDS, point)
+        settings.append((name, config,
+                         _feature_options(cfg["features"], point["m_out"])))
     _require_files(args.train, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
     instances = cp.parse_semeval(args.train, vocab, PARSE_M_OUT)

@@ -223,13 +223,13 @@ class TokenBlock:
         return np.array(vocab.word_ids(self.surfaces), np.int64)[self.ids]
 
 
-def _sentence_blocks(sentences, size=1 << 14):
-    """:class:`TokenBlock` objects of about `size` tokens of `sentences`."""
+def _sentence_blocks(sentences):
+    """:class:`TokenBlock` objects of about 16k tokens of `sentences`."""
     batch, n = [], 0
     for sent in sentences:
         batch.append(sent)
         n += len(sent)
-        if n >= size:
+        if n >= 1 << 14:
             yield TokenBlock.of_sentences(batch)
             batch, n = [], 0
     if batch:
@@ -628,17 +628,15 @@ def check_extract_settings(m_out, max_between):
 
 
 def extract_noun_pair_contexts(tokens, vocab, m_out, max_between=10):
-    """Every ordered noun pair of each sentence of `tokens` (a
-    :class:`TokenBlock` or one :class:`TaggedSentence`) with 1..`max_between`
-    intervening tokens, as the :class:`ContextArrays` of pretraining
-    contexts: sentence by sentence, by first noun, then by second noun.
+    """Every ordered noun pair of each sentence of :class:`TokenBlock`
+    `tokens` with 1..`max_between` intervening tokens, as the
+    :class:`ContextArrays` of pretraining contexts: sentence by sentence,
+    by first noun, then by second noun.
 
     Pairs with zero words between them carry no prediction target and are
     omitted, as are pairs further apart than `max_between`.
     """
     check_extract_settings(m_out, max_between)
-    if isinstance(tokens, TaggedSentence):
-        tokens = TokenBlock.of_sentences([tokens])
     pos = np.flatnonzero(tokens.noun)
     sentence = np.searchsorted(tokens.offsets, pos, side="right") - 1
     # pairs (a, a + k) of nouns k apart in noun order; such a pair spans at
@@ -888,11 +886,12 @@ _BYTE_CLASS[ord("\t")] = _TAB
 _BYTE_CLASS[ord("\n")] = _NEWLINE
 
 
-def _line_blocks(fh, size=1 << 18):
+def _line_blocks(fh):
     """The rest of text file `fh` as UTF-8 bytes, in blocks of whole
-    lines, each ending in a newline; the last block may be empty."""
+    lines (about 256k characters each), each ending in a newline; the last
+    block may be empty."""
     tail = ""
-    while text := fh.read(size):
+    while text := fh.read(1 << 18):
         cut = text.rfind("\n") + 1
         if cut:
             yield (tail + text[:cut]).encode()

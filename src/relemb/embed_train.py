@@ -45,7 +45,6 @@ __all__ = [
     "pair_discard",
     "pretrain_table",
     "build_feature_vector",
-    "target_probability",
     "pretrain_objective_and_grad",
     "sum_rows",
     "gather_table",
@@ -110,17 +109,15 @@ class EmbeddingParams:
                 raise FloatingPointError(f"non-finite entries in {name}")
 
 
-def initial_params(n_nouns, n_words, dim, window, rng, pred_dim=None):
+def initial_params(n_nouns, n_words, dim, window, rng):
     """Gaussian(0, 1/dim) noun/word embeddings, zero prediction weights."""
     if dim < 1 or window < 1:
         raise ConfigError("dim and window must be >= 1")
     std = 1.0 / math.sqrt(dim)
-    if pred_dim is None:
-        pred_dim = 2 * dim * (2 + window)
     return EmbeddingParams(
         noun_vecs=rng.normal(0.0, std, size=(n_nouns, dim)),
         word_vecs=rng.normal(0.0, std, size=(n_words, dim)),
-        pred_vecs=np.zeros((n_words, pred_dim)),
+        pred_vecs=np.zeros((n_words, 2 * dim * (2 + window))),
         pred_bias=np.zeros(n_words),
         dim=dim,
         window=window,
@@ -129,17 +126,19 @@ def initial_params(n_nouns, n_words, dim, window, rng, pred_dim=None):
 
 @dataclass
 class PretrainConfig:
-    """Hyperparameters for embedding pretraining.
+    """Hyperparameters of both embedding trainers: noun-pair pretraining
+    (:func:`train_embeddings`) and the CBOW baseline
+    (:func:`relemb.cbow_baseline.train_cbow`).  A progress record is
+    logged every `report_every` targets (tokens, for CBOW).
 
     Defaults follow the best grid setting (window 3, dim 100, 25 negatives,
-    initial rate 0.025, outside width 5, subsample threshold 1e-5).
+    initial rate 0.025, subsample threshold 1e-5).
     """
 
     dim: int = 100
     window: int = 3
     negatives: int = 25
     alpha: float = 0.025
-    m_out: int = 5
     subsample: float = 1e-5
     epochs: int = 1
     seed: int = 1
@@ -158,8 +157,6 @@ class PretrainConfig:
             raise ConfigError("subsample threshold must be > 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.m_out < 1:
-            raise ConfigError("m_out must be >= 1")
         if self.report_every < 1:
             raise ConfigError("report_every must be >= 1")
         return self
@@ -178,7 +175,6 @@ class SubsamplingFilter:
         total = counts.sum()
         if total <= 0:
             raise ValueError("inventory has no occurrence counts")
-        self.t = t
         probs = np.zeros_like(counts)
         nz = counts > 0
         probs[nz] = 1.0 - np.sqrt(t * total / counts[nz])
@@ -329,11 +325,6 @@ def log_sigmoid(x):
     return -np.logaddexp(0.0, -x)
 
 
-def target_probability(f, wid, params):
-    """sigma(pred_vecs[wid] . f + pred_bias[wid])."""
-    return float(sigmoid(params.pred_vecs[wid] @ f + params.pred_bias[wid]))
-
-
 def pretrain_objective_and_grad(ctx, i, params, noise_ids, slots=None):
     """Objective term and gradients for one (context, target) sample.
 
@@ -410,7 +401,7 @@ def _context_fault(ctx, vocab, m_out):
     :func:`_checked_arrays` or :func:`_context_arrays`."""
     if not ctx.w_in:
         return "no words between the pair"
-    if len(ctx.w_bef) != m_out or len(ctx.w_aft) != m_out:
+    if not m_out or len(ctx.w_bef) != m_out or len(ctx.w_aft) != m_out:
         return (f"outside windows of {len(ctx.w_bef)} and {len(ctx.w_aft)} "
                 f"ids, m_out is {m_out}")
     for ids, bound, what in (
@@ -421,31 +412,36 @@ def _context_fault(ctx, vocab, m_out):
             return f"{what} id {bad[0]} outside [0, {bound})"
 
 
-def _context_arrays(contexts, vocab, m_out):
+def _context_arrays(contexts, vocab):
     """`contexts` as :class:`ContextArrays`: a :class:`ContextFile`'s
     arrays, or a sequence of contexts packed up to the first with no words
-    between the pair or outside windows not `m_out` wide, which becomes the
+    between the pair or an outside window of another width than the first
+    context's left one (which must not be empty); that context becomes the
     arrays' fault."""
     if isinstance(contexts, ContextFile):
         return contexts.arrays
     rows = []
+    m_out = None
     for ctx in contexts:
-        if not ctx.w_in or len(ctx.w_bef) != m_out or len(ctx.w_aft) != m_out:
+        if m_out is None:
+            m_out = len(ctx.w_bef)
+        if (not ctx.w_in or not m_out or len(ctx.w_bef) != m_out
+                or len(ctx.w_aft) != m_out):
             arrays = ContextArrays.pack(rows, m_out)
             arrays.fault = arrays.error(len(rows),
                                         _context_fault(ctx, vocab, m_out))
             return arrays
         rows.append(ctx)
-    return ContextArrays.pack(rows, m_out)
+    # an empty sequence has no width; any will do
+    return ContextArrays.pack(rows, m_out or 1)
 
 
-def _checked_arrays(contexts, vocab, m_out):
+def _checked_arrays(contexts, vocab):
     """`contexts` read once into :func:`_context_arrays` and checked first,
-    in order: outside windows `m_out` wide and every id in the
-    vocabulary's range, then the fault the arrays end on.  A fault in a
-    :class:`ContextFile` raises :class:`ArtifactError` naming
-    ``path:line``."""
-    arrays = _context_arrays(contexts, vocab, m_out)
+    in order: every id in the vocabulary's range, then the fault the
+    arrays end on.  A fault in a :class:`ContextFile` raises
+    :class:`ArtifactError` naming ``path:line``."""
+    arrays = _context_arrays(contexts, vocab)
     n_nouns, n_words = vocab.n_nouns, vocab.n_words
 
     def out_of_range(ids, bound):
@@ -453,13 +449,13 @@ def _checked_arrays(contexts, vocab, m_out):
 
     bad = (out_of_range(arrays.n1, n_nouns) | out_of_range(arrays.n2, n_nouns)
            | out_of_range(arrays.w_bef, n_words).any(axis=1)
-           | out_of_range(arrays.w_aft, n_words).any(axis=1)
-           | (arrays.m_out != m_out))
+           | out_of_range(arrays.w_aft, n_words).any(axis=1))
     words = np.flatnonzero(out_of_range(arrays.w_in, n_words))
     bad[np.searchsorted(arrays.offsets, words, side="right") - 1] = True
     if bad.any():
         r = int(bad.argmax())
-        raise arrays.error(r, _context_fault(arrays.context(r), vocab, m_out))
+        raise arrays.error(r, _context_fault(arrays.context(r), vocab,
+                                             arrays.m_out))
     if arrays.fault is not None:
         raise arrays.fault
     return arrays
@@ -570,13 +566,14 @@ def _compiled_epoch(kernel, arrays, params, draws, done, log):
 
 
 def train_embeddings(contexts, vocab, config):
-    """Train embedding parameters over a re-iterable stream of contexts,
-    whose outside windows are all ``config.m_out`` wide.
+    """Train embedding parameters over a :class:`~relemb.corpus.ContextFile`
+    or a sequence of contexts.  The outside windows are as wide as the
+    file's header says, or as the first context's.
 
     Returns ``(params, log)``.  The run is deterministic for a fixed seed.
     """
     cfg = config.validate()
-    arrays = _checked_arrays(contexts, vocab, cfg.m_out)
+    arrays = _checked_arrays(contexts, vocab)
     total_targets = int(arrays.offsets[-1])
     if total_targets == 0:
         raise ValueError("context stream is empty")

@@ -59,13 +59,19 @@ class TestTrainCbow:
     def test_empty_stream_rejected(self):
         vocab = make_vocab({"a": 1}, {"a": 1})
         with pytest.raises(ValueError):
-            cb.train_cbow([], vocab, cb.CbowConfig(dim=2))
+            cb.train_cbow([], vocab, et.PretrainConfig(dim=2))
+
+    def test_report_every_zero_rejected(self):
+        text, _ = make_collocation_corpus(n_groups=3, repeats=5)
+        sents, vocab = _vocab_from(text)
+        with pytest.raises(cp.ConfigError, match="report_every"):
+            cb.train_cbow(sents, vocab, et.PretrainConfig(report_every=0))
 
     def test_seeded_bit_reproducibility(self):
         text, _ = make_collocation_corpus(n_groups=3, repeats=40)
         sents, vocab = _vocab_from(text)
-        cfg = cb.CbowConfig(dim=6, window=2, negatives=4, alpha=0.05,
-                            subsample=1.0, epochs=2, seed=13)
+        cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
+                                subsample=1.0, epochs=2, seed=13)
         m1, _ = cb.train_cbow(sents, vocab, cfg)
         m2, _ = cb.train_cbow(sents, vocab, cfg)
         assert m1.in_vecs.tobytes() == m2.in_vecs.tobytes()
@@ -74,8 +80,8 @@ class TestTrainCbow:
     def test_collocates_become_nearest_neighbors(self):
         text, pairs = make_collocation_corpus(n_groups=6, repeats=400, seed=5)
         sents, vocab = _vocab_from(text)
-        cfg = cb.CbowConfig(dim=12, window=2, negatives=5, alpha=0.1,
-                            subsample=1.0, epochs=4, seed=2)
+        cfg = et.PretrainConfig(dim=12, window=2, negatives=5, alpha=0.1,
+                                subsample=1.0, epochs=4, seed=2)
         model, log = cb.train_cbow(sents, vocab, cfg)
         assert log.steps_taken > 0
 
@@ -94,8 +100,9 @@ class TestTrainCbow:
     def test_objective_improves(self):
         text, _ = make_collocation_corpus(n_groups=4, repeats=200, seed=8)
         sents, vocab = _vocab_from(text)
-        cfg = cb.CbowConfig(dim=8, window=2, negatives=5, alpha=0.08,
-                            subsample=1.0, epochs=3, seed=1, report_every=800)
+        cfg = et.PretrainConfig(dim=8, window=2, negatives=5, alpha=0.08,
+                                subsample=1.0, epochs=3, seed=1,
+                                report_every=800)
         _, log = cb.train_cbow(sents, vocab, cfg)
         means = [m for _, m in log.windows]
         assert means[-1] > means[0]
@@ -152,8 +159,8 @@ def _one_read_and_per_token():
     data = make_synthetic_data(n_pretrain=300, n_train_per_class=1,
                                n_test_per_class=1, seed=4)
     sents, vocab = _vocab_from(data.tagged_text)
-    cfg = cb.CbowConfig(dim=6, window=2, negatives=4, alpha=0.05,
-                        subsample=2e-3, epochs=2, seed=9, report_every=700)
+    cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
+                            subsample=2e-3, epochs=2, seed=9, report_every=700)
     model, log = cb.train_cbow(cp.parse_tagged_corpus(
         io.StringIO(data.tagged_text)), vocab, cfg)
     want_model, want_log = _per_token_cbow(sents, vocab, cfg)
@@ -191,8 +198,8 @@ class TestImportAsInitialization:
     def _trained_pair(self):
         text, _ = make_collocation_corpus(n_groups=3, repeats=30)
         sents, vocab = _vocab_from(text)
-        cfg = cb.CbowConfig(dim=4, window=3, negatives=3, alpha=0.05,
-                            subsample=1.0, epochs=1, seed=6)
+        cfg = et.PretrainConfig(dim=4, window=3, negatives=3, alpha=0.05,
+                                subsample=1.0, epochs=1, seed=6)
         model, _ = cb.train_cbow(sents, vocab, cfg)
         return model, vocab
 

@@ -527,6 +527,39 @@ def test_cli_surface_is_pinned():
     assert actual == expected
 
 
+# The default of every setting of every subcommand.
+DEFAULTS = {
+    "build-vocab": {"max_words": 300_000, "max_nouns": 300_000,
+                    "lowercase": True},
+    "extract": {"m_out": 5, "max_between": 10},
+    "pretrain": {"d": 100, "c": 3, "k": 25, "alpha": 0.025, "t": 1e-5,
+                 "epochs": 1, "seed": 1, "report_every": 100_000},
+    "cbow": {"d": 100, "c": 3, "k": 25, "alpha": 0.025, "t": 1e-5,
+             "epochs": 1, "seed": 1},
+    "train": {"eta": 0.1, "l2": 1e-4, "epochs": 20, "dropout": True,
+              "fine_tune": True, "m_out": 5, "seed": 1,
+              "features": "nouns,between,outside", "d": 100, "c": 3},
+    "cv": {"eta": [0.1], "l2": [1e-4], "epochs": [20], "dropout": [True],
+           "fine_tune": True, "m_out": [5], "seed": 1,
+           "features": "nouns,between,outside", "d": 100, "c": 3,
+           "folds": 10},
+    "eval": {"bootstrap": 0, "level": 0.95, "seed": 1},
+    "wordsim": {"matrix": "noun"},
+    "ngrams": {"n": [1, 3], "top": 5},
+}
+
+
+def test_cli_defaults_are_pinned():
+    """Defaults read from the config classes stay those of the CLI; repr
+    tells ``True`` from ``1`` and ``1`` from ``1.0``."""
+    actual = {(command, key): repr(default)
+              for command, options in cli.OPTIONS.items()
+              for key, (_, default) in options.items()}
+    assert actual == {(command, key): repr(default)
+                      for command, defaults in DEFAULTS.items()
+                      for key, default in defaults.items()}
+
+
 # A value other than the default for every setting, valid for both the
 # scalar (train) and list (cv) forms of a key.
 SAMPLES = {

@@ -140,10 +140,11 @@ class TestVocabulary:
             cp.Vocabulary.load(path)
 
 
-def _tag_sentence(words, noun_positions):
+def _tagged_block(words, noun_positions):
+    """A block of one sentence, tagged NN at `noun_positions`."""
     tags = tuple("NN" if i in noun_positions else "DT"
                  for i in range(len(words)))
-    return cp.TaggedSentence(tuple(words), tags)
+    return cp.TokenBlock.of_sentences([cp.TaggedSentence(tuple(words), tags)])
 
 
 def _grid_vocab(n=40):
@@ -155,16 +156,16 @@ def _grid_vocab(n=40):
 class TestExtraction:
     def test_pair_beyond_max_between_omitted(self):
         words = [f"w{i}" for i in range(13)]
-        sent = _tag_sentence(words, {0, 12})   # 11 words between
+        sent = _tagged_block(words, {0, 12})   # 11 words between
         assert len(cp.extract_noun_pair_contexts(sent, _grid_vocab(), 3)) == 0
 
     def test_adjacent_pair_omitted(self):
-        sent = _tag_sentence(["w0", "w1"], {0, 1})
+        sent = _tagged_block(["w0", "w1"], {0, 1})
         assert len(cp.extract_noun_pair_contexts(sent, _grid_vocab(), 3)) == 0
 
     def test_three_nouns_three_ordered_pairs(self):
         words = [f"w{i}" for i in range(10)]
-        sent = _tag_sentence(words, {1, 4, 8})
+        sent = _tagged_block(words, {1, 4, 8})
         ctxs = cp.extract_noun_pair_contexts(sent, _grid_vocab(), 2)
         assert len(ctxs) == 3
         pairs = {(c.n1, c.n2) for c in ctxs}
@@ -178,7 +179,7 @@ class TestExtraction:
     def test_windows_and_between_content(self):
         vocab = _grid_vocab()
         words = [f"w{i}" for i in range(8)]
-        sent = _tag_sentence(words, {2, 5})
+        sent = _tagged_block(words, {2, 5})
         (ctx,) = cp.extract_noun_pair_contexts(sent, vocab, m_out=3)
         wid = lambda s: vocab.word_id(s)
         assert ctx.w_in == (wid("w3"), wid("w4"))
@@ -187,7 +188,7 @@ class TestExtraction:
         assert ctx.w_aft == (wid("w6"), wid("w7"), cp.NULL_WORD)
 
     def test_fewer_than_two_nouns(self):
-        sent = _tag_sentence(["w0", "w1", "w2"], {1})
+        sent = _tagged_block(["w0", "w1", "w2"], {1})
         assert len(cp.extract_noun_pair_contexts(sent, _grid_vocab(), 2)) == 0
 
     def test_pair_count_matches_brute_force(self):
@@ -196,7 +197,7 @@ class TestExtraction:
         for _ in range(200):
             n = int(rng.integers(2, 31))
             noun_pos = {int(i) for i in rng.choice(n, rng.integers(0, n), replace=False)}
-            sent = _tag_sentence([f"w{i % 40}" for i in range(n)], noun_pos)
+            sent = _tagged_block([f"w{i % 40}" for i in range(n)], noun_pos)
             got = cp.extract_noun_pair_contexts(sent, vocab, 2, max_between=10)
             expected = sum(
                 1
@@ -213,7 +214,7 @@ class TestExtraction:
             n = int(rng.integers(2, 25))
             noun_pos = {int(i) for i in rng.choice(n, rng.integers(2, n + 1) - 1,
                                                    replace=False)}
-            sent = _tag_sentence([f"w{i % 40}" for i in range(n)], noun_pos)
+            sent = _tagged_block([f"w{i % 40}" for i in range(n)], noun_pos)
             for ctx in cp.extract_noun_pair_contexts(sent, vocab, m_out=4):
                 assert 1 <= ctx.m_in <= 10
                 assert len(ctx.w_bef) == 4 and len(ctx.w_aft) == 4
@@ -315,7 +316,7 @@ class TestSemEvalParsing:
 class TestContextFile:
     def test_round_trip(self, tmp_path):
         vocab = _grid_vocab()
-        sent = _tag_sentence([f"w{i}" for i in range(9)], {1, 4, 7})
+        sent = _tagged_block([f"w{i}" for i in range(9)], {1, 4, 7})
         ctxs = cp.extract_noun_pair_contexts(sent, vocab, m_out=3)
         path = tmp_path / "ctx.txt"
         n = cp.write_contexts(ctxs, 3, path)
@@ -874,5 +875,6 @@ def test_extraction_and_counting_match_per_sentence_references(
     assert (root / "c.txt").read_text() == _reference_context_text(
         reference, m_out)
     assert [ctx for s in sents for ctx in cp.extract_noun_pair_contexts(
-        s, vocab, m_out, max_between)] == reference
+        cp.TokenBlock.of_sentences([s]), vocab, m_out, max_between)
+    ] == reference
     assert not (root / "c.txt.part").exists()

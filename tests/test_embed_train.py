@@ -1,5 +1,5 @@
 import dataclasses
-import io
+import functools
 import math
 import warnings
 
@@ -12,6 +12,12 @@ from relemb import embed_train as et
 from relemb import kernels
 from relemb.synthetic import make_single_pattern_corpus
 from conftest import make_vocab, rand_params, rand_ctx, check_row_grads
+
+
+def target_probability(f, wid, params):
+    """sigma(pred_vecs[wid] . f + pred_bias[wid]): the probability the
+    pretraining objective gives word `wid` for prediction input `f`."""
+    return float(et.sigmoid(params.pred_vecs[wid] @ f + params.pred_bias[wid]))
 
 
 def discard_prob(count, total, t):
@@ -202,14 +208,14 @@ class TestTargetProbability:
         ctx = rand_ctx(rng, m_in=2, m_out=2)
         f = et.build_feature_vector(ctx, 1, params)
         for w in range(params.n_words):
-            assert et.target_probability(f, w, params) == pytest.approx(0.5)
+            assert target_probability(f, w, params) == pytest.approx(0.5)
 
     def test_log_three_gives_three_quarters(self, rng):
         params = rand_params(rng, dim=2, window=1)
         params.pred_vecs[4] = 0.0
         params.pred_bias[4] = math.log(3)
         f = et.build_feature_vector(rand_ctx(rng, 2, 2), 1, params)
-        assert et.target_probability(f, 4, params) == pytest.approx(0.75)
+        assert target_probability(f, 4, params) == pytest.approx(0.75)
 
     def test_monotone_in_bias(self, rng):
         params = rand_params(rng, dim=2, window=1)
@@ -218,7 +224,7 @@ class TestTargetProbability:
         last = -1.0
         for b in (-2.0, 0.0, 1.0, 4.0):
             params.pred_bias[3] = b
-            p = et.target_probability(f, 3, params)
+            p = target_probability(f, 3, params)
             assert p > last
             last = p
 
@@ -230,9 +236,9 @@ class TestTargetProbability:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             params.pred_bias[2] = 1000.0
-            assert et.target_probability(f, 2, params) == 1.0
+            assert target_probability(f, 2, params) == 1.0
             params.pred_bias[2] = -1000.0
-            assert et.target_probability(f, 2, params) == 0.0
+            assert target_probability(f, 2, params) == 0.0
 
 
 class TestSigmoidForms:
@@ -299,11 +305,11 @@ class TestPretrainStep:
         ctx = rand_ctx(rng, m_in=3, m_out=2, n_nouns=4, n_words=10)
         sampler = et.NoiseSampler(np.arange(1, 11))
         target = ctx.w_in[1]
-        before = et.target_probability(
+        before = target_probability(
             et.build_feature_vector(ctx, 2, params), target, params)
         et.pretrain_step(ctx, 2, params, lr=0.1, k=3, sampler=sampler,
                          rng=np.random.default_rng(0))
-        after = et.target_probability(
+        after = target_probability(
             et.build_feature_vector(ctx, 2, params), target, params)
         assert after > before
 
@@ -341,13 +347,15 @@ class TestPretrainStep:
             assert getattr(params, name).tobytes() == expected.tobytes(), name
 
 
+@functools.cache
 def _pattern_setup():
-    corpus_text = make_single_pattern_corpus(n_sentences=2500, seed=3)
-    sents = list(cp.parse_tagged_corpus(io.StringIO(corpus_text)))
-    vocab = cp.build_vocabulary(sents, 100, 100)
-    contexts = []
-    for s in sents:
-        contexts.extend(cp.extract_noun_pair_contexts(s, vocab, m_out=2))
+    """The vocabulary and the contexts (m_out 2, a tuple, so that no test
+    changes them for the others) of one synthetic corpus, built once."""
+    corpus = cp.parse_tagged_corpus(
+        make_single_pattern_corpus(n_sentences=2500, seed=3).splitlines(True))
+    vocab = cp.build_vocabulary(corpus, 100, 100)
+    contexts = tuple(ctx for block in corpus.blocks()
+                     for ctx in cp.extract_noun_pair_contexts(block, vocab, 2))
     return vocab, contexts
 
 
@@ -368,7 +376,7 @@ class TestTrainEmbeddings:
     def test_single_thread_seeded_bit_reproducible(self):
         vocab, contexts = _pattern_setup()
         cfg = et.PretrainConfig(dim=8, window=2, negatives=5, alpha=0.05,
-                                m_out=2, subsample=1.0, epochs=1, seed=11,
+                                subsample=1.0, epochs=1, seed=11,
                                 report_every=2000)
         p1, _ = et.train_embeddings(contexts[:400], vocab, cfg)
         p2, _ = et.train_embeddings(contexts[:400], vocab, cfg)
@@ -381,7 +389,7 @@ class TestTrainEmbeddings:
         vocab, contexts = _pattern_setup()
         n_targets = sum(c.m_in for c in contexts)
         cfg = et.PretrainConfig(dim=16, window=2, negatives=5, alpha=0.08,
-                                m_out=2, subsample=1.0, epochs=3, seed=1,
+                                subsample=1.0, epochs=3, seed=1,
                                 report_every=max(200, (3 * n_targets) // 25))
         params, log = et.train_embeddings(contexts, vocab, cfg)
         params.check_finite()
@@ -403,8 +411,9 @@ class TestTrainEmbeddings:
             aft = tuple(int(x) for x in rng.integers(2, vocab.n_words, 2))
             ctx = cp.NounPairContext(n1, n2, (caused,), bef, aft)
             f = et.build_feature_vector(ctx, 1, params)
-            p_target = et.target_probability(f, caused, params)
-            if all(p_target > et.target_probability(f, w, params) for w in others):
+            p_target = target_probability(f, caused, params)
+            if all(p_target > target_probability(f, w, params)
+                   for w in others):
                 wins += 1
         assert wins >= 0.99 * trials
 
@@ -413,7 +422,7 @@ class TestTrainEmbeddings:
         # schedule still advances over all planned targets
         vocab, contexts = _pattern_setup()
         cfg = et.PretrainConfig(dim=4, window=1, negatives=2, alpha=0.05,
-                                m_out=2, subsample=1e-12, epochs=2, seed=1,
+                                subsample=1e-12, epochs=2, seed=1,
                                 report_every=10_000)
         params, log = et.train_embeddings(contexts[:200], vocab, cfg)
         assert log.targets_seen == 2 * sum(c.m_in for c in contexts[:200])
@@ -422,7 +431,7 @@ class TestTrainEmbeddings:
     def test_batch_cap_does_not_change_the_run(self, monkeypatch):
         vocab, contexts = _pattern_setup()
         cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
-                                m_out=2, subsample=1e-3, epochs=2, seed=3,
+                                subsample=1e-3, epochs=2, seed=3,
                                 report_every=500)
         p1, log1 = et.train_embeddings(contexts[:300], vocab, cfg)
         monkeypatch.setattr(et, "_BATCH_STEPS", 7)
@@ -436,29 +445,37 @@ class TestTrainEmbeddings:
                                            ("n2", 9999), ("n1", -1)])
     def test_out_of_range_id_rejected_before_training(self, where, bad):
         vocab, contexts = _pattern_setup()
-        contexts = contexts[:50]
+        contexts = list(contexts[:50])
         old = getattr(contexts[30], where)
         new = bad if where in ("n1", "n2") else old[:-1] + (bad,)
         contexts[30] = dataclasses.replace(contexts[30], **{where: new})
-        cfg = et.PretrainConfig(dim=4, window=1, negatives=2, m_out=2,
-                                subsample=1.0)
+        cfg = et.PretrainConfig(dim=4, window=1, negatives=2, subsample=1.0)
         with pytest.raises(ValueError, match=f"context 30: .* id {bad} "):
             et.train_embeddings(contexts, vocab, cfg)
 
-    def test_outside_width_must_equal_m_out(self):
+    def test_context_wider_than_the_first_rejected(self):
+        # the first context sets the outside width of a sequence, which
+        # may not be 0
         vocab, contexts = _pattern_setup()
-        cfg = et.PretrainConfig(dim=4, window=1, negatives=2, m_out=3,
-                                subsample=1.0)
-        with pytest.raises(ValueError, match="context 0: outside windows"):
-            et.train_embeddings(contexts[:5], vocab, cfg)
+        wide = dataclasses.replace(contexts[3], w_bef=contexts[3].w_bef + (0,),
+                                   w_aft=contexts[3].w_aft + (0,))
+        cfg = et.PretrainConfig(dim=4, window=1, negatives=2, subsample=1.0)
+        with pytest.raises(ValueError,
+                           match="context 3: outside windows of 3 and 3 ids, "
+                                 "m_out is 2"):
+            et.train_embeddings([*contexts[:3], wide, *contexts[4:9]], vocab,
+                                cfg)
+        empty = dataclasses.replace(contexts[0], w_bef=(), w_aft=())
+        with pytest.raises(ValueError,
+                           match="context 0: outside windows of 0 and 0 ids"):
+            et.train_embeddings([empty, *contexts[1:9]], vocab, cfg)
 
 
 class TestContextFileInput:
     """train_embeddings over a context file: one parse, the checks of a
     context list, faults named by ``path:line``."""
 
-    _CFG = et.PretrainConfig(dim=4, window=1, negatives=2, m_out=2,
-                             subsample=1.0)
+    _CFG = et.PretrainConfig(dim=4, window=1, negatives=2, subsample=1.0)
 
     def _file(self, tmp_path, contexts, lines=None):
         path = tmp_path / "ctx.txt"
@@ -478,7 +495,7 @@ class TestContextFileInput:
         monkeypatch.setattr(cp, "_parse_context_body",
                             lambda *a: calls.append(a) or parse(*a))
         cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
-                                m_out=2, subsample=1e-3, epochs=2, seed=3,
+                                subsample=1e-3, epochs=2, seed=3,
                                 report_every=500)
         p1, log1 = et.train_embeddings(cp.ContextFile(path), vocab, cfg)
         assert len(calls) == 1
@@ -502,7 +519,7 @@ class TestContextFileInput:
         bad = cp.NounPairContext(ids[0], ids[1], tuple(ids[2:-4]),
                                  tuple(ids[-4:-2]), tuple(ids[-2:]))
         path = self._file(tmp_path_factory.mktemp("ctx"),
-                          contexts[:row] + [bad] + contexts[row + 1:30])
+                          [*contexts[:row], bad, *contexts[row + 1:30]])
         with pytest.raises(cp.ArtifactError) as err:
             et.train_embeddings(cp.ContextFile(path), vocab, self._CFG)
         assert str(err.value) == (f"{path}:{row + 2}: {what} id "
@@ -521,15 +538,6 @@ class TestContextFileInput:
         with pytest.raises(cp.ArtifactError, match=f"{path}:{line + 2}: "):
             et.train_embeddings(cp.ContextFile(path), vocab, self._CFG)
 
-    def test_config_m_out_other_than_the_file_s(self, tmp_path):
-        vocab, contexts = _pattern_setup()
-        path = self._file(tmp_path, contexts[:10])
-        cfg = dataclasses.replace(self._CFG, m_out=3)
-        with pytest.raises(cp.ArtifactError,
-                           match=f"{path}:2: outside windows of 2 and 2 ids, "
-                                 f"m_out is 3"):
-            et.train_embeddings(cp.ContextFile(path), vocab, cfg)
-
 
 class TestTrainEmbeddingsNumpy(TestTrainEmbeddings):
     """Every TestTrainEmbeddings case on the numpy steps."""
@@ -544,7 +552,7 @@ def test_kernel_and_numpy_runs_agree(monkeypatch):
         pytest.skip("no C compiler found; training takes the numpy steps")
     vocab, contexts = _pattern_setup()
     cfg = et.PretrainConfig(dim=8, window=3, negatives=6, alpha=0.05,
-                            m_out=2, subsample=1e-3, epochs=1, seed=4,
+                            subsample=1e-3, epochs=1, seed=4,
                             report_every=300)
     p1, log1 = et.train_embeddings(contexts[:400], vocab, cfg)
     monkeypatch.setattr(kernels, "load", lambda: None)

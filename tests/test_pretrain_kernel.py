@@ -95,7 +95,7 @@ def test_kernel_matches_numpy_steps(kernel, monkeypatch, d, c, m_out):
                        {"x": 3, "y": 2})
     contexts = _random_contexts(rng, 400, m_out, vocab.n_nouns, vocab.n_words)
     cfg = et.PretrainConfig(dim=d, window=c, negatives=8, alpha=0.1,
-                            m_out=m_out, subsample=1.0, report_every=97)
+                            subsample=1.0, report_every=97)
     runs = _on_both_backends(monkeypatch, et.train_embeddings, contexts,
                              vocab, cfg)
     assert runs[0][0][1].steps_taken == sum(x.m_in for x in contexts)
@@ -139,7 +139,7 @@ def test_pretraining_walk_draws_as_numpy(kernel, monkeypatch, name):
     rng = np.random.default_rng(len(name))
     contexts = _random_contexts(rng, 300, 2, vocab.n_nouns, vocab.n_words,
                                 p_words)
-    cfg = et.PretrainConfig(dim=3, window=2, negatives=6, alpha=0.1, m_out=2,
+    cfg = et.PretrainConfig(dim=3, window=2, negatives=6, alpha=0.1,
                             subsample=t, epochs=2, seed=7,
                             report_every=report_every)
     # blocks of a few targets, so that report points also fall inside them
@@ -166,9 +166,9 @@ def test_cbow_walk_draws_as_numpy(kernel, monkeypatch, name):
                 np.arange(2, vocab.n_words), int(rng.integers(1, 9)),
                 p=None if p_words is None else p_words[2:]))
             for _ in range(200))]
-    cfg = cb.CbowConfig(dim=3, window=2, negatives=6, alpha=0.1,
-                        subsample=t, epochs=2, seed=7,
-                        report_every=report_every)
+    cfg = et.PretrainConfig(dim=3, window=2, negatives=6, alpha=0.1,
+                            subsample=t, epochs=2, seed=7,
+                            report_every=report_every)
     runs = _on_both_backends(monkeypatch, cb.train_cbow, sentences, vocab,
                              cfg)
     log = runs[0][0][1]
@@ -243,8 +243,7 @@ def test_no_compiler_means_numpy_steps(monkeypatch, caplog):
     monkeypatch.setattr(kernels, "load", kernels.load.__wrapped__)
     vocab = make_vocab({"a": 5, "b": 4, "c": 3}, {"x": 6})
     ctx = rand_ctx(np.random.default_rng(1), 3, 2, n_nouns=2, n_words=5)
-    cfg = et.PretrainConfig(dim=2, window=1, negatives=2, m_out=2,
-                            subsample=1.0)
+    cfg = et.PretrainConfig(dim=2, window=1, negatives=2, subsample=1.0)
     with caplog.at_level(logging.INFO, logger="relemb.embed_train"):
         _, log = et.train_embeddings([ctx], vocab, cfg)
     assert "numpy steps" in caplog.text
