@@ -42,7 +42,6 @@ from .classifier import (
     SoftmaxParams,
     SupervisedConfig,
     cross_validate,
-    predict,
     predict_many,
     train_classifier,
 )

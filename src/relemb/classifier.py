@@ -7,12 +7,18 @@ fine-tuning is enabled, gradients flow through the feature blocks back to
 the embedding rows; L2 is applied lazily, only to rows touched by the
 current instance.
 
-Every instance's feature table is built once, before the first epoch.  Each
-epoch draws its permutation and then all its dropout masks in Python, and
-takes its updates in one call to the compiled classifier epoch of
-:mod:`relemb.kernels` when a C compiler is found, and otherwise through the
-numpy steps (:func:`supervised_objective_and_grad` and
-:func:`adagrad_update`), which stay the reference.
+Every instance's feature table is built once, before the first epoch, by
+:func:`relemb.features.pack_tables`.  Each epoch draws its permutation in
+Python and takes its updates in one call to the compiled classifier epoch
+of :mod:`relemb.kernels`, which draws each update's dropout mask from the
+same generator, when a C compiler is found; otherwise it draws all its
+masks in Python and takes the numpy steps
+(:func:`supervised_objective_and_grad` and :func:`adagrad_update`), which
+stay the reference.  Both draw the same stream.
+
+Prediction scores every instance from projected rows: for each segment and
+slot of the packed tables, the distinct parameter rows it reads times
+that slot's columns of the weights, pooled per instance.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .corpus import ALL_LABELS, ArtifactError, ConfigError, label_index
+from .corpus import ALL_LABELS, ArtifactError, ConfigError, _spans, \
+    label_index
 from .embed_train import _check_ids, read_blob_file, write_blob_file
 from .features import FeatureOptions, assemble_features, feature_dim, \
-    feature_tables, scatter_feature_grad
+    pack_tables, scatter_feature_grad
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +48,6 @@ __all__ = [
     "adagrad_update",
     "supervised_objective_and_grad",
     "train_classifier",
-    "predict",
     "predict_many",
     "make_folds",
     "cross_validate",
@@ -191,34 +197,27 @@ class ClassifierLog:
 
 
 class _Tables:
-    """The feature tables of the training instances, built once and packed
-    for the compiled epoch.
+    """The feature tables of the training instances, packed once by
+    :func:`relemb.features.pack_tables` (``segments``, ``m``, ``starts``,
+    ``ids`` and ``table(i)``), with what the compiled epoch needs besides.
 
-    ``tables[i]`` is instance i's :func:`relemb.features.feature_table`.
-    Every table has the same ``segments`` ``(name, k)``; ``m[i]`` holds
-    instance i's pooled-row count per segment, and its entries are
-    ``starts[i]:starts[i + 1]`` of the flat ``ids``.  ``firsts[q]`` is
-    where in its own table the first entry of q's block and row lies, so
-    repeated rows are summed before their step, and ``slots[q]`` is the
-    row's accumulator row in the compact layout over ``touched``, the
-    sorted rows each block's entries read (empty unless `fine_tune`).
-    Every id is checked against its block here, before either backend
-    reads it.
+    ``firsts[q]`` is where in its own table the first entry of q's block
+    and row lies, so repeated rows are summed before their step, and
+    ``slots[q]`` is the row's accumulator row in the compact layout over
+    ``touched``, the sorted rows each block's entries read (empty unless
+    `fine_tune`).  Every id is checked against its block here, before
+    either backend reads it.
     """
 
     def __init__(self, instances, params, opts, fine_tune):
         self.labels = np.array([label_index(inst.label) for inst in instances],
                                np.int64)
-        self.tables = feature_tables([inst.context for inst in instances],
-                                     params, opts)
-        self.segments = [(name, k) for name, k, _ in self.tables[0][1]]
-        self.m = np.array([[m for _, _, m in segments]
-                           for _, segments in self.tables], np.int64)
-        lengths = [len(ids) for ids, _ in self.tables]
-        self.starts = np.zeros(len(lengths) + 1, np.int64)
-        np.cumsum(lengths, out=self.starts[1:])
-        self.ids = np.concatenate([ids for ids, _ in self.tables]
-                                  ).astype(np.int64)
+        packed = pack_tables([inst.context for inst in instances], params,
+                             opts)
+        self.segments, self.m, self.starts, self.ids = (
+            packed.segments, packed.m, packed.starts, packed.ids)
+        self.table = packed.table
+        lengths = np.diff(self.starts)
 
         names = sorted({name for name, _ in self.segments})
         blocks = np.array([names.index(name) for name, _ in self.segments])
@@ -231,9 +230,9 @@ class _Tables:
             ids = self.ids[block == b]
             _check_ids(ids, getattr(params, name).shape[0], name)
             if fine_tune:
-                self.touched[name] = np.unique(ids)
-                self.slots[block == b] = np.searchsorted(self.touched[name],
-                                                         ids)
+                # with an inverse, np.unique does not import numpy.ma
+                self.touched[name], self.slots[block == b] = np.unique(
+                    ids, return_inverse=True)
         owner = np.repeat(np.arange(len(lengths)), lengths)
         key = ((owner * len(names) + block) * (self.ids.max(initial=0) + 1)
                + self.ids)
@@ -272,15 +271,15 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
     n = len(instances)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        # one draw for the epoch: the stream of n apply_dropout calls
-        masks = rng.random((n, dim)) < 0.5 if cfg.dropout else None
         if compiled is None:
+            # one draw for the epoch: the stream of n apply_dropout calls
+            masks = rng.random((n, dim)) < 0.5 if cfg.dropout else None
             logliks = []
             for t, idx in enumerate(order.tolist()):
                 mask = None if masks is None else masks[t].astype(float)
                 _, loglik, (g_W, g_b), rows = supervised_objective_and_grad(
                     instances[idx], params, softmax, cfg.l2, mask, opts,
-                    cfg.fine_tune, tables.tables[idx])
+                    cfg.fine_tune, tables.table(idx))
                 logliks.append(loglik)
                 adagrad_update(softmax.weights, g_W, state.weights, cfg.eta)
                 adagrad_update(softmax.bias, g_b, state.bias, cfg.eta)
@@ -288,7 +287,7 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
                     state.step_rows(params, name, ids, grads, cfg.eta)
         else:
             logliks = compiled.classifier_epoch(
-                tables, order, masks, softmax, state, params, cfg,
+                tables, order, rng, softmax, state, params, cfg,
                 ADAGRAD_EPS).tolist()
         # sequential, as the per-update sum was (from Python 3.12 the
         # builtin sum() compensates)
@@ -304,31 +303,44 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
     return softmax, params, log
 
 
-def predict(ctx, softmax_params, embed_params, opts=FeatureOptions(),
-            table=None):
-    """Most probable label for a context (no dropout; ties break toward the
-    lowest class index).  `table` is the context's
-    :func:`relemb.features.feature_table`, for callers that already hold
-    it."""
-    e = assemble_features(ctx, embed_params, opts, table)
-    probs = softmax_forward(e, softmax_params.weights, softmax_params.bias)
-    return ALL_LABELS[int(np.argmax(probs))]
-
-
-# Contexts whose feature tables predict_many holds at once.
-_PREDICT_BLOCK = 256
+def _scores(contexts, softmax_params, embed_params, opts):
+    """The class scores ``W e + b`` of each of `contexts`, an (n, labels)
+    array built from projected rows: the bias plus, for each segment of
+    the packed tables, each instance's pooled (mean) projected rows, where
+    a slot's projected rows are the distinct parameter rows it reads times
+    its columns of the weights.  The cost grows with the tokens read, not
+    with the vocabulary."""
+    tables = pack_tables(contexts, embed_params, opts)
+    W = softmax_params.weights
+    n = len(tables.m)
+    # labels by instances, so that each label's sums run along a row
+    scores = np.repeat(softmax_params.bias[:, None], n, axis=1)
+    lo, col = tables.starts[:-1].copy(), 0
+    for s, (name, k) in enumerate(tables.segments):
+        block = getattr(embed_params, name)
+        width, m = block.shape[1], tables.m[:, s]
+        entries = tables.ids[_spans(lo, k * m)].reshape(-1, k)
+        pooled = np.zeros((len(W), len(entries)))
+        for j in range(k):
+            rows, inverse = np.unique(entries[:, j], return_inverse=True)
+            _check_ids(rows, len(block), name)
+            pooled += (W[:, col:col + width] @ block[rows].T)[:, inverse]
+            col += width
+        read = m > 0
+        if read.any():
+            first = np.cumsum(m) - m
+            scores[:, read] += (np.add.reduceat(pooled, first[read], axis=1)
+                                / m[read])
+        lo += k * m
+    return scores.T
 
 
 def predict_many(contexts, softmax_params, embed_params, opts=FeatureOptions()):
-    contexts = list(contexts)
+    """The most probable label of each of `contexts` (no dropout; ties
+    break toward the lowest class index)."""
     opts.validate()
-    labels = []
-    for lo in range(0, len(contexts), _PREDICT_BLOCK):
-        block = contexts[lo:lo + _PREDICT_BLOCK]
-        labels += [predict(ctx, softmax_params, embed_params, opts, table)
-                   for ctx, table in zip(block, feature_tables(
-                       block, embed_params, opts))]
-    return labels
+    scores = _scores(contexts, softmax_params, embed_params, opts)
+    return [ALL_LABELS[i] for i in scores.argmax(axis=1).tolist()]
 
 
 def make_folds(n, folds, seed):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import itertools
 import logging
 import os
@@ -58,16 +59,24 @@ def _list_of(item):
     return parse
 
 
+def _option(default):
+    """The option ``(type, default)`` of a setting, typed as its default."""
+    return (_int_bool if isinstance(default, bool) else type(default)), default
+
+
 def _options(config, fields):
     """Options for the settings of dataclass instance `config` named by
     `fields` (config key -> field): each typed as, and defaulting to, the
     field's value."""
-    options = {}
-    for key, name in fields.items():
-        default = getattr(config, name)
-        typ = _int_bool if isinstance(default, bool) else type(default)
-        options[key] = (typ, default)
-    return options
+    return {key: _option(getattr(config, name))
+            for key, name in fields.items()}
+
+
+def _keyword_options(fn, *names):
+    """Options for the keyword parameters `names` of library function
+    `fn`: each typed as, and defaulting to, the parameter's default."""
+    parameters = inspect.signature(fn).parameters
+    return {name: _option(parameters[name].default) for name in names}
 
 
 def _config(cls, fields, cfg):
@@ -89,8 +98,8 @@ _SUPERVISED_FIELDS = {key: key for key in (
 # Every setting of every subcommand: config key -> (type, default).  Each
 # key is also the flag ``--key``, with ``_`` written as ``-``.  A flag
 # overrides the config file, which overrides the default; flag and file
-# values go through the same type.  Defaults a config class declares are
-# read from it.
+# values go through the same type.  Defaults a config class or a library
+# function's keyword parameter declares are read from there.
 _PRETRAIN_OPTIONS = _options(et.PretrainConfig(), _PRETRAIN_FIELDS)
 _TRAIN_OPTIONS = {
     **_options(cl.SupervisedConfig(), _SUPERVISED_FIELDS),
@@ -106,17 +115,22 @@ OPTIONS = {
     "build-vocab": {
         "max_words": (int, 300_000),
         "max_nouns": (int, 300_000),
-        "lowercase": (_int_bool, True),
+        **_keyword_options(cp.build_vocabulary, "lowercase"),
     },
-    "extract": {"m_out": (int, 5), "max_between": (int, 10)},
+    # contexts are extracted as wide as the classifier trims them by default
+    "extract": {"m_out": _TRAIN_OPTIONS["m_out"],
+                **_keyword_options(cp.extract_noun_pair_contexts,
+                                   "max_between")},
     "pretrain": _PRETRAIN_OPTIONS,
     "cbow": {key: option for key, option in _PRETRAIN_OPTIONS.items()
              if key != "report_every"},
     "train": _TRAIN_OPTIONS,
-    "cv": {**_TRAIN_OPTIONS, "folds": (int, 10),
+    "cv": {**_TRAIN_OPTIONS,
+           **_keyword_options(cl.cross_validate, "folds", "seed"),
            **{key: (_list_of(_TRAIN_OPTIONS[key][0]), [_TRAIN_OPTIONS[key][1]])
               for key in _GRID}},
-    "eval": {"bootstrap": (int, 0), "level": (float, 0.95), "seed": (int, 1)},
+    "eval": {"bootstrap": (int, 0),
+             **_keyword_options(ev.bootstrap_ci, "level", "seed")},
     "wordsim": {"matrix": (_matrix, "noun")},
     "ngrams": {"n": (_list_of(int), [1, 3]), "top": (int, 5)},
 }

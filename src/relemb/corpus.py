@@ -5,12 +5,14 @@ blank line terminating each sentence.  Labeled relation data uses the
 SemEval-2010 Task 8 distribution format.
 
 A tagged corpus is read once, as :class:`TokenBlock` arrays: each path in
-bounded byte blocks whose lines are checked with numpy, and any block those
-checks do not settle, and every stream, through the reader's per-line loop,
-which stays the reference.  Counting (:func:`build_vocabulary`), pair
-extraction (:func:`extract_noun_pair_contexts`, into
-:class:`ContextArrays`), writing (:func:`write_contexts`) and the CBOW
-baseline's id arrays work on those arrays.
+bounded byte blocks, each read in one pass of the compiled scan of
+:mod:`relemb.kernels`; any block that scan does not settle, every block
+when no C compiler is found, and every stream go through the reader's
+per-line loop, which stays the reference.  Counting
+(:func:`build_vocabulary`), pair extraction
+(:func:`extract_noun_pair_contexts`, into :class:`ContextArrays`), writing
+(:func:`write_contexts`) and the CBOW baseline's id arrays work on those
+arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
+
+from . import kernels
 
 __all__ = [
     "NOUN_TAGS",
@@ -103,10 +107,14 @@ class TaggedCorpusReader:
     Iterating yields :class:`TaggedSentence` objects from the per-line loop,
     the reference for these rules.  :meth:`blocks` yields the same
     sentences as :class:`TokenBlock` arrays.  It reads each path in bounded
-    byte blocks and checks every line of a block at once with numpy
-    (:func:`_scan_tagged`).  A block those checks do not settle (a line of
-    multi-byte characters and whitespace only, or two surfaces whose hashes
-    agree) goes through the per-line loop, as do streams and line iterables.
+    byte blocks, each read in one pass of the compiled scan, which finds
+    the line ends, tabs and blank lines, maps each word to its surface id
+    through a hash table that compares the bytes exactly, and checks the
+    noun tags; Python decodes only each block's distinct surfaces.  A block
+    the scan does not settle (it has a line of multi-byte characters and
+    whitespace only) goes through the per-line loop, as does every block
+    when no C compiler is found (cut at the same blank lines), and every
+    stream and line iterable.
     """
 
     def __init__(self, *sources):
@@ -140,6 +148,7 @@ class TaggedCorpusReader:
                 yield from _sentence_blocks(self._sentences(source))
 
     def _path_blocks(self, path):
+        compiled = kernels.load()
         with open(path, "rb") as fh:
             data = b""
             while True:
@@ -149,15 +158,27 @@ class TaggedCorpusReader:
                 data += chunk
                 if not data:
                     return
-                block, skipped, used = _scan_tagged(data, final)
+                if compiled is None:
+                    scan, used = None, _blank_cut(data, final)
+                else:
+                    scan = compiled.scan_tagged(data, final)
+                    used = scan.used
                 if used:
-                    if block is None:    # the loop counts its own lines
-                        lines = io.TextIOWrapper(io.BytesIO(data[:used]),
-                                                 encoding="utf-8")
-                        block = TokenBlock.of_sentences(
-                            list(self._sentences(lines)))
+                    kept = data[:used]
+                    if scan is None or scan.unsettled is not None:
+                        # the per-line loop counts its own lines
+                        block = TokenBlock.of_sentences(list(self._sentences(
+                            io.TextIOWrapper(io.BytesIO(kept),
+                                             encoding="utf-8"))))
                     else:
-                        self.skipped_lines += skipped
+                        if scan.multi_byte is not None:
+                            kept[scan.multi_byte:].decode("utf-8")  # checks
+                        spans = scan.spans.tolist()
+                        block = TokenBlock(
+                            [kept[i:j].decode("utf-8")
+                             for i, j in zip(spans[::2], spans[1::2])],
+                            scan.ids, scan.noun, scan.offsets)
+                        self.skipped_lines += scan.skipped
                         self.sentences_read += len(block.offsets) - 1
                     if len(block.ids):
                         yield block
@@ -250,19 +271,22 @@ def token_blocks(sentences):
 _TAGGED_BLOCK = 1 << 16
 
 
-def _solid(a):
-    """Where bytes `a` are characters of their own that are not whitespace
-    in ``str.isspace`` terms: ASCII other than tab, newline, carriage
-    return, \\x0b, \\x0c, \\x1c .. \\x1f and space."""
-    return (a > 32) & (a < 128) | (a < 9) | (a > 13) & (a < 28)
+# A line of ASCII whitespace only, with its end: a blank line as the
+# compiled scan reads it.  The \n of a \r\n starts no line.
+_BLANK_LINE = re.compile(
+    rb"(?:\A|(?<=\n)|(?<=\r)(?!\n))[\t\x0b\x0c\x1c-\x1f ]*(?:\r\n|\r|\n)")
 
 
-# MASKS[k] keeps the first k bytes of a little-endian uint64.
-_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
-# Each noun tag's bytes, little-endian, with its length above them.
-_NOUN_TAG_KEYS = np.array([int.from_bytes(t.encode(), "little") | len(t) << 32
-                           for t in sorted(NOUN_TAGS)], np.uint64)
-_HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
+def _blank_cut(data, final):
+    """Where the compiled scan cuts tagged-corpus bytes `data`: after all of
+    them when `final`, else after their last blank line (0 when there is
+    none)."""
+    if final:
+        return len(data)
+    last = None
+    for last in _BLANK_LINE.finditer(data):
+        pass
+    return last.end() if last else 0
 
 
 def _spans(starts, lengths):
@@ -270,107 +294,6 @@ def _spans(starts, lengths):
     row, as one array."""
     first = np.cumsum(lengths) - lengths
     return np.repeat(starts - first, lengths) + np.arange(lengths.sum())
-
-
-def _scan_tagged(data, final):
-    """Read the lines of `data`, tagged-corpus bytes from a line start,
-    with every check run over all of them at once.  Returns ``(block,
-    skipped, used)``: the :class:`TokenBlock` of ``data[:used]``, the
-    number of skipped lines in it, and `used`.  Unless `final`, `used` ends
-    after the last line of ASCII whitespace only, or is 0 when there is
-    none, and the bytes after it are left for the next call.  `block` is
-    None when the per-line loop must read ``data[:used]``: a line there
-    holds multi-byte characters and no other character that is not
-    whitespace, or two surfaces share a hash."""
-    a = np.frombuffer(data, np.uint8)
-    # Only the bytes that are not solid are listed: line ends, tabs, other
-    # whitespace and the bytes of multi-byte characters.  A line's other
-    # bytes are solid, so positions in this list count them.
-    at = np.flatnonzero(~_solid(a))
-    byte = a[at]
-    lf, cr = byte == 10, byte == 13
-    crlf = np.append(cr[:-1] & lf[1:] & (at[1:] == at[:-1] + 1), False)
-    ends = np.flatnonzero(cr | lf & ~np.roll(crlf, 1))   # \r\n ends at \r
-    stops = at[ends]
-    nexts = stops + 1 + crlf[ends]        # the byte after each line end
-    after = ends + 1 + crlf[ends]         # and its place in the list
-    if final and (not len(ends) or nexts[-1] < len(a)):
-        ends, after = np.append(ends, len(at)), np.append(after, len(at))
-        stops, nexts = np.append(stops, len(a)), np.append(nexts, len(a))
-    starts = np.concatenate(([0], nexts[:-1]))
-    firsts = np.concatenate(([0], after[:-1]))
-
-    def before(mask):
-        """How many listed bytes `mask` marks before each list index."""
-        return np.concatenate(([0], np.cumsum(mask)))
-
-    n_solid = (stops - starts) - (ends - firsts)
-    multi = before(byte >= 0x80)
-    n_multi = multi[ends] - multi[firsts]
-    blank = (n_solid == 0) & (n_multi == 0)
-    n_lines = len(ends)
-    if not final:
-        n_lines = int(np.flatnonzero(blank)[-1]) + 1 if blank.any() else 0
-    used = int(nexts[n_lines - 1]) if n_lines else 0
-    if not used:
-        return None, 0, 0
-    if n_multi[:n_lines].any():
-        data[:used].decode("utf-8")          # raises on bytes not UTF-8
-        if ((n_solid[:n_lines] == 0) & (n_multi[:n_lines] > 0)).any():
-            return None, 0, used
-
-    # a token line holds one tab between two non-empty fields, one of them
-    # with a solid byte
-    is_tab = byte == 9
-    tabs = before(is_tab)
-    one = np.flatnonzero(tabs[ends[:n_lines]] - tabs[firsts[:n_lines]] == 1)
-    tab_at = np.flatnonzero(is_tab)[tabs[firsts[one]]]
-    lo, tab, hi = starts[one], at[tab_at], stops[one]
-    token = ((tab > lo) & (hi > tab + 1)
-             & ((tab - lo > tab_at - firsts[one])
-                | (hi - tab - 1 > ends[one] - tab_at - 1)))
-    lines = one[token]
-    skipped = int(np.count_nonzero(n_solid[:n_lines])) - len(lines)
-    word_lo, word_hi, tag_hi = lo[token], tab[token], hi[token]
-    sentence = np.cumsum(blank[:n_lines])[lines]
-    offsets = np.zeros(1, np.int64)
-    if len(lines):
-        breaks = np.flatnonzero(np.diff(sentence)) + 1
-        offsets = np.concatenate((offsets, breaks, [len(lines)]))
-
-    # bytes i .. i + 7 as one little-endian uint64, for every i
-    window = np.ndarray(len(a), "<u8", data + bytes(7), strides=(1,))
-
-    # surfaces: a hash over each word's 8-byte chunks, then every chunk
-    # checked against the first token with the same hash
-    length = word_hi - word_lo
-    n_chunks = (length + 7) >> 3
-    chunk_at = np.cumsum(n_chunks) - n_chunks     # each word's first chunk
-    row = np.repeat(np.arange(len(length)), n_chunks)
-    k = np.arange(len(row)) - chunk_at[row]       # its place in its word
-    part = (window[word_lo[row] + 8 * k]
-            & _MASKS[np.minimum(length[row] - 8 * k, 8)])
-    key = length.astype(np.uint64)
-    if len(row):
-        powers = np.cumprod(np.full(int(n_chunks.max()), _HASH_BASE))
-        key += np.add.reduceat(part * powers[k], chunk_at)
-    _, first, ids = np.unique(key.view(np.int64), return_index=True,
-                              return_inverse=True)
-    rep = first[ids]
-    if ((length != length[rep]).any()
-            or (part != part[chunk_at[rep[row]] + k]).any()):
-        return None, 0, used
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    surfaces = [data[i:j].decode("utf-8") for i, j in zip(
-        word_lo[first[order]].tolist(), word_hi[first[order]].tolist())]
-
-    tag_len = tag_hi - word_hi - 1
-    tag = window[word_hi + 1] & _MASKS[np.minimum(tag_len, 4)] | (
-        np.minimum(tag_len, 5).astype(np.uint64) << np.uint64(32))
-    noun = np.isin(tag, _NOUN_TAG_KEYS)
-    return TokenBlock(surfaces, rank[ids], noun, offsets), skipped, used
 
 
 @dataclass

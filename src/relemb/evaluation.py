@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +142,29 @@ def bootstrap_ci(gold, pred, iterations=1000, level=0.95, seed=1):
         confusion = np.bincount(codes, minlength=(hi - lo) * cells)
         scores[lo:hi] = _macro_from_confusion(
             confusion.reshape(hi - lo, _N_LABELS, _N_LABELS))[0]
-    lo, hi = np.percentile(scores, [50 * (1 - level), 50 * (1 + level)])
-    return float(lo), float(hi)
+    lo, hi = _percentiles(scores, [50 * (1 - level), 50 * (1 + level)])
+    return lo, hi
+
+
+def _percentiles(values, percents):
+    """``np.percentile(values, percents)`` of 1-D float `values` at its
+    default (linear) method, bit for bit, as floats: the sorted values at
+    index ``(n - 1) * p / 100``, interpolated as numpy does.  It sorts
+    instead of calling np.percentile, whose partition step imports
+    numpy.ma through np.unique."""
+    ordered = np.sort(values)
+    last = len(ordered) - 1
+    out = []
+    for p in percents:
+        index = last * (p / 100)
+        if index >= last:
+            out.append(float(ordered[-1]))
+            continue
+        lo = math.floor(index)
+        a, b, t = ordered[lo], ordered[lo + 1], index - lo
+        out.append(float(b - (b - a) * (1 - t) if t >= 0.5
+                         else a + (b - a) * t))
+    return out
 
 
 # --- word similarity ---------------------------------------------------------
@@ -281,12 +303,13 @@ ABLATION_SETTINGS = (
 )
 
 
-def run_ablations(instances, embed_params, config, folds=10, seed=1):
+def run_ablations(instances, embed_params, config, **split):
     """Cross-validate the five feature-block combinations on one shared fold
-    split; returns ``[(name, mean_f1, fold_scores), ...]``."""
+    split, made by :func:`relemb.classifier.cross_validate` from its
+    ``folds`` and ``seed`` in `split` (its defaults where absent); returns
+    ``[(name, mean_f1, fold_scores), ...]``."""
     settings = [(name, config, opts) for name, opts in ABLATION_SETTINGS]
-    return cross_validate(instances, embed_params, settings,
-                          folds=folds, seed=seed)
+    return cross_validate(instances, embed_params, settings, **split)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -11,6 +11,10 @@ the same table.  Three blocks are table segments, in fixed order:
   word itself, in the bag-of-words variant); an empty span gives zeros;
 - outside: the before and after windows, one ``word_vecs`` slot each,
   pooled over the window.
+
+:func:`feature_table` builds one context's table and is the reference;
+:func:`pack_tables` builds the tables of many contexts at once, packed into
+flat arrays, for the classifier's training epochs and its scoring.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ from itertools import chain
 import numpy as np
 
 from .corpus import NULL_WORD, UNK_NOUN, ConfigError, NounPairContext, \
-    neighbor_slot_rows
+    _spans, neighbor_slot_rows
 from .embed_train import gather_table, scatter_table
 
 __all__ = [
     "FeatureOptions",
     "feature_table",
-    "feature_tables",
+    "PackedTables",
+    "pack_tables",
     "ngram_embedding",
     "assemble_features",
     "feature_dim",
@@ -131,11 +136,11 @@ def _trim_outside(ctx, m_out):
     return ctx.w_bef[len(ctx.w_bef) - m_out:], ctx.w_aft[:m_out]
 
 
-def feature_table(ctx, params, opts=FeatureOptions(), slots=None):
+def feature_table(ctx, params, opts=FeatureOptions()):
     """Id table ``(ids, segments)`` of the enabled blocks of `ctx`, in fixed
     order (nouns, between, outside); see
-    :func:`relemb.embed_train.gather_table`.  `slots` holds the context's
-    neighbour slots when the caller has them (see :func:`feature_tables`)."""
+    :func:`relemb.embed_train.gather_table`.  This is the per-context
+    reference of :func:`pack_tables`."""
     ids = []
     segments = []
     if opts.include_nouns:
@@ -148,7 +153,7 @@ def feature_table(ctx, params, opts=FeatureOptions(), slots=None):
             segments += [("word_vecs", 1, ctx.m_in), ("pred_vecs", 1, ctx.m_in)]
         else:
             gram_ids, gram_segments = _ngram_table(
-                ctx, range(1, ctx.m_in + 1), params.window, slots=slots)
+                ctx, range(1, ctx.m_in + 1), params.window)
             ids += gram_ids
             segments += gram_segments
     if opts.include_outside:
@@ -158,16 +163,94 @@ def feature_table(ctx, params, opts=FeatureOptions(), slots=None):
     return np.array(ids, dtype=np.intp), segments
 
 
-def feature_tables(contexts, params, opts=FeatureOptions()):
-    """:func:`feature_table` of each of `contexts`, their neighbour slots
-    read with one :func:`~relemb.corpus.neighbor_slot_rows` call."""
+@dataclass
+class PackedTables:
+    """The :func:`feature_table` of each of n contexts, packed into flat
+    arrays.  Every table has the segments ``(name, k)``; ``m[i, s]`` is
+    context i's pooled-row count in segment s, and its entries are
+    ``ids[starts[i]:starts[i + 1]]``, segment after segment, each segment
+    its ``m`` rows of ``k`` slots."""
+
+    segments: list[tuple[str, int]]
+    m: np.ndarray
+    starts: np.ndarray
+    ids: np.ndarray
+
+    def table(self, i):
+        """Context i's :func:`feature_table`."""
+        return (self.ids[self.starts[i]:self.starts[i + 1]],
+                [(name, k, m) for (name, k), m in zip(self.segments,
+                                                      self.m[i].tolist())])
+
+
+def _ragged(contexts, name):
+    """Attribute `name` of every context, one flat int64 array, and each
+    context's count of ids."""
+    lengths = np.array([len(getattr(ctx, name)) for ctx in contexts],
+                       np.int64)
+    return np.fromiter(chain.from_iterable(getattr(ctx, name)
+                                           for ctx in contexts),
+                       np.int64, lengths.sum()), lengths
+
+
+def _segment_columns(contexts, params, opts):
+    """The segments of the tables of `contexts` in table order, each as
+    ``(name, k, m, ids)``: per-context pooled-row counts and the flat ids
+    of all contexts, context after context."""
+    n = len(contexts)
+    columns = []
+    if opts.include_nouns:
+        nouns = np.array([(ctx.n1, ctx.n2) for ctx in contexts], np.int64)
+        columns.append(("noun_vecs", 2, np.ones(n, np.int64), nouns.ravel()))
+    if opts.include_between:
+        w_in, m_in = _ragged(contexts, "w_in")
+        if opts.bow_between:
+            columns.append(("word_vecs", 1, m_in, w_in))
+        else:
+            c = params.window
+            offsets = np.concatenate(([0], np.cumsum(m_in)))
+            columns.append(("word_vecs", 2 * c, m_in,
+                            neighbor_slot_rows(w_in, offsets, c).ravel()))
+        columns.append(("pred_vecs", 1, m_in, w_in))
+    if opts.include_outside:
+        for name in ("w_bef", "w_aft"):
+            ids, lengths = _ragged(contexts, name)
+            if opts.m_out is not None:
+                short = np.flatnonzero(lengths < opts.m_out)
+                if len(short):
+                    raise ValueError(
+                        f"m_out override {opts.m_out} exceeds extracted "
+                        f"window {lengths[short[0]]}")
+                # the nearest tokens: w_bef is nearest-last, w_aft
+                # nearest-first
+                at = np.arange(len(ids)) - np.repeat(
+                    np.cumsum(lengths) - lengths, lengths)
+                keep = (at >= np.repeat(lengths - opts.m_out, lengths)
+                        if name == "w_bef" else at < opts.m_out)
+                ids, lengths = ids[keep], np.full(n, opts.m_out, np.int64)
+            columns.append(("word_vecs", 1, lengths, ids))
+    return columns
+
+
+def pack_tables(contexts, params, opts=FeatureOptions()):
+    """The :class:`PackedTables` of `contexts`, built with numpy over all
+    of them at once: table i equals ``feature_table(contexts[i], params,
+    opts)``."""
     contexts = list(contexts)
-    offsets = np.cumsum([0] + [ctx.m_in for ctx in contexts])
-    slots = neighbor_slot_rows(
-        np.fromiter(chain.from_iterable(ctx.w_in for ctx in contexts),
-                    np.int64, offsets[-1]), offsets, params.window)
-    return [feature_table(ctx, params, opts, slots[lo:hi])
-            for ctx, lo, hi in zip(contexts, offsets, offsets[1:])]
+    columns = _segment_columns(contexts, params, opts)
+    m = np.zeros((len(contexts), len(columns)), np.int64)
+    for s, (_, _, rows, _) in enumerate(columns):
+        m[:, s] = rows
+    sizes = m * [k for _, k, _, _ in columns]
+    starts = np.zeros(len(contexts) + 1, np.int64)
+    np.cumsum(sizes.sum(axis=1), out=starts[1:])
+    ids = np.empty(starts[-1], np.int64)
+    lo = starts[:-1].copy()
+    for (_, _, _, flat), size in zip(columns, sizes.T):
+        ids[_spans(lo, size)] = flat
+        lo += size
+    return PackedTables([(name, k) for name, k, _, _ in columns], m, starts,
+                        ids)
 
 
 def assemble_features(ctx, params, opts=FeatureOptions(), table=None):

@@ -1,15 +1,18 @@
-"""Compiled training loops: noun-pair pretraining and CBOW, each drawing
-and stepping in one C loop, and whole epochs of the softmax classifier.
+"""Compiled loops: noun-pair pretraining and CBOW, each drawing and
+stepping in one C loop, whole epochs of the softmax classifier, and the
+one-pass scan of a tagged-corpus byte block.
 
 :func:`load` compiles the C source below with the system ``gcc`` at its
 first call, caches the shared object out of tree and binds the entry
 points through ``ctypes``.  Nothing is compiled or loaded at import.  The
 compiled code takes the same arithmetic as the numpy steps of
-``embed_train``, ``cbow_baseline`` and ``classifier``, which stay the
-reference and the fallback when no compiler is found.
+``embed_train``, ``cbow_baseline`` and ``classifier``, and reads the same
+tokens as the per-line loop of ``corpus.TaggedCorpusReader``; those stay
+the reference and the fallback when no compiler is found.
 
-The pretraining and CBOW walks make every random draw of the numpy loops,
-in the same order, from the caller's ``numpy.random.Generator``: its
+The pretraining and CBOW walks and the classifier epoch's dropout masks
+make every random draw of the numpy loops, in the same order, from the
+caller's ``numpy.random.Generator``: its
 ``bit_generator.ctypes.bit_generator`` is numpy's ``bitgen_t``, whose
 ``next_double`` is one ``Generator.random()`` draw, so the stream stays
 bit-identical and the generator ends where the numpy loop leaves it.  The
@@ -41,7 +44,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["SOURCE", "FLAGS", "Kernels", "Progress", "load"]
+__all__ = ["SOURCE", "FLAGS", "Kernels", "Progress", "Scan", "load"]
 
 SOURCE = r"""
 #include <math.h>
@@ -356,37 +359,39 @@ static void adagrad(double *restrict param, double *restrict acc,
    slots[q] is that row's accumulator row.  Every id and slot must be in
    range.
 
-   Per update: gather e and apply mask row t (when dropout); write the
-   log-likelihood of labels[i] under the max-shifted softmax to logliks[t];
-   take the L2-regularised AdaGrad step on W and bias, with g_e = W^T g_o
-   (masked) read from the pre-update W; when fine-tuning, sum each row's
-   shares of g_e in table order and take one AdaGrad step per row, with
-   lazy L2.  `work` holds 2 dim + n_labels + len * max(d, pred_w)
-   doubles, len the longest table. */
+   Per update: gather e and, when dropout, draw its mask, one draw per
+   entry kept when below 0.5, as rng.random((n, dim)) < 0.5 draws row t,
+   and apply it; write the log-likelihood of labels[i] under the
+   max-shifted softmax to logliks[t]; take the L2-regularised AdaGrad step
+   on W and bias, with g_e = W^T g_o (masked) read from the pre-update W;
+   when fine-tuning, sum each row's shares of g_e in table order and take
+   one AdaGrad step per row, with lazy L2.  `work` holds 3 dim + n_labels
+   + len * max(d, pred_w) doubles, len the longest table. */
 void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
                              int64_t n_seg, const int64_t *segs,
                              const int64_t *ms, const int64_t *starts,
                              const int64_t *ids, const int64_t *firsts,
                              const int64_t *slots, const int64_t *order,
-                             const int64_t *labels, const uint8_t *masks,
-                             int64_t dropout, int64_t fine_tune, double eta,
+                             const int64_t *labels, int64_t dropout,
+                             int64_t fine_tune, double eta,
                              double eps, double l2, double *W, double *bias,
                              double *acc_W, double *acc_b, int64_t d,
                              int64_t pred_w, double *noun_vecs,
                              double *word_vecs, double *pred_vecs,
                              double *acc_noun, double *acc_word,
-                             double *acc_pred, double *logliks, double *work)
+                             double *acc_pred, double *logliks, double *work,
+                             bitgen_t *bg)
 {
     double *const vecs[3] = {noun_vecs, word_vecs, pred_vecs},
            *const accs[3] = {acc_noun, acc_word, acc_pred};
     const int64_t widths[3] = {d, d, pred_w}, w_max = d > pred_w ? d : pred_w;
     double *restrict e = work, *restrict g_e = work + dim,
-           *restrict g_o = work + 2 * dim, *restrict sums = g_o + n_labels;
+           *restrict mask = work + 2 * dim, *restrict g_o = work + 3 * dim,
+           *restrict sums = g_o + n_labels;
     for (int64_t t = 0; t < n; t++) {
         const int64_t i = order[t], *m = ms + i * n_seg, li = labels[i];
         const int64_t *row_ids = ids + starts[i], *first = firsts + starts[i],
                       *slot = slots + starts[i];
-        const uint8_t *mask = dropout ? masks + t * dim : masks;
 
         /* e: the gather of the table, then the dropout mask */
         for (int64_t s = 0, q = 0, off = 0; s < n_seg; s++) {
@@ -395,9 +400,15 @@ void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
             q += k * m[s];
             off += k * widths[b];
         }
-        if (dropout)
+        if (dropout) {
+            /* the draws first: a compare beside each call would branch */
             for (int64_t x = 0; x < dim; x++)
+                mask[x] = uniform(bg);
+            for (int64_t x = 0; x < dim; x++) {
+                mask[x] = mask[x] < 0.5;
                 e[x] = e[x] * mask[x] * 2.0;
+            }
+        }
 
         /* g_o: the gradient of the log-likelihood w.r.t. the scores */
         double top = -INFINITY, z = 0.0;
@@ -470,6 +481,143 @@ void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
         }
     }
 }
+
+/* Byte classes of tagged-corpus text: ASCII that is not whitespace in
+   str.isspace terms, the whitespace other than line ends and tab, tab,
+   line ends, and the bytes of multi-byte characters. */
+enum { SOLID, SPACE, TAB, LF, CR, MULTI };
+
+static int byte_class(uint8_t b)
+{
+    if (b >= 0x80)
+        return MULTI;
+    if (b == '\t')
+        return TAB;
+    if (b == '\n')
+        return LF;
+    if (b == '\r')
+        return CR;
+    return b == ' ' || b == 0x0b || b == 0x0c || (b >= 0x1c && b <= 0x1f)
+        ? SPACE : SOLID;
+}
+
+/* Whether a tag is one of NN, NNS, NNP and NNPS (corpus.NOUN_TAGS). */
+static int noun_tag(const uint8_t *t, int64_t len)
+{
+    if (len < 2 || len > 4 || t[0] != 'N' || t[1] != 'N')
+        return 0;
+    if (len == 2)
+        return 1;
+    if (len == 3)
+        return t[2] == 'S' || t[2] == 'P';
+    return t[2] == 'P' && t[3] == 'S';
+}
+
+/* The id of the surface data[lo .. hi - 1]: the surfaces are numbered in
+   order of first occurrence, found through the open-addressing table of
+   mask + 1 entries (-1 for empty), probed linearly from the surface's hash
+   and compared byte for byte; surface s first occurs at bytes spans[2s] ..
+   spans[2s + 1] - 1.  `mult` is the hash's multiplier. */
+static int64_t surface_id(const uint8_t *data, int64_t lo, int64_t hi,
+                          uint64_t mult, int64_t *table, uint64_t mask,
+                          int64_t *spans, int64_t *n_surfaces)
+{
+    uint64_t h = 14695981039346656037ULL;
+    for (int64_t i = lo; i < hi; i++)
+        h = (h ^ data[i]) * mult;
+    for (uint64_t at = (h ^ h >> 32) & mask;; at = (at + 1) & mask) {
+        const int64_t s = table[at];
+        if (s < 0) {
+            spans[2 * *n_surfaces] = lo;
+            spans[2 * *n_surfaces + 1] = hi;
+            return table[at] = (*n_surfaces)++;
+        }
+        if (spans[2 * s + 1] - spans[2 * s] == hi - lo
+                && !memcmp(data + spans[2 * s], data + lo, hi - lo))
+            return s;
+    }
+}
+
+/* Tagged-corpus bytes data[0 .. n - 1], from a line start, in one pass.
+   Lines end at \n, \r\n or a lone \r.  A line of ASCII whitespace only is
+   blank and ends the sentence; a line with an ASCII byte that is not
+   whitespace is a token when one tab splits it into two non-empty fields,
+   and is skipped otherwise; any other line (multi-byte characters and
+   whitespace) is unsettled.  Unless `final`, the scan keeps the lines up
+   to the last blank one and leaves the rest for the next call; when final,
+   it keeps every line, the last one with or without its end.
+
+   Token t of the kept lines has surface ids[t] (see surface_id; `table`
+   holds mask + 1 entries, more than the tabs of data) and noun[t] set when
+   its tag is a noun tag; sentence s holds tokens offsets[s] ..
+   offsets[s + 1] - 1.  ids, noun and spans hold one entry (spans two) per
+   tab of data, offsets one more.  out receives the bytes kept, the
+   tokens, sentences, surfaces and skipped lines among them, and where the
+   first unsettled line and the first byte of a multi-byte character lie
+   among them (n when none). */
+void relemb_scan_tagged(const uint8_t *data, int64_t n, int64_t final,
+                        uint64_t mult, int64_t *table, uint64_t mask,
+                        int64_t *ids, uint8_t *noun, int64_t *offsets,
+                        int64_t *spans, int64_t *out)
+{
+    int64_t tokens = 0, sentences = 0, surfaces = 0, skipped = 0;
+    int64_t unsettled = n, multi = n;
+    int64_t kept[5] = {0, 0, 0, 0, 0};   /* the counts at the last cut */
+    memset(table, 0xff, (mask + 1) * sizeof *table);
+    offsets[0] = 0;
+    for (int64_t lo = 0; lo < n;) {
+        int64_t i = lo, tabs = 0, tab = -1, solid = 0, has_multi = 0;
+        for (; i < n; i++) {
+            const int c = byte_class(data[i]);
+            if (c == LF || c == CR)
+                break;
+            if (c == TAB && !tabs++)
+                tab = i;
+            solid |= c == SOLID;
+            has_multi |= c == MULTI;
+        }
+        if (i == n && !final)
+            break;                       /* the line may go on */
+        const int64_t next = i + (i < n && data[i] == '\r' && i + 1 < n
+                                  && data[i + 1] == '\n') + (i < n);
+        if (has_multi && multi == n)
+            multi = lo;
+        if (solid) {
+            if (tabs == 1 && tab > lo && i > tab + 1) {
+                ids[tokens] = surface_id(data, lo, tab, mult, table, mask,
+                                         spans, &surfaces);
+                noun[tokens++] =
+                    (uint8_t)noun_tag(data + tab + 1, i - tab - 1);
+            } else {
+                skipped++;
+            }
+        } else if (has_multi) {
+            if (unsettled == n)
+                unsettled = lo;
+        } else {
+            if (tokens > offsets[sentences])
+                offsets[++sentences] = tokens;
+            kept[0] = next;
+            kept[1] = tokens;
+            kept[2] = sentences;
+            kept[3] = surfaces;
+            kept[4] = skipped;
+        }
+        lo = next;
+    }
+    if (final) {
+        if (tokens > offsets[sentences])
+            offsets[++sentences] = tokens;
+        kept[0] = n;
+        kept[1] = tokens;
+        kept[2] = sentences;
+        kept[3] = surfaces;
+        kept[4] = skipped;
+    }
+    memcpy(out, kept, sizeof kept);
+    out[5] = unsettled < kept[0] ? unsettled : n;
+    out[6] = multi < kept[0] ? multi : n;
+}
 """
 
 FLAGS = ("-O3", "-march=native", "-fno-math-errno", "-fno-trapping-math",
@@ -477,7 +625,11 @@ FLAGS = ("-O3", "-march=native", "-fno-math-errno", "-fno-trapping-math",
 
 _IDS = np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
 _INTS = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-_MASKS = np.ctypeslib.ndpointer(np.uint8, ndim=2, flags="C_CONTIGUOUS")
+_FLAGS = np.ctypeslib.ndpointer(np.bool_, ndim=1, flags="C_CONTIGUOUS")
+
+# The multiplier of the tagged-corpus scan's surface hash (64-bit FNV-1a's).
+# Any value gives the same scan; 0 puts every surface in one bucket.
+_SURFACE_HASH = 0x100000001B3
 
 # The parameter blocks a classifier table reads, numbered as in the C code.
 _BLOCKS = ("noun_vecs", "word_vecs", "pred_vecs")
@@ -537,11 +689,12 @@ class Progress(ctypes.Structure):
 
 
 class Kernels(NamedTuple):
-    """The three entry points of one loaded object."""
+    """The four entry points of one loaded object."""
 
     pretrain_contexts: object
     cbow_sentences: object
     classifier_epoch: object
+    scan_tagged: object
 
 
 def _check_draws(noise, discard, n_words, progress, n, planned):
@@ -651,25 +804,25 @@ def _bind_cbow(lib):
 def _bind_classifier(lib):
     fn = lib.relemb_classifier_epoch
     fn.argtypes = ([ctypes.c_int64] * 4 + [_IDS, _IDS] + [_INTS] * 6
-                   + [_MASKS] + [ctypes.c_int64] * 2 + [ctypes.c_double] * 3
+                   + [ctypes.c_int64] * 2 + [ctypes.c_double] * 3
                    + [_doubles(2), _doubles(1), _doubles(2), _doubles(1)]
                    + [ctypes.c_int64] * 2 + [_doubles(2)] * 6
-                   + [_doubles(1)] * 2)
+                   + [_doubles(1)] * 2 + [ctypes.c_void_p])
     fn.restype = None
 
-    def epoch(tables, order, masks, softmax, state, params, cfg, eps):
+    def epoch(tables, order, rng, softmax, state, params, cfg, eps):
         """Take one epoch of classifier updates, on the instances in
         `order`, and return each update's log-likelihood.
 
         `tables` holds the packed feature tables: ``segments`` (name, k)
         shared by every table, per-instance pooled-row counts ``m`` and
         table ``starts``, per-entry ``ids``, ``firsts`` and ``slots``, and
-        ``labels``.  `masks` is one boolean dropout mask per update, or
-        None for no dropout.  `softmax`, its accumulators `state` (whose
-        ``rows`` hold the compact row accumulators of the blocks the
-        tables read) and, when ``cfg.fine_tune``, `params` are updated in
-        place.  The caller has checked every id and slot; shapes are
-        checked here."""
+        ``labels``.  When ``cfg.dropout``, each update's mask is drawn from
+        `rng` as ``rng.random((len(order), dim)) < 0.5`` draws its row.
+        `softmax`, its accumulators `state` (whose ``rows`` hold the
+        compact row accumulators of the blocks the tables read) and, when
+        ``cfg.fine_tune``, `params` are updated in place.  The caller has
+        checked every id and slot; shapes are checked here."""
         n = len(order)
         d, pred_w = params.word_vecs.shape[1], params.pred_vecs.shape[1]
         widths = {"noun_vecs": d, "word_vecs": d, "pred_vecs": pred_w}
@@ -680,41 +833,87 @@ def _bind_classifier(lib):
         total = int(tables.starts[-1])
         accs = [state.rows.get(name, np.zeros((0, widths[name])))
                 for name in _BLOCKS]
-        if masks is None:
-            masks = np.zeros((0, dim), bool)
         if (tables.m.shape != (n, len(segs)) or tables.starts.shape != (n + 1,)
                 or tables.labels.shape != (n,)
                 or any(a.shape != (total,) for a in
                        (tables.ids, tables.firsts, tables.slots))
-                or masks.shape not in ((n, dim), (0, dim))
                 or softmax.weights.shape != (n_labels, dim)
                 or state.weights.shape != (n_labels, dim)
                 or state.bias.shape != (n_labels,)
                 or params.noun_vecs.shape[1] != d
                 or any(a.shape[1] != widths[name]
                        for a, name in zip(accs, _BLOCKS))):
-            raise ValueError("classifier kernel: inconsistent table, mask or "
+            raise ValueError("classifier kernel: inconsistent table or "
                              "parameter shapes")
         if not ((0 <= order) & (order < n)).all() or not (
                 (0 <= tables.labels) & (tables.labels < n_labels)).all():
             raise ValueError("classifier kernel: order or label out of range")
         longest = int(np.diff(tables.starts).max())
         logliks = np.empty(n)
-        fn(n, n_labels, dim, len(segs), segs, tables.m, tables.starts,
-           tables.ids, tables.firsts, tables.slots, order, tables.labels,
-           masks.view(np.uint8), len(masks) > 0, cfg.fine_tune, cfg.eta, eps,
-           cfg.l2, softmax.weights, softmax.bias, state.weights, state.bias,
-           d, pred_w, params.noun_vecs, params.word_vecs, params.pred_vecs,
-           *accs, logliks,
-           np.empty(2 * dim + n_labels + longest * max(d, pred_w)))
+        _call(fn, rng, n, n_labels, dim, len(segs), segs, tables.m,
+              tables.starts, tables.ids, tables.firsts, tables.slots, order,
+              tables.labels, cfg.dropout, cfg.fine_tune, cfg.eta, eps, cfg.l2,
+              softmax.weights, softmax.bias, state.weights, state.bias, d,
+              pred_w, params.noun_vecs, params.word_vecs, params.pred_vecs,
+              *accs, logliks,
+              np.empty(3 * dim + n_labels + longest * max(d, pred_w)))
         return logliks
 
     epoch.library = lib
     return epoch
 
 
+class Scan(NamedTuple):
+    """What the ``scan_tagged`` entry point read of a byte block: the bytes
+    kept (``used``), the token arrays of their lines, each surface's first
+    ``(start, end)`` byte offsets, flattened, in ``spans``, the skipped
+    lines, and where the first unsettled line and the first multi-byte
+    character lie among the kept bytes (None when there is none)."""
+
+    used: int
+    ids: np.ndarray
+    noun: np.ndarray
+    offsets: np.ndarray
+    spans: np.ndarray
+    skipped: int
+    unsettled: int | None
+    multi_byte: int | None
+
+
+def _bind_scan(lib):
+    fn = lib.relemb_scan_tagged
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
+                   ctypes.c_uint64, _INTS, ctypes.c_uint64, _INTS, _FLAGS,
+                   _INTS, _INTS, _INTS]
+    fn.restype = None
+
+    def scan_tagged(data, final):
+        """Read the lines of `data`, tagged-corpus bytes from a line start,
+        in one pass, as :class:`Scan`.  Unless `final`, the scan keeps the
+        lines up to the last one of ASCII whitespace only (none when there
+        is no such line) and leaves the rest for the next call."""
+        tabs = data.count(b"\t")
+        table = np.empty(1 << (2 * tabs + 1).bit_length(), np.int64)
+        ids, noun = np.empty(tabs, np.int64), np.empty(tabs, bool)
+        offsets, spans = np.empty(tabs + 1, np.int64), np.empty(2 * tabs,
+                                                                np.int64)
+        out = np.empty(7, np.int64)
+        fn(data, len(data), final, _SURFACE_HASH, table, len(table) - 1, ids,
+           noun, offsets, spans, out)
+        used, tokens, sentences, surfaces, skipped, unsettled, multi = (
+            out.tolist())
+        return Scan(used, ids[:tokens], noun[:tokens],
+                    offsets[:sentences + 1], spans[:2 * surfaces],
+                    skipped, None if unsettled == len(data) else unsettled,
+                    None if multi == len(data) else multi)
+
+    scan_tagged.library = lib
+    return scan_tagged
+
+
 def _bind(lib):
-    return Kernels(_bind_pretrain(lib), _bind_cbow(lib), _bind_classifier(lib))
+    return Kernels(_bind_pretrain(lib), _bind_cbow(lib), _bind_classifier(lib),
+                   _bind_scan(lib))
 
 
 @functools.cache

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relemb import classifier as cl
 from relemb import kernels
@@ -404,11 +405,15 @@ def test_kernel_matches_numpy_epochs(monkeypatch, fine_tune, dropout, l2,
     assert bool(tuned) == fine_tune
 
 
+def _predict_one(ctx, softmax, params):
+    return cl.predict_many([ctx], softmax, params)[0]
+
+
 class TestPredict:
     def test_zero_model_ties_break_to_first_class(self, rng):
         params = rand_params(rng, dim=3, window=1)
         softmax = cl.SoftmaxParams.zeros(19, feature_dim(params))
-        label = cl.predict(rand_ctx(rng, 2, 2), softmax, params)
+        label = _predict_one(rand_ctx(rng, 2, 2), softmax, params)
         assert label == ALL_LABELS[0]
 
     def test_shift_invariance(self, rng):
@@ -416,9 +421,9 @@ class TestPredict:
         softmax = cl.SoftmaxParams(rng.normal(size=(19, feature_dim(params))),
                                    rng.normal(size=19))
         ctx = rand_ctx(rng, 2, 2)
-        before = cl.predict(ctx, softmax, params)
+        before = _predict_one(ctx, softmax, params)
         softmax.bias += 123.45
-        assert cl.predict(ctx, softmax, params) == before
+        assert _predict_one(ctx, softmax, params) == before
 
     def test_hand_built_two_class_decision(self, rng):
         params = rand_params(rng, dim=2, window=1)
@@ -426,14 +431,108 @@ class TestPredict:
         e = assemble_features(ctx, params)
         softmax = cl.SoftmaxParams.zeros(19, len(e))
         softmax.weights[5] = e / (e @ e)      # o[5] = 1 for this instance
-        assert cl.predict(ctx, softmax, params) == ALL_LABELS[5]
+        assert _predict_one(ctx, softmax, params) == ALL_LABELS[5]
 
     def test_prediction_deterministic(self, rng):
         params = rand_params(rng, dim=3, window=1)
         softmax = cl.SoftmaxParams(rng.normal(size=(19, feature_dim(params))),
                                    rng.normal(size=19))
         ctx = rand_ctx(rng, 3, 2)
-        assert cl.predict(ctx, softmax, params) == cl.predict(ctx, softmax, params)
+        assert (_predict_one(ctx, softmax, params)
+                == _predict_one(ctx, softmax, params))
+
+
+# Every FeatureOptions variant: each block alone and together, the
+# bag-of-words between block, and outside windows trimmed.
+_PREDICT_OPTIONS = [
+    FeatureOptions(), FeatureOptions(bow_between=True),
+    FeatureOptions(True, False, False), FeatureOptions(False, True, False),
+    FeatureOptions(False, False, True), FeatureOptions(True, False, True),
+    FeatureOptions(False, True, False, bow_between=True),
+    FeatureOptions(m_out=1), FeatureOptions(m_out=2),
+    FeatureOptions(False, False, True, m_out=1),
+]
+
+
+@st.composite
+def _scored_contexts(draw):
+    """Parameters, softmax weights and contexts over small inventories, so
+    rows repeat and the UNK and NULL ids 0 and 1 occur; between spans of
+    0-5 words and outside windows 2-4 wide (all alike when trimmed)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    opts = draw(st.sampled_from(_PREDICT_OPTIONS))
+    params = rand_params(rng, dim=draw(st.integers(1, 3)),
+                         window=draw(st.integers(1, 3)), n_nouns=3, n_words=6)
+    contexts = []
+    for _ in range(draw(st.integers(0, 12))):
+        width = 2 if opts.m_out else draw(st.integers(2, 4))
+        contexts.append(rand_ctx(rng, draw(st.integers(0, 5)), width, 3, 6))
+    dim = feature_dim(params, opts)
+    softmax = cl.SoftmaxParams(rng.normal(size=(19, dim)),
+                               rng.normal(size=19))
+    if draw(st.booleans()):
+        softmax.weights[draw(st.integers(0, 18))] *= 0   # a bias-only class
+    return params, softmax, contexts, opts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_scored_contexts())
+def test_predict_many_matches_per_instance_reference(case):
+    """Scores from projected rows equal each instance's gather, scored; the
+    labels equal the argmax of ``softmax_forward`` wherever its top two
+    scores are more than 1e-9 apart."""
+    params, softmax, contexts, opts = case
+    got = cl._scores(contexts, softmax, params, opts)
+    labels = cl.predict_many(contexts, softmax, params, opts)
+    assert got.shape == (len(contexts), 19) and len(labels) == len(contexts)
+    for ctx, scores, label in zip(contexts, got, labels):
+        e = assemble_features(ctx, params, opts)
+        want = softmax.weights @ e + softmax.bias
+        np.testing.assert_allclose(scores, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+        top = np.sort(want)
+        if top[-1] - top[-2] > 1e-9:
+            probs = cl.softmax_forward(e, softmax.weights, softmax.bias)
+            assert label == ALL_LABELS[int(np.argmax(probs))]
+
+
+def test_predict_many_names_an_id_outside_its_block(rng):
+    params = rand_params(rng, dim=2, window=1, n_nouns=3, n_words=6)
+    softmax = cl.SoftmaxParams.zeros(19, feature_dim(params))
+    ctx = NounPairContext(1, 2, (3, 6), (1,), (2,))
+    with pytest.raises(ValueError, match="word_vecs id 6 outside"):
+        cl.predict_many([ctx], softmax, params)
+
+
+@pytest.mark.parametrize("fine_tune", [False, True])
+def test_compiled_masks_leave_the_generator_as_numpy_s(monkeypatch,
+                                                       fine_tune):
+    """The compiled epoch draws each dropout mask from the generator; it
+    ends where the numpy loop, which draws every epoch's masks at once,
+    leaves it, and the two train alike."""
+    if kernels.load() is None:
+        pytest.skip("no C compiler found; training takes the numpy steps")
+    params, instances = _epoch_setup(np.random.default_rng(11))
+    config = cl.SupervisedConfig(epochs=3, dropout=True, fine_tune=fine_tune,
+                                 seed=5)
+    default_rng, generators = np.random.default_rng, []
+
+    def tracked(seed):
+        generators.append(default_rng(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", tracked)
+    runs = [cl.train_classifier(instances, params, config)]
+    monkeypatch.setattr(kernels, "load", lambda: None)
+    runs.append(cl.train_classifier(instances, params, config))
+    got, want = (gen.bit_generator.state for gen in generators)
+    assert got == want
+    (got_softmax, got_params, _), (want_softmax, want_params, _) = runs
+    for actual, desired in [(got_softmax.weights, want_softmax.weights),
+                            (got_softmax.bias, want_softmax.bias),
+                            (got_params.word_vecs, want_params.word_vecs)]:
+        np.testing.assert_allclose(actual, desired, rtol=1e-9,
+                                   atol=1e-9 * np.abs(desired).max())
 
 
 class TestCrossValidation:

@@ -602,3 +602,26 @@ def test_import_does_not_load_scipy():
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--train", "{root}/train.txt", "--vocab", "{root}/vocab.txt",
+     "--model", "{root}/model.bin", "--out", "{tmp}/clf.bin",
+     "--out-model", "{tmp}/tuned.bin", "--fine-tune", "1", "--epochs", "2",
+     "--m-out", "3"],
+    ["eval", "--test", "{root}/test.txt", "--vocab", "{root}/vocab.txt",
+     "--model", "{root}/tuned.bin", "--clf", "{root}/clf.bin",
+     "--bootstrap", "100"],
+], ids=["train_fine_tune", "eval_bootstrap"])
+def test_stage_does_not_import_numpy_ma(workdir, tmp_path, argv):
+    """Importing numpy.ma costs a process ~13 ms; plain ``np.unique`` and
+    ``np.percentile`` import it, and no stage calls them."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = [arg.format(root=workdir, tmp=tmp_path) for arg in argv]
+    code = ("import sys; from relemb import cli; "
+            f"assert cli.main({argv!r}) == 0; "
+            "assert 'numpy.ma' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

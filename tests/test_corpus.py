@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relemb import corpus as cp
+from relemb import corpus as cp, kernels
 from conftest import make_vocab
 
 
@@ -686,7 +686,7 @@ def test_block_reader_matches_per_line_loop(sources, block, tmp_path_factory):
 
 def test_byte_path_reads_line_ends_whitespace_and_utf8(tmp_path,
                                                        monkeypatch):
-    """The numpy checks settle these lines by themselves: the per-line loop
+    """The compiled scan settles these lines by itself: the per-line loop
     never runs."""
     path = tmp_path / "c.tag"
     path.write_bytes("a\tNN\r\nİb\tVB\rc\tNN\t\n\x1c\t \x0b\n\xa0\tNNS\n"
@@ -720,18 +720,58 @@ def test_unsettled_block_goes_through_per_line_loop(tmp_path, line):
     assert (reader.skipped_lines, reader.sentences_read) == counts
 
 
-def test_surfaces_with_one_hash_go_through_per_line_loop(tmp_path,
-                                                         monkeypatch):
-    # with base 0 a surface's hash is its length
-    monkeypatch.setattr(cp, "_HASH_BASE", np.uint64(0))
+def test_surfaces_in_one_bucket_are_told_apart(tmp_path, monkeypatch):
+    """With a hash multiplier of 0 every surface hashes alike, so each new
+    surface probes past all the earlier ones and only the byte comparison
+    tells them apart: same length, same first or last bytes, a prefix."""
+    monkeypatch.setattr(kernels, "_SURFACE_HASH", 0)
+    words = ["abcdefghij", "zzzzzzzzij", "abcdefghij", "abcdefghik", "a",
+             "ab", "b", "a", "İ", "I", "zzzzzzzzij"]
     path = tmp_path / "c.tag"
-    path.write_text("abcdefghij\tNN\nzzzzzzzzij\tNN\nabcdefghij\tVB\n",
-                    encoding="utf-8")
-    reader = cp.parse_tagged_corpus(path)
-    (block,) = reader.blocks()
-    assert block.surfaces == ["abcdefghij", "zzzzzzzzij"]
-    assert block.ids.tolist() == [0, 1, 0]
-    assert block.noun.tolist() == [True, True, False]
+    path.write_text("".join(f"{w}\t{'NN' if i % 2 else 'VB'}\n"
+                            for i, w in enumerate(words)), encoding="utf-8")
+    (block,) = cp.parse_tagged_corpus(path).blocks()
+    assert block.surfaces == list(dict.fromkeys(words))
+    assert [block.surfaces[i] for i in block.ids] == words
+    assert block.noun.tolist() == [bool(i % 2) for i in range(len(words))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sources=_SOURCES, block=st.integers(1, 48))
+def test_block_reader_with_every_surface_in_one_bucket(sources, block,
+                                                       tmp_path_factory):
+    paths = _write_sources(tmp_path_factory.mktemp("tag"), sources)
+    reader = cp.parse_tagged_corpus(*paths)
+    want = [(s.words, tuple(t in cp.NOUN_TAGS for t in s.tags))
+            for s in reader]
+    counts = (reader.skipped_lines, reader.sentences_read)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "_TAGGED_BLOCK", block)
+        mp.setattr(kernels, "_SURFACE_HASH", 0)
+        assert _block_sentences(reader.blocks()) == want
+    assert (reader.skipped_lines, reader.sentences_read) == counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(sources=_SOURCES, block=st.integers(1, 48))
+def test_no_compiler_reads_paths_through_per_line_loop(sources, block,
+                                                       tmp_path_factory):
+    """Without the compiled scan, :meth:`blocks` cuts each path at the same
+    blank lines and reads every block through the per-line loop: the same
+    blocks and counts."""
+    paths = _write_sources(tmp_path_factory.mktemp("tag"), sources)
+    reader = cp.parse_tagged_corpus(*paths)
+
+    def read():
+        blocks = [(b.surfaces, b.ids.tolist(), b.noun.tolist(),
+                   b.offsets.tolist()) for b in reader.blocks()]
+        return blocks, reader.skipped_lines, reader.sentences_read
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "_TAGGED_BLOCK", block)
+        want = read()
+        mp.setattr(kernels, "load", lambda: None)
+        assert read() == want
 
 
 def test_long_words_read_in_bounded_memory(tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relemb import evaluation as ev
 from relemb.classifier import SoftmaxParams, SupervisedConfig
@@ -176,6 +176,28 @@ def _per_iteration_bootstrap(gold, pred, iterations, level, seed):
                                          [pred[i] for i in idx])[0])
     lo, hi = np.percentile(scores, [50 * (1 - level), 50 * (1 + level)])
     return float(lo), float(hi)
+
+
+# -0.0 is left out: numpy's partition and a sort may order it and 0.0
+# differently, and bootstrap scores are never -0.0.
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(
+           st.floats(-1e6, 1e6).filter(lambda x: math.copysign(1, x) > 0
+                                        or x != 0),
+           st.sampled_from([0.0, 1.0, 50.0, 100.0])),
+           min_size=1, max_size=60),
+       percents=st.lists(st.one_of(st.floats(0, 100),
+                                   st.sampled_from([0.0, 2.5, 5.0, 50.0,
+                                                    95.0, 97.5, 100.0])),
+                         min_size=1, max_size=4))
+# halfway between two values numpy interpolates down from the upper one,
+# which here rounds otherwise than up from the lower one
+@example(values=[-46.043, 27.392], percents=[50.0])
+def test_percentiles_equal_numpy_s_bit_for_bit(values, percents):
+    got = ev._percentiles(np.array(values), percents)
+    want = np.percentile(np.array(values), percents)
+    assert np.array(got).tobytes() == want.tobytes()
+    assert all(type(x) is float for x in got)
 
 
 def _pair_embeddings(sims):

@@ -321,3 +321,32 @@ class TestScatterFeatureGrad:
         opts = ft.FeatureOptions(False, True, False)
         g_e = rng.normal(size=ft.feature_dim(params, opts))
         assert ft.scatter_feature_grad(g_e, ctx, params, opts) == {}
+
+
+@pytest.mark.parametrize("opts", [
+    ft.FeatureOptions(), ft.FeatureOptions(bow_between=True),
+    ft.FeatureOptions(True, False, False),
+    ft.FeatureOptions(False, True, False),
+    ft.FeatureOptions(False, False, True), ft.FeatureOptions(m_out=1),
+    ft.FeatureOptions(m_out=2, bow_between=True)])
+def test_packed_tables_equal_per_context_tables(rng, opts):
+    params = rand_params(rng, dim=2, window=2)
+    contexts = [rand_ctx(rng, int(rng.integers(0, 5)),
+                         2 if opts.m_out else int(rng.integers(2, 5)))
+                for _ in range(20)]
+    packed = ft.pack_tables(contexts, params, opts)
+    assert packed.ids.dtype == np.int64
+    for i, ctx in enumerate(contexts):
+        ids, segments = packed.table(i)
+        want_ids, want_segments = ft.feature_table(ctx, params, opts)
+        assert ids.tolist() == want_ids.tolist()
+        assert segments == want_segments
+    assert len(ft.pack_tables([], params, opts).ids) == 0
+
+
+def test_packed_tables_reject_a_trim_wider_than_a_window(rng):
+    params = rand_params(rng, dim=2, window=1)
+    contexts = [rand_ctx(rng, 2, 3), rand_ctx(rng, 2, 1)]
+    with pytest.raises(ValueError, match="m_out override 2 exceeds "
+                                         "extracted window 1"):
+        ft.pack_tables(contexts, params, ft.FeatureOptions(m_out=2))
