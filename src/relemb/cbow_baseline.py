@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .corpus import UNK_WORD, token_blocks
+from .corpus import UNK_WORD, TaggedCorpusReader, token_blocks
 from .embed_train import (EmbeddingParams, NoiseSampler, SubsamplingFilter,
                           TrainingLog, apply_row_grads, gather_table,
                           log_sigmoid, scatter_table, sigmoid, sum_rows)
@@ -140,6 +140,8 @@ def train_cbow(sentences, vocab, config):
     ids, offsets = _corpus_ids(sentences, vocab)
     total_tokens = len(ids)
     if total_tokens == 0:
+        if isinstance(sentences, TaggedCorpusReader):
+            raise sentences.empty_error()
         raise ValueError("sentence stream is empty")
     planned = cfg.epochs * total_tokens
 

@@ -39,6 +39,10 @@ logger = logging.getLogger(__name__)
 
 ADAGRAD_EPS = 1e-6
 
+# The most entries (pooled rows of one segment) that _scores pools at once;
+# an instance with more gets a chunk of its own.
+_SCORE_CHUNK = 1024
+
 __all__ = [
     "SoftmaxParams",
     "SupervisedConfig",
@@ -309,7 +313,11 @@ def _scores(contexts, softmax_params, embed_params, opts):
     the packed tables, each instance's pooled (mean) projected rows, where
     a slot's projected rows are the distinct parameter rows it reads times
     its columns of the weights.  The cost grows with the tokens read, not
-    with the vocabulary."""
+    with the vocabulary.  A segment's entries (the rows each instance
+    pools) are summed in chunks of whole instances, at most `_SCORE_CHUNK`
+    entries each, so the transient memory does not grow with the tokens
+    either; an instance sums the same values in the same order in any
+    chunk."""
     tables = pack_tables(contexts, embed_params, opts)
     W = softmax_params.weights
     n = len(tables.m)
@@ -320,17 +328,27 @@ def _scores(contexts, softmax_params, embed_params, opts):
         block = getattr(embed_params, name)
         width, m = block.shape[1], tables.m[:, s]
         entries = tables.ids[_spans(lo, k * m)].reshape(-1, k)
-        pooled = np.zeros((len(W), len(entries)))
+        projected = []
         for j in range(k):
             rows, inverse = np.unique(entries[:, j], return_inverse=True)
             _check_ids(rows, len(block), name)
-            pooled += (W[:, col:col + width] @ block[rows].T)[:, inverse]
+            projected.append((W[:, col:col + width] @ block[rows].T, inverse))
             col += width
-        read = m > 0
-        if read.any():
-            first = np.cumsum(m) - m
-            scores[:, read] += (np.add.reduceat(pooled, first[read], axis=1)
-                                / m[read])
+        ends = np.cumsum(m)
+        i = 0
+        while i < n:
+            a = ends[i] - m[i]
+            stop = max(int(np.searchsorted(ends, a + _SCORE_CHUNK, "right")),
+                       i + 1)
+            b = ends[stop - 1]
+            pooled = np.zeros((len(W), b - a))
+            for proj, inverse in projected:
+                pooled += proj[:, inverse[a:b]]
+            read = i + np.flatnonzero(m[i:stop])
+            if len(read):
+                scores[:, read] += (np.add.reduceat(
+                    pooled, ends[read] - m[read] - a, axis=1) / m[read])
+            i = stop
         lo += k * m
     return scores.T
 

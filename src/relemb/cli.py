@@ -137,9 +137,20 @@ OPTIONS = {
 
 
 def _require_files(*paths):
-    for p in paths:
-        if p is not None and not os.path.exists(p):
+    for p in filter(None, paths):
+        if not os.path.exists(p):
             raise ConfigError(f"input path does not exist: {p}")
+        if os.path.isdir(p):
+            raise ConfigError(f"input path is a directory: {p}")
+
+
+def _instances(path, vocab):
+    """The labelled instances of SemEval file `path`, of which there must
+    be at least one."""
+    instances = cp.parse_semeval(path, vocab, PARSE_M_OUT)
+    if not instances:
+        raise cp.ArtifactError(f"{path}: no labelled instances")
+    return instances
 
 
 def _read_config_file(path, options):
@@ -302,7 +313,7 @@ def cmd_train(args):
     config = _config(cl.SupervisedConfig, _SUPERVISED_FIELDS, cfg)
     _require_files(args.train, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
-    instances = cp.parse_semeval(args.train, vocab, PARSE_M_OUT)
+    instances = _instances(args.train, vocab)
     params = _load_embeddings(args, cfg, vocab)
     softmax, tuned, log = cl.train_classifier(instances, params, config, opts)
     cl.save_classifier(softmax, opts, args.out)
@@ -327,7 +338,7 @@ def cmd_cv(args):
                          _feature_options(cfg["features"], point["m_out"])))
     _require_files(args.train, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
-    instances = cp.parse_semeval(args.train, vocab, PARSE_M_OUT)
+    instances = _instances(args.train, vocab)
     params = _load_embeddings(args, cfg, vocab)
     results = cl.cross_validate(instances, params, settings,
                                 folds=cfg["folds"], seed=cfg["seed"])
@@ -358,7 +369,7 @@ def cmd_eval(args):
     _require_files(args.test, args.vocab, args.model, args.clf)
     vocab = cp.Vocabulary.load(args.vocab)
     params, softmax, opts = _load_model_and_classifier(args)
-    instances = cp.parse_semeval(args.test, vocab, PARSE_M_OUT)
+    instances = _instances(args.test, vocab)
     pred = cl.predict_many([i.context for i in instances], softmax, params, opts)
     gold = [i.label for i in instances]
     report = ev.score_semeval(gold, pred)
@@ -381,6 +392,8 @@ def cmd_wordsim(args):
     vocab = cp.Vocabulary.load(args.vocab)
     params = et.load_model(args.model)
     pairs = ev.read_wordsim(args.pairs)
+    if not pairs:
+        raise cp.ArtifactError(f"{args.pairs}: no word pairs")
     result = ev.spearman_wordsim(pairs, params, vocab, cfg["matrix"])
     print(f"pairs: {result.n_pairs}")
     print(f"oov pairs: {len(result.oov_pairs)}")
@@ -393,7 +406,7 @@ def cmd_ngrams(args):
     _require_files(args.train, args.vocab, args.model, args.clf)
     vocab = cp.Vocabulary.load(args.vocab)
     params, softmax, opts = _load_model_and_classifier(args)
-    instances = cp.parse_semeval(args.train, vocab, PARSE_M_OUT)
+    instances = _instances(args.train, vocab)
     labels = args.label or [lab for lab in cp.ALL_LABELS if lab.family != "Other"]
     for label in labels:
         print(f"== {label.surface()}")

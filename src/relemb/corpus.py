@@ -147,6 +147,14 @@ class TaggedCorpusReader:
             else:
                 yield from _sentence_blocks(self._sentences(source))
 
+    def empty_error(self):
+        """The error for a pass that read no tokens: :class:`ArtifactError`
+        naming the path sources, or ValueError when none is a path."""
+        paths = [str(s) for s in self._sources if _is_path(s)]
+        if paths:
+            return ArtifactError(f"{', '.join(paths)}: no tokens")
+        return ValueError("sentence stream is empty")
+
     def _path_blocks(self, path):
         compiled = kernels.load()
         with open(path, "rb") as fh:

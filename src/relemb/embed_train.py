@@ -576,6 +576,8 @@ def train_embeddings(contexts, vocab, config):
     arrays = _checked_arrays(contexts, vocab)
     total_targets = int(arrays.offsets[-1])
     if total_targets == 0:
+        if arrays.path is not None:
+            raise ArtifactError(f"{arrays.path}: no contexts")
         raise ValueError("context stream is empty")
 
     rng = np.random.default_rng(cfg.seed)

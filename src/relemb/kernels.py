@@ -3,9 +3,10 @@ stepping in one C loop, whole epochs of the softmax classifier, and the
 one-pass scan of a tagged-corpus byte block.
 
 :func:`load` compiles the C source below with the system ``gcc`` at its
-first call, caches the shared object out of tree and binds the entry
-points through ``ctypes``.  Nothing is compiled or loaded at import.  The
-compiled code takes the same arithmetic as the numpy steps of
+first call, caches the shared object out of tree under a key that names
+the compiler by its binary (so a warm load starts no process) and binds
+the entry points through ``ctypes``.  Nothing is compiled or loaded at
+import.  The compiled code takes the same arithmetic as the numpy steps of
 ``embed_train``, ``cbow_baseline`` and ``classifier``, and reads the same
 tokens as the per-line loop of ``corpus.TaggedCorpusReader``; those stay
 the reference and the fallback when no compiler is found.
@@ -652,13 +653,17 @@ def _cpu_flags():
 
 def _cache_path(gcc):
     """Where the object built by `gcc` from this source and these flags
-    for this CPU is cached."""
-    version = subprocess.run([gcc, "--version"], capture_output=True,
-                             text=True, check=True).stdout
-    key = hashlib.sha256("\0".join(
-        (SOURCE, " ".join(FLAGS), version, _cpu_flags())).encode()).hexdigest()
+    for this CPU is cached.  The compiler is known by its binary's resolved
+    path, size and mtime, so naming the object starts no process; the key
+    is hashed with CPython's own BLAKE2b, not OpenSSL's code."""
+    binary = Path(gcc).resolve()
+    stat = binary.stat()
+    key = hashlib.blake2b("\0".join(
+        (SOURCE, " ".join(FLAGS), str(binary), str(stat.st_size),
+         str(stat.st_mtime_ns), _cpu_flags())).encode(),
+        digest_size=10).hexdigest()
     root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(root) / "relemb" / f"kernels-{key[:20]}.so"
+    return Path(root) / "relemb" / f"kernels-{key}.so"
 
 
 def _compile(gcc, path):
@@ -924,8 +929,9 @@ def load():
 
     The object is cached under ``$XDG_CACHE_HOME/relemb`` (default
     ``~/.cache/relemb``), keyed by a hash of the source, the flags, the
-    compiler version and the CPU flags.  When that directory cannot be
-    written it is built in a temporary directory removed after loading.
+    compiler binary's resolved path, size and mtime and the CPU flags, so a
+    warm load starts no process.  When that directory cannot be written it
+    is built in a temporary directory removed after loading.
     """
     gcc = shutil.which("gcc")
     if gcc is None:

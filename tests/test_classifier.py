@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -494,6 +496,49 @@ def test_predict_many_matches_per_instance_reference(case):
         if top[-1] - top[-2] > 1e-9:
             probs = cl.softmax_forward(e, softmax.weights, softmax.bias)
             assert label == ALL_LABELS[int(np.argmax(probs))]
+
+
+@pytest.mark.parametrize("limit", [1, 3, 10_000])
+def test_predict_many_matches_reference_in_chunks(monkeypatch, limit):
+    """The reference test again with the scoring chunk patched: one entry,
+    a few, and more than any case holds."""
+    monkeypatch.setattr(cl, "_SCORE_CHUNK", limit)
+    test_predict_many_matches_per_instance_reference()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_scored_contexts(), limit=st.integers(1, 40))
+def test_chunk_limit_leaves_every_score_bit_identical(case, limit):
+    """Each instance sums the same values in the same order in any chunk."""
+    params, softmax, contexts, opts = case
+    whole = cl._scores(contexts, softmax, params, opts)
+    with mock.patch.object(cl, "_SCORE_CHUNK", limit):
+        chunked = cl._scores(contexts, softmax, params, opts)
+    assert whole.tobytes() == chunked.tobytes()
+
+
+def test_scoring_memory_does_not_grow_with_tokens_per_instance(rng):
+    """Outside windows of 40 ids, not 1, raise predict_many's traced peak
+    by less than one (labels x entries one window adds) float64 array."""
+    params = rand_params(rng, dim=2, window=1, n_nouns=6, n_words=12)
+    softmax = cl.SoftmaxParams(rng.normal(size=(19, feature_dim(params))),
+                               rng.normal(size=19))
+    n = 400
+    cores = [(int(n1), int(n2), tuple(rng.integers(0, 12, 3).tolist()))
+             for n1, n2 in rng.integers(0, 6, (n, 2))]
+    peaks = []
+    for width in (1, 40):
+        contexts = [NounPairContext(n1, n2, w_in,
+                                    tuple(rng.integers(0, 12, width).tolist()),
+                                    tuple(rng.integers(0, 12, width).tolist()))
+                    for n1, n2, w_in in cores]
+        tracemalloc.start()
+        try:
+            cl.predict_many(contexts, softmax, params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 19 * n * (40 - 1) * 8
 
 
 def test_predict_many_names_an_id_outside_its_block(rng):

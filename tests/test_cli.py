@@ -289,6 +289,64 @@ class TestExitCodes:
         assert "1000 folds need at least 1000 instances" in \
             capsys.readouterr().err
 
+    # An empty file, a contexts file with only its header, or a directory,
+    # given to each command that reads such an input.
+    _EMPTY = {
+        "eval": ["eval", "--test", "{bad}", "--vocab", "{w}/vocab.txt",
+                 "--model", "{w}/tuned.bin", "--clf", "{w}/clf.bin",
+                 "--bootstrap", "1000"],
+        "ngrams": ["ngrams", "--train", "{bad}", "--vocab", "{w}/vocab.txt",
+                   "--model", "{w}/tuned.bin", "--clf", "{w}/clf.bin"],
+        "wordsim": ["wordsim", "--pairs", "{bad}", "--vocab", "{w}/vocab.txt",
+                    "--model", "{w}/model.bin"],
+        "train": ["train", "--train", "{bad}", "--vocab", "{w}/vocab.txt",
+                  "--model", "{w}/model.bin", "--out", "{tmp}/clf.bin"],
+        "cv": ["cv", "--train", "{bad}", "--vocab", "{w}/vocab.txt",
+               "--model", "{w}/model.bin"],
+        "pretrain": ["pretrain", "--contexts", "{bad}", "--vocab",
+                     "{w}/vocab.txt", "--out", "{tmp}/model.bin"],
+        "cbow": ["cbow", "--corpus", "{bad}", "--vocab", "{w}/vocab.txt",
+                 "--out", "{tmp}/cbow.bin"],
+    }
+
+    @pytest.mark.parametrize("command,kind", [
+        *((command, "empty") for command in _EMPTY),
+        ("eval", "directory"), ("build-vocab", "directory"),
+    ])
+    def test_empty_or_directory_input_exit_2(self, workdir, tmp_path, capsys,
+                                             command, kind):
+        """No instances, pairs, contexts or tokens to work on, or a
+        directory for a file: exit 2, naming the input."""
+        bad = tmp_path / "input"
+        if kind == "directory":
+            bad.mkdir()
+        elif command == "pretrain":
+            bad.write_text("relemb-contexts v1 m_out=3\n")
+        else:
+            bad.write_text("")
+        argv = self._EMPTY.get(command, ["build-vocab", "--corpus", "{bad}",
+                                         "--out", "{tmp}/vocab.txt"])
+        code = cli.main([a.format(bad=bad, w=workdir, tmp=tmp_path)
+                         for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert str(bad) in err
+        assert "nan" not in out and "F1" not in out
+
+    @pytest.mark.parametrize("command", ["build-vocab", "extract"])
+    def test_corpus_without_nouns_prints_zero_counts(self, workdir, tmp_path,
+                                                     capsys, command):
+        corpus = tmp_path / "corpus.tagged"
+        corpus.write_text("the\tDT\ncat\tVB\n\n")
+        argv = [command, "--corpus", str(corpus), "--out",
+                str(tmp_path / "out")]
+        if command == "extract":
+            argv += ["--vocab", str(workdir / "vocab.txt")]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert ("noun tokens: 0\n" if command == "build-vocab"
+                else "pairs: 0\n") in out
+
     # reader: (the pipeline file or the text a byte 0xff is written into,
     # the line it goes on, the command that reads it); a text-mode read
     # decodes the first lines of a file with its header

@@ -3,6 +3,7 @@ replace, and the build of the compiled object in :mod:`relemb.kernels`."""
 
 import dataclasses
 import logging
+import os
 import subprocess
 
 import numpy as np
@@ -206,6 +207,42 @@ def test_build_is_cached_and_reused(tmp_path, monkeypatch):
 
     monkeypatch.setattr(kernels, "_compile", no_compile)
     assert kernels.load.__wrapped__() is not None
+
+
+def test_warm_load_starts_no_process(tmp_path, monkeypatch):
+    """Once built, the object is found again without running a process;
+    its key follows the size and the mtime of the compiler on ``PATH``."""
+    gcc = kernels.shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("no C compiler found")
+    wrapper = tmp_path / "bin" / "gcc"
+    wrapper.parent.mkdir()
+    wrapper.write_text(f'#!/bin/sh\nexec "{gcc}" "$@"\n')
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{wrapper.parent}{os.pathsep}"
+                               f"{os.environ.get('PATH', '')}")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    kernels.load.cache_clear()
+    try:
+        assert kernels.load() is not None
+        kernels.load.cache_clear()
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("started a process")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        assert kernels.load() is not None
+    finally:
+        kernels.load.cache_clear()
+    built = kernels._cache_path(str(wrapper))
+    assert built.exists() and built.parent == tmp_path / "cache" / "relemb"
+    with wrapper.open("a") as fh:
+        fh.write("# one byte more\n")
+    resized = kernels._cache_path(str(wrapper))
+    stat = wrapper.stat()
+    os.utime(wrapper, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    assert len({built, resized, kernels._cache_path(str(wrapper))}) == 3
 
 
 def test_unwritable_cache_builds_for_this_process(tmp_path, monkeypatch):
