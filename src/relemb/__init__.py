@@ -11,10 +11,11 @@ from .corpus import (
     ALL_LABELS,
     ArtifactError,
     ConfigError,
+    ContextArrays,
     ContextFile,
+    LabelledContexts,
     NounPairContext,
     RelationLabel,
-    SemEvalInstance,
     TaggedSentence,
     Vocabulary,
     build_vocabulary,

@@ -7,7 +7,9 @@ fine-tuning is enabled, gradients flow through the feature blocks back to
 the embedding rows; L2 is applied lazily, only to rows touched by the
 current instance.
 
-Every instance's feature table is built once, before the first epoch, by
+Training reads labelled instances as :class:`~relemb.corpus.LabelledContexts`
+and prediction reads :class:`~relemb.corpus.ContextArrays`.  Every
+instance's feature table is built once, before the first epoch, by
 :func:`relemb.features.pack_tables`.  Each epoch draws its permutation in
 Python and takes its updates in one call to the compiled classifier epoch
 of :mod:`relemb.kernels`, which draws each update's dropout mask from the
@@ -29,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .corpus import ALL_LABELS, ArtifactError, ConfigError, _spans, \
-    label_index
-from .embed_train import _check_ids, read_blob_file, write_blob_file
+from .corpus import ALL_LABELS, ArtifactError, ConfigError, _spans
+from .embed_train import _check_ids, _header_dims, read_blob_file, \
+    write_blob_file
 from .features import FeatureOptions, assemble_features, feature_dim, \
     pack_tables, scatter_feature_grad
 
@@ -147,16 +149,16 @@ class AdaGradState:
         block[ids], acc[slots] = rows, accum
 
 
-def supervised_objective_and_grad(inst, embed_params, softmax_params, l2,
-                                  mask=None, opts=FeatureOptions(),
+def supervised_objective_and_grad(ctx, label, embed_params, softmax_params,
+                                  l2, mask=None, opts=FeatureOptions(),
                                   fine_tune=True, table=None):
-    """Objective value and gradients for one labeled instance.
+    """Objective value and gradients for `ctx` labelled ``ALL_LABELS[label]``.
 
     The value is ``log p(label | e) - (l2/2) * ||theta||^2`` where theta
     covers the softmax parameters and, when `fine_tune` is set, the
     embedding rows the instance touches (lazy L2).  `mask` is a dropout
     mask from :func:`apply_dropout`, or None for no dropout.  `table` is
-    the instance's :func:`relemb.features.feature_table`, for callers that
+    the context's :func:`relemb.features.feature_table`, for callers that
     already hold it.
 
     Returns ``(value, loglik, softmax_grads, row_grads)``: `loglik` is the
@@ -165,24 +167,23 @@ def supervised_objective_and_grad(inst, embed_params, softmax_params, l2,
     :func:`relemb.features.scatter_feature_grad`.
     """
     W, b = softmax_params.weights, softmax_params.bias
-    e = assemble_features(inst.context, embed_params, opts, table)
+    e = assemble_features(ctx, embed_params, opts, table)
     if mask is not None:
         e = e * mask * 2.0
     o = W @ e + b
     o = o - o.max()
     logz = np.log(np.exp(o).sum())
-    li = label_index(inst.label)
-    loglik = float(o[li] - logz)
+    loglik = float(o[label] - logz)
     g_o = -np.exp(o - logz)   # gradient w.r.t. the scores, so the bias's
-    g_o[li] += 1.0
+    g_o[label] += 1.0
     g_W, g_b = np.outer(g_o, e), g_o
     row_grads = {}
     if fine_tune:
         g_e = W.T @ g_o
         if mask is not None:
             g_e = g_e * mask * 2.0
-        row_grads = scatter_feature_grad(g_e, inst.context, embed_params,
-                                         opts, table)
+        row_grads = scatter_feature_grad(g_e, ctx, embed_params, opts,
+                                         table)
     value = loglik
     if l2 > 0:
         value -= 0.5 * l2 * (float(np.vdot(W, W)) + float(b @ b))
@@ -213,11 +214,9 @@ class _Tables:
     either backend reads it.
     """
 
-    def __init__(self, instances, params, opts, fine_tune):
-        self.labels = np.array([label_index(inst.label) for inst in instances],
-                               np.int64)
-        packed = pack_tables([inst.context for inst in instances], params,
-                             opts)
+    def __init__(self, data, params, opts, fine_tune):
+        self.labels = data.labels
+        packed = pack_tables(data.contexts, params, opts)
         self.segments, self.m, self.starts, self.ids = (
             packed.segments, packed.m, packed.starts, packed.ids)
         self.table = packed.table
@@ -245,8 +244,9 @@ class _Tables:
         self.firsts = first[inverse] - self.starts[owner]
 
 
-def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
-    """Train softmax parameters (and optionally fine-tune the embeddings).
+def train_classifier(data, embed_params, config, opts=FeatureOptions()):
+    """Train softmax parameters (and optionally fine-tune the embeddings)
+    on :class:`~relemb.corpus.LabelledContexts` `data`.
 
     Runs `config.epochs` passes of shuffled single-instance AdaGrad steps on
     the gradient of :func:`supervised_objective_and_grad`; the logged
@@ -258,13 +258,13 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
     """
     cfg = config.validate()
     opts.validate()
-    if not instances:
+    if not len(data):
         raise ValueError("no training instances")
 
     params = embed_params.copy() if cfg.fine_tune else embed_params
     dim = feature_dim(params, opts)
     softmax = SoftmaxParams.zeros(len(ALL_LABELS), dim)
-    tables = _Tables(instances, params, opts, cfg.fine_tune)
+    tables = _Tables(data, params, opts, cfg.fine_tune)
     state = AdaGradState(softmax, params, tables.touched)
     compiled = kernels.load()
     logger.info("train: taking %s steps",
@@ -272,7 +272,7 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
     rng = np.random.default_rng(cfg.seed)
 
     log = ClassifierLog()
-    n = len(instances)
+    n = len(data)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         if compiled is None:
@@ -282,8 +282,9 @@ def train_classifier(instances, embed_params, config, opts=FeatureOptions()):
             for t, idx in enumerate(order.tolist()):
                 mask = None if masks is None else masks[t].astype(float)
                 _, loglik, (g_W, g_b), rows = supervised_objective_and_grad(
-                    instances[idx], params, softmax, cfg.l2, mask, opts,
-                    cfg.fine_tune, tables.table(idx))
+                    data.contexts.context(idx), tables.labels[idx], params,
+                    softmax, cfg.l2, mask, opts, cfg.fine_tune,
+                    tables.table(idx))
                 logliks.append(loglik)
                 adagrad_update(softmax.weights, g_W, state.weights, cfg.eta)
                 adagrad_update(softmax.bias, g_b, state.bias, cfg.eta)
@@ -354,8 +355,8 @@ def _scores(contexts, softmax_params, embed_params, opts):
 
 
 def predict_many(contexts, softmax_params, embed_params, opts=FeatureOptions()):
-    """The most probable label of each of `contexts` (no dropout; ties
-    break toward the lowest class index)."""
+    """The most probable label of each of `contexts`, a ContextArrays, as a
+    list (no dropout; ties break toward the lowest class index)."""
     opts.validate()
     scores = _scores(contexts, softmax_params, embed_params, opts)
     return [ALL_LABELS[i] for i in scores.argmax(axis=1).tolist()]
@@ -373,26 +374,24 @@ def make_folds(n, folds, seed):
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
-def cross_validate(instances, embed_params, settings, folds=10, seed=1):
-    """Mean official macro-F1 per setting under one shared fold split.
+def cross_validate(data, embed_params, settings, folds=10, seed=1):
+    """Mean official macro-F1 per setting under one shared fold split of
+    :class:`~relemb.corpus.LabelledContexts` `data`.
 
     `settings` is a list of ``(name, SupervisedConfig, FeatureOptions)``.
     Returns a list of ``(name, mean, fold_scores)``.
     """
     from .evaluation import score_semeval   # evaluation imports this module
-    n = len(instances)
-    splits = make_folds(n, folds, seed)
+    n = len(data)
+    splits = [(data.take(np.delete(np.arange(n), held)), data.take(held))
+              for held in make_folds(n, folds, seed)]
     results = []
     for name, config, opts in settings:
         fold_scores = []
-        for held_out in splits:
-            held = set(int(i) for i in held_out)
-            train = [inst for i, inst in enumerate(instances) if i not in held]
-            test = [instances[int(i)] for i in held_out]
+        for train, test in splits:
             softmax, tuned, _ = train_classifier(train, embed_params, config, opts)
-            pred = predict_many([t.context for t in test], softmax, tuned, opts)
-            gold = [t.label for t in test]
-            fold_scores.append(score_semeval(gold, pred).macro_f1)
+            pred = predict_many(test.contexts, softmax, tuned, opts)
+            fold_scores.append(score_semeval(test.gold(), pred).macro_f1)
         results.append((name, float(np.mean(fold_scores)), fold_scores))
         logger.info("cv %s: %.2f", name, results[-1][1])
     return results
@@ -407,7 +406,10 @@ def save_classifier(softmax_params, opts, path):
 
 
 def _classifier_shapes(kv):
-    n_labels, dim = int(kv["L"]), int(kv["dim"])
+    n_labels, dim = _header_dims(kv, ("L", "dim"))
+    if n_labels != len(ALL_LABELS):
+        raise ValueError(f"L={n_labels}, the label inventory has "
+                         f"{len(ALL_LABELS)}")
     return [(n_labels, dim), (n_labels,)]
 
 

@@ -145,8 +145,8 @@ def _require_files(*paths):
 
 
 def _instances(path, vocab):
-    """The labelled instances of SemEval file `path`, of which there must
-    be at least one."""
+    """The :class:`~relemb.corpus.LabelledContexts` of SemEval file `path`,
+    of which there must be at least one."""
     instances = cp.parse_semeval(path, vocab, PARSE_M_OUT)
     if not instances:
         raise cp.ArtifactError(f"{path}: no labelled instances")
@@ -370,8 +370,8 @@ def cmd_eval(args):
     vocab = cp.Vocabulary.load(args.vocab)
     params, softmax, opts = _load_model_and_classifier(args)
     instances = _instances(args.test, vocab)
-    pred = cl.predict_many([i.context for i in instances], softmax, params, opts)
-    gold = [i.label for i in instances]
+    pred = cl.predict_many(instances.contexts, softmax, params, opts)
+    gold = instances.gold()
     report = ev.score_semeval(gold, pred)
     if cfg["bootstrap"]:
         lo, hi = ev.bootstrap_ci(gold, pred, cfg["bootstrap"], cfg["level"],
@@ -382,7 +382,7 @@ def cmd_eval(args):
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(ev.report_kv(report) + "\n")
     if args.pred:
-        ev.write_predictions([i.id for i in instances], pred, args.pred)
+        ev.write_predictions(instances.ids.tolist(), pred, args.pred)
     return 0
 
 
@@ -411,7 +411,7 @@ def cmd_ngrams(args):
     for label in labels:
         print(f"== {label.surface()}")
         for n in cfg["n"]:
-            ranked = ev.top_ngrams(softmax, params, opts, instances,
+            ranked = ev.top_ngrams(softmax, params, opts, instances.contexts,
                                    label, n, cfg["top"], vocab=vocab)
             for words, score in ranked:
                 print(f"  {n}-gram  {' '.join(words):<40} {score:9.4f}")

@@ -13,6 +13,11 @@ per-line loop, which stays the reference.  Counting
 (:func:`extract_noun_pair_contexts`, into :class:`ContextArrays`), writing
 (:func:`write_contexts`) and the CBOW baseline's id arrays work on those
 arrays.
+
+Every stage holds noun-pair contexts as :class:`ContextArrays`, labelled
+ones inside the :class:`LabelledContexts` of :func:`parse_semeval`;
+:class:`NounPairContext` is the view of one context that reference code
+reads.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ __all__ = [
     "neighbor_slots",
     "neighbor_slot_rows",
     "RelationLabel",
-    "SemEvalInstance",
+    "LabelledContexts",
     "SemEvalFormatError",
     "ArtifactError",
     "ConfigError",
@@ -390,8 +395,8 @@ class Vocabulary:
         """Read a file written by :meth:`save`.  A malformed file raises
         :class:`ArtifactError` naming ``path:line``: a bad magic or header,
         a line that is not ``surface<TAB>count`` with a non-negative integer
-        count, other than the announced number of lines, or bytes that are
-        not UTF-8."""
+        count, a ranked surface repeated within its inventory, other than
+        the announced number of lines, or bytes that are not UTF-8."""
         try:
             return cls._load(path)
         except UnicodeDecodeError:
@@ -414,6 +419,9 @@ class Vocabulary:
                     f"{path}:1: header needs non-negative integer word and "
                     f"noun counts and an integer lowercase flag")
             surfaces, counts = [], []
+            # ranked surface -> its line, per inventory; the reserved ids
+            # (2 words, 1 noun) are never looked up, so they may repeat
+            seen = {"word": {}, "noun": {}}
             for lineno, line in enumerate(fh, 2):
                 if len(surfaces) == n_words + n_nouns:
                     raise ArtifactError(
@@ -428,6 +436,14 @@ class Vocabulary:
                     raise ArtifactError(
                         f"{path}:{lineno}: expected surface<TAB>count with a "
                         f"non-negative integer count")
+                kind, rank = (("word", len(surfaces)) if len(surfaces) < n_words
+                              else ("noun", len(surfaces) - n_words))
+                if rank >= (2 if kind == "word" else 1):
+                    first = seen[kind].setdefault(parts[0], lineno)
+                    if first != lineno:
+                        raise ArtifactError(
+                            f"{path}:{lineno}: {kind} {parts[0]!r} repeats "
+                            f"line {first}")
                 surfaces.append(parts[0])
                 counts.append(count)
         if len(surfaces) < n_words + n_nouns:
@@ -718,15 +734,19 @@ class ContextArrays:
     def m_out(self):
         return self.w_bef.shape[1]
 
-    def block(self, lo, hi):
-        """Contexts `lo` .. `hi` - 1 as int64 arrays of their own, their
-        offsets from 0."""
-        off = self.offsets[lo:hi + 1]
+    def take(self, rows):
+        """Contexts `rows` (indices, in the order given) as int64 arrays of
+        their own, their offsets from 0."""
+        rows = np.asarray(rows, np.int64)
+        first = self.offsets[rows]
+        m_in = self.offsets[rows + 1] - first
+        offsets = np.zeros(len(rows) + 1, np.int64)
+        np.cumsum(m_in, out=offsets[1:])
         return ContextArrays(
-            *(np.ascontiguousarray(a, np.int64) for a in (
-                self.n1[lo:hi], self.n2[lo:hi], off - off[0],
-                self.w_in[off[0]:off[-1]], self.w_bef[lo:hi],
-                self.w_aft[lo:hi])))
+            *(a.astype(np.int64, copy=False) for a in (
+                self.n1[rows], self.n2[rows], offsets,
+                self.w_in[_spans(first, m_in)], self.w_bef[rows],
+                self.w_aft[rows])))
 
     def context(self, r):
         return NounPairContext(
@@ -744,17 +764,7 @@ class ContextArrays:
         return ArtifactError(f"{self.path}:{r + 2}: {message}")
 
     def __iter__(self):
-        # Python ints, converted a block of contexts at a time
-        for lo in range(0, len(self), 1024):
-            hi = min(lo + 1024, len(self))
-            off = self.offsets[lo:hi + 1]
-            w_in = self.w_in[off[0]:off[-1]].tolist()
-            off = (off - off[0]).tolist()
-            for j, (n1, n2, bef, aft) in enumerate(zip(
-                    self.n1[lo:hi].tolist(), self.n2[lo:hi].tolist(),
-                    self.w_bef[lo:hi].tolist(), self.w_aft[lo:hi].tolist())):
-                yield NounPairContext(n1, n2, tuple(w_in[off[j]:off[j + 1]]),
-                                      tuple(bef), tuple(aft))
+        yield from map(self.context, range(len(self)))
         if self.fault is not None:
             raise self.fault
 
@@ -1001,13 +1011,29 @@ class SemEvalFormatError(ArtifactError):
 
 
 @dataclass
-class SemEvalInstance:
-    id: int
-    context: NounPairContext
-    label: RelationLabel
+class LabelledContexts:
+    """Labelled instances, in order: instance ``r`` has id ``ids[r]``, gold
+    label ``ALL_LABELS[labels[r]]`` and context ``contexts.context(r)``."""
+
+    ids: np.ndarray
+    labels: np.ndarray
+    contexts: ContextArrays
+
+    def __len__(self):
+        return len(self.ids)
+
+    def take(self, rows):
+        """Instances `rows` (indices, in the order given)."""
+        return LabelledContexts(self.ids[rows], self.labels[rows],
+                                self.contexts.take(rows))
+
+    def gold(self):
+        """The labels, as :class:`RelationLabel` values."""
+        return [ALL_LABELS[i] for i in self.labels.tolist()]
 
 
-_SENT_LINE_RE = re.compile(r"^(\d+)\t\"(.*)\"\s*$")
+# ids of up to 18 digits fit int64
+_SENT_LINE_RE = re.compile(r"^(\d{1,18})\t\"(.*)\"\s*$")
 
 
 def _entity_spans(sentence):
@@ -1051,7 +1077,8 @@ def _instance_context(sentence, vocab, m_out):
 
 
 def parse_semeval(source, vocab, m_out):
-    """Parse a labeled SemEval-2010 Task 8 file into instances.
+    """Parse a labeled SemEval-2010 Task 8 file into
+    :class:`LabelledContexts`, with outside windows `m_out` wide.
 
     `source` may be a path, an open text file, or an iterable of lines.
     Unlike pretraining extraction, adjacent entities (no words between) are
@@ -1073,7 +1100,7 @@ def parse_semeval(source, vocab, m_out):
         where = f"{source}:{i + 1}: " if named else ""
         return SemEvalFormatError(instance_id, message, where)
 
-    instances = []
+    ids, labels, contexts = [], [], []
     i = 0
     n = len(lines)
     while i < n:
@@ -1083,7 +1110,7 @@ def parse_semeval(source, vocab, m_out):
             continue
         m = _SENT_LINE_RE.match(lines[i].rstrip("\n"))
         if m is None:
-            raise fault(i, len(instances) + 1,
+            raise fault(i, len(ids) + 1,
                         f"expected '<id>\\t\"<sentence>\"', got {line!r}")
         instance_id = int(m.group(1))
         sentence = m.group(2)
@@ -1104,5 +1131,9 @@ def parse_semeval(source, vocab, m_out):
             ctx = _instance_context(sentence, vocab, m_out)
         except ValueError as exc:
             raise fault(sentence_line, instance_id, str(exc)) from None
-        instances.append(SemEvalInstance(instance_id, ctx, label))
-    return instances
+        ids.append(instance_id)
+        labels.append(label_index(label))
+        contexts.append(ctx)
+    return LabelledContexts(np.array(ids, np.int64),
+                            np.array(labels, np.int64),
+                            ContextArrays.pack(contexts, m_out))

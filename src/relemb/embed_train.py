@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .corpus import (ArtifactError, ConfigError, ContextArrays, ContextFile,
+from .corpus import (ArtifactError, ConfigError, ContextFile,
                      neighbor_slot_rows, neighbor_slots, not_utf8)
 
 logger = logging.getLogger(__name__)
@@ -396,14 +396,9 @@ def _check_ids(ids, bound, what):
         raise ValueError(f"{what} id {ids[bad][0]} outside [0, {bound})")
 
 
-def _context_fault(ctx, vocab, m_out):
-    """What is wrong with a context that failed the checks of
-    :func:`_checked_arrays` or :func:`_context_arrays`."""
-    if not ctx.w_in:
-        return "no words between the pair"
-    if not m_out or len(ctx.w_bef) != m_out or len(ctx.w_aft) != m_out:
-        return (f"outside windows of {len(ctx.w_bef)} and {len(ctx.w_aft)} "
-                f"ids, m_out is {m_out}")
+def _context_fault(ctx, vocab):
+    """Which id of a context that failed the range checks of
+    :func:`_checked_arrays` lies outside the vocabulary."""
     for ids, bound, what in (
             ((ctx.n1, ctx.n2), vocab.n_nouns, "noun"),
             (ctx.w_in + ctx.w_bef + ctx.w_aft, vocab.n_words, "word")):
@@ -412,50 +407,31 @@ def _context_fault(ctx, vocab, m_out):
             return f"{what} id {bad[0]} outside [0, {bound})"
 
 
-def _context_arrays(contexts, vocab):
-    """`contexts` as :class:`ContextArrays`: a :class:`ContextFile`'s
-    arrays, or a sequence of contexts packed up to the first with no words
-    between the pair or an outside window of another width than the first
-    context's left one (which must not be empty); that context becomes the
-    arrays' fault."""
-    if isinstance(contexts, ContextFile):
-        return contexts.arrays
-    rows = []
-    m_out = None
-    for ctx in contexts:
-        if m_out is None:
-            m_out = len(ctx.w_bef)
-        if (not ctx.w_in or not m_out or len(ctx.w_bef) != m_out
-                or len(ctx.w_aft) != m_out):
-            arrays = ContextArrays.pack(rows, m_out)
-            arrays.fault = arrays.error(len(rows),
-                                        _context_fault(ctx, vocab, m_out))
-            return arrays
-        rows.append(ctx)
-    # an empty sequence has no width; any will do
-    return ContextArrays.pack(rows, m_out or 1)
-
-
-def _checked_arrays(contexts, vocab):
-    """`contexts` read once into :func:`_context_arrays` and checked first,
-    in order: every id in the vocabulary's range, then the fault the
-    arrays end on.  A fault in a :class:`ContextFile` raises
+def _checked_arrays(arrays, vocab):
+    """Check :class:`~relemb.corpus.ContextArrays` `arrays` before
+    pretraining, in order: outside windows at least 1 wide; every context
+    with words between the pair and its ids in the vocabulary's range; then
+    the fault the arrays end on.  A fault in arrays read from a file raises
     :class:`ArtifactError` naming ``path:line``."""
-    arrays = _context_arrays(contexts, vocab)
+    if arrays.m_out < 1:
+        raise ValueError("pretraining contexts need outside windows of 1 "
+                         "or more ids")
     n_nouns, n_words = vocab.n_nouns, vocab.n_words
 
     def out_of_range(ids, bound):
         return (ids < 0) | (ids >= bound)
 
-    bad = (out_of_range(arrays.n1, n_nouns) | out_of_range(arrays.n2, n_nouns)
+    empty = arrays.offsets[1:] == arrays.offsets[:-1]
+    bad = (empty | out_of_range(arrays.n1, n_nouns)
+           | out_of_range(arrays.n2, n_nouns)
            | out_of_range(arrays.w_bef, n_words).any(axis=1)
            | out_of_range(arrays.w_aft, n_words).any(axis=1))
     words = np.flatnonzero(out_of_range(arrays.w_in, n_words))
     bad[np.searchsorted(arrays.offsets, words, side="right") - 1] = True
     if bad.any():
         r = int(bad.argmax())
-        raise arrays.error(r, _context_fault(arrays.context(r), vocab,
-                                             arrays.m_out))
+        raise arrays.error(r, "no words between the pair" if empty[r]
+                           else _context_fault(arrays.context(r), vocab))
     if arrays.fault is not None:
         raise arrays.fault
     return arrays
@@ -499,7 +475,7 @@ def _blocks(arrays, c):
     while lo < len(arrays):
         hi = max(lo + 1, int(np.searchsorted(
             offsets, offsets[lo] + _BATCH_STEPS, side="right")) - 1)
-        block = arrays.block(lo, hi)
+        block = arrays.take(np.arange(lo, hi))
         yield block, neighbor_slot_rows(block.w_in, block.offsets, c)
         lo = hi
 
@@ -567,12 +543,14 @@ def _compiled_epoch(kernel, arrays, params, draws, done, log):
 
 def train_embeddings(contexts, vocab, config):
     """Train embedding parameters over a :class:`~relemb.corpus.ContextFile`
-    or a sequence of contexts.  The outside windows are as wide as the
-    file's header says, or as the first context's.
+    or :class:`~relemb.corpus.ContextArrays`, which accept the same
+    contexts.
 
     Returns ``(params, log)``.  The run is deterministic for a fixed seed.
     """
     cfg = config.validate()
+    if isinstance(contexts, ContextFile):
+        contexts = contexts.arrays
     arrays = _checked_arrays(contexts, vocab)
     total_targets = int(arrays.offsets[-1])
     if total_targets == 0:
@@ -656,10 +634,20 @@ def save_model(params, path):
                                    params.pred_vecs, params.pred_bias))
 
 
+def _header_dims(kv, keys):
+    """The values of `keys` in header dict `kv` as integers; raises
+    ValueError unless each is 1 or more."""
+    dims = [int(kv[key]) for key in keys]
+    for key, dim in zip(keys, dims):
+        if dim < 1:
+            raise ValueError(f"{key}={dim} is below 1")
+    return dims
+
+
 def _model_shapes(kv):
-    d, c = int(kv["d"]), int(kv["c"])
-    n_words, n_nouns = int(kv["nwords"]), int(kv["nnouns"])
-    pred_dim = int(kv.get("wdim", 2 * d * (2 + c)))
+    d, c, n_words, n_nouns = _header_dims(kv, ("d", "c", "nwords", "nnouns"))
+    pred_dim = (_header_dims(kv, ("wdim",))[0] if "wdim" in kv
+                else 2 * d * (2 + c))
     return [(n_nouns, d), (n_words, d), (n_words, pred_dim), (n_words,)]
 
 

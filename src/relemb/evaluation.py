@@ -248,11 +248,11 @@ def spearman_wordsim(pairs, params, vocab, matrix="noun"):
 
 # --- n-gram inspection -------------------------------------------------------
 
-def top_ngrams(softmax_params, embed_params, opts, instances, label, n,
+def top_ngrams(softmax_params, embed_params, opts, contexts, label, n,
                top_k=5, vocab=None):
     """Highest-scoring n-grams from the training set for one class.
 
-    Every length-`n` window over the between-words of `instances` (center
+    Every length-`n` window over the between-words of `contexts` (center
     word plus (n-1)/2 neighbors each side, NULL past the span) is embedded
     like a full n-gram with the out-of-window neighbor slots masked to NULL,
     then scored by dot product with the class's between-block rows of the
@@ -274,8 +274,7 @@ def top_ngrams(softmax_params, embed_params, opts, instances, label, n,
 
     seen = {}
     order = []
-    for inst in instances:
-        ctx = inst.context
+    for ctx in contexts:
         slots = neighbor_slot_rows(ctx.w_in, (0, ctx.m_in), c, half)
         for i, row in enumerate(slots.tolist(), 1):
             words = (*reversed(row[:half]), ctx.w_in[i - 1], *row[c:c + half])
@@ -303,13 +302,13 @@ ABLATION_SETTINGS = (
 )
 
 
-def run_ablations(instances, embed_params, config, **split):
+def run_ablations(data, embed_params, config, **split):
     """Cross-validate the five feature-block combinations on one shared fold
     split, made by :func:`relemb.classifier.cross_validate` from its
     ``folds`` and ``seed`` in `split` (its defaults where absent); returns
     ``[(name, mean_f1, fold_scores), ...]``."""
     settings = [(name, config, opts) for name, opts in ABLATION_SETTINGS]
-    return cross_validate(instances, embed_params, settings, **split)
+    return cross_validate(data, embed_params, settings, **split)
 
 
 # --- rendering ---------------------------------------------------------------

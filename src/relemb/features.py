@@ -12,15 +12,16 @@ the same table.  Three blocks are table segments, in fixed order:
 - outside: the before and after windows, one ``word_vecs`` slot each,
   pooled over the window.
 
-:func:`feature_table` builds one context's table and is the reference;
-:func:`pack_tables` builds the tables of many contexts at once, packed into
-flat arrays, for the classifier's training epochs and its scoring.
+:func:`feature_table` builds the table of one ``NounPairContext`` and is the
+reference; :func:`pack_tables` builds the tables of a ``ContextArrays`` at
+once, packed into flat arrays, for the classifier's training epochs and its
+scoring.  One ``ContextArrays`` has one outside width, which
+``FeatureOptions.m_out`` trims by slicing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -126,16 +127,6 @@ def ngram_embedding(ctx, i, params, mask_beyond=None, slots=None):
                                               mask_beyond, slots))
 
 
-def _trim_outside(ctx, m_out):
-    if m_out is None:
-        return ctx.w_bef, ctx.w_aft
-    if m_out > ctx.m_out:
-        raise ValueError(
-            f"m_out override {m_out} exceeds extracted window {ctx.m_out}")
-    # Nearest-token slices: w_bef is nearest-last, w_aft nearest-first.
-    return ctx.w_bef[len(ctx.w_bef) - m_out:], ctx.w_aft[:m_out]
-
-
 def feature_table(ctx, params, opts=FeatureOptions()):
     """Id table ``(ids, segments)`` of the enabled blocks of `ctx`, in fixed
     order (nouns, between, outside); see
@@ -157,10 +148,19 @@ def feature_table(ctx, params, opts=FeatureOptions()):
             ids += gram_ids
             segments += gram_segments
     if opts.include_outside:
-        bef, aft = _trim_outside(ctx, opts.m_out)
-        ids += bef + aft
-        segments += [("word_vecs", 1, len(bef)), ("word_vecs", 1, len(aft))]
+        k = _trimmed_width(ctx.m_out, opts)
+        # the nearest tokens: w_bef is nearest-last, w_aft nearest-first
+        ids += ctx.w_bef[ctx.m_out - k:] + ctx.w_aft[:k]
+        segments += [("word_vecs", 1, k), ("word_vecs", 1, k)]
     return np.array(ids, dtype=np.intp), segments
+
+
+def _trimmed_width(m_out, opts):
+    """The width outside windows `m_out` wide are trimmed to by `opts`."""
+    if opts.m_out is not None and opts.m_out > m_out:
+        raise ValueError(f"m_out override {opts.m_out} exceeds extracted "
+                         f"window {m_out}")
+    return m_out if opts.m_out is None else opts.m_out
 
 
 @dataclass
@@ -183,16 +183,6 @@ class PackedTables:
                                                       self.m[i].tolist())])
 
 
-def _ragged(contexts, name):
-    """Attribute `name` of every context, one flat int64 array, and each
-    context's count of ids."""
-    lengths = np.array([len(getattr(ctx, name)) for ctx in contexts],
-                       np.int64)
-    return np.fromiter(chain.from_iterable(getattr(ctx, name)
-                                           for ctx in contexts),
-                       np.int64, lengths.sum()), lengths
-
-
 def _segment_columns(contexts, params, opts):
     """The segments of the tables of `contexts` in table order, each as
     ``(name, k, m, ids)``: per-context pooled-row counts and the flat ids
@@ -200,43 +190,30 @@ def _segment_columns(contexts, params, opts):
     n = len(contexts)
     columns = []
     if opts.include_nouns:
-        nouns = np.array([(ctx.n1, ctx.n2) for ctx in contexts], np.int64)
+        nouns = np.column_stack((contexts.n1, contexts.n2))
         columns.append(("noun_vecs", 2, np.ones(n, np.int64), nouns.ravel()))
     if opts.include_between:
-        w_in, m_in = _ragged(contexts, "w_in")
+        w_in, m_in = contexts.w_in, np.diff(contexts.offsets)
         if opts.bow_between:
             columns.append(("word_vecs", 1, m_in, w_in))
         else:
             c = params.window
-            offsets = np.concatenate(([0], np.cumsum(m_in)))
-            columns.append(("word_vecs", 2 * c, m_in,
-                            neighbor_slot_rows(w_in, offsets, c).ravel()))
+            columns.append(("word_vecs", 2 * c, m_in, neighbor_slot_rows(
+                w_in, contexts.offsets, c).ravel()))
         columns.append(("pred_vecs", 1, m_in, w_in))
     if opts.include_outside:
-        for name in ("w_bef", "w_aft"):
-            ids, lengths = _ragged(contexts, name)
-            if opts.m_out is not None:
-                short = np.flatnonzero(lengths < opts.m_out)
-                if len(short):
-                    raise ValueError(
-                        f"m_out override {opts.m_out} exceeds extracted "
-                        f"window {lengths[short[0]]}")
-                # the nearest tokens: w_bef is nearest-last, w_aft
-                # nearest-first
-                at = np.arange(len(ids)) - np.repeat(
-                    np.cumsum(lengths) - lengths, lengths)
-                keep = (at >= np.repeat(lengths - opts.m_out, lengths)
-                        if name == "w_bef" else at < opts.m_out)
-                ids, lengths = ids[keep], np.full(n, opts.m_out, np.int64)
-            columns.append(("word_vecs", 1, lengths, ids))
+        k = _trimmed_width(contexts.m_out, opts)
+        for ids in (contexts.w_bef[:, contexts.m_out - k:],
+                    contexts.w_aft[:, :k]):
+            columns.append(("word_vecs", 1, np.full(n, k, np.int64),
+                            ids.ravel()))
     return columns
 
 
 def pack_tables(contexts, params, opts=FeatureOptions()):
-    """The :class:`PackedTables` of `contexts`, built with numpy over all
-    of them at once: table i equals ``feature_table(contexts[i], params,
-    opts)``."""
-    contexts = list(contexts)
+    """The :class:`PackedTables` of :class:`~relemb.corpus.ContextArrays`
+    `contexts`, built with numpy over all of them at once: table i equals
+    ``feature_table(contexts.context(i), params, opts)``."""
     columns = _segment_columns(contexts, params, opts)
     m = np.zeros((len(contexts), len(columns)), np.int64)
     for s, (_, _, rows, _) in enumerate(columns):

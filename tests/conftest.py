@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from relemb.corpus import NounPairContext, Vocabulary
+from relemb.corpus import (ContextArrays, LabelledContexts, NounPairContext,
+                           Vocabulary, label_index)
 from relemb.embed_train import EmbeddingParams
 
 
@@ -43,6 +44,27 @@ def rand_ctx(rng, m_in, m_out, n_nouns=6, n_words=12):
         w_bef=tuple(int(x) for x in rng.integers(0, n_words, m_out)),
         w_aft=tuple(int(x) for x in rng.integers(0, n_words, m_out)),
     )
+
+
+def pack(contexts, m_out=None):
+    """The ContextArrays of a list of contexts, whose outside windows are
+    all `m_out` wide (by default as wide as the first context's)."""
+    contexts = list(contexts)
+    if m_out is None:
+        m_out = len(contexts[0].w_bef) if contexts else 1
+    return ContextArrays.pack(contexts, m_out)
+
+
+def labelled(contexts, labels, ids=None, m_out=None):
+    """The LabelledContexts of a list of contexts and their RelationLabels,
+    with ids 1..n unless `ids` are given."""
+    contexts = list(contexts)
+    if ids is None:
+        ids = range(1, len(contexts) + 1)
+    return LabelledContexts(np.array(list(ids), np.int64),
+                            np.array([label_index(lab) for lab in labels],
+                                     np.int64),
+                            pack(contexts, m_out))
 
 
 def rel_err(a, b, floor=1e-8):

@@ -52,3 +52,22 @@ def test_corrupt_file_rejected_with_its_name(tmp_path, rng, fmt, corrupt):
     path.write_bytes(corrupt(path.read_bytes(), key))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load(path)
+
+
+@pytest.mark.parametrize("fmt,key", [
+    ("model", "d"), ("model", "c"), ("model", "nwords"), ("model", "nnouns"),
+    ("model", "wdim"), ("clf", "L"), ("clf", "dim")])
+@pytest.mark.parametrize("value", [0, -2])
+def test_header_dimension_below_1_rejected(tmp_path, rng, fmt, key, value):
+    write, _ = FORMATS[fmt]
+    path = tmp_path / f"{fmt}.bin"
+    load = write(path, rng)
+    header, _, blob = path.read_bytes().partition(b"\n")
+    if key == "wdim":
+        header += b" wdim=1"
+    header = re.sub(rf" {key}=-?\d+".encode(), f" {key}={value}".encode(),
+                    header)
+    path.write_bytes(header + b"\n" + blob)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: bad header value: {key}={value} is below 1")):
+        load(path)

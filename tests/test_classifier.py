@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from relemb import classifier as cl
 from relemb import kernels
-from relemb.corpus import (ALL_LABELS, ConfigError, NounPairContext,
-                           RelationLabel, SemEvalInstance)
+from relemb.corpus import ALL_LABELS, ConfigError, NounPairContext
 from relemb.features import FeatureOptions, assemble_features, feature_dim
-from conftest import check_row_grads, rand_params, rand_ctx
+from conftest import check_row_grads, labelled, pack, rand_params, rand_ctx
 
 
 class TestSoftmaxForward:
@@ -41,12 +40,18 @@ class TestSoftmaxForward:
 
 
 def _instances(rng, n, params, n_labels=4):
-    out = []
+    contexts, labels = [], []
     for k in range(n):
-        ctx = rand_ctx(rng, m_in=int(rng.integers(0, 4)), m_out=2,
-                       n_nouns=params.n_nouns, n_words=params.n_words)
-        out.append(SemEvalInstance(k + 1, ctx, ALL_LABELS[int(rng.integers(0, n_labels))]))
-    return out
+        contexts.append(rand_ctx(rng, m_in=int(rng.integers(0, 4)), m_out=2,
+                                 n_nouns=params.n_nouns,
+                                 n_words=params.n_words))
+        labels.append(ALL_LABELS[int(rng.integers(0, n_labels))])
+    return labelled(contexts, labels)
+
+
+def _pairs(data):
+    """Each instance of `data` as ``(context, label index)``."""
+    return list(zip(data.contexts, data.labels.tolist()))
 
 
 class TestSupervisedObjective:
@@ -55,10 +60,10 @@ class TestSupervisedObjective:
         params.noun_vecs[:] = 0
         params.word_vecs[:] = 0
         params.pred_vecs[:] = 0
-        (inst,) = _instances(rng, 1, params)
+        ((ctx, label),) = _pairs(_instances(rng, 1, params))
         softmax = cl.SoftmaxParams.zeros(19, feature_dim(params))
         value, loglik, _, _ = cl.supervised_objective_and_grad(
-            inst, params, softmax, l2=0.0, fine_tune=False)
+            ctx, label, params, softmax, l2=0.0, fine_tune=False)
         assert value == pytest.approx(-math.log(19))
         assert loglik == value
 
@@ -70,17 +75,17 @@ class TestSupervisedObjective:
         softmax = cl.SoftmaxParams(
             rng.normal(0, 0.3, (19, feature_dim(params))),
             rng.normal(0, 0.3, 19))
-        for inst in _instances(rng, 2, params):
+        for ctx, label in _pairs(_instances(rng, 2, params)):
             mask = None
             if dropout:
                 mask = (rng.random(feature_dim(params)) < 0.5).astype(float)
 
             def value():
                 return cl.supervised_objective_and_grad(
-                    inst, params, softmax, l2, mask, fine_tune=True)[0]
+                    ctx, label, params, softmax, l2, mask, fine_tune=True)[0]
 
             _, _, (g_W, g_b), row_grads = cl.supervised_objective_and_grad(
-                inst, params, softmax, l2, mask, fine_tune=True)
+                ctx, label, params, softmax, l2, mask, fine_tune=True)
             check_row_grads(value, params, row_grads)
             rows = np.arange(19)
             check_row_grads(value, softmax,
@@ -91,11 +96,11 @@ class TestSupervisedObjective:
         softmax = cl.SoftmaxParams(rng.normal(size=(19, feature_dim(params))),
                                    rng.normal(size=19))
         lam = 0.3
-        for inst in _instances(rng, 2, params):
+        for ctx, label in _pairs(_instances(rng, 2, params)):
             _, _, (gw0, gb0), _ = cl.supervised_objective_and_grad(
-                inst, params, softmax, 0.0, fine_tune=False)
+                ctx, label, params, softmax, 0.0, fine_tune=False)
             _, _, (gw1, gb1), _ = cl.supervised_objective_and_grad(
-                inst, params, softmax, lam, fine_tune=False)
+                ctx, label, params, softmax, lam, fine_tune=False)
             np.testing.assert_allclose(gw1 - gw0, -lam * softmax.weights)
             np.testing.assert_allclose(gb1 - gb0, -lam * softmax.bias)
 
@@ -176,14 +181,14 @@ class TestAdagrad:
 def _separable_setup(rng, n=48):
     """Labels determined by the first noun id: separable on noun features."""
     params = rand_params(rng, dim=6, window=1, n_nouns=5, n_words=10)
-    instances = []
+    contexts, labels = [], []
     for k in range(n):
         n1 = int(rng.integers(1, 5))
-        ctx = NounPairContext(n1, int(rng.integers(1, 5)),
-                              w_in=(int(rng.integers(2, 10)),),
-                              w_bef=(3,), w_aft=(4,))
-        instances.append(SemEvalInstance(k, ctx, ALL_LABELS[n1 - 1]))
-    return params, instances
+        contexts.append(NounPairContext(n1, int(rng.integers(1, 5)),
+                                        w_in=(int(rng.integers(2, 10)),),
+                                        w_bef=(3,), w_aft=(4,)))
+        labels.append(ALL_LABELS[n1 - 1])
+    return params, labelled(contexts, labels, ids=range(n))
 
 
 @pytest.fixture
@@ -208,8 +213,8 @@ class TestTrainClassifier:
                                      fine_tune=False, seed=4)
         opts = FeatureOptions(True, False, False)
         softmax, tuned, _ = cl.train_classifier(instances, params, config, opts)
-        pred = cl.predict_many([i.context for i in instances], softmax, tuned, opts)
-        acc = np.mean([p == i.label for p, i in zip(pred, instances)])
+        pred = cl.predict_many(instances.contexts, softmax, tuned, opts)
+        acc = np.mean([p == g for p, g in zip(pred, instances.gold())])
         assert acc == 1.0
 
     def test_seeded_reproducibility(self, rng):
@@ -268,12 +273,12 @@ class TestTrainClassifier:
             self, rng, fine_tune, numpy_backend):
         params = rand_params(rng, dim=3, window=1, n_nouns=4, n_words=9)
         ctx = NounPairContext(2, 2, w_in=(5, 6, 5), w_bef=(3, 5), w_aft=(6, 0))
-        inst = SemEvalInstance(1, ctx, ALL_LABELS[3])
         opts = FeatureOptions()
         config = cl.SupervisedConfig(eta=0.1, l2=0.01, epochs=1, dropout=True,
                                      fine_tune=fine_tune, seed=5)
         before = params.copy()
-        softmax, tuned, log = cl.train_classifier([inst], params, config, opts)
+        softmax, tuned, log = cl.train_classifier(
+            labelled([ctx], [ALL_LABELS[3]]), params, config, opts)
 
         # replay the trainer's draws: the epoch's permutation, then the mask
         replay = np.random.default_rng(config.seed)
@@ -282,7 +287,7 @@ class TestTrainClassifier:
         mask = cl.apply_dropout(np.ones(dim), replay)
         start = cl.SoftmaxParams.zeros(len(ALL_LABELS), dim)
         _, loglik, (g_W, g_b), row_grads = cl.supervised_objective_and_grad(
-            inst, before, start, config.l2, mask, opts, fine_tune)
+            ctx, 3, before, start, config.l2, mask, opts, fine_tune)
         assert (len(row_grads) > 0) == fine_tune
 
         expected = start.copy()
@@ -302,7 +307,8 @@ class TestTrainClassifier:
     def test_empty_and_config_validation(self, rng):
         params, instances = _separable_setup(rng)
         with pytest.raises(ValueError):
-            cl.train_classifier([], params, cl.SupervisedConfig())
+            cl.train_classifier(labelled([], []), params,
+                                cl.SupervisedConfig())
         with pytest.raises(ValueError):
             cl.SupervisedConfig(epochs=0).validate()
         with pytest.raises(ValueError):
@@ -311,7 +317,7 @@ class TestTrainClassifier:
     @pytest.mark.parametrize("fine_tune", [False, True])
     def test_non_finite_result_raises(self, rng, fine_tune):
         params, instances = _separable_setup(rng)
-        params.noun_vecs[instances[0].context.n1, 0] = 1e308
+        params.noun_vecs[instances.contexts.n1[0], 0] = 1e308
         config = cl.SupervisedConfig(eta=0.1, epochs=2, dropout=True,
                                      fine_tune=fine_tune, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -323,10 +329,11 @@ class TestTrainClassifier:
                                            ("n2", 9999), ("n1", -1)])
     def test_out_of_range_id_rejected_before_training(self, rng, where, bad):
         params, instances = _separable_setup(rng)
-        ctx = instances[7].context
+        contexts = list(instances.contexts)
+        ctx = contexts[7]
         new = bad if where in ("n1", "n2") else getattr(ctx, where)[:-1] + (bad,)
-        instances[7] = dataclasses.replace(
-            instances[7], context=dataclasses.replace(ctx, **{where: new}))
+        contexts[7] = dataclasses.replace(ctx, **{where: new})
+        instances = labelled(contexts, instances.gold(), instances.ids)
         before = params.copy()
         config = cl.SupervisedConfig(epochs=1, fine_tune=True)
         with pytest.raises(ValueError, match=f" id {bad} outside"):
@@ -346,14 +353,14 @@ def _epoch_setup(rng, n=14, m_out=3):
     """Short contexts over 3 nouns and 7 words: repeated rows within a
     table, n1 == n2 and NULL neighbour slots all occur."""
     params = rand_params(rng, dim=3, window=2, n_nouns=3, n_words=7)
-    instances = []
+    contexts, labels = [], []
     for k in range(n):
         ctx = rand_ctx(rng, int(rng.integers(0, 5)), m_out, 3, 7)
         if k % 4 == 0:
             ctx = dataclasses.replace(ctx, n2=ctx.n1)
-        instances.append(SemEvalInstance(
-            k, ctx, ALL_LABELS[int(rng.integers(0, len(ALL_LABELS)))]))
-    return params, instances
+        contexts.append(ctx)
+        labels.append(ALL_LABELS[int(rng.integers(0, len(ALL_LABELS)))])
+    return params, labelled(contexts, labels, ids=range(n))
 
 
 _OPTIONS = {
@@ -377,7 +384,7 @@ def test_kernel_matches_numpy_epochs(monkeypatch, fine_tune, dropout, l2,
         pytest.skip("no C compiler found; training takes the numpy steps")
     rng = np.random.default_rng(7)
     params, instances = _epoch_setup(rng)
-    contexts = [inst.context for inst in instances]
+    contexts = list(instances.contexts)
     assert any(ctx.n1 == ctx.n2 for ctx in contexts)
     assert any(len(set(ctx.w_in + ctx.w_bef + ctx.w_aft))
                < len(ctx.w_in + ctx.w_bef + ctx.w_aft) for ctx in contexts)
@@ -408,7 +415,7 @@ def test_kernel_matches_numpy_epochs(monkeypatch, fine_tune, dropout, l2,
 
 
 def _predict_one(ctx, softmax, params):
-    return cl.predict_many([ctx], softmax, params)[0]
+    return cl.predict_many(pack([ctx]), softmax, params)[0]
 
 
 class TestPredict:
@@ -460,15 +467,15 @@ _PREDICT_OPTIONS = [
 def _scored_contexts(draw):
     """Parameters, softmax weights and contexts over small inventories, so
     rows repeat and the UNK and NULL ids 0 and 1 occur; between spans of
-    0-5 words and outside windows 2-4 wide (all alike when trimmed)."""
+    0-5 words and outside windows 2-4 wide (2 when trimmed), one width per
+    example."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     opts = draw(st.sampled_from(_PREDICT_OPTIONS))
     params = rand_params(rng, dim=draw(st.integers(1, 3)),
                          window=draw(st.integers(1, 3)), n_nouns=3, n_words=6)
-    contexts = []
-    for _ in range(draw(st.integers(0, 12))):
-        width = 2 if opts.m_out else draw(st.integers(2, 4))
-        contexts.append(rand_ctx(rng, draw(st.integers(0, 5)), width, 3, 6))
+    width = 2 if opts.m_out else draw(st.integers(2, 4))
+    contexts = pack([rand_ctx(rng, draw(st.integers(0, 5)), width, 3, 6)
+                     for _ in range(draw(st.integers(0, 12)))], width)
     dim = feature_dim(params, opts)
     softmax = cl.SoftmaxParams(rng.normal(size=(19, dim)),
                                rng.normal(size=19))
@@ -528,10 +535,10 @@ def test_scoring_memory_does_not_grow_with_tokens_per_instance(rng):
              for n1, n2 in rng.integers(0, 6, (n, 2))]
     peaks = []
     for width in (1, 40):
-        contexts = [NounPairContext(n1, n2, w_in,
-                                    tuple(rng.integers(0, 12, width).tolist()),
-                                    tuple(rng.integers(0, 12, width).tolist()))
-                    for n1, n2, w_in in cores]
+        contexts = pack([NounPairContext(
+            n1, n2, w_in, tuple(rng.integers(0, 12, width).tolist()),
+            tuple(rng.integers(0, 12, width).tolist()))
+            for n1, n2, w_in in cores])
         tracemalloc.start()
         try:
             cl.predict_many(contexts, softmax, params)
@@ -546,7 +553,7 @@ def test_predict_many_names_an_id_outside_its_block(rng):
     softmax = cl.SoftmaxParams.zeros(19, feature_dim(params))
     ctx = NounPairContext(1, 2, (3, 6), (1,), (2,))
     with pytest.raises(ValueError, match="word_vecs id 6 outside"):
-        cl.predict_many([ctx], softmax, params)
+        cl.predict_many(pack([ctx]), softmax, params)
 
 
 @pytest.mark.parametrize("fine_tune", [False, True])
@@ -609,13 +616,18 @@ class TestCrossValidation:
                                       [("only", config, opts)], folds=3, seed=8)
         name, mean, fold_scores = result
         manual = []
+        contexts, gold = list(instances.contexts), instances.gold()
         for held in cl.make_folds(len(instances), 3, seed=8):
             held_set = set(int(i) for i in held)
-            train = [x for i, x in enumerate(instances) if i not in held_set]
-            test = [instances[int(i)] for i in held]
+            rest = [i for i in range(len(instances)) if i not in held_set]
+            train = labelled([contexts[i] for i in rest],
+                             [gold[i] for i in rest])
+            test = [int(i) for i in held]
             softmax, tuned, _ = cl.train_classifier(train, params, config, opts)
-            pred = cl.predict_many([t.context for t in test], softmax, tuned, opts)
-            manual.append(score_semeval([t.label for t in test], pred).macro_f1)
+            pred = cl.predict_many(pack([contexts[i] for i in test]), softmax,
+                                   tuned, opts)
+            manual.append(score_semeval([gold[i] for i in test],
+                                        pred).macro_f1)
         assert fold_scores == manual
         assert mean == pytest.approx(np.mean(manual))
 

@@ -270,6 +270,52 @@ class TestExitCodes:
         assert code == 2
         assert f"{bad}:{len(lines)}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["clf_L25", "clf_L3", "model_dims_below_0",
+                                      "model_d0", "vocab_repeated_word"])
+    def test_bad_header_or_inventory_exit_2(self, workdir, tmp_path, capsys,
+                                            case):
+        """A classifier of other than 19 labels, a model header dimension
+        below 1 and a vocabulary listing a word twice each exit 2, naming
+        the file."""
+        files = {key: workdir / name for key, name in (
+            ("vocab", "vocab.txt"), ("model", "tuned.bin"),
+            ("clf", "clf.bin"))}
+        bad = tmp_path / "bad"
+        header = files["clf"].read_bytes().split(b"\n", 1)[0].decode()
+        dim = int(dict(t.split("=", 1) for t in header.split()[2:])["dim"])
+        vocab = files["vocab"].read_text().splitlines(True)
+        n_words, n_nouns = map(int, vocab[0].split()[2:4])
+        if case.startswith("clf"):
+            n = int(case[5:])
+            bad.write_bytes(header.replace("L=19", f"L={n}").encode() + b"\n"
+                            + bytes(8 * n * (dim + 1)))
+            files["clf"], snippet = bad, f"L={n}"
+        elif case == "model_dims_below_0":
+            # the 45 float64s this header's shapes multiply out to
+            bad.write_bytes(b"relemb-model v1 d=-2 c=1 nwords=-3 nnouns=-3\n"
+                            + bytes(8 * 45))
+            files["model"], snippet = bad, "d=-2"
+        elif case == "model_d0":
+            bad.write_bytes(f"relemb-model v1 d=0 c=1 nwords={n_words} "
+                            f"nnouns={n_nouns}\n".encode()
+                            + bytes(8 * n_words))
+            files["model"], snippet = bad, "d=0"
+        else:
+            vocab[5] = vocab[4]          # word ids 3 and 4 share a surface
+            bad.write_text("".join(vocab))
+            files["vocab"], snippet = bad, f"{bad}:6: word"
+        if case.startswith("model"):
+            argv = ["train", "--train", str(workdir / "train.txt"),
+                    "--out", str(tmp_path / "clf.bin"), "--epochs", "1"]
+        else:
+            argv = ["eval", "--test", str(workdir / "test.txt"),
+                    "--clf", str(files["clf"])]
+        code = cli.main([*argv, "--vocab", str(files["vocab"]),
+                         "--model", str(files["model"])])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(bad) in err and snippet in err
+
     @pytest.mark.parametrize("flag", ["--m-out", "--max-between"])
     def test_extract_bad_setting_leaves_no_file(self, workdir, tmp_path,
                                                 flag):

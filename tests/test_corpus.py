@@ -140,6 +140,33 @@ class TestVocabulary:
             cp.Vocabulary.load(path)
 
 
+    def test_repeated_surface_within_an_inventory_rejected(self, tmp_path):
+        vocab = make_vocab({"cause": 3, "of": 2}, {"effect": 4, "cause": 1})
+        path = tmp_path / "vocab.txt"
+        vocab.save(path)
+        lines = path.read_text().splitlines(True)
+        # a surface in both inventories is fine
+        assert cp.Vocabulary.load(path).noun_id("cause") == 2
+        for line, repeat, message in ((5, "cause\t2\n", "word 'cause'"),
+                                      (8, "effect\t1\n", "noun 'effect'")):
+            edited = lines.copy()
+            edited[line - 1] = repeat
+            path.write_text("".join(edited))
+            with pytest.raises(cp.ArtifactError,
+                               match=f"^{path}:{line}: {message} repeats "
+                                     f"line {line - 1}$"):
+                cp.Vocabulary.load(path)
+
+    def test_ranked_surface_equal_to_a_reserved_one_loads(self, tmp_path):
+        vocab = cp.build_vocabulary(_sentences("<UNK>\tNN\na\tNN\n\n"), 5, 5,
+                                    lowercase=False)
+        assert vocab.word_surfaces.count("<UNK>") == 2
+        path = tmp_path / "vocab.txt"
+        vocab.save(path)
+        assert cp.Vocabulary.load(path).word_id("<UNK>") == \
+            vocab.word_id("<UNK>")
+
+
 def _tagged_block(words, noun_positions):
     """A block of one sentence, tagged NN at `noun_positions`."""
     tags = tuple("NN" if i in noun_positions else "DT"
@@ -264,32 +291,33 @@ class TestSemEvalParsing:
     def test_example_sentences(self):
         vocab = _semeval_vocab()
         instances = cp.parse_semeval(io.StringIO(SEMEVAL_SAMPLE), vocab, m_out=5)
-        assert [inst.id for inst in instances] == [1, 2, 3]
-        a = instances[0]
-        assert a.label == cp.RelationLabel("Cause-Effect", "e1,e2")
-        assert a.context.n1 == vocab.noun_id("stress")
-        assert a.context.n2 == vocab.noun_id("divorce")
+        assert instances.ids.tolist() == [1, 2, 3]
+        labels = instances.gold()
+        a = instances.contexts.context(0)
+        assert labels[0] == cp.RelationLabel("Cause-Effect", "e1,e2")
+        assert a.n1 == vocab.noun_id("stress")
+        assert a.n2 == vocab.noun_id("divorce")
         expected_in = tuple(vocab.word_id(w) for w in
                             ("is", "one", "of", "the", "main", "causes", "of"))
-        assert a.context.w_in == expected_in
+        assert a.w_in == expected_in
 
-        b = instances[1]
-        assert b.label == cp.RelationLabel("Cause-Effect", "e2,e1")
-        assert b.context.n1 == vocab.noun_id("burst")
+        b = instances.contexts.context(1)
+        assert labels[1] == cp.RelationLabel("Cause-Effect", "e2,e1")
+        assert b.n1 == vocab.noun_id("burst")
 
     def test_multi_token_entity_head_is_last_token(self):
         vocab = _semeval_vocab()
         instances = cp.parse_semeval(io.StringIO(SEMEVAL_SAMPLE), vocab, m_out=5)
-        c = instances[2]
-        assert c.context.n1 == vocab.noun_id("embedding")
-        assert c.context.n2 == vocab.noun_id("space")
+        c = instances.contexts.context(2)
+        assert c.n1 == vocab.noun_id("embedding")
+        assert c.n2 == vocab.noun_id("space")
         # 'vector', the non-head token of e2, lands in w_in
-        assert vocab.word_id("vector") in c.context.w_in
+        assert vocab.word_id("vector") in c.w_in
 
     def test_outside_windows_padded(self):
         vocab = _semeval_vocab()
         instances = cp.parse_semeval(io.StringIO(SEMEVAL_SAMPLE), vocab, m_out=5)
-        a = instances[0].context
+        a = instances.contexts.context(0)
         assert len(a.w_bef) == 5 and len(a.w_aft) == 5
         assert a.w_bef[-1] == vocab.word_id("financial")
         assert a.w_bef[0] == cp.NULL_WORD     # sentence boundary padding
@@ -299,8 +327,8 @@ class TestSemEvalParsing:
         text = '7\t"The <e1>tank</e1> <e2>crew</e2> left"\nOther\n'
         vocab = make_vocab({"the": 1, "tank": 1, "crew": 1, "left": 1},
                            {"tank": 1, "crew": 1})
-        (inst,) = cp.parse_semeval(io.StringIO(text), vocab, m_out=2)
-        assert inst.context.m_in == 0
+        (ctx,) = cp.parse_semeval(io.StringIO(text), vocab, m_out=2).contexts
+        assert ctx.m_in == 0
 
     def test_missing_markup_error_carries_id(self):
         text = '9\t"no entities here"\nOther\n'
@@ -520,6 +548,46 @@ def test_context_file_round_trip(data, tmp_path_factory):
     assert len(arrays) == len(contexts) and arrays.fault is None
     assert [arrays.context(r) for r in range(len(contexts))] == contexts
     assert arrays.offsets[-1] == sum(c.m_in for c in contexts)
+
+
+# contexts whose ids all fit int32, as a context file then stores them
+_SMALL_CONTEXTS = st.integers(1, 4).flatmap(lambda m_out: st.tuples(
+    st.just(m_out),
+    st.lists(st.builds(
+        cp.NounPairContext, st.integers(0, 300), st.integers(0, 300),
+        *(st.lists(st.integers(0, 300), min_size=lo, max_size=hi).map(tuple)
+          for lo, hi in ((1, 5), (m_out, m_out), (m_out, m_out)))),
+        max_size=12)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_SMALL_CONTEXTS, picks=st.lists(st.integers(0, 11), max_size=16),
+       ids=st.lists(st.integers(0, 10 ** 18), min_size=12, max_size=12))
+def test_take_equals_packing_the_selected_contexts(data, picks, ids,
+                                                   tmp_path_factory):
+    """``take(rows)``, rows in any order and repeated, of packed arrays and
+    of the int32 arrays read from a file, equals packing the contexts at
+    `rows`; LabelledContexts.take takes the ids and labels alike."""
+    m_out, contexts = data
+    rows = [p % len(contexts) for p in picks] if contexts else []
+    want = cp.ContextArrays.pack([contexts[r] for r in rows], m_out)
+    path = tmp_path_factory.mktemp("ctx") / "ctx.txt"
+    cp.write_contexts(cp.ContextArrays.pack(contexts, m_out), m_out, path)
+    read = cp.ContextFile(path).arrays
+    assert read.w_in.dtype == np.int32
+    for arrays in (cp.ContextArrays.pack(contexts, m_out), read):
+        got = arrays.take(np.array(rows, np.int64))
+        for name in ("n1", "n2", "offsets", "w_in", "w_bef", "w_aft"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == np.int64 and a.flags.c_contiguous, name
+            assert a.shape == b.shape and (a == b).all(), name
+    labels = [i % len(cp.ALL_LABELS) for i in ids][:len(contexts)]
+    instances = cp.LabelledContexts(np.array(ids[:len(contexts)], np.int64),
+                                    np.array(labels, np.int64), read)
+    taken = instances.take(rows)
+    assert taken.ids.tolist() == [ids[r] for r in rows]
+    assert taken.gold() == [cp.ALL_LABELS[labels[r]] for r in rows]
+    assert list(taken.contexts) == [contexts[r] for r in rows]
 
 
 def _corrupt(fields, kind, pick):

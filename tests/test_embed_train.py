@@ -11,7 +11,7 @@ from relemb import corpus as cp
 from relemb import embed_train as et
 from relemb import kernels
 from relemb.synthetic import make_single_pattern_corpus
-from conftest import make_vocab, rand_params, rand_ctx, check_row_grads
+from conftest import make_vocab, pack, rand_params, rand_ctx, check_row_grads
 
 
 def target_probability(f, wid, params):
@@ -371,15 +371,16 @@ class TestTrainEmbeddings:
     def test_empty_stream_rejected(self):
         vocab = make_vocab({"a": 3}, {"a": 3})
         with pytest.raises(ValueError):
-            et.train_embeddings([], vocab, et.PretrainConfig(dim=2, window=1))
+            et.train_embeddings(pack([]), vocab,
+                                et.PretrainConfig(dim=2, window=1))
 
     def test_single_thread_seeded_bit_reproducible(self):
         vocab, contexts = _pattern_setup()
         cfg = et.PretrainConfig(dim=8, window=2, negatives=5, alpha=0.05,
                                 subsample=1.0, epochs=1, seed=11,
                                 report_every=2000)
-        p1, _ = et.train_embeddings(contexts[:400], vocab, cfg)
-        p2, _ = et.train_embeddings(contexts[:400], vocab, cfg)
+        p1, _ = et.train_embeddings(pack(contexts[:400]), vocab, cfg)
+        p2, _ = et.train_embeddings(pack(contexts[:400]), vocab, cfg)
         assert p1.noun_vecs.tobytes() == p2.noun_vecs.tobytes()
         assert p1.word_vecs.tobytes() == p2.word_vecs.tobytes()
         assert p1.pred_vecs.tobytes() == p2.pred_vecs.tobytes()
@@ -391,7 +392,7 @@ class TestTrainEmbeddings:
         cfg = et.PretrainConfig(dim=16, window=2, negatives=5, alpha=0.08,
                                 subsample=1.0, epochs=3, seed=1,
                                 report_every=max(200, (3 * n_targets) // 25))
-        params, log = et.train_embeddings(contexts, vocab, cfg)
+        params, log = et.train_embeddings(pack(contexts), vocab, cfg)
         params.check_finite()
 
         # last-decile windowed objective beats the first decile
@@ -424,7 +425,7 @@ class TestTrainEmbeddings:
         cfg = et.PretrainConfig(dim=4, window=1, negatives=2, alpha=0.05,
                                 subsample=1e-12, epochs=2, seed=1,
                                 report_every=10_000)
-        params, log = et.train_embeddings(contexts[:200], vocab, cfg)
+        params, log = et.train_embeddings(pack(contexts[:200]), vocab, cfg)
         assert log.targets_seen == 2 * sum(c.m_in for c in contexts[:200])
         assert log.steps_taken == 0
 
@@ -433,9 +434,9 @@ class TestTrainEmbeddings:
         cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
                                 subsample=1e-3, epochs=2, seed=3,
                                 report_every=500)
-        p1, log1 = et.train_embeddings(contexts[:300], vocab, cfg)
+        p1, log1 = et.train_embeddings(pack(contexts[:300]), vocab, cfg)
         monkeypatch.setattr(et, "_BATCH_STEPS", 7)
-        p2, log2 = et.train_embeddings(contexts[:300], vocab, cfg)
+        p2, log2 = et.train_embeddings(pack(contexts[:300]), vocab, cfg)
         assert log1 == log2
         assert 0 < log1.targets_discarded < log1.targets_seen
         for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
@@ -451,29 +452,27 @@ class TestTrainEmbeddings:
         contexts[30] = dataclasses.replace(contexts[30], **{where: new})
         cfg = et.PretrainConfig(dim=4, window=1, negatives=2, subsample=1.0)
         with pytest.raises(ValueError, match=f"context 30: .* id {bad} "):
-            et.train_embeddings(contexts, vocab, cfg)
+            et.train_embeddings(pack(contexts), vocab, cfg)
 
-    def test_context_wider_than_the_first_rejected(self):
-        # the first context sets the outside width of a sequence, which
-        # may not be 0
+    def test_zero_width_and_empty_span_rejected(self):
+        # arrays accept what a context file does: outside windows at least
+        # 1 wide and words between every pair
         vocab, contexts = _pattern_setup()
-        wide = dataclasses.replace(contexts[3], w_bef=contexts[3].w_bef + (0,),
-                                   w_aft=contexts[3].w_aft + (0,))
         cfg = et.PretrainConfig(dim=4, window=1, negatives=2, subsample=1.0)
+        narrow = [dataclasses.replace(ctx, w_bef=(), w_aft=())
+                  for ctx in contexts[:9]]
+        with pytest.raises(ValueError, match="outside windows of 1 or more"):
+            et.train_embeddings(pack(narrow, 0), vocab, cfg)
+        empty = dataclasses.replace(contexts[3], w_in=())
         with pytest.raises(ValueError,
-                           match="context 3: outside windows of 3 and 3 ids, "
-                                 "m_out is 2"):
-            et.train_embeddings([*contexts[:3], wide, *contexts[4:9]], vocab,
-                                cfg)
-        empty = dataclasses.replace(contexts[0], w_bef=(), w_aft=())
-        with pytest.raises(ValueError,
-                           match="context 0: outside windows of 0 and 0 ids"):
-            et.train_embeddings([empty, *contexts[1:9]], vocab, cfg)
+                           match="context 3: no words between the pair"):
+            et.train_embeddings(pack([*contexts[:3], empty, *contexts[4:9]]),
+                                vocab, cfg)
 
 
 class TestContextFileInput:
-    """train_embeddings over a context file: one parse, the checks of a
-    context list, faults named by ``path:line``."""
+    """train_embeddings over a context file: one parse, the checks of
+    arrays, faults named by ``path:line``."""
 
     _CFG = et.PretrainConfig(dim=4, window=1, negatives=2, subsample=1.0)
 
@@ -499,7 +498,7 @@ class TestContextFileInput:
                                 report_every=500)
         p1, log1 = et.train_embeddings(cp.ContextFile(path), vocab, cfg)
         assert len(calls) == 1
-        p2, log2 = et.train_embeddings(contexts[:300], vocab, cfg)
+        p2, log2 = et.train_embeddings(pack(contexts[:300]), vocab, cfg)
         assert log1 == log2 and log1.steps_taken > 0
         for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
             assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes()
@@ -554,9 +553,9 @@ def test_kernel_and_numpy_runs_agree(monkeypatch):
     cfg = et.PretrainConfig(dim=8, window=3, negatives=6, alpha=0.05,
                             subsample=1e-3, epochs=1, seed=4,
                             report_every=300)
-    p1, log1 = et.train_embeddings(contexts[:400], vocab, cfg)
+    p1, log1 = et.train_embeddings(pack(contexts[:400]), vocab, cfg)
     monkeypatch.setattr(kernels, "load", lambda: None)
-    p2, log2 = et.train_embeddings(contexts[:400], vocab, cfg)
+    p2, log2 = et.train_embeddings(pack(contexts[:400]), vocab, cfg)
     assert (log1.targets_seen, log1.steps_taken, log1.pairs_discarded,
             log1.targets_discarded) == (
         log2.targets_seen, log2.steps_taken, log2.pairs_discarded,

@@ -9,9 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from relemb import evaluation as ev
 from relemb.classifier import SoftmaxParams, SupervisedConfig
 from relemb.corpus import (ALL_LABELS, FAMILIES, NounPairContext, RelationLabel,
-                           SemEvalInstance, parse_label)
+                           parse_label)
 from relemb.features import FeatureOptions, feature_dim, ngram_embedding
-from conftest import rand_params, rand_ctx
+from conftest import labelled, pack, rand_params, rand_ctx
 
 
 def brute_force_scores(gold, pred):
@@ -345,11 +345,9 @@ class TestTopNgrams:
         weights = np.zeros((19, feature_dim(params, opts))) if zero_weights \
             else rng.normal(size=(19, feature_dim(params, opts)))
         softmax = SoftmaxParams(weights, np.zeros(19))
-        instances = [
-            SemEvalInstance(k, rand_ctx(rng, m_in=int(rng.integers(1, 5)),
-                                        m_out=2, n_words=12), CE12)
-            for k in range(8)
-        ]
+        instances = pack([rand_ctx(rng, m_in=int(rng.integers(1, 5)), m_out=2,
+                                   n_words=12)
+                          for k in range(8)])
         return params, opts, softmax, instances
 
     def test_zero_weights_scores_zero_in_first_seen_order(self, rng):
@@ -374,8 +372,7 @@ class TestTopNgrams:
                                            CE12, 3, top_k=1)
         # find an occurrence and recompute its masked embedding by hand
         found = None
-        for inst in instances:
-            ctx = inst.context
+        for ctx in instances:
             for i in range(1, ctx.m_in + 1):
                 w = tuple(ctx.w_in[i + o - 1] if 1 <= i + o <= ctx.m_in else 0
                           for o in (-1, 0, 1))
@@ -417,8 +414,7 @@ class TestTopNgrams:
     def test_dedupes_by_surface_form(self, rng):
         params, opts, softmax, _ = self._fixture(rng)
         ctx = NounPairContext(1, 2, (5, 6, 5, 6), (3, 3), (4, 4))
-        instances = [SemEvalInstance(0, ctx, CE12),
-                     SemEvalInstance(1, ctx, CE12)]
+        instances = pack([ctx, ctx])
         ranked = ev.top_ngrams(softmax, params, opts, instances, CE12, 3,
                                top_k=50)
         words = [w for w, _ in ranked]
@@ -439,11 +435,12 @@ class TestAblations:
     def test_run_ablations_shape(self, rng):
         from conftest import rand_params
         params = rand_params(rng, dim=3, window=1, n_nouns=5, n_words=10)
-        instances = []
+        contexts, labels = [], []
         for k in range(12):
-            instances.append(SemEvalInstance(
-                k, rand_ctx(rng, m_in=2, m_out=2, n_nouns=5, n_words=10),
-                ALL_LABELS[int(rng.integers(0, 3))]))
+            contexts.append(rand_ctx(rng, m_in=2, m_out=2, n_nouns=5,
+                                     n_words=10))
+            labels.append(ALL_LABELS[int(rng.integers(0, 3))])
+        instances = labelled(contexts, labels, ids=range(12))
         config = SupervisedConfig(eta=0.2, l2=0.0, epochs=2, dropout=False,
                                   fine_tune=False, seed=1)
         results = ev.run_ablations(instances, params, config, folds=2, seed=4)

@@ -3,7 +3,7 @@ import pytest
 
 from relemb import features as ft
 from relemb.corpus import NULL_WORD, NounPairContext
-from conftest import check_row_grads, rand_params, rand_ctx
+from conftest import check_row_grads, pack, rand_params, rand_ctx
 
 
 # Each block is a slice of the vector assembled with every block enabled;
@@ -331,22 +331,22 @@ class TestScatterFeatureGrad:
     ft.FeatureOptions(m_out=2, bow_between=True)])
 def test_packed_tables_equal_per_context_tables(rng, opts):
     params = rand_params(rng, dim=2, window=2)
-    contexts = [rand_ctx(rng, int(rng.integers(0, 5)),
-                         2 if opts.m_out else int(rng.integers(2, 5)))
+    width = 2 if opts.m_out else int(rng.integers(2, 5))
+    contexts = [rand_ctx(rng, int(rng.integers(0, 5)), width)
                 for _ in range(20)]
-    packed = ft.pack_tables(contexts, params, opts)
+    packed = ft.pack_tables(pack(contexts), params, opts)
     assert packed.ids.dtype == np.int64
     for i, ctx in enumerate(contexts):
         ids, segments = packed.table(i)
         want_ids, want_segments = ft.feature_table(ctx, params, opts)
         assert ids.tolist() == want_ids.tolist()
         assert segments == want_segments
-    assert len(ft.pack_tables([], params, opts).ids) == 0
+    assert len(ft.pack_tables(pack([], width), params, opts).ids) == 0
 
 
 def test_packed_tables_reject_a_trim_wider_than_a_window(rng):
     params = rand_params(rng, dim=2, window=1)
-    contexts = [rand_ctx(rng, 2, 3), rand_ctx(rng, 2, 1)]
+    contexts = pack([rand_ctx(rng, 2, 1), rand_ctx(rng, 2, 1)])
     with pytest.raises(ValueError, match="m_out override 2 exceeds "
                                          "extracted window 1"):
         ft.pack_tables(contexts, params, ft.FeatureOptions(m_out=2))

@@ -68,8 +68,8 @@ def _assert_same_run(runs, names):
 
 
 def _random_contexts(rng, n, m_out, n_nouns, n_words, p_words=None):
-    """`n` contexts of 1-4 words between the pair, drawn with `p_words`;
-    one in five has n1 == n2."""
+    """The ContextArrays of `n` contexts of 1-4 words between the pair,
+    drawn with `p_words`; one in five has n1 == n2."""
     contexts = []
     for _ in range(n):
         ctx = NounPairContext(
@@ -81,7 +81,7 @@ def _random_contexts(rng, n, m_out, n_nouns, n_words, p_words=None):
         if rng.random() < 0.2:
             ctx = dataclasses.replace(ctx, n2=ctx.n1)
         contexts.append(ctx)
-    return contexts
+    return ContextArrays.pack(contexts, m_out)
 
 
 _PARAMS = ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias")
@@ -282,6 +282,7 @@ def test_no_compiler_means_numpy_steps(monkeypatch, caplog):
     ctx = rand_ctx(np.random.default_rng(1), 3, 2, n_nouns=2, n_words=5)
     cfg = et.PretrainConfig(dim=2, window=1, negatives=2, subsample=1.0)
     with caplog.at_level(logging.INFO, logger="relemb.embed_train"):
-        _, log = et.train_embeddings([ctx], vocab, cfg)
+        _, log = et.train_embeddings(ContextArrays.pack([ctx], 2), vocab,
+                                     cfg)
     assert "numpy steps" in caplog.text
     assert log.steps_taken == 3
