@@ -49,7 +49,6 @@ from .classifier import (
 from .evaluation import (
     EvalReport,
     bootstrap_ci,
-    run_ablations,
     score_semeval,
     spearman_wordsim,
     top_ngrams,

@@ -30,7 +30,6 @@ __all__ = [
     "cbow_objective_and_grad",
     "train_cbow",
     "import_as_initialization",
-    "align_text_vectors",
 ]
 
 
@@ -208,32 +207,3 @@ def import_as_initialization(model, vocab):
         window=model.window,
     )
 
-
-def align_text_vectors(surfaces, matrix, vocab):
-    """Map interchange-format vectors onto the word inventory.
-
-    Returns ``(aligned, missing)`` where `aligned` has one row per word id.
-    Words absent from the file take the file's UNK row.  The file must
-    provide an UNK row (surface ``UNK`` or ``<UNK>``) unless nothing is
-    missing.
-    """
-    index = {s: i for i, s in enumerate(surfaces)}
-    unk_row = index.get("UNK", index.get("<UNK>"))
-    aliases = {0: ("NULL", "<NULL>"), 1: ("UNK", "<UNK>")}
-    aligned = np.empty((vocab.n_words, matrix.shape[1]), dtype=np.float64)
-    missing = []
-    for wid in range(vocab.n_words):
-        surface = vocab.word_surface(wid)
-        row = None
-        for cand in aliases.get(wid, (surface,)):
-            row = index.get(cand)
-            if row is not None:
-                break
-        if row is None:
-            missing.append(surface)
-            if unk_row is None:
-                raise ValueError(
-                    f"vectors lack {surface!r} and provide no UNK fallback")
-            row = unk_row
-        aligned[wid] = matrix[row]
-    return aligned, missing

@@ -264,10 +264,6 @@ def cmd_cbow(args):
     model, log = cb.train_cbow(corpus, vocab, config)
     params = cb.import_as_initialization(model, vocab)
     et.save_model(params, args.out)
-    if args.export_text:
-        surfaces = [vocab.word_surface(i) for i in range(vocab.n_words)]
-        et.write_text_vectors(surfaces, model.in_vecs, args.export_text + ".in.txt")
-        et.write_text_vectors(surfaces, model.out_vecs, args.export_text + ".out.txt")
     print(f"tokens seen: {log.targets_seen}")
     print(f"updates: {log.steps_taken}")
     print(f"skipped lines: {corpus.skipped_lines}")
@@ -276,7 +272,7 @@ def cmd_cbow(args):
 
 
 def _load_embeddings(args, cfg, vocab):
-    """Pretrained model file, random initialization, or imported vectors."""
+    """Pretrained model file or random initialization."""
     if args.model:
         _require_files(args.model)
         return et.load_model(args.model)
@@ -284,19 +280,7 @@ def _load_embeddings(args, cfg, vocab):
         rng = np.random.default_rng(cfg["seed"])
         return et.initial_params(vocab.n_nouns, vocab.n_words,
                                  cfg["d"], cfg["c"], rng)
-    if args.init == "w2v":
-        if not (args.vectors_in and args.vectors_out):
-            raise ConfigError("--init w2v needs --vectors-in and --vectors-out")
-        _require_files(args.vectors_in, args.vectors_out)
-        s_in, m_in = et.read_text_vectors(args.vectors_in)
-        s_out, m_out = et.read_text_vectors(args.vectors_out)
-        in_aligned, missing = cb.align_text_vectors(s_in, m_in, vocab)
-        out_aligned, _ = cb.align_text_vectors(s_out, m_out, vocab)
-        if missing:
-            logger.info("imported vectors: %d words fall back to UNK", len(missing))
-        model = cb.CbowModel(in_aligned, out_aligned, m_in.shape[1], cfg["c"])
-        return cb.import_as_initialization(model, vocab)
-    raise ConfigError("provide --model FILE or --init rand|w2v")
+    raise ConfigError("provide --model FILE or --init rand")
 
 
 def _feature_options(features, m_out):
@@ -353,9 +337,14 @@ def cmd_cv(args):
 
 def _load_model_and_classifier(args):
     """The model and classifier files, checked to agree on the feature
-    dimension: ``(embed_params, softmax_params, feature_options)``."""
+    dimension, and the classifier to trim no wider than labelled data is
+    parsed: ``(embed_params, softmax_params, feature_options)``."""
     params = et.load_model(args.model)
     softmax, opts = cl.load_classifier(args.clf)
+    if opts.m_out is not None and opts.m_out > PARSE_M_OUT:
+        raise cp.ArtifactError(
+            f"{args.clf}: m_out={opts.m_out} exceeds the outside window of "
+            f"{PARSE_M_OUT} that labelled data is parsed with")
     expected = feature_dim(params, opts)
     if expected != softmax.weights.shape[1]:
         raise RuntimeError(
@@ -422,8 +411,7 @@ def cmd_ngrams(args):
 
 _REQUIRED = {"required": True}
 _INPUTS = {"nargs": "+", "required": True}
-_EMBED_SOURCE = {"model": {}, "init": {"choices": ("rand", "w2v")},
-                 "vectors_in": {}, "vectors_out": {}}
+_EMBED_SOURCE = {"model": {}, "init": {"choices": ("rand",)}}
 
 # Each subcommand's function, help line, and the arguments that are not
 # settings (file paths, the embedding source, ngrams' labels) with their
@@ -436,8 +424,7 @@ COMMANDS = {
     "pretrain": (cmd_pretrain, "train noun-pair embeddings",
                  {"contexts": _REQUIRED, "vocab": _REQUIRED, "out": _REQUIRED}),
     "cbow": (cmd_cbow, "train the CBOW baseline embeddings",
-             {"corpus": _INPUTS, "vocab": _REQUIRED, "out": _REQUIRED,
-              "export_text": {}}),
+             {"corpus": _INPUTS, "vocab": _REQUIRED, "out": _REQUIRED}),
     "train": (cmd_train, "train the relation classifier",
               {"train": _REQUIRED, "vocab": _REQUIRED, "out": _REQUIRED,
                "out_model": {}, **_EMBED_SOURCE}),

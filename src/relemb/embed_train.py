@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import (ArtifactError, ConfigError, ContextFile,
-                     neighbor_slot_rows, neighbor_slots, not_utf8)
+                     neighbor_slot_rows, neighbor_slots)
 
 logger = logging.getLogger(__name__)
 
@@ -56,8 +56,6 @@ __all__ = [
     "load_model",
     "write_blob_file",
     "read_blob_file",
-    "write_text_vectors",
-    "read_text_vectors",
 ]
 
 
@@ -574,8 +572,20 @@ def train_embeddings(contexts, vocab, config):
         else:
             done = _compiled_epoch(compiled.pretrain_contexts, arrays, params,
                                    draws, done, log)
+    _warn_if_untrained(log, cfg.epochs * len(arrays), cfg.subsample)
     params.check_finite()
     return params, log
+
+
+def _warn_if_untrained(log, pairs, t):
+    """Log a warning when subsampling at threshold `t` discarded more than
+    99% of the `pairs` passed, or of the targets (alone or with their
+    pair), so the returned embeddings are barely trained."""
+    untrained = log.targets_seen - log.steps_taken
+    if log.pairs_discarded > 0.99 * pairs or untrained > 0.99 * log.targets_seen:
+        logger.warning("pretrain: subsampling at t=%g discarded %d of %d "
+                       "pairs and %d of %d targets", t, log.pairs_discarded,
+                       pairs, untrained, log.targets_seen)
 
 
 # --- persistence ------------------------------------------------------------
@@ -589,13 +599,32 @@ def write_blob_file(path, header, arrays):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+# Values checked for being finite at a time: the check's temporary
+# array takes 128 KiB whatever the artifact's size.
+_FINITE_CHUNK = 1 << 17
+
+
+def _check_finite(path, k, arr):
+    """Raise :class:`ArtifactError` naming `path` at the first NaN or
+    infinity of `arr`, the `k`-th array stored there (from 1)."""
+    flat = arr.reshape(-1)
+    for lo in range(0, flat.size, _FINITE_CHUNK):
+        finite = np.isfinite(flat[lo:lo + _FINITE_CHUNK])
+        if not finite.all():
+            at = lo + int(finite.argmin())
+            raise ArtifactError(
+                f"{path}: non-finite value {flat[at]} in stored array {k} "
+                f"at index {tuple(map(int, np.unravel_index(at, arr.shape)))}")
+
+
 def read_blob_file(path, magic, required, shapes):
     """Read a file written by :func:`write_blob_file` whose header is
     ``<magic> v1 key=value ...``.
 
     `shapes` maps the header dict to the shapes of the stored arrays.  The
-    magic, the `required` keys and the exact byte length are checked, and
-    every error names `path`.  Returns ``(header dict, arrays)``.
+    magic, the `required` keys, the exact byte length and that every value
+    is finite are checked, and every error names `path`.  Returns
+    ``(header dict, arrays)``.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", "replace").split()
@@ -616,9 +645,11 @@ def read_blob_file(path, magic, required, shapes):
                          f"file holds {len(blob)}")
     arrays = []
     offset = 0
-    for shape, size in zip(dims, sizes):
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=size,
-                                    offset=offset * 8).reshape(shape).copy())
+    for k, (shape, size) in enumerate(zip(dims, sizes), 1):
+        arr = np.frombuffer(blob, dtype="<f8", count=size,
+                            offset=offset * 8).reshape(shape)
+        _check_finite(path, k, arr)
+        arrays.append(arr.copy())
         offset += size
     return kv, arrays
 
@@ -656,47 +687,3 @@ def load_model(path):
                                 ("d", "c", "nwords", "nnouns"), _model_shapes)
     return EmbeddingParams(*arrays, int(kv["d"]), int(kv["c"]))
 
-
-def write_text_vectors(surfaces, matrix, path):
-    """Interchange text format: ``word v1 v2 ... vd`` per row."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        for surface, row in zip(surfaces, matrix):
-            fh.write(surface + " " + " ".join(f"{x:.6g}" for x in row) + "\n")
-
-
-def read_text_vectors(path):
-    """Read the interchange text format; returns (surfaces, matrix).
-
-    Blank lines are skipped.  Every other line must hold a word and as many
-    numbers as the first such line, and every byte must be UTF-8, or
-    :class:`ArtifactError` names ``path:line``.
-    """
-    try:
-        return _read_text_vectors(path)
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
-
-
-def _read_text_vectors(path):
-    surfaces = []
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(" ")
-            try:
-                row = [float(x) for x in parts[1:]]
-            except ValueError:
-                row = []
-            width = len(rows[0]) if rows else len(row)
-            if not row or len(row) != width:
-                raise ArtifactError(
-                    f"{path}:{lineno}: expected a word and "
-                    f"{width or 'one or more'} numbers")
-            surfaces.append(parts[0])
-            rows.append(row)
-    if not rows:
-        raise ArtifactError(f"{path}: no vectors")
-    return surfaces, np.asarray(rows, dtype=np.float64)

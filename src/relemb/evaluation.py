@@ -1,5 +1,5 @@
 """Scoring and analysis: official relation scoring, bootstrap intervals,
-word-similarity correlation, ablation runs, and top-n-gram inspection.
+word-similarity correlation, and top-n-gram inspection.
 
 The relation scorer follows the SemEval-2010 Task 8 official protocol: a
 prediction is a true positive only when relation family and argument
@@ -20,8 +20,7 @@ import numpy as np
 
 from .corpus import ALL_LABELS, FAMILIES, ConfigError, label_index, \
     neighbor_slot_rows, not_utf8
-from .classifier import cross_validate
-from .features import FeatureOptions, between_slice, ngram_embedding
+from .features import between_slice, ngram_embedding
 
 logger = logging.getLogger(__name__)
 
@@ -33,8 +32,6 @@ __all__ = [
     "read_wordsim",
     "spearman_wordsim",
     "top_ngrams",
-    "ABLATION_SETTINGS",
-    "run_ablations",
     "format_report",
     "report_kv",
     "write_predictions",
@@ -42,9 +39,8 @@ __all__ = [
 
 _N_LABELS = len(ALL_LABELS)
 
-# family -> label indices (e1,e2 first), plus Other at the end
+# family -> label indices (e1,e2 first)
 _FAMILY_SLOTS = {fam: (2 * i, 2 * i + 1) for i, fam in enumerate(FAMILIES)}
-_OTHER_INDEX = _N_LABELS - 1
 
 
 @dataclass
@@ -289,26 +285,6 @@ def top_ngrams(softmax_params, embed_params, opts, contexts, label, n,
         return [(tuple(vocab.word_surface(w) for w in words), seen[words])
                 for words in ranked]
     return [(words, seen[words]) for words in ranked]
-
-
-# --- ablations ---------------------------------------------------------------
-
-ABLATION_SETTINGS = (
-    ("nouns", FeatureOptions(True, False, False)),
-    ("between", FeatureOptions(False, True, False)),
-    ("between-bow", FeatureOptions(False, True, False, bow_between=True)),
-    ("nouns+between", FeatureOptions(True, True, False)),
-    ("nouns+between+outside", FeatureOptions(True, True, True)),
-)
-
-
-def run_ablations(data, embed_params, config, **split):
-    """Cross-validate the five feature-block combinations on one shared fold
-    split, made by :func:`relemb.classifier.cross_validate` from its
-    ``folds`` and ``seed`` in `split` (its defaults where absent); returns
-    ``[(name, mean_f1, fold_scores), ...]``."""
-    settings = [(name, config, opts) for name, opts in ABLATION_SETTINGS]
-    return cross_validate(data, embed_params, settings, **split)
 
 
 # --- rendering ---------------------------------------------------------------

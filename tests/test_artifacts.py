@@ -1,6 +1,7 @@
 """Corruption cases of the two header-and-blob artifact formats."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,8 +42,14 @@ def _missing_key(data, key):
     return b" ".join(kept) + b"\n" + blob
 
 
-@pytest.mark.parametrize("corrupt", [_trailing_bytes, _truncated, _missing_key],
-                         ids=["trailing_bytes", "truncated", "missing_key"])
+def _nan_last(data, key):
+    return data[:-8] + np.float64(np.nan).tobytes()
+
+
+@pytest.mark.parametrize("corrupt", [_trailing_bytes, _truncated, _missing_key,
+                                     _nan_last],
+                         ids=["trailing_bytes", "truncated", "missing_key",
+                              "nan_last"])
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_corrupt_file_rejected_with_its_name(tmp_path, rng, fmt, corrupt):
     write, key = FORMATS[fmt]
@@ -71,3 +78,20 @@ def test_header_dimension_below_1_rejected(tmp_path, rng, fmt, key, value):
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: bad header value: {key}={value} is below 1")):
         load(path)
+
+
+def test_finite_check_reads_in_bounded_chunks():
+    """The check's temporary memory stays under 1 MiB for a 16 MB array,
+    and it finds a value past its first chunk at the right index."""
+    arr = np.zeros((2000, 1000))
+    arr[1500, 7] = -np.inf
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                "x.bin: non-finite value -inf in stored array 2 at index "
+                "(1500, 7)")):
+            et._check_finite("x.bin", 2, arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

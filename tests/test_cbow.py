@@ -229,24 +229,9 @@ class TestImportAsInitialization:
     def test_imported_params_round_trip_model_file(self, tmp_path):
         model, vocab = self._trained_pair()
         params = cb.import_as_initialization(model, vocab)
-        path = tmp_path / "w2v.bin"
+        path = tmp_path / "cbow.bin"
         et.save_model(params, path)
         loaded = et.load_model(path)
         assert loaded.pred_dim == 4
         np.testing.assert_array_equal(loaded.pred_vecs, params.pred_vecs)
 
-
-class TestAlignTextVectors:
-    def test_missing_word_falls_back_to_unk(self):
-        vocab = make_vocab({"cat": 2, "dog": 1}, {"cat": 2})
-        surfaces = ["<NULL>", "<UNK>", "cat"]
-        matrix = np.array([[0.0, 0.0], [9.0, 9.0], [1.0, 2.0]])
-        aligned, missing = cb.align_text_vectors(surfaces, matrix, vocab)
-        assert missing == ["dog"]
-        np.testing.assert_array_equal(aligned[vocab.word_id("dog")], [9.0, 9.0])
-        np.testing.assert_array_equal(aligned[vocab.word_id("cat")], [1.0, 2.0])
-
-    def test_no_unk_row_and_missing_words(self):
-        vocab = make_vocab({"cat": 2, "dog": 1}, {"cat": 2})
-        with pytest.raises(ValueError, match="UNK"):
-            cb.align_text_vectors(["cat"], np.zeros((1, 2)), vocab)

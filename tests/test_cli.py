@@ -146,22 +146,23 @@ class TestPipeline:
         code = cli.main(["cbow", "--corpus", str(workdir / "corpus.tagged"),
                          "--vocab", str(workdir / "vocab.txt"),
                          "--out", str(workdir / "cbow.bin"),
-                         "--export-text", str(workdir / "cbow"),
                          "--d", "8", "--c", "2", "--k", "4", "--t", "1",
                          "--epochs", "1", "--seed", "4"])
         assert code == 0
-        assert (workdir / "cbow.in.txt").exists()
-        assert (workdir / "cbow.out.txt").exists()
-        # imported-vector initialization path
+        # the CBOW baseline initialises the classifier from its model file
         code = cli.main(["train", "--train", str(workdir / "train.txt"),
                          "--vocab", str(workdir / "vocab.txt"),
-                         "--init", "w2v",
-                         "--vectors-in", str(workdir / "cbow.in.txt"),
-                         "--vectors-out", str(workdir / "cbow.out.txt"),
-                         "--c", "2",
-                         "--out", str(workdir / "clf_w2v.bin"),
+                         "--model", str(workdir / "cbow.bin"),
+                         "--out", str(workdir / "clf_cbow.bin"),
+                         "--out-model", str(workdir / "tuned_cbow.bin"),
                          "--epochs", "5", "--m-out", "3"])
         assert code == 0
+        code = cli.main(["eval", "--test", str(workdir / "test.txt"),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--model", str(workdir / "tuned_cbow.bin"),
+                         "--clf", str(workdir / "clf_cbow.bin")])
+        assert code == 0
+        assert "official macro-F1" in capsys.readouterr().out
 
     def test_rand_init_training(self, workdir):
         code = cli.main(["train", "--train", str(workdir / "train.txt"),
@@ -258,6 +259,73 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "nounz" in err
+
+    @pytest.mark.parametrize("command,data_flag", [("eval", "--test"),
+                                                   ("ngrams", "--train")],
+                             ids=["eval", "ngrams"])
+    def test_classifier_wider_than_parse_exit_2(self, workdir, tmp_path,
+                                                capsys, monkeypatch, command,
+                                                data_flag):
+        """A classifier trimming the outside windows wider than labelled
+        data is parsed exits 2, naming the file and the setting, before
+        any instance is parsed."""
+        bad = tmp_path / "wide.bin"
+        blob = (workdir / "clf.bin").read_bytes()
+        assert b",m_out=3\n" in blob
+        bad.write_bytes(blob.replace(b",m_out=3\n", b",m_out=12\n", 1))
+
+        def parsed(*args):
+            raise AssertionError("labelled data parsed")
+
+        monkeypatch.setattr(cli, "_instances", parsed)
+        code = cli.main([command, data_flag, str(workdir / "test.txt"),
+                         "--vocab", str(workdir / "vocab.txt"),
+                         "--model", str(workdir / "tuned.bin"),
+                         "--clf", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{bad}: m_out=12 exceeds" in err
+
+    # reader: (the pipeline file to corrupt, the command that reads it)
+    _NON_FINITE = {
+        "train": ("model.bin", ["train", "--train", "{w}/train.txt",
+                                "--model", "{bad}", "--out", "{tmp}/clf.bin",
+                                "--epochs", "1", "--m-out", "3"]),
+        "eval": ("tuned.bin", ["eval", "--test", "{w}/test.txt",
+                               "--model", "{bad}", "--clf", "{w}/clf.bin"]),
+        "eval_clf": ("clf.bin", ["eval", "--test", "{w}/test.txt",
+                                 "--model", "{w}/tuned.bin", "--clf",
+                                 "{bad}"]),
+        "ngrams": ("tuned.bin", ["ngrams", "--train", "{w}/train.txt",
+                                 "--model", "{bad}", "--clf", "{w}/clf.bin"]),
+        "wordsim": ("model.bin", ["wordsim", "--pairs", "{tmp}/pairs.csv",
+                                  "--model", "{bad}"]),
+    }
+
+    @pytest.mark.parametrize("reader", list(_NON_FINITE))
+    def test_non_finite_artifact_exit_2(self, workdir, tmp_path, capsys,
+                                        reader):
+        """A model with NaN noun vectors, or a classifier with an infinite
+        weight, exits 2 naming the file, before anything is printed."""
+        source, argv = self._NON_FINITE[reader]
+        header, _, blob = (workdir / source).read_bytes().partition(b"\n")
+        values = np.frombuffer(blob, dtype="<f8").copy()
+        if source == "clf.bin":
+            values[7] = np.inf
+        else:   # noun_vecs lead the blob: n_nouns rows of d values
+            kv = dict(t.split(b"=") for t in header.split()[2:])
+            values[:int(kv[b"nnouns"]) * int(kv[b"d"])] = np.nan
+        bad = tmp_path / f"bad-{source}"
+        bad.write_bytes(header + b"\n" + values.astype("<f8").tobytes())
+        (tmp_path / "pairs.csv").write_text("noun01,noun02,5.0\n"
+                                            "noun03,noun04,3.0\n")
+        code = cli.main([arg.format(bad=bad, tmp=tmp_path, w=workdir)
+                         for arg in argv]
+                        + ["--vocab", str(workdir / "vocab.txt")])
+        out, err = capsys.readouterr()
+        assert code == 2, err
+        assert f"{bad}: non-finite value" in err
+        assert out == ""
 
     def test_truncated_vocab_exit_2(self, workdir, capsys):
         bad = workdir / "truncated_vocab.txt"
@@ -412,10 +480,6 @@ class TestExitCodes:
                                      "--vocab", "{w}/vocab.txt",
                                      "--model", "{w}/tuned.bin",
                                      "--clf", "{w}/clf.bin"]),
-        "vectors": ("UNK 0.1 0.2\nthe 0.3 0.4\nof 0.5 0.6\n", 3, [
-            "train", "--train", "{w}/train.txt", "--vocab", "{w}/vocab.txt",
-            "--init", "w2v", "--vectors-in", "{bad}", "--vectors-out",
-            "{bad}", "--out", "{tmp}/clf.bin"]),
         "wordsim": ("w1,w2,score\nthe,of,1.0\nof,the,2.0\n", 3, [
             "wordsim", "--pairs", "{bad}", "--vocab", "{w}/vocab.txt",
             "--model", "{w}/model.bin"]),
@@ -574,23 +638,6 @@ class TestExitCodes:
         lineno = len(text.splitlines()) + 1
         assert f"{bad}:{lineno}: instance 9999: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["cat 1", "cat 1 x", "cat"],
-                             ids=["ragged", "non_float", "one_field"])
-    def test_malformed_text_vectors_exit_2(self, workdir, tmp_path, capsys,
-                                           row):
-        good = tmp_path / "good.txt"
-        good.write_text("<NULL> 0 0\n<UNK> 0.5 0.5\n")
-        bad = tmp_path / "bad.txt"
-        bad.write_text("<NULL> 0 0\n\n<UNK> 0.5 0.5\n" + row + "\n")
-        code = cli.main(["train", "--train", str(workdir / "train.txt"),
-                         "--vocab", str(workdir / "vocab.txt"),
-                         "--init", "w2v", "--vectors-in", str(bad),
-                         "--vectors-out", str(good), "--c", "2",
-                         "--out", str(tmp_path / "clf.bin"),
-                         "--epochs", "1", "--m-out", "3"])
-        assert code == 2
-        assert f"{bad}:4: " in capsys.readouterr().err
-
 
 # Every subcommand's flags; each flag's dest is its name with ``-`` as ``_``.
 SURFACE = {
@@ -599,14 +646,13 @@ SURFACE = {
     "extract": "--config --corpus --vocab --out --m-out --max-between",
     "pretrain": "--config --contexts --vocab --out --d --c --k --alpha --t "
                 "--epochs --seed --report-every",
-    "cbow": "--config --corpus --vocab --out --export-text --d --c --k "
-            "--alpha --t --epochs --seed",
-    "train": "--config --train --vocab --out --out-model --model --init "
-             "--vectors-in --vectors-out --d --c --features --eta --l2 "
-             "--epochs --dropout --fine-tune --m-out --seed",
-    "cv": "--config --train --vocab --model --init --vectors-in "
-          "--vectors-out --d --c --features --folds --eta --l2 --epochs "
-          "--m-out --dropout --fine-tune --seed",
+    "cbow": "--config --corpus --vocab --out --d --c --k --alpha --t "
+            "--epochs --seed",
+    "train": "--config --train --vocab --out --out-model --model --init --d "
+             "--c --features --eta --l2 --epochs --dropout --fine-tune "
+             "--m-out --seed",
+    "cv": "--config --train --vocab --model --init --d --c --features "
+          "--folds --eta --l2 --epochs --m-out --dropout --fine-tune --seed",
     "eval": "--config --test --vocab --model --clf --pred --report "
             "--bootstrap --level --seed",
     "wordsim": "--config --pairs --vocab --model --matrix",
@@ -627,7 +673,7 @@ def test_cli_surface_is_pinned():
               for command, parser in _subparsers().items()
               for action in parser._actions for flag in action.option_strings
               if flag not in ("-h", "--help")}
-    assert len(expected) == 96
+    assert len(expected) == 91
     assert actual == expected
 
 

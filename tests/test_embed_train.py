@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import logging
 import math
 import warnings
 
@@ -429,6 +430,29 @@ class TestTrainEmbeddings:
         assert log.targets_seen == 2 * sum(c.m_in for c in contexts[:200])
         assert log.steps_taken == 0
 
+    def test_warns_once_when_subsampling_discards_nearly_everything(
+            self, caplog):
+        # at the default threshold every pair of this 10-noun corpus is
+        # kept with probability below 0.001; at t=1 none is discarded
+        vocab, contexts = _pattern_setup()
+        for t, warns in ((1e-5, True), (1.0, False)):
+            cfg = et.PretrainConfig(dim=4, window=1, negatives=2,
+                                    subsample=t, epochs=1, seed=1)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="relemb"):
+                _, log = et.train_embeddings(pack(contexts[:1000]), vocab,
+                                             cfg)
+            messages = [r.getMessage() for r in caplog.records]
+            if warns:
+                assert log.pairs_discarded > 990
+                assert messages == [
+                    f"pretrain: subsampling at t={t:g} discarded "
+                    f"{log.pairs_discarded} of 1000 pairs and "
+                    f"{log.targets_seen - log.steps_taken} of "
+                    f"{log.targets_seen} targets"]
+            else:
+                assert log.pairs_discarded == 0 and messages == []
+
     def test_batch_cap_does_not_change_the_run(self, monkeypatch):
         vocab, contexts = _pattern_setup()
         cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
@@ -589,14 +613,6 @@ class TestModelIO:
         loaded = et.load_model(path)
         assert loaded.pred_dim == 5
         np.testing.assert_array_equal(loaded.pred_vecs, params.pred_vecs)
-
-    def test_text_vectors_round_trip(self, tmp_path, rng):
-        mat = rng.normal(size=(4, 3))
-        path = tmp_path / "vecs.txt"
-        et.write_text_vectors(["a", "b", "c", "d"], mat, path)
-        surfaces, loaded = et.read_text_vectors(path)
-        assert surfaces == ["a", "b", "c", "d"]
-        np.testing.assert_allclose(loaded, mat, atol=1e-5)
 
     def test_initial_params_statistics(self):
         rng = np.random.default_rng(0)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from relemb import evaluation as ev
-from relemb.classifier import SoftmaxParams, SupervisedConfig
+from relemb.classifier import SoftmaxParams
 from relemb.corpus import (ALL_LABELS, FAMILIES, NounPairContext, RelationLabel,
                            parse_label)
 from relemb.features import FeatureOptions, feature_dim, ngram_embedding
-from conftest import labelled, pack, rand_params, rand_ctx
+from conftest import pack, rand_params, rand_ctx
 
 
 def brute_force_scores(gold, pred):
@@ -422,30 +422,10 @@ class TestTopNgrams:
 
 
 class TestAblations:
-    def test_five_settings_cover_table_columns(self):
-        names = [name for name, _ in ev.ABLATION_SETTINGS]
-        assert names == ["nouns", "between", "between-bow", "nouns+between",
-                         "nouns+between+outside"]
-
     def test_nouns_only_dimension(self, rng):
         params = rand_params(rng, dim=9, window=2)
-        _, opts = ev.ABLATION_SETTINGS[0]
+        opts = FeatureOptions(True, False, False)
         assert feature_dim(params, opts) == 18
-
-    def test_run_ablations_shape(self, rng):
-        from conftest import rand_params
-        params = rand_params(rng, dim=3, window=1, n_nouns=5, n_words=10)
-        contexts, labels = [], []
-        for k in range(12):
-            contexts.append(rand_ctx(rng, m_in=2, m_out=2, n_nouns=5,
-                                     n_words=10))
-            labels.append(ALL_LABELS[int(rng.integers(0, 3))])
-        instances = labelled(contexts, labels, ids=range(12))
-        config = SupervisedConfig(eta=0.2, l2=0.0, epochs=2, dropout=False,
-                                  fine_tune=False, seed=1)
-        results = ev.run_ablations(instances, params, config, folds=2, seed=4)
-        assert len(results) == 5
-        assert all(np.isfinite(mean) for _, mean, _ in results)
 
 
 class TestRendering:
