@@ -16,7 +16,10 @@ of :mod:`relemb.kernels`, which draws each update's dropout mask from the
 same generator, when a C compiler is found; otherwise it draws all its
 masks in Python and takes the numpy steps
 (:func:`supervised_objective_and_grad` and :func:`adagrad_update`), which
-stay the reference.  Both draw the same stream.
+stay the reference.  Both draw the same stream.  The compiled epoch splits
+each update's label rows between the calling thread and a helper thread
+when two CPUs are available (see :mod:`relemb.kernels`), with the same
+bytes as on one thread.
 
 Prediction scores every instance from projected rows: for each segment and
 slot of the packed tables, the distinct parameter rows it reads times
@@ -267,8 +270,11 @@ def train_classifier(data, embed_params, config, opts=FeatureOptions()):
     tables = _Tables(data, params, opts, cfg.fine_tune)
     state = AdaGradState(softmax, params, tables.touched)
     compiled = kernels.load()
-    logger.info("train: taking %s steps",
-                "numpy" if compiled is None else "compiled")
+    if compiled is None:
+        logger.info("train: taking numpy steps")
+    else:
+        threads = kernels._threads()
+        logger.info("train: taking compiled steps on %d threads", threads)
     rng = np.random.default_rng(cfg.seed)
 
     log = ClassifierLog()
@@ -293,7 +299,7 @@ def train_classifier(data, embed_params, config, opts=FeatureOptions()):
         else:
             logliks = compiled.classifier_epoch(
                 tables, order, rng, softmax, state, params, cfg,
-                ADAGRAD_EPS).tolist()
+                ADAGRAD_EPS, threads).tolist()
         # sequential, as the per-update sum was (from Python 3.12 the
         # builtin sum() compensates)
         total = 0.0

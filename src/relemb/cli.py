@@ -183,16 +183,22 @@ def _config_values(path, options):
     return values
 
 
+def _given(args):
+    """The settings given explicitly: config-file values, then flags."""
+    options = OPTIONS[args.command]
+    given = _read_config_file(args.config, options) if args.config else {}
+    for key in options:
+        if getattr(args, key) is not None:
+            given[key] = getattr(args, key)
+    return given
+
+
 def _resolve(args):
     """The subcommand's settings: defaults, then config-file values, then
     explicit flags; the result is logged."""
     options = OPTIONS[args.command]
     resolved = {key: default for key, (_, default) in options.items()}
-    if args.config:
-        resolved.update(_read_config_file(args.config, options))
-    for key in options:
-        if getattr(args, key) is not None:
-            resolved[key] = getattr(args, key)
+    resolved.update(_given(args))
     logger.info("resolved config: %s",
                 " ".join(f"{k}={v}" for k, v in sorted(resolved.items())))
     return resolved
@@ -272,10 +278,17 @@ def cmd_cbow(args):
 
 
 def _load_embeddings(args, cfg, vocab):
-    """Pretrained model file or random initialization."""
+    """Pretrained model file or random initialization.  A `d` or `c` given
+    explicitly (flag or config key) must match the model file's."""
     if args.model:
         _require_files(args.model)
-        return et.load_model(args.model)
+        params = et.load_model(args.model)
+        given = _given(args)
+        for key, value in (("d", params.dim), ("c", params.window)):
+            if key in given and given[key] != value:
+                raise ConfigError(f"{args.model}: the model has {key}={value}"
+                                  f", but {key}={given[key]} was given")
+        return params
     if args.init == "rand":
         rng = np.random.default_rng(cfg["seed"])
         return et.initial_params(vocab.n_nouns, vocab.n_words,

@@ -20,6 +20,22 @@ bit-identical and the generator ends where the numpy loop leaves it.  The
 generator's lock is held for each call.  A walk returns at each progress
 record, so the caller logs the same windows.
 
+A classifier epoch runs on the calling thread and, when the process may run
+on two CPUs (:func:`_threads`), one helper thread started and joined within
+the call.  The two split the label rows of the weights and their
+accumulators: the calling thread, which also makes every draw and gather,
+takes 8 of the 19 rows, and the helper the rest.  A split by columns would
+have each thread's next scores read rows the other has just written; by
+rows, each thread's rows stay in its own core's cache.  Every row's
+arithmetic is the one of a single thread, and the fine-tuning gradient is
+summed over the rows in their order, so the bytes are the same at either
+thread count.  The threads meet through two counters that only grow, one
+per thread: a wait spins with ``pause`` for a bounded count, then yields the
+CPU at each look, since on one CPU the other thread can only run if the
+waiting one gives way.  When the calling thread keeps having to yield, the
+threads are not running at once, and it takes every row back for the rest
+of the epoch.
+
 The flags leave out ``-ffast-math``: an object linked with it as
 ``-shared`` pulls in ``crtfastmath.o``, whose constructor turns on
 flush-to-zero for the whole process, numpy included, and it would also drop
@@ -49,6 +65,9 @@ __all__ = ["SOURCE", "FLAGS", "Kernels", "Progress", "Scan", "load"]
 
 SOURCE = r"""
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -351,6 +370,149 @@ static void adagrad(double *restrict param, double *restrict acc,
     }
 }
 
+/* The scores of label rows lo .. hi - 1: s[l] = W[l] . e + bias[l]. */
+static void forward(const double *W, const double *bias,
+                    const double *restrict e, double *restrict s, int64_t lo,
+                    int64_t hi, int64_t dim)
+{
+    for (int64_t l = lo; l < hi; l++) {
+        const double *w = W + l * dim;
+        double o = 0.0;
+        for (int64_t x = 0; x < dim; x++)
+            o += w[x] * e[x];
+        s[l] = o + bias[l];
+    }
+}
+
+/* g_o: the gradient w.r.t. the scores s of the log-likelihood of label li
+   under the max-shifted softmax, which is returned. */
+static double softmax_grad(const double *restrict s, int64_t n_labels,
+                           int64_t li, double *restrict g_o)
+{
+    double top = -INFINITY, z = 0.0;
+    for (int64_t l = 0; l < n_labels; l++) {
+        g_o[l] = s[l];
+        if (g_o[l] > top)
+            top = g_o[l];
+    }
+    for (int64_t l = 0; l < n_labels; l++) {
+        g_o[l] -= top;
+        z += exp(g_o[l]);
+    }
+    const double logz = log(z), loglik = g_o[li] - logz;
+    for (int64_t l = 0; l < n_labels; l++)
+        g_o[l] = -exp(g_o[l] - logz);
+    g_o[li] += 1.0;
+    return loglik;
+}
+
+/* g_e += W[l] g_o[l] for the label rows lo .. hi - 1, in row order. */
+static void sum_rows(const double *W, const double *restrict g_o,
+                     double *restrict g_e, int64_t lo, int64_t hi,
+                     int64_t dim)
+{
+    for (int64_t l = lo; l < hi; l++) {
+        const double *w = W + l * dim;
+        const double go = g_o[l];
+        for (int64_t x = 0; x < dim; x++)
+            g_e[x] += w[x] * go;
+    }
+}
+
+/* The AdaGrad steps on the label rows lo .. hi - 1 of W, row l's gradient
+   g_o[l] e less l2 W[l] when l2 > 0; when g_e is not NULL, each row adds
+   its pre-update W[l] g_o[l] to g_e first, as sum_rows does. */
+static void step_rows(double *W, double *acc_W, const double *restrict e,
+                      const double *restrict g_o, double *restrict g_e,
+                      int64_t lo, int64_t hi, int64_t dim, double l2,
+                      double eta, double eps)
+{
+    for (int64_t l = lo; l < hi; l++) {
+        double *w = W + l * dim, *acc = acc_W + l * dim;
+        const double go = g_o[l];
+        for (int64_t x = 0; x < dim; x++) {
+            double g = go * e[x];
+            if (g_e)
+                g_e[x] += w[x] * go;
+            if (l2 > 0.0)
+                g -= l2 * w[x];
+            acc[x] += g * g;
+            w[x] += eta * g / (sqrt(acc[x]) + eps);
+        }
+    }
+}
+
+/* A wait spins for SPINS pauses (~57 us at ~14 ns a pause on a 2-vCPU
+   Xeon), longer than a thread waits for the other when both have a CPU,
+   and then yields the CPU at each look: the other thread may be waiting for
+   it.  When the calling thread has had to yield LATE_MAX times in one
+   epoch, the threads are not running at once (one CPU, or one taken by a
+   busy process, where each yield can cost a scheduler slice), and it takes
+   every row back for the rest of the epoch. */
+#define SPINS 4096
+#define LATE_MAX 16
+
+/* What the two threads of a classifier epoch share.  Each posts in its own
+   counter how far it has got: stage 4t + 1 when e of update t is ready
+   (calling thread only), 4t + 2 when its rows' scores are written, 4t + 3
+   when its rows' share of g_e is summed (fine-tuning only).  The counters
+   only grow, and each sits on a cache line of its own.  The helper stops
+   before update `last`. */
+typedef struct {
+    _Alignas(64) int64_t caller;
+    _Alignas(64) int64_t helper;
+    _Alignas(64) int64_t n, last, n_labels, dim, split, fine_tune;
+    double eta, eps, l2;
+    const int64_t *order, *labels;
+    double *W, *bias, *acc_W, *e[2], *scores, *g_o, *g_e;
+} team_t;
+
+static void post(int64_t *counter, int64_t stage)
+{
+    __atomic_store_n(counter, stage, __ATOMIC_RELEASE);
+}
+
+/* Wait until `counter` reaches `stage`; returns whether it had to yield. */
+static int await_stage(const int64_t *counter, int64_t stage)
+{
+    int64_t spins = 0;
+    for (; __atomic_load_n(counter, __ATOMIC_ACQUIRE) < stage; spins++)
+        if (spins < SPINS) {
+#if defined(__x86_64__) || defined(__i386__)
+            __builtin_ia32_pause();
+#endif
+        } else {
+            sched_yield();
+        }
+    return spins > SPINS;
+}
+
+/* The helper thread: label rows split .. n_labels - 1 of every update. */
+static void *helper_epoch(void *arg)
+{
+    team_t *tm = arg;
+    const int64_t L = tm->n_labels, dim = tm->dim;
+    double *g_o = tm->g_o + L;
+    for (int64_t t = 0; t < tm->n; t++) {
+        const double *e = tm->e[t & 1];
+        double *s = tm->scores + (t & 1) * L;
+        await_stage(&tm->caller, 4 * t + 1);
+        if (t == tm->last)
+            break;
+        forward(tm->W, tm->bias, e, s, tm->split, L, dim);
+        post(&tm->helper, 4 * t + 2);
+        await_stage(&tm->caller, 4 * t + 2);
+        softmax_grad(s, L, tm->labels[tm->order[t]], g_o);
+        if (tm->fine_tune)
+            await_stage(&tm->caller, 4 * t + 3);
+        step_rows(tm->W, tm->acc_W, e, g_o, tm->fine_tune ? tm->g_e : NULL,
+                  tm->split, L, dim, tm->l2, tm->eta, tm->eps);
+        if (tm->fine_tune)
+            post(&tm->helper, 4 * t + 3);
+    }
+    return NULL;
+}
+
 /* One epoch of the softmax classifier: update t = 0..n-1 trains on
    instance order[t].  Instance i's feature table is entries starts[i] ..
    starts[i + 1] - 1 of ids, firsts and slots; its n_seg segments read the
@@ -366,8 +528,17 @@ static void adagrad(double *restrict param, double *restrict acc,
    max-shifted softmax to logliks[t]; take the L2-regularised AdaGrad step
    on W and bias, with g_e = W^T g_o (masked) read from the pre-update W;
    when fine-tuning, sum each row's shares of g_e in table order and take
-   one AdaGrad step per row, with lazy L2.  `work` holds 3 dim + n_labels
-   + len * max(d, pred_w) doubles, len the longest table. */
+   one AdaGrad step per row, with lazy L2.
+
+   With threads == 2 a helper thread, started here and joined before the
+   return, takes the scores and steps of the last n_labels - split label
+   rows; the calling thread keeps the first split rows, every draw, the
+   gathers, the bias step and the fine-tuning steps.  Each row's arithmetic
+   is the same at either thread count, and g_e is summed in row order:
+   first the calling thread's rows, then the helper's, in its steps; so
+   the calling thread can take the helper's rows back before any update
+   (see LATE_MAX) with the same bytes.  `work` holds 4 dim + 4 n_labels +
+   len * max(d, pred_w) doubles, len the longest table. */
 void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
                              int64_t n_seg, const int64_t *segs,
                              const int64_t *ms, const int64_t *starts,
@@ -381,18 +552,49 @@ void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
                              double *word_vecs, double *pred_vecs,
                              double *acc_noun, double *acc_word,
                              double *acc_pred, double *logliks, double *work,
-                             bitgen_t *bg)
+                             int64_t threads, bitgen_t *bg)
 {
     double *const vecs[3] = {noun_vecs, word_vecs, pred_vecs},
            *const accs[3] = {acc_noun, acc_word, acc_pred};
     const int64_t widths[3] = {d, d, pred_w}, w_max = d > pred_w ? d : pred_w;
-    double *restrict e = work, *restrict g_e = work + dim,
-           *restrict mask = work + 2 * dim, *restrict g_o = work + 3 * dim,
-           *restrict sums = g_o + n_labels;
+    double *restrict g_e = work + 2 * dim, *restrict mask = work + 3 * dim,
+           *restrict g_o = mask + dim + 2 * n_labels,
+           *restrict sums = g_o + 2 * n_labels;
+    /* the calling thread also gathers and draws, so it takes fewer rows:
+       8 of the 19 relation labels */
+    team_t tm = {.n = n, .last = n, .n_labels = n_labels, .dim = dim,
+                 .split = threads > 1 ? n_labels * 8 / 19 : n_labels,
+                 .fine_tune = fine_tune, .eta = eta, .eps = eps, .l2 = l2,
+                 .order = order, .labels = labels, .W = W, .bias = bias,
+                 .acc_W = acc_W, .e = {work, work + dim},
+                 .scores = mask + dim, .g_o = g_o, .g_e = g_e};
+    pthread_t helper;
+    int helped = 0, late = 0;
+    if (tm.split < n_labels && n > 0) {
+        /* the helper takes no signal: Python's handlers run on this thread */
+        sigset_t all, old;
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        helped = !pthread_create(&helper, NULL, helper_epoch, &tm);
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+        if (!helped)
+            tm.split = n_labels;
+    }
+    double *fused = fine_tune && !helped ? g_e : NULL;
     for (int64_t t = 0; t < n; t++) {
+        if (helped && late >= LATE_MAX) {      /* take every row back */
+            tm.last = t;
+            post(&tm.caller, 4 * t + 1);
+            pthread_join(helper, NULL);
+            helped = 0;
+            tm.split = n_labels;
+            fused = fine_tune ? g_e : NULL;
+        }
         const int64_t i = order[t], *m = ms + i * n_seg, li = labels[i];
         const int64_t *row_ids = ids + starts[i], *first = firsts + starts[i],
                       *slot = slots + starts[i];
+        double *restrict e = tm.e[t & 1];
+        double *sc = tm.scores + (t & 1) * n_labels;
 
         /* e: the gather of the table, then the dropout mask */
         for (int64_t s = 0, q = 0, off = 0; s < n_seg; s++) {
@@ -410,47 +612,31 @@ void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
                 e[x] = e[x] * mask[x] * 2.0;
             }
         }
+        if (helped)
+            post(&tm.caller, 4 * t + 1);
 
-        /* g_o: the gradient of the log-likelihood w.r.t. the scores */
-        double top = -INFINITY, z = 0.0;
-        for (int64_t l = 0; l < n_labels; l++) {
-            const double *w = W + l * dim;
-            double o = 0.0;
-            for (int64_t x = 0; x < dim; x++)
-                o += w[x] * e[x];
-            g_o[l] = o + bias[l];
-            if (g_o[l] > top)
-                top = g_o[l];
+        /* the scores, then g_o: the gradient of the log-likelihood w.r.t.
+           the scores */
+        forward(W, bias, e, sc, 0, tm.split, dim);
+        if (helped) {
+            post(&tm.caller, 4 * t + 2);
+            late += await_stage(&tm.helper, 4 * t + 2);
         }
-        for (int64_t l = 0; l < n_labels; l++) {
-            g_o[l] -= top;
-            z += exp(g_o[l]);
-        }
-        const double logz = log(z);
-        logliks[t] = g_o[li] - logz;
-        for (int64_t l = 0; l < n_labels; l++)
-            g_o[l] = -exp(g_o[l] - logz);
-        g_o[li] += 1.0;
+        logliks[t] = softmax_grad(sc, n_labels, li, g_o);
 
         /* g_e from the pre-update W, then the steps on W and bias */
         if (fine_tune)
             memset(g_e, 0, dim * sizeof *g_e);
-        for (int64_t l = 0; l < n_labels; l++) {
-            double *w = W + l * dim, *acc = acc_W + l * dim;
-            const double go = g_o[l];
-            for (int64_t x = 0; x < dim; x++) {
-                double g = go * e[x];
-                if (fine_tune)
-                    g_e[x] += w[x] * go;
-                if (l2 > 0.0)
-                    g -= l2 * w[x];
-                acc[x] += g * g;
-                w[x] += eta * g / (sqrt(acc[x]) + eps);
-            }
+        if (fine_tune && helped) {
+            sum_rows(W, g_o, g_e, 0, tm.split, dim);
+            post(&tm.caller, 4 * t + 3);
         }
+        step_rows(W, acc_W, e, g_o, fused, 0, tm.split, dim, l2, eta, eps);
         adagrad(bias, acc_b, g_o, n_labels, l2, eta, eps);
         if (!fine_tune)
             continue;
+        if (helped)
+            late += await_stage(&tm.helper, 4 * t + 3);
 
         /* the scatter: each entry's share of g_e, divided by m, summed
            into the sum of its row's first entry in table order; then one
@@ -481,6 +667,8 @@ void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
                             sums + q * w_max, w, l2, eta, eps);
         }
     }
+    if (helped)
+        pthread_join(helper, NULL);
 }
 
 /* Byte classes of tagged-corpus text: ASCII that is not whitespace in
@@ -622,7 +810,8 @@ void relemb_scan_tagged(const uint8_t *data, int64_t n, int64_t final,
 """
 
 FLAGS = ("-O3", "-march=native", "-fno-math-errno", "-fno-trapping-math",
-         "-fassociative-math", "-fno-signed-zeros", "-shared", "-fPIC")
+         "-fassociative-math", "-fno-signed-zeros", "-shared", "-fPIC",
+         "-pthread")
 
 _IDS = np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
 _INTS = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
@@ -700,6 +889,14 @@ class Kernels(NamedTuple):
     cbow_sentences: object
     classifier_epoch: object
     scan_tagged: object
+
+
+def _threads():
+    """The threads a classifier epoch runs on: two when this process may
+    run on two or more CPUs, else one."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
 
 
 def _check_draws(noise, discard, n_words, progress, n, planned):
@@ -812,10 +1009,10 @@ def _bind_classifier(lib):
                    + [ctypes.c_int64] * 2 + [ctypes.c_double] * 3
                    + [_doubles(2), _doubles(1), _doubles(2), _doubles(1)]
                    + [ctypes.c_int64] * 2 + [_doubles(2)] * 6
-                   + [_doubles(1)] * 2 + [ctypes.c_void_p])
+                   + [_doubles(1)] * 2 + [ctypes.c_int64, ctypes.c_void_p])
     fn.restype = None
 
-    def epoch(tables, order, rng, softmax, state, params, cfg, eps):
+    def epoch(tables, order, rng, softmax, state, params, cfg, eps, threads):
         """Take one epoch of classifier updates, on the instances in
         `order`, and return each update's log-likelihood.
 
@@ -826,8 +1023,9 @@ def _bind_classifier(lib):
         `rng` as ``rng.random((len(order), dim)) < 0.5`` draws its row.
         `softmax`, its accumulators `state` (whose ``rows`` hold the
         compact row accumulators of the blocks the tables read) and, when
-        ``cfg.fine_tune``, `params` are updated in place.  The caller has
-        checked every id and slot; shapes are checked here."""
+        ``cfg.fine_tune``, `params` are updated in place, on `threads`
+        threads (1 or 2, see :func:`_threads`) with the same bytes.  The
+        caller has checked every id and slot; shapes are checked here."""
         n = len(order)
         d, pred_w = params.word_vecs.shape[1], params.pred_vecs.shape[1]
         widths = {"noun_vecs": d, "word_vecs": d, "pred_vecs": pred_w}
@@ -861,7 +1059,8 @@ def _bind_classifier(lib):
               softmax.weights, softmax.bias, state.weights, state.bias, d,
               pred_w, params.noun_vecs, params.word_vecs, params.pred_vecs,
               *accs, logliks,
-              np.empty(3 * dim + n_labels + longest * max(d, pred_w)))
+              np.empty(4 * dim + 4 * n_labels + longest * max(d, pred_w)),
+              threads)
         return logliks
 
     epoch.library = lib

@@ -1,6 +1,12 @@
 import dataclasses
+import hashlib
+import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -546,6 +552,110 @@ def test_scoring_memory_does_not_grow_with_tokens_per_instance(rng):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 19 * n * (40 - 1) * 8
+
+
+def _recorded_training(monkeypatch, threads, instances, params, config,
+                       opts=FeatureOptions()):
+    """The bytes `train_classifier` leaves on `threads` threads: the softmax
+    parameters and their accumulators, the tuned rows and theirs, each
+    epoch's log-likelihoods and the generator's state."""
+    compiled = kernels.load()
+    epochs = []
+
+    def epoch(tables, order, rng, softmax, state, params, *args):
+        logliks = compiled.classifier_epoch(tables, order, rng, softmax,
+                                            state, params, *args)
+        epochs.append((softmax, state, params, rng, logliks))
+        return logliks
+
+    monkeypatch.setattr(kernels, "_threads", lambda: threads)
+    monkeypatch.setattr(kernels, "load",
+                        lambda: compiled._replace(classifier_epoch=epoch))
+    cl.train_classifier(instances, params, config, opts)
+    softmax, state, tuned, rng, _ = epochs[-1]
+    arrays = [softmax.weights, softmax.bias, state.weights, state.bias,
+              tuned.noun_vecs, tuned.word_vecs, tuned.pred_vecs,
+              *(state.rows[name] for name in sorted(state.rows)),
+              *(logliks for *_, logliks in epochs)]
+    return [a.tobytes() for a in arrays], rng.bit_generator.state
+
+
+def _task_count():
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.parametrize("options", list(_OPTIONS))
+@pytest.mark.parametrize("l2", [0.0, 0.01])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("fine_tune", [False, True])
+def test_compiled_epochs_are_byte_equal_on_one_and_two_threads(
+        monkeypatch, fine_tune, dropout, l2, options):
+    if kernels.load() is None:
+        pytest.skip("no C compiler found; training takes the numpy steps")
+    params, instances = _epoch_setup(np.random.default_rng(7))
+    config = cl.SupervisedConfig(eta=0.1, l2=l2, epochs=4, dropout=dropout,
+                                 fine_tune=fine_tune, seed=3)
+    runs = []
+    for threads in (1, 2):
+        with monkeypatch.context() as patch:
+            tasks = _task_count()
+            runs.append(_recorded_training(patch, threads, instances, params,
+                                           config, _OPTIONS[options]))
+            assert _task_count() == tasks       # no thread outlives the call
+    assert runs[0] == runs[1]
+
+
+def _pinned_digest(monkeypatch, threads):
+    """The digest of what 600 fine-tuning updates with dropout leave on
+    `threads` threads: many meetings of the threads."""
+    params, instances = _epoch_setup(np.random.default_rng(5), n=200)
+    config = cl.SupervisedConfig(eta=0.1, l2=0.01, epochs=3, dropout=True,
+                                 fine_tune=True, seed=4)
+    arrays, state = _recorded_training(monkeypatch, threads, instances,
+                                       params, config)
+    return hashlib.sha256(b"".join(arrays) + repr(state).encode()).hexdigest()
+
+
+# Run with the tests' and the sources' directories as arguments.
+_PINNED = """
+import os, sys
+os.sched_setaffinity(0, {0})
+sys.path[:0] = sys.argv[1:]
+import pytest
+import test_classifier
+with pytest.MonkeyPatch.context() as patch:
+    print(test_classifier._pinned_digest(patch, 2))
+"""
+
+
+def test_two_threads_on_one_cpu_finish_and_match_one(monkeypatch):
+    """With no second CPU the threads take turns: each wait yields the CPU
+    after a bounded spin, and after a few such waits in an epoch the calling
+    thread takes the helper's rows back.  The run ends with the one-thread
+    bytes."""
+    if kernels.load() is None:
+        pytest.skip("no C compiler found; training takes the numpy steps")
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    here = Path(__file__).parent
+    got = subprocess.run(
+        [sys.executable, "-c", _PINNED, str(here), str(here.parent / "src")],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert got.stdout.split() == [_pinned_digest(monkeypatch, 1)]
+
+
+def test_compiled_training_logs_its_thread_count(monkeypatch, caplog):
+    if kernels.load() is None:
+        pytest.skip("no C compiler found; training takes the numpy steps")
+    params, instances = _epoch_setup(np.random.default_rng(2))
+    for threads in (1, 2):
+        monkeypatch.setattr(kernels, "_threads", lambda: threads)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="relemb"):
+            cl.train_classifier(instances, params,
+                                cl.SupervisedConfig(epochs=1))
+        assert (f"train: taking compiled steps on {threads} threads"
+                in caplog.messages)
 
 
 def test_predict_many_names_an_id_outside_its_block(rng):

@@ -603,6 +603,31 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("given", [["--d", "7"], ["--c", "5"], "d = 7\n",
+                                       "c = 5\n"],
+                             ids=["d_flag", "c_flag", "d_key", "c_key"])
+    def test_d_or_c_unlike_the_model_exit_2(self, workdir, tmp_path, capsys,
+                                            command, given):
+        """A `d` or `c` given with `--model` must match the file's header
+        (d=12, c=2); their defaults (100 and 3) are not checked."""
+        argv = [command, "--train", str(workdir / "train.txt"),
+                "--vocab", str(workdir / "vocab.txt"),
+                "--model", str(workdir / "model.bin"), "--epochs", "1",
+                "--m-out", "3"]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "clf.bin")]
+        else:
+            argv += ["--folds", "2"]
+        if isinstance(given, str):
+            (tmp_path / "run.cfg").write_text(given)
+            given = ["--config", str(tmp_path / "run.cfg")]
+        assert cli.main(argv + given) == 2
+        err = capsys.readouterr().err
+        assert f"error: {workdir / 'model.bin'}: the model has " in err
+        assert not (tmp_path / "clf.bin").exists()
+        assert cli.main(argv + ["--d", "12", "--c", "2"]) == 0
+
     @pytest.mark.parametrize("line", [
         "1 2\t3 9999\t0 0 0\t0 0 0", "9999 2\t3 4\t0 0 0\t0 0 0",
         "1 2\t\t0 0 0\t0 0 0", None,
