@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .corpus import ALL_LABELS, ArtifactError, ConfigError, _spans
-from .embed_train import _check_ids, _header_dims, read_blob_file, \
-    write_blob_file
+from .corpus import ALL_LABELS, ArtifactError, ConfigError, _header_dims, \
+    _spans, read_blob_file, write_blob_file
+from .embed_train import _check_ids
 from .features import FeatureOptions, assemble_features, feature_dim, \
     pack_tables, scatter_feature_grad
 
@@ -52,7 +52,6 @@ __all__ = [
     "SoftmaxParams",
     "SupervisedConfig",
     "AdaGradState",
-    "softmax_forward",
     "apply_dropout",
     "adagrad_update",
     "supervised_objective_and_grad",
@@ -104,14 +103,6 @@ class SupervisedConfig:
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         return self
-
-
-def softmax_forward(e, weights, bias):
-    """Class probabilities softmax(weights @ e + bias), max-shifted."""
-    o = weights @ e + bias
-    o = o - o.max()
-    p = np.exp(o)
-    return p / p.sum()
 
 
 def apply_dropout(e, rng):

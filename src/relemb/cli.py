@@ -157,15 +157,8 @@ def _read_config_file(path, options):
     """The ``key = value`` lines of `path`, each value through its key's
     type in `options`."""
     _require_files(path)
-    try:
-        return _config_values(path, options)
-    except UnicodeDecodeError:
-        raise cp.not_utf8(path) from None
-
-
-def _config_values(path, options):
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with cp.reading_utf8(path), open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:

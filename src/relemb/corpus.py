@@ -6,7 +6,7 @@ SemEval-2010 Task 8 distribution format.
 
 A tagged corpus is read once, as :class:`TokenBlock` arrays: each path in
 bounded byte blocks, each read in one pass of the compiled scan of
-:mod:`relemb.kernels`; any block that scan does not settle, every block
+:mod:`relemb.kernels`; any block that scan does not settle, every path
 when no C compiler is found, and every stream go through the reader's
 per-line loop, which stays the reference.  Counting
 (:func:`build_vocabulary`), pair extraction
@@ -18,16 +18,21 @@ Every stage holds noun-pair contexts as :class:`ContextArrays`, labelled
 ones inside the :class:`LabelledContexts` of :func:`parse_semeval`;
 :class:`NounPairContext` is the view of one context that reference code
 reads.
+
+Every binary artifact, the extracted contexts, the models and the
+classifier, is one ASCII header line and then its arrays, written by
+:func:`write_blob_file` and read and checked by :func:`read_blob_file`.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -53,6 +58,9 @@ __all__ = [
     "ArtifactError",
     "ConfigError",
     "not_utf8",
+    "reading_utf8",
+    "write_blob_file",
+    "read_blob_file",
     "parse_tagged_corpus",
     "build_vocabulary",
     "check_extract_settings",
@@ -117,9 +125,8 @@ class TaggedCorpusReader:
     through a hash table that compares the bytes exactly, and checks the
     noun tags; Python decodes only each block's distinct surfaces.  A block
     the scan does not settle (it has a line of multi-byte characters and
-    whitespace only) goes through the per-line loop, as does every block
-    when no C compiler is found (cut at the same blank lines), and every
-    stream and line iterable.
+    whitespace only) goes through the per-line loop, as does every path
+    when no C compiler is found, and every stream and line iterable.
     """
 
     def __init__(self, *sources):
@@ -130,27 +137,19 @@ class TaggedCorpusReader:
     def __iter__(self):
         self.skipped_lines = self.sentences_read = 0
         for source in self._sources:
-            if _is_path(source):
-                try:
-                    with open(source, encoding="utf-8") as fh:
-                        yield from self._sentences(fh)
-                except UnicodeDecodeError:
-                    raise not_utf8(source) from None
-            else:
-                yield from self._sentences(source)
+            yield from self._source_sentences(source)
 
     def blocks(self):
         """One pass over the sources as :class:`TokenBlock` objects, each
         holding whole sentences."""
         self.skipped_lines = self.sentences_read = 0
         for source in self._sources:
-            if _is_path(source):
-                try:
-                    yield from self._path_blocks(source)
-                except UnicodeDecodeError:
-                    raise not_utf8(source) from None
+            compiled = kernels.load() if _is_path(source) else None
+            if compiled is None:
+                yield from _sentence_blocks(self._source_sentences(source))
             else:
-                yield from _sentence_blocks(self._sentences(source))
+                with reading_utf8(source):
+                    yield from self._path_blocks(compiled, source)
 
     def empty_error(self):
         """The error for a pass that read no tokens: :class:`ArtifactError`
@@ -160,8 +159,14 @@ class TaggedCorpusReader:
             return ArtifactError(f"{', '.join(paths)}: no tokens")
         return ValueError("sentence stream is empty")
 
-    def _path_blocks(self, path):
-        compiled = kernels.load()
+    def _source_sentences(self, source):
+        if not _is_path(source):
+            yield from self._sentences(source)
+            return
+        with reading_utf8(source), open(source, encoding="utf-8") as fh:
+            yield from self._sentences(fh)
+
+    def _path_blocks(self, compiled, path):
         with open(path, "rb") as fh:
             data = b""
             while True:
@@ -171,14 +176,10 @@ class TaggedCorpusReader:
                 data += chunk
                 if not data:
                     return
-                if compiled is None:
-                    scan, used = None, _blank_cut(data, final)
-                else:
-                    scan = compiled.scan_tagged(data, final)
-                    used = scan.used
-                if used:
-                    kept = data[:used]
-                    if scan is None or scan.unsettled is not None:
+                scan = compiled.scan_tagged(data, final)
+                if scan.used:
+                    kept = data[:scan.used]
+                    if scan.unsettled is not None:
                         # the per-line loop counts its own lines
                         block = TokenBlock.of_sentences(list(self._sentences(
                             io.TextIOWrapper(io.BytesIO(kept),
@@ -195,7 +196,7 @@ class TaggedCorpusReader:
                         self.sentences_read += len(block.offsets) - 1
                     if len(block.ids):
                         yield block
-                    data = data[used:]
+                    data = data[scan.used:]
                 if final:
                     return
 
@@ -282,24 +283,6 @@ def token_blocks(sentences):
 # Bytes of a tagged-corpus path read at a time.  A block holds the bytes up
 # to its last blank line, and the rest starts the next one.
 _TAGGED_BLOCK = 1 << 16
-
-
-# A line of ASCII whitespace only, with its end: a blank line as the
-# compiled scan reads it.  The \n of a \r\n starts no line.
-_BLANK_LINE = re.compile(
-    rb"(?:\A|(?<=\n)|(?<=\r)(?!\n))[\t\x0b\x0c\x1c-\x1f ]*(?:\r\n|\r|\n)")
-
-
-def _blank_cut(data, final):
-    """Where the compiled scan cuts tagged-corpus bytes `data`: after all of
-    them when `final`, else after their last blank line (0 when there is
-    none)."""
-    if final:
-        return len(data)
-    last = None
-    for last in _BLANK_LINE.finditer(data):
-        pass
-    return last.end() if last else 0
 
 
 def _spans(starts, lengths):
@@ -397,14 +380,7 @@ class Vocabulary:
         a line that is not ``surface<TAB>count`` with a non-negative integer
         count, a ranked surface repeated within its inventory, other than
         the announced number of lines, or bytes that are not UTF-8."""
-        try:
-            return cls._load(path)
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-
-    @classmethod
-    def _load(cls, path):
-        with open(path, encoding="utf-8") as fh:
+        with reading_utf8(path), open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if header[:2] != ["relemb-vocab", "v1"]:
                 raise ArtifactError(f"{path}:1: not a relemb-vocab file")
@@ -559,14 +535,6 @@ def neighbor_slots(ctx, i, c, reach=None):
     return neighbor_slot_rows(ctx.w_in, (0, m_in), c, reach)[i - 1].tolist()
 
 
-def _outside_windows(word_ids, left_pos, right_pos, m_out):
-    bef = word_ids[max(0, left_pos - m_out):left_pos]
-    bef = (NULL_WORD,) * (m_out - len(bef)) + tuple(bef)
-    aft = word_ids[right_pos + 1:right_pos + 1 + m_out]
-    aft = tuple(aft) + (NULL_WORD,) * (m_out - len(aft))
-    return bef, aft
-
-
 def check_extract_settings(m_out, max_between):
     """Raise :class:`ConfigError` unless the settings of
     :func:`extract_noun_pair_contexts` are valid."""
@@ -600,11 +568,18 @@ def extract_noun_pair_contexts(tokens, vocab, m_out, max_between=10):
     b = a + np.repeat(np.arange(1, len(firsts) + 1), list(map(len, firsts)))
     order = np.lexsort((b, a))
     a, b = a[order], b[order]
-    p1, p2, sentence = pos[a], pos[b], sentence[a]
+    return _pair_contexts(tokens, vocab, pos[a], pos[b], sentence[a], m_out)
 
+
+def _pair_contexts(tokens, vocab, p1, p2, sentence, m_out):
+    """The :class:`ContextArrays` of the noun pairs at token positions
+    ``p1[r] < p2[r]`` of :class:`TokenBlock` `tokens`, pair ``r`` lying in
+    sentence ``sentence[r]``: the nouns, the words between them, and the
+    outside windows `m_out` wide, NULL-padded past the sentence's ends.
+    The one builder of contexts from tokens."""
     word_ids = tokens.word_ids(vocab)
     noun_ids = np.array(vocab.noun_ids(tokens.surfaces), np.int64)
-    offsets = np.zeros(len(a) + 1, np.int64)
+    offsets = np.zeros(len(p1) + 1, np.int64)
     offsets[1:] = np.cumsum(p2 - p1 - 1)
     bef = p1[:, None] - m_out + np.arange(m_out)
     aft = p2[:, None] + 1 + np.arange(m_out)
@@ -618,76 +593,162 @@ def extract_noun_pair_contexts(tokens, vocab, m_out, max_between=10):
 
 
 def write_contexts(contexts, m_out, path):
-    """Extracted-context file: header ``relemb-contexts v1 m_out=<m>`` then
-    one tab-separated line of id lists per context.  `contexts` is a
-    :class:`ContextArrays` or an iterable of them.  The file is written
-    beside `path` and moved there once complete, so an error while
-    `contexts` are read leaves `path` as it was.  Returns the number of
-    contexts written."""
+    """Write the extracted-context file: header ``relemb-contexts v1
+    m_out=<m> n=<contexts> nin=<words between>``, then int32 arrays of the
+    first nouns, the second nouns, each context's number of words between
+    the pair, those words, and the two outside windows, each ``(n, m)``.
+    `contexts` is a :class:`ContextArrays` or an iterable of them, all read,
+    and held as int32, before the file is written by
+    :func:`write_blob_file`, so an error while they are read leaves `path`
+    as it was.  An id that int32 cannot hold raises ValueError.  Returns
+    the number of contexts written."""
     if isinstance(contexts, ContextArrays):
         contexts = (contexts,)
-    part = f"{os.fspath(path)}.part"
-    n = 0
-    try:
-        with open(part, "w", encoding="utf-8") as fh:
-            fh.write(f"relemb-contexts v1 m_out={m_out}\n")
-            for arrays in contexts:
-                fh.write(_context_lines(arrays))
-                n += len(arrays)
-        os.replace(part, path)
-    except BaseException:
-        if os.path.exists(part):
-            os.remove(part)
-        raise
+    parts = [_int32_columns(arrays, path)
+             for arrays in chain((ContextArrays.pack([], m_out),), contexts)]
+    n = sum(len(part[0]) for part in parts)
+    n_in = sum(len(part[3]) for part in parts)
+    write_blob_file(path, f"relemb-contexts v1 m_out={m_out} n={n} "
+                    f"nin={n_in}", map(np.concatenate, zip(*parts)), "<i4")
     return n
 
 
-def _context_lines(arrays):
-    """The context-file lines of `arrays`, as one string: every id written
-    once per distinct id, then joined with the separator after it."""
-    m_out = arrays.m_out
-    m_in = np.diff(arrays.offsets)
-    width = 2 + m_in + 2 * m_out
-    line = np.cumsum(width) - width               # each line's first id
-    ids = np.empty(int(width.sum()), np.int64)
-    seps = np.zeros(len(ids), np.int64)           # 0: " ", 1: tab, 2: newline
-    outside = (line + 2 + m_in)[:, None] + np.arange(m_out)
-    ids[line] = arrays.n1
-    ids[line + 1] = arrays.n2
-    ids[_spans(line + 2, m_in)] = arrays.w_in
-    ids[outside] = arrays.w_bef
-    ids[outside + m_out] = arrays.w_aft
-    seps[line + 1] = seps[line + 1 + m_in] = seps[line + 1 + m_in + m_out] = 1
-    seps[line + width - 1] = 2
-    distinct, index = np.unique(ids, return_inverse=True)
-    table = [f"{i}{sep}" for i in distinct.tolist() for sep in " \t\n"]
-    return "".join(map(table.__getitem__, (index * 3 + seps).tolist()))
+def _int32_columns(arrays, path):
+    """The six arrays of :class:`ContextArrays` `arrays` that a contexts
+    file stores, as int32; an id int32 cannot hold raises ValueError."""
+    columns = (arrays.n1, arrays.n2, np.diff(arrays.offsets), arrays.w_in,
+               arrays.w_bef, arrays.w_aft)
+    limits = np.iinfo(np.int32)
+    for ids in columns:
+        if ids.size and not limits.min <= ids.min() <= ids.max() <= limits.max:
+            raise ValueError(f"{path}: context ids {ids.min()} .. {ids.max()} "
+                             f"do not all fit int32")
+    return [ids.astype("<i4") for ids in columns]
 
 
 class ArtifactError(ValueError):
-    """A malformed input file; the message names the file, and the line
-    where there is one."""
+    """A malformed input file; the message names the file, and the line or
+    the context where there is one."""
 
 
 def not_utf8(path):
-    """The :class:`ArtifactError` for text file `path`, a read of which
+    """The :class:`ArtifactError` for file `path`, a decode of which
     raised UnicodeDecodeError, naming ``path:line`` of its first byte that
-    is not UTF-8.  The file is read again as bytes, because the offset a
-    text-mode read reports counts from the start of its decode chunk."""
+    is not UTF-8.  The file is read again as bytes, line by line, because
+    the offset a text-mode read reports counts from the start of its decode
+    chunk; no UTF-8 sequence holds a newline byte, so each line decodes on
+    its own."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return ArtifactError(f"{path}:{line}: not UTF-8: byte "
-                             f"0x{data[exc.start]:02x}")
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ArtifactError(f"{path}:{lineno}: not UTF-8: byte "
+                                     f"0x{line[exc.start]:02x}")
     return ArtifactError(f"{path}: not UTF-8")
+
+
+@contextmanager
+def reading_utf8(path):
+    """Raise :func:`not_utf8` of `path` for a UnicodeDecodeError raised
+    inside, as a read of `path` decodes it."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
 
 
 class ConfigError(ValueError):
     """An invalid setting: a configuration value or an argument outside the
     range its function accepts."""
+
+
+# --- header-and-blob artifacts ----------------------------------------------
+
+def write_blob_file(path, header, arrays, dtype="<f8"):
+    """Binary artifact: the ASCII `header` line, then each array as
+    little-endian `dtype`, in order.  The file is written beside `path`
+    and moved there once complete, so `path` is either whole or as it
+    was."""
+    part = f"{os.fspath(path)}.part"
+    try:
+        with open(part, "wb") as fh:
+            fh.write(header.encode("ascii") + b"\n")
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype=dtype))
+        os.replace(part, path)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        raise
+
+
+# Values checked for being finite at a time: the check's temporary
+# array takes 128 KiB whatever the artifact's size.
+_FINITE_CHUNK = 1 << 17
+
+
+def _check_finite(path, k, arr):
+    """Raise :class:`ArtifactError` naming `path` at the first NaN or
+    infinity of `arr`, the `k`-th array stored there (from 1)."""
+    flat = arr.reshape(-1)
+    for lo in range(0, flat.size, _FINITE_CHUNK):
+        finite = np.isfinite(flat[lo:lo + _FINITE_CHUNK])
+        if not finite.all():
+            at = lo + int(finite.argmin())
+            raise ArtifactError(
+                f"{path}: non-finite value {flat[at]} in stored array {k} "
+                f"at index {tuple(map(int, np.unravel_index(at, arr.shape)))}")
+
+
+def _header_dims(kv, keys, least=1):
+    """The values of `keys` in header dict `kv` as integers; raises
+    ValueError unless each is `least` or more."""
+    dims = [int(kv[key]) for key in keys]
+    for key, dim in zip(keys, dims):
+        if dim < least:
+            raise ValueError(f"{key}={dim} is below {least}")
+    return dims
+
+
+def read_blob_file(path, magic, required, shapes, dtype="<f8"):
+    """Read a file written by :func:`write_blob_file` whose header is
+    ``<magic> v1 key=value ...`` and whose arrays are `dtype`.
+
+    `shapes` maps the header dict to the shapes of the stored arrays.  The
+    magic, the `required` keys and the exact byte length are checked before
+    any array is read, and every value of a float `dtype` is checked to be
+    finite; every error names `path`.  Each array is read straight into an
+    array of its own.  Returns ``(header dict, arrays)``.
+    """
+    with open(path, "rb") as fh:
+        with reading_utf8(path):
+            header = fh.readline().decode("utf-8").split()
+        if header[:2] != [magic, "v1"]:
+            raise ArtifactError(f"not a {magic} file: {path}")
+        kv = dict(tok.partition("=")[::2] for tok in header[2:])
+        missing = [key for key in required if key not in kv]
+        if missing:
+            raise ArtifactError(f"{path}: header lacks {', '.join(missing)}")
+        try:
+            dims = shapes(kv)
+        except ValueError as exc:
+            raise ArtifactError(f"{path}: bad header value: {exc}") from None
+        want = np.dtype(dtype).itemsize * sum(map(math.prod, dims))
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != want:
+            raise ArtifactError(f"{path}: header implies {want} data bytes, "
+                                f"file holds {held}")
+        arrays = []
+        for k, shape in enumerate(dims, 1):
+            arr = np.empty(shape, dtype)
+            if fh.readinto(arr) != arr.nbytes:
+                raise ArtifactError(f"{path}: file ends inside stored array "
+                                    f"{k}")
+            if arr.dtype.kind == "f":
+                _check_finite(path, k, arr)
+            arrays.append(arr)
+    return kv, arrays
 
 
 @dataclass
@@ -697,9 +758,7 @@ class ContextArrays:
     Context ``r`` has nouns ``n1[r]`` and ``n2[r]``, the words between them
     ``w_in[offsets[r]:offsets[r + 1]]``, and outside windows ``w_bef[r]``
     and ``w_aft[r]`` (shape ``(n, m_out)``).  ``path`` names the context
-    file the arrays were read from, if any.  ``fault``, when set, is the
-    error the input ended on: it held a malformed context right after the
-    last packed one.  Iterating yields the contexts, then raises ``fault``.
+    file the arrays were read from, if any.  Iterating yields the contexts.
     """
 
     n1: np.ndarray
@@ -709,7 +768,6 @@ class ContextArrays:
     w_bef: np.ndarray
     w_aft: np.ndarray
     path: object = None
-    fault: Exception | None = None
 
     @classmethod
     def pack(cls, contexts, m_out):
@@ -755,183 +813,57 @@ class ContextArrays:
             tuple(self.w_bef[r].tolist()), tuple(self.w_aft[r].tolist()))
 
     def error(self, r, message):
-        """The error for a fault in context `r`: :class:`ArtifactError`
-        naming ``path:line`` for arrays read from a file, else ValueError
-        naming the context's index."""
+        """The error for a fault in context `r` (from 0):
+        :class:`ArtifactError` naming the file for arrays read from one,
+        else ValueError."""
         if self.path is None:
             return ValueError(f"pretraining context {r}: {message}")
-        # the header is line 1
-        return ArtifactError(f"{self.path}:{r + 2}: {message}")
+        return ArtifactError(f"{self.path}: context {r}: {message}")
 
     def __iter__(self):
-        yield from map(self.context, range(len(self)))
-        if self.fault is not None:
-            raise self.fault
+        return map(self.context, range(len(self)))
 
 
 class ContextFile:
-    """Reader for the extracted-context file format.
+    """An extracted-context file, written by :func:`write_contexts`, read
+    whole through :func:`read_blob_file` and checked when opened.
 
-    The header's ``m_out`` must be a positive integer.  Each line must hold
-    four tab-separated fields of space-separated ids, each written in at
-    most 18 ASCII digits: two nouns, one or more words between them, and
-    the two outside windows of exactly ``m_out`` ids each.  Newlines are
-    read as in text mode.  The body is read once, at first use, into
-    :attr:`arrays`; iterating yields its contexts, and after them raises
-    :class:`ArtifactError` naming ``path:line`` of the first line that
-    breaks a rule.
+    The header's ``m_out`` must be 1 or more and its ``n`` and ``nin`` 0 or
+    more; the between-word counts must be 0 or more and add up to ``nin``;
+    the file must hold exactly the bytes the header implies.  Any fault
+    raises :class:`ArtifactError` naming the file.  :attr:`arrays` holds
+    the contexts as int32 :class:`ContextArrays`; iterating yields them.
+    That the ids lie in a vocabulary, and that each context has words
+    between its pair, is checked before pretraining, where the vocabulary
+    is known.
     """
 
     def __init__(self, path):
         self.path = path
-        try:
-            with open(path, encoding="utf-8") as fh:
-                header = fh.readline().split()
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-        if header[:2] != ["relemb-contexts", "v1"]:
-            raise ArtifactError(f"not a relemb-contexts file: {path}")
-        try:
-            self.m_out = int(dict(t.split("=", 1) for t in header[2:])["m_out"])
-        except (KeyError, ValueError):
-            self.m_out = 0
-        if self.m_out < 1:
-            raise ArtifactError(f"{path}:1: header lacks a positive integer "
-                                f"m_out")
-
-    @cached_property
-    def arrays(self):
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                fh.readline()
-                return _parse_context_body(fh, self.m_out, self.path)
-        except UnicodeDecodeError:
-            raise not_utf8(self.path) from None
+        _, (n1, n2, m_in, w_in, w_bef, w_aft) = read_blob_file(
+            path, "relemb-contexts", ("m_out", "n", "nin"), _context_shapes,
+            "<i4")
+        offsets = np.zeros(len(n1) + 1, np.int64)
+        np.cumsum(m_in, out=offsets[1:])
+        self.arrays = ContextArrays(n1, n2, offsets, w_in, w_bef, w_aft, path)
+        self.m_out = self.arrays.m_out
+        if (m_in < 0).any():
+            r = int((m_in < 0).argmax())
+            raise self.arrays.error(r, f"negative count {m_in[r]} of words "
+                                       f"between the pair")
+        if offsets[-1] != len(w_in):
+            raise ArtifactError(f"{path}: between-word counts add up to "
+                                f"{offsets[-1]}, the header has "
+                                f"nin={len(w_in)}")
 
     def __iter__(self):
         return iter(self.arrays)
 
 
-# Ids longer than this could overflow int64.
-_MAX_DIGITS = 18
-
-# Byte classes of a context-file body: the ids' digits, the whitespace
-# between ids (the bytes ``bytes.split`` splits on, less tab and newline),
-# the tab between fields and the newline ending a line.  Any other byte
-# makes its line malformed.
-_OTHER, _DIGIT, _SPACE, _TAB, _NEWLINE = range(5)
-_BYTE_CLASS = np.full(256, _OTHER, np.uint8)
-_BYTE_CLASS[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
-_BYTE_CLASS[np.frombuffer(b" \x0b\x0c", np.uint8)] = _SPACE
-_BYTE_CLASS[ord("\t")] = _TAB
-_BYTE_CLASS[ord("\n")] = _NEWLINE
-
-
-def _line_blocks(fh):
-    """The rest of text file `fh` as UTF-8 bytes, in blocks of whole
-    lines (about 256k characters each), each ending in a newline; the last
-    block may be empty."""
-    tail = ""
-    while text := fh.read(1 << 18):
-        cut = text.rfind("\n") + 1
-        if cut:
-            yield (tail + text[:cut]).encode()
-            tail = text[cut:]
-        else:
-            tail += text
-    yield (tail + "\n").encode() if tail else b""
-
-
-def _parse_context_body(fh, m_out, path):
-    """:class:`ContextArrays` of the lines of a context file after its
-    header, read from `fh` in one pass of :func:`_parse_lines` blocks.  The
-    arrays stop at the first malformed line, and its :func:`_line_fault`
-    becomes their fault.  Ids are stored as int32 when they fit."""
-    parts, bad_line = [], None
-    for block in _line_blocks(fh):
-        parsed, bad_line = _parse_lines(block, m_out)
-        parts.append(parsed)
-        if bad_line is not None:
-            break
-    n1, n2, m_in, w_in, w_bef, w_aft = map(np.concatenate, zip(*parts))
-    offsets = np.zeros(len(n1) + 1, np.int64)
-    offsets[1:] = np.cumsum(m_in)
-    arrays = ContextArrays(n1, n2, offsets, w_in, w_bef, w_aft, path)
-    if bad_line is not None:
-        arrays.fault = arrays.error(len(n1), _line_fault(bad_line, m_out))
-    return arrays
-
-
-def _parse_lines(block, m_out):
-    """Parse `block`, context-file lines as bytes each ending in a newline,
-    with every check run over the whole block at once.  Returns the columns
-    ``(n1, n2, m_in, w_in, w_bef, w_aft)`` of the lines before the first
-    that fails a check, and that line (without its newline) or None."""
-    cls = _BYTE_CLASS[np.frombuffer(block, np.uint8)]
-    line_end = np.flatnonzero(cls == _NEWLINE)
-    line_start = np.concatenate(([0], line_end + 1))
-    n = len(line_end)
-    digit = cls == _DIGIT
-    id_start = digit.copy()
-    id_start[1:] &= ~digit[:-1]
-    id_start = np.flatnonzero(id_start)
-    long_id = digit.copy()    # where a digit has _MAX_DIGITS more after it
-    for k in range(1, _MAX_DIGITS + 1):
-        long_id[:-k] &= digit[k:]
-    tabs = np.flatnonzero(cls == _TAB)
-
-    def line_of(pos):
-        return np.searchsorted(line_end, pos)
-
-    bad = np.bincount(line_of(tabs), minlength=n) != 3
-    bad[line_of(np.flatnonzero(cls == _OTHER))] = True
-    bad[line_of(np.flatnonzero(long_id[:-_MAX_DIGITS]))] = True
-    good = int(bad.argmax()) if bad.any() else n
-    # the lines before `good` hold three tabs each: count each field's ids
-    bounds = np.column_stack((line_start[:good],
-                              tabs[:3 * good].reshape(good, 3),
-                              line_end[:good]))
-    counts = np.diff(np.searchsorted(id_start, bounds), axis=1)
-    bad = ((counts[:, 0] != 2) | (counts[:, 1] < 1) | (counts[:, 2] != m_out)
-           | (counts[:, 3] != m_out))
-    if bad.any():
-        good = int(bad.argmax())
-
-    ids = np.fromstring(block[:line_start[good]], np.int64, sep=" ")
-    if not ids.size or ids.max() <= np.iinfo(np.int32).max:
-        ids = ids.astype(np.int32)
-    m_in = counts[:good, 1]
-    first = np.zeros(good, np.int64)
-    first[1:] = np.cumsum(2 + m_in + 2 * m_out)[:-1]
-    w_in = (np.repeat(first + 2 + m_in - np.cumsum(m_in), m_in)
-            + np.arange(m_in.sum()))
-    outside = (first + 2 + m_in)[:, None] + np.arange(m_out)
-    columns = (ids[first], ids[first + 1], m_in, ids[w_in], ids[outside],
-               ids[outside + m_out])
-    return columns, (block[line_start[good]:line_end[good]] if good < n
-                     else None)
-
-
-def _line_fault(line, m_out):
-    """What is wrong with `line`, a context-file line (bytes, without its
-    newline) that failed a check of :func:`_parse_lines`."""
-    fields = [field.split() for field in line.split(b"\t")]
-    if len(fields) != 4:
-        return f"{len(fields)} tab-separated fields, expected 4"
-    for tok in chain.from_iterable(fields):
-        text = tok.decode("utf-8", "replace")
-        if tok.startswith(b"-"):
-            return f"negative id {text!r}"
-        if not tok.isdigit():
-            return f"non-integer id {text!r}"
-        if len(tok) > _MAX_DIGITS:
-            return f"id {text} has more than {_MAX_DIGITS} digits"
-    if len(fields[0]) != 2:
-        return f"{len(fields[0])} noun ids, expected 2"
-    if not fields[1]:
-        return "no words between the pair"
-    return (f"outside windows of {len(fields[2])} and {len(fields[3])} "
-            f"ids, header has m_out={m_out}")
+def _context_shapes(kv):
+    (m_out,) = _header_dims(kv, ("m_out",))
+    n, n_in = _header_dims(kv, ("n", "nin"), least=0)
+    return [(n,), (n,), (n,), (n_in,), (n, m_out), (n, m_out)]
 
 
 # --- relation labels -------------------------------------------------------
@@ -1051,29 +983,14 @@ def _entity_spans(sentence):
     return before, e1, middle, e2, after
 
 
-def _instance_context(sentence, vocab, m_out):
-    before, e1, middle, e2, after = _entity_spans(sentence)
-    toks_before = tokenize(before)
-    toks_e1 = tokenize(e1)
-    toks_middle = tokenize(middle)
-    toks_e2 = tokenize(e2)
-    toks_after = tokenize(after)
-    if not toks_e1 or not toks_e2:
+def _instance_tokens(sentence):
+    """The tokens of a marked-up instance sentence and the positions of
+    its two entities' heads, each entity's last token."""
+    before, e1, middle, e2, after = map(tokenize, _entity_spans(sentence))
+    if not e1 or not e2:
         raise ValueError("empty entity span")
-    tokens = toks_before + toks_e1 + toks_middle + toks_e2 + toks_after
-    # Multi-token entities are reduced to their last (head) token.
-    p1 = len(toks_before) + len(toks_e1) - 1
-    p2 = len(toks_before) + len(toks_e1) + len(toks_middle) + len(toks_e2) - 1
-    word_ids = vocab.word_ids(tokens)
-    n1, n2 = vocab.noun_ids((tokens[p1], tokens[p2]))
-    bef, aft = _outside_windows(word_ids, p1, p2, m_out)
-    return NounPairContext(
-        n1=n1,
-        n2=n2,
-        w_in=tuple(word_ids[p1 + 1:p2]),
-        w_bef=bef,
-        w_aft=aft,
-    )
+    p1 = len(before) + len(e1) - 1
+    return before + e1 + middle + e2 + after, p1, p1 + len(middle) + len(e2)
 
 
 def parse_semeval(source, vocab, m_out):
@@ -1081,18 +998,17 @@ def parse_semeval(source, vocab, m_out):
     :class:`LabelledContexts`, with outside windows `m_out` wide.
 
     `source` may be a path, an open text file, or an iterable of lines.
-    Unlike pretraining extraction, adjacent entities (no words between) are
-    allowed and there is no distance cut-off.  A malformed instance raises
+    The instances' tokens form one :class:`TokenBlock`, one sentence per
+    instance, whose pairs are the two entity heads.  Unlike pretraining
+    extraction, adjacent entities (no words between) are allowed and there
+    is no distance cut-off.  A malformed instance raises
     :class:`SemEvalFormatError`, naming ``path:line`` when `source` is a
     path.
     """
-    named = isinstance(source, str) or hasattr(source, "__fspath__")
+    named = _is_path(source)
     if named:
-        try:
-            with open(source, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except UnicodeDecodeError:
-            raise not_utf8(source) from None
+        with reading_utf8(source), open(source, encoding="utf-8") as fh:
+            lines = fh.readlines()
     else:
         lines = list(source)
 
@@ -1100,7 +1016,8 @@ def parse_semeval(source, vocab, m_out):
         where = f"{source}:{i + 1}: " if named else ""
         return SemEvalFormatError(instance_id, message, where)
 
-    ids, labels, contexts = [], [], []
+    ids, labels, heads, offsets = [], [], [], [0]
+    index, token_ids = {}, []       # surface -> its id; each token's id
     i = 0
     n = len(lines)
     while i < n:
@@ -1128,12 +1045,19 @@ def parse_semeval(source, vocab, m_out):
         if i < n and lines[i].strip().startswith("Comment"):
             i += 1
         try:
-            ctx = _instance_context(sentence, vocab, m_out)
+            tokens, p1, p2 = _instance_tokens(sentence)
         except ValueError as exc:
             raise fault(sentence_line, instance_id, str(exc)) from None
         ids.append(instance_id)
         labels.append(label_index(label))
-        contexts.append(ctx)
-    return LabelledContexts(np.array(ids, np.int64),
-                            np.array(labels, np.int64),
-                            ContextArrays.pack(contexts, m_out))
+        heads.append((len(token_ids) + p1, len(token_ids) + p2))
+        token_ids += [index.setdefault(w, len(index)) for w in tokens]
+        offsets.append(len(token_ids))
+    p1, p2 = np.array(heads, np.int64).reshape(-1, 2).T
+    noun = np.zeros(len(token_ids), bool)
+    noun[p1] = noun[p2] = True
+    block = TokenBlock(list(index), np.array(token_ids, np.int64), noun,
+                       np.array(offsets, np.int64))
+    return LabelledContexts(
+        np.array(ids, np.int64), np.array(labels, np.int64),
+        _pair_contexts(block, vocab, p1, p2, np.arange(len(ids)), m_out))

@@ -17,6 +17,10 @@ through numpy's ``bitgen_t``, and returns to Python at each progress
 record.  Otherwise the numpy loop (:func:`pretrain_step`, built on
 :func:`pretrain_objective_and_grad` and :func:`apply_row_grads`) runs; it
 stays the reference.
+
+Models are header-and-blob files of float64 arrays, written and read by
+:func:`~relemb.corpus.write_blob_file` and
+:func:`~relemb.corpus.read_blob_file`.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .corpus import (ArtifactError, ConfigError, ContextFile,
-                     neighbor_slot_rows, neighbor_slots)
+from .corpus import (ArtifactError, ConfigError, ContextFile, _header_dims,
+                     neighbor_slot_rows, neighbor_slots, read_blob_file,
+                     write_blob_file)
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +59,6 @@ __all__ = [
     "train_embeddings",
     "save_model",
     "load_model",
-    "write_blob_file",
-    "read_blob_file",
 ]
 
 
@@ -407,10 +410,10 @@ def _context_fault(ctx, vocab):
 
 def _checked_arrays(arrays, vocab):
     """Check :class:`~relemb.corpus.ContextArrays` `arrays` before
-    pretraining, in order: outside windows at least 1 wide; every context
-    with words between the pair and its ids in the vocabulary's range; then
-    the fault the arrays end on.  A fault in arrays read from a file raises
-    :class:`ArtifactError` naming ``path:line``."""
+    pretraining, in order: outside windows at least 1 wide; then every
+    context with words between the pair and its ids in the vocabulary's
+    range.  A fault in arrays read from a file raises
+    :class:`ArtifactError` naming the file and the first faulty context."""
     if arrays.m_out < 1:
         raise ValueError("pretraining contexts need outside windows of 1 "
                          "or more ids")
@@ -430,8 +433,6 @@ def _checked_arrays(arrays, vocab):
         r = int(bad.argmax())
         raise arrays.error(r, "no words between the pair" if empty[r]
                            else _context_fault(arrays.context(r), vocab))
-    if arrays.fault is not None:
-        raise arrays.fault
     return arrays
 
 
@@ -590,70 +591,6 @@ def _warn_if_untrained(log, pairs, t):
 
 # --- persistence ------------------------------------------------------------
 
-def write_blob_file(path, header, arrays):
-    """Binary artifact: the ASCII `header` line, then each array as
-    little-endian float64, in order."""
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-# Values checked for being finite at a time: the check's temporary
-# array takes 128 KiB whatever the artifact's size.
-_FINITE_CHUNK = 1 << 17
-
-
-def _check_finite(path, k, arr):
-    """Raise :class:`ArtifactError` naming `path` at the first NaN or
-    infinity of `arr`, the `k`-th array stored there (from 1)."""
-    flat = arr.reshape(-1)
-    for lo in range(0, flat.size, _FINITE_CHUNK):
-        finite = np.isfinite(flat[lo:lo + _FINITE_CHUNK])
-        if not finite.all():
-            at = lo + int(finite.argmin())
-            raise ArtifactError(
-                f"{path}: non-finite value {flat[at]} in stored array {k} "
-                f"at index {tuple(map(int, np.unravel_index(at, arr.shape)))}")
-
-
-def read_blob_file(path, magic, required, shapes):
-    """Read a file written by :func:`write_blob_file` whose header is
-    ``<magic> v1 key=value ...``.
-
-    `shapes` maps the header dict to the shapes of the stored arrays.  The
-    magic, the `required` keys, the exact byte length and that every value
-    is finite are checked, and every error names `path`.  Returns
-    ``(header dict, arrays)``.
-    """
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", "replace").split()
-        blob = fh.read()
-    if header[:2] != [magic, "v1"]:
-        raise ArtifactError(f"not a {magic} file: {path}")
-    kv = dict(tok.partition("=")[::2] for tok in header[2:])
-    missing = [key for key in required if key not in kv]
-    if missing:
-        raise ArtifactError(f"{path}: header lacks {', '.join(missing)}")
-    try:
-        dims = shapes(kv)
-    except ValueError as exc:
-        raise ArtifactError(f"{path}: bad header value: {exc}") from None
-    sizes = [math.prod(shape) for shape in dims]
-    if len(blob) != 8 * sum(sizes):
-        raise ArtifactError(f"{path}: header implies {8 * sum(sizes)} data bytes, "
-                         f"file holds {len(blob)}")
-    arrays = []
-    offset = 0
-    for k, (shape, size) in enumerate(zip(dims, sizes), 1):
-        arr = np.frombuffer(blob, dtype="<f8", count=size,
-                            offset=offset * 8).reshape(shape)
-        _check_finite(path, k, arr)
-        arrays.append(arr.copy())
-        offset += size
-    return kv, arrays
-
-
 def save_model(params, path):
     """Model file: header ``relemb-model v1 d= c= nwords= nnouns= [wdim=]``,
     then matrices noun_vecs, word_vecs, pred_vecs, pred_bias."""
@@ -663,16 +600,6 @@ def save_model(params, path):
         header += f" wdim={params.pred_dim}"
     write_blob_file(path, header, (params.noun_vecs, params.word_vecs,
                                    params.pred_vecs, params.pred_bias))
-
-
-def _header_dims(kv, keys):
-    """The values of `keys` in header dict `kv` as integers; raises
-    ValueError unless each is 1 or more."""
-    dims = [int(kv[key]) for key in keys]
-    for key, dim in zip(keys, dims):
-        if dim < 1:
-            raise ValueError(f"{key}={dim} is below 1")
-    return dims
 
 
 def _model_shapes(kv):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ALL_LABELS, FAMILIES, ConfigError, label_index, \
-    neighbor_slot_rows, not_utf8
+from .corpus import ALL_LABELS, FAMILIES, ConfigError, _is_path, \
+    label_index, neighbor_slot_rows, reading_utf8
 from .features import between_slice, ngram_embedding
 
 logger = logging.getLogger(__name__)
@@ -175,12 +175,9 @@ class WordSimResult:
 def read_wordsim(source):
     """Read ``word1,word2,score`` pairs (comma- or tab-separated, optional
     header line)."""
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError:
-            raise not_utf8(source) from None
+    if _is_path(source):
+        with reading_utf8(source), open(source, encoding="utf-8") as fh:
+            text = fh.read()
     else:
         text = source.read()
     pairs = []

@@ -1,5 +1,6 @@
-"""Corruption cases of the two header-and-blob artifact formats."""
+"""Corruption cases of the three header-and-blob artifact formats."""
 
+import os
 import re
 import tracemalloc
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from relemb import classifier as cl
+from relemb import corpus as cp
 from relemb import embed_train as et
 from relemb.features import FeatureOptions
-from conftest import rand_params
+from conftest import rand_ctx, rand_params
 
 
 def _write_model(path, rng):
@@ -23,8 +25,17 @@ def _write_classifier(path, rng):
     return cl.load_classifier
 
 
-# format -> (writer returning the loader, a required header key)
-FORMATS = {"model": (_write_model, "c"), "clf": (_write_classifier, "dim")}
+def _write_contexts(path, rng):
+    contexts = [rand_ctx(rng, m_in, 2) for m_in in (3, 1, 4)]
+    cp.write_contexts(cp.ContextArrays.pack(contexts, 2), 2, path)
+    return cp.ContextFile
+
+
+# format -> (writer returning the loader, a required header key, whether the
+# stored arrays are float)
+FORMATS = {"model": (_write_model, "c", True),
+           "clf": (_write_classifier, "dim", True),
+           "contexts": (_write_contexts, "nin", False)}
 
 
 def _trailing_bytes(data, key):
@@ -46,13 +57,17 @@ def _nan_last(data, key):
     return data[:-8] + np.float64(np.nan).tobytes()
 
 
-@pytest.mark.parametrize("corrupt", [_trailing_bytes, _truncated, _missing_key,
-                                     _nan_last],
-                         ids=["trailing_bytes", "truncated", "missing_key",
-                              "nan_last"])
-@pytest.mark.parametrize("fmt", sorted(FORMATS))
+_CORRUPTIONS = {"trailing_bytes": _trailing_bytes, "truncated": _truncated,
+                "missing_key": _missing_key, "nan_last": _nan_last}
+
+
+@pytest.mark.parametrize("fmt,corrupt", [
+    pytest.param(fmt, corrupt, id=f"{fmt}-{name}")
+    for fmt, (_, _, floats) in sorted(FORMATS.items())
+    for name, corrupt in _CORRUPTIONS.items()
+    if floats or name != "nan_last"])
 def test_corrupt_file_rejected_with_its_name(tmp_path, rng, fmt, corrupt):
-    write, key = FORMATS[fmt]
+    write, key, _ = FORMATS[fmt]
     path = tmp_path / f"{fmt}.bin"
     load = write(path, rng)
     load(path)   # the intact file loads
@@ -63,10 +78,10 @@ def test_corrupt_file_rejected_with_its_name(tmp_path, rng, fmt, corrupt):
 
 @pytest.mark.parametrize("fmt,key", [
     ("model", "d"), ("model", "c"), ("model", "nwords"), ("model", "nnouns"),
-    ("model", "wdim"), ("clf", "L"), ("clf", "dim")])
+    ("model", "wdim"), ("clf", "L"), ("clf", "dim"), ("contexts", "m_out")])
 @pytest.mark.parametrize("value", [0, -2])
 def test_header_dimension_below_1_rejected(tmp_path, rng, fmt, key, value):
-    write, _ = FORMATS[fmt]
+    write, _, _ = FORMATS[fmt]
     path = tmp_path / f"{fmt}.bin"
     load = write(path, rng)
     header, _, blob = path.read_bytes().partition(b"\n")
@@ -90,8 +105,54 @@ def test_finite_check_reads_in_bounded_chunks():
         with pytest.raises(ValueError, match=re.escape(
                 "x.bin: non-finite value -inf in stored array 2 at index "
                 "(1500, 7)")):
-            et._check_finite("x.bin", 2, arr)
+            cp._check_finite("x.bin", 2, arr)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("count,message", [
+    (2, "between-word counts add up to 9, the header has nin=8"),
+    (-1, "context 1: negative count -1 of words between the pair")],
+    ids=["sum", "negative"])
+def test_context_counts_checked(tmp_path, rng, count, message):
+    """Between-word counts of the right length that do not add up to the
+    header's ``nin``, or that hold a negative count, are rejected."""
+    path = tmp_path / "contexts.bin"
+    arrays = _write_contexts(path, rng)(path).arrays
+    m_in = np.diff(arrays.offsets)
+    m_in[1] = count
+    cp.write_blob_file(
+        path, f"relemb-contexts v1 m_out=2 n=3 nin={len(arrays.w_in)}",
+        (arrays.n1, arrays.n2, m_in, arrays.w_in, arrays.w_bef,
+         arrays.w_aft), "<i4")
+    with pytest.raises(cp.ArtifactError, match=re.escape(f"{path}: {message}")):
+        cp.ContextFile(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_failed_write_leaves_previous_file(tmp_path, rng, monkeypatch, fmt):
+    """A write that fails part-way, after its first array, leaves the
+    earlier file whole and no part file behind."""
+    write = FORMATS[fmt][0]
+    path = tmp_path / f"{fmt}.bin"
+    load = write(path, rng)
+    before = path.read_bytes()
+    convert = np.ascontiguousarray
+    calls = []
+
+    def failing(arr, dtype=None):
+        calls.append(arr)
+        if len(calls) == 2:
+            assert os.path.exists(f"{path}.part")
+            raise OSError("No space left on device")
+        return convert(arr, dtype=dtype)
+
+    monkeypatch.setattr(np, "ascontiguousarray", failing)
+    with pytest.raises(OSError, match="No space left"):
+        write(path, np.random.default_rng(7))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [path.name]
+    load(path)

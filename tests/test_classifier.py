@@ -20,31 +20,6 @@ from relemb.features import FeatureOptions, assemble_features, feature_dim
 from conftest import check_row_grads, labelled, pack, rand_params, rand_ctx
 
 
-class TestSoftmaxForward:
-    def test_zero_params_uniform(self, rng):
-        e = rng.normal(size=10)
-        p = cl.softmax_forward(e, np.zeros((19, 10)), np.zeros(19))
-        np.testing.assert_allclose(p, np.full(19, 1 / 19))
-
-    def test_sums_to_one(self, rng):
-        for _ in range(20):
-            e = rng.normal(size=8) * 10
-            W = rng.normal(size=(19, 8)) * 5
-            b = rng.normal(size=19)
-            assert abs(cl.softmax_forward(e, W, b).sum() - 1.0) < 1e-12
-
-    def test_two_class_closed_form(self):
-        # o = (ln 3, 0) -> probabilities (0.75, 0.25)
-        p = cl.softmax_forward(np.zeros(4), np.zeros((2, 4)),
-                               np.array([math.log(3), 0.0]))
-        np.testing.assert_allclose(p, [0.75, 0.25], atol=1e-12)
-
-    def test_stable_for_large_scores(self):
-        p = cl.softmax_forward(np.array([1000.0]), np.array([[1.0], [2.0]]),
-                               np.zeros(2))
-        assert np.isfinite(p).all() and abs(p.sum() - 1.0) < 1e-12
-
-
 def _instances(rng, n, params, n_labels=4):
     contexts, labels = [], []
     for k in range(n):
@@ -109,6 +84,24 @@ class TestSupervisedObjective:
                 ctx, label, params, softmax, lam, fine_tune=False)
             np.testing.assert_allclose(gw1 - gw0, -lam * softmax.weights)
             np.testing.assert_allclose(gb1 - gb0, -lam * softmax.bias)
+
+    def test_stable_for_large_scores(self, rng):
+        """Scores near 1e4, whose exponentials overflow unshifted: the
+        log-likelihood and gradients are finite and match the shifted
+        closed form."""
+        params = rand_params(rng, dim=3, window=1)
+        ((ctx, label),) = _pairs(_instances(rng, 1, params))
+        softmax = cl.SoftmaxParams.zeros(19, feature_dim(params))
+        softmax.bias[:] = 1e4
+        softmax.bias[label] -= 3.0
+        value, loglik, (g_W, g_b), row_grads = \
+            cl.supervised_objective_and_grad(ctx, label, params, softmax,
+                                             l2=0.0, fine_tune=True)
+        assert loglik == value == pytest.approx(-3.0 - math.log(
+            18 + math.exp(-3.0)), rel=1e-12)
+        assert np.isfinite(g_W).all() and np.isfinite(g_b).all()
+        assert g_b.sum() == pytest.approx(0.0, abs=1e-12)
+        assert all(np.isfinite(rows).all() for _, rows in row_grads.values())
 
 
 class TestDropout:
@@ -494,7 +487,7 @@ def _scored_contexts(draw):
 @given(case=_scored_contexts())
 def test_predict_many_matches_per_instance_reference(case):
     """Scores from projected rows equal each instance's gather, scored; the
-    labels equal the argmax of ``softmax_forward`` wherever its top two
+    labels equal the argmax of those scores wherever the top two
     scores are more than 1e-9 apart."""
     params, softmax, contexts, opts = case
     got = cl._scores(contexts, softmax, params, opts)
@@ -507,8 +500,7 @@ def test_predict_many_matches_per_instance_reference(case):
                                    atol=1e-12 * np.abs(want).max())
         top = np.sort(want)
         if top[-1] - top[-2] > 1e-9:
-            probs = cl.softmax_forward(e, softmax.weights, softmax.bias)
-            assert label == ALL_LABELS[int(np.argmax(probs))]
+            assert label == ALL_LABELS[int(np.argmax(want))]
 
 
 @pytest.mark.parametrize("limit", [1, 3, 10_000])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from relemb import cli
+from relemb import corpus as cp
 from relemb.synthetic import make_synthetic_data
 
 
@@ -463,17 +464,15 @@ class TestExitCodes:
 
     # reader: (the pipeline file or the text a byte 0xff is written into,
     # the line it goes on, the command that reads it); a text-mode read
-    # decodes the first lines of a file with its header
+    # decodes the first lines of a file with its header, and a binary
+    # artifact's header is its first line
     _NOT_UTF8 = {
         "corpus": ("corpus.tagged", 3, ["build-vocab", "--corpus", "{bad}",
                                         "--out", "{tmp}/v.txt"]),
         "vocab": ("vocab.txt", 3, [
             "extract", "--corpus", "{w}/corpus.tagged", "--vocab", "{bad}",
             "--out", "{tmp}/c.txt"]),
-        "contexts_header": ("contexts.txt", 3, [
-            "pretrain", "--contexts", "{bad}", "--vocab", "{w}/vocab.txt",
-            "--out", "{tmp}/m.bin"]),
-        "contexts_body": ("contexts.txt", -1, [
+        "contexts_header": ("contexts.txt", 1, [
             "pretrain", "--contexts", "{bad}", "--vocab", "{w}/vocab.txt",
             "--out", "{tmp}/m.bin"]),
         "semeval": ("train.txt", 3, ["eval", "--test", "{bad}",
@@ -495,7 +494,6 @@ class TestExitCodes:
         text = ((workdir / source).read_bytes() if "\n" not in source
                 else source.encode())
         lines = text.splitlines(True)
-        line = line if line > 0 else len(lines) + 1 + line
         lines[line - 1] = b"\xff" + lines[line - 1]
         bad = tmp_path / f"bad-{reader}"
         bad.write_bytes(b"".join(lines))
@@ -526,16 +524,25 @@ class TestExitCodes:
         if existing:
             assert out.read_bytes() == b"earlier contexts\n"
 
+    @staticmethod
+    def _contexts_with(workdir, path, n1, n2, w_in):
+        """The workdir's contexts with context 4 replaced by one of nouns
+        `n1`, `n2`, words `w_in` between them and NULL outside windows,
+        written to `path`."""
+        contexts = list(cp.ContextFile(workdir / "contexts.txt"))[:10]
+        contexts[4] = cp.NounPairContext(n1, n2, w_in, (0, 0, 0), (0, 0, 0))
+        cp.write_contexts(cp.ContextArrays.pack(contexts, 3), 3, path)
+
     def test_bad_context_line_exit_2(self, workdir, capsys):
         bad = workdir / "bad_contexts.txt"
-        lines = (workdir / "contexts.txt").read_text().splitlines(True)
-        bad.write_text("".join(lines[:5]) + "1 2\t3 -4\t0 0 0\t0 0 0\n")
+        self._contexts_with(workdir, bad, 1, 2, (3, -4))
         code = cli.main(["pretrain", "--contexts", str(bad),
                          "--vocab", str(workdir / "vocab.txt"),
                          "--out", str(workdir / "never.bin"),
                          "--d", "4", "--c", "1", "--k", "2", "--t", "1"])
         assert code == 2
-        assert f"{bad}:6: negative id" in capsys.readouterr().err
+        assert (f"{bad}: context 4: word id -4 outside"
+                in capsys.readouterr().err)
         assert not (workdir / "never.bin").exists()
 
     @pytest.mark.parametrize("command,data_flag", [("eval", "--test"),
@@ -628,27 +635,30 @@ class TestExitCodes:
         assert not (tmp_path / "clf.bin").exists()
         assert cli.main(argv + ["--d", "12", "--c", "2"]) == 0
 
-    @pytest.mark.parametrize("line", [
-        "1 2\t3 9999\t0 0 0\t0 0 0", "9999 2\t3 4\t0 0 0\t0 0 0",
-        "1 2\t\t0 0 0\t0 0 0", None,
-    ], ids=["w_in", "n1", "empty_between", "m_out_0"])
-    def test_bad_context_file_exit_2(self, workdir, tmp_path, capsys, line):
-        """A bad line 6 of the context file, or (None) a header m_out of 0."""
+    @pytest.mark.parametrize("context,message", [
+        ((1, 2, (3, 9999)), "context 4: word id 9999 outside"),
+        ((9999, 2, (3, 4)), "context 4: noun id 9999 outside"),
+        ((1, 2, ()), "context 4: no words between the pair"),
+        (None, "bad header value: m_out=0 is below 1"),
+        ("truncated", "header implies"),
+    ], ids=["w_in", "n1", "empty_between", "m_out_0", "truncated"])
+    def test_bad_context_file_exit_2(self, workdir, tmp_path, capsys, context,
+                                     message):
+        """A bad context 4 of the context file, (None) a header m_out of 0,
+        or a file cut short."""
         bad = tmp_path / "contexts.txt"
-        lines = (workdir / "contexts.txt").read_text().splitlines(True)
-        if line is None:
-            bad.write_text("relemb-contexts v1 m_out=0\n")
-            lineno = 1
+        if context is None:
+            cp.write_contexts([], 0, bad)
+        elif context == "truncated":
+            bad.write_bytes((workdir / "contexts.txt").read_bytes()[:-4])
         else:
-            bad.write_text("".join(lines[:5]) + line + "\n"
-                           + "".join(lines[5:]))
-            lineno = 6
+            self._contexts_with(workdir, bad, *context)
         code = cli.main(["pretrain", "--contexts", str(bad),
                          "--vocab", str(workdir / "vocab.txt"),
                          "--out", str(tmp_path / "never.bin"),
                          "--d", "4", "--c", "1", "--k", "2", "--t", "1"])
         assert code == 2
-        assert f"{bad}:{lineno}:" in capsys.readouterr().err
+        assert f"{bad}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "never.bin").exists()
 
     def test_malformed_semeval_exit_2(self, workdir, tmp_path, capsys):

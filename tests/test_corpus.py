@@ -1,12 +1,11 @@
 import io
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relemb import corpus as cp, kernels
+from relemb import corpus as cp, embed_train as et, kernels
 from conftest import make_vocab
 
 
@@ -357,66 +356,36 @@ class TestContextFile:
         # re-iterable
         assert len(list(reader)) == len(ctxs)
 
-    @pytest.mark.parametrize("line,message", [
-        ("3 4\t5 -1\t0 0 0 7 8\t9 10 0 0 0", "negative id"),
-        ("3 4\t5 6\t0 0 7 8\t9 10 0 0 0", "outside windows of 4 and 5"),
-        ("3 4\t5 6\t0 0 0 7 8", "3 tab-separated fields"),
-        ("3 4\t5 x\t0 0 0 7 8\t9 10 0 0 0", "non-integer id"),
-        ("3\t5 6\t0 0 0 7 8\t9 10 0 0 0", "1 noun ids"),
-    ], ids=["negative", "short_window", "fields", "non_integer", "one_noun"])
-    def test_malformed_line_names_file_and_line(self, tmp_path, line, message):
+    def test_no_contexts_round_trip(self, tmp_path):
+        """A corpus with no pairs writes a file that loads."""
         path = tmp_path / "ctx.txt"
-        path.write_text("relemb-contexts v1 m_out=5\n"
-                        "3 4\t5 6\t0 0 0 7 8\t9 10 0 0 0\n" + line + "\n")
+        assert cp.write_contexts(iter(()), 3, path) == 0
         reader = cp.ContextFile(path)
-        with pytest.raises(cp.ArtifactError, match=f"{path}:3: {message}"):
-            list(reader)
+        assert reader.m_out == 3 and list(reader) == []
 
 
 class TestContextFileFormat:
-    def _write(self, tmp_path, body, m_out=5):
-        path = tmp_path / "ctx.txt"
-        path.write_bytes(b"relemb-contexts v1 m_out=%d\n" % m_out + body)
-        return path
-
-    def test_crlf_and_unterminated_last_line(self, tmp_path):
-        path = self._write(tmp_path, b"3 4\t5 6\t0 0 0 7 8\t9 10 0 0 0\r\n"
-                                     b"1 2\t3\t0 0 0 0 0\t0 0 0 0 0")
-        loaded = list(cp.ContextFile(path))
-        assert [(c.n1, c.w_in, c.w_aft) for c in loaded] == [
-            (3, (5, 6), (9, 10, 0, 0, 0)), (1, (3,), (0, 0, 0, 0, 0))]
-
-    def test_blank_line_is_malformed(self, tmp_path):
-        path = self._write(tmp_path, b"3 4\t5 6\t0 0 0 7 8\t9 10 0 0 0\n\n")
-        with pytest.raises(cp.ArtifactError,
-                           match=f"{path}:3: 1 tab-separated fields"):
-            list(cp.ContextFile(path))
-
-    def test_ids_too_long_for_int64_rejected(self, tmp_path):
-        line = b"1 2\t%s\t0 0 0 0 0\t0 0 0 0 0\n"
-        path = self._write(tmp_path, line % (b"9" * 18) + line % (b"9" * 19))
-        reader = cp.ContextFile(path)
-        with pytest.raises(cp.ArtifactError,
-                           match=f"{path}:3: id 9{{19}} has more than 18"):
-            list(reader)
-        # the 18-digit id before it is read exactly, as int64
-        assert reader.arrays.w_in.tolist() == [10 ** 18 - 1]
-        assert reader.arrays.w_in.dtype == np.int64
-
     def test_small_ids_stored_as_int32(self, tmp_path):
-        path = self._write(tmp_path, b"3 4\t5 6\t0 0 0 7 8\t9 10 0 0 0\n")
+        path = tmp_path / "ctx.txt"
+        cp.write_contexts(cp.ContextArrays.pack([cp.NounPairContext(
+            3, 4, (5, 6), (0, 0, 0, 7, 8), (9, 10, 0, 0, 0))], 5), 5, path)
+        assert path.read_bytes().startswith(
+            b"relemb-contexts v1 m_out=5 n=1 nin=2\n")
         arrays = cp.ContextFile(path).arrays
-        assert arrays.w_bef.dtype == np.int32
+        for name in ("n1", "n2", "w_in", "w_bef", "w_aft"):
+            assert getattr(arrays, name).dtype == np.int32, name
         assert arrays.offsets.tolist() == [0, 2]
+        assert arrays.w_bef.tolist() == [[0, 0, 0, 7, 8]]
 
-    def test_non_ascii_and_plus_signs_are_not_ids(self, tmp_path):
-        for bad, shown in [("٣", "٣"), ("+5", "+5"), ("1_0", "1_0")]:
-            path = self._write(tmp_path, f"3 4\t{bad}\t0 0 0 0 0\t0 0 0 0 0\n"
-                               .encode())
-            with pytest.raises(cp.ArtifactError,
-                               match=re.escape(f"{path}:2: non-integer id "
-                                               f"'{shown}'")):
-                list(cp.ContextFile(path))
+    def test_ids_beyond_int32_rejected(self, tmp_path):
+        """An id int32 cannot hold is never wrapped: the write fails and
+        leaves no file."""
+        path = tmp_path / "ctx.txt"
+        ctx = cp.NounPairContext(1, 2, (3, 2 ** 31), (0,), (0,))
+        with pytest.raises(ValueError, match="3 .. 2147483648 do not all "
+                                             "fit int32"):
+            cp.write_contexts(cp.ContextArrays.pack([ctx], 1), 1, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 # --- property tests --------------------------------------------------------
@@ -526,11 +495,11 @@ _CONTEXTS = st.integers(1, 4).flatmap(lambda m_out: st.tuples(
     st.just(m_out),
     st.lists(st.builds(
         cp.NounPairContext,
-        st.integers(0, 10 ** 18 - 1), st.integers(0, 300),
+        st.integers(0, 2 ** 31 - 1), st.integers(0, 300),
         st.lists(st.integers(0, 300), min_size=1, max_size=5).map(tuple),
         st.lists(st.integers(0, 300), min_size=m_out,
                  max_size=m_out).map(tuple),
-        st.lists(st.integers(0, 2 ** 31), min_size=m_out,
+        st.lists(st.integers(-2 ** 31, 2 ** 31 - 1), min_size=m_out,
                  max_size=m_out).map(tuple)),
         max_size=12)))
 
@@ -545,7 +514,7 @@ def test_context_file_round_trip(data, tmp_path_factory):
     reader = cp.ContextFile(path)
     assert list(reader) == contexts
     arrays = reader.arrays
-    assert len(arrays) == len(contexts) and arrays.fault is None
+    assert len(arrays) == len(contexts)
     assert [arrays.context(r) for r in range(len(contexts))] == contexts
     assert arrays.offsets[-1] == sum(c.m_in for c in contexts)
 
@@ -590,59 +559,45 @@ def test_take_equals_packing_the_selected_contexts(data, picks, ids,
     assert list(taken.contexts) == [contexts[r] for r in rows]
 
 
-def _corrupt(fields, kind, pick):
-    """Fields of a context line, changed to break one rule; returns the
-    fields and the message the reader must give."""
-    m_out = len(fields[2])
-    if kind == "fields":
-        return fields[:3], "3 tab-separated fields, expected 4"
-    if kind == "extra_field":
-        return fields + [["7"]], "5 tab-separated fields, expected 4"
-    if kind in ("negative", "non_integer"):
-        f = pick % 4
-        slot = (pick // 4) % len(fields[f])
-        tok = "-7" if kind == "negative" else "7x"
-        fields[f][slot] = tok
-        name = "negative id" if kind == "negative" else "non-integer id"
-        return fields, f"{name} '{tok}'"
-    if kind == "window":
-        side = 2 + pick % 2
-        fields[side] = fields[side][1:]
-        widths = [len(fields[2]), len(fields[3])]
-        return fields, (f"outside windows of {widths[0]} and {widths[1]} "
-                        f"ids, header has m_out={m_out}")
-    if kind == "between":
-        fields[1] = []
-        return fields, "no words between the pair"
-    if kind == "nouns":
-        fields[0] = fields[0][:1]
-        return fields, "1 noun ids, expected 2"
-    raise AssertionError(kind)
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=_CONTEXTS, row=st.integers(0, 11), pick=st.integers(0, 100),
-       kind=st.sampled_from(["fields", "extra_field", "negative",
-                             "non_integer", "window", "between", "nouns"]))
-def test_corrupt_line_names_path_and_line(data, row, pick, kind,
-                                          tmp_path_factory):
+@settings(max_examples=100, deadline=None)
+@given(data=_SMALL_CONTEXTS, row=st.integers(0, 11), pick=st.integers(0, 100),
+       kind=st.sampled_from(["negative_id", "between", "negative_count"]))
+def test_corrupt_context_names_path_and_context(data, row, pick, kind,
+                                                tmp_path_factory):
+    """A context file with one bad context: a negative id in any field or
+    no words between the pair (checked with the vocabulary), or a negative
+    between-word count (checked on opening); the error names the file and
+    the context."""
     m_out, contexts = data
     assume(contexts)
     row %= len(contexts)
-    lines = []
-    for ctx in contexts:
-        lines.append([[str(x) for x in ids] for ids in (
-            (ctx.n1, ctx.n2), ctx.w_in, ctx.w_bef, ctx.w_aft)])
-    lines[row], message = _corrupt(lines[row], kind, pick)
     path = tmp_path_factory.mktemp("ctx") / "ctx.txt"
-    path.write_text(f"relemb-contexts v1 m_out={m_out}\n" + "".join(
-        "\t".join(" ".join(f) for f in fields) + "\n" for fields in lines))
-    seen = []
-    with pytest.raises(cp.ArtifactError) as err:
-        for ctx in cp.ContextFile(path):
-            seen.append(ctx)
-    assert str(err.value) == f"{path}:{row + 2}: {message}"
-    assert seen == contexts[:row]
+    vocab = make_vocab({f"w{i}": 1 for i in range(300)},
+                       {f"n{i}": 1 for i in range(300)})
+    ctx = contexts[row]
+    fields = [[ctx.n1, ctx.n2], list(ctx.w_in), list(ctx.w_bef),
+              list(ctx.w_aft)]
+    if kind == "negative_id":
+        f = pick % 4
+        fields[f][(pick // 4) % len(fields[f])] = -7
+        message = f"{'noun' if f == 0 else 'word'} id -7 outside"
+    elif kind == "between":
+        fields[1] = []
+        message = "no words between the pair"
+    contexts[row] = cp.NounPairContext(*fields[0], *map(tuple, fields[1:]))
+    cp.write_contexts(cp.ContextArrays.pack(contexts, m_out), m_out, path)
+    if kind == "negative_count":
+        data = bytearray(path.read_bytes())
+        at = data.index(b"\n") + 1 + 4 * (2 * len(contexts) + row)
+        data[at:at + 4] = np.int32(-1).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(cp.ArtifactError) as err:
+            cp.ContextFile(path)
+        message = "negative count -1 of words between the pair"
+    else:
+        with pytest.raises(cp.ArtifactError) as err:
+            et._checked_arrays(cp.ContextFile(path).arrays, vocab)
+    assert str(err.value).startswith(f"{path}: context {row}: {message}")
 
 
 def _reference_slots(w_in, i, c, reach):
@@ -824,16 +779,14 @@ def test_block_reader_with_every_surface_in_one_bucket(sources, block,
 @given(sources=_SOURCES, block=st.integers(1, 48))
 def test_no_compiler_reads_paths_through_per_line_loop(sources, block,
                                                        tmp_path_factory):
-    """Without the compiled scan, :meth:`blocks` cuts each path at the same
-    blank lines and reads every block through the per-line loop: the same
-    blocks and counts."""
+    """Without the compiled scan, :meth:`blocks` reads each path as text
+    through the per-line loop: the same sentences and counts."""
     paths = _write_sources(tmp_path_factory.mktemp("tag"), sources)
     reader = cp.parse_tagged_corpus(*paths)
 
     def read():
-        blocks = [(b.surfaces, b.ids.tolist(), b.noun.tolist(),
-                   b.offsets.tolist()) for b in reader.blocks()]
-        return blocks, reader.skipped_lines, reader.sentences_read
+        sentences = _block_sentences(reader.blocks())
+        return sentences, reader.skipped_lines, reader.sentences_read
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cp, "_TAGGED_BLOCK", block)
@@ -878,6 +831,22 @@ def test_block_reader_names_the_line_of_a_bad_byte(tmp_path, monkeypatch,
         list(reader.blocks())
 
 
+def test_bad_byte_found_in_bounded_memory(tmp_path):
+    """The search for a bad byte reads one line at a time: 6.5 MB of lines
+    of multi-byte characters before it cost under 1 MiB."""
+    path = tmp_path / "c.tag"
+    path.write_bytes(("é" * 30 + "\tNN\n").encode() * 100_000
+                     + b"x\xff\tNN\n")
+    tracemalloc.start()
+    try:
+        err = cp.not_utf8(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err) == f"{path}:100001: not UTF-8: byte 0xff"
+    assert peak < 1 << 20
+
+
 def _reference_extract(sentence, vocab, m_out, max_between):
     """extract_noun_pair_contexts before the array form: one sentence, one
     pair at a time."""
@@ -897,15 +866,6 @@ def _reference_extract(sentence, vocab, m_out, max_between):
                 (cp.NULL_WORD,) * (m_out - len(bef)) + tuple(bef),
                 tuple(aft) + (cp.NULL_WORD,) * (m_out - len(aft))))
     return out
-
-
-def _reference_context_text(contexts, m_out):
-    """write_contexts before the array form, as text."""
-    return f"relemb-contexts v1 m_out={m_out}\n" + "".join(
-        "{} {}\t{}\t{}\t{}\n".format(
-            c.n1, c.n2, " ".join(map(str, c.w_in)),
-            " ".join(map(str, c.w_bef)), " ".join(map(str, c.w_aft)))
-        for c in contexts)
 
 
 def _counter_vocabulary(sentences, max_words, max_nouns, lowercase):
@@ -980,8 +940,7 @@ def test_extraction_and_counting_match_per_sentence_references(
                     for b in cp.parse_tagged_corpus(*paths).blocks())
         assert cp.write_contexts(contexts, m_out, root / "c.txt") == len(
             reference)
-    assert (root / "c.txt").read_text() == _reference_context_text(
-        reference, m_out)
+    assert list(cp.ContextFile(root / "c.txt")) == reference
     assert [ctx for s in sents for ctx in cp.extract_noun_pair_contexts(
         cp.TokenBlock.of_sentences([s]), vocab, m_out, max_between)
     ] == reference

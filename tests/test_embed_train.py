@@ -495,28 +495,29 @@ class TestTrainEmbeddings:
 
 
 class TestContextFileInput:
-    """train_embeddings over a context file: one parse, the checks of
-    arrays, faults named by ``path:line``."""
+    """train_embeddings over a context file: one read, the checks of
+    arrays, faults named by the file and the context."""
 
     _CFG = et.PretrainConfig(dim=4, window=1, negatives=2, subsample=1.0)
 
-    def _file(self, tmp_path, contexts, lines=None):
+    def _file(self, tmp_path, contexts, bad=None):
+        """A context file of `contexts`, with context ``r`` replaced by
+        ``(n1, n2, w_in)`` and NULL outside windows for each item of
+        `bad`."""
+        contexts = list(contexts)
+        for row, (n1, n2, w_in) in (bad or {}).items():
+            contexts[row] = cp.NounPairContext(n1, n2, w_in, (0, 0), (0, 0))
         path = tmp_path / "ctx.txt"
         cp.write_contexts(cp.ContextArrays.pack(contexts, 2), 2, path)
-        if lines:
-            text = path.read_text().splitlines(True)
-            for row, line in lines.items():
-                text[row + 1] = line + "\n"
-            path.write_text("".join(text))
         return path
 
     def test_two_epochs_parse_the_file_once(self, tmp_path, monkeypatch):
         vocab, contexts = _pattern_setup()
         path = self._file(tmp_path, contexts[:300])
         calls = []
-        parse = cp._parse_context_body
-        monkeypatch.setattr(cp, "_parse_context_body",
-                            lambda *a: calls.append(a) or parse(*a))
+        read = cp.read_blob_file
+        monkeypatch.setattr(cp, "read_blob_file",
+                            lambda *a: calls.append(a) or read(*a))
         cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
                                 subsample=1e-3, epochs=2, seed=3,
                                 report_every=500)
@@ -529,7 +530,7 @@ class TestContextFileInput:
 
     @settings(max_examples=40, deadline=None)
     @given(row=st.integers(0, 29), slot=st.integers(0, 7),
-           excess=st.integers(0, 10 ** 17))
+           excess=st.integers(0, 2 ** 30))
     def test_out_of_range_id_names_path_and_line(self, tmp_path_factory, row,
                                                  slot, excess):
         vocab, contexts = _pattern_setup()
@@ -545,20 +546,19 @@ class TestContextFileInput:
                           [*contexts[:row], bad, *contexts[row + 1:30]])
         with pytest.raises(cp.ArtifactError) as err:
             et.train_embeddings(cp.ContextFile(path), vocab, self._CFG)
-        assert str(err.value) == (f"{path}:{row + 2}: {what} id "
+        assert str(err.value) == (f"{path}: context {row}: {what} id "
                                   f"{bound + excess} outside [0, {bound})")
 
-    @pytest.mark.parametrize("range_row,format_row,line", [
+    @pytest.mark.parametrize("range_row,format_row,row", [
         (3, 7, 3), (7, 3, 3)], ids=["range_first", "format_first"])
     def test_first_faulty_line_is_named(self, tmp_path, range_row, format_row,
-                                        line):
-        """A range fault and a format fault: the earlier line is named,
-        as a line-by-line reader would."""
+                                        row):
+        """A range fault and a context with no words between its pair: the
+        earlier context is named, as a context-by-context reader would."""
         vocab, contexts = _pattern_setup()
         path = self._file(tmp_path, contexts[:10], {
-            range_row: "1 2\t9999\t0 0\t0 0",
-            format_row: "1 2\t3\t0 0\t0"})
-        with pytest.raises(cp.ArtifactError, match=f"{path}:{line + 2}: "):
+            range_row: (1, 2, (9999,)), format_row: (1, 2, ())})
+        with pytest.raises(cp.ArtifactError, match=f"{path}: context {row}: "):
             et.train_embeddings(cp.ContextFile(path), vocab, self._CFG)
 
 
