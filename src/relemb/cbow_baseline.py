@@ -20,8 +20,9 @@ import numpy as np
 from . import kernels
 from .corpus import UNK_WORD, TaggedCorpusReader, token_blocks
 from .embed_train import (EmbeddingParams, NoiseSampler, SubsamplingFilter,
-                          TrainingLog, apply_row_grads, gather_table,
-                          log_sigmoid, scatter_table, sigmoid, sum_rows)
+                          TrainingLog, aligned_copy, apply_row_grads,
+                          gather_table, log_sigmoid, scatter_table, sigmoid,
+                          sum_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -147,8 +148,9 @@ def train_cbow(sentences, vocab, config):
     rng = np.random.default_rng(cfg.seed)
     std = 1.0 / math.sqrt(cfg.dim)
     model = CbowModel(
-        in_vecs=rng.normal(0.0, std, size=(vocab.n_words, cfg.dim)),
-        out_vecs=np.zeros((vocab.n_words, cfg.dim)),
+        in_vecs=aligned_copy(rng.normal(0.0, std,
+                                        size=(vocab.n_words, cfg.dim))),
+        out_vecs=kernels.aligned((vocab.n_words, cfg.dim)),
         dim=cfg.dim,
         window=cfg.window,
     )

@@ -75,7 +75,7 @@ class SoftmaxParams:
 
     @classmethod
     def zeros(cls, n_labels, dim):
-        return cls(np.zeros((n_labels, dim)), np.zeros(n_labels))
+        return cls(kernels.aligned((n_labels, dim)), kernels.aligned(n_labels))
 
     def copy(self):
         return SoftmaxParams(self.weights.copy(), self.bias.copy())
@@ -126,11 +126,11 @@ class AdaGradState:
     the block `name`."""
 
     def __init__(self, softmax_params, embed_params, touched):
-        self.weights = np.zeros_like(softmax_params.weights)
-        self.bias = np.zeros_like(softmax_params.bias)
+        self.weights = kernels.aligned(softmax_params.weights.shape)
+        self.bias = kernels.aligned(softmax_params.bias.shape)
         self.touched = touched
-        self.rows = {name: np.zeros((len(ids),
-                                     getattr(embed_params, name).shape[1]))
+        self.rows = {name: kernels.aligned(
+                         (len(ids), getattr(embed_params, name).shape[1]))
                      for name, ids in touched.items()}
 
     def step_rows(self, embed_params, name, ids, grads, eta):
@@ -288,9 +288,15 @@ def train_classifier(data, embed_params, config, opts=FeatureOptions()):
                 for name, (ids, grads) in rows.items():
                     state.step_rows(params, name, ids, grads, cfg.eta)
         else:
-            logliks = compiled.classifier_epoch(
+            logliks, took_back = compiled.classifier_epoch(
                 tables, order, rng, softmax, state, params, cfg,
-                ADAGRAD_EPS, threads).tolist()
+                ADAGRAD_EPS, threads)
+            logliks = logliks.tolist()
+            if took_back:
+                # the same bytes at either thread count
+                threads = 1
+                logger.info("train: the two threads did not run at once; "
+                            "taking the remaining epochs on 1 thread")
         # sequential, as the per-update sum was (from Python 3.12 the
         # builtin sum() compensates)
         total = 0.0

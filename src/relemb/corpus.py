@@ -711,6 +711,12 @@ def _header_dims(kv, keys, least=1):
     return dims
 
 
+# The longest header line read.  Every header written is under 100 bytes
+# (a classifier's, with its feature flags, is the longest), so a file with
+# no line end this far in is not an artifact, and is not read further.
+_HEADER_MAX = 4096
+
+
 def read_blob_file(path, magic, required, shapes, dtype="<f8"):
     """Read a file written by :func:`write_blob_file` whose header is
     ``<magic> v1 key=value ...`` and whose arrays are `dtype`.
@@ -722,8 +728,10 @@ def read_blob_file(path, magic, required, shapes, dtype="<f8"):
     array of its own.  Returns ``(header dict, arrays)``.
     """
     with open(path, "rb") as fh:
+        line = fh.readline(_HEADER_MAX)
+        whole = len(line) < _HEADER_MAX or line.endswith(b"\n")
         with reading_utf8(path):
-            header = fh.readline().decode("utf-8").split()
+            header = line.decode("utf-8").split() if whole else []
         if header[:2] != [magic, "v1"]:
             raise ArtifactError(f"not a {magic} file: {path}")
         kv = dict(tok.partition("=")[::2] for tok in header[2:])
@@ -741,7 +749,7 @@ def read_blob_file(path, magic, required, shapes, dtype="<f8"):
                                 f"file holds {held}")
         arrays = []
         for k, shape in enumerate(dims, 1):
-            arr = np.empty(shape, dtype)
+            arr = kernels.aligned(shape, dtype)
             if fh.readinto(arr) != arr.nbytes:
                 raise ArtifactError(f"{path}: file ends inside stored array "
                                     f"{k}")

@@ -98,8 +98,8 @@ class EmbeddingParams:
 
     def copy(self):
         return EmbeddingParams(
-            self.noun_vecs.copy(), self.word_vecs.copy(),
-            self.pred_vecs.copy(), self.pred_bias.copy(),
+            aligned_copy(self.noun_vecs), aligned_copy(self.word_vecs),
+            aligned_copy(self.pred_vecs), aligned_copy(self.pred_bias),
             self.dim, self.window,
         )
 
@@ -110,16 +110,24 @@ class EmbeddingParams:
                 raise FloatingPointError(f"non-finite entries in {name}")
 
 
+def aligned_copy(values):
+    """A copy of `values` whose data starts on a 64-byte line, for the
+    compiled loops to stream (:func:`relemb.kernels.aligned`)."""
+    out = kernels.aligned(values.shape, values.dtype)
+    out[...] = values
+    return out
+
+
 def initial_params(n_nouns, n_words, dim, window, rng):
     """Gaussian(0, 1/dim) noun/word embeddings, zero prediction weights."""
     if dim < 1 or window < 1:
         raise ConfigError("dim and window must be >= 1")
     std = 1.0 / math.sqrt(dim)
     return EmbeddingParams(
-        noun_vecs=rng.normal(0.0, std, size=(n_nouns, dim)),
-        word_vecs=rng.normal(0.0, std, size=(n_words, dim)),
-        pred_vecs=np.zeros((n_words, 2 * dim * (2 + window))),
-        pred_bias=np.zeros(n_words),
+        noun_vecs=aligned_copy(rng.normal(0.0, std, size=(n_nouns, dim))),
+        word_vecs=aligned_copy(rng.normal(0.0, std, size=(n_words, dim))),
+        pred_vecs=kernels.aligned((n_words, 2 * dim * (2 + window))),
+        pred_bias=kernels.aligned(n_words),
         dim=dim,
         window=window,
     )

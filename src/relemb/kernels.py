@@ -20,6 +20,19 @@ bit-identical and the generator ends where the numpy loop leaves it.  The
 generator's lock is held for each call.  A walk returns at each progress
 record, so the caller logs the same windows.
 
+A pretraining or CBOW step reads each scored prediction row once: one pass
+adds the row's share of the input gradient, moves the row, and sums the
+next row's score, whose single accumulator then runs beside the
+throughput-bound pass instead of alone.  A row scored at several positions
+of one step moves only at its last, by each position's move in order, so
+every read sees the row as it was before the step, as in the numpy step.
+Each of these loops is a ``noinline`` function of its own, so the
+pretraining and CBOW walks run one compiled copy of it.  The parameter
+blocks and work buffers the compiled loops stream are allocated by
+:func:`aligned` on 64-byte lines; numpy's own large arrays start 16 bytes
+into one, so a row's vector loads would split two lines.  The C code reads
+arrays at any offset with the same bytes, and asks nothing of alignment.
+
 A classifier epoch runs on the calling thread and, when the process may run
 on two CPUs (:func:`_threads`), one helper thread started and joined within
 the call.  The two split the label rows of the weights and their
@@ -34,7 +47,12 @@ per thread: a wait spins with ``pause`` for a bounded count, then yields the
 CPU at each look, since on one CPU the other thread can only run if the
 waiting one gives way.  When the calling thread keeps having to yield, the
 threads are not running at once, and it takes every row back for the rest
-of the epoch.
+of the epoch; the epoch reports it, and the caller runs its later epochs on
+one thread.  The calling thread draws the next update's dropout mask while
+the helper finishes its rows, and the draws keep their order.  The row
+functions the two threads share are ``noinline``: each thread then runs
+the one compiled copy, where a copy inlined into the calling thread's loop
+could reduce in another order under ``-fassociative-math``.
 
 The flags leave out ``-ffast-math``: an object linked with it as
 ``-shared`` pulls in ``crtfastmath.o``, whose constructor turns on
@@ -61,7 +79,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["SOURCE", "FLAGS", "Kernels", "Progress", "Scan", "load"]
+__all__ = ["SOURCE", "FLAGS", "Kernels", "Progress", "Scan", "aligned",
+           "load"]
 
 SOURCE = r"""
 #include <math.h>
@@ -185,11 +204,55 @@ static void draw_noise(bitgen_t *bg, const noise_t *noise, int64_t k,
     }
 }
 
+/* The dot product of row w and f: one accumulator, in x order. */
+static __attribute__((noinline)) double dot(const double *restrict w,
+                                            const double *restrict f,
+                                            int64_t p)
+{
+    double z = 0.0;
+    for (int64_t x = 0; x < p; x++)
+        z += w[x] * f[x];
+    return z;
+}
+
+/* One pass over the scored row w: g += err * w, then, when `moved`,
+   w += lr * (move * f) after its read; returns the dot product of the
+   next row and f, summed as dot() sums it.  next != w whenever moved. */
+static __attribute__((noinline)) double pass_row(
+    double *restrict g, double err, double *restrict w, int moved,
+    double move, double lr, const double *restrict next,
+    const double *restrict f, int64_t p)
+{
+    double z = 0.0;
+    for (int64_t x = 0; x < p; x++) {
+        g[x] += err * w[x];
+        if (moved)
+            w[x] += lr * (move * f[x]);
+        z += next[x] * f[x];
+    }
+    return z;
+}
+
+/* w += lr * (move * f): a further move of a row scored more than once. */
+static __attribute__((noinline)) void move_row(double *restrict w,
+                                               double move, double lr,
+                                               const double *restrict f,
+                                               int64_t p)
+{
+    for (int64_t x = 0; x < p; x++)
+        w[x] += lr * (move * f[x]);
+}
+
 /* The negative-sampling step on the prediction input f (p entries) for
    the k1 rows `scored` of pred, target first, with bias when not NULL.
    Returns log sigma(z_0) + sum_j log sigma(-z_j); leaves in g the
-   errors times the pre-update rows, summed; then moves each scored row by
-   lr * err_j * f (and its bias by lr * err_j).  err holds k1 doubles. */
+   errors times the pre-update rows, summed; moves each scored row by
+   lr * err_j * f (and its bias by lr * err_j).  err holds k1 doubles.
+
+   Each row is read once, in one pass that adds its share of g, moves it
+   and sums the next row's score.  A row scored at several positions moves
+   only at its last one, by each position's move in position order, so no
+   row moves before its last read. */
 static double score(const double *restrict f, int64_t p,
                     const int64_t *scored, int64_t k1, double *pred,
                     double *bias, double lr, double *restrict g,
@@ -197,28 +260,35 @@ static double score(const double *restrict f, int64_t p,
 {
     double target_term = 0.0, noise_terms = 0.0;
     memset(g, 0, p * sizeof *g);
+    double z = dot(pred + scored[0] * p, f, p);
     for (int64_t j = 0; j < k1; j++) {
-        const double *w = pred + scored[j] * p;
-        double z = 0.0;
-        for (int64_t x = 0; x < p; x++)
-            z += w[x] * f[x];
+        const int64_t id = scored[j];
         if (bias)
-            z += bias[scored[j]];
+            z += bias[id];
         if (j == 0)
             target_term = log_sigmoid(z);
         else
             noise_terms += log_sigmoid(-z);
         err[j] = (j == 0) - sigmoid(z);
-        for (int64_t x = 0; x < p; x++)
-            g[x] += err[j] * w[x];
+        /* the row moves here if no later position scores it, from its
+           first position's move on */
+        int moved = 1;
+        int64_t first = j;
+        for (int64_t i = j + 1; i < k1; i++)
+            moved &= scored[i] != id;
+        for (int64_t i = j - 1; i >= 0; i--)
+            if (scored[i] == id)
+                first = i;
+        /* the last row has no next one: its pass sums f . f, unused */
+        const double *next = j + 1 < k1 ? pred + scored[j + 1] * p : f;
+        double *w = pred + id * p;
+        z = pass_row(g, err[j], w, moved, err[first], lr, next, f, p);
+        for (int64_t i = first + 1; moved && i <= j; i++)
+            if (scored[i] == id)
+                move_row(w, err[i], lr, f, p);
     }
-    for (int64_t j = 0; j < k1; j++) {
-        double *w = pred + scored[j] * p;
-        for (int64_t x = 0; x < p; x++)
-            w[x] += lr * (err[j] * f[x]);
-        if (bias)
-            bias[scored[j]] += lr * err[j];
-    }
+    for (int64_t j = 0; bias && j < k1; j++)
+        bias[scored[j]] += lr * err[j];
     return target_term + noise_terms;
 }
 
@@ -370,10 +440,14 @@ static void adagrad(double *restrict param, double *restrict acc,
     }
 }
 
+/* The row functions below are noinline: the helper thread and the calling
+   thread then run one compiled copy of each, so no copy can reduce in
+   another order (-fassociative-math lets two copies differ). */
+
 /* The scores of label rows lo .. hi - 1: s[l] = W[l] . e + bias[l]. */
-static void forward(const double *W, const double *bias,
-                    const double *restrict e, double *restrict s, int64_t lo,
-                    int64_t hi, int64_t dim)
+static __attribute__((noinline)) void forward(
+    const double *W, const double *bias, const double *restrict e,
+    double *restrict s, int64_t lo, int64_t hi, int64_t dim)
 {
     for (int64_t l = lo; l < hi; l++) {
         const double *w = W + l * dim;
@@ -386,8 +460,9 @@ static void forward(const double *W, const double *bias,
 
 /* g_o: the gradient w.r.t. the scores s of the log-likelihood of label li
    under the max-shifted softmax, which is returned. */
-static double softmax_grad(const double *restrict s, int64_t n_labels,
-                           int64_t li, double *restrict g_o)
+static __attribute__((noinline)) double softmax_grad(
+    const double *restrict s, int64_t n_labels, int64_t li,
+    double *restrict g_o)
 {
     double top = -INFINITY, z = 0.0;
     for (int64_t l = 0; l < n_labels; l++) {
@@ -407,9 +482,9 @@ static double softmax_grad(const double *restrict s, int64_t n_labels,
 }
 
 /* g_e += W[l] g_o[l] for the label rows lo .. hi - 1, in row order. */
-static void sum_rows(const double *W, const double *restrict g_o,
-                     double *restrict g_e, int64_t lo, int64_t hi,
-                     int64_t dim)
+static __attribute__((noinline)) void sum_rows(
+    const double *W, const double *restrict g_o, double *restrict g_e,
+    int64_t lo, int64_t hi, int64_t dim)
 {
     for (int64_t l = lo; l < hi; l++) {
         const double *w = W + l * dim;
@@ -422,10 +497,10 @@ static void sum_rows(const double *W, const double *restrict g_o,
 /* The AdaGrad steps on the label rows lo .. hi - 1 of W, row l's gradient
    g_o[l] e less l2 W[l] when l2 > 0; when g_e is not NULL, each row adds
    its pre-update W[l] g_o[l] to g_e first, as sum_rows does. */
-static void step_rows(double *W, double *acc_W, const double *restrict e,
-                      const double *restrict g_o, double *restrict g_e,
-                      int64_t lo, int64_t hi, int64_t dim, double l2,
-                      double eta, double eps)
+static __attribute__((noinline)) void step_rows(
+    double *W, double *acc_W, const double *restrict e,
+    const double *restrict g_o, double *restrict g_e, int64_t lo,
+    int64_t hi, int64_t dim, double l2, double eta, double eps)
 {
     for (int64_t l = lo; l < hi; l++) {
         double *w = W + l * dim, *acc = acc_W + l * dim;
@@ -451,6 +526,16 @@ static void step_rows(double *W, double *acc_W, const double *restrict e,
    every row back for the rest of the epoch. */
 #define SPINS 4096
 #define LATE_MAX 16
+
+/* A dropout mask of dim entries: 1 where a draw is below 0.5, else 0.
+   The draws come first: a compare beside each call would branch. */
+static void draw_mask(bitgen_t *bg, double *restrict mask, int64_t dim)
+{
+    for (int64_t x = 0; x < dim; x++)
+        mask[x] = uniform(bg);
+    for (int64_t x = 0; x < dim; x++)
+        mask[x] = mask[x] < 0.5;
+}
 
 /* What the two threads of a classifier epoch share.  Each posts in its own
    counter how far it has got: stage 4t + 1 when e of update t is ready
@@ -522,10 +607,10 @@ static void *helper_epoch(void *arg)
    slots[q] is that row's accumulator row.  Every id and slot must be in
    range.
 
-   Per update: gather e and, when dropout, draw its mask, one draw per
-   entry kept when below 0.5, as rng.random((n, dim)) < 0.5 draws row t,
-   and apply it; write the log-likelihood of labels[i] under the
-   max-shifted softmax to logliks[t]; take the L2-regularised AdaGrad step
+   Per update: gather e and, when dropout, apply its mask, one draw per
+   entry kept when below 0.5, as rng.random((n, dim)) < 0.5 draws row t;
+   write the log-likelihood of labels[i] under the max-shifted softmax to
+   logliks[t]; take the L2-regularised AdaGrad step
    on W and bias, with g_e = W^T g_o (masked) read from the pre-update W;
    when fine-tuning, sum each row's shares of g_e in table order and take
    one AdaGrad step per row, with lazy L2.
@@ -537,28 +622,29 @@ static void *helper_epoch(void *arg)
    is the same at either thread count, and g_e is summed in row order:
    first the calling thread's rows, then the helper's, in its steps; so
    the calling thread can take the helper's rows back before any update
-   (see LATE_MAX) with the same bytes.  `work` holds 4 dim + 4 n_labels +
-   len * max(d, pred_w) doubles, len the longest table. */
-void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
-                             int64_t n_seg, const int64_t *segs,
-                             const int64_t *ms, const int64_t *starts,
-                             const int64_t *ids, const int64_t *firsts,
-                             const int64_t *slots, const int64_t *order,
-                             const int64_t *labels, int64_t dropout,
-                             int64_t fine_tune, double eta,
-                             double eps, double l2, double *W, double *bias,
-                             double *acc_W, double *acc_b, int64_t d,
-                             int64_t pred_w, double *noun_vecs,
-                             double *word_vecs, double *pred_vecs,
-                             double *acc_noun, double *acc_word,
-                             double *acc_pred, double *logliks, double *work,
-                             int64_t threads, bitgen_t *bg)
+   (see LATE_MAX) with the same bytes.  Update t + 1's mask is drawn, into
+   the other of two mask buffers, once the calling thread has taken its own
+   steps of update t and before it waits for the helper's: the draws keep
+   their order.  Returns 1 when the helper's rows were taken back, else 0.
+   `work` holds 5 dim + 4 n_labels + len * max(d, pred_w) doubles, len the
+   longest table. */
+int64_t relemb_classifier_epoch(
+    int64_t n, int64_t n_labels, int64_t dim, int64_t n_seg,
+    const int64_t *segs, const int64_t *ms, const int64_t *starts,
+    const int64_t *ids, const int64_t *firsts, const int64_t *slots,
+    const int64_t *order, const int64_t *labels, int64_t dropout,
+    int64_t fine_tune, double eta, double eps, double l2, double *W,
+    double *bias, double *acc_W, double *acc_b, int64_t d, int64_t pred_w,
+    double *noun_vecs, double *word_vecs, double *pred_vecs,
+    double *acc_noun, double *acc_word, double *acc_pred, double *logliks,
+    double *work, int64_t threads, bitgen_t *bg)
 {
     double *const vecs[3] = {noun_vecs, word_vecs, pred_vecs},
            *const accs[3] = {acc_noun, acc_word, acc_pred};
     const int64_t widths[3] = {d, d, pred_w}, w_max = d > pred_w ? d : pred_w;
-    double *restrict g_e = work + 2 * dim, *restrict mask = work + 3 * dim,
-           *restrict g_o = mask + dim + 2 * n_labels,
+    double *restrict g_e = work + 2 * dim, *const masks[2] = {
+               work + 3 * dim, work + 4 * dim},
+           *restrict g_o = work + 5 * dim + 2 * n_labels,
            *restrict sums = g_o + 2 * n_labels;
     /* the calling thread also gathers and draws, so it takes fewer rows:
        8 of the 19 relation labels */
@@ -567,9 +653,9 @@ void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
                  .fine_tune = fine_tune, .eta = eta, .eps = eps, .l2 = l2,
                  .order = order, .labels = labels, .W = W, .bias = bias,
                  .acc_W = acc_W, .e = {work, work + dim},
-                 .scores = mask + dim, .g_o = g_o, .g_e = g_e};
+                 .scores = work + 5 * dim, .g_o = g_o, .g_e = g_e};
     pthread_t helper;
-    int helped = 0, late = 0;
+    int helped = 0, late = 0, took_back = 0;
     if (tm.split < n_labels && n > 0) {
         /* the helper takes no signal: Python's handlers run on this thread */
         sigset_t all, old;
@@ -581,19 +667,22 @@ void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
             tm.split = n_labels;
     }
     double *fused = fine_tune && !helped ? g_e : NULL;
+    if (dropout && n > 0)
+        draw_mask(bg, masks[0], dim);
     for (int64_t t = 0; t < n; t++) {
         if (helped && late >= LATE_MAX) {      /* take every row back */
             tm.last = t;
             post(&tm.caller, 4 * t + 1);
             pthread_join(helper, NULL);
             helped = 0;
+            took_back = 1;
             tm.split = n_labels;
             fused = fine_tune ? g_e : NULL;
         }
         const int64_t i = order[t], *m = ms + i * n_seg, li = labels[i];
         const int64_t *row_ids = ids + starts[i], *first = firsts + starts[i],
                       *slot = slots + starts[i];
-        double *restrict e = tm.e[t & 1];
+        double *restrict e = tm.e[t & 1], *restrict mask = masks[t & 1];
         double *sc = tm.scores + (t & 1) * n_labels;
 
         /* e: the gather of the table, then the dropout mask */
@@ -603,15 +692,9 @@ void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
             q += k * m[s];
             off += k * widths[b];
         }
-        if (dropout) {
-            /* the draws first: a compare beside each call would branch */
+        if (dropout)
             for (int64_t x = 0; x < dim; x++)
-                mask[x] = uniform(bg);
-            for (int64_t x = 0; x < dim; x++) {
-                mask[x] = mask[x] < 0.5;
                 e[x] = e[x] * mask[x] * 2.0;
-            }
-        }
         if (helped)
             post(&tm.caller, 4 * t + 1);
 
@@ -633,6 +716,8 @@ void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
         }
         step_rows(W, acc_W, e, g_o, fused, 0, tm.split, dim, l2, eta, eps);
         adagrad(bias, acc_b, g_o, n_labels, l2, eta, eps);
+        if (dropout && t + 1 < n)
+            draw_mask(bg, masks[(t + 1) & 1], dim);
         if (!fine_tune)
             continue;
         if (helped)
@@ -669,6 +754,7 @@ void relemb_classifier_epoch(int64_t n, int64_t n_labels, int64_t dim,
     }
     if (helped)
         pthread_join(helper, NULL);
+    return took_back;
 }
 
 /* Byte classes of tagged-corpus text: ASCII that is not whitespace in
@@ -825,6 +911,23 @@ _SURFACE_HASH = 0x100000001B3
 _BLOCKS = ("noun_vecs", "word_vecs", "pred_vecs")
 
 
+# A cache line: an array that starts on one never has a vector load split
+# across two lines.
+_LINE = 64
+
+
+def aligned(shape, dtype=np.float64):
+    """A zero-filled C-contiguous array of `shape` and `dtype` whose data
+    starts on a 64-byte line.  numpy's own large arrays start 16 bytes into
+    one (past the allocator's chunk header), so every row a compiled loop
+    streams would split a line at each 64-byte load."""
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    buf = np.zeros(nbytes + _LINE, np.uint8)
+    # an empty slice keeps its base's address: move the start first
+    return buf[-buf.ctypes.data % _LINE:][:nbytes].view(dtype).reshape(shape)
+
+
 def _doubles(ndim):
     return np.ctypeslib.ndpointer(np.float64, ndim=ndim, flags="C_CONTIGUOUS")
 
@@ -960,7 +1063,7 @@ def _bind_pretrain(lib):
                      noise.cum, noise.probs, params.n_words, alpha, planned,
                      params.noun_vecs, params.word_vecs, params.pred_vecs,
                      params.pred_bias, ctypes.byref(progress),
-                     np.empty(2 * p + negatives + 1),
+                     aligned(2 * p + negatives + 1),
                      np.empty(negatives + 1, np.int64))
 
     contexts.library = lib   # keeps the object loaded while it lives
@@ -996,7 +1099,7 @@ def _bind_cbow(lib):
         return _call(fn, rng, n, d, c, negatives, offsets, ids, discard,
                      noise.cum, noise.probs, n_words, alpha, planned,
                      model.in_vecs, model.out_vecs, ctypes.byref(progress),
-                     np.empty(2 * d + negatives + 1),
+                     aligned(2 * d + negatives + 1),
                      np.empty(negatives + 1 + 2 * c + longest, np.int64))
 
     sentences.library = lib
@@ -1010,11 +1113,13 @@ def _bind_classifier(lib):
                    + [_doubles(2), _doubles(1), _doubles(2), _doubles(1)]
                    + [ctypes.c_int64] * 2 + [_doubles(2)] * 6
                    + [_doubles(1)] * 2 + [ctypes.c_int64, ctypes.c_void_p])
-    fn.restype = None
+    fn.restype = ctypes.c_int64
 
     def epoch(tables, order, rng, softmax, state, params, cfg, eps, threads):
         """Take one epoch of classifier updates, on the instances in
-        `order`, and return each update's log-likelihood.
+        `order`.  Returns each update's log-likelihood, and whether the
+        calling thread took the helper's rows back because the two threads
+        were not running at once.
 
         `tables` holds the packed feature tables: ``segments`` (name, k)
         shared by every table, per-instance pooled-row counts ``m`` and
@@ -1053,15 +1158,15 @@ def _bind_classifier(lib):
             raise ValueError("classifier kernel: order or label out of range")
         longest = int(np.diff(tables.starts).max())
         logliks = np.empty(n)
-        _call(fn, rng, n, n_labels, dim, len(segs), segs, tables.m,
+        took_back = _call(fn, rng, n, n_labels, dim, len(segs), segs, tables.m,
               tables.starts, tables.ids, tables.firsts, tables.slots, order,
               tables.labels, cfg.dropout, cfg.fine_tune, cfg.eta, eps, cfg.l2,
               softmax.weights, softmax.bias, state.weights, state.bias, d,
               pred_w, params.noun_vecs, params.word_vecs, params.pred_vecs,
               *accs, logliks,
-              np.empty(4 * dim + 4 * n_labels + longest * max(d, pred_w)),
+              aligned(5 * dim + 4 * n_labels + longest * max(d, pred_w)),
               threads)
-        return logliks
+        return logliks, took_back
 
     epoch.library = lib
     return epoch

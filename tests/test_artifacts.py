@@ -95,6 +95,30 @@ def test_header_dimension_below_1_rejected(tmp_path, rng, fmt, key, value):
         load(path)
 
 
+def test_header_read_is_bounded(tmp_path):
+    """A file with no line end in its first few KiB, such as 20 MiB of zero
+    bytes given as a model, is rejected without being read whole."""
+    path = tmp_path / "zeros.bin"
+    with open(path, "wb") as fh:
+        fh.truncate(20 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(cp.ArtifactError, match=re.escape(
+                f"not a relemb-model file: {path}")):
+            et.load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_model_arrays_read_onto_cache_lines(tmp_path, rng):
+    path = tmp_path / "model.bin"
+    params = _write_model(path, rng)(path)
+    for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
+        assert getattr(params, name).ctypes.data % 64 == 0, name
+
+
 def test_finite_check_reads_in_bounded_chunks():
     """The check's temporary memory stays under 1 MiB for a 16 MB array,
     and it finds a value past its first chunk at the right index."""

@@ -555,10 +555,10 @@ def _recorded_training(monkeypatch, threads, instances, params, config,
     epochs = []
 
     def epoch(tables, order, rng, softmax, state, params, *args):
-        logliks = compiled.classifier_epoch(tables, order, rng, softmax,
-                                            state, params, *args)
+        logliks, took_back = compiled.classifier_epoch(
+            tables, order, rng, softmax, state, params, *args)
         epochs.append((softmax, state, params, rng, logliks))
-        return logliks
+        return logliks, took_back
 
     monkeypatch.setattr(kernels, "_threads", lambda: threads)
     monkeypatch.setattr(kernels, "load",
@@ -610,9 +610,11 @@ def _pinned_digest(monkeypatch, threads):
 
 # Run with the tests' and the sources' directories as arguments.
 _PINNED = """
-import os, sys
+import logging, os, sys
 os.sched_setaffinity(0, {0})
 sys.path[:0] = sys.argv[1:]
+logging.basicConfig(level=logging.INFO, format="%(message)s",
+                    stream=sys.stdout)
 import pytest
 import test_classifier
 with pytest.MonkeyPatch.context() as patch:
@@ -623,8 +625,8 @@ with pytest.MonkeyPatch.context() as patch:
 def test_two_threads_on_one_cpu_finish_and_match_one(monkeypatch):
     """With no second CPU the threads take turns: each wait yields the CPU
     after a bounded spin, and after a few such waits in an epoch the calling
-    thread takes the helper's rows back.  The run ends with the one-thread
-    bytes."""
+    thread takes the helper's rows back.  The later epochs run on one
+    thread, logged once, and the run ends with the one-thread bytes."""
     if kernels.load() is None:
         pytest.skip("no C compiler found; training takes the numpy steps")
     if not hasattr(os, "sched_setaffinity"):
@@ -633,7 +635,11 @@ def test_two_threads_on_one_cpu_finish_and_match_one(monkeypatch):
     got = subprocess.run(
         [sys.executable, "-c", _PINNED, str(here), str(here.parent / "src")],
         capture_output=True, text=True, timeout=120, check=True)
-    assert got.stdout.split() == [_pinned_digest(monkeypatch, 1)]
+    lines = got.stdout.splitlines()
+    assert lines.count("train: taking compiled steps on 2 threads") == 1
+    assert lines.count("train: the two threads did not run at once; "
+                       "taking the remaining epochs on 1 thread") == 1
+    assert lines[-1] == _pinned_digest(monkeypatch, 1)
 
 
 def test_compiled_training_logs_its_thread_count(monkeypatch, caplog):

@@ -157,16 +157,21 @@ def test_pretraining_walk_draws_as_numpy(kernel, monkeypatch, name):
     _assert_same_run(runs, _PARAMS)
 
 
-@pytest.mark.parametrize("name", list(_SCENARIOS))
-def test_cbow_walk_draws_as_numpy(kernel, monkeypatch, name):
-    vocab, p_words, t, report_every = _scenario_vocab(name)
-    rng = np.random.default_rng(len(name))
-    sentences = [
+def _scenario_sentences(rng, vocab, p_words):
+    """200 tagged sentences of 1-8 words drawn with `p_words`."""
+    return [
         TaggedSentence(words, ("NN",) * len(words)) for words in (
             tuple(vocab.word_surfaces[i] for i in rng.choice(
                 np.arange(2, vocab.n_words), int(rng.integers(1, 9)),
                 p=None if p_words is None else p_words[2:]))
             for _ in range(200))]
+
+
+@pytest.mark.parametrize("name", list(_SCENARIOS))
+def test_cbow_walk_draws_as_numpy(kernel, monkeypatch, name):
+    vocab, p_words, t, report_every = _scenario_vocab(name)
+    rng = np.random.default_rng(len(name))
+    sentences = _scenario_sentences(rng, vocab, p_words)
     cfg = et.PretrainConfig(dim=3, window=2, negatives=6, alpha=0.1,
                             subsample=t, epochs=2, seed=7,
                             report_every=report_every)
@@ -177,6 +182,56 @@ def test_cbow_walk_draws_as_numpy(kernel, monkeypatch, name):
     if t < 1.0:
         assert 0 < log.targets_discarded < log.targets_seen
     _assert_same_run(runs, ("in_vecs", "out_vecs"))
+
+
+def _shifted_aligned(offset, aligned=kernels.aligned):
+    """:func:`kernels.aligned` with each array starting `offset` bytes
+    past a 64-byte line."""
+    def shifted(shape, dtype=np.float64):
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        buf = aligned(nbytes + 64, np.uint8)
+        return buf[offset:][:nbytes].view(dtype).reshape(shape)
+
+    return shifted
+
+
+@pytest.mark.parametrize("name", ["forced_clashes", "one_word_noise"])
+@pytest.mark.parametrize("d", [1, 3, 7, 100])
+def test_walks_give_the_same_bytes_at_any_offset(kernel, monkeypatch, d,
+                                                 name):
+    """The pretraining and CBOW walks leave the same bytes whether their
+    parameter and work arrays start on a 64-byte line or 8, 16 or 32 bytes
+    into one, also where one step scores a row at several positions."""
+    vocab, p_words, t, report_every = _scenario_vocab(name)
+    rng = np.random.default_rng(d)
+    contexts = _random_contexts(rng, 100, 2, vocab.n_nouns, vocab.n_words,
+                                p_words)
+    sentences = _scenario_sentences(rng, vocab, p_words)
+    cfg = et.PretrainConfig(dim=d, window=3, negatives=6, alpha=0.1,
+                            subsample=t, seed=7, report_every=report_every)
+    runs = []
+    for offset in (0, 8, 16, 32):
+        monkeypatch.setattr(kernels, "aligned", _shifted_aligned(offset))
+        params, _ = et.train_embeddings(contexts, vocab, cfg)
+        model, _ = cb.train_cbow(sentences, vocab, cfg)
+        arrays = [getattr(params, field) for field in _PARAMS]
+        arrays += [model.in_vecs, model.out_vecs]
+        assert [a.ctypes.data % 64 for a in arrays] == [offset] * 6
+        runs.append([a.tobytes() for a in arrays])
+    assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize("shape,dtype", [
+    ((0,), np.float64), (5, np.float64), ((0, 4), np.float64),
+    ((3, 7), "<i4"), ((2, 3, 4), np.int64)])
+def test_aligned_arrays_start_on_a_line(shape, dtype):
+    arr = kernels.aligned(shape, dtype)
+    assert arr.shape == np.empty(shape).shape
+    assert arr.dtype == np.dtype(dtype)
+    assert arr.flags.c_contiguous and arr.flags.writeable
+    assert arr.ctypes.data % 64 == 0
+    assert not arr.any()
 
 
 def test_kernel_source_builds_without_warnings(tmp_path):
