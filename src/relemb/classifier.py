@@ -77,9 +77,6 @@ class SoftmaxParams:
     def zeros(cls, n_labels, dim):
         return cls(kernels.aligned((n_labels, dim)), kernels.aligned(n_labels))
 
-    def copy(self):
-        return SoftmaxParams(self.weights.copy(), self.bias.copy())
-
     def check_finite(self):
         for name in ("weights", "bias"):
             if not np.isfinite(getattr(self, name)).all():

@@ -452,13 +452,23 @@ def _flag(key):
     return "--" + key.replace("_", "-")
 
 
-def build_parser():
+def build_parser(command=None):
+    """The ``relemb`` argument parser.  It holds only the subparser of
+    `command` when that names a subcommand, which is all that parsing a
+    command line that starts with it needs; otherwise (no command, an
+    option such as ``--help``, an unknown name) every subparser, so that
+    help lists every subcommand and an unknown one is rejected.  The usage
+    line names every subcommand either way."""
     parser = argparse.ArgumentParser(
         prog="relemb",
         description="relation-classification embeddings: pretraining, "
                     "classification, and evaluation")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_line, arguments) in COMMANDS.items():
+    one = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
+        func, help_line, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(func=func)
         p.add_argument("--config", help="key = value configuration file")
@@ -472,7 +482,8 @@ def build_parser():
 def main(argv=None):
     logging.basicConfig(level=logging.INFO,
                         format="[%(asctime)s] %(levelname)s %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -977,18 +977,27 @@ _SENT_LINE_RE = re.compile(r"^(\d{1,18})\t\"(.*)\"\s*$")
 
 
 def _entity_spans(sentence):
-    m1 = re.search(r"<e1>(.*?)</e1>", sentence, flags=re.S)
-    m2 = re.search(r"<e2>(.*?)</e2>", sentence, flags=re.S)
-    if m1 is None or m2 is None:
-        raise ValueError("missing <e1>/<e2> markup")
-    if m1.start() > m2.start():
+    """``(before, e1, middle, e2, after)``: the text of `sentence` around
+    and inside its ``<e1>...</e1>`` and ``<e2>...</e2>`` spans.
+
+    Each span runs from the first opening tag to the first closing tag
+    after it, as the non-greedy ``re.search(r"<e1>(.*?)</e1>", sentence,
+    flags=re.S)`` would match it; the tags are found with ``str.find``.
+    Raises ValueError when a span is missing, or when ``<e1>`` opens after
+    ``<e2>``.  Overlapping spans leave `middle` empty.
+    """
+    spans = []
+    for open_tag, close_tag in (("<e1>", "</e1>"), ("<e2>", "</e2>")):
+        start = sentence.find(open_tag)
+        end = sentence.find(close_tag, start + 4) if start >= 0 else -1
+        if end < 0:
+            raise ValueError("missing <e1>/<e2> markup")
+        spans.append((start, end))
+    (s1, t1), (s2, t2) = spans
+    if s1 > s2:
         raise ValueError("entity markup out of order")
-    before = sentence[:m1.start()]
-    e1 = m1.group(1)
-    middle = sentence[m1.end():m2.start()]
-    e2 = m2.group(1)
-    after = sentence[m2.end():]
-    return before, e1, middle, e2, after
+    return (sentence[:s1], sentence[s1 + 4:t1], sentence[t1 + 5:s2],
+            sentence[s2 + 4:t2], sentence[t2 + 5:])
 
 
 def _instance_tokens(sentence):

@@ -38,9 +38,7 @@ __all__ = [
 ]
 
 _N_LABELS = len(ALL_LABELS)
-
-# family -> label indices (e1,e2 first)
-_FAMILY_SLOTS = {fam: (2 * i, 2 * i + 1) for i, fam in enumerate(FAMILIES)}
+_N_FAMILIES = len(FAMILIES)   # family f holds labels 2f (e1,e2) and 2f + 1
 
 
 @dataclass
@@ -53,91 +51,108 @@ class EvalReport:
     bootstrap: tuple[float, float, float] | None = None   # (lower, upper, level)
 
 
-def _macro_from_confusion(confusion):
-    """Official macro-F1 (percent) from a 19x19 gold-by-predicted matrix,
-    or from each of a stack of them (shape ``(..., 19, 19)``), and the
-    per-family scores, in arrays over the stack.
+def _cell_codes(gold, pred):
+    """Each instance's confusion cell, ``19 * gold + predicted`` label
+    index."""
+    if len(gold) != len(pred):
+        raise ValueError(f"length mismatch: {len(gold)} gold vs "
+                         f"{len(pred)} predicted")
+    n = len(gold)
+    return (np.fromiter(map(label_index, gold), np.int64, n) * _N_LABELS
+            + np.fromiter(map(label_index, pred), np.int64, n))
+
+
+def _cell_roles(cells):
+    """The ``(len(cells), 27)`` 0/1 matrix that takes counts of confusion
+    `cells` to per-family counts, ``tp``, ``gold`` and ``pred`` side by
+    side: column f marks the cells that are true positives of family f
+    (label and direction both match), column 9 + f those whose gold label
+    is in family f, and column 18 + f those whose predicted label is.
+    Other is in no family."""
+    gold, pred = np.divmod(cells[:, None], _N_LABELS)
+    families = np.arange(_N_FAMILIES)
+    in_gold, in_pred = gold // 2 == families, pred // 2 == families
+    return np.concatenate([in_gold & (gold == pred), in_gold, in_pred],
+                          axis=1).astype(np.int64)
+
+
+def _family_scores(tp, gold_n, pred_n):
+    """Per-family precision, recall and F1 (fractions) from per-family
+    counts (arrays ``(..., 9)``), and the official macro-F1 (percent) of
+    each row: ``(macro, precision, recall, f1)``.
 
     Family F1s are added one family at a time, in family order.  Families
     absent from both gold and predictions do not enter the average, which
     reduces to the usual 9-family mean on full data.
     """
-    confusion = np.asarray(confusion)
-    per_family = {}
-    total = np.zeros(confusion.shape[:-2])
-    count = np.zeros(confusion.shape[:-2], np.int64)
-    for fam, (a, b) in _FAMILY_SLOTS.items():
-        tp = confusion[..., a, a] + confusion[..., b, b]
-        gold_n = confusion[..., [a, b], :].sum(axis=(-2, -1))
-        pred_n = confusion[..., :, [a, b]].sum(axis=(-2, -1))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            precision = np.where(pred_n > 0, tp / pred_n, 0.0)
-            recall = np.where(gold_n > 0, tp / gold_n, 0.0)
-            f1 = np.where(precision + recall > 0, 2 * precision * recall
-                          / (precision + recall), 0.0)
-        per_family[fam] = {
-            "precision": 100.0 * precision,
-            "recall": 100.0 * recall,
-            "f1": 100.0 * f1,
-            "gold": gold_n,
-            "pred": pred_n,
-            "tp": tp,
-        }
-        present = (gold_n > 0) | (pred_n > 0)
-        total += np.where(present, f1, 0.0)
-        count += present
+    count = ((gold_n > 0) | (pred_n > 0)).sum(axis=-1)
+    total = np.zeros(count.shape)
     with np.errstate(invalid="ignore", divide="ignore"):
+        precision = np.where(pred_n > 0, tp / pred_n, 0.0)
+        recall = np.where(gold_n > 0, tp / gold_n, 0.0)
+        f1 = np.where(precision + recall > 0, 2 * precision * recall
+                      / (precision + recall), 0.0)
+        for f in range(_N_FAMILIES):
+            total += f1[..., f]           # 0.0 for an absent family
         macro = np.where(count > 0, 100.0 * total / count, 0.0)
-    return macro, per_family
+    return macro, precision, recall, f1
 
 
 def score_semeval(gold, pred):
     """Score predicted labels against gold labels; returns an EvalReport."""
-    if len(gold) != len(pred):
-        raise ValueError(f"length mismatch: {len(gold)} gold vs {len(pred)} predicted")
-    confusion = np.zeros((_N_LABELS, _N_LABELS), dtype=np.int64)
-    for g, p in zip(gold, pred):
-        confusion[label_index(g), label_index(p)] += 1
-    macro, per_family = _macro_from_confusion(confusion)
-    per_family = {fam: {key: value.item() for key, value in scores.items()}
-                  for fam, scores in per_family.items()}
+    confusion = np.bincount(_cell_codes(gold, pred),
+                            minlength=_N_LABELS * _N_LABELS)
+    tp, gold_n, pred_n = np.split(
+        confusion @ _cell_roles(np.arange(len(confusion))), 3)
+    macro, precision, recall, f1 = _family_scores(tp, gold_n, pred_n)
+    columns = {"precision": 100.0 * precision, "recall": 100.0 * recall,
+               "f1": 100.0 * f1, "gold": gold_n, "pred": pred_n, "tp": tp}
+    columns = {key: value.tolist() for key, value in columns.items()}
+    per_family = {fam: {key: values[f] for key, values in columns.items()}
+                  for f, fam in enumerate(FAMILIES)}
+    confusion = confusion.reshape(_N_LABELS, _N_LABELS)
     accuracy = 100.0 * float(np.trace(confusion)) / len(gold) if gold else 0.0
     return EvalReport(per_family, macro.item(), accuracy, confusion, len(gold))
 
 
-# Resampled instances one bincount counts; bounds the memory of a block.
+# Resampled instances one block draws and counts; bounds a block's memory.
 _BOOTSTRAP_BLOCK = 1 << 15
 
 
 def bootstrap_ci(gold, pred, iterations=1000, level=0.95, seed=1):
     """Percentile bootstrap interval for the official macro-F1.
 
-    Instances are resampled with replacement `iterations` times, one
-    ``rng.integers(0, n, n)`` draw each; returns the ((1-level)/2,
-    (1+level)/2) percentiles of the resampled scores.  The confusion
-    matrices of a block of resamples are counted with one bincount.
+    Instances are resampled with replacement `iterations` times, each
+    resample the stream of one ``rng.integers(0, n, n)`` draw; returns the
+    ((1-level)/2, (1+level)/2) percentiles of the resampled scores.
+
+    The work is done per block of resamples, ``_BOOTSTRAP_BLOCK // n`` of
+    them (at least one), so memory stays bounded whatever `iterations` is:
+    one ``(k, n)`` draw gives the block's k resamples; each instance is
+    mapped to the index of its confusion cell among the m distinct cells
+    the data holds, and one bincount counts the block's ``(k, m)`` cells;
+    one product with :func:`_cell_roles` turns them into per-family counts,
+    which are scored as :func:`score_semeval` scores them.
     """
     if iterations < 100:
         raise ConfigError("iterations must be >= 100")
     if not 0 < level < 1:
         raise ConfigError("level must be between 0 and 1")
-    if len(gold) != len(pred):
-        raise ValueError(f"length mismatch: {len(gold)} gold vs "
-                         f"{len(pred)} predicted")
-    cells = _N_LABELS * _N_LABELS
-    pairs = np.array([label_index(g) * _N_LABELS + label_index(p)
-                      for g, p in zip(gold, pred)], np.int64)
-    n = len(pairs)
+    # each instance's index among the distinct cells (np.unique without
+    # return_inverse would import numpy.ma)
+    cells, local = np.unique(_cell_codes(gold, pred), return_inverse=True)
+    roles = _cell_roles(cells)
+    n, m = len(local), len(cells)
     rng = np.random.default_rng(seed)
     scores = np.empty(iterations)
     per_block = max(1, _BOOTSTRAP_BLOCK // max(n, 1))
     for lo in range(0, iterations, per_block):
-        hi = min(lo + per_block, iterations)
-        codes = np.concatenate([pairs[rng.integers(0, n, n)] + it * cells
-                                for it in range(hi - lo)])
-        confusion = np.bincount(codes, minlength=(hi - lo) * cells)
-        scores[lo:hi] = _macro_from_confusion(
-            confusion.reshape(hi - lo, _N_LABELS, _N_LABELS))[0]
+        k = min(per_block, iterations - lo)
+        drawn = local[rng.integers(0, n, (k, n))]
+        drawn += m * np.arange(k)[:, None]
+        counts = np.bincount(drawn.ravel(), minlength=k * m).reshape(k, m)
+        scores[lo:lo + k] = _family_scores(
+            *np.split(counts @ roles, 3, axis=1))[0]
     lo, hi = _percentiles(scores, [50 * (1 - level), 50 * (1 + level)])
     return lo, hi
 

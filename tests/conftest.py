@@ -4,6 +4,7 @@ import pytest
 from relemb.corpus import (ContextArrays, LabelledContexts, NounPairContext,
                            Vocabulary, label_index)
 from relemb.embed_train import EmbeddingParams
+from relemb.synthetic import _FILLERS
 
 
 def make_vocab(word_counts, noun_counts, lowercase=True):
@@ -113,3 +114,38 @@ def check_row_grads(value_fn, params, grads, step=1e-5, tol=1e-4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def make_single_pattern_corpus(n_sentences=3000, seed=3):
+    """Corpus where the word between the pair (alpha, beta) is always
+    ``caused``; other pairs carry unrelated words to populate the noise
+    distribution.  Returns tagged-format text."""
+    rng = np.random.default_rng(seed)
+    others = [("gamma", "likes", "delta"), ("epsilon", "sees", "zeta"),
+              ("eta", "finds", "theta"), ("iota", "meets", "kappa")]
+    chunks = []
+    for _ in range(n_sentences):
+        if rng.random() < 0.5:
+            n1, mid, n2 = "alpha", "caused", "beta"
+        else:
+            n1, mid, n2 = others[rng.integers(0, len(others))]
+        filler = _FILLERS[rng.integers(0, len(_FILLERS))]
+        chunks.append(f"{filler}\tRB\n{n1}\tNN\n{mid}\tVBD\n{n2}\tNN\n"
+                      f"{filler}\tRB\n\n")
+    return "".join(chunks)
+
+
+def make_collocation_corpus(n_groups=6, repeats=400, seed=5):
+    """Sentences pairing two probe words with a shared anchor, so each
+    probe's nearest neighbor should be the other probe of its group.
+
+    Returns ``(tagged text, [(probe_a, probe_b), ...])``."""
+    rng = np.random.default_rng(seed)
+    groups = [(f"probea{i}", f"anchor{i}", f"probeb{i}") for i in range(n_groups)]
+    chunks = []
+    for _ in range(repeats):
+        for a, mid, b in groups:
+            first = a if rng.random() < 0.5 else b
+            chunks.append(f"{first}\tNN\n{mid}\tNN\n\n")
+    pairs = [(a, b) for a, _, b in groups]
+    return "".join(chunks), pairs

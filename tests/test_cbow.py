@@ -10,8 +10,8 @@ from relemb import corpus as cp
 from relemb import embed_train as et
 from relemb import kernels
 from relemb.features import feature_dim
-from relemb.synthetic import make_collocation_corpus, make_synthetic_data
-from conftest import check_row_grads, make_vocab
+from relemb.synthetic import make_synthetic_data
+from conftest import check_row_grads, make_collocation_corpus, make_vocab
 
 
 def _vocab_from(text):

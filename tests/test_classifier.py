@@ -289,7 +289,7 @@ class TestTrainClassifier:
             ctx, 3, before, start, config.l2, mask, opts, fine_tune)
         assert (len(row_grads) > 0) == fine_tune
 
-        expected = start.copy()
+        expected = cl.SoftmaxParams.zeros(len(ALL_LABELS), dim)
         cl.adagrad_update(expected.weights, g_W, np.zeros_like(g_W), config.eta)
         cl.adagrad_update(expected.bias, g_b, np.zeros_like(g_b), config.eta)
         for name, (ids, rows) in row_grads.items():

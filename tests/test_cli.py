@@ -695,8 +695,8 @@ SURFACE = {
 }
 
 
-def _subparsers():
-    (action,) = [a for a in cli.build_parser()._actions
+def _subparsers(parser=None):
+    (action,) = [a for a in (parser or cli.build_parser())._actions
                  if isinstance(a, argparse._SubParsersAction)]
     return action.choices
 
@@ -710,6 +710,31 @@ def test_cli_surface_is_pinned():
               if flag not in ("-h", "--help")}
     assert len(expected) == 91
     assert actual == expected
+
+
+def _actions(parser):
+    return [(type(a), a.option_strings, a.dest, a.type, a.nargs, a.required,
+             a.choices, a.default) for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_subparser_built_alone_is_the_one_in_the_full_parser(command):
+    """``main`` builds only the subparser its command line names; that
+    parser, and the usage line errors print, are those of the full one."""
+    parser = cli.build_parser(command)
+    (alone,) = _subparsers(parser).values()
+    full = cli.build_parser()
+    assert list(_subparsers(parser)) == [command]
+    assert _actions(alone) == _actions(_subparsers(full)[command])
+    assert alone.format_help() == _subparsers(full)[command].format_help()
+    assert parser.format_usage() == full.format_usage()
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert cli.main(["--help"]) == 0
+    listed = capsys.readouterr().out
+    assert all(f"    {name} " in listed for name in cli.COMMANDS)
+    assert len(cli.COMMANDS) == 9
 
 
 # The default of every setting of every subcommand.

@@ -1,9 +1,10 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relemb import corpus as cp, embed_train as et, kernels
 from conftest import make_vocab
@@ -338,6 +339,40 @@ class TestSemEvalParsing:
         text = '4\t"<e1>a</e1> x <e2>b</e2>"\nMade-Up(e1,e2)\n'
         with pytest.raises(cp.SemEvalFormatError, match="4"):
             cp.parse_semeval(io.StringIO(text), _semeval_vocab(), 2)
+
+    @settings(max_examples=500, deadline=None)
+    @given(sentence=st.one_of(
+        st.lists(st.sampled_from(["<e1>", "</e1>", "<e2>", "</e2>", "<e1",
+                                  "/e1>", "</", "e2>", "<", ">", "a", "b c",
+                                  " ", "\n"]),
+                 max_size=14).map("".join),
+        st.text(st.sampled_from("<>/e12 a\n"), max_size=30)))
+    @example(sentence="<e1>a</e1> b <e2>c</e2> d")
+    @example(sentence="<e1><e2>a</e1>b</e2>")              # nested
+    @example(sentence="<e2>a</e2> <e1>b</e1>")              # out of order
+    @example(sentence="<e1>a<e1>b</e1>c</e1><e2></e2>")     # repeated
+    @example(sentence="<e1>a</e1> <e2>b")                   # unclosed
+    @example(sentence="</e1><e1>x</e2><e2>")                # close first
+    def test_entity_spans_match_the_regex_search(self, sentence):
+        def outcome(spans):
+            try:
+                return spans(sentence)
+            except ValueError as exc:
+                return str(exc)
+        assert outcome(cp._entity_spans) == outcome(_regex_entity_spans)
+
+
+def _regex_entity_spans(sentence):
+    """The entity spans as two non-greedy ``re.search`` calls found them:
+    the reference for ``cp._entity_spans``."""
+    m1 = re.search(r"<e1>(.*?)</e1>", sentence, flags=re.S)
+    m2 = re.search(r"<e2>(.*?)</e2>", sentence, flags=re.S)
+    if m1 is None or m2 is None:
+        raise ValueError("missing <e1>/<e2> markup")
+    if m1.start() > m2.start():
+        raise ValueError("entity markup out of order")
+    return (sentence[:m1.start()], m1.group(1), sentence[m1.end():m2.start()],
+            m2.group(1), sentence[m2.end():])
 
 
 class TestContextFile:

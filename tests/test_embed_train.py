@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from relemb import corpus as cp
 from relemb import embed_train as et
 from relemb import kernels
-from relemb.synthetic import make_single_pattern_corpus
-from conftest import make_vocab, pack, rand_params, rand_ctx, check_row_grads
+from conftest import (make_vocab, pack, rand_params, rand_ctx, check_row_grads,
+                      make_single_pattern_corpus)
 
 
 def target_probability(f, wid, params):

@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,20 @@ class TestScoreSemeval:
         with pytest.raises(ValueError):
             ev.score_semeval([CE12], [CE12, OTHER])
 
+    def test_per_family_counts_match_a_plain_tally(self):
+        rng = np.random.default_rng(7)
+        gold = [ALL_LABELS[i] for i in rng.integers(0, 19, 80)]
+        pred = [ALL_LABELS[i] for i in rng.integers(0, 19, 80)]
+        report = ev.score_semeval(gold, pred)
+        for fam in FAMILIES:
+            want = {"gold": sum(g.family == fam for g in gold),
+                    "pred": sum(p.family == fam for p in pred),
+                    "tp": sum(g == p and g.family == fam
+                              for g, p in zip(gold, pred))}
+            got = {key: report.per_family[fam][key] for key in want}
+            assert got == want
+            assert all(type(value) is int for value in got.values())
+
 
 class TestBootstrap:
     def test_identical_gold_pred(self):
@@ -162,6 +177,39 @@ class TestBootstrap:
         monkeypatch.setattr(ev, "_BOOTSTRAP_BLOCK", 300)   # blocks of 2-300
         want = _per_iteration_bootstrap(gold, pred, 130, level, seed)
         assert ev.bootstrap_ci(gold, pred, 130, level, seed) == want
+
+    # 7: one block of all 1000 resamples; 1600: blocks of 20, the last
+    # one partial; past the block size: one resample per block
+    @pytest.mark.parametrize("n, iterations", [
+        (7, 1000), (1600, 130), (ev._BOOTSTRAP_BLOCK + 1, 100)])
+    def test_matches_per_iteration_loop_at_the_default_block(
+            self, n, iterations):
+        rng = np.random.default_rng(n)
+        gold = [ALL_LABELS[i] for i in rng.integers(0, 19, n)]
+        pred = [g if rng.random() < 0.8 else ALL_LABELS[rng.integers(0, 19)]
+                for g in gold]
+        want = _per_iteration_bootstrap(gold, pred, iterations, 0.95, 5)
+        assert ev.bootstrap_ci(gold, pred, iterations, 0.95, 5) == want
+
+    def test_memory_is_bounded_by_the_block(self):
+        """A block draws ``_BOOTSTRAP_BLOCK`` int64 indices (256 KiB) and
+        maps them to cells (another 256 KiB); the peak stays near that,
+        however many resamples run.  Twice the block reads ~1.7 MiB."""
+        rng = np.random.default_rng(11)
+        gold = [ALL_LABELS[i] for i in rng.integers(0, 19, 1600)]
+        pred = [g if rng.random() < 0.8 else ALL_LABELS[rng.integers(0, 19)]
+                for g in gold]
+        ev.bootstrap_ci(gold, pred, 1000)       # first-call set-up
+        tracemalloc.start()
+        try:
+            ev.bootstrap_ci(gold, pred, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2 ** 20
+
+    def test_empty_data_scores_zero(self):
+        assert ev.bootstrap_ci([], [], 100) == (0.0, 0.0)
 
 
 def _per_iteration_bootstrap(gold, pred, iterations, level, seed):
