@@ -15,7 +15,6 @@ from .corpus import (
     ContextFile,
     LabelledContexts,
     NounPairContext,
-    RelationLabel,
     TaggedSentence,
     Vocabulary,
     build_vocabulary,
@@ -50,7 +49,6 @@ from .evaluation import (
     EvalReport,
     bootstrap_ci,
     score_semeval,
-    spearman_wordsim,
     top_ngrams,
 )
 

@@ -143,7 +143,7 @@ class AdaGradState:
 def supervised_objective_and_grad(ctx, label, embed_params, softmax_params,
                                   l2, mask=None, opts=FeatureOptions(),
                                   fine_tune=True, table=None):
-    """Objective value and gradients for `ctx` labelled ``ALL_LABELS[label]``.
+    """Objective value and gradients for `ctx` with label index `label`.
 
     The value is ``log p(label | e) - (l2/2) * ||theta||^2`` where theta
     covers the softmax parameters and, when `fine_tune` is set, the
@@ -355,11 +355,11 @@ def _scores(contexts, softmax_params, embed_params, opts):
 
 
 def predict_many(contexts, softmax_params, embed_params, opts=FeatureOptions()):
-    """The most probable label of each of `contexts`, a ContextArrays, as a
-    list (no dropout; ties break toward the lowest class index)."""
+    """The index of the most probable label of each of `contexts`, a
+    ContextArrays, as an int64 array (no dropout; ties break toward the
+    lowest index)."""
     opts.validate()
-    scores = _scores(contexts, softmax_params, embed_params, opts)
-    return [ALL_LABELS[i] for i in scores.argmax(axis=1).tolist()]
+    return _scores(contexts, softmax_params, embed_params, opts).argmax(axis=1)
 
 
 def make_folds(n, folds, seed):
@@ -391,7 +391,7 @@ def cross_validate(data, embed_params, settings, folds=10, seed=1):
         for train, test in splits:
             softmax, tuned, _ = train_classifier(train, embed_params, config, opts)
             pred = predict_many(test.contexts, softmax, tuned, opts)
-            fold_scores.append(score_semeval(test.gold(), pred).macro_f1)
+            fold_scores.append(score_semeval(test.labels, pred).macro_f1)
         results.append((name, float(np.mean(fold_scores)), fold_scores))
         logger.info("cv %s: %.2f", name, results[-1][1])
     return results

@@ -1,5 +1,5 @@
 """Command-line pipeline: build-vocab, extract, pretrain, cbow, train, cv,
-eval, wordsim, ngrams.
+eval, ngrams.
 
 Every subcommand accepts ``--config FILE`` with ``key = value`` lines;
 explicit command-line flags override file values, unknown keys are rejected,
@@ -40,12 +40,6 @@ def _int_bool(text):
     if text not in ("0", "1"):
         raise ValueError(f"expected 0 or 1, got {text!r}")
     return text == "1"
-
-
-def _matrix(text):
-    if text not in ("noun", "word"):
-        raise ValueError(f"expected noun or word, got {text!r}")
-    return text
 
 
 def _list_of(item):
@@ -131,7 +125,6 @@ OPTIONS = {
               for key in _GRID}},
     "eval": {"bootstrap": (int, 0),
              **_keyword_options(ev.bootstrap_ci, "level", "seed")},
-    "wordsim": {"matrix": (_matrix, "noun")},
     "ngrams": {"n": (_list_of(int), [1, 3]), "top": (int, 5)},
 }
 
@@ -290,11 +283,15 @@ def _load_embeddings(args, cfg, vocab):
 
 
 def _feature_options(features, m_out):
-    """The blocks named by `features`, with outside windows `m_out` wide."""
+    """The blocks named by `features`, with outside windows `m_out` wide;
+    the width is set by `m_out` alone, never by `features`."""
     if m_out > PARSE_M_OUT:
         raise ConfigError(f"m_out must be <= {PARSE_M_OUT}")
-    return dataclasses.replace(FeatureOptions.from_flags(features),
-                               m_out=m_out).validate()
+    opts = FeatureOptions.from_flags(features)
+    if opts.m_out is not None:
+        raise ConfigError(f"features {features!r} sets m_out; give the "
+                          f"outside window width with --m-out instead")
+    return dataclasses.replace(opts, m_out=m_out).validate()
 
 
 def cmd_train(args):
@@ -353,9 +350,10 @@ def _load_model_and_classifier(args):
             f"{PARSE_M_OUT} that labelled data is parsed with")
     expected = feature_dim(params, opts)
     if expected != softmax.weights.shape[1]:
-        raise RuntimeError(
-            f"dimension mismatch: model features have dim {expected}, "
-            f"classifier expects dim {softmax.weights.shape[1]}")
+        raise cp.ArtifactError(
+            f"{args.clf}: dimension mismatch: the classifier expects dim "
+            f"{softmax.weights.shape[1]}, model {args.model} gives features "
+            f"of dim {expected}")
     return params, softmax, opts
 
 
@@ -366,11 +364,10 @@ def cmd_eval(args):
     params, softmax, opts = _load_model_and_classifier(args)
     instances = _instances(args.test, vocab)
     pred = cl.predict_many(instances.contexts, softmax, params, opts)
-    gold = instances.gold()
-    report = ev.score_semeval(gold, pred)
+    report = ev.score_semeval(instances.labels, pred)
     if cfg["bootstrap"]:
-        lo, hi = ev.bootstrap_ci(gold, pred, cfg["bootstrap"], cfg["level"],
-                                 cfg["seed"])
+        lo, hi = ev.bootstrap_ci(instances.labels, pred, cfg["bootstrap"],
+                                 cfg["level"], cfg["seed"])
         report.bootstrap = (lo, hi, cfg["level"])
     print(ev.format_report(report))
     if args.report:
@@ -381,30 +378,14 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_wordsim(args):
-    cfg = _resolve(args)
-    _require_files(args.pairs, args.vocab, args.model)
-    vocab = cp.Vocabulary.load(args.vocab)
-    params = et.load_model(args.model)
-    pairs = ev.read_wordsim(args.pairs)
-    if not pairs:
-        raise cp.ArtifactError(f"{args.pairs}: no word pairs")
-    result = ev.spearman_wordsim(pairs, params, vocab, cfg["matrix"])
-    print(f"pairs: {result.n_pairs}")
-    print(f"oov pairs: {len(result.oov_pairs)}")
-    print(f"spearman rho: {result.rho:.4f}")
-    return 0
-
-
 def cmd_ngrams(args):
     cfg = _resolve(args)
     _require_files(args.train, args.vocab, args.model, args.clf)
     vocab = cp.Vocabulary.load(args.vocab)
     params, softmax, opts = _load_model_and_classifier(args)
     instances = _instances(args.train, vocab)
-    labels = args.label or [lab for lab in cp.ALL_LABELS if lab.family != "Other"]
-    for label in labels:
-        print(f"== {label.surface()}")
+    for label in args.label or range(cp.OTHER):
+        print(f"== {cp.ALL_LABELS[label]}")
         for n in cfg["n"]:
             ranked = ev.top_ngrams(softmax, params, opts, instances.contexts,
                                    label, n, cfg["top"], vocab=vocab)
@@ -439,8 +420,6 @@ COMMANDS = {
     "eval": (cmd_eval, "score a labeled test file",
              {"test": _REQUIRED, "vocab": _REQUIRED, "model": _REQUIRED,
               "clf": _REQUIRED, "pred": {}, "report": {}}),
-    "wordsim": (cmd_wordsim, "word-similarity correlation",
-                {"pairs": _REQUIRED, "vocab": _REQUIRED, "model": _REQUIRED}),
     "ngrams": (cmd_ngrams, "top n-grams per relation class",
                {"train": _REQUIRED, "vocab": _REQUIRED, "model": _REQUIRED,
                 "clf": _REQUIRED,

@@ -46,13 +46,13 @@ __all__ = [
     "UNK_NOUN",
     "FAMILIES",
     "ALL_LABELS",
+    "OTHER",
     "TaggedSentence",
     "TaggedCorpusReader",
     "Vocabulary",
     "NounPairContext",
     "neighbor_slots",
     "neighbor_slot_rows",
-    "RelationLabel",
     "LabelledContexts",
     "SemEvalFormatError",
     "ArtifactError",
@@ -69,7 +69,6 @@ __all__ = [
     "token_blocks",
     "parse_semeval",
     "parse_label",
-    "label_index",
     "tokenize",
     "write_contexts",
     "ContextArrays",
@@ -387,13 +386,16 @@ class Vocabulary:
             try:
                 n_words, n_nouns = int(header[2]), int(header[3])
                 flags = dict(tok.split("=", 1) for tok in header[4:])
-                lowercase = bool(int(flags.get("lowercase", 1)))
+                flag = flags.get("lowercase", "1")
+                if flag not in ("0", "1"):
+                    raise ValueError(flag)
+                lowercase = flag == "1"
             except (IndexError, ValueError):
                 n_words = n_nouns = -1
             if n_words < 0 or n_nouns < 0:
                 raise ArtifactError(
                     f"{path}:1: header needs non-negative integer word and "
-                    f"noun counts and an integer lowercase flag")
+                    f"noun counts and a lowercase flag of 0 or 1")
             surfaces, counts = [], []
             # ranked surface -> its line, per inventory; the reserved ids
             # (2 words, 1 noun) are never looked up, so they may repeat
@@ -890,45 +892,24 @@ FAMILIES = (
 
 _DIRECTIONS = ("e1,e2", "e2,e1")
 
+# A relation label is its index into ALL_LABELS everywhere inside relemb;
+# the surface forms appear only where a file or stdout is read or written.
+# Family f's two directions are labels 2f (e1,e2) and 2f + 1 (e2,e1), so
+# ``i // 2`` is a label's family and ``i ^ 1`` its reverse; Other is last.
+ALL_LABELS = tuple([f"{f}({d})" for f in FAMILIES for d in _DIRECTIONS]
+                   + ["Other"])
+OTHER = len(ALL_LABELS) - 1
 
-@dataclass(frozen=True)
-class RelationLabel:
-    """A relation family plus argument direction; Other carries none."""
-
-    family: str
-    direction: str | None = None
-
-    def surface(self):
-        if self.family == "Other":
-            return "Other"
-        return f"{self.family}({self.direction})"
-
-    def __str__(self):
-        return self.surface()
-
-
-ALL_LABELS = tuple(
-    [RelationLabel(f, d) for f in FAMILIES for d in _DIRECTIONS]
-    + [RelationLabel("Other")]
-)
-
-_LABEL_INDEX = {lab: i for i, lab in enumerate(ALL_LABELS)}
-_SURFACE_INDEX = {lab.surface(): lab for lab in ALL_LABELS}
+_SURFACE_INDEX = {surface: i for i, surface in enumerate(ALL_LABELS)}
 
 
 def parse_label(text):
-    """Parse a label surface form such as ``Cause-Effect(e1,e2)`` or ``Other``."""
-    lab = _SURFACE_INDEX.get(text.strip())
-    if lab is None:
+    """The index of a label surface form such as ``Cause-Effect(e1,e2)`` or
+    ``Other``."""
+    i = _SURFACE_INDEX.get(text.strip())
+    if i is None:
         raise ValueError(f"unknown relation label: {text!r}")
-    return lab
-
-
-def label_index(label):
-    try:
-        return _LABEL_INDEX[label]
-    except KeyError:
-        raise ValueError(f"label outside the 19-class inventory: {label}") from None
+    return i
 
 
 # --- SemEval-2010 Task 8 format --------------------------------------------
@@ -953,7 +934,7 @@ class SemEvalFormatError(ArtifactError):
 @dataclass
 class LabelledContexts:
     """Labelled instances, in order: instance ``r`` has id ``ids[r]``, gold
-    label ``ALL_LABELS[labels[r]]`` and context ``contexts.context(r)``."""
+    label index ``labels[r]`` and context ``contexts.context(r)``."""
 
     ids: np.ndarray
     labels: np.ndarray
@@ -966,10 +947,6 @@ class LabelledContexts:
         """Instances `rows` (indices, in the order given)."""
         return LabelledContexts(self.ids[rows], self.labels[rows],
                                 self.contexts.take(rows))
-
-    def gold(self):
-        """The labels, as :class:`RelationLabel` values."""
-        return [ALL_LABELS[i] for i in self.labels.tolist()]
 
 
 # ids of up to 18 digits fit int64
@@ -1055,7 +1032,7 @@ def parse_semeval(source, vocab, m_out):
         if i >= n:
             raise fault(sentence_line, instance_id, "missing label line")
         try:
-            label = parse_label(lines[i])
+            labels.append(parse_label(lines[i]))
         except ValueError as exc:
             raise fault(i, instance_id, str(exc)) from None
         i += 1
@@ -1066,7 +1043,6 @@ def parse_semeval(source, vocab, m_out):
         except ValueError as exc:
             raise fault(sentence_line, instance_id, str(exc)) from None
         ids.append(instance_id)
-        labels.append(label_index(label))
         heads.append((len(token_ids) + p1, len(token_ids) + p2))
         token_ids += [index.setdefault(w, len(index)) for w in tokens]
         offsets.append(len(token_ids))

@@ -1,36 +1,29 @@
-"""Scoring and analysis: official relation scoring, bootstrap intervals,
-word-similarity correlation, and top-n-gram inspection.
+"""Scoring and analysis of label indices: official relation scoring,
+bootstrap intervals, and top-n-gram inspection.
 
-The relation scorer follows the SemEval-2010 Task 8 official protocol: a
-prediction is a true positive only when relation family and argument
-direction both match; per-family precision/recall aggregate both directions;
-the macro-F1 averages the family F1 values with Other excluded from the
-average (but counted in the denominators).
+Labels are indices into :data:`relemb.corpus.ALL_LABELS`, whose layout puts
+family f's two directions at 2f and 2f + 1 and Other last.  The relation
+scorer follows the SemEval-2010 Task 8 official protocol: a prediction is a
+true positive only when relation family and argument direction both match;
+per-family precision/recall aggregate both directions; the macro-F1
+averages the family F1 values with Other excluded from the average (but
+counted in the denominators).
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ALL_LABELS, FAMILIES, ConfigError, _is_path, \
-    label_index, neighbor_slot_rows, reading_utf8
+from .corpus import ALL_LABELS, FAMILIES, ConfigError, neighbor_slot_rows
 from .features import between_slice, ngram_embedding
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "EvalReport",
-    "WordSimResult",
     "score_semeval",
     "bootstrap_ci",
-    "read_wordsim",
-    "spearman_wordsim",
     "top_ngrams",
     "format_report",
     "report_kv",
@@ -38,7 +31,7 @@ __all__ = [
 ]
 
 _N_LABELS = len(ALL_LABELS)
-_N_FAMILIES = len(FAMILIES)   # family f holds labels 2f (e1,e2) and 2f + 1
+_N_FAMILIES = len(FAMILIES)   # family f holds labels 2f and 2f + 1
 
 
 @dataclass
@@ -51,15 +44,25 @@ class EvalReport:
     bootstrap: tuple[float, float, float] | None = None   # (lower, upper, level)
 
 
+def _label_indices(labels):
+    """`labels`, a sequence of label indices, as an int64 array; raises
+    ValueError naming the first value that is not an index 0..18."""
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError(f"label indices must be integers, got {labels.dtype}")
+    bad = labels[(labels < 0) | (labels >= _N_LABELS)]
+    if bad.size:
+        raise ValueError(f"label index {bad[0]} outside 0..{_N_LABELS - 1}")
+    return labels.astype(np.int64, copy=False)
+
+
 def _cell_codes(gold, pred):
     """Each instance's confusion cell, ``19 * gold + predicted`` label
     index."""
     if len(gold) != len(pred):
         raise ValueError(f"length mismatch: {len(gold)} gold vs "
                          f"{len(pred)} predicted")
-    n = len(gold)
-    return (np.fromiter(map(label_index, gold), np.int64, n) * _N_LABELS
-            + np.fromiter(map(label_index, pred), np.int64, n))
+    return _label_indices(gold) * _N_LABELS + _label_indices(pred)
 
 
 def _cell_roles(cells):
@@ -99,7 +102,8 @@ def _family_scores(tp, gold_n, pred_n):
 
 
 def score_semeval(gold, pred):
-    """Score predicted labels against gold labels; returns an EvalReport."""
+    """Score predicted label indices against gold ones; returns an
+    EvalReport."""
     confusion = np.bincount(_cell_codes(gold, pred),
                             minlength=_N_LABELS * _N_LABELS)
     tp, gold_n, pred_n = np.split(
@@ -111,7 +115,8 @@ def score_semeval(gold, pred):
     per_family = {fam: {key: values[f] for key, values in columns.items()}
                   for f, fam in enumerate(FAMILIES)}
     confusion = confusion.reshape(_N_LABELS, _N_LABELS)
-    accuracy = 100.0 * float(np.trace(confusion)) / len(gold) if gold else 0.0
+    accuracy = (100.0 * float(np.trace(confusion)) / len(gold) if len(gold)
+                else 0.0)
     return EvalReport(per_family, macro.item(), accuracy, confusion, len(gold))
 
 
@@ -120,7 +125,8 @@ _BOOTSTRAP_BLOCK = 1 << 15
 
 
 def bootstrap_ci(gold, pred, iterations=1000, level=0.95, seed=1):
-    """Percentile bootstrap interval for the official macro-F1.
+    """Percentile bootstrap interval for the official macro-F1 of label
+    indices `pred` against `gold`.
 
     Instances are resampled with replacement `iterations` times, each
     resample the stream of one ``rng.integers(0, n, n)`` draw; returns the
@@ -178,87 +184,12 @@ def _percentiles(values, percents):
     return out
 
 
-# --- word similarity ---------------------------------------------------------
-
-@dataclass
-class WordSimResult:
-    rho: float
-    n_pairs: int
-    oov_pairs: list[tuple[str, str]]
-
-
-def read_wordsim(source):
-    """Read ``word1,word2,score`` pairs (comma- or tab-separated, optional
-    header line)."""
-    if _is_path(source):
-        with reading_utf8(source), open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    pairs = []
-    for row in csv.reader(io.StringIO(text),
-                          delimiter="\t" if "\t" in text else ","):
-        if not row or len(row) < 3:
-            continue
-        try:
-            score = float(row[2])
-        except ValueError:
-            continue   # header
-        pairs.append((row[0].strip(), row[1].strip(), score))
-    return pairs
-
-
-def _average_ranks(values):
-    """Ranks 1..n of `values`, each run of ties given the mean of the ranks
-    it spans."""
-    _, inverse, counts = np.unique(values, return_inverse=True,
-                                   return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
-
-
-def spearman_wordsim(pairs, params, vocab, matrix="noun"):
-    """Spearman rank correlation between human scores and cosine
-    similarities under the selected embedding matrix ("noun" or "word").
-
-    Out-of-vocabulary words fall back to their UNK embedding and the pair is
-    reported in the result.  When every similarity or every human score is
-    the same, rho is undefined: it is NaN, and a warning names the
-    constant side.
-    """
-    if matrix == "noun":
-        vecs, lookup, unk = params.noun_vecs, vocab.noun_id, 0
-    elif matrix == "word":
-        from .corpus import UNK_WORD
-        vecs, lookup, unk = params.word_vecs, vocab.word_id, UNK_WORD
-    else:
-        raise ConfigError("matrix must be 'noun' or 'word'")
-    human = []
-    sims = []
-    oov = []
-    for w1, w2, score in pairs:
-        i1, i2 = lookup(w1), lookup(w2)
-        if i1 == unk or i2 == unk:
-            oov.append((w1, w2))
-        v1, v2 = vecs[i1], vecs[i2]
-        denom = np.linalg.norm(v1) * np.linalg.norm(v2)
-        sims.append(float(v1 @ v2 / denom) if denom > 0 else 0.0)
-        human.append(score)
-    constant = [side for side, values in (("human scores", human),
-                                          ("cosine similarities", sims))
-                if len(set(values)) < 2]
-    if constant:
-        logger.warning("wordsim: all %d %s are equal, so Spearman's rho is "
-                       "undefined (NaN)", len(pairs), " and all ".join(constant))
-        return WordSimResult(float("nan"), len(pairs), oov)
-    rho = float(np.corrcoef(_average_ranks(human), _average_ranks(sims))[0, 1])
-    return WordSimResult(rho, len(pairs), oov)
-
-
 # --- n-gram inspection -------------------------------------------------------
 
 def top_ngrams(softmax_params, embed_params, opts, contexts, label, n,
                top_k=5, vocab=None):
-    """Highest-scoring n-grams from the training set for one class.
+    """Highest-scoring n-grams from the training set for class `label`, a
+    label index.
 
     Every length-`n` window over the between-words of `contexts` (center
     word plus (n-1)/2 neighbors each side, NULL past the span) is embedded
@@ -277,7 +208,8 @@ def top_ngrams(softmax_params, embed_params, opts, contexts, label, n,
         raise ConfigError("top_k must be >= 1")
     half = (n - 1) // 2
     c = embed_params.window
-    class_row = softmax_params.weights[label_index(label),
+    (label,) = _label_indices([label])
+    class_row = softmax_params.weights[label,
                                        between_slice(embed_params, opts)]
 
     seen = {}
@@ -336,7 +268,9 @@ def report_kv(report):
 
 
 def write_predictions(ids, labels, path):
-    """Prediction file: ``id<TAB>label`` per line."""
+    """Prediction file: ``id<TAB>label surface`` per line, for label
+    indices `labels`."""
+    labels = _label_indices(labels).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         for i, lab in zip(ids, labels):
-            fh.write(f"{i}\t{lab.surface()}\n")
+            fh.write(f"{i}\t{ALL_LABELS[lab]}\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import RelationLabel
+from .corpus import ALL_LABELS, OTHER, parse_label
 
 __all__ = ["PatternSpec", "default_patterns", "SyntheticData",
            "make_synthetic_data"]
@@ -49,7 +49,7 @@ def _slot_cum(pool):
 
 @dataclass
 class PatternSpec:
-    label: RelationLabel
+    label: int                           # label index
     slots: tuple[tuple[str, ...], ...]   # synonym pool per trigram slot
     cue: str                             # tends to precede the first noun
     noun_bias: tuple[int, int]           # preferred slice of the noun list
@@ -65,13 +65,13 @@ class PatternSpec:
 def default_patterns():
     # Cues mark the family only; direction is readable from word order alone.
     return [
-        PatternSpec(RelationLabel("Cause-Effect", "e1,e2"),
+        PatternSpec(parse_label("Cause-Effect(e1,e2)"),
                     (_OUTER_A, _CE_MIDDLE, _OUTER_B), "reportedly", (0, 30)),
-        PatternSpec(RelationLabel("Cause-Effect", "e2,e1"),
+        PatternSpec(parse_label("Cause-Effect(e2,e1)"),
                     (_OUTER_B, _CE_MIDDLE, _OUTER_A), "reportedly", (10, 40)),
-        PatternSpec(RelationLabel("Content-Container", "e1,e2"),
+        PatternSpec(parse_label("Content-Container(e1,e2)"),
                     (_OUTER_A, _CC_MIDDLE, _OUTER_B), "quietly", (20, 50)),
-        PatternSpec(RelationLabel("Content-Container", "e2,e1"),
+        PatternSpec(parse_label("Content-Container(e2,e1)"),
                     (_OUTER_B, _CC_MIDDLE, _OUTER_A), "quietly", (30, 60)),
     ]
 
@@ -122,7 +122,7 @@ def _tagged(prefix, n1, trigram, n2, suffix):
 def _labeled(instance_id, prefix, n1, trigram, n2, suffix, label):
     words = (prefix + [f"<e1>{n1}</e1>"] + trigram
              + [f"<e2>{n2}</e2>"] + suffix)
-    return (f'{instance_id}\t"{" ".join(words)}"\n{label.surface()}\n\n')
+    return (f'{instance_id}\t"{" ".join(words)}"\n{ALL_LABELS[label]}\n\n')
 
 
 def make_synthetic_data(n_pretrain=8000, n_train_per_class=150,
@@ -133,16 +133,11 @@ def make_synthetic_data(n_pretrain=8000, n_train_per_class=150,
     `noise_rate` is the fraction of sentences whose planted trigram is
     replaced by random fillers (their label keeps only the noun/cue signal);
     `label_flip_rate` flips the direction of that fraction of *training*
-    labels, leaving the test labels clean.
+    labels (Other has none), leaving the test labels clean.
     """
     rng = np.random.default_rng(seed)
     patterns = patterns or default_patterns()
     nouns = [f"noun{i:02d}" for i in range(_NOUN_COUNT)]
-    flipped = {p.label: p.label for p in patterns}
-    for p in patterns:
-        other = RelationLabel(p.label.family,
-                              "e2,e1" if p.label.direction == "e1,e2" else "e1,e2")
-        flipped[p.label] = other
 
     tagged = []
     for _ in range(n_pretrain):
@@ -160,8 +155,8 @@ def make_synthetic_data(n_pretrain=8000, n_train_per_class=150,
             prefix, n1, trigram, n2, suffix = _sentence_tokens(
                 rng, pat, nouns, noise_rate)
             label = pat.label
-            if flip_rate and rng.random() < flip_rate:
-                label = flipped[label]
+            if flip_rate and rng.random() < flip_rate and label != OTHER:
+                label ^= 1
             chunks.append(_labeled(iid, prefix, n1, trigram, n2, suffix, label))
             iid += 1
         return "".join(chunks), iid

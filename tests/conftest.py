@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relemb.corpus import (ContextArrays, LabelledContexts, NounPairContext,
-                           Vocabulary, label_index)
+                           Vocabulary)
 from relemb.embed_train import EmbeddingParams
 from relemb.synthetic import _FILLERS
 
@@ -57,14 +57,13 @@ def pack(contexts, m_out=None):
 
 
 def labelled(contexts, labels, ids=None, m_out=None):
-    """The LabelledContexts of a list of contexts and their RelationLabels,
+    """The LabelledContexts of a list of contexts and their label indices,
     with ids 1..n unless `ids` are given."""
     contexts = list(contexts)
     if ids is None:
         ids = range(1, len(contexts) + 1)
     return LabelledContexts(np.array(list(ids), np.int64),
-                            np.array([label_index(lab) for lab in labels],
-                                     np.int64),
+                            np.array(list(labels), np.int64),
                             pack(contexts, m_out))
 
 

@@ -26,7 +26,7 @@ def _instances(rng, n, params, n_labels=4):
         contexts.append(rand_ctx(rng, m_in=int(rng.integers(0, 4)), m_out=2,
                                  n_nouns=params.n_nouns,
                                  n_words=params.n_words))
-        labels.append(ALL_LABELS[int(rng.integers(0, n_labels))])
+        labels.append(int(rng.integers(0, n_labels)))
     return labelled(contexts, labels)
 
 
@@ -186,7 +186,7 @@ def _separable_setup(rng, n=48):
         contexts.append(NounPairContext(n1, int(rng.integers(1, 5)),
                                         w_in=(int(rng.integers(2, 10)),),
                                         w_bef=(3,), w_aft=(4,)))
-        labels.append(ALL_LABELS[n1 - 1])
+        labels.append(n1 - 1)
     return params, labelled(contexts, labels, ids=range(n))
 
 
@@ -213,7 +213,7 @@ class TestTrainClassifier:
         opts = FeatureOptions(True, False, False)
         softmax, tuned, _ = cl.train_classifier(instances, params, config, opts)
         pred = cl.predict_many(instances.contexts, softmax, tuned, opts)
-        acc = np.mean([p == g for p, g in zip(pred, instances.gold())])
+        acc = np.mean(pred == instances.labels)
         assert acc == 1.0
 
     def test_seeded_reproducibility(self, rng):
@@ -277,7 +277,7 @@ class TestTrainClassifier:
                                      fine_tune=fine_tune, seed=5)
         before = params.copy()
         softmax, tuned, log = cl.train_classifier(
-            labelled([ctx], [ALL_LABELS[3]]), params, config, opts)
+            labelled([ctx], [3]), params, config, opts)
 
         # replay the trainer's draws: the epoch's permutation, then the mask
         replay = np.random.default_rng(config.seed)
@@ -332,7 +332,7 @@ class TestTrainClassifier:
         ctx = contexts[7]
         new = bad if where in ("n1", "n2") else getattr(ctx, where)[:-1] + (bad,)
         contexts[7] = dataclasses.replace(ctx, **{where: new})
-        instances = labelled(contexts, instances.gold(), instances.ids)
+        instances = labelled(contexts, instances.labels, instances.ids)
         before = params.copy()
         config = cl.SupervisedConfig(epochs=1, fine_tune=True)
         with pytest.raises(ValueError, match=f" id {bad} outside"):
@@ -358,7 +358,7 @@ def _epoch_setup(rng, n=14, m_out=3):
         if k % 4 == 0:
             ctx = dataclasses.replace(ctx, n2=ctx.n1)
         contexts.append(ctx)
-        labels.append(ALL_LABELS[int(rng.integers(0, len(ALL_LABELS)))])
+        labels.append(int(rng.integers(0, len(ALL_LABELS))))
     return params, labelled(contexts, labels, ids=range(n))
 
 
@@ -422,7 +422,7 @@ class TestPredict:
         params = rand_params(rng, dim=3, window=1)
         softmax = cl.SoftmaxParams.zeros(19, feature_dim(params))
         label = _predict_one(rand_ctx(rng, 2, 2), softmax, params)
-        assert label == ALL_LABELS[0]
+        assert label == 0
 
     def test_shift_invariance(self, rng):
         params = rand_params(rng, dim=3, window=1)
@@ -439,7 +439,7 @@ class TestPredict:
         e = assemble_features(ctx, params)
         softmax = cl.SoftmaxParams.zeros(19, len(e))
         softmax.weights[5] = e / (e @ e)      # o[5] = 1 for this instance
-        assert _predict_one(ctx, softmax, params) == ALL_LABELS[5]
+        assert _predict_one(ctx, softmax, params) == 5
 
     def test_prediction_deterministic(self, rng):
         params = rand_params(rng, dim=3, window=1)
@@ -493,6 +493,7 @@ def test_predict_many_matches_per_instance_reference(case):
     got = cl._scores(contexts, softmax, params, opts)
     labels = cl.predict_many(contexts, softmax, params, opts)
     assert got.shape == (len(contexts), 19) and len(labels) == len(contexts)
+    assert labels.dtype == np.int64
     for ctx, scores, label in zip(contexts, got, labels):
         e = assemble_features(ctx, params, opts)
         want = softmax.weights @ e + softmax.bias
@@ -500,7 +501,7 @@ def test_predict_many_matches_per_instance_reference(case):
                                    atol=1e-12 * np.abs(want).max())
         top = np.sort(want)
         if top[-1] - top[-2] > 1e-9:
-            assert label == ALL_LABELS[int(np.argmax(want))]
+            assert label == np.argmax(want)
 
 
 @pytest.mark.parametrize("limit", [1, 3, 10_000])
@@ -724,7 +725,7 @@ class TestCrossValidation:
                                       [("only", config, opts)], folds=3, seed=8)
         name, mean, fold_scores = result
         manual = []
-        contexts, gold = list(instances.contexts), instances.gold()
+        contexts, gold = list(instances.contexts), instances.labels.tolist()
         for held in cl.make_folds(len(instances), 3, seed=8):
             held_set = set(int(i) for i in held)
             rest = [i for i in range(len(instances)) if i not in held_set]

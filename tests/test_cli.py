@@ -104,19 +104,6 @@ class TestPipeline:
                        if "official macro-F1" in ln][0].split(":")[1])
         assert macro == 100.0
 
-    def test_wordsim_command(self, workdir, capsys):
-        pairs = workdir / "pairs.csv"
-        pairs.write_text("word1,word2,score\nnoun01,noun02,5.0\n"
-                         "noun03,noun04,3.0\nsoon,often,1.0\n")
-        code = cli.main(["wordsim", "--pairs", str(pairs),
-                         "--vocab", str(workdir / "vocab.txt"),
-                         "--model", str(workdir / "model.bin"),
-                         "--matrix", "word"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "spearman rho:" in out
-        assert "pairs: 3" in out
-
     def test_ngrams_command_lists_planted_trigram(self, workdir, capsys):
         code = cli.main(["ngrams", "--train", str(workdir / "train.txt"),
                          "--vocab", str(workdir / "vocab.txt"),
@@ -299,8 +286,6 @@ class TestExitCodes:
                                  "{bad}"]),
         "ngrams": ("tuned.bin", ["ngrams", "--train", "{w}/train.txt",
                                  "--model", "{bad}", "--clf", "{w}/clf.bin"]),
-        "wordsim": ("model.bin", ["wordsim", "--pairs", "{tmp}/pairs.csv",
-                                  "--model", "{bad}"]),
     }
 
     @pytest.mark.parametrize("reader", list(_NON_FINITE))
@@ -318,8 +303,6 @@ class TestExitCodes:
             values[:int(kv[b"nnouns"]) * int(kv[b"d"])] = np.nan
         bad = tmp_path / f"bad-{source}"
         bad.write_bytes(header + b"\n" + values.astype("<f8").tobytes())
-        (tmp_path / "pairs.csv").write_text("noun01,noun02,5.0\n"
-                                            "noun03,noun04,3.0\n")
         code = cli.main([arg.format(bad=bad, tmp=tmp_path, w=workdir)
                          for arg in argv]
                         + ["--vocab", str(workdir / "vocab.txt")])
@@ -412,8 +395,6 @@ class TestExitCodes:
                  "--bootstrap", "1000"],
         "ngrams": ["ngrams", "--train", "{bad}", "--vocab", "{w}/vocab.txt",
                    "--model", "{w}/tuned.bin", "--clf", "{w}/clf.bin"],
-        "wordsim": ["wordsim", "--pairs", "{bad}", "--vocab", "{w}/vocab.txt",
-                    "--model", "{w}/model.bin"],
         "train": ["train", "--train", "{bad}", "--vocab", "{w}/vocab.txt",
                   "--model", "{w}/model.bin", "--out", "{tmp}/clf.bin"],
         "cv": ["cv", "--train", "{bad}", "--vocab", "{w}/vocab.txt",
@@ -479,9 +460,6 @@ class TestExitCodes:
                                      "--vocab", "{w}/vocab.txt",
                                      "--model", "{w}/tuned.bin",
                                      "--clf", "{w}/clf.bin"]),
-        "wordsim": ("w1,w2,score\nthe,of,1.0\nof,the,2.0\n", 3, [
-            "wordsim", "--pairs", "{bad}", "--vocab", "{w}/vocab.txt",
-            "--model", "{w}/model.bin"]),
         "config": ("d = 4\n# comment\nc = 1\n", 3, [
             "pretrain", "--contexts", "{w}/contexts.txt",
             "--vocab", "{w}/vocab.txt", "--out", "{tmp}/m.bin",
@@ -548,7 +526,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,data_flag", [("eval", "--test"),
                                                    ("ngrams", "--train")],
                              ids=["eval", "ngrams"])
-    def test_dimension_mismatch_exit_1(self, workdir, capsys, command,
+    def test_dimension_mismatch_exit_2(self, workdir, capsys, command,
                                        data_flag):
         # classifier trained against the pretrained model, used with a
         # differently sized one
@@ -561,15 +539,14 @@ class TestExitCodes:
                          "--vocab", str(workdir / "vocab.txt"),
                          "--model", str(workdir / "small.bin"),
                          "--clf", str(workdir / "clf.bin")])
-        assert code == 1
+        assert code == 2
         err = capsys.readouterr().err
-        assert "dimension mismatch" in err
+        assert f"error: {workdir / 'clf.bin'}: dimension mismatch" in err
+        assert str(workdir / "small.bin") in err
         assert "48" in err        # 4*4*(2+1): features of the small model
         assert "192" in err       # 4*12*(2+2): dim the classifier expects
 
     @pytest.mark.parametrize("argv,config", [
-        (["wordsim", "--pairs", "{pairs}", "--model", "{model}"],
-         "matrix = foo\n"),
         (["cv", "--train", "{train}", "--model", "{model}", "--epochs", "0"],
          None),
         (["cv", "--train", "{train}", "--model", "{model}", "--folds", "1"],
@@ -590,14 +567,12 @@ class TestExitCodes:
           "{out}", "--features", "nounz"], None),
         (["ngrams", "--train", "{train}", "--model", "{model}", "--clf",
           "{clf}", "--n", "2"], None),
-    ], ids=["wordsim_config_matrix", "cv_epochs", "cv_folds", "cv_eta",
+    ], ids=["cv_epochs", "cv_folds", "cv_eta",
             "cv_dropout", "extract_m_out", "build_vocab_max_words",
             "eval_bootstrap", "eval_level", "train_features", "ngrams_n"])
     def test_bad_setting_exit_2(self, workdir, tmp_path, capsys, argv,
                                 config):
-        pairs = tmp_path / "pairs.csv"
-        pairs.write_text("noun01,noun02,5.0\nnoun03,noun04,3.0\n")
-        paths = {"pairs": pairs, "model": workdir / "tuned.bin",
+        paths = {"model": workdir / "tuned.bin",
                  "train": workdir / "train.txt", "test": workdir / "test.txt",
                  "clf": workdir / "clf.bin",
                  "corpus": workdir / "corpus.tagged", "out": tmp_path / "out"}
@@ -634,6 +609,31 @@ class TestExitCodes:
         assert f"error: {workdir / 'model.bin'}: the model has " in err
         assert not (tmp_path / "clf.bin").exists()
         assert cli.main(argv + ["--d", "12", "--c", "2"]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("given", ["flag", "key"])
+    def test_m_out_in_features_exit_2(self, workdir, tmp_path, capsys,
+                                      command, given):
+        """An ``m_out=`` token in `features` would be overridden by
+        ``--m-out``; it is rejected, naming that flag, before any work."""
+        features = "nouns,between,outside,m_out=2"
+        argv = [command, "--train", str(workdir / "train.txt"),
+                "--vocab", str(workdir / "vocab.txt"),
+                "--model", str(workdir / "model.bin"), "--epochs", "1"]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "clf.bin")]
+        else:
+            argv += ["--folds", "2"]
+        if given == "flag":
+            argv += ["--features", features]
+        else:
+            (tmp_path / "run.cfg").write_text(f"features = {features}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "sets m_out; give the outside window width with --m-out" in err
+        assert out == ""
+        assert not (tmp_path / "clf.bin").exists()
 
     @pytest.mark.parametrize("context,message", [
         ((1, 2, (3, 9999)), "context 4: word id 9999 outside"),
@@ -690,7 +690,6 @@ SURFACE = {
           "--folds --eta --l2 --epochs --m-out --dropout --fine-tune --seed",
     "eval": "--config --test --vocab --model --clf --pred --report "
             "--bootstrap --level --seed",
-    "wordsim": "--config --pairs --vocab --model --matrix",
     "ngrams": "--config --train --vocab --model --clf --label --n --top",
 }
 
@@ -708,7 +707,7 @@ def test_cli_surface_is_pinned():
               for command, parser in _subparsers().items()
               for action in parser._actions for flag in action.option_strings
               if flag not in ("-h", "--help")}
-    assert len(expected) == 91
+    assert len(expected) == 86
     assert actual == expected
 
 
@@ -734,7 +733,7 @@ def test_help_lists_every_subcommand(capsys):
     assert cli.main(["--help"]) == 0
     listed = capsys.readouterr().out
     assert all(f"    {name} " in listed for name in cli.COMMANDS)
-    assert len(cli.COMMANDS) == 9
+    assert len(cli.COMMANDS) == 8
 
 
 # The default of every setting of every subcommand.
@@ -754,7 +753,6 @@ DEFAULTS = {
            "features": "nouns,between,outside", "d": 100, "c": 3,
            "folds": 10},
     "eval": {"bootstrap": 0, "level": 0.95, "seed": 1},
-    "wordsim": {"matrix": "noun"},
     "ngrams": {"n": [1, 3], "top": 5},
 }
 
@@ -778,7 +776,7 @@ SAMPLES = {
     "t": "0.5", "epochs": "3", "seed": "9", "report_every": "50",
     "eta": "0.5", "l2": "0.5", "dropout": "0", "fine_tune": "0",
     "features": "nouns,outside", "folds": "3", "bootstrap": "200",
-    "level": "0.9", "matrix": "word", "n": "3", "top": "2",
+    "level": "0.9", "n": "3", "top": "2",
 }
 
 

@@ -115,6 +115,7 @@ class TestVocabulary:
 
     @pytest.mark.parametrize("case,line", [
         ("magic", 1), ("header_count", 1), ("lowercase_flag", 1),
+        ("lowercase_flag_2", 1), ("lowercase_flag_-1", 1),
         ("truncated", 6), ("extra_line", 8), ("no_tab", 3),
         ("negative_count", 4), ("non_integer_count", 5), ("empty_surface", 2),
     ])
@@ -128,6 +129,8 @@ class TestVocabulary:
             "magic": "relemb-vocabulary v1 4 2 lowercase=1\n",
             "header_count": "relemb-vocab v1 4 two lowercase=1\n",
             "lowercase_flag": "relemb-vocab v1 4 2 lowercase=yes\n",
+            "lowercase_flag_2": "relemb-vocab v1 4 2 lowercase=2\n",
+            "lowercase_flag_-1": "relemb-vocab v1 4 2 lowercase=-1\n",
         }.get(case, lines[0])
         edits = {"truncated": lines[:5], "extra_line": lines + ["more\t1\n"]}
         lines = edits.get(case, lines)
@@ -249,21 +252,27 @@ class TestExtraction:
 
 class TestRelationLabels:
     def test_codec_round_trips_all_19(self):
-        assert len(cp.ALL_LABELS) == 19
-        for lab in cp.ALL_LABELS:
-            assert cp.parse_label(lab.surface()) == lab
-        assert sorted({cp.label_index(l) for l in cp.ALL_LABELS}) == list(range(19))
+        assert len(cp.ALL_LABELS) == len(set(cp.ALL_LABELS)) == 19
+        for i, surface in enumerate(cp.ALL_LABELS):
+            assert cp.parse_label(surface) == i
+            assert cp.parse_label(f" {surface}\n") == i
+        # family f's two directions are labels 2f and 2f + 1
+        for i, surface in enumerate(cp.ALL_LABELS[:-1]):
+            direction = ("e1,e2", "e2,e1")[i % 2]
+            assert surface == f"{cp.FAMILIES[i // 2]}({direction})"
 
     def test_other_has_no_direction(self):
         other = cp.parse_label("Other")
-        assert other.direction is None
-        assert other.surface() == "Other"
+        assert other == cp.OTHER == len(cp.ALL_LABELS) - 1
+        assert cp.ALL_LABELS[other] == "Other"
+        with pytest.raises(ValueError):
+            cp.parse_label("Other(e1,e2)")
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            cp.parse_label("Cause-Effect(e3,e1)")
-        with pytest.raises(ValueError):
-            cp.parse_label("Nonsense")
+        for text in ("Cause-Effect(e3,e1)", "Nonsense", "cause-effect(e1,e2)"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown relation label: {text!r}")):
+                cp.parse_label(text)
 
 
 SEMEVAL_SAMPLE = '''1\t"Financial <e1>stress</e1> is one of the main causes of <e2>divorce</e2>"
@@ -292,9 +301,10 @@ class TestSemEvalParsing:
         vocab = _semeval_vocab()
         instances = cp.parse_semeval(io.StringIO(SEMEVAL_SAMPLE), vocab, m_out=5)
         assert instances.ids.tolist() == [1, 2, 3]
-        labels = instances.gold()
+        labels = instances.labels.tolist()
+        assert labels == [0, 1, cp.OTHER]
         a = instances.contexts.context(0)
-        assert labels[0] == cp.RelationLabel("Cause-Effect", "e1,e2")
+        assert cp.ALL_LABELS[labels[0]] == "Cause-Effect(e1,e2)"
         assert a.n1 == vocab.noun_id("stress")
         assert a.n2 == vocab.noun_id("divorce")
         expected_in = tuple(vocab.word_id(w) for w in
@@ -302,7 +312,7 @@ class TestSemEvalParsing:
         assert a.w_in == expected_in
 
         b = instances.contexts.context(1)
-        assert labels[1] == cp.RelationLabel("Cause-Effect", "e2,e1")
+        assert cp.ALL_LABELS[labels[1]] == "Cause-Effect(e2,e1)"
         assert b.n1 == vocab.noun_id("burst")
 
     def test_multi_token_entity_head_is_last_token(self):
@@ -590,7 +600,7 @@ def test_take_equals_packing_the_selected_contexts(data, picks, ids,
                                     np.array(labels, np.int64), read)
     taken = instances.take(rows)
     assert taken.ids.tolist() == [ids[r] for r in rows]
-    assert taken.gold() == [cp.ALL_LABELS[labels[r]] for r in rows]
+    assert taken.labels.tolist() == [labels[r] for r in rows]
     assert list(taken.contexts) == [contexts[r] for r in rows]
 
 

@@ -1,18 +1,20 @@
-import io
-import logging
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relemb import evaluation as ev
 from relemb.classifier import SoftmaxParams
-from relemb.corpus import (ALL_LABELS, FAMILIES, NounPairContext, RelationLabel,
-                           parse_label)
+from relemb.corpus import FAMILIES, OTHER, NounPairContext, parse_label
 from relemb.features import FeatureOptions, feature_dim, ngram_embedding
 from conftest import pack, rand_params, rand_ctx
+
+
+def family(label):
+    """The family of label index `label`; Other is in none of FAMILIES."""
+    return FAMILIES[label // 2] if label != OTHER else "Other"
 
 
 def brute_force_scores(gold, pred):
@@ -23,11 +25,11 @@ def brute_force_scores(gold, pred):
         gold_n = 0
         pred_n = 0
         for g, p in zip(gold, pred):
-            if g.family == fam:
+            if family(g) == fam:
                 gold_n += 1
-            if p.family == fam:
+            if family(p) == fam:
                 pred_n += 1
-            if g.family == fam and p.family == fam and g.direction == p.direction:
+            if family(g) == fam and g == p:
                 tp += 1
         if gold_n == 0 and pred_n == 0:
             continue
@@ -38,14 +40,13 @@ def brute_force_scores(gold, pred):
         f1s.append(f1)
     macro = 100.0 * sum(f1s) / len(f1s) if f1s else 0.0
     correct = sum(1 for g, p in zip(gold, pred) if g == p)
-    accuracy = 100.0 * correct / len(gold) if gold else 0.0
+    accuracy = 100.0 * correct / len(gold) if len(gold) else 0.0
     return macro, accuracy
 
 
 CE12 = parse_label("Cause-Effect(e1,e2)")
 CE21 = parse_label("Cause-Effect(e2,e1)")
 MT12 = parse_label("Message-Topic(e1,e2)")
-OTHER = parse_label("Other")
 
 
 class TestScoreSemeval:
@@ -85,8 +86,8 @@ class TestScoreSemeval:
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
-            gold = [ALL_LABELS[i] for i in rng.integers(0, 19, 50)]
-            pred = [ALL_LABELS[i] for i in rng.integers(0, 19, 50)]
+            gold = rng.integers(0, 19, 50).tolist()
+            pred = rng.integers(0, 19, 50).tolist()
             report = ev.score_semeval(gold, pred)
             macro, acc = brute_force_scores(gold, pred)
             assert report.macro_f1 == macro
@@ -94,8 +95,8 @@ class TestScoreSemeval:
 
     def test_order_invariance(self):
         rng = np.random.default_rng(5)
-        gold = [ALL_LABELS[i] for i in rng.integers(0, 19, 60)]
-        pred = [ALL_LABELS[i] for i in rng.integers(0, 19, 60)]
+        gold = rng.integers(0, 19, 60).tolist()
+        pred = rng.integers(0, 19, 60).tolist()
         base = ev.score_semeval(gold, pred)
         perm = rng.permutation(60)
         shuffled = ev.score_semeval([gold[i] for i in perm],
@@ -105,31 +106,64 @@ class TestScoreSemeval:
 
     def test_confusion_row_sums_equal_gold_counts(self):
         rng = np.random.default_rng(6)
-        gold = [ALL_LABELS[i] for i in rng.integers(0, 19, 40)]
-        pred = [ALL_LABELS[i] for i in rng.integers(0, 19, 40)]
+        gold = rng.integers(0, 19, 40).tolist()
+        pred = rng.integers(0, 19, 40).tolist()
         report = ev.score_semeval(gold, pred)
-        from relemb.corpus import label_index
         row_sums = report.confusion.sum(axis=1)
-        for lab in ALL_LABELS:
-            assert row_sums[label_index(lab)] == sum(1 for g in gold if g == lab)
+        for lab in range(19):
+            assert row_sums[lab] == sum(1 for g in gold if g == lab)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ev.score_semeval([CE12], [CE12, OTHER])
 
+    def test_arrays_score_as_lists(self):
+        rng = np.random.default_rng(8)
+        gold, pred = rng.integers(0, 19, (2, 70))
+        want = ev.score_semeval(gold.tolist(), pred.tolist())
+        got = ev.score_semeval(gold, pred)
+        assert (got.macro_f1, got.accuracy) == (want.macro_f1, want.accuracy)
+        assert got.per_family == want.per_family
+        assert ev.score_semeval(np.array([], np.int64), []).accuracy == 0.0
+
     def test_per_family_counts_match_a_plain_tally(self):
         rng = np.random.default_rng(7)
-        gold = [ALL_LABELS[i] for i in rng.integers(0, 19, 80)]
-        pred = [ALL_LABELS[i] for i in rng.integers(0, 19, 80)]
+        gold = rng.integers(0, 19, 80).tolist()
+        pred = rng.integers(0, 19, 80).tolist()
         report = ev.score_semeval(gold, pred)
         for fam in FAMILIES:
-            want = {"gold": sum(g.family == fam for g in gold),
-                    "pred": sum(p.family == fam for p in pred),
-                    "tp": sum(g == p and g.family == fam
+            want = {"gold": sum(family(g) == fam for g in gold),
+                    "pred": sum(family(p) == fam for p in pred),
+                    "tp": sum(g == p and family(g) == fam
                               for g, p in zip(gold, pred))}
             got = {key: report.per_family[fam][key] for key in want}
             assert got == want
             assert all(type(value) is int for value in got.values())
+
+
+# A label index outside 0..18, or a label that is not an index, is
+# rejected before anything is counted or written: -1 must not wrap around
+# to Other.
+@pytest.mark.parametrize("bad", [19, -1, "Other", 1.0])
+@pytest.mark.parametrize("call", ["score_gold", "score_pred",
+                                  "bootstrap_gold", "bootstrap_pred",
+                                  "write"])
+def test_labels_outside_the_inventory_rejected(tmp_path, call, bad):
+    labels = [CE12, bad, OTHER]
+    good = [CE12, CE21, OTHER]
+    path = tmp_path / "pred.txt"
+    calls = {
+        "score_gold": lambda: ev.score_semeval(labels, good),
+        "score_pred": lambda: ev.score_semeval(good, labels),
+        "bootstrap_gold": lambda: ev.bootstrap_ci(labels, good, 100),
+        "bootstrap_pred": lambda: ev.bootstrap_ci(good, labels, 100),
+        "write": lambda: ev.write_predictions([1, 2, 3], labels, path),
+    }
+    message = (f"label index {bad} outside 0..18" if isinstance(bad, int)
+               else "label indices must be integers")
+    with pytest.raises(ValueError, match=message):
+        calls[call]()
+    assert not path.exists()
 
 
 class TestBootstrap:
@@ -140,8 +174,8 @@ class TestBootstrap:
 
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(9)
-        gold = [ALL_LABELS[i] for i in rng.integers(0, 19, 100)]
-        pred = [ALL_LABELS[i] for i in rng.integers(0, 19, 100)]
+        gold = rng.integers(0, 19, 100).tolist()
+        pred = rng.integers(0, 19, 100).tolist()
         a = ev.bootstrap_ci(gold, pred, iterations=300, seed=17)
         b = ev.bootstrap_ci(gold, pred, iterations=300, seed=17)
         assert a == b
@@ -151,8 +185,8 @@ class TestBootstrap:
         contained = 0
         trials = 40
         for _ in range(trials):
-            gold = [ALL_LABELS[i] for i in rng.integers(0, 19, 150)]
-            pred = [g if rng.random() < 0.7 else ALL_LABELS[rng.integers(0, 19)]
+            gold = rng.integers(0, 19, 150).tolist()
+            pred = [g if rng.random() < 0.7 else int(rng.integers(0, 19))
                     for g in gold]
             point = ev.score_semeval(gold, pred).macro_f1
             lo, hi = ev.bootstrap_ci(gold, pred, iterations=300,
@@ -172,8 +206,8 @@ class TestBootstrap:
         # gold never holds the last four families and predictions never
         # the first two, so some families are absent from one or both
         rng = np.random.default_rng(n + seed)
-        gold = [ALL_LABELS[i] for i in rng.choice([*range(10), 18], n)]
-        pred = [ALL_LABELS[i] for i in rng.integers(4, 19, n)]
+        gold = rng.choice([*range(10), 18], n).tolist()
+        pred = rng.integers(4, 19, n).tolist()
         monkeypatch.setattr(ev, "_BOOTSTRAP_BLOCK", 300)   # blocks of 2-300
         want = _per_iteration_bootstrap(gold, pred, 130, level, seed)
         assert ev.bootstrap_ci(gold, pred, 130, level, seed) == want
@@ -185,8 +219,8 @@ class TestBootstrap:
     def test_matches_per_iteration_loop_at_the_default_block(
             self, n, iterations):
         rng = np.random.default_rng(n)
-        gold = [ALL_LABELS[i] for i in rng.integers(0, 19, n)]
-        pred = [g if rng.random() < 0.8 else ALL_LABELS[rng.integers(0, 19)]
+        gold = rng.integers(0, 19, n).tolist()
+        pred = [g if rng.random() < 0.8 else int(rng.integers(0, 19))
                 for g in gold]
         want = _per_iteration_bootstrap(gold, pred, iterations, 0.95, 5)
         assert ev.bootstrap_ci(gold, pred, iterations, 0.95, 5) == want
@@ -196,8 +230,8 @@ class TestBootstrap:
         maps them to cells (another 256 KiB); the peak stays near that,
         however many resamples run.  Twice the block reads ~1.7 MiB."""
         rng = np.random.default_rng(11)
-        gold = [ALL_LABELS[i] for i in rng.integers(0, 19, 1600)]
-        pred = [g if rng.random() < 0.8 else ALL_LABELS[rng.integers(0, 19)]
+        gold = rng.integers(0, 19, 1600).tolist()
+        pred = [g if rng.random() < 0.8 else int(rng.integers(0, 19))
                 for g in gold]
         ev.bootstrap_ci(gold, pred, 1000)       # first-call set-up
         tracemalloc.start()
@@ -248,144 +282,6 @@ def test_percentiles_equal_numpy_s_bit_for_bit(values, percents):
     assert all(type(x) is float for x in got)
 
 
-def _pair_embeddings(sims):
-    """Word vectors for pairs (a_i, b_i) whose cosines equal `sims`."""
-    surfaces = []
-    rows = []
-    for i, s in enumerate(sims):
-        theta = math.acos(s)
-        surfaces += [f"a{i}", f"b{i}"]
-        rows += [[1.0, 0.0], [math.cos(theta), math.sin(theta)]]
-    return surfaces, np.array(rows)
-
-
-def _wordsim_fixture(sims):
-    from conftest import make_vocab
-    from relemb.embed_train import EmbeddingParams
-    surfaces, rows = _pair_embeddings(sims)
-    vocab = make_vocab({s: 1 for s in surfaces}, {s: 1 for s in surfaces})
-    word_vecs = np.zeros((vocab.n_words, 2))
-    noun_vecs = np.zeros((vocab.n_nouns, 2))
-    for s, row in zip(surfaces, rows):
-        word_vecs[vocab.word_id(s)] = row
-        noun_vecs[vocab.noun_id(s)] = row
-    params = EmbeddingParams(noun_vecs, word_vecs,
-                             np.zeros((vocab.n_words, 2)),
-                             np.zeros(vocab.n_words), dim=2, window=1)
-    return vocab, params
-
-
-class TestWordSim:
-    def test_identical_ranking_gives_one(self):
-        sims = [0.1, 0.2, 0.3, 0.4, 0.5]
-        vocab, params = _wordsim_fixture(sims)
-        pairs = [(f"a{i}", f"b{i}", float(i)) for i in range(5)]
-        result = ev.spearman_wordsim(pairs, params, vocab, "word")
-        assert result.rho == pytest.approx(1.0)
-
-    def test_reversed_ranking_gives_minus_one(self):
-        sims = [0.5, 0.4, 0.3, 0.2, 0.1]
-        vocab, params = _wordsim_fixture(sims)
-        pairs = [(f"a{i}", f"b{i}", float(i)) for i in range(5)]
-        result = ev.spearman_wordsim(pairs, params, vocab, "word")
-        assert result.rho == pytest.approx(-1.0)
-
-    def test_tied_scores_hand_value(self):
-        # human [1, 2, 2, 4, 5] (tie), cosine ranks [1, 3, 2, 5, 4]:
-        # average-rank Spearman = 8.5 / sqrt(95)
-        sims = [0.1, 0.3, 0.2, 0.5, 0.4]
-        vocab, params = _wordsim_fixture(sims)
-        pairs = [(f"a{i}", f"b{i}", h) for i, h in enumerate([1.0, 2.0, 2.0,
-                                                              4.0, 5.0])]
-        result = ev.spearman_wordsim(pairs, params, vocab, "word")
-        assert result.rho == pytest.approx(8.5 / math.sqrt(95), abs=1e-12)
-
-    @pytest.mark.parametrize("constant", ["cosine similarities",
-                                          "human scores"])
-    def test_constant_side_warns_and_gives_nan(self, caplog, constant):
-        if constant == "human scores":
-            sims, human = [0.1, 0.3, 0.2], [2.0, 2.0, 2.0]
-        else:
-            sims, human = [0.3, 0.3, 0.3], [1.0, 2.0, 3.0]
-        vocab, params = _wordsim_fixture(sims)
-        pairs = [(f"a{i}", f"b{i}", h) for i, h in enumerate(human)]
-        with caplog.at_level(logging.WARNING, logger="relemb.evaluation"):
-            result = ev.spearman_wordsim(pairs, params, vocab, "word")
-        assert math.isnan(result.rho)
-        assert f"all 3 {constant} are equal" in caplog.text
-
-    def test_pair_order_invariance(self):
-        sims = [0.1, 0.3, 0.2, 0.5, 0.4]
-        vocab, params = _wordsim_fixture(sims)
-        pairs = [(f"a{i}", f"b{i}", h) for i, h in enumerate([1, 2, 2, 4, 5])]
-        rho1 = ev.spearman_wordsim(pairs, params, vocab, "word").rho
-        rho2 = ev.spearman_wordsim(pairs[::-1], params, vocab, "word").rho
-        assert rho1 == pytest.approx(rho2)
-
-    def test_oov_pairs_reported(self):
-        vocab, params = _wordsim_fixture([0.1, 0.2])
-        params.word_vecs[1] = [1.0, 0.0]     # give UNK a usable vector
-        pairs = [("a0", "b0", 1.0), ("a1", "b1", 2.0), ("zzz", "b0", 3.0)]
-        result = ev.spearman_wordsim(pairs, params, vocab, "word")
-        assert result.oov_pairs == [("zzz", "b0")]
-        assert result.n_pairs == 3
-        assert np.isfinite(result.rho)
-
-    def test_noun_and_word_selectors_differ(self):
-        vocab, params = _wordsim_fixture([0.1, 0.5])
-        params.noun_vecs[:] = 1.0            # degenerate noun space
-        pairs = [("a0", "b0", 1.0), ("a1", "b1", 2.0)]
-        r_word = ev.spearman_wordsim(pairs, params, vocab, "word")
-        assert r_word.rho == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            ev.spearman_wordsim(pairs, params, vocab, "embedding")
-
-    @staticmethod
-    def _check_against_spearmanr(human, grid):
-        """rho over pairs whose cosines are ``k/1000`` for k in `grid`:
-        distinct k keep distinct, equally ordered cosines, so scipy's rho on
-        (human, grid) is the reference."""
-        spearmanr = pytest.importorskip("scipy.stats").spearmanr
-        vocab, params = _wordsim_fixture([k / 1000 for k in grid])
-        pairs = [(f"a{i}", f"b{i}", h) for i, h in enumerate(human)]
-        rho = ev.spearman_wordsim(pairs, params, vocab, "word").rho
-        assert rho == pytest.approx(spearmanr(human, grid).statistic,
-                                    rel=0.0, abs=1e-12)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_rho_matches_spearmanr(self, data):
-        pytest.importorskip("scipy.stats")
-        n = data.draw(st.integers(3, 60), label="n")
-        tied = data.draw(st.booleans(), label="tied")
-        humans = (st.sampled_from([0.0, 1.5, 2.0, 7.25]) if tied
-                  else st.floats(-10.0, 10.0, allow_nan=False))
-        ks = st.integers(-3, 3) if tied else st.integers(-999, 999)
-        human = data.draw(st.lists(humans, min_size=n, max_size=n),
-                          label="human")
-        grid = data.draw(st.lists(ks, min_size=n, max_size=n), label="grid")
-        assume(len(set(human)) > 1 and len(set(grid)) > 1)
-        self._check_against_spearmanr(human, grid)
-
-    @pytest.mark.parametrize("human, grid", [
-        ([1.0, 2.0, 3.0], [10, 30, 20]),
-        ([1.0, 1.0, 3.0], [10, 30, 20]),
-        ([1.0, 2.0, 3.0], [20, 20, 10]),
-        ([2.0, 1.0, 2.0], [5, 5, -5]),
-    ])
-    def test_rho_matches_spearmanr_with_three_pairs(self, human, grid):
-        self._check_against_spearmanr(human, grid)
-
-    def test_read_wordsim_formats(self, tmp_path):
-        comma = tmp_path / "c.csv"
-        comma.write_text("Word 1,Word 2,Human (mean)\nlove,sex,6.77\ncar,auto,8.94\n")
-        assert ev.read_wordsim(comma) == [("love", "sex", 6.77),
-                                          ("car", "auto", 8.94)]
-        tab = tmp_path / "t.tsv"
-        tab.write_text("love\tsex\t6.77\n")
-        assert ev.read_wordsim(tab) == [("love", "sex", 6.77)]
-
-
 class TestTopNgrams:
     def _fixture(self, rng, zero_weights=False):
         params = rand_params(rng, dim=3, window=2, n_nouns=4, n_words=12)
@@ -434,8 +330,7 @@ class TestTopNgrams:
         d = params.dim
         off = 2 * d
         blk = 2 * params.window * d + params.pred_dim
-        from relemb.corpus import label_index
-        expected = softmax.weights[label_index(CE12), off:off + blk] @ h
+        expected = softmax.weights[CE12, off:off + blk] @ h
         assert score == pytest.approx(expected)
 
     def test_unigram_masking(self, rng):
@@ -458,6 +353,12 @@ class TestTopNgrams:
         for bad in (0, 2, 7):   # window 2 allows odd n up to 5
             with pytest.raises(ValueError):
                 ev.top_ngrams(softmax, params, opts, instances, CE12, bad)
+
+    def test_label_outside_the_inventory_rejected(self, rng):
+        params, opts, softmax, instances = self._fixture(rng)
+        for bad in (19, -1):
+            with pytest.raises(ValueError, match=f"label index {bad} "):
+                ev.top_ngrams(softmax, params, opts, instances, bad, 3)
 
     def test_dedupes_by_surface_form(self, rng):
         params, opts, softmax, _ = self._fixture(rng)
@@ -493,3 +394,5 @@ class TestRendering:
         path = tmp_path / "pred.txt"
         ev.write_predictions([8001, 8002], [CE12, OTHER], path)
         assert path.read_text() == "8001\tCause-Effect(e1,e2)\n8002\tOther\n"
+        ev.write_predictions([8001, 8002], np.array([CE21, OTHER]), path)
+        assert path.read_text() == "8001\tCause-Effect(e2,e1)\n8002\tOther\n"
