@@ -36,7 +36,7 @@ from .embed_train import (
     save_model,
     train_embeddings,
 )
-from .cbow_baseline import CbowModel, import_as_initialization, train_cbow
+from .cbow_baseline import train_cbow
 from .features import FeatureOptions, assemble_features, feature_dim
 from .classifier import (
     SoftmaxParams,

@@ -253,8 +253,7 @@ def cmd_cbow(args):
     vocab = cp.Vocabulary.load(args.vocab)
     corpus = cp.parse_tagged_corpus(*args.corpus)
     config = _config(et.PretrainConfig, _PRETRAIN_FIELDS, cfg)
-    model, log = cb.train_cbow(corpus, vocab, config)
-    params = cb.import_as_initialization(model, vocab)
+    params, log = cb.train_cbow(corpus, vocab, config)
     et.save_model(params, args.out)
     print(f"tokens seen: {log.targets_seen}")
     print(f"updates: {log.steps_taken}")
@@ -266,6 +265,9 @@ def cmd_cbow(args):
 def _load_embeddings(args, cfg, vocab):
     """Pretrained model file or random initialization.  A `d` or `c` given
     explicitly (flag or config key) must match the model file's."""
+    if args.model and args.init:
+        raise ConfigError(f"--model {args.model} and --init {args.init} "
+                          f"both give the embeddings: give one")
     if args.model:
         _require_files(args.model)
         params = et.load_model(args.model)

@@ -378,24 +378,30 @@ class Vocabulary:
         :class:`ArtifactError` naming ``path:line``: a bad magic or header,
         a line that is not ``surface<TAB>count`` with a non-negative integer
         count, a ranked surface repeated within its inventory, other than
-        the announced number of lines, or bytes that are not UTF-8."""
+        the announced number of lines, or bytes that are not UTF-8.  The
+        header must count the reserved ids (2 words, 1 noun) and name each
+        flag once."""
         with reading_utf8(path), open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if header[:2] != ["relemb-vocab", "v1"]:
                 raise ArtifactError(f"{path}:1: not a relemb-vocab file")
             try:
                 n_words, n_nouns = int(header[2]), int(header[3])
-                flags = dict(tok.split("=", 1) for tok in header[4:])
+                flags = _header_dict((tok.split("=", 1) for tok in header[4:]),
+                                     f"{path}:1")
                 flag = flags.get("lowercase", "1")
                 if flag not in ("0", "1"):
                     raise ValueError(flag)
                 lowercase = flag == "1"
+            except ArtifactError:
+                raise
             except (IndexError, ValueError):
                 n_words = n_nouns = -1
-            if n_words < 0 or n_nouns < 0:
+            if n_words < 2 or n_nouns < 1:
                 raise ArtifactError(
-                    f"{path}:1: header needs non-negative integer word and "
-                    f"noun counts and a lowercase flag of 0 or 1")
+                    f"{path}:1: header needs integer counts of at least 2 "
+                    f"words and 1 noun (the reserved ids) and a lowercase "
+                    f"flag of 0 or 1")
             surfaces, counts = [], []
             # ranked surface -> its line, per inventory; the reserved ids
             # (2 words, 1 noun) are never looked up, so they may repeat
@@ -703,6 +709,17 @@ def _check_finite(path, k, arr):
                 f"at index {tuple(map(int, np.unravel_index(at, arr.shape)))}")
 
 
+def _header_dict(pairs, where):
+    """The header's ``(key, value)`` `pairs` as a dict; raises
+    :class:`ArtifactError` naming `where` when a key repeats."""
+    kv = {}
+    for key, value in pairs:
+        if key in kv:
+            raise ArtifactError(f"{where}: header repeats {key}")
+        kv[key] = value
+    return kv
+
+
 def _header_dims(kv, keys, least=1):
     """The values of `keys` in header dict `kv` as integers; raises
     ValueError unless each is `least` or more."""
@@ -736,7 +753,8 @@ def read_blob_file(path, magic, required, shapes, dtype="<f8"):
             header = line.decode("utf-8").split() if whole else []
         if header[:2] != [magic, "v1"]:
             raise ArtifactError(f"not a {magic} file: {path}")
-        kv = dict(tok.partition("=")[::2] for tok in header[2:])
+        kv = _header_dict((tok.partition("=")[::2] for tok in header[2:]),
+                          path)
         missing = [key for key in required if key not in kv]
         if missing:
             raise ArtifactError(f"{path}: header lacks {', '.join(missing)}")

@@ -9,14 +9,24 @@ are stochastically discarded before training.
 Training walks the contexts in order.  Per context it draws the pair's two
 subsampling uniforms; per target of a kept pair it sets the linear rate,
 draws the target's subsampling uniform, then its noise (clashes with the
-target drawn again), and takes the step.  When a C compiler is found, that
-walk runs in the compiled pretraining entry point of :mod:`relemb.kernels`,
-over blocks of contexts read from :class:`~relemb.corpus.ContextArrays`:
-C makes the same draws in the same order from the run's own generator,
-through numpy's ``bitgen_t``, and returns to Python at each progress
-record.  Otherwise the numpy loop (:func:`pretrain_step`, built on
-:func:`pretrain_objective_and_grad` and :func:`apply_row_grads`) runs; it
-stays the reference.
+target drawn again), and takes the step.
+
+The CBOW baseline (:mod:`relemb.cbow_baseline`) is the same trainer over
+sentence windows: it trains an :class:`EmbeddingParams` through the same
+negative-sampling step (without the bias) and the same walk loop.  A walk
+is called as ``walk(*args, progress)``: it goes on from the context or
+sentence ``progress.at``, counts into a :class:`relemb.kernels.Progress`
+and returns True at each report point, where the loop records and logs the
+window, resets it and calls again; at the loop's end it closes the window
+and adds the counts to the :class:`TrainingLog`.  Pretraining runs the
+loop once per epoch, over blocks of contexts read from
+:class:`~relemb.corpus.ContextArrays`; CBOW once per run.  When a C
+compiler is found, each walk is the compiled entry point of
+:mod:`relemb.kernels`, which makes the same draws in the same order from
+the run's own generator, through numpy's ``bitgen_t``.  Otherwise its
+numpy twin runs (here the steps of :func:`pretrain_step`, built on
+:func:`pretrain_objective_and_grad` and :func:`apply_row_grads`): it takes
+the same arguments, and stays the reference.
 
 Models are header-and-blob files of float64 arrays, written and read by
 :func:`~relemb.corpus.write_blob_file` and
@@ -70,7 +80,8 @@ class EmbeddingParams:
     the noun and word inventories; ``pred_vecs``/``pred_bias`` hold the
     per-word logistic-regression weights used to score prediction targets.
     For natively pretrained parameters each prediction vector has length
-    ``2*dim*(2+window)``; imported bag-of-words baselines use length ``dim``.
+    ``2*dim*(2+window)``; the CBOW baseline's have length ``dim``, and its
+    biases stay zero.
     """
 
     noun_vecs: np.ndarray   # (n_nouns, dim)
@@ -349,13 +360,17 @@ def pretrain_objective_and_grad(ctx, i, params, noise_ids, slots=None):
         params, pretrain_table(ctx, i, params.window, slots), words)
 
 
-def _objective_and_grad(params, table, words):
-    """:func:`pretrain_objective_and_grad` of the step whose prediction
-    input is the id table `table` and whose scored words are `words`, the
-    target first."""
+def _objective_and_grad(params, table, words, bias=True):
+    """The negative-sampling step of both embedding trainers: objective
+    and gradients, keyed as :func:`pretrain_objective_and_grad`, of the
+    step whose prediction input is the id table `table` and whose scored
+    words are `words`, the target first.  Without `bias`, the scores and
+    the gradient leave ``pred_bias`` out."""
     f = gather_table(params, *table)
     pred = params.pred_vecs[words]
-    z = pred @ f + params.pred_bias[words]
+    z = pred @ f
+    if bias:
+        z += params.pred_bias[words]
     labels = np.zeros(len(words))
     labels[0] = 1.0
     value = float(log_sigmoid(z[0]) + log_sigmoid(-z[1:]).sum())
@@ -363,7 +378,8 @@ def _objective_and_grad(params, table, words):
     grads = scatter_table(errs @ pred, params, *table)
     scored = words.tolist()
     grads["pred_vecs"] = sum_rows(scored, np.outer(errs, f))
-    grads["pred_bias"] = sum_rows(scored, errs)
+    if bias:
+        grads["pred_bias"] = sum_rows(scored, errs)
     return value, grads
 
 
@@ -465,14 +481,6 @@ class _Draws:
         return self.cfg.alpha * (1.0 - done / self.planned)
 
 
-def _report(log, done, draws, win_sum, win_count):
-    log.record(done, win_sum, win_count)
-    logger.info("pretrain: %d/%d targets, window objective %.4f, lr %.5f",
-                done, draws.planned,
-                win_sum / win_count if win_count else float("nan"),
-                draws.rate(min(done, draws.planned)))
-
-
 def _blocks(arrays, c):
     """`arrays` in blocks of at most ``_BATCH_STEPS`` targets (one context
     may exceed it), each with the :func:`neighbor_slot_rows` of its
@@ -487,58 +495,57 @@ def _blocks(arrays, c):
         lo = hi
 
 
-def _train_epoch(arrays, params, draws, done, log):
-    """One sequential pass of numpy steps over the contexts; `done` is the
-    number of targets already passed in the linear learning-rate schedule.
-    Returns the updated count."""
+def _numpy_contexts(params, block, slots, draws, progress):
+    """The pretraining walk of :mod:`relemb.kernels` in numpy steps, its
+    reference: over the contexts of `block` from ``progress.at``, drawing
+    from ``draws.rng`` and counting into `progress` as the compiled walk
+    does.  Returns True after the first kept context that leaves
+    ``progress.done`` at or past ``progress.next_report``."""
     cfg, rng = draws.cfg, draws.rng
-    win_sum = 0.0
-    win_count = 0
-    next_report = done + cfg.report_every
-    for block, slots in _blocks(arrays, cfg.window):
-        slots = slots.tolist()
-        for ctx, first in zip(block, block.offsets.tolist()):
-            if pair_discard(ctx.n1, ctx.n2, draws.nouns, rng):
-                done += ctx.m_in
-                log.targets_seen += ctx.m_in
-                log.pairs_discarded += 1
+    while progress.at < len(block):
+        r = progress.at
+        progress.at += 1
+        ctx = block.context(r)
+        if pair_discard(ctx.n1, ctx.n2, draws.nouns, rng):
+            progress.done += ctx.m_in
+            progress.pairs_discarded += 1
+            continue
+        rows = slots[block.offsets[r]:block.offsets[r + 1]].tolist()
+        for i in range(1, ctx.m_in + 1):
+            lr = draws.rate(progress.done)
+            progress.done += 1
+            if draws.words.should_discard(ctx.w_in[i - 1], rng):
+                progress.targets_discarded += 1
                 continue
-            for i in range(1, ctx.m_in + 1):
-                lr = draws.rate(done)
-                done += 1
-                log.targets_seen += 1
-                if draws.words.should_discard(ctx.w_in[i - 1], rng):
-                    log.targets_discarded += 1
-                    continue
-                win_sum += pretrain_step(ctx, i, params, lr, cfg.negatives,
-                                         draws.noise, rng,
-                                         slots[first + i - 1])
-                win_count += 1
-                log.steps_taken += 1
-            if done >= next_report:
-                _report(log, done, draws, win_sum, win_count)
-                win_sum = 0.0
-                win_count = 0
-                next_report += cfg.report_every
-    log.record(done, win_sum, win_count)
-    return done
+            progress.win_sum += pretrain_step(ctx, i, params, lr,
+                                              cfg.negatives, draws.noise, rng,
+                                              rows[i - 1])
+            progress.win_count += 1
+            progress.steps += 1
+        if progress.done >= progress.next_report:
+            return True
+    return False
 
 
-def _compiled_epoch(kernel, arrays, params, draws, done, log):
-    """:func:`_train_epoch` through the compiled walk, which makes the same
-    draws in the same order and takes each step right after them, over
-    blocks of at most ``_BATCH_STEPS`` targets."""
-    cfg = draws.cfg
+def _walk(walk, calls, log, what, cfg, planned, done=0):
+    """Run ``walk(*args, progress)`` over each `args` of `calls` in turn,
+    from its first context or sentence, with `done` targets passed in the
+    rate schedule of `planned`.  At each report point it records and logs
+    the window, resets it and moves the report point on; at the end it
+    closes the window and adds the walk's counts to `log`.  Returns the
+    targets passed."""
     progress = kernels.Progress(done=done, next_report=done + cfg.report_every)
-    for block, slots in _blocks(arrays, cfg.window):
+    for args in calls:
         progress.at = 0
-        while kernel(params, block, slots, draws.nouns.discard_probs,
-                     draws.words.discard_probs, draws.noise, cfg.negatives,
-                     cfg.alpha, draws.planned, draws.rng, progress):
-            _report(log, progress.done, draws, progress.win_sum,
-                    progress.win_count)
-            progress.win_sum = 0.0
-            progress.win_count = 0
+        while walk(*args, progress):
+            log.record(progress.done, progress.win_sum, progress.win_count)
+            logger.info("%s: %d/%d targets, window objective %.4f, lr %.5f",
+                        what, progress.done, planned,
+                        progress.win_sum / progress.win_count
+                        if progress.win_count else float("nan"),
+                        cfg.alpha * (1.0 - min(progress.done, planned)
+                                     / planned))
+            progress.win_sum, progress.win_count = 0.0, 0
             progress.next_report += cfg.report_every
     log.targets_seen += progress.done - done
     log.steps_taken += progress.steps
@@ -573,14 +580,13 @@ def train_embeddings(contexts, vocab, config):
     compiled = kernels.load()
     logger.info("pretrain: taking %s steps",
                 "numpy" if compiled is None else "compiled")
+    walk = _numpy_contexts if compiled is None else compiled.pretrain_contexts
     log = TrainingLog()
     done = 0
     for _ in range(cfg.epochs):
-        if compiled is None:
-            done = _train_epoch(arrays, params, draws, done, log)
-        else:
-            done = _compiled_epoch(compiled.pretrain_contexts, arrays, params,
-                                   draws, done, log)
+        done = _walk(walk, ((params, block, slots, draws)
+                            for block, slots in _blocks(arrays, cfg.window)),
+                     log, "pretrain", cfg, draws.planned, done)
     _warn_if_untrained(log, cfg.epochs * len(arrays), cfg.subsample)
     params.check_finite()
     return params, log

@@ -17,8 +17,12 @@ caller's ``numpy.random.Generator``: its
 ``bit_generator.ctypes.bit_generator`` is numpy's ``bitgen_t``, whose
 ``next_double`` is one ``Generator.random()`` draw, so the stream stays
 bit-identical and the generator ends where the numpy loop leaves it.  The
-generator's lock is held for each call.  A walk returns at each progress
-record, so the caller logs the same windows.
+generator's lock is held for each call.  Each walk's binding takes the
+arguments of its numpy twin (``embed_train._numpy_contexts``,
+``cbow_baseline._numpy_sentences``), counts into the same
+:class:`Progress` and returns at the same report points, so the walk loop
+of ``embed_train`` runs either and logs the same windows.  Both walks
+train the ``EmbeddingParams`` of ``embed_train``.
 
 A pretraining or CBOW step reads each scored prediction row once: one pass
 adds the row's share of the input gradient, moves the row, and sums the
@@ -383,15 +387,15 @@ int64_t relemb_pretrain_contexts(
    Per sentence: the rate alpha * (1 - done / planned), one discard draw
    per token, and, when at least two tokens are kept, per kept centre in
    turn k noise draws and the step, whose input is the mean of the
-   in_vecs of the c kept tokens on each side, scored against out_vecs
-   with no bias.  Returns 1 after the first sentence that leaves done at
-   or past pr->next_report, 0 at the end.  `work` holds 2d + k + 1
+   word_vecs of the c kept tokens on each side, scored against pred_vecs
+   (d wide) with no bias.  Returns 1 after the first sentence that leaves
+   done at or past pr->next_report, 0 at the end.  `work` holds 2d + k + 1
    doubles, and `scratch` k + 1 + 2c ids plus the longest sentence's. */
 int64_t relemb_cbow_sentences(
     int64_t n, int64_t d, int64_t c, int64_t k, const int64_t *offsets,
     const int64_t *ids, const double *discard, const double *cum,
     const double *probs, int64_t n_words, double alpha, int64_t planned,
-    double *in_vecs, double *out_vecs, progress_t *pr, double *work,
+    double *word_vecs, double *pred_vecs, progress_t *pr, double *work,
     int64_t *scratch, bitgen_t *bg)
 {
     const noise_t noise = {cum, probs, n_words};
@@ -414,10 +418,10 @@ int64_t relemb_cbow_sentences(
                 window[m++] = kept[j];
             words[0] = kept[t];
             draw_noise(bg, &noise, k, words);
-            gather(f, in_vecs, window, 1, m, d);
-            pr->win_sum += score(f, d, words, k + 1, out_vecs, NULL, lr, g,
+            gather(f, word_vecs, window, 1, m, d);
+            pr->win_sum += score(f, d, words, k + 1, pred_vecs, NULL, lr, g,
                                  work + 2 * d);
-            spread(in_vecs, window, m, d, lr, g);
+            spread(word_vecs, window, m, d, lr, g);
             pr->win_count++;
             pr->steps++;
         }
@@ -1030,17 +1034,20 @@ def _bind_pretrain(lib):
                       _INTS, ctypes.c_void_p])
     fn.restype = ctypes.c_int64
 
-    def contexts(params, block, slots, noun_discard, word_discard, noise,
-                 negatives, alpha, planned, rng, progress):
+    def contexts(params, block, slots, draws, progress):
         """Pretrain over the contexts of `block` (int64
         :class:`~relemb.corpus.ContextArrays` with offsets from 0) from
-        ``progress.at``, drawing from `rng` as the numpy loop does.  `slots`
-        holds each target's neighbour slots, `noise` the noise tables
-        ``cum`` and ``probs``.  Returns True when it stopped at a report
-        point.  The caller has checked that every id is in range; shapes
-        are checked here."""
+        ``progress.at``, as the numpy walk does.  `slots` holds each
+        target's neighbour slots; `draws` is the run's
+        ``embed_train._Draws``: its settings ``cfg``, rate schedule
+        ``planned``, generator ``rng``, noise tables ``noise.cum`` and
+        ``noise.probs``, and noun and word discard probabilities.  Returns
+        True when it stopped at a report point.  The caller has checked
+        that every id is in range; shapes are checked here."""
         n, (d, c) = len(block.n1), (params.dim, params.window)
-        p = 2 * d * (2 + c)
+        p, k = 2 * d * (2 + c), draws.cfg.negatives
+        noun_discard = draws.nouns.discard_probs
+        word_discard = draws.words.discard_probs
         if (block.n2.shape != (n,) or block.offsets.shape != (n + 1,)
                 or block.offsets[0] != 0
                 or (np.diff(block.offsets) < 0).any()
@@ -1055,16 +1062,16 @@ def _bind_pretrain(lib):
                 or params.pred_bias.shape != (params.n_words,)):
             raise ValueError("pretrain kernel: inconsistent block or "
                              "parameter shapes")
-        _check_draws(noise, word_discard, params.n_words, progress, n,
-                     planned)
-        return _call(fn, rng, n, d, c, block.w_bef.shape[1], negatives,
+        _check_draws(draws.noise, word_discard, params.n_words, progress, n,
+                     draws.planned)
+        return _call(fn, draws.rng, n, d, c, block.w_bef.shape[1], k,
                      block.n1, block.n2, block.offsets, block.w_in, slots,
                      block.w_bef, block.w_aft, noun_discard, word_discard,
-                     noise.cum, noise.probs, params.n_words, alpha, planned,
-                     params.noun_vecs, params.word_vecs, params.pred_vecs,
-                     params.pred_bias, ctypes.byref(progress),
-                     aligned(2 * p + negatives + 1),
-                     np.empty(negatives + 1, np.int64))
+                     draws.noise.cum, draws.noise.probs, params.n_words,
+                     draws.cfg.alpha, draws.planned, params.noun_vecs,
+                     params.word_vecs, params.pred_vecs, params.pred_bias,
+                     ctypes.byref(progress), aligned(2 * p + k + 1),
+                     np.empty(k + 1, np.int64))
 
     contexts.library = lib   # keeps the object loaded while it lives
     return contexts
@@ -1079,28 +1086,29 @@ def _bind_cbow(lib):
                       ctypes.c_void_p])
     fn.restype = ctypes.c_int64
 
-    def sentences(model, ids, offsets, discard, noise, negatives, alpha,
-                  planned, rng, progress):
-        """Train CBOW over the sentences of the flat int64 `ids` (sentence
-        s is ``ids[offsets[s]:offsets[s + 1]]``) from ``progress.at``,
-        drawing from `rng` as the numpy loop does.  Returns True when it
-        stopped at a report point.  Ids must be in range; shapes are
-        checked here."""
-        n, (n_words, d) = len(offsets) - 1, model.in_vecs.shape
-        c = model.window
+    def sentences(params, ids, offsets, discard, noise, cfg, planned, rng,
+                  progress):
+        """Train CBOW on the ``word_vecs`` and ``pred_vecs`` of `params`
+        over the sentences of the flat int64 `ids` (sentence s is
+        ``ids[offsets[s]:offsets[s + 1]]``) from ``progress.at``, drawing
+        from `rng` as the numpy walk does, with `cfg`'s negatives and
+        rate.  Returns True when it stopped at a report point.  Ids must be
+        in range; shapes are checked here."""
+        n, (n_words, d) = len(offsets) - 1, params.word_vecs.shape
+        c, k = params.window, cfg.negatives
         lengths = np.diff(offsets)
         if (n < 0 or offsets[0] != 0 or (lengths < 0).any()
                 or ids.shape != (offsets[-1],)
-                or model.out_vecs.shape != (n_words, d)):
+                or params.pred_vecs.shape != (n_words, d)):
             raise ValueError("cbow kernel: inconsistent sentence or "
                              "parameter shapes")
         _check_draws(noise, discard, n_words, progress, n, planned)
         longest = int(lengths.max(initial=0))
-        return _call(fn, rng, n, d, c, negatives, offsets, ids, discard,
-                     noise.cum, noise.probs, n_words, alpha, planned,
-                     model.in_vecs, model.out_vecs, ctypes.byref(progress),
-                     aligned(2 * d + negatives + 1),
-                     np.empty(negatives + 1 + 2 * c + longest, np.int64))
+        return _call(fn, rng, n, d, c, k, offsets, ids, discard, noise.cum,
+                     noise.probs, n_words, cfg.alpha, planned,
+                     params.word_vecs, params.pred_vecs,
+                     ctypes.byref(progress), aligned(2 * d + k + 1),
+                     np.empty(k + 1 + 2 * c + longest, np.int64))
 
     sentences.library = lib
     return sentences

@@ -95,6 +95,22 @@ def test_header_dimension_below_1_rejected(tmp_path, rng, fmt, key, value):
         load(path)
 
 
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_repeated_header_key_rejected(tmp_path, rng, fmt):
+    """A header key given twice is rejected, even with the same value: no
+    value silently wins."""
+    write, key, _ = FORMATS[fmt]
+    path = tmp_path / f"{fmt}.bin"
+    load = write(path, rng)
+    header, _, blob = path.read_bytes().partition(b"\n")
+    (token,) = [tok for tok in header.split()
+                if tok.startswith(f"{key}=".encode())]
+    path.write_bytes(header + b" " + token + b"\n" + blob)
+    with pytest.raises(cp.ArtifactError, match=re.escape(
+            f"{path}: header repeats {key}")):
+        load(path)
+
+
 def test_header_read_is_bounded(tmp_path):
     """A file with no line end in its first few KiB, such as 20 MiB of zero
     bytes given as a model, is rejected without being read whole."""

@@ -19,40 +19,51 @@ def _vocab_from(text):
     return sents, cp.build_vocabulary(sents, 500, 500)
 
 
+def _cbow_params(word_vecs, pred_vecs, window):
+    """CBOW parameters: the given word and prediction vectors, one zero
+    noun row and zero biases."""
+    n_words, dim = word_vecs.shape
+    return et.EmbeddingParams(np.zeros((1, dim)), word_vecs, pred_vecs,
+                              np.zeros(n_words), dim, window)
+
+
 class TestCbowObjective:
     def test_zero_output_vectors_probability_half(self, rng):
-        model = cb.CbowModel(rng.normal(size=(8, 4)), np.zeros((8, 4)), 4, 2)
+        params = _cbow_params(rng.normal(size=(8, 4)), np.zeros((8, 4)), 2)
+        params.pred_bias[:] = 5.0     # the CBOW step reads no bias
         value, grads = cb.cbow_objective_and_grad([2, 3], 5, np.array([6, 7]),
-                                                  model)
+                                                  params)
         assert value == pytest.approx(3 * math.log(0.5))
-        out = dict(zip(*grads["out_vecs"]))
+        assert sorted(grads) == ["pred_vecs", "word_vecs"]
+        out = dict(zip(*grads["pred_vecs"]))
         np.testing.assert_allclose(out[5],
-                                   0.5 * model.in_vecs[[2, 3]].mean(axis=0))
+                                   0.5 * params.word_vecs[[2, 3]].mean(axis=0))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(77)
         for _ in range(5):
-            model = cb.CbowModel(rng.normal(0, 0.5, (9, 5)),
-                                 rng.normal(0, 0.5, (9, 5)), 5, 2)
+            params = _cbow_params(rng.normal(0, 0.5, (9, 5)),
+                                  rng.normal(0, 0.5, (9, 5)), 2)
             window = [int(x) for x in rng.integers(0, 9, int(rng.integers(1, 5)))]
             center = int(rng.integers(0, 9))
             noise = rng.integers(0, 9, 3)
-            _, grads = cb.cbow_objective_and_grad(window, center, noise, model)
+            _, grads = cb.cbow_objective_and_grad(window, center, noise,
+                                                  params)
             check_row_grads(
                 lambda: cb.cbow_objective_and_grad(window, center, noise,
-                                                   model)[0],
-                model, grads)
+                                                   params)[0],
+                params, grads)
 
     def test_duplicate_window_words_accumulate(self):
         rng = np.random.default_rng(3)
-        model = cb.CbowModel(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)),
-                             3, 2)
+        params = _cbow_params(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)),
+                              2)
         window = [2, 2, 4]
         noise = np.array([5, 5])   # duplicate noise draws as well
-        _, grads = cb.cbow_objective_and_grad(window, 1, noise, model)
+        _, grads = cb.cbow_objective_and_grad(window, 1, noise, params)
         check_row_grads(
-            lambda: cb.cbow_objective_and_grad(window, 1, noise, model)[0],
-            model, grads)
+            lambda: cb.cbow_objective_and_grad(window, 1, noise, params)[0],
+            params, grads)
 
 
 class TestTrainCbow:
@@ -72,21 +83,22 @@ class TestTrainCbow:
         sents, vocab = _vocab_from(text)
         cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
                                 subsample=1.0, epochs=2, seed=13)
-        m1, _ = cb.train_cbow(sents, vocab, cfg)
-        m2, _ = cb.train_cbow(sents, vocab, cfg)
-        assert m1.in_vecs.tobytes() == m2.in_vecs.tobytes()
-        assert m1.out_vecs.tobytes() == m2.out_vecs.tobytes()
+        p1, _ = cb.train_cbow(sents, vocab, cfg)
+        p2, _ = cb.train_cbow(sents, vocab, cfg)
+        for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
+            assert (getattr(p1, name).tobytes()
+                    == getattr(p2, name).tobytes()), name
 
     def test_collocates_become_nearest_neighbors(self):
         text, pairs = make_collocation_corpus(n_groups=6, repeats=400, seed=5)
         sents, vocab = _vocab_from(text)
         cfg = et.PretrainConfig(dim=12, window=2, negatives=5, alpha=0.1,
                                 subsample=1.0, epochs=4, seed=2)
-        model, log = cb.train_cbow(sents, vocab, cfg)
+        params, log = cb.train_cbow(sents, vocab, cfg)
         assert log.steps_taken > 0
 
-        normed = model.in_vecs / np.maximum(
-            np.linalg.norm(model.in_vecs, axis=1, keepdims=True), 1e-12)
+        normed = params.word_vecs / np.maximum(
+            np.linalg.norm(params.word_vecs, axis=1, keepdims=True), 1e-12)
         hits = 0
         for a, b in pairs:
             wa, wb = vocab.word_id(a), vocab.word_id(b)
@@ -115,9 +127,8 @@ def _per_token_cbow(sentences, vocab, cfg):
     planned = cfg.epochs * total_tokens
     rng = np.random.default_rng(cfg.seed)
     std = 1.0 / math.sqrt(cfg.dim)
-    model = cb.CbowModel(rng.normal(0.0, std, size=(vocab.n_words, cfg.dim)),
-                         np.zeros((vocab.n_words, cfg.dim)), cfg.dim,
-                         cfg.window)
+    params = _cbow_params(rng.normal(0.0, std, size=(vocab.n_words, cfg.dim)),
+                          np.zeros((vocab.n_words, cfg.dim)), cfg.window)
     sampler = et.NoiseSampler(vocab.word_counts)
     word_filter = et.SubsamplingFilter(vocab.word_counts, cfg.subsample)
     log = et.TrainingLog()
@@ -142,8 +153,8 @@ def _per_token_cbow(sentences, vocab, cfg):
                     continue
                 noise = sampler.sample(cfg.negatives, rng, exclude=center)
                 value, grads = cb.cbow_objective_and_grad(window, center,
-                                                          noise, model)
-                et.apply_row_grads(model, grads, lr)
+                                                          noise, params)
+                et.apply_row_grads(params, grads, lr)
                 win_sum += value
                 win_count += 1
                 log.steps_taken += 1
@@ -152,7 +163,7 @@ def _per_token_cbow(sentences, vocab, cfg):
                 win_sum, win_count = 0.0, 0
                 next_report += cfg.report_every
     log.record(processed, win_sum, win_count)
-    return model, log
+    return params, log
 
 
 def _one_read_and_per_token():
@@ -161,20 +172,21 @@ def _one_read_and_per_token():
     sents, vocab = _vocab_from(data.tagged_text)
     cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
                             subsample=2e-3, epochs=2, seed=9, report_every=700)
-    model, log = cb.train_cbow(cp.parse_tagged_corpus(
+    params, log = cb.train_cbow(cp.parse_tagged_corpus(
         io.StringIO(data.tagged_text)), vocab, cfg)
-    want_model, want_log = _per_token_cbow(sents, vocab, cfg)
+    want, want_log = _per_token_cbow(sents, vocab, cfg)
     assert 0 < log.targets_discarded < log.targets_seen
     assert log.steps_taken > 0 and len(log.windows) > 2
-    return model, log, want_model, want_log
+    assert not params.pred_bias.any()
+    return params, log, want, want_log
 
 
 def test_one_read_matches_per_token_subsampling(monkeypatch):
     monkeypatch.setattr(kernels, "load", lambda: None)
-    model, log, want_model, want_log = _one_read_and_per_token()
+    params, log, want, want_log = _one_read_and_per_token()
     assert log == want_log
-    assert np.array_equal(model.in_vecs, want_model.in_vecs)
-    assert np.array_equal(model.out_vecs, want_model.out_vecs)
+    assert np.array_equal(params.word_vecs, want.word_vecs)
+    assert np.array_equal(params.pred_vecs, want.pred_vecs)
 
 
 def test_one_read_matches_per_token_subsampling_compiled():
@@ -182,56 +194,59 @@ def test_one_read_matches_per_token_subsampling_compiled():
     # values and parameters within 1e-9
     if kernels.load() is None:
         pytest.skip("no C compiler found; training takes the numpy steps")
-    model, log, want_model, want_log = _one_read_and_per_token()
+    params, log, want, want_log = _one_read_and_per_token()
     assert dataclasses.replace(log, windows=[]) == dataclasses.replace(
         want_log, windows=[])
     assert [n for n, _ in log.windows] == [n for n, _ in want_log.windows]
     np.testing.assert_allclose([v for _, v in log.windows],
                                [v for _, v in want_log.windows], rtol=1e-9)
-    for got, want in ((model.in_vecs, want_model.in_vecs),
-                      (model.out_vecs, want_model.out_vecs)):
-        np.testing.assert_allclose(got, want, rtol=1e-9,
-                                   atol=1e-9 * np.abs(want).max())
+    for name in ("word_vecs", "pred_vecs"):
+        ref = getattr(want, name)
+        np.testing.assert_allclose(getattr(params, name), ref, rtol=1e-9,
+                                   atol=1e-9 * np.abs(ref).max())
 
 
-class TestImportAsInitialization:
-    def _trained_pair(self):
+class TestTrainedParams:
+    """What :func:`train_cbow` returns is what ``cbow`` saves."""
+
+    def _trained(self):
+        # four words in the inventory: the probes of the three groups fall
+        # outside it, but stay nouns
         text, _ = make_collocation_corpus(n_groups=3, repeats=30)
-        sents, vocab = _vocab_from(text)
+        sents = list(cp.parse_tagged_corpus(io.StringIO(text)))
+        vocab = cp.build_vocabulary(sents, 4, 500)
         cfg = et.PretrainConfig(dim=4, window=3, negatives=3, alpha=0.05,
                                 subsample=1.0, epochs=1, seed=6)
-        model, _ = cb.train_cbow(sents, vocab, cfg)
-        return model, vocab
+        params, _ = cb.train_cbow(sents, vocab, cfg)
+        return params, vocab
 
-    def test_noun_rows_copy_input_vectors(self):
-        model, vocab = self._trained_pair()
-        params = cb.import_as_initialization(model, vocab)
-        surface = vocab.noun_surfaces[2]
-        np.testing.assert_array_equal(
-            params.noun_vecs[vocab.noun_id(surface)],
-            model.in_vecs[vocab.word_id(surface)])
-        np.testing.assert_array_equal(params.word_vecs, model.in_vecs)
-        np.testing.assert_array_equal(params.pred_vecs, model.out_vecs)
+    def test_noun_rows_are_word_rows(self):
+        params, vocab = self._trained()
+        inside = {nid: vocab.word_surfaces.index(surface)
+                  for nid, surface in enumerate(vocab.noun_surfaces)
+                  if nid and surface in vocab.word_surfaces}
+        outside = [nid for nid in range(1, vocab.n_nouns) if nid not in inside]
+        assert inside and outside
+        for nid, wid in inside.items():
+            np.testing.assert_array_equal(params.noun_vecs[nid],
+                                          params.word_vecs[wid])
+        for nid in [cp.UNK_NOUN, *outside]:
+            np.testing.assert_array_equal(params.noun_vecs[nid],
+                                          params.word_vecs[cp.UNK_WORD])
 
-    def test_feature_dimension_shrinks(self):
+    def test_no_bias_and_dim_wide_prediction_vectors(self):
         # prediction vectors are dim-d, so |e| = (2c+5)*d
-        model, vocab = self._trained_pair()
-        params = cb.import_as_initialization(model, vocab)
-        assert params.pred_dim == 4
+        params, _ = self._trained()
+        assert not params.pred_bias.any()
+        assert params.pred_dim == params.dim == 4
         assert feature_dim(params) == (2 * 3 + 5) * 4
 
-    def test_vocabulary_mismatch_rejected(self):
-        model, vocab = self._trained_pair()
-        other = make_vocab({"x": 1, "y": 1}, {"x": 1})
-        with pytest.raises(ValueError, match="mismatch"):
-            cb.import_as_initialization(model, other)
-
-    def test_imported_params_round_trip_model_file(self, tmp_path):
-        model, vocab = self._trained_pair()
-        params = cb.import_as_initialization(model, vocab)
+    def test_params_round_trip_model_file(self, tmp_path):
+        params, _ = self._trained()
         path = tmp_path / "cbow.bin"
         et.save_model(params, path)
         loaded = et.load_model(path)
-        assert loaded.pred_dim == 4
-        np.testing.assert_array_equal(loaded.pred_vecs, params.pred_vecs)
-
+        assert (loaded.dim, loaded.window, loaded.pred_dim) == (4, 3, 4)
+        for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(params, name), name)

@@ -221,9 +221,20 @@ class TestExitCodes:
                          "--out", str(workdir / "x.bin"),
                          "--epochs", "0"]) == 2
 
-    def test_usage_error_exit_2(self):
+    def test_usage_error_exit_2(self, workdir, tmp_path, capsys):
         assert cli.main(["no-such-command"]) == 2
         assert cli.main(["pretrain"]) == 2   # missing required args
+        # two embedding sources
+        model = str(workdir / "model.bin")
+        for command, out in (("train", ["--out", str(tmp_path / "c.bin")]),
+                             ("cv", [])):
+            capsys.readouterr()
+            assert cli.main([command, "--train", str(workdir / "train.txt"),
+                             "--vocab", str(workdir / "vocab.txt"),
+                             "--model", model, "--init", "rand", *out]) == 2
+            err = capsys.readouterr().err
+            assert f"--model {model}" in err and "--init rand" in err
+        assert not (tmp_path / "c.bin").exists()
 
     def test_truncated_model_exit_2(self, workdir, capsys):
         bad = workdir / "truncated.bin"

@@ -116,6 +116,8 @@ class TestVocabulary:
     @pytest.mark.parametrize("case,line", [
         ("magic", 1), ("header_count", 1), ("lowercase_flag", 1),
         ("lowercase_flag_2", 1), ("lowercase_flag_-1", 1),
+        ("no_reserved_words", 1), ("no_reserved_nouns", 1),
+        ("repeated_flag", 1),
         ("truncated", 6), ("extra_line", 8), ("no_tab", 3),
         ("negative_count", 4), ("non_integer_count", 5), ("empty_surface", 2),
     ])
@@ -131,6 +133,9 @@ class TestVocabulary:
             "lowercase_flag": "relemb-vocab v1 4 2 lowercase=yes\n",
             "lowercase_flag_2": "relemb-vocab v1 4 2 lowercase=2\n",
             "lowercase_flag_-1": "relemb-vocab v1 4 2 lowercase=-1\n",
+            "no_reserved_words": "relemb-vocab v1 1 2 lowercase=1\n",
+            "no_reserved_nouns": "relemb-vocab v1 4 0 lowercase=1\n",
+            "repeated_flag": "relemb-vocab v1 4 2 lowercase=1 lowercase=0\n",
         }.get(case, lines[0])
         edits = {"truncated": lines[:5], "extra_line": lines + ["more\t1\n"]}
         lines = edits.get(case, lines)

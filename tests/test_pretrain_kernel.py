@@ -1,7 +1,8 @@
-"""The compiled pretraining and CBOW walks against the numpy loops they
-replace, and the build of the compiled object in :mod:`relemb.kernels`."""
+"""The compiled pretraining and CBOW walks against their numpy twins, and
+the build of the compiled object in :mod:`relemb.kernels`."""
 
 import dataclasses
+import inspect
 import logging
 import os
 import subprocess
@@ -181,7 +182,16 @@ def test_cbow_walk_draws_as_numpy(kernel, monkeypatch, name):
     assert log.steps_taken > 0
     if t < 1.0:
         assert 0 < log.targets_discarded < log.targets_seen
-    _assert_same_run(runs, ("in_vecs", "out_vecs"))
+    assert not runs[0][0][0].pred_bias.any()
+    _assert_same_run(runs, _PARAMS)
+
+
+def test_compiled_walks_take_their_numpy_twins_parameters(kernel):
+    """Each walk is chosen as ``_numpy_walk if compiled is None else
+    compiled.walk``, so both take the same arguments."""
+    for compiled, twin in ((kernel.pretrain_contexts, et._numpy_contexts),
+                           (kernel.cbow_sentences, cb._numpy_sentences)):
+        assert inspect.signature(compiled) == inspect.signature(twin)
 
 
 def _shifted_aligned(offset, aligned=kernels.aligned):
@@ -214,10 +224,10 @@ def test_walks_give_the_same_bytes_at_any_offset(kernel, monkeypatch, d,
     for offset in (0, 8, 16, 32):
         monkeypatch.setattr(kernels, "aligned", _shifted_aligned(offset))
         params, _ = et.train_embeddings(contexts, vocab, cfg)
-        model, _ = cb.train_cbow(sentences, vocab, cfg)
-        arrays = [getattr(params, field) for field in _PARAMS]
-        arrays += [model.in_vecs, model.out_vecs]
-        assert [a.ctypes.data % 64 for a in arrays] == [offset] * 6
+        cbow, _ = cb.train_cbow(sentences, vocab, cfg)
+        arrays = [getattr(p, field) for p in (params, cbow)
+                  for field in _PARAMS]
+        assert [a.ctypes.data % 64 for a in arrays] == [offset] * 8
         runs.append([a.tobytes() for a in arrays])
     assert all(run == runs[0] for run in runs[1:])
 
@@ -309,11 +319,14 @@ def test_unwritable_cache_builds_for_this_process(tmp_path, monkeypatch):
         pytest.skip("no C compiler found")
     params = rand_params(np.random.default_rng(0), 2, 1, n_nouns=3, n_words=7)
     block = ContextArrays.pack([NounPairContext(1, 2, (3, 4), (5,), (6,))], 1)
+    vocab = make_vocab({f"w{i}": i + 1 for i in range(5)}, {"x": 2, "y": 1})
+    draws = et._Draws(et.PretrainConfig(dim=2, window=1, negatives=2,
+                                        alpha=0.1, subsample=1.0),
+                      vocab, 10, np.random.default_rng(0))
     progress = kernels.Progress(next_report=100)
     compiled.pretrain_contexts(
         params, block, neighbor_slot_rows(block.w_in, block.offsets, 1),
-        np.zeros(3), np.zeros(7), et.NoiseSampler(np.arange(1, 8)), 2, 0.1,
-        10, np.random.default_rng(0), progress)
+        draws, progress)
     assert (progress.at, progress.steps) == (1, 2)
     params.check_finite()
     assert [p.name for p in tmp_path.iterdir()] == ["not-a-directory"]
