@@ -22,7 +22,6 @@ from .corpus import (
     neighbor_slots,
     parse_label,
     parse_semeval,
-    parse_tagged_corpus,
 )
 from .embed_train import (
     EmbeddingParams,

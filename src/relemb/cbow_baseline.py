@@ -19,10 +19,10 @@ import math
 import numpy as np
 
 from . import kernels
-from .corpus import UNK_WORD, TaggedCorpusReader, token_blocks
-from .embed_train import (EmbeddingParams, NoiseSampler, SubsamplingFilter,
-                          TrainingLog, _objective_and_grad, _walk,
-                          aligned_copy, apply_row_grads)
+from .corpus import UNK_WORD
+from .embed_train import (EmbeddingParams, TrainingLog, _Draws,
+                          _objective_and_grad, _walk, aligned_copy,
+                          apply_row_grads)
 
 __all__ = [
     "cbow_objective_and_grad",
@@ -42,35 +42,36 @@ def cbow_objective_and_grad(window_ids, center, noise_ids, params):
     return _objective_and_grad(params, table, words, bias=False)
 
 
-def _corpus_ids(sentences, vocab):
-    """Word ids of every token of `sentences`, read once as
-    :func:`~relemb.corpus.token_blocks`: a flat array, and the offsets of
-    the sentences in it (length: sentences + 1)."""
+def _corpus_ids(corpus, vocab):
+    """Word ids of every token of the
+    :class:`~relemb.corpus.TaggedCorpusReader` `corpus`, read once as its
+    blocks: a flat array, and the offsets of the sentences in it (length:
+    sentences + 1)."""
     ids, offsets = [np.zeros(0, np.int64)], [np.zeros(1, np.int64)]
     n = 0
-    for block in token_blocks(sentences):
+    for block in corpus.blocks():
         ids.append(block.word_ids(vocab))
         offsets.append(block.offsets[1:] + n)
         n += len(block.ids)
     return np.concatenate(ids), np.concatenate(offsets)
 
 
-def _numpy_sentences(params, ids, offsets, discard, noise, cfg, planned, rng,
-                     progress):
+def _numpy_sentences(params, ids, offsets, draws, progress):
     """The CBOW walk of :mod:`relemb.kernels` in numpy steps, its
     reference: over the sentences of the flat `ids` from ``progress.at``,
-    drawing from `rng` and counting into `progress` as the compiled walk
-    does.  Returns True after the first sentence that leaves
-    ``progress.done`` at or past ``progress.next_report``."""
-    c = params.window
+    drawing as the run's ``embed_train._Draws`` `draws` gives and counting
+    into `progress` as the compiled walk does.  Returns True after the
+    first sentence that leaves ``progress.done`` at or past
+    ``progress.next_report``."""
+    c, cfg, rng = params.window, draws.cfg, draws.rng
     while progress.at < len(offsets) - 1:
         lo, hi = offsets[progress.at:progress.at + 2].tolist()
         progress.at += 1
-        lr = cfg.alpha * (1.0 - progress.done / planned)
+        lr = draws.rate(progress.done)
         sent = ids[lo:hi]
         # a token is discarded iff its discard probability exceeds its
         # uniform draw
-        dropped = discard[sent] > rng.random(hi - lo)
+        dropped = draws.words.discard_probs[sent] > rng.random(hi - lo)
         n_dropped = int(np.count_nonzero(dropped))
         progress.done += hi - lo
         progress.targets_discarded += n_dropped
@@ -79,8 +80,8 @@ def _numpy_sentences(params, ids, offsets, discard, noise, cfg, planned, rng,
         for t, center in enumerate(kept):
             window = kept[max(0, t - c):t] + kept[t + 1:t + 1 + c]
             value, grads = cbow_objective_and_grad(
-                window, center, noise.sample(cfg.negatives, rng,
-                                             exclude=center), params)
+                window, center, draws.noise.sample(cfg.negatives, rng,
+                                                   exclude=center), params)
             apply_row_grads(params, grads, lr)
             progress.win_sum += value
             progress.win_count += 1
@@ -90,11 +91,10 @@ def _numpy_sentences(params, ids, offsets, discard, noise, cfg, planned, rng,
     return False
 
 
-def train_cbow(sentences, vocab, config):
-    """Train CBOW embedding parameters over one read of a tagged corpus: a
-    :class:`~relemb.corpus.TaggedCorpusReader` or an iterable of tagged
-    sentences, with the settings of a
-    :class:`~relemb.embed_train.PretrainConfig`.
+def train_cbow(corpus, vocab, config):
+    """Train CBOW embedding parameters over one read of the
+    :class:`~relemb.corpus.TaggedCorpusReader` `corpus`, with the settings
+    of a :class:`~relemb.embed_train.PretrainConfig`.
 
     Word vectors start Gaussian(0, 1/dim), prediction vectors (``dim``
     wide) and biases at zero; the bias is never trained.  Subsampling
@@ -104,17 +104,15 @@ def train_cbow(sentences, vocab, config):
     each noun row is the word row of its surface, UNK's for the UNK noun
     and for a surface outside the word inventory.  Seeded runs are
     deterministic.  The compiled CBOW walk of :mod:`relemb.kernels` makes
-    the same draws in the same order when a C compiler is found.  Returns
+    the same draws in the same order when a C compiler is found.  A corpus
+    with no tokens raises its
+    :meth:`~relemb.corpus.TaggedCorpusReader.empty_error`.  Returns
     ``(params, log)``.
     """
     cfg = config.validate()
-    ids, offsets = _corpus_ids(sentences, vocab)
-    total_tokens = len(ids)
-    if total_tokens == 0:
-        if isinstance(sentences, TaggedCorpusReader):
-            raise sentences.empty_error()
-        raise ValueError("sentence stream is empty")
-    planned = cfg.epochs * total_tokens
+    ids, offsets = _corpus_ids(corpus, vocab)
+    if len(ids) == 0:
+        raise corpus.empty_error()
 
     rng = np.random.default_rng(cfg.seed)
     std = 1.0 / math.sqrt(cfg.dim)
@@ -127,14 +125,13 @@ def train_cbow(sentences, vocab, config):
         dim=cfg.dim,
         window=cfg.window,
     )
-    discard = SubsamplingFilter(vocab.word_counts, cfg.subsample).discard_probs
-    args = (params, ids, offsets, discard, NoiseSampler(vocab.word_counts),
-            cfg, planned, rng)
+    draws = _Draws(cfg, vocab, cfg.epochs * len(ids), rng, pairs=False)
 
     compiled = kernels.load()
     walk = _numpy_sentences if compiled is None else compiled.cbow_sentences
     log = TrainingLog()
-    _walk(walk, [args] * cfg.epochs, log, "cbow", cfg, planned)
+    _walk(walk, [(params, ids, offsets, draws)] * cfg.epochs, log, "cbow",
+          draws)
     params.noun_vecs[0] = params.word_vecs[UNK_WORD]
     params.noun_vecs[1:] = params.word_vecs[
         vocab.word_ids(vocab.noun_surfaces[1:])]

@@ -195,7 +195,7 @@ def _resolve(args):
 def cmd_build_vocab(args):
     cfg = _resolve(args)
     _require_files(*args.corpus)
-    corpus = cp.parse_tagged_corpus(*args.corpus)
+    corpus = cp.TaggedCorpusReader(*args.corpus)
     vocab = cp.build_vocabulary(corpus, cfg["max_words"], cfg["max_nouns"],
                                 cfg["lowercase"])
     vocab.save(args.out)
@@ -213,7 +213,7 @@ def cmd_extract(args):
     cp.check_extract_settings(cfg["m_out"], cfg["max_between"])
     _require_files(*args.corpus, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
-    corpus = cp.parse_tagged_corpus(*args.corpus)
+    corpus = cp.TaggedCorpusReader(*args.corpus)
     targets = 0
 
     def contexts():
@@ -237,8 +237,8 @@ def cmd_pretrain(args):
     _require_files(args.contexts, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
     config = _config(et.PretrainConfig, _PRETRAIN_FIELDS, cfg)
-    params, log = et.train_embeddings(cp.ContextFile(args.contexts), vocab,
-                                      config)
+    params, log = et.train_embeddings(cp.ContextFile(args.contexts).arrays,
+                                      vocab, config)
     et.save_model(params, args.out)
     print(f"targets seen: {log.targets_seen}")
     print(f"updates: {log.steps_taken}")
@@ -251,7 +251,7 @@ def cmd_cbow(args):
     cfg = _resolve(args)
     _require_files(*args.corpus, args.vocab)
     vocab = cp.Vocabulary.load(args.vocab)
-    corpus = cp.parse_tagged_corpus(*args.corpus)
+    corpus = cp.TaggedCorpusReader(*args.corpus)
     config = _config(et.PretrainConfig, _PRETRAIN_FIELDS, cfg)
     params, log = cb.train_cbow(corpus, vocab, config)
     et.save_model(params, args.out)

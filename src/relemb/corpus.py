@@ -4,15 +4,16 @@ The tagged-corpus format is one token per line as ``surface<TAB>POS`` with a
 blank line terminating each sentence.  Labeled relation data uses the
 SemEval-2010 Task 8 distribution format.
 
-A tagged corpus is read once, as :class:`TokenBlock` arrays: each path in
-bounded byte blocks, each read in one pass of the compiled scan of
-:mod:`relemb.kernels`; any block that scan does not settle, every path
-when no C compiler is found, and every stream go through the reader's
-per-line loop, which stays the reference.  Counting
-(:func:`build_vocabulary`), pair extraction
-(:func:`extract_noun_pair_contexts`, into :class:`ContextArrays`), writing
-(:func:`write_contexts`) and the CBOW baseline's id arrays work on those
-arrays.
+Every reader takes paths: :class:`TaggedCorpusReader` the files of a
+tagged corpus, :func:`parse_semeval` one SemEval file.  A tagged corpus is
+read once, as :class:`TokenBlock` arrays: each file in bounded byte
+blocks, each read in one pass of the compiled scan of
+:mod:`relemb.kernels`.  Any block that scan does not settle, and every
+file when no C compiler is found, goes through the reader's per-line
+loop, which stays the reference.  Counting (:func:`build_vocabulary`),
+pair extraction (:func:`extract_noun_pair_contexts`, into
+:class:`ContextArrays`), writing (:func:`write_contexts`) and the CBOW
+baseline's id arrays work on those arrays.
 
 Every stage holds noun-pair contexts as :class:`ContextArrays`, labelled
 ones inside the :class:`LabelledContexts` of :func:`parse_semeval`;
@@ -61,12 +62,10 @@ __all__ = [
     "reading_utf8",
     "write_blob_file",
     "read_blob_file",
-    "parse_tagged_corpus",
     "build_vocabulary",
     "check_extract_settings",
     "extract_noun_pair_contexts",
     "TokenBlock",
-    "token_blocks",
     "parse_semeval",
     "parse_label",
     "tokenize",
@@ -99,71 +98,57 @@ class TaggedSentence:
         return len(self.words)
 
 
-def _is_path(source):
-    return isinstance(source, str) or hasattr(source, "__fspath__")
-
-
 class TaggedCorpusReader:
-    """Read ``surface<TAB>POS`` sentences from paths, text streams or
-    iterables of lines, one source after another; the end of a source ends
-    its last sentence.
+    """Read ``surface<TAB>POS`` sentences from the files at `paths`, one
+    after another; the end of a file ends its last sentence.
 
     A line is a token if its one tab splits it into two non-empty fields
     that are not both whitespace.  Any other line that is not whitespace
     only is skipped and counted in ``skipped_lines``.  Whitespace-only
-    lines separate sentences; leading and repeated ones are ignored.  Paths
+    lines separate sentences; leading and repeated ones are ignored.  Files
     are read as UTF-8 with universal newlines, and bytes that are not UTF-8
     raise :class:`ArtifactError` naming ``path:line``.  Each pass re-reads
-    the path sources and restarts ``skipped_lines`` and ``sentences_read``.
+    the files and restarts ``skipped_lines`` and ``sentences_read``.
 
     Iterating yields :class:`TaggedSentence` objects from the per-line loop,
     the reference for these rules.  :meth:`blocks` yields the same
-    sentences as :class:`TokenBlock` arrays.  It reads each path in bounded
+    sentences as :class:`TokenBlock` arrays.  It reads each file in bounded
     byte blocks, each read in one pass of the compiled scan, which finds
     the line ends, tabs and blank lines, maps each word to its surface id
     through a hash table that compares the bytes exactly, and checks the
     noun tags; Python decodes only each block's distinct surfaces.  A block
     the scan does not settle (it has a line of multi-byte characters and
-    whitespace only) goes through the per-line loop, as does every path
-    when no C compiler is found, and every stream and line iterable.
+    whitespace only) goes through the per-line loop, as does every file
+    when no C compiler is found.
     """
 
-    def __init__(self, *sources):
-        self._sources = sources
+    def __init__(self, *paths):
+        self._paths = paths
         self.skipped_lines = 0
         self.sentences_read = 0
 
     def __iter__(self):
         self.skipped_lines = self.sentences_read = 0
-        for source in self._sources:
-            yield from self._source_sentences(source)
+        for path in self._paths:
+            with reading_utf8(path), open(path, encoding="utf-8") as fh:
+                yield from self._sentences(fh)
 
     def blocks(self):
-        """One pass over the sources as :class:`TokenBlock` objects, each
+        """One pass over the files as :class:`TokenBlock` objects, each
         holding whole sentences."""
+        compiled = kernels.load()
+        if compiled is None:
+            yield from _sentence_blocks(iter(self))
+            return
         self.skipped_lines = self.sentences_read = 0
-        for source in self._sources:
-            compiled = kernels.load() if _is_path(source) else None
-            if compiled is None:
-                yield from _sentence_blocks(self._source_sentences(source))
-            else:
-                with reading_utf8(source):
-                    yield from self._path_blocks(compiled, source)
+        for path in self._paths:
+            with reading_utf8(path):
+                yield from self._path_blocks(compiled, path)
 
     def empty_error(self):
-        """The error for a pass that read no tokens: :class:`ArtifactError`
-        naming the path sources, or ValueError when none is a path."""
-        paths = [str(s) for s in self._sources if _is_path(s)]
-        if paths:
-            return ArtifactError(f"{', '.join(paths)}: no tokens")
-        return ValueError("sentence stream is empty")
-
-    def _source_sentences(self, source):
-        if not _is_path(source):
-            yield from self._sentences(source)
-            return
-        with reading_utf8(source), open(source, encoding="utf-8") as fh:
-            yield from self._sentences(fh)
+        """The :class:`ArtifactError`, naming the files, for a pass that
+        read no tokens."""
+        return ArtifactError(f"{', '.join(map(str, self._paths))}: no tokens")
 
     def _path_blocks(self, compiled, path):
         with open(path, "rb") as fh:
@@ -222,12 +207,6 @@ class TaggedCorpusReader:
             yield TaggedSentence(tuple(words), tuple(tags))
 
 
-def parse_tagged_corpus(*sources):
-    """Return a :class:`TaggedCorpusReader` over paths, file objects, or
-    iterables of lines."""
-    return TaggedCorpusReader(*sources)
-
-
 @dataclass
 class TokenBlock:
     """Whole sentences as token arrays.  Token ``j`` has surface
@@ -268,15 +247,6 @@ def _sentence_blocks(sentences):
             batch, n = [], 0
     if batch:
         yield TokenBlock.of_sentences(batch)
-
-
-def token_blocks(sentences):
-    """`sentences` as :class:`TokenBlock` objects: the blocks of a
-    :class:`TaggedCorpusReader`, else those of an iterable of
-    :class:`TaggedSentence`."""
-    if isinstance(sentences, TaggedCorpusReader):
-        return sentences.blocks()
-    return _sentence_blocks(sentences)
 
 
 # Bytes of a tagged-corpus path read at a time.  A block holds the bytes up
@@ -343,23 +313,12 @@ class Vocabulary:
     def noun_ids(self, surfaces):
         return self._ids(self._noun_ids, UNK_NOUN, surfaces)
 
-    def word_id(self, surface):
-        return self.word_ids((surface,))[0]
-
-    def noun_id(self, surface):
-        return self.noun_ids((surface,))[0]
-
     def word_surface(self, wid):
         if wid == NULL_WORD:
             return "NULL"
         if wid == UNK_WORD:
             return "UNK"
         return self.word_surfaces[wid]
-
-    def noun_surface(self, nid):
-        if nid == UNK_NOUN:
-            return "UNK"
-        return self.noun_surfaces[nid]
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -380,7 +339,8 @@ class Vocabulary:
         count, a ranked surface repeated within its inventory, other than
         the announced number of lines, or bytes that are not UTF-8.  The
         header must count the reserved ids (2 words, 1 noun) and name each
-        flag once."""
+        flag once.  A file whose word counts are all 0 counted no corpus,
+        and raises :class:`ArtifactError` naming the file."""
         with reading_utf8(path), open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if header[:2] != ["relemb-vocab", "v1"]:
@@ -434,6 +394,8 @@ class Vocabulary:
             raise ArtifactError(
                 f"{path}:{len(surfaces) + 2}: file ends after {len(surfaces)} "
                 f"of the header's {n_words} words and {n_nouns} nouns")
+        if not any(counts[:n_words]):
+            raise ArtifactError(f"{path}: every word count is 0")
         return cls(surfaces[:n_words], surfaces[n_words:], counts[:n_words],
                    counts[n_words:], lowercase)
 
@@ -445,21 +407,23 @@ def _rank(counter, limit):
     return ranked[:limit]
 
 
-def build_vocabulary(sentences, max_words, max_nouns, lowercase=True):
-    """Count `sentences` and build the two frequency-ranked inventories.
+def build_vocabulary(corpus, max_words, max_nouns, lowercase=True):
+    """Count the :class:`TaggedCorpusReader` `corpus`, read once as its
+    :meth:`~TaggedCorpusReader.blocks`, and build the two frequency-ranked
+    inventories.
 
     The word inventory keeps the `max_words` most frequent surface forms of
     all tokens; the noun inventory keeps the `max_nouns` most frequent
     surfaces among tokens tagged NN/NNS/NNP/NNPS.  Out-of-inventory mass is
-    folded into the UNK slots.  `sentences` is read once, as
-    :func:`token_blocks`.
+    folded into the UNK slots.  A corpus with no tokens raises its
+    :meth:`~TaggedCorpusReader.empty_error`.
     """
     if max_words < 1 or max_nouns < 1:
         raise ConfigError("max_words and max_nouns must be >= 1")
     # Counter keeps first-occurrence order, which breaks count ties.
     word_counter: Counter = Counter()
     noun_counter: Counter = Counter()
-    for block in token_blocks(sentences):
+    for block in corpus.blocks():
         keys = ([s.lower() for s in block.surfaces] if lowercase
                 else block.surfaces)
         # a block's surfaces are in first-occurrence order; its nouns' are
@@ -472,6 +436,8 @@ def build_vocabulary(sentences, max_words, max_nouns, lowercase=True):
         for i in dict.fromkeys(nouns.tolist()):
             noun_counter[keys[i]] += counts[i]
     total_tokens = sum(word_counter.values())
+    if total_tokens == 0:
+        raise corpus.empty_error()
     total_nouns = sum(noun_counter.values())
 
     ranked_words = _rank(word_counter, max_words)
@@ -941,11 +907,11 @@ def tokenize(text):
 
 
 class SemEvalFormatError(ArtifactError):
-    """A malformed labeled instance.  The message names the instance id,
-    after ``path:line: `` when the instances are read from a file."""
+    """A malformed labeled instance.  The message names ``path:line`` and
+    the instance id."""
 
     def __init__(self, instance_id, message, where):
-        super().__init__(f"{where}instance {instance_id}: {message}")
+        super().__init__(f"{where}: instance {instance_id}: {message}")
         self.instance_id = instance_id
 
 
@@ -1005,28 +971,21 @@ def _instance_tokens(sentence):
     return before + e1 + middle + e2 + after, p1, p1 + len(middle) + len(e2)
 
 
-def parse_semeval(source, vocab, m_out):
-    """Parse a labeled SemEval-2010 Task 8 file into
+def parse_semeval(path, vocab, m_out):
+    """Parse the labeled SemEval-2010 Task 8 file at `path` into
     :class:`LabelledContexts`, with outside windows `m_out` wide.
 
-    `source` may be a path, an open text file, or an iterable of lines.
     The instances' tokens form one :class:`TokenBlock`, one sentence per
     instance, whose pairs are the two entity heads.  Unlike pretraining
     extraction, adjacent entities (no words between) are allowed and there
     is no distance cut-off.  A malformed instance raises
-    :class:`SemEvalFormatError`, naming ``path:line`` when `source` is a
-    path.
+    :class:`SemEvalFormatError`, naming ``path:line``.
     """
-    named = _is_path(source)
-    if named:
-        with reading_utf8(source), open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(source)
+    with reading_utf8(path), open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
 
     def fault(i, instance_id, message):
-        where = f"{source}:{i + 1}: " if named else ""
-        return SemEvalFormatError(instance_id, message, where)
+        return SemEvalFormatError(instance_id, message, f"{path}:{i + 1}")
 
     ids, labels, heads, offsets = [], [], [], [0]
     index, token_ids = {}, []       # surface -> its id; each token's id

@@ -15,10 +15,11 @@ The CBOW baseline (:mod:`relemb.cbow_baseline`) is the same trainer over
 sentence windows: it trains an :class:`EmbeddingParams` through the same
 negative-sampling step (without the bias) and the same walk loop.  A walk
 is called as ``walk(*args, progress)``: it goes on from the context or
-sentence ``progress.at``, counts into a :class:`relemb.kernels.Progress`
-and returns True at each report point, where the loop records and logs the
-window, resets it and calls again; at the loop's end it closes the window
-and adds the counts to the :class:`TrainingLog`.  Pretraining runs the
+sentence ``progress.at``, draws from the run's ``_Draws``, counts into a
+:class:`relemb.kernels.Progress` and returns True at each report point,
+where the loop records and logs the window, resets it and calls again; at
+the loop's end it closes the window and adds the counts to the
+:class:`TrainingLog`.  Pretraining runs the
 loop once per epoch, over blocks of contexts read from
 :class:`~relemb.corpus.ContextArrays`; CBOW once per run.  When a C
 compiler is found, each walk is the compiled entry point of
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .corpus import (ArtifactError, ConfigError, ContextFile, _header_dims,
+from .corpus import (ArtifactError, ConfigError, _header_dims,
                      neighbor_slot_rows, neighbor_slots, read_blob_file,
                      write_blob_file)
 
@@ -105,7 +106,7 @@ class EmbeddingParams:
 
     @property
     def pretrain_feature_dim(self):
-        return 2 * self.dim * (2 + self.window)
+        return _pretrain_width(self.dim, self.window)
 
     def copy(self):
         return EmbeddingParams(
@@ -119,6 +120,13 @@ class EmbeddingParams:
             arr = getattr(self, name)
             if not np.isfinite(arr).all():
                 raise FloatingPointError(f"non-finite entries in {name}")
+
+
+def _pretrain_width(dim, window):
+    """The length of a pretraining prediction input, and so of a natively
+    pretrained prediction vector: the two nouns, ``2*window`` neighbour
+    slots and the two pooled outside windows, each `dim` wide."""
+    return 2 * dim * (2 + window)
 
 
 def aligned_copy(values):
@@ -137,7 +145,7 @@ def initial_params(n_nouns, n_words, dim, window, rng):
     return EmbeddingParams(
         noun_vecs=aligned_copy(rng.normal(0.0, std, size=(n_nouns, dim))),
         word_vecs=aligned_copy(rng.normal(0.0, std, size=(n_words, dim))),
-        pred_vecs=kernels.aligned((n_words, 2 * dim * (2 + window))),
+        pred_vecs=kernels.aligned((n_words, _pretrain_width(dim, window))),
         pred_bias=kernels.aligned(n_words),
         dim=dim,
         window=window,
@@ -466,18 +474,23 @@ _BATCH_STEPS = 4096
 
 
 class _Draws:
-    """What a pretraining run draws from: the noise sampler and the pair
-    and target subsampling filters, the rate schedule, and the generator."""
+    """What an embedding run draws from: the noise sampler, the target
+    subsampling filter and, for pretraining, the pair subsampling filter
+    (``nouns``, None for CBOW); the settings, the rate schedule over
+    `planned` targets, and the generator."""
 
-    def __init__(self, cfg, vocab, planned, rng):
+    def __init__(self, cfg, vocab, planned, rng, pairs=True):
         self.cfg = cfg
         self.planned = planned
         self.rng = rng
         self.noise = NoiseSampler(vocab.word_counts)
         self.words = SubsamplingFilter(vocab.word_counts, cfg.subsample)
-        self.nouns = SubsamplingFilter(vocab.noun_counts, cfg.subsample)
+        self.nouns = (SubsamplingFilter(vocab.noun_counts, cfg.subsample)
+                      if pairs else None)
 
     def rate(self, done):
+        """The linear learning rate after `done` of the planned targets:
+        the one definition of the schedule in Python."""
         return self.cfg.alpha * (1.0 - done / self.planned)
 
 
@@ -527,13 +540,14 @@ def _numpy_contexts(params, block, slots, draws, progress):
     return False
 
 
-def _walk(walk, calls, log, what, cfg, planned, done=0):
+def _walk(walk, calls, log, what, draws, done=0):
     """Run ``walk(*args, progress)`` over each `args` of `calls` in turn,
     from its first context or sentence, with `done` targets passed in the
-    rate schedule of `planned`.  At each report point it records and logs
-    the window, resets it and moves the report point on; at the end it
-    closes the window and adds the walk's counts to `log`.  Returns the
-    targets passed."""
+    rate schedule of :class:`_Draws` `draws`.  At each report point it
+    records and logs the window, resets it and moves the report point on;
+    at the end it closes the window and adds the walk's counts to `log`.
+    Returns the targets passed."""
+    cfg, planned = draws.cfg, draws.planned
     progress = kernels.Progress(done=done, next_report=done + cfg.report_every)
     for args in calls:
         progress.at = 0
@@ -543,8 +557,7 @@ def _walk(walk, calls, log, what, cfg, planned, done=0):
                         what, progress.done, planned,
                         progress.win_sum / progress.win_count
                         if progress.win_count else float("nan"),
-                        cfg.alpha * (1.0 - min(progress.done, planned)
-                                     / planned))
+                        draws.rate(min(progress.done, planned)))
             progress.win_sum, progress.win_count = 0.0, 0
             progress.next_report += cfg.report_every
     log.targets_seen += progress.done - done
@@ -556,15 +569,13 @@ def _walk(walk, calls, log, what, cfg, planned, done=0):
 
 
 def train_embeddings(contexts, vocab, config):
-    """Train embedding parameters over a :class:`~relemb.corpus.ContextFile`
-    or :class:`~relemb.corpus.ContextArrays`, which accept the same
-    contexts.
+    """Train embedding parameters over the contexts of
+    :class:`~relemb.corpus.ContextArrays` `contexts`, such as the
+    ``arrays`` of a :class:`~relemb.corpus.ContextFile`.
 
     Returns ``(params, log)``.  The run is deterministic for a fixed seed.
     """
     cfg = config.validate()
-    if isinstance(contexts, ContextFile):
-        contexts = contexts.arrays
     arrays = _checked_arrays(contexts, vocab)
     total_targets = int(arrays.offsets[-1])
     if total_targets == 0:
@@ -586,7 +597,7 @@ def train_embeddings(contexts, vocab, config):
     for _ in range(cfg.epochs):
         done = _walk(walk, ((params, block, slots, draws)
                             for block, slots in _blocks(arrays, cfg.window)),
-                     log, "pretrain", cfg, draws.planned, done)
+                     log, "pretrain", draws, done)
     _warn_if_untrained(log, cfg.epochs * len(arrays), cfg.subsample)
     params.check_finite()
     return params, log
@@ -619,7 +630,7 @@ def save_model(params, path):
 def _model_shapes(kv):
     d, c, n_words, n_nouns = _header_dims(kv, ("d", "c", "nwords", "nnouns"))
     pred_dim = (_header_dims(kv, ("wdim",))[0] if "wdim" in kv
-                else 2 * d * (2 + c))
+                else _pretrain_width(d, c))
     return [(n_nouns, d), (n_words, d), (n_words, pred_dim), (n_words,)]
 
 

@@ -22,7 +22,8 @@ arguments of its numpy twin (``embed_train._numpy_contexts``,
 ``cbow_baseline._numpy_sentences``), counts into the same
 :class:`Progress` and returns at the same report points, so the walk loop
 of ``embed_train`` runs either and logs the same windows.  Both walks
-train the ``EmbeddingParams`` of ``embed_train``.
+train the ``EmbeddingParams`` of ``embed_train`` and draw from the run's
+``embed_train._Draws``.
 
 A pretraining or CBOW step reads each scored prediction row once: one pass
 adds the row's share of the input gradient, moves the row, and sums the
@@ -1006,13 +1007,16 @@ def _threads():
     return min(2, os.cpu_count() or 1)
 
 
-def _check_draws(noise, discard, n_words, progress, n, planned):
-    """Raise ValueError unless the noise tables and the discard
-    probabilities cover the `n_words` ids, a draw cannot search past the
-    last id, and `progress` lies within the `n` contexts or sentences."""
+def _check_draws(draws, n_words, progress, n):
+    """Raise ValueError unless the noise tables and the word discard
+    probabilities of ``embed_train._Draws`` `draws` cover the `n_words`
+    ids, a draw cannot search past the last id, the schedule plans a
+    target, and `progress` lies within the `n` contexts or sentences."""
+    noise = draws.noise
     if (noise.cum.shape != (n_words,) or noise.probs.shape != (n_words,)
-            or discard.shape != (n_words,) or not noise.cum[-1] == 1.0
-            or not 0 <= progress.at <= n or planned < 1):
+            or draws.words.discard_probs.shape != (n_words,)
+            or not noise.cum[-1] == 1.0
+            or not 0 <= progress.at <= n or draws.planned < 1):
         raise ValueError("kernel: inconsistent noise, discard or progress")
 
 
@@ -1045,7 +1049,7 @@ def _bind_pretrain(lib):
         True when it stopped at a report point.  The caller has checked
         that every id is in range; shapes are checked here."""
         n, (d, c) = len(block.n1), (params.dim, params.window)
-        p, k = 2 * d * (2 + c), draws.cfg.negatives
+        p, k = params.pretrain_feature_dim, draws.cfg.negatives
         noun_discard = draws.nouns.discard_probs
         word_discard = draws.words.discard_probs
         if (block.n2.shape != (n,) or block.offsets.shape != (n + 1,)
@@ -1062,8 +1066,7 @@ def _bind_pretrain(lib):
                 or params.pred_bias.shape != (params.n_words,)):
             raise ValueError("pretrain kernel: inconsistent block or "
                              "parameter shapes")
-        _check_draws(draws.noise, word_discard, params.n_words, progress, n,
-                     draws.planned)
+        _check_draws(draws, params.n_words, progress, n)
         return _call(fn, draws.rng, n, d, c, block.w_bef.shape[1], k,
                      block.n1, block.n2, block.offsets, block.w_in, slots,
                      block.w_bef, block.w_aft, noun_discard, word_discard,
@@ -1086,26 +1089,28 @@ def _bind_cbow(lib):
                       ctypes.c_void_p])
     fn.restype = ctypes.c_int64
 
-    def sentences(params, ids, offsets, discard, noise, cfg, planned, rng,
-                  progress):
+    def sentences(params, ids, offsets, draws, progress):
         """Train CBOW on the ``word_vecs`` and ``pred_vecs`` of `params`
         over the sentences of the flat int64 `ids` (sentence s is
-        ``ids[offsets[s]:offsets[s + 1]]``) from ``progress.at``, drawing
-        from `rng` as the numpy walk does, with `cfg`'s negatives and
-        rate.  Returns True when it stopped at a report point.  Ids must be
-        in range; shapes are checked here."""
+        ``ids[offsets[s]:offsets[s + 1]]``) from ``progress.at``, as the
+        numpy walk does.  `draws` is the run's ``embed_train._Draws``: its
+        settings ``cfg``, rate schedule ``planned``, generator ``rng``,
+        noise tables and word discard probabilities.  Returns True when it
+        stopped at a report point.  Ids must be in range; shapes are
+        checked here."""
         n, (n_words, d) = len(offsets) - 1, params.word_vecs.shape
-        c, k = params.window, cfg.negatives
+        c, k, noise = params.window, draws.cfg.negatives, draws.noise
         lengths = np.diff(offsets)
         if (n < 0 or offsets[0] != 0 or (lengths < 0).any()
                 or ids.shape != (offsets[-1],)
                 or params.pred_vecs.shape != (n_words, d)):
             raise ValueError("cbow kernel: inconsistent sentence or "
                              "parameter shapes")
-        _check_draws(noise, discard, n_words, progress, n, planned)
+        _check_draws(draws, n_words, progress, n)
         longest = int(lengths.max(initial=0))
-        return _call(fn, rng, n, d, c, k, offsets, ids, discard, noise.cum,
-                     noise.probs, n_words, cfg.alpha, planned,
+        return _call(fn, draws.rng, n, d, c, k, offsets, ids,
+                     draws.words.discard_probs, noise.cum, noise.probs,
+                     n_words, draws.cfg.alpha, draws.planned,
                      params.word_vecs, params.pred_vecs,
                      ctypes.byref(progress), aligned(2 * d + k + 1),
                      np.empty(k + 1 + 2 * c + longest, np.int64))

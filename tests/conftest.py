@@ -1,10 +1,90 @@
 import numpy as np
 import pytest
 
-from relemb.corpus import (ContextArrays, LabelledContexts, NounPairContext,
-                           Vocabulary)
+from relemb import kernels
+from relemb.corpus import (NOUN_TAGS, ContextArrays, LabelledContexts,
+                           NounPairContext, TaggedCorpusReader, Vocabulary,
+                           build_vocabulary)
 from relemb.embed_train import EmbeddingParams
 from relemb.synthetic import _FILLERS
+
+
+def block_sentences(blocks):
+    """``(words, noun flags)`` of every sentence of `blocks`, checking that
+    each block lists distinct surfaces in first-occurrence order."""
+    out = []
+    for block in blocks:
+        ids = block.ids.tolist()
+        assert sorted(set(ids)) == list(range(len(block.surfaces)))
+        assert [ids.index(i) for i in range(len(block.surfaces))] == sorted(
+            ids.index(i) for i in range(len(block.surfaces)))
+        assert len(set(block.surfaces)) == len(block.surfaces)
+        bounds = block.offsets.tolist()
+        assert bounds[0] == 0 and bounds[-1] == len(ids)
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert hi > lo
+            out.append((tuple(block.surfaces[i] for i in ids[lo:hi]),
+                        tuple(block.noun[lo:hi].tolist())))
+    return out
+
+
+def on_both_routes(read):
+    """``read()`` on the compiled scan of a tagged corpus, then with
+    ``kernels.load`` patched to None, so that the reader's per-line loop
+    runs: the two results must be equal, and the first is returned.  With
+    no C compiler both runs take the per-line loop."""
+    want = read()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "load", lambda: None)
+        assert read() == want
+    return want
+
+
+class CorpusFiles:
+    """Input text written to files under `root`, which every reader of
+    ``relemb.corpus`` takes; tagged-corpus text is read on both routes of
+    :func:`on_both_routes`."""
+
+    def __init__(self, root):
+        self.root = root
+        self.written = 0
+
+    def path(self, text):
+        """A new file under the root holding `text` as UTF-8, its line
+        ends as written."""
+        self.written += 1
+        path = self.root / f"input{self.written}.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    def reader(self, *texts):
+        """A TaggedCorpusReader over one new file per text."""
+        return TaggedCorpusReader(*map(self.path, texts))
+
+    def read(self, *texts):
+        """The sentences of `texts`, one file each, from the reader's
+        per-line loop, and the reader.  Its blocks, on both routes, must
+        hold the same words and noun flags and leave the same counts."""
+        reader = self.reader(*texts)
+        sents = list(reader)
+        want = ([(s.words, tuple(t in NOUN_TAGS for t in s.tags))
+                 for s in sents],
+                reader.skipped_lines, reader.sentences_read)
+        assert on_both_routes(lambda: (
+            block_sentences(reader.blocks()), reader.skipped_lines,
+            reader.sentences_read)) == want
+        return sents, reader
+
+    def vocabulary(self, text, *args, **kwargs):
+        """build_vocabulary over `text`, the same on both routes."""
+        reader = self.reader(text)
+        return on_both_routes(lambda: build_vocabulary(reader, *args,
+                                                       **kwargs))
+
+
+@pytest.fixture
+def files(tmp_path):
+    return CorpusFiles(tmp_path)
 
 
 def make_vocab(word_counts, noun_counts, lowercase=True):

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -14,9 +13,10 @@ from relemb.synthetic import make_synthetic_data
 from conftest import check_row_grads, make_collocation_corpus, make_vocab
 
 
-def _vocab_from(text):
-    sents = list(cp.parse_tagged_corpus(io.StringIO(text)))
-    return sents, cp.build_vocabulary(sents, 500, 500)
+def _vocab_from(files, text):
+    """A reader over a file of `text`, and its vocabulary."""
+    corpus = files.reader(text)
+    return corpus, cp.build_vocabulary(corpus, 500, 500)
 
 
 def _cbow_params(word_vecs, pred_vecs, window):
@@ -67,41 +67,43 @@ class TestCbowObjective:
 
 
 class TestTrainCbow:
-    def test_empty_stream_rejected(self):
+    def test_empty_stream_rejected(self, files):
         vocab = make_vocab({"a": 1}, {"a": 1})
-        with pytest.raises(ValueError):
-            cb.train_cbow([], vocab, et.PretrainConfig(dim=2))
+        path = files.path("")
+        with pytest.raises(cp.ArtifactError, match=f"^{path}: no tokens$"):
+            cb.train_cbow(cp.TaggedCorpusReader(path), vocab,
+                          et.PretrainConfig(dim=2))
 
-    def test_report_every_zero_rejected(self):
+    def test_report_every_zero_rejected(self, files):
         text, _ = make_collocation_corpus(n_groups=3, repeats=5)
-        sents, vocab = _vocab_from(text)
+        corpus, vocab = _vocab_from(files, text)
         with pytest.raises(cp.ConfigError, match="report_every"):
-            cb.train_cbow(sents, vocab, et.PretrainConfig(report_every=0))
+            cb.train_cbow(corpus, vocab, et.PretrainConfig(report_every=0))
 
-    def test_seeded_bit_reproducibility(self):
+    def test_seeded_bit_reproducibility(self, files):
         text, _ = make_collocation_corpus(n_groups=3, repeats=40)
-        sents, vocab = _vocab_from(text)
+        corpus, vocab = _vocab_from(files, text)
         cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
                                 subsample=1.0, epochs=2, seed=13)
-        p1, _ = cb.train_cbow(sents, vocab, cfg)
-        p2, _ = cb.train_cbow(sents, vocab, cfg)
+        p1, _ = cb.train_cbow(corpus, vocab, cfg)
+        p2, _ = cb.train_cbow(corpus, vocab, cfg)
         for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
             assert (getattr(p1, name).tobytes()
                     == getattr(p2, name).tobytes()), name
 
-    def test_collocates_become_nearest_neighbors(self):
+    def test_collocates_become_nearest_neighbors(self, files):
         text, pairs = make_collocation_corpus(n_groups=6, repeats=400, seed=5)
-        sents, vocab = _vocab_from(text)
+        corpus, vocab = _vocab_from(files, text)
         cfg = et.PretrainConfig(dim=12, window=2, negatives=5, alpha=0.1,
                                 subsample=1.0, epochs=4, seed=2)
-        params, log = cb.train_cbow(sents, vocab, cfg)
+        params, log = cb.train_cbow(corpus, vocab, cfg)
         assert log.steps_taken > 0
 
         normed = params.word_vecs / np.maximum(
             np.linalg.norm(params.word_vecs, axis=1, keepdims=True), 1e-12)
         hits = 0
         for a, b in pairs:
-            wa, wb = vocab.word_id(a), vocab.word_id(b)
+            wa, wb = vocab.word_ids([a])[0], vocab.word_ids([b])[0]
             sims = normed @ normed[wa]
             sims[wa] = -np.inf
             sims[:2] = -np.inf    # specials carry no usable vector
@@ -109,13 +111,13 @@ class TestTrainCbow:
                 hits += 1
         assert hits >= len(pairs) - 1
 
-    def test_objective_improves(self):
+    def test_objective_improves(self, files):
         text, _ = make_collocation_corpus(n_groups=4, repeats=200, seed=8)
-        sents, vocab = _vocab_from(text)
+        corpus, vocab = _vocab_from(files, text)
         cfg = et.PretrainConfig(dim=8, window=2, negatives=5, alpha=0.08,
                                 subsample=1.0, epochs=3, seed=1,
                                 report_every=800)
-        _, log = cb.train_cbow(sents, vocab, cfg)
+        _, log = cb.train_cbow(corpus, vocab, cfg)
         means = [m for _, m in log.windows]
         assert means[-1] > means[0]
 
@@ -137,7 +139,7 @@ def _per_token_cbow(sentences, vocab, cfg):
     c = cfg.window
     for _ in range(cfg.epochs):
         for sent in sentences:
-            ids = [vocab.word_id(w) for w in sent.words]
+            ids = [vocab.word_ids([w])[0] for w in sent.words]
             lr = cfg.alpha * (1.0 - processed / planned)
             kept = []
             for wid in ids:
@@ -166,35 +168,34 @@ def _per_token_cbow(sentences, vocab, cfg):
     return params, log
 
 
-def _one_read_and_per_token():
+def _one_read_and_per_token(files):
     data = make_synthetic_data(n_pretrain=300, n_train_per_class=1,
                                n_test_per_class=1, seed=4)
-    sents, vocab = _vocab_from(data.tagged_text)
+    corpus, vocab = _vocab_from(files, data.tagged_text)
     cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
                             subsample=2e-3, epochs=2, seed=9, report_every=700)
-    params, log = cb.train_cbow(cp.parse_tagged_corpus(
-        io.StringIO(data.tagged_text)), vocab, cfg)
-    want, want_log = _per_token_cbow(sents, vocab, cfg)
+    params, log = cb.train_cbow(corpus, vocab, cfg)
+    want, want_log = _per_token_cbow(list(corpus), vocab, cfg)
     assert 0 < log.targets_discarded < log.targets_seen
     assert log.steps_taken > 0 and len(log.windows) > 2
     assert not params.pred_bias.any()
     return params, log, want, want_log
 
 
-def test_one_read_matches_per_token_subsampling(monkeypatch):
+def test_one_read_matches_per_token_subsampling(monkeypatch, files):
     monkeypatch.setattr(kernels, "load", lambda: None)
-    params, log, want, want_log = _one_read_and_per_token()
+    params, log, want, want_log = _one_read_and_per_token(files)
     assert log == want_log
     assert np.array_equal(params.word_vecs, want.word_vecs)
     assert np.array_equal(params.pred_vecs, want.pred_vecs)
 
 
-def test_one_read_matches_per_token_subsampling_compiled():
+def test_one_read_matches_per_token_subsampling_compiled(files):
     # the compiled steps sum in another order: the same draws and counts,
     # values and parameters within 1e-9
     if kernels.load() is None:
         pytest.skip("no C compiler found; training takes the numpy steps")
-    params, log, want, want_log = _one_read_and_per_token()
+    params, log, want, want_log = _one_read_and_per_token(files)
     assert dataclasses.replace(log, windows=[]) == dataclasses.replace(
         want_log, windows=[])
     assert [n for n, _ in log.windows] == [n for n, _ in want_log.windows]
@@ -209,19 +210,19 @@ def test_one_read_matches_per_token_subsampling_compiled():
 class TestTrainedParams:
     """What :func:`train_cbow` returns is what ``cbow`` saves."""
 
-    def _trained(self):
+    def _trained(self, files):
         # four words in the inventory: the probes of the three groups fall
         # outside it, but stay nouns
         text, _ = make_collocation_corpus(n_groups=3, repeats=30)
-        sents = list(cp.parse_tagged_corpus(io.StringIO(text)))
-        vocab = cp.build_vocabulary(sents, 4, 500)
+        corpus = files.reader(text)
+        vocab = cp.build_vocabulary(corpus, 4, 500)
         cfg = et.PretrainConfig(dim=4, window=3, negatives=3, alpha=0.05,
                                 subsample=1.0, epochs=1, seed=6)
-        params, _ = cb.train_cbow(sents, vocab, cfg)
+        params, _ = cb.train_cbow(corpus, vocab, cfg)
         return params, vocab
 
-    def test_noun_rows_are_word_rows(self):
-        params, vocab = self._trained()
+    def test_noun_rows_are_word_rows(self, files):
+        params, vocab = self._trained(files)
         inside = {nid: vocab.word_surfaces.index(surface)
                   for nid, surface in enumerate(vocab.noun_surfaces)
                   if nid and surface in vocab.word_surfaces}
@@ -234,15 +235,15 @@ class TestTrainedParams:
             np.testing.assert_array_equal(params.noun_vecs[nid],
                                           params.word_vecs[cp.UNK_WORD])
 
-    def test_no_bias_and_dim_wide_prediction_vectors(self):
+    def test_no_bias_and_dim_wide_prediction_vectors(self, files):
         # prediction vectors are dim-d, so |e| = (2c+5)*d
-        params, _ = self._trained()
+        params, _ = self._trained(files)
         assert not params.pred_bias.any()
         assert params.pred_dim == params.dim == 4
         assert feature_dim(params) == (2 * 3 + 5) * 4
 
-    def test_params_round_trip_model_file(self, tmp_path):
-        params, _ = self._trained()
+    def test_params_round_trip_model_file(self, tmp_path, files):
+        params, _ = self._trained(files)
         path = tmp_path / "cbow.bin"
         et.save_model(params, path)
         loaded = et.load_model(path)

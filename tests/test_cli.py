@@ -414,6 +414,8 @@ class TestExitCodes:
                      "{w}/vocab.txt", "--out", "{tmp}/model.bin"],
         "cbow": ["cbow", "--corpus", "{bad}", "--vocab", "{w}/vocab.txt",
                  "--out", "{tmp}/cbow.bin"],
+        "build-vocab": ["build-vocab", "--corpus", "{bad}", "--out",
+                        "{tmp}/vocab.txt"],
     }
 
     @pytest.mark.parametrize("command,kind", [
@@ -431,14 +433,28 @@ class TestExitCodes:
             bad.write_text("relemb-contexts v1 m_out=3\n")
         else:
             bad.write_text("")
-        argv = self._EMPTY.get(command, ["build-vocab", "--corpus", "{bad}",
-                                         "--out", "{tmp}/vocab.txt"])
+        argv = self._EMPTY[command]
         code = cli.main([a.format(bad=bad, w=workdir, tmp=tmp_path)
                          for a in argv])
         out, err = capsys.readouterr()
         assert code == 2
         assert str(bad) in err
         assert "nan" not in out and "F1" not in out
+
+    @pytest.mark.parametrize("command", ["build-vocab", "cbow"])
+    def test_corpus_of_skipped_lines_exit_2(self, workdir, tmp_path, capsys,
+                                            command):
+        """A corpus whose one line is not a token has no tokens: exit 2,
+        naming it, and no output file."""
+        corpus = tmp_path / "corpus.tagged"
+        corpus.write_text("x y\n")
+        out = tmp_path / "out"
+        argv = [command, "--corpus", str(corpus), "--out", str(out)]
+        if command == "cbow":
+            argv += ["--vocab", str(workdir / "vocab.txt")]
+        assert cli.main(argv) == 2
+        assert f"{corpus}: no tokens" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["build-vocab", "extract"])
     def test_corpus_without_nouns_prints_zero_counts(self, workdir, tmp_path,

@@ -7,102 +7,104 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from relemb import corpus as cp, embed_train as et, kernels
-from conftest import make_vocab
+from conftest import (CorpusFiles, block_sentences, make_vocab,
+                      on_both_routes)
 
 
 class TestTaggedParsing:
-    def test_two_token_sentence(self):
-        reader = cp.parse_tagged_corpus(io.StringIO("conflicts\tNNS\nare\tVBP\n\n"))
-        sents = list(reader)
+    """Each text is read from a file: the per-line loop of iteration is
+    checked here, and ``files.read`` checks the blocks of both routes
+    against it."""
+
+    def test_two_token_sentence(self, files):
+        sents, reader = files.read("conflicts\tNNS\nare\tVBP\n\n")
         assert len(sents) == 1
         assert sents[0].words == ("conflicts", "are")
         assert sents[0].tags == ("NNS", "VBP")
         assert reader.skipped_lines == 0
 
-    def test_blank_leading_lines_ignored(self):
-        text = "\n\nconflicts\tNNS\nare\tVBP\n\n"
-        sents = list(cp.parse_tagged_corpus(io.StringIO(text)))
+    def test_blank_leading_lines_ignored(self, files):
+        sents, _ = files.read("\n\nconflicts\tNNS\nare\tVBP\n\n")
         assert len(sents) == 1
         assert sents[0].words == ("conflicts", "are")
 
-    def test_one_column_line_skipped_with_warning(self):
-        reader = cp.parse_tagged_corpus(io.StringIO("oops\nfine\tNN\n\n"))
-        sents = list(reader)
+    def test_one_column_line_skipped_with_warning(self, files):
+        sents, reader = files.read("oops\nfine\tNN\n\n")
         assert reader.skipped_lines == 1
         assert sents[0].words == ("fine",)
 
-    def test_empty_fields_skipped(self):
-        reader = cp.parse_tagged_corpus(io.StringIO("\tNN\nword\t\nok\tNN\n\n"))
-        sents = list(reader)
+    def test_empty_fields_skipped(self, files):
+        sents, reader = files.read("\tNN\nword\t\nok\tNN\n\n")
         assert reader.skipped_lines == 2
         assert sents[0].words == ("ok",)
 
-    def test_empty_file_yields_nothing(self):
-        assert list(cp.parse_tagged_corpus(io.StringIO(""))) == []
+    def test_empty_file_yields_nothing(self, files):
+        sents, reader = files.read("")
+        assert sents == [] and reader.sentences_read == 0
 
-    def test_missing_trailing_blank_line(self):
-        sents = list(cp.parse_tagged_corpus(io.StringIO("a\tNN\nb\tNN")))
+    def test_missing_trailing_blank_line(self, files):
+        sents, _ = files.read("a\tNN\nb\tNN")
         assert len(sents) == 1 and len(sents[0]) == 2
 
 
-def _sentences(text):
-    return list(cp.parse_tagged_corpus(io.StringIO(text)))
-
-
 class TestVocabulary:
-    def test_top_k_and_unk(self):
+    """``files.vocabulary`` builds each vocabulary from a file on both
+    routes, which must agree."""
+
+    def test_top_k_and_unk(self, files):
         text = ("a\tDT\n" * 5) + ("b\tDT\n" * 3) + ("c\tDT\n" * 1) + "\n"
-        vocab = cp.build_vocabulary(_sentences(text), max_words=2, max_nouns=1)
-        assert vocab.word_id("a") != cp.UNK_WORD
-        assert vocab.word_id("b") != cp.UNK_WORD
-        assert vocab.word_id("c") == cp.UNK_WORD
+        vocab = files.vocabulary(text, max_words=2, max_nouns=1)
+        assert vocab.word_ids(["a"])[0] != cp.UNK_WORD
+        assert vocab.word_ids(["b"])[0] != cp.UNK_WORD
+        assert vocab.word_ids(["c"])[0] == cp.UNK_WORD
         # ranked section ordered by count, ids dense from 2
         assert vocab.word_surfaces[2] == "a"
         assert vocab.word_counts[2] == 5
         assert vocab.total_token_count == 9   # UNK slot absorbs c's count
 
-    def test_noun_counting_restricted_to_noun_tags(self):
+    def test_noun_counting_restricted_to_noun_tags(self, files):
         text = "cause\tVB\ncause\tNN\ncause\tNN\nthing\tNN\n\n"
-        vocab = cp.build_vocabulary(_sentences(text), 10, 10)
-        wid = vocab.word_id("cause")
-        nid = vocab.noun_id("cause")
+        vocab = files.vocabulary(text, 10, 10)
+        wid = vocab.word_ids(["cause"])[0]
+        nid = vocab.noun_ids(["cause"])[0]
         assert vocab.word_counts[wid] == 3       # all occurrences
         assert vocab.noun_counts[nid] == 2       # NN occurrences only
         assert vocab.total_noun_count == 3
 
-    def test_tie_break_first_seen_wins(self):
+    def test_tie_break_first_seen_wins(self, files):
         text = "a\tDT\nb\tDT\na\tDT\nb\tDT\n\n"
-        vocab = cp.build_vocabulary(_sentences(text), max_words=1, max_nouns=1)
-        assert vocab.word_id("a") == 2
-        assert vocab.word_id("b") == cp.UNK_WORD
+        vocab = files.vocabulary(text, max_words=1, max_nouns=1)
+        assert vocab.word_ids(["a"])[0] == 2
+        assert vocab.word_ids(["b"])[0] == cp.UNK_WORD
 
-    def test_lowercase_flag(self):
+    def test_lowercase_flag(self, files):
         text = "Cause\tNN\ncause\tNN\n\n"
-        v1 = cp.build_vocabulary(_sentences(text), 10, 10, lowercase=True)
-        assert v1.word_counts[v1.word_id("CAUSE")] == 2
-        v2 = cp.build_vocabulary(_sentences(text), 10, 10, lowercase=False)
-        assert v2.word_id("Cause") != v2.word_id("cause")
+        v1 = files.vocabulary(text, 10, 10, lowercase=True)
+        assert v1.word_counts[v1.word_ids(["CAUSE"])[0]] == 2
+        v2 = files.vocabulary(text, 10, 10, lowercase=False)
+        assert v2.word_ids(["Cause"])[0] != v2.word_ids(["cause"])[0]
 
-    def test_lookup_total_and_unk_rate_deterministic(self):
+    def test_lookup_total_and_unk_rate_deterministic(self, files):
         text = "a\tNN\nb\tDT\n\n"
-        vocab = cp.build_vocabulary(_sentences(text), 1, 1)
-        held_out = _sentences("a\tNN\nzzz\tDT\nqqq\tDT\n\n")
+        vocab = files.vocabulary(text, 1, 1)
+        held_out, _ = files.read("a\tNN\nzzz\tDT\nqqq\tDT\n\n")
         for surface in ("a", "b", "zzz", "", "???"):
-            assert isinstance(vocab.word_id(surface), int)
+            assert isinstance(vocab.word_ids([surface])[0], int)
         # two of the three held-out tokens fall out of vocabulary
-        ids = [vocab.word_id(w) for s in held_out for w in s.words]
-        assert ids == [vocab.word_id(w) for s in held_out for w in s.words]
+        ids = [vocab.word_ids([w])[0] for s in held_out for w in s.words]
+        # one surface at a time, as a sentence at a time
+        assert ids == [i for s in held_out for i in vocab.word_ids(s.words)]
         assert ids.count(cp.UNK_WORD) == 2 and len(ids) == 3
 
-    def test_rank_order_non_increasing(self):
+    def test_rank_order_non_increasing(self, files):
         text = ("x\tDT\n" * 4 + "y\tDT\n" * 7 + "z\tDT\n" * 2) + "\n"
-        vocab = cp.build_vocabulary(_sentences(text), 10, 10)
+        vocab = files.vocabulary(text, 10, 10)
         ranked = vocab.word_counts[2:]
         assert ranked == sorted(ranked, reverse=True)
 
-    def test_save_load_round_trip(self, tmp_path):
+    def test_save_load_round_trip(self, tmp_path, files):
         text = "cause\tNN\neffect\tNN\nof\tIN\n\n"
-        vocab = cp.build_vocabulary(_sentences(text), 2, 2)
+        vocab = files.vocabulary(text, 2, 2)
         path = tmp_path / "vocab.txt"
         vocab.save(path)
         loaded = cp.Vocabulary.load(path)
@@ -111,7 +113,7 @@ class TestVocabulary:
         assert loaded.noun_surfaces == vocab.noun_surfaces
         assert loaded.noun_counts == vocab.noun_counts
         assert loaded.lowercase == vocab.lowercase
-        assert loaded.word_id("cause") == vocab.word_id("cause")
+        assert loaded.word_ids(["cause"])[0] == vocab.word_ids(["cause"])[0]
 
     @pytest.mark.parametrize("case,line", [
         ("magic", 1), ("header_count", 1), ("lowercase_flag", 1),
@@ -154,7 +156,7 @@ class TestVocabulary:
         vocab.save(path)
         lines = path.read_text().splitlines(True)
         # a surface in both inventories is fine
-        assert cp.Vocabulary.load(path).noun_id("cause") == 2
+        assert cp.Vocabulary.load(path).noun_ids(["cause"])[0] == 2
         for line, repeat, message in ((5, "cause\t2\n", "word 'cause'"),
                                       (8, "effect\t1\n", "noun 'effect'")):
             edited = lines.copy()
@@ -165,14 +167,38 @@ class TestVocabulary:
                                      f"line {line - 1}$"):
                 cp.Vocabulary.load(path)
 
-    def test_ranked_surface_equal_to_a_reserved_one_loads(self, tmp_path):
-        vocab = cp.build_vocabulary(_sentences("<UNK>\tNN\na\tNN\n\n"), 5, 5,
-                                    lowercase=False)
+    def test_ranked_surface_equal_to_a_reserved_one_loads(self, tmp_path,
+                                                           files):
+        vocab = files.vocabulary("<UNK>\tNN\na\tNN\n\n", 5, 5,
+                                 lowercase=False)
         assert vocab.word_surfaces.count("<UNK>") == 2
         path = tmp_path / "vocab.txt"
         vocab.save(path)
-        assert cp.Vocabulary.load(path).word_id("<UNK>") == \
-            vocab.word_id("<UNK>")
+        assert cp.Vocabulary.load(path).word_ids(["<UNK>"])[0] == \
+            vocab.word_ids(["<UNK>"])[0]
+
+    def test_all_zero_word_counts_rejected(self, tmp_path):
+        """A vocabulary that counted no token is no vocabulary: training
+        on it would fail without naming the file."""
+        path = tmp_path / "vocab.txt"
+        make_vocab({"a": 0, "b": 0}, {"a": 0}).save(path)
+        with pytest.raises(cp.ArtifactError,
+                           match=f"^{path}: every word count is 0$"):
+            cp.Vocabulary.load(path)
+        make_vocab({"a": 0, "b": 1}, {"a": 0}).save(path)
+        assert cp.Vocabulary.load(path).total_token_count == 1
+
+    def test_corpus_without_tokens_rejected(self, files):
+        """Blank and skipped lines only: an error naming every file, on
+        both routes."""
+        paths = [files.path("x y\n"), files.path("\n\n")]
+
+        def error():
+            with pytest.raises(cp.ArtifactError) as err:
+                cp.build_vocabulary(cp.TaggedCorpusReader(*paths), 5, 5)
+            return str(err.value)
+
+        assert on_both_routes(error) == f"{paths[0]}, {paths[1]}: no tokens"
 
 
 def _tagged_block(words, noun_positions):
@@ -206,9 +232,9 @@ class TestExtraction:
         pairs = {(c.n1, c.n2) for c in ctxs}
         vocab = _grid_vocab()
         assert pairs == {
-            (vocab.noun_id("w1"), vocab.noun_id("w4")),
-            (vocab.noun_id("w1"), vocab.noun_id("w8")),
-            (vocab.noun_id("w4"), vocab.noun_id("w8")),
+            (vocab.noun_ids(["w1"])[0], vocab.noun_ids(["w4"])[0]),
+            (vocab.noun_ids(["w1"])[0], vocab.noun_ids(["w8"])[0]),
+            (vocab.noun_ids(["w4"])[0], vocab.noun_ids(["w8"])[0]),
         }
 
     def test_windows_and_between_content(self):
@@ -216,7 +242,7 @@ class TestExtraction:
         words = [f"w{i}" for i in range(8)]
         sent = _tagged_block(words, {2, 5})
         (ctx,) = cp.extract_noun_pair_contexts(sent, vocab, m_out=3)
-        wid = lambda s: vocab.word_id(s)
+        wid = lambda s: vocab.word_ids([s])[0]
         assert ctx.w_in == (wid("w3"), wid("w4"))
         # two real tokens left of w2, NULL-padded at the far side
         assert ctx.w_bef == (cp.NULL_WORD, wid("w0"), wid("w1"))
@@ -302,58 +328,63 @@ def _semeval_vocab():
 
 
 class TestSemEvalParsing:
-    def test_example_sentences(self):
+    def test_example_sentences(self, files):
         vocab = _semeval_vocab()
-        instances = cp.parse_semeval(io.StringIO(SEMEVAL_SAMPLE), vocab, m_out=5)
+        instances = cp.parse_semeval(files.path(SEMEVAL_SAMPLE), vocab,
+                                     m_out=5)
         assert instances.ids.tolist() == [1, 2, 3]
         labels = instances.labels.tolist()
         assert labels == [0, 1, cp.OTHER]
         a = instances.contexts.context(0)
         assert cp.ALL_LABELS[labels[0]] == "Cause-Effect(e1,e2)"
-        assert a.n1 == vocab.noun_id("stress")
-        assert a.n2 == vocab.noun_id("divorce")
-        expected_in = tuple(vocab.word_id(w) for w in
+        assert a.n1 == vocab.noun_ids(["stress"])[0]
+        assert a.n2 == vocab.noun_ids(["divorce"])[0]
+        expected_in = tuple(vocab.word_ids([w])[0] for w in
                             ("is", "one", "of", "the", "main", "causes", "of"))
         assert a.w_in == expected_in
 
         b = instances.contexts.context(1)
         assert cp.ALL_LABELS[labels[1]] == "Cause-Effect(e2,e1)"
-        assert b.n1 == vocab.noun_id("burst")
+        assert b.n1 == vocab.noun_ids(["burst"])[0]
 
-    def test_multi_token_entity_head_is_last_token(self):
+    def test_multi_token_entity_head_is_last_token(self, files):
         vocab = _semeval_vocab()
-        instances = cp.parse_semeval(io.StringIO(SEMEVAL_SAMPLE), vocab, m_out=5)
+        instances = cp.parse_semeval(files.path(SEMEVAL_SAMPLE), vocab,
+                                     m_out=5)
         c = instances.contexts.context(2)
-        assert c.n1 == vocab.noun_id("embedding")
-        assert c.n2 == vocab.noun_id("space")
+        assert c.n1 == vocab.noun_ids(["embedding"])[0]
+        assert c.n2 == vocab.noun_ids(["space"])[0]
         # 'vector', the non-head token of e2, lands in w_in
-        assert vocab.word_id("vector") in c.w_in
+        assert vocab.word_ids(["vector"])[0] in c.w_in
 
-    def test_outside_windows_padded(self):
+    def test_outside_windows_padded(self, files):
         vocab = _semeval_vocab()
-        instances = cp.parse_semeval(io.StringIO(SEMEVAL_SAMPLE), vocab, m_out=5)
+        instances = cp.parse_semeval(files.path(SEMEVAL_SAMPLE), vocab,
+                                     m_out=5)
         a = instances.contexts.context(0)
         assert len(a.w_bef) == 5 and len(a.w_aft) == 5
-        assert a.w_bef[-1] == vocab.word_id("financial")
+        assert a.w_bef[-1] == vocab.word_ids(["financial"])[0]
         assert a.w_bef[0] == cp.NULL_WORD     # sentence boundary padding
         assert all(w == cp.NULL_WORD for w in a.w_aft)
 
-    def test_adjacent_entities_allowed(self):
+    def test_adjacent_entities_allowed(self, files):
         text = '7\t"The <e1>tank</e1> <e2>crew</e2> left"\nOther\n'
         vocab = make_vocab({"the": 1, "tank": 1, "crew": 1, "left": 1},
                            {"tank": 1, "crew": 1})
-        (ctx,) = cp.parse_semeval(io.StringIO(text), vocab, m_out=2).contexts
+        (ctx,) = cp.parse_semeval(files.path(text), vocab, m_out=2).contexts
         assert ctx.m_in == 0
 
-    def test_missing_markup_error_carries_id(self):
-        text = '9\t"no entities here"\nOther\n'
-        with pytest.raises(cp.SemEvalFormatError, match="9"):
-            cp.parse_semeval(io.StringIO(text), _semeval_vocab(), 2)
+    def test_missing_markup_error_carries_id(self, files):
+        path = files.path('9\t"no entities here"\nOther\n')
+        with pytest.raises(cp.SemEvalFormatError,
+                           match=f"^{path}:1: instance 9: missing <e1>"):
+            cp.parse_semeval(path, _semeval_vocab(), 2)
 
-    def test_unknown_label_error_carries_id(self):
-        text = '4\t"<e1>a</e1> x <e2>b</e2>"\nMade-Up(e1,e2)\n'
-        with pytest.raises(cp.SemEvalFormatError, match="4"):
-            cp.parse_semeval(io.StringIO(text), _semeval_vocab(), 2)
+    def test_unknown_label_error_carries_id(self, files):
+        path = files.path('4\t"<e1>a</e1> x <e2>b</e2>"\nMade-Up(e1,e2)\n')
+        with pytest.raises(cp.SemEvalFormatError,
+                           match=f"^{path}:2: instance 4: unknown relation"):
+            cp.parse_semeval(path, _semeval_vocab(), 2)
 
     @settings(max_examples=500, deadline=None)
     @given(sentence=st.one_of(
@@ -493,18 +524,22 @@ _LINES = st.lists(st.one_of(
 @given(lines=_LINES, final_newline=st.booleans(), lowercase=st.booleans(),
        max_words=st.integers(1, 8), max_nouns=st.integers(1, 8))
 def test_reader_vocabulary_and_id_map_match_references(
-        lines, final_newline, lowercase, max_words, max_nouns):
+        lines, final_newline, lowercase, max_words, max_nouns,
+        tmp_path_factory):
+    """The text is read from a file, as universal newlines read it; the
+    vocabulary is built on both routes."""
     text = "\n".join(lines) + ("\n" if final_newline else "")
-    reader = cp.parse_tagged_corpus(io.StringIO(text))
-    sents = list(reader)
-    want, skipped = _reference_reader(io.StringIO(text))
+    files = CorpusFiles(tmp_path_factory.mktemp("tag"))
+    sents, reader = files.read(text)
+    want, skipped = _reference_reader(io.StringIO(text, newline=None))
     assert [(s.words, s.tags) for s in sents] == want
     assert reader.skipped_lines == skipped
     assert reader.sentences_read == len(want)
     if not sents:
         return
 
-    vocab = cp.build_vocabulary(sents, max_words, max_nouns, lowercase)
+    vocab = on_both_routes(lambda: cp.build_vocabulary(
+        reader, max_words, max_nouns, lowercase))
     words, word_counts, nouns, noun_counts = _reference_vocabulary(
         want, max_words, max_nouns, lowercase)
     assert vocab.word_surfaces[2:] == words
@@ -521,24 +556,21 @@ def test_reader_vocabulary_and_id_map_match_references(
     for sent in sents:
         assert vocab.word_ids(sent.words) == [
             word_table.get(key(w), cp.UNK_WORD) for w in sent.words]
-        assert vocab.word_ids(sent.words) == [vocab.word_id(w)
+        assert vocab.word_ids(sent.words) == [vocab.word_ids([w])[0]
                                               for w in sent.words]
         assert vocab.noun_ids(sent.words) == [
             noun_table.get(key(w), cp.UNK_NOUN) for w in sent.words]
 
 
-def test_reader_over_several_sources(tmp_path):
-    first, second = tmp_path / "a.tag", tmp_path / "b.tag"
-    first.write_text("a\tNN\nbad\nb\tNN")            # no closing blank line
-    second.write_text("c\tNN\n\nd\tVB\n\n")
-    reader = cp.parse_tagged_corpus(first, io.StringIO("e\tNN\n"), second)
-    sents = [s.words for s in reader]
-    assert sents == [("a", "b"), ("e",), ("c",), ("d",)]
+def test_reader_over_several_sources(files):
+    # the first file has no closing blank line
+    sents, reader = files.read("a\tNN\nbad\nb\tNN", "e\tNN\n",
+                               "c\tNN\n\nd\tVB\n\n")
+    assert [s.words for s in sents] == [("a", "b"), ("e",), ("c",), ("d",)]
     assert (reader.sentences_read, reader.skipped_lines) == (4, 1)
-    # a second pass re-reads the files (the stream is spent) and restarts
-    # the counts
-    assert [s.words for s in reader] == [("a", "b"), ("c",), ("d",)]
-    assert (reader.sentences_read, reader.skipped_lines) == (3, 1)
+    # a second pass re-reads the files and restarts the counts
+    assert [s.words for s in reader] == [("a", "b"), ("e",), ("c",), ("d",)]
+    assert (reader.sentences_read, reader.skipped_lines) == (4, 1)
 
 
 _CONTEXTS = st.integers(1, 4).flatmap(lambda m_out: st.tuples(
@@ -688,25 +720,6 @@ def test_neighbor_slot_rows_match_per_context_form(spans, c, reach, cut):
 
 # --- the block reader and the array stages -----------------------------------
 
-def _block_sentences(blocks):
-    """``(words, noun flags)`` of every sentence of `blocks`, checking that
-    each block lists distinct surfaces in first-occurrence order."""
-    out = []
-    for block in blocks:
-        ids = block.ids.tolist()
-        assert sorted(set(ids)) == list(range(len(block.surfaces)))
-        assert [ids.index(i) for i in range(len(block.surfaces))] == sorted(
-            ids.index(i) for i in range(len(block.surfaces)))
-        assert len(set(block.surfaces)) == len(block.surfaces)
-        bounds = block.offsets.tolist()
-        assert bounds[0] == 0 and bounds[-1] == len(ids)
-        for lo, hi in zip(bounds, bounds[1:]):
-            assert hi > lo
-            out.append((tuple(block.surfaces[i] for i in ids[lo:hi]),
-                        tuple(block.noun[lo:hi].tolist())))
-    return out
-
-
 # Fields of tagged lines: whitespace in and out of ASCII (\x0b, \x1c, \xa0,
 # U+3000), a surface whose lower() is longer (İx), the noun tags and near
 # misses.
@@ -745,12 +758,12 @@ def test_block_reader_matches_per_line_loop(sources, block, tmp_path_factory):
     """Blocks a few bytes long, so lines, CRLF pairs and sentences straddle
     them: the token arrays and counts equal the per-line loop's."""
     paths = _write_sources(tmp_path_factory.mktemp("tag"), sources)
-    reader = cp.parse_tagged_corpus(*paths)
+    reader = cp.TaggedCorpusReader(*paths)
     sents = list(reader)
     want = (reader.skipped_lines, reader.sentences_read)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cp, "_TAGGED_BLOCK", block)
-        got = _block_sentences(reader.blocks())
+        got = block_sentences(reader.blocks())
     assert got == [(s.words, tuple(t in cp.NOUN_TAGS for t in s.tags))
                    for s in sents]
     assert (reader.skipped_lines, reader.sentences_read) == want
@@ -764,7 +777,7 @@ def test_byte_path_reads_line_ends_whitespace_and_utf8(tmp_path,
     path = tmp_path / "c.tag"
     path.write_bytes("a\tNN\r\nİb\tVB\rc\tNN\t\n\x1c\t \x0b\n\xa0\tNNS\n"
                      "\n\r\n \r\nd e\tNNP\n\tNN\nf\t\nz\tNNPS".encode())
-    reader = cp.parse_tagged_corpus(path)
+    reader = cp.TaggedCorpusReader(path)
     want = [(s.words, s.tags) for s in reader]
     counts = (reader.skipped_lines, reader.sentences_read)
     assert want == [(("a", "İb"), ("NN", "VB")), (("\xa0",), ("NNS",)),
@@ -775,7 +788,7 @@ def test_byte_path_reads_line_ends_whitespace_and_utf8(tmp_path,
         raise AssertionError("the per-line loop ran")
 
     monkeypatch.setattr(cp.TaggedCorpusReader, "_sentences", per_line_loop)
-    assert _block_sentences(reader.blocks()) == [
+    assert block_sentences(reader.blocks()) == [
         (words, tuple(t in cp.NOUN_TAGS for t in tags))
         for words, tags in want]
     assert (reader.skipped_lines, reader.sentences_read) == counts
@@ -785,11 +798,11 @@ def test_byte_path_reads_line_ends_whitespace_and_utf8(tmp_path,
 def test_unsettled_block_goes_through_per_line_loop(tmp_path, line):
     path = tmp_path / "c.tag"
     path.write_text(f"a\tNN\n{line}\nb\tNN\n\nc\tVB\n", encoding="utf-8")
-    reader = cp.parse_tagged_corpus(path)
+    reader = cp.TaggedCorpusReader(path)
     want = [(s.words, tuple(t in cp.NOUN_TAGS for t in s.tags))
             for s in reader]
     counts = (reader.skipped_lines, reader.sentences_read)
-    assert _block_sentences(reader.blocks()) == want
+    assert block_sentences(reader.blocks()) == want
     assert (reader.skipped_lines, reader.sentences_read) == counts
 
 
@@ -803,7 +816,7 @@ def test_surfaces_in_one_bucket_are_told_apart(tmp_path, monkeypatch):
     path = tmp_path / "c.tag"
     path.write_text("".join(f"{w}\t{'NN' if i % 2 else 'VB'}\n"
                             for i, w in enumerate(words)), encoding="utf-8")
-    (block,) = cp.parse_tagged_corpus(path).blocks()
+    (block,) = cp.TaggedCorpusReader(path).blocks()
     assert block.surfaces == list(dict.fromkeys(words))
     assert [block.surfaces[i] for i in block.ids] == words
     assert block.noun.tolist() == [bool(i % 2) for i in range(len(words))]
@@ -814,14 +827,14 @@ def test_surfaces_in_one_bucket_are_told_apart(tmp_path, monkeypatch):
 def test_block_reader_with_every_surface_in_one_bucket(sources, block,
                                                        tmp_path_factory):
     paths = _write_sources(tmp_path_factory.mktemp("tag"), sources)
-    reader = cp.parse_tagged_corpus(*paths)
+    reader = cp.TaggedCorpusReader(*paths)
     want = [(s.words, tuple(t in cp.NOUN_TAGS for t in s.tags))
             for s in reader]
     counts = (reader.skipped_lines, reader.sentences_read)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cp, "_TAGGED_BLOCK", block)
         mp.setattr(kernels, "_SURFACE_HASH", 0)
-        assert _block_sentences(reader.blocks()) == want
+        assert block_sentences(reader.blocks()) == want
     assert (reader.skipped_lines, reader.sentences_read) == counts
 
 
@@ -832,10 +845,10 @@ def test_no_compiler_reads_paths_through_per_line_loop(sources, block,
     """Without the compiled scan, :meth:`blocks` reads each path as text
     through the per-line loop: the same sentences and counts."""
     paths = _write_sources(tmp_path_factory.mktemp("tag"), sources)
-    reader = cp.parse_tagged_corpus(*paths)
+    reader = cp.TaggedCorpusReader(*paths)
 
     def read():
-        sentences = _block_sentences(reader.blocks())
+        sentences = block_sentences(reader.blocks())
         return sentences, reader.skipped_lines, reader.sentences_read
 
     with pytest.MonkeyPatch.context() as mp:
@@ -857,7 +870,7 @@ def test_long_words_read_in_bounded_memory(tmp_path):
         lines.insert(i, "")
     path = tmp_path / "c.tag"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    reader = cp.parse_tagged_corpus(path)
+    reader = cp.TaggedCorpusReader(path)
     want = [(s.words, tuple(t in cp.NOUN_TAGS for t in s.tags))
             for s in reader]
     tracemalloc.start()
@@ -866,7 +879,7 @@ def test_long_words_read_in_bounded_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _block_sentences(blocks) == want
+    assert block_sentences(blocks) == want
     assert peak < 8 << 20
 
 
@@ -876,7 +889,7 @@ def test_block_reader_names_the_line_of_a_bad_byte(tmp_path, monkeypatch,
     monkeypatch.setattr(cp, "_TAGGED_BLOCK", block)
     path = tmp_path / "c.tag"
     path.write_bytes(b"a\tNN\nb\tNN\n\n" * 5 + b"c\t\xffNN\n")
-    reader = cp.parse_tagged_corpus(path)
+    reader = cp.TaggedCorpusReader(path)
     with pytest.raises(cp.ArtifactError, match=f"^{path}:16: not UTF-8"):
         list(reader.blocks())
 
@@ -977,17 +990,21 @@ def test_extraction_and_counting_match_per_sentence_references(
         mp.setattr(cp, "_TAGGED_BLOCK", block)
         want = _counter_vocabulary(sents, max_words, max_nouns, lowercase)
         want.save(root / "want.txt")
-        for source in (cp.parse_tagged_corpus(*paths), sents):
-            vocab = cp.build_vocabulary(source, max_words, max_nouns,
+        reader = cp.TaggedCorpusReader(*paths)
+
+        def saved():
+            vocab = cp.build_vocabulary(reader, max_words, max_nouns,
                                         lowercase)
             vocab.save(root / "vocab.txt")
-            assert ((root / "vocab.txt").read_bytes()
-                    == (root / "want.txt").read_bytes())
+            return vocab, (root / "vocab.txt").read_bytes()
+
+        vocab, saved_bytes = on_both_routes(saved)
+        assert saved_bytes == (root / "want.txt").read_bytes()
 
         reference = [ctx for s in sents for ctx in _reference_extract(
             s, vocab, m_out, max_between)]
         contexts = (cp.extract_noun_pair_contexts(b, vocab, m_out, max_between)
-                    for b in cp.parse_tagged_corpus(*paths).blocks())
+                    for b in cp.TaggedCorpusReader(*paths).blocks())
         assert cp.write_contexts(contexts, m_out, root / "c.txt") == len(
             reference)
     assert list(cp.ContextFile(root / "c.txt")) == reference

@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import logging
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from relemb import corpus as cp
 from relemb import embed_train as et
 from relemb import kernels
-from conftest import (make_vocab, pack, rand_params, rand_ctx, check_row_grads,
-                      make_single_pattern_corpus)
+from conftest import (CorpusFiles, make_vocab, pack, rand_params, rand_ctx,
+                      check_row_grads, make_single_pattern_corpus)
 
 
 def target_probability(f, wid, params):
@@ -352,11 +354,13 @@ class TestPretrainStep:
 def _pattern_setup():
     """The vocabulary and the contexts (m_out 2, a tuple, so that no test
     changes them for the others) of one synthetic corpus, built once."""
-    corpus = cp.parse_tagged_corpus(
-        make_single_pattern_corpus(n_sentences=2500, seed=3).splitlines(True))
-    vocab = cp.build_vocabulary(corpus, 100, 100)
-    contexts = tuple(ctx for block in corpus.blocks()
-                     for ctx in cp.extract_noun_pair_contexts(block, vocab, 2))
+    with tempfile.TemporaryDirectory() as root:
+        corpus = CorpusFiles(Path(root)).reader(
+            make_single_pattern_corpus(n_sentences=2500, seed=3))
+        vocab = cp.build_vocabulary(corpus, 100, 100)
+        contexts = tuple(
+            ctx for block in corpus.blocks()
+            for ctx in cp.extract_noun_pair_contexts(block, vocab, 2))
     return vocab, contexts
 
 
@@ -402,8 +406,8 @@ class TestTrainEmbeddings:
         assert np.mean(means[-tenth:]) > np.mean(means[:tenth])
 
         # held-out (alpha, beta) contexts: 'caused' beats every other word
-        caused = vocab.word_id("caused")
-        n1, n2 = vocab.noun_id("alpha"), vocab.noun_id("beta")
+        caused = vocab.word_ids(["caused"])[0]
+        n1, n2 = vocab.noun_ids(["alpha"])[0], vocab.noun_ids(["beta"])[0]
         rng = np.random.default_rng(5)
         others = [w for w in range(2, vocab.n_words) if w != caused]
         wins = 0
@@ -521,7 +525,8 @@ class TestContextFileInput:
         cfg = et.PretrainConfig(dim=6, window=2, negatives=4, alpha=0.05,
                                 subsample=1e-3, epochs=2, seed=3,
                                 report_every=500)
-        p1, log1 = et.train_embeddings(cp.ContextFile(path), vocab, cfg)
+        p1, log1 = et.train_embeddings(cp.ContextFile(path).arrays, vocab,
+                                       cfg)
         assert len(calls) == 1
         p2, log2 = et.train_embeddings(pack(contexts[:300]), vocab, cfg)
         assert log1 == log2 and log1.steps_taken > 0
@@ -545,7 +550,8 @@ class TestContextFileInput:
         path = self._file(tmp_path_factory.mktemp("ctx"),
                           [*contexts[:row], bad, *contexts[row + 1:30]])
         with pytest.raises(cp.ArtifactError) as err:
-            et.train_embeddings(cp.ContextFile(path), vocab, self._CFG)
+            et.train_embeddings(cp.ContextFile(path).arrays, vocab,
+                                self._CFG)
         assert str(err.value) == (f"{path}: context {row}: {what} id "
                                   f"{bound + excess} outside [0, {bound})")
 
@@ -559,7 +565,8 @@ class TestContextFileInput:
         path = self._file(tmp_path, contexts[:10], {
             range_row: (1, 2, (9999,)), format_row: (1, 2, ())})
         with pytest.raises(cp.ArtifactError, match=f"{path}: context {row}: "):
-            et.train_embeddings(cp.ContextFile(path), vocab, self._CFG)
+            et.train_embeddings(cp.ContextFile(path).arrays, vocab,
+                                self._CFG)
 
 
 class TestTrainEmbeddingsNumpy(TestTrainEmbeddings):

@@ -13,8 +13,7 @@ import pytest
 from relemb import cbow_baseline as cb
 from relemb import embed_train as et
 from relemb import kernels
-from relemb.corpus import (ContextArrays, NounPairContext, TaggedSentence,
-                           neighbor_slot_rows)
+from relemb.corpus import ContextArrays, NounPairContext, neighbor_slot_rows
 from conftest import make_vocab, rand_ctx, rand_params
 
 
@@ -158,25 +157,25 @@ def test_pretraining_walk_draws_as_numpy(kernel, monkeypatch, name):
     _assert_same_run(runs, _PARAMS)
 
 
-def _scenario_sentences(rng, vocab, p_words):
-    """200 tagged sentences of 1-8 words drawn with `p_words`."""
-    return [
-        TaggedSentence(words, ("NN",) * len(words)) for words in (
-            tuple(vocab.word_surfaces[i] for i in rng.choice(
-                np.arange(2, vocab.n_words), int(rng.integers(1, 9)),
-                p=None if p_words is None else p_words[2:]))
-            for _ in range(200))]
+def _scenario_corpus(files, rng, vocab, p_words):
+    """A reader over a file of 200 sentences of 1-8 words drawn with
+    `p_words`, each tagged NN."""
+    return files.reader("".join(
+        "".join(f"{vocab.word_surfaces[i]}\tNN\n" for i in rng.choice(
+            np.arange(2, vocab.n_words), int(rng.integers(1, 9)),
+            p=None if p_words is None else p_words[2:])) + "\n"
+        for _ in range(200)))
 
 
 @pytest.mark.parametrize("name", list(_SCENARIOS))
-def test_cbow_walk_draws_as_numpy(kernel, monkeypatch, name):
+def test_cbow_walk_draws_as_numpy(kernel, monkeypatch, files, name):
     vocab, p_words, t, report_every = _scenario_vocab(name)
     rng = np.random.default_rng(len(name))
-    sentences = _scenario_sentences(rng, vocab, p_words)
+    corpus = _scenario_corpus(files, rng, vocab, p_words)
     cfg = et.PretrainConfig(dim=3, window=2, negatives=6, alpha=0.1,
                             subsample=t, epochs=2, seed=7,
                             report_every=report_every)
-    runs = _on_both_backends(monkeypatch, cb.train_cbow, sentences, vocab,
+    runs = _on_both_backends(monkeypatch, cb.train_cbow, corpus, vocab,
                              cfg)
     log = runs[0][0][1]
     assert log.steps_taken > 0
@@ -208,8 +207,8 @@ def _shifted_aligned(offset, aligned=kernels.aligned):
 
 @pytest.mark.parametrize("name", ["forced_clashes", "one_word_noise"])
 @pytest.mark.parametrize("d", [1, 3, 7, 100])
-def test_walks_give_the_same_bytes_at_any_offset(kernel, monkeypatch, d,
-                                                 name):
+def test_walks_give_the_same_bytes_at_any_offset(kernel, monkeypatch, files,
+                                                 d, name):
     """The pretraining and CBOW walks leave the same bytes whether their
     parameter and work arrays start on a 64-byte line or 8, 16 or 32 bytes
     into one, also where one step scores a row at several positions."""
@@ -217,14 +216,14 @@ def test_walks_give_the_same_bytes_at_any_offset(kernel, monkeypatch, d,
     rng = np.random.default_rng(d)
     contexts = _random_contexts(rng, 100, 2, vocab.n_nouns, vocab.n_words,
                                 p_words)
-    sentences = _scenario_sentences(rng, vocab, p_words)
+    corpus = _scenario_corpus(files, rng, vocab, p_words)
     cfg = et.PretrainConfig(dim=d, window=3, negatives=6, alpha=0.1,
                             subsample=t, seed=7, report_every=report_every)
     runs = []
     for offset in (0, 8, 16, 32):
         monkeypatch.setattr(kernels, "aligned", _shifted_aligned(offset))
         params, _ = et.train_embeddings(contexts, vocab, cfg)
-        cbow, _ = cb.train_cbow(sentences, vocab, cfg)
+        cbow, _ = cb.train_cbow(corpus, vocab, cfg)
         arrays = [getattr(p, field) for p in (params, cbow)
                   for field in _PARAMS]
         assert [a.ctypes.data % 64 for a in arrays] == [offset] * 8

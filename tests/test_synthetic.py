@@ -22,17 +22,18 @@ def test_generated_text_is_pinned(kwargs, digest):
     assert _digest(make_synthetic_data(200, 10, 10, **kwargs)) == digest
 
 
-def _labels(text):
+def _labels(files, text):
     vocab = make_vocab({}, {})
-    return parse_semeval(text.splitlines(True), vocab, 1).labels.tolist()
+    return parse_semeval(files.path(text), vocab, 1).labels.tolist()
 
 
-def test_flipping_reverses_the_direction_and_keeps_other():
+def test_flipping_reverses_the_direction_and_keeps_other(files):
     ce12, _, cc12, _ = default_patterns()
     other = PatternSpec(OTHER, ce12.slots, "plainly", (0, 60))
     data = make_synthetic_data(50, 5, 5, label_flip_rate=1.0, seed=3,
                                patterns=[ce12, cc12, other])
-    train, test = _labels(data.train_text), _labels(data.test_text)
+    train, test = (_labels(files, data.train_text),
+                   _labels(files, data.test_text))
     assert sorted(set(test)) == [ce12.label, cc12.label, OTHER]
     assert sorted(set(train)) == [ce12.label ^ 1, cc12.label ^ 1, OTHER]
     assert [ALL_LABELS[i] for i in sorted(set(train))] == [
