@@ -237,12 +237,16 @@ class TokenBlock:
 
 
 def _sentence_blocks(sentences):
-    """:class:`TokenBlock` objects of about 16k tokens of `sentences`."""
+    """:class:`TokenBlock` objects of whole `sentences`, each cut once its
+    token lines hold ``_TAGGED_BLOCK`` characters, as the compiled route
+    cuts its blocks at about as many bytes."""
     batch, n = [], 0
     for sent in sentences:
         batch.append(sent)
-        n += len(sent)
-        if n >= 1 << 14:
+        # each token line: surface, tab, tag and line end
+        n += (sum(map(len, sent.words)) + sum(map(len, sent.tags))
+              + 2 * len(sent))
+        if n >= _TAGGED_BLOCK:
             yield TokenBlock.of_sentences(batch)
             batch, n = [], 0
     if batch:

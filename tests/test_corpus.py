@@ -774,6 +774,9 @@ def test_byte_path_reads_line_ends_whitespace_and_utf8(tmp_path,
                                                        monkeypatch):
     """The compiled scan settles these lines by itself: the per-line loop
     never runs."""
+    if kernels.load() is None:
+        pytest.skip("no C compiler found: there is no compiled scan, and "
+                    "the per-line loop reads every line")
     path = tmp_path / "c.tag"
     path.write_bytes("a\tNN\r\nİb\tVB\rc\tNN\t\n\x1c\t \x0b\n\xa0\tNNS\n"
                      "\n\r\n \r\nd e\tNNP\n\tNN\nf\t\nz\tNNPS".encode())
