@@ -97,12 +97,12 @@ def train_cbow(corpus, vocab, config):
     of a :class:`~relemb.embed_train.PretrainConfig`.
 
     Word vectors start Gaussian(0, 1/dim), prediction vectors (``dim``
-    wide) and biases at zero; the bias is never trained.  Subsampling
-    removes tokens from the sequence before windowing: each sentence draws
-    one uniform per token, and then the noise of its steps.  The learning
-    rate decays linearly over ``epochs * total tokens``.  After training,
-    each noun row is the word row of its surface, UNK's for the UNK noun
-    and for a surface outside the word inventory.  Seeded runs are
+    wide) and biases at zero, all float32; the bias is never trained.
+    Subsampling removes tokens from the sequence before windowing: each
+    sentence draws one uniform per token, and then the noise of its steps.
+    The learning rate decays linearly over ``epochs * total tokens``.  After
+    training, each noun row is the word row of its surface, UNK's for the
+    UNK noun and for a surface outside the word inventory.  Seeded runs are
     deterministic.  The compiled CBOW walk of :mod:`relemb.kernels` makes
     the same draws in the same order when a C compiler is found.  A corpus
     with no tokens raises its
@@ -117,11 +117,12 @@ def train_cbow(corpus, vocab, config):
     rng = np.random.default_rng(cfg.seed)
     std = 1.0 / math.sqrt(cfg.dim)
     params = EmbeddingParams(
-        noun_vecs=kernels.aligned((vocab.n_nouns, cfg.dim)),
+        noun_vecs=kernels.aligned((vocab.n_nouns, cfg.dim), kernels.FLOAT),
         word_vecs=aligned_copy(rng.normal(0.0, std,
-                                          size=(vocab.n_words, cfg.dim))),
-        pred_vecs=kernels.aligned((vocab.n_words, cfg.dim)),
-        pred_bias=kernels.aligned(vocab.n_words),
+                                          size=(vocab.n_words, cfg.dim)),
+                               kernels.FLOAT),
+        pred_vecs=kernels.aligned((vocab.n_words, cfg.dim), kernels.FLOAT),
+        pred_bias=kernels.aligned(vocab.n_words, kernels.FLOAT),
         dim=cfg.dim,
         window=cfg.window,
     )

@@ -21,6 +21,10 @@ each update's label rows between the calling thread and a helper thread
 when two CPUs are available (see :mod:`relemb.kernels`), with the same
 bytes as on one thread.
 
+The softmax weights and bias, and every AdaGrad accumulator, are float32
+as the embeddings are, in memory and in the classifier file; the numpy
+steps take the dtype of the parameters they are given.
+
 Prediction scores every instance from projected rows: for each segment and
 slot of the packed tables, the distinct parameter rows it reads times
 that slot's columns of the weights, pooled per instance.
@@ -74,8 +78,9 @@ class SoftmaxParams:
         return self.weights.shape[0]
 
     @classmethod
-    def zeros(cls, n_labels, dim):
-        return cls(kernels.aligned((n_labels, dim)), kernels.aligned(n_labels))
+    def zeros(cls, n_labels, dim, dtype=kernels.FLOAT):
+        return cls(kernels.aligned((n_labels, dim), dtype),
+                   kernels.aligned(n_labels, dtype))
 
     def check_finite(self):
         for name in ("weights", "bias"):
@@ -123,11 +128,14 @@ class AdaGradState:
     the block `name`."""
 
     def __init__(self, softmax_params, embed_params, touched):
-        self.weights = kernels.aligned(softmax_params.weights.shape)
-        self.bias = kernels.aligned(softmax_params.bias.shape)
+        self.weights = kernels.aligned(softmax_params.weights.shape,
+                                       softmax_params.weights.dtype)
+        self.bias = kernels.aligned(softmax_params.bias.shape,
+                                    softmax_params.bias.dtype)
         self.touched = touched
         self.rows = {name: kernels.aligned(
-                         (len(ids), getattr(embed_params, name).shape[1]))
+                         (len(ids), getattr(embed_params, name).shape[1]),
+                         embed_params.dtype)
                      for name, ids in touched.items()}
 
     def step_rows(self, embed_params, name, ids, grads, eta):
@@ -246,18 +254,25 @@ def train_classifier(data, embed_params, config, opts=FeatureOptions()):
     disabled the input embedding parameters are returned untouched.
     Raises FloatingPointError when a returned array holds a non-finite
     entry.
+
+    The numpy steps train at the dtype of `embed_params`.  The compiled
+    epoch takes float32 only, so it reads embeddings of another dtype
+    through a float32 copy.
     """
     cfg = config.validate()
     opts.validate()
     if not len(data):
         raise ValueError("no training instances")
 
-    params = embed_params.copy() if cfg.fine_tune else embed_params
+    compiled = kernels.load()
+    dtype = embed_params.dtype if compiled is None else kernels.FLOAT
+    params = (embed_params.copy(dtype)
+              if cfg.fine_tune or embed_params.dtype != dtype
+              else embed_params)
     dim = feature_dim(params, opts)
-    softmax = SoftmaxParams.zeros(len(ALL_LABELS), dim)
+    softmax = SoftmaxParams.zeros(len(ALL_LABELS), dim, dtype)
     tables = _Tables(data, params, opts, cfg.fine_tune)
     state = AdaGradState(softmax, params, tables.touched)
-    compiled = kernels.load()
     if compiled is None:
         logger.info("train: taking numpy steps")
     else:
@@ -274,7 +289,7 @@ def train_classifier(data, embed_params, config, opts=FeatureOptions()):
             masks = rng.random((n, dim)) < 0.5 if cfg.dropout else None
             logliks = []
             for t, idx in enumerate(order.tolist()):
-                mask = None if masks is None else masks[t].astype(float)
+                mask = None if masks is None else masks[t].astype(dtype)
                 _, loglik, (g_W, g_b), rows = supervised_objective_and_grad(
                     data.contexts.context(idx), tables.labels[idx], params,
                     softmax, cfg.l2, mask, opts, cfg.fine_tune,
@@ -303,8 +318,9 @@ def train_classifier(data, embed_params, config, opts=FeatureOptions()):
         logger.debug("classifier epoch %d: mean log-likelihood %.4f",
                      epoch + 1, total / n)
     softmax.check_finite()
-    if cfg.fine_tune:
-        params.check_finite()
+    if not cfg.fine_tune:
+        return softmax, embed_params, log
+    params.check_finite()
     return softmax, params, log
 
 
@@ -342,13 +358,14 @@ def _scores(contexts, softmax_params, embed_params, opts):
             stop = max(int(np.searchsorted(ends, a + _SCORE_CHUNK, "right")),
                        i + 1)
             b = ends[stop - 1]
-            pooled = np.zeros((len(W), b - a))
+            pooled = np.zeros((len(W), b - a), scores.dtype)
             for proj, inverse in projected:
                 pooled += proj[:, inverse[a:b]]
             read = i + np.flatnonzero(m[i:stop])
             if len(read):
                 scores[:, read] += (np.add.reduceat(
-                    pooled, ends[read] - m[read] - a, axis=1) / m[read])
+                    pooled, ends[read] - m[read] - a, axis=1)
+                    / m[read].astype(scores.dtype))
             i = stop
         lo += k * m
     return scores.T
@@ -399,10 +416,12 @@ def cross_validate(data, embed_params, settings, folds=10, seed=1):
 
 def save_classifier(softmax_params, opts, path):
     """Classifier file: header ``relemb-clf v1 L= dim= opts=<feature
-    flags>``, then the weights and the bias."""
+    flags> dtype=float32``, then the float32 weights and bias."""
     header = (f"relemb-clf v1 L={softmax_params.n_labels} "
               f"dim={softmax_params.weights.shape[1]} opts={opts.flags()}")
-    write_blob_file(path, header, (softmax_params.weights, softmax_params.bias))
+    write_blob_file(path, header,
+                    (softmax_params.weights, softmax_params.bias),
+                    kernels.FLOAT)
 
 
 def _classifier_shapes(kv):
@@ -417,7 +436,7 @@ def load_classifier(path):
     """Returns ``(softmax_params, opts)``."""
     kv, (weights, bias) = read_blob_file(path, "relemb-clf",
                                          ("L", "dim", "opts"),
-                                         _classifier_shapes)
+                                         _classifier_shapes, kernels.FLOAT)
     try:
         opts = FeatureOptions.from_flags(kv["opts"])
     except ConfigError as exc:

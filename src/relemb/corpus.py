@@ -572,9 +572,10 @@ def _pair_contexts(tokens, vocab, p1, p2, sentence, m_out):
 
 def write_contexts(contexts, m_out, path):
     """Write the extracted-context file: header ``relemb-contexts v1
-    m_out=<m> n=<contexts> nin=<words between>``, then int32 arrays of the
-    first nouns, the second nouns, each context's number of words between
-    the pair, those words, and the two outside windows, each ``(n, m)``.
+    m_out=<m> n=<contexts> nin=<words between> dtype=int32``, then int32
+    arrays of the first nouns, the second nouns, each context's number of
+    words between the pair, those words, and the two outside windows, each
+    ``(n, m)``.
     `contexts` is a :class:`ContextArrays` or an iterable of them, all read,
     and held as int32, before the file is written by
     :func:`write_blob_file`, so an error while they are read leaves `path`
@@ -643,17 +644,18 @@ class ConfigError(ValueError):
 
 # --- header-and-blob artifacts ----------------------------------------------
 
-def write_blob_file(path, header, arrays, dtype="<f8"):
-    """Binary artifact: the ASCII `header` line, then each array as
-    little-endian `dtype`, in order.  The file is written beside `path`
-    and moved there once complete, so `path` is either whole or as it
-    was."""
+def write_blob_file(path, header, arrays, dtype):
+    """Binary artifact: the ASCII `header` line, ending ``dtype=`` and the
+    name of `dtype`, then each array as little-endian `dtype`, in order.
+    The file is written beside `path` and moved there once complete, so
+    `path` is either whole or as it was."""
+    stored = np.dtype(dtype).newbyteorder("<")
     part = f"{os.fspath(path)}.part"
     try:
         with open(part, "wb") as fh:
-            fh.write(header.encode("ascii") + b"\n")
+            fh.write(f"{header} dtype={stored.name}\n".encode("ascii"))
             for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype=dtype))
+                fh.write(np.ascontiguousarray(arr, dtype=stored))
         os.replace(part, path)
     except BaseException:
         if os.path.exists(part):
@@ -706,16 +708,19 @@ def _header_dims(kv, keys, least=1):
 _HEADER_MAX = 4096
 
 
-def read_blob_file(path, magic, required, shapes, dtype="<f8"):
+def read_blob_file(path, magic, required, shapes, dtype):
     """Read a file written by :func:`write_blob_file` whose header is
     ``<magic> v1 key=value ...`` and whose arrays are `dtype`.
 
     `shapes` maps the header dict to the shapes of the stored arrays.  The
-    magic, the `required` keys and the exact byte length are checked before
-    any array is read, and every value of a float `dtype` is checked to be
-    finite; every error names `path`.  Each array is read straight into an
-    array of its own.  Returns ``(header dict, arrays)``.
+    magic, the `required` keys, the element type the header's ``dtype``
+    states (a file that states another, or none, is rejected) and the
+    exact byte length are checked before any array is read, and every
+    value of a float `dtype` is checked to be finite; every error names
+    `path`.  Each array is read straight into an array of its own.  Returns
+    ``(header dict, arrays)``.
     """
+    stored = np.dtype(dtype).newbyteorder("<")
     with open(path, "rb") as fh:
         line = fh.readline(_HEADER_MAX)
         whole = len(line) < _HEADER_MAX or line.endswith(b"\n")
@@ -725,21 +730,24 @@ def read_blob_file(path, magic, required, shapes, dtype="<f8"):
             raise ArtifactError(f"not a {magic} file: {path}")
         kv = _header_dict((tok.partition("=")[::2] for tok in header[2:]),
                           path)
-        missing = [key for key in required if key not in kv]
+        missing = [key for key in (*required, "dtype") if key not in kv]
         if missing:
             raise ArtifactError(f"{path}: header lacks {', '.join(missing)}")
+        if kv["dtype"] != stored.name:
+            raise ArtifactError(f"{path}: element type {kv['dtype']}, "
+                                f"expected {stored.name}")
         try:
             dims = shapes(kv)
         except ValueError as exc:
             raise ArtifactError(f"{path}: bad header value: {exc}") from None
-        want = np.dtype(dtype).itemsize * sum(map(math.prod, dims))
+        want = stored.itemsize * sum(map(math.prod, dims))
         held = os.fstat(fh.fileno()).st_size - fh.tell()
         if held != want:
             raise ArtifactError(f"{path}: header implies {want} data bytes, "
                                 f"file holds {held}")
         arrays = []
         for k, shape in enumerate(dims, 1):
-            arr = kernels.aligned(shape, dtype)
+            arr = kernels.aligned(shape, stored)
             if fh.readinto(arr) != arr.nbytes:
                 raise ArtifactError(f"{path}: file ends inside stored array "
                                     f"{k}")

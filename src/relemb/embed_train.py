@@ -29,9 +29,15 @@ numpy twin runs (here the steps of :func:`pretrain_step`, built on
 :func:`pretrain_objective_and_grad` and :func:`apply_row_grads`): it takes
 the same arguments, and stays the reference.
 
-Models are header-and-blob files of float64 arrays, written and read by
+Every parameter block is float32 (:data:`relemb.kernels.FLOAT`): the
+compiled walks read and write only float32 blocks, and a model file, a
+header-and-blob file written and read by
 :func:`~relemb.corpus.write_blob_file` and
-:func:`~relemb.corpus.read_blob_file`.
+:func:`~relemb.corpus.read_blob_file`, stores float32 arrays and says so
+in its header.  The random draws, the noise and subsampling tables, the
+learning-rate schedule and the objective sums stay float64.  The numpy
+steps take the dtype of the parameters they are given and build no float64
+temporaries, so the finite-difference tests run them at float64.
 """
 
 from __future__ import annotations
@@ -82,7 +88,8 @@ class EmbeddingParams:
     per-word logistic-regression weights used to score prediction targets.
     For natively pretrained parameters each prediction vector has length
     ``2*dim*(2+window)``; the CBOW baseline's have length ``dim``, and its
-    biases stay zero.
+    biases stay zero.  The trainers make float32 blocks; the numpy steps
+    take any one float dtype.
     """
 
     noun_vecs: np.ndarray   # (n_nouns, dim)
@@ -108,10 +115,18 @@ class EmbeddingParams:
     def pretrain_feature_dim(self):
         return _pretrain_width(self.dim, self.window)
 
-    def copy(self):
+    @property
+    def dtype(self):
+        return self.word_vecs.dtype
+
+    def copy(self, dtype=None):
+        """Aligned copies of the four blocks, as `dtype` (default: their
+        own)."""
         return EmbeddingParams(
-            aligned_copy(self.noun_vecs), aligned_copy(self.word_vecs),
-            aligned_copy(self.pred_vecs), aligned_copy(self.pred_bias),
+            aligned_copy(self.noun_vecs, dtype),
+            aligned_copy(self.word_vecs, dtype),
+            aligned_copy(self.pred_vecs, dtype),
+            aligned_copy(self.pred_bias, dtype),
             self.dim, self.window,
         )
 
@@ -129,24 +144,30 @@ def _pretrain_width(dim, window):
     return 2 * dim * (2 + window)
 
 
-def aligned_copy(values):
-    """A copy of `values` whose data starts on a 64-byte line, for the
-    compiled loops to stream (:func:`relemb.kernels.aligned`)."""
-    out = kernels.aligned(values.shape, values.dtype)
+def aligned_copy(values, dtype=None):
+    """A copy of `values` as `dtype` (default: its own) whose data starts on
+    a 64-byte line, for the compiled loops to stream
+    (:func:`relemb.kernels.aligned`)."""
+    out = kernels.aligned(values.shape,
+                          values.dtype if dtype is None else dtype)
     out[...] = values
     return out
 
 
 def initial_params(n_nouns, n_words, dim, window, rng):
-    """Gaussian(0, 1/dim) noun/word embeddings, zero prediction weights."""
+    """Gaussian(0, 1/dim) noun/word embeddings, zero prediction weights;
+    float32, each value the rounding of its float64 draw."""
     if dim < 1 or window < 1:
         raise ConfigError("dim and window must be >= 1")
     std = 1.0 / math.sqrt(dim)
     return EmbeddingParams(
-        noun_vecs=aligned_copy(rng.normal(0.0, std, size=(n_nouns, dim))),
-        word_vecs=aligned_copy(rng.normal(0.0, std, size=(n_words, dim))),
-        pred_vecs=kernels.aligned((n_words, _pretrain_width(dim, window))),
-        pred_bias=kernels.aligned(n_words),
+        noun_vecs=aligned_copy(rng.normal(0.0, std, size=(n_nouns, dim)),
+                               kernels.FLOAT),
+        word_vecs=aligned_copy(rng.normal(0.0, std, size=(n_words, dim)),
+                               kernels.FLOAT),
+        pred_vecs=kernels.aligned((n_words, _pretrain_width(dim, window)),
+                                  kernels.FLOAT),
+        pred_bias=kernels.aligned(n_words, kernels.FLOAT),
         dim=dim,
         window=window,
     )
@@ -285,7 +306,7 @@ def gather_table(params, ids, segments):
             # the mean is the sequential one
             parts.append(arr[ids[pos:end]].reshape(m, -1).sum(axis=0) / m)
         else:
-            parts.append(np.zeros(k * arr.shape[1]))
+            parts.append(np.zeros(k * arr.shape[1], arr.dtype))
         pos = end
     return np.concatenate(parts)
 
@@ -379,7 +400,7 @@ def _objective_and_grad(params, table, words, bias=True):
     z = pred @ f
     if bias:
         z += params.pred_bias[words]
-    labels = np.zeros(len(words))
+    labels = np.zeros(len(words), f.dtype)
     labels[0] = 1.0
     value = float(log_sigmoid(z[0]) + log_sigmoid(-z[1:]).sum())
     errs = labels - sigmoid(z)
@@ -617,14 +638,16 @@ def _warn_if_untrained(log, pairs, t):
 # --- persistence ------------------------------------------------------------
 
 def save_model(params, path):
-    """Model file: header ``relemb-model v1 d= c= nwords= nnouns= [wdim=]``,
-    then matrices noun_vecs, word_vecs, pred_vecs, pred_bias."""
+    """Model file: header ``relemb-model v1 d= c= nwords= nnouns= [wdim=]
+    dtype=float32``, then float32 matrices noun_vecs, word_vecs, pred_vecs,
+    pred_bias."""
     header = (f"relemb-model v1 d={params.dim} c={params.window} "
               f"nwords={params.n_words} nnouns={params.n_nouns}")
     if params.pred_dim != params.pretrain_feature_dim:
         header += f" wdim={params.pred_dim}"
     write_blob_file(path, header, (params.noun_vecs, params.word_vecs,
-                                   params.pred_vecs, params.pred_bias))
+                                   params.pred_vecs, params.pred_bias),
+                    kernels.FLOAT)
 
 
 def _model_shapes(kv):
@@ -636,6 +659,7 @@ def _model_shapes(kv):
 
 def load_model(path):
     kv, arrays = read_blob_file(path, "relemb-model",
-                                ("d", "c", "nwords", "nnouns"), _model_shapes)
+                                ("d", "c", "nwords", "nnouns"), _model_shapes,
+                                kernels.FLOAT)
     return EmbeddingParams(*arrays, int(kv["d"]), int(kv["c"]))
 

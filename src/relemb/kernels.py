@@ -25,6 +25,18 @@ of ``embed_train`` runs either and logs the same windows.  Both walks
 train the ``EmbeddingParams`` of ``embed_train`` and draw from the run's
 ``embed_train._Draws``.
 
+Every parameter block, AdaGrad accumulator and work buffer is C's
+``float`` (:data:`FLOAT`, numpy's float32): the embedding and prediction
+rows, the softmax weights and bias, the gathered inputs ``f`` and ``e``,
+their gradients ``g`` and ``g_e``, the dropout masks, the scores and the
+fine-tuning row sums.  What stays ``double``: the random draws, the noise
+and subsampling tables, the learning rate as the schedule computes it, each
+score's sigmoid and log-sigmoid, the softmax's exponentials, and the
+objective sums (``win_sum``, the log-likelihoods).  The per-element loops
+call the float functions, ``sqrtf`` and float literals such as ``2.0f``: a
+``double`` operand would promote each element to double and back, and the
+loop would run no faster than at float64.
+
 A pretraining or CBOW step reads each scored prediction row once: one pass
 adds the row's share of the input gradient, moves the row, and sums the
 next row's score, whose single accumulator then runs beside the
@@ -38,26 +50,30 @@ blocks and work buffers the compiled loops stream are allocated by
 into one, so a row's vector loads would split two lines.  The C code reads
 arrays at any offset with the same bytes, and asks nothing of alignment.
 
-A classifier epoch runs on the calling thread and, when the process may run
-on two CPUs (:func:`_threads`), one helper thread started and joined within
-the call.  The two split the label rows of the weights and their
-accumulators: the calling thread, which also makes every draw and gather,
-takes 8 of the 19 rows, and the helper the rest.  A split by columns would
-have each thread's next scores read rows the other has just written; by
-rows, each thread's rows stay in its own core's cache.  Every row's
-arithmetic is the one of a single thread, and the fine-tuning gradient is
-summed over the rows in their order, so the bytes are the same at either
-thread count.  The threads meet through two counters that only grow, one
-per thread: a wait spins with ``pause`` for a bounded count, then yields the
-CPU at each look, since on one CPU the other thread can only run if the
-waiting one gives way.  When the calling thread keeps having to yield, the
-threads are not running at once, and it takes every row back for the rest
-of the epoch; the epoch reports it, and the caller runs its later epochs on
-one thread.  The calling thread draws the next update's dropout mask while
-the helper finishes its rows, and the draws keep their order.  The row
-functions the two threads share are ``noinline``: each thread then runs
-the one compiled copy, where a copy inlined into the calling thread's loop
-could reduce in another order under ``-fassociative-math``.
+A classifier epoch runs on the calling thread and, when the process may run on
+two CPUs (:func:`_threads`), one helper thread started and joined within the
+call.  The two split the label rows of the weights and their accumulators: the
+calling thread, which also makes every draw and gather, takes 4 of the 19
+rows, and the helper the rest.  At float32 a row's AdaGrad step costs about
+a fourth of its float64 one, and the 2,000 or so dropout draws of an
+update became the calling thread's largest task: with 3 to 5 rows the
+in-process ``train`` stage took 6-8% less time than with 8 on both benchmark
+workloads (2-vCPU Xeon, 11 interleaved rounds).  A split by columns would have
+each thread's next scores read rows the other has just written; by rows, each
+thread's rows stay in its own core's cache.  Every row's arithmetic is the one
+of a single thread, and the fine-tuning gradient is summed over the rows in
+their order, so the bytes are the same at either thread count.  The threads
+meet through two counters that only grow, one per thread: a wait spins with
+``pause`` for a bounded count, then yields the CPU at each look, since on one
+CPU the other thread can only run if the waiting one gives way.  When the
+calling thread keeps having to yield, the threads are not running at once, and
+it takes every row back for the rest of the epoch; the epoch reports it, and
+the caller runs its later epochs on one thread.  The calling thread draws the
+next update's dropout mask while the helper finishes its rows, and the draws
+keep their order.  The row functions the two threads share are ``noinline``:
+each thread then runs the one compiled copy, where a copy inlined into the
+calling thread's loop could reduce in another order under
+``-fassociative-math``.
 
 The flags leave out ``-ffast-math``: an object linked with it as
 ``-shared`` pulls in ``crtfastmath.o``, whose constructor turns on
@@ -84,8 +100,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["SOURCE", "FLAGS", "Kernels", "Progress", "Scan", "aligned",
-           "load"]
+__all__ = ["SOURCE", "FLAGS", "FLOAT", "Kernels", "Progress", "Scan",
+           "aligned", "load"]
 
 SOURCE = r"""
 #include <math.h>
@@ -111,7 +127,7 @@ static double sigmoid(double x)
 /* dst = the k slots of the m pooled rows `ids` of vecs (row r, slot j at
    ids[r * k + j]), each slot summed over the pooled rows row by row and
    then divided by m: k * w entries, zeros when m == 0. */
-static void gather(double *restrict dst, const double *vecs,
+static void gather(float *restrict dst, const float *vecs,
                    const int64_t *ids, int64_t k, int64_t m, int64_t w)
 {
     if (m == 0) {
@@ -122,7 +138,7 @@ static void gather(double *restrict dst, const double *vecs,
         memcpy(dst + j * w, vecs + ids[j] * w, w * sizeof *dst);
     for (int64_t r = 1; r < m; r++)
         for (int64_t j = 0; j < k; j++) {
-            const double *row = vecs + ids[r * k + j] * w;
+            const float *row = vecs + ids[r * k + j] * w;
             for (int64_t x = 0; x < w; x++)
                 dst[j * w + x] += row[x];
         }
@@ -132,11 +148,11 @@ static void gather(double *restrict dst, const double *vecs,
 }
 
 /* Each of the m rows `ids` of vecs += lr * (g / m). */
-static void spread(double *vecs, const int64_t *ids, int64_t m, int64_t d,
-                   double lr, const double *restrict g)
+static void spread(float *vecs, const int64_t *ids, int64_t m, int64_t d,
+                   float lr, const float *restrict g)
 {
     for (int64_t r = 0; r < m; r++) {
-        double *row = vecs + ids[r] * d;
+        float *row = vecs + ids[r] * d;
         for (int64_t x = 0; x < d; x++)
             row[x] += lr * (g[x] / m);
     }
@@ -210,11 +226,11 @@ static void draw_noise(bitgen_t *bg, const noise_t *noise, int64_t k,
 }
 
 /* The dot product of row w and f: one accumulator, in x order. */
-static __attribute__((noinline)) double dot(const double *restrict w,
-                                            const double *restrict f,
-                                            int64_t p)
+static __attribute__((noinline)) float dot(const float *restrict w,
+                                           const float *restrict f,
+                                           int64_t p)
 {
-    double z = 0.0;
+    float z = 0.0f;
     for (int64_t x = 0; x < p; x++)
         z += w[x] * f[x];
     return z;
@@ -223,12 +239,12 @@ static __attribute__((noinline)) double dot(const double *restrict w,
 /* One pass over the scored row w: g += err * w, then, when `moved`,
    w += lr * (move * f) after its read; returns the dot product of the
    next row and f, summed as dot() sums it.  next != w whenever moved. */
-static __attribute__((noinline)) double pass_row(
-    double *restrict g, double err, double *restrict w, int moved,
-    double move, double lr, const double *restrict next,
-    const double *restrict f, int64_t p)
+static __attribute__((noinline)) float pass_row(
+    float *restrict g, float err, float *restrict w, int moved,
+    float move, float lr, const float *restrict next,
+    const float *restrict f, int64_t p)
 {
-    double z = 0.0;
+    float z = 0.0f;
     for (int64_t x = 0; x < p; x++) {
         g[x] += err * w[x];
         if (moved)
@@ -239,9 +255,9 @@ static __attribute__((noinline)) double pass_row(
 }
 
 /* w += lr * (move * f): a further move of a row scored more than once. */
-static __attribute__((noinline)) void move_row(double *restrict w,
-                                               double move, double lr,
-                                               const double *restrict f,
+static __attribute__((noinline)) void move_row(float *restrict w,
+                                               float move, float lr,
+                                               const float *restrict f,
                                                int64_t p)
 {
     for (int64_t x = 0; x < p; x++)
@@ -252,20 +268,22 @@ static __attribute__((noinline)) void move_row(double *restrict w,
    the k1 rows `scored` of pred, target first, with bias when not NULL.
    Returns log sigma(z_0) + sum_j log sigma(-z_j); leaves in g the
    errors times the pre-update rows, summed; moves each scored row by
-   lr * err_j * f (and its bias by lr * err_j).  err holds k1 doubles.
+   lr * err_j * f (and its bias by lr * err_j).  err holds k1 floats.
+   Each score z_j is summed in float, and its sigmoid and log-sigmoid are
+   taken in double.
 
    Each row is read once, in one pass that adds its share of g, moves it
    and sums the next row's score.  A row scored at several positions moves
    only at its last one, by each position's move in position order, so no
    row moves before its last read. */
-static double score(const double *restrict f, int64_t p,
-                    const int64_t *scored, int64_t k1, double *pred,
-                    double *bias, double lr, double *restrict g,
-                    double *restrict err)
+static double score(const float *restrict f, int64_t p,
+                    const int64_t *scored, int64_t k1, float *pred,
+                    float *bias, float lr, float *restrict g,
+                    float *restrict err)
 {
     double target_term = 0.0, noise_terms = 0.0;
     memset(g, 0, p * sizeof *g);
-    double z = dot(pred + scored[0] * p, f, p);
+    float z = dot(pred + scored[0] * p, f, p);
     for (int64_t j = 0; j < k1; j++) {
         const int64_t id = scored[j];
         if (bias)
@@ -285,8 +303,8 @@ static double score(const double *restrict f, int64_t p,
             if (scored[i] == id)
                 first = i;
         /* the last row has no next one: its pass sums f . f, unused */
-        const double *next = j + 1 < k1 ? pred + scored[j + 1] * p : f;
-        double *w = pred + id * p;
+        const float *next = j + 1 < k1 ? pred + scored[j + 1] * p : f;
+        float *w = pred + id * p;
         z = pass_row(g, err[j], w, moved, err[first], lr, next, f, p);
         for (int64_t i = first + 1; moved && i <= j; i++)
             if (scored[i] == id)
@@ -299,17 +317,17 @@ static double score(const double *restrict f, int64_t p,
 
 /* One pretraining step: its table is the nouns, the 2c neighbour `slots`
    and the outside windows `bef` and `aft` of m ids each; `scored` holds
-   the target then the noise ids.  `work` holds 2p + k1 doubles. */
+   the target then the noise ids.  `work` holds 2p + k1 floats. */
 static double pretrain_step(int64_t d, int64_t c, int64_t m, int64_t k1,
                             const int64_t *nouns, const int64_t *slots,
                             const int64_t *bef, const int64_t *aft,
-                            const int64_t *scored, double lr,
-                            double *noun_vecs, double *word_vecs,
-                            double *pred_vecs, double *pred_bias,
-                            double *work)
+                            const int64_t *scored, float lr,
+                            float *noun_vecs, float *word_vecs,
+                            float *pred_vecs, float *pred_bias,
+                            float *work)
 {
     const int64_t p = 2 * d * (2 + c);
-    double *restrict f = work, *restrict g = work + p;
+    float *restrict f = work, *restrict g = work + p;
 
     /* f: the gather of the table */
     gather(f, noun_vecs, nouns, 2, 1, d);
@@ -339,16 +357,16 @@ static double pretrain_step(int64_t d, int64_t c, int64_t m, int64_t k1,
    rate alpha * (1 - done / planned), one discard draw, then k noise draws
    and the step.  Returns 1 after the first kept context that leaves done
    at or past pr->next_report, 0 at the end.  Every id must be in range;
-   `work` holds 2p + k + 1 doubles and `words` k + 1 ids. */
+   `work` holds 2p + k + 1 floats and `words` k + 1 ids. */
 int64_t relemb_pretrain_contexts(
     int64_t n, int64_t d, int64_t c, int64_t m, int64_t k,
     const int64_t *n1, const int64_t *n2, const int64_t *offsets,
     const int64_t *w_in, const int64_t *slots, const int64_t *bef,
     const int64_t *aft, const double *noun_discard,
     const double *word_discard, const double *cum, const double *probs,
-    int64_t n_words, double alpha, int64_t planned, double *noun_vecs,
-    double *word_vecs, double *pred_vecs, double *pred_bias,
-    progress_t *pr, double *work, int64_t *words, bitgen_t *bg)
+    int64_t n_words, double alpha, int64_t planned, float *noun_vecs,
+    float *word_vecs, float *pred_vecs, float *pred_bias,
+    progress_t *pr, float *work, int64_t *words, bitgen_t *bg)
 {
     const noise_t noise = {cum, probs, n_words};
     while (pr->at < n) {
@@ -361,7 +379,7 @@ int64_t relemb_pretrain_contexts(
             continue;
         }
         for (int64_t t = first; t < last; t++) {
-            const double lr = alpha * (1.0 - (double)pr->done / planned);
+            const float lr = alpha * (1.0 - (double)pr->done / planned);
             pr->done++;
             if (word_discard[w_in[t]] > uniform(bg)) {
                 pr->targets_discarded++;
@@ -391,20 +409,20 @@ int64_t relemb_pretrain_contexts(
    word_vecs of the c kept tokens on each side, scored against pred_vecs
    (d wide) with no bias.  Returns 1 after the first sentence that leaves
    done at or past pr->next_report, 0 at the end.  `work` holds 2d + k + 1
-   doubles, and `scratch` k + 1 + 2c ids plus the longest sentence's. */
+   floats, and `scratch` k + 1 + 2c ids plus the longest sentence's. */
 int64_t relemb_cbow_sentences(
     int64_t n, int64_t d, int64_t c, int64_t k, const int64_t *offsets,
     const int64_t *ids, const double *discard, const double *cum,
     const double *probs, int64_t n_words, double alpha, int64_t planned,
-    double *word_vecs, double *pred_vecs, progress_t *pr, double *work,
+    float *word_vecs, float *pred_vecs, progress_t *pr, float *work,
     int64_t *scratch, bitgen_t *bg)
 {
     const noise_t noise = {cum, probs, n_words};
-    double *restrict f = work, *restrict g = work + d;
+    float *restrict f = work, *restrict g = work + d;
     int64_t *words = scratch, *window = words + k + 1, *kept = window + 2 * c;
     while (pr->at < n) {
         const int64_t s = pr->at++, first = offsets[s], last = offsets[s + 1];
-        const double lr = alpha * (1.0 - (double)pr->done / planned);
+        const float lr = alpha * (1.0 - (double)pr->done / planned);
         int64_t n_kept = 0;
         for (int64_t t = first; t < last; t++)
             if (!(discard[ids[t]] > uniform(bg)))
@@ -433,15 +451,16 @@ int64_t relemb_cbow_sentences(
 }
 
 /* One AdaGrad ascent step on the n entries of param, whose gradient is g
-   less l2 times param when l2 > 0. */
-static void adagrad(double *restrict param, double *restrict acc,
-                    const double *restrict g, int64_t n, double l2,
-                    double eta, double eps)
+   less l2 times param when l2 > 0.  sqrtf, not sqrt: sqrt would take each
+   accumulator to double and back. */
+static void adagrad(float *restrict param, float *restrict acc,
+                    const float *restrict g, int64_t n, float l2,
+                    float eta, float eps)
 {
     for (int64_t x = 0; x < n; x++) {
-        const double gx = l2 > 0.0 ? g[x] - l2 * param[x] : g[x];
+        const float gx = l2 > 0.0f ? g[x] - l2 * param[x] : g[x];
         acc[x] += gx * gx;
-        param[x] += eta * gx / (sqrt(acc[x]) + eps);
+        param[x] += eta * gx / (sqrtf(acc[x]) + eps);
     }
 }
 
@@ -451,12 +470,12 @@ static void adagrad(double *restrict param, double *restrict acc,
 
 /* The scores of label rows lo .. hi - 1: s[l] = W[l] . e + bias[l]. */
 static __attribute__((noinline)) void forward(
-    const double *W, const double *bias, const double *restrict e,
-    double *restrict s, int64_t lo, int64_t hi, int64_t dim)
+    const float *W, const float *bias, const float *restrict e,
+    float *restrict s, int64_t lo, int64_t hi, int64_t dim)
 {
     for (int64_t l = lo; l < hi; l++) {
-        const double *w = W + l * dim;
-        double o = 0.0;
+        const float *w = W + l * dim;
+        float o = 0.0f;
         for (int64_t x = 0; x < dim; x++)
             o += w[x] * e[x];
         s[l] = o + bias[l];
@@ -464,12 +483,14 @@ static __attribute__((noinline)) void forward(
 }
 
 /* g_o: the gradient w.r.t. the scores s of the log-likelihood of label li
-   under the max-shifted softmax, which is returned. */
+   under the max-shifted softmax, which is returned.  The shifted scores are
+   float, their exponentials and logarithms double. */
 static __attribute__((noinline)) double softmax_grad(
-    const double *restrict s, int64_t n_labels, int64_t li,
-    double *restrict g_o)
+    const float *restrict s, int64_t n_labels, int64_t li,
+    float *restrict g_o)
 {
-    double top = -INFINITY, z = 0.0;
+    float top = -INFINITY;
+    double z = 0.0;
     for (int64_t l = 0; l < n_labels; l++) {
         g_o[l] = s[l];
         if (g_o[l] > top)
@@ -481,19 +502,19 @@ static __attribute__((noinline)) double softmax_grad(
     }
     const double logz = log(z), loglik = g_o[li] - logz;
     for (int64_t l = 0; l < n_labels; l++)
-        g_o[l] = -exp(g_o[l] - logz);
-    g_o[li] += 1.0;
+        g_o[l] = (float)-exp(g_o[l] - logz);
+    g_o[li] += 1.0f;
     return loglik;
 }
 
 /* g_e += W[l] g_o[l] for the label rows lo .. hi - 1, in row order. */
 static __attribute__((noinline)) void sum_rows(
-    const double *W, const double *restrict g_o, double *restrict g_e,
+    const float *W, const float *restrict g_o, float *restrict g_e,
     int64_t lo, int64_t hi, int64_t dim)
 {
     for (int64_t l = lo; l < hi; l++) {
-        const double *w = W + l * dim;
-        const double go = g_o[l];
+        const float *w = W + l * dim;
+        const float go = g_o[l];
         for (int64_t x = 0; x < dim; x++)
             g_e[x] += w[x] * go;
     }
@@ -503,21 +524,21 @@ static __attribute__((noinline)) void sum_rows(
    g_o[l] e less l2 W[l] when l2 > 0; when g_e is not NULL, each row adds
    its pre-update W[l] g_o[l] to g_e first, as sum_rows does. */
 static __attribute__((noinline)) void step_rows(
-    double *W, double *acc_W, const double *restrict e,
-    const double *restrict g_o, double *restrict g_e, int64_t lo,
-    int64_t hi, int64_t dim, double l2, double eta, double eps)
+    float *W, float *acc_W, const float *restrict e,
+    const float *restrict g_o, float *restrict g_e, int64_t lo,
+    int64_t hi, int64_t dim, float l2, float eta, float eps)
 {
     for (int64_t l = lo; l < hi; l++) {
-        double *w = W + l * dim, *acc = acc_W + l * dim;
-        const double go = g_o[l];
+        float *w = W + l * dim, *acc = acc_W + l * dim;
+        const float go = g_o[l];
         for (int64_t x = 0; x < dim; x++) {
-            double g = go * e[x];
+            float g = go * e[x];
             if (g_e)
                 g_e[x] += w[x] * go;
-            if (l2 > 0.0)
+            if (l2 > 0.0f)
                 g -= l2 * w[x];
             acc[x] += g * g;
-            w[x] += eta * g / (sqrt(acc[x]) + eps);
+            w[x] += eta * g / (sqrtf(acc[x]) + eps);
         }
     }
 }
@@ -533,13 +554,16 @@ static __attribute__((noinline)) void step_rows(
 #define LATE_MAX 16
 
 /* A dropout mask of dim entries: 1 where a draw is below 0.5, else 0.
-   The draws come first: a compare beside each call would branch. */
-static void draw_mask(bitgen_t *bg, double *restrict mask, int64_t dim)
+   The dim double draws go to `draws` first: a compare beside each call
+   would branch, and rounded to float, a draw just below 0.5 would read
+   0.5. */
+static void draw_mask(bitgen_t *bg, double *restrict draws,
+                      float *restrict mask, int64_t dim)
 {
     for (int64_t x = 0; x < dim; x++)
-        mask[x] = uniform(bg);
+        draws[x] = uniform(bg);
     for (int64_t x = 0; x < dim; x++)
-        mask[x] = mask[x] < 0.5;
+        mask[x] = draws[x] < 0.5;
 }
 
 /* What the two threads of a classifier epoch share.  Each posts in its own
@@ -552,9 +576,9 @@ typedef struct {
     _Alignas(64) int64_t caller;
     _Alignas(64) int64_t helper;
     _Alignas(64) int64_t n, last, n_labels, dim, split, fine_tune;
-    double eta, eps, l2;
+    float eta, eps, l2;
     const int64_t *order, *labels;
-    double *W, *bias, *acc_W, *e[2], *scores, *g_o, *g_e;
+    float *W, *bias, *acc_W, *e[2], *scores, *g_o, *g_e;
 } team_t;
 
 static void post(int64_t *counter, int64_t stage)
@@ -582,10 +606,10 @@ static void *helper_epoch(void *arg)
 {
     team_t *tm = arg;
     const int64_t L = tm->n_labels, dim = tm->dim;
-    double *g_o = tm->g_o + L;
+    float *g_o = tm->g_o + L;
     for (int64_t t = 0; t < tm->n; t++) {
-        const double *e = tm->e[t & 1];
-        double *s = tm->scores + (t & 1) * L;
+        const float *e = tm->e[t & 1];
+        float *s = tm->scores + (t & 1) * L;
         await_stage(&tm->caller, 4 * t + 1);
         if (t == tm->last)
             break;
@@ -631,30 +655,31 @@ static void *helper_epoch(void *arg)
    the other of two mask buffers, once the calling thread has taken its own
    steps of update t and before it waits for the helper's: the draws keep
    their order.  Returns 1 when the helper's rows were taken back, else 0.
-   `work` holds 5 dim + 4 n_labels + len * max(d, pred_w) doubles, len the
-   longest table. */
+   `work` holds 5 dim + 4 n_labels + len * max(d, pred_w) floats, len the
+   longest table, and `draws` dim doubles. */
 int64_t relemb_classifier_epoch(
     int64_t n, int64_t n_labels, int64_t dim, int64_t n_seg,
     const int64_t *segs, const int64_t *ms, const int64_t *starts,
     const int64_t *ids, const int64_t *firsts, const int64_t *slots,
     const int64_t *order, const int64_t *labels, int64_t dropout,
-    int64_t fine_tune, double eta, double eps, double l2, double *W,
-    double *bias, double *acc_W, double *acc_b, int64_t d, int64_t pred_w,
-    double *noun_vecs, double *word_vecs, double *pred_vecs,
-    double *acc_noun, double *acc_word, double *acc_pred, double *logliks,
-    double *work, int64_t threads, bitgen_t *bg)
+    int64_t fine_tune, float eta, float eps, float l2, float *W,
+    float *bias, float *acc_W, float *acc_b, int64_t d, int64_t pred_w,
+    float *noun_vecs, float *word_vecs, float *pred_vecs,
+    float *acc_noun, float *acc_word, float *acc_pred, double *logliks,
+    float *work, double *draws, int64_t threads, bitgen_t *bg)
 {
-    double *const vecs[3] = {noun_vecs, word_vecs, pred_vecs},
-           *const accs[3] = {acc_noun, acc_word, acc_pred};
+    float *const vecs[3] = {noun_vecs, word_vecs, pred_vecs},
+          *const accs[3] = {acc_noun, acc_word, acc_pred};
     const int64_t widths[3] = {d, d, pred_w}, w_max = d > pred_w ? d : pred_w;
-    double *restrict g_e = work + 2 * dim, *const masks[2] = {
-               work + 3 * dim, work + 4 * dim},
-           *restrict g_o = work + 5 * dim + 2 * n_labels,
-           *restrict sums = g_o + 2 * n_labels;
-    /* the calling thread also gathers and draws, so it takes fewer rows:
-       8 of the 19 relation labels */
+    float *restrict g_e = work + 2 * dim, *const masks[2] = {
+              work + 3 * dim, work + 4 * dim},
+          *restrict g_o = work + 5 * dim + 2 * n_labels,
+          *restrict sums = g_o + 2 * n_labels;
+    /* the calling thread also gathers and draws each update's 2,000 or so
+       mask entries, which outweigh a float row's AdaGrad step, so it takes
+       few rows: 4 of the 19 relation labels */
     team_t tm = {.n = n, .last = n, .n_labels = n_labels, .dim = dim,
-                 .split = threads > 1 ? n_labels * 8 / 19 : n_labels,
+                 .split = threads > 1 ? n_labels * 4 / 19 : n_labels,
                  .fine_tune = fine_tune, .eta = eta, .eps = eps, .l2 = l2,
                  .order = order, .labels = labels, .W = W, .bias = bias,
                  .acc_W = acc_W, .e = {work, work + dim},
@@ -671,9 +696,9 @@ int64_t relemb_classifier_epoch(
         if (!helped)
             tm.split = n_labels;
     }
-    double *fused = fine_tune && !helped ? g_e : NULL;
+    float *fused = fine_tune && !helped ? g_e : NULL;
     if (dropout && n > 0)
-        draw_mask(bg, masks[0], dim);
+        draw_mask(bg, draws, masks[0], dim);
     for (int64_t t = 0; t < n; t++) {
         if (helped && late >= LATE_MAX) {      /* take every row back */
             tm.last = t;
@@ -687,8 +712,8 @@ int64_t relemb_classifier_epoch(
         const int64_t i = order[t], *m = ms + i * n_seg, li = labels[i];
         const int64_t *row_ids = ids + starts[i], *first = firsts + starts[i],
                       *slot = slots + starts[i];
-        double *restrict e = tm.e[t & 1], *restrict mask = masks[t & 1];
-        double *sc = tm.scores + (t & 1) * n_labels;
+        float *restrict e = tm.e[t & 1], *restrict mask = masks[t & 1];
+        float *sc = tm.scores + (t & 1) * n_labels;
 
         /* e: the gather of the table, then the dropout mask */
         for (int64_t s = 0, q = 0, off = 0; s < n_seg; s++) {
@@ -699,7 +724,7 @@ int64_t relemb_classifier_epoch(
         }
         if (dropout)
             for (int64_t x = 0; x < dim; x++)
-                e[x] = e[x] * mask[x] * 2.0;
+                e[x] = e[x] * mask[x] * 2.0f;
         if (helped)
             post(&tm.caller, 4 * t + 1);
 
@@ -722,7 +747,7 @@ int64_t relemb_classifier_epoch(
         step_rows(W, acc_W, e, g_o, fused, 0, tm.split, dim, l2, eta, eps);
         adagrad(bias, acc_b, g_o, n_labels, l2, eta, eps);
         if (dropout && t + 1 < n)
-            draw_mask(bg, masks[(t + 1) & 1], dim);
+            draw_mask(bg, draws, masks[(t + 1) & 1], dim);
         if (!fine_tune)
             continue;
         if (helped)
@@ -733,13 +758,13 @@ int64_t relemb_classifier_epoch(
            step per row */
         if (dropout)
             for (int64_t x = 0; x < dim; x++)
-                g_e[x] = g_e[x] * mask[x] * 2.0;
+                g_e[x] = g_e[x] * mask[x] * 2.0f;
         for (int64_t s = 0, q = 0, off = 0; s < n_seg; s++) {
             const int64_t b = segs[2 * s], k = segs[2 * s + 1], w = widths[b];
             for (int64_t r = 0; r < m[s]; r++)
                 for (int64_t j = 0; j < k; j++, q++) {
-                    double *sum = sums + first[q] * w_max;
-                    const double *g = g_e + off + j * w;
+                    float *sum = sums + first[q] * w_max;
+                    const float *g = g_e + off + j * w;
                     if (first[q] == q)
                         for (int64_t x = 0; x < w; x++)
                             sum[x] = g[x] / m[s];
@@ -912,6 +937,10 @@ _FLAGS = np.ctypeslib.ndpointer(np.bool_, ndim=1, flags="C_CONTIGUOUS")
 # Any value gives the same scan; 0 puts every surface in one bucket.
 _SURFACE_HASH = 0x100000001B3
 
+# The element type of every parameter block, AdaGrad accumulator and work
+# buffer of the compiled loops: C's float.
+FLOAT = np.dtype(np.float32)
+
 # The parameter blocks a classifier table reads, numbered as in the C code.
 _BLOCKS = ("noun_vecs", "word_vecs", "pred_vecs")
 
@@ -921,7 +950,7 @@ _BLOCKS = ("noun_vecs", "word_vecs", "pred_vecs")
 _LINE = 64
 
 
-def aligned(shape, dtype=np.float64):
+def aligned(shape, dtype):
     """A zero-filled C-contiguous array of `shape` and `dtype` whose data
     starts on a 64-byte line.  numpy's own large arrays start 16 bytes into
     one (past the allocator's chunk header), so every row a compiled loop
@@ -935,6 +964,10 @@ def aligned(shape, dtype=np.float64):
 
 def _doubles(ndim):
     return np.ctypeslib.ndpointer(np.float64, ndim=ndim, flags="C_CONTIGUOUS")
+
+
+def _floats(ndim):
+    return np.ctypeslib.ndpointer(FLOAT, ndim=ndim, flags="C_CONTIGUOUS")
 
 
 def _cpu_flags():
@@ -1033,8 +1066,8 @@ def _bind_pretrain(lib):
     fn.argtypes = ([ctypes.c_int64] * 5 + [_INTS] * 4 + [_IDS, _IDS, _IDS]
                    + [_doubles(1)] * 4
                    + [ctypes.c_int64, ctypes.c_double, ctypes.c_int64]
-                   + [_doubles(2)] * 3
-                   + [_doubles(1), ctypes.POINTER(Progress), _doubles(1),
+                   + [_floats(2)] * 3
+                   + [_floats(1), ctypes.POINTER(Progress), _floats(1),
                       _INTS, ctypes.c_void_p])
     fn.restype = ctypes.c_int64
 
@@ -1073,7 +1106,7 @@ def _bind_pretrain(lib):
                      draws.noise.cum, draws.noise.probs, params.n_words,
                      draws.cfg.alpha, draws.planned, params.noun_vecs,
                      params.word_vecs, params.pred_vecs, params.pred_bias,
-                     ctypes.byref(progress), aligned(2 * p + k + 1),
+                     ctypes.byref(progress), aligned(2 * p + k + 1, FLOAT),
                      np.empty(k + 1, np.int64))
 
     contexts.library = lib   # keeps the object loaded while it lives
@@ -1084,8 +1117,8 @@ def _bind_cbow(lib):
     fn = lib.relemb_cbow_sentences
     fn.argtypes = ([ctypes.c_int64] * 4 + [_INTS] * 2 + [_doubles(1)] * 3
                    + [ctypes.c_int64, ctypes.c_double, ctypes.c_int64]
-                   + [_doubles(2)] * 2
-                   + [ctypes.POINTER(Progress), _doubles(1), _INTS,
+                   + [_floats(2)] * 2
+                   + [ctypes.POINTER(Progress), _floats(1), _INTS,
                       ctypes.c_void_p])
     fn.restype = ctypes.c_int64
 
@@ -1112,7 +1145,7 @@ def _bind_cbow(lib):
                      draws.words.discard_probs, noise.cum, noise.probs,
                      n_words, draws.cfg.alpha, draws.planned,
                      params.word_vecs, params.pred_vecs,
-                     ctypes.byref(progress), aligned(2 * d + k + 1),
+                     ctypes.byref(progress), aligned(2 * d + k + 1, FLOAT),
                      np.empty(k + 1 + 2 * c + longest, np.int64))
 
     sentences.library = lib
@@ -1122,10 +1155,11 @@ def _bind_cbow(lib):
 def _bind_classifier(lib):
     fn = lib.relemb_classifier_epoch
     fn.argtypes = ([ctypes.c_int64] * 4 + [_IDS, _IDS] + [_INTS] * 6
-                   + [ctypes.c_int64] * 2 + [ctypes.c_double] * 3
-                   + [_doubles(2), _doubles(1), _doubles(2), _doubles(1)]
-                   + [ctypes.c_int64] * 2 + [_doubles(2)] * 6
-                   + [_doubles(1)] * 2 + [ctypes.c_int64, ctypes.c_void_p])
+                   + [ctypes.c_int64] * 2 + [ctypes.c_float] * 3
+                   + [_floats(2), _floats(1), _floats(2), _floats(1)]
+                   + [ctypes.c_int64] * 2 + [_floats(2)] * 6
+                   + [_doubles(1), _floats(1), _doubles(1), ctypes.c_int64,
+                      ctypes.c_void_p])
     fn.restype = ctypes.c_int64
 
     def epoch(tables, order, rng, softmax, state, params, cfg, eps, threads):
@@ -1152,7 +1186,7 @@ def _bind_classifier(lib):
         dim = int(sum(k * widths[name] for name, k in tables.segments))
         n_labels = softmax.bias.shape[0]
         total = int(tables.starts[-1])
-        accs = [state.rows.get(name, np.zeros((0, widths[name])))
+        accs = [state.rows.get(name, np.zeros((0, widths[name]), FLOAT))
                 for name in _BLOCKS]
         if (tables.m.shape != (n, len(segs)) or tables.starts.shape != (n + 1,)
                 or tables.labels.shape != (n,)
@@ -1177,8 +1211,8 @@ def _bind_classifier(lib):
               softmax.weights, softmax.bias, state.weights, state.bias, d,
               pred_w, params.noun_vecs, params.word_vecs, params.pred_vecs,
               *accs, logliks,
-              aligned(5 * dim + 4 * n_labels + longest * max(d, pred_w)),
-              threads)
+              aligned(5 * dim + 4 * n_labels + longest * max(d, pred_w),
+                      FLOAT), aligned(dim, np.float64), threads)
         return logliks, took_back
 
     epoch.library = lib

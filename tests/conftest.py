@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,15 @@ def rand_params(rng, dim, window, n_nouns=6, n_words=12, pred_dim=None,
         dim=dim,
         window=window,
     )
+
+
+def float32_rtol(n):
+    """The relative tolerance between two float32 computations of `n`
+    steps (updates of a training run, or terms of a sum) that round in
+    different orders: a few dozen roundings of one float32 epsilon each per
+    step, adding up like a random walk, so 32 epsilons times the square
+    root of `n`."""
+    return 32 * float(np.finfo(np.float32).eps) * math.sqrt(n)
 
 
 def rand_ctx(rng, m_in, m_out, n_nouns=6, n_words=12):

@@ -17,7 +17,8 @@ from relemb import classifier as cl
 from relemb import kernels
 from relemb.corpus import ALL_LABELS, ConfigError, NounPairContext
 from relemb.features import FeatureOptions, assemble_features, feature_dim
-from conftest import check_row_grads, labelled, pack, rand_params, rand_ctx
+from conftest import (check_row_grads, float32_rtol, labelled, pack,
+                      rand_params, rand_ctx)
 
 
 def _instances(rng, n, params, n_labels=4):
@@ -71,6 +72,21 @@ class TestSupervisedObjective:
             rows = np.arange(19)
             check_row_grads(value, softmax,
                             {"weights": (rows, g_W), "bias": (rows, g_b)})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_keep_the_parameters_dtype(self, rng, dtype):
+        """Every gradient is built at the dtype of the parameters, for a
+        context with an empty between span (zeros in the features) too."""
+        params = rand_params(rng, dim=3, window=1).copy(dtype)
+        dim = feature_dim(params)
+        softmax = cl.SoftmaxParams(rng.normal(size=(19, dim)).astype(dtype),
+                                   rng.normal(size=19).astype(dtype))
+        mask = cl.apply_dropout(np.ones(dim, dtype), rng)
+        for m_in in (0, 2):
+            _, _, (g_W, g_b), rows = cl.supervised_objective_and_grad(
+                rand_ctx(rng, m_in, 2), 3, params, softmax, 0.01, mask)
+            assert g_W.dtype == g_b.dtype == dtype
+            assert rows and all(g.dtype == dtype for _, g in rows.values())
 
     def test_l2_term_is_linear_in_params(self, rng):
         params = rand_params(rng, dim=3, window=1)
@@ -284,12 +300,13 @@ class TestTrainClassifier:
         replay.permutation(1)
         dim = feature_dim(params, opts)
         mask = cl.apply_dropout(np.ones(dim), replay)
-        start = cl.SoftmaxParams.zeros(len(ALL_LABELS), dim)
+        # the numpy steps train at the parameters' dtype
+        start = cl.SoftmaxParams.zeros(len(ALL_LABELS), dim, before.dtype)
         _, loglik, (g_W, g_b), row_grads = cl.supervised_objective_and_grad(
             ctx, 3, before, start, config.l2, mask, opts, fine_tune)
         assert (len(row_grads) > 0) == fine_tune
 
-        expected = cl.SoftmaxParams.zeros(len(ALL_LABELS), dim)
+        expected = cl.SoftmaxParams.zeros(len(ALL_LABELS), dim, before.dtype)
         cl.adagrad_update(expected.weights, g_W, np.zeros_like(g_W), config.eta)
         cl.adagrad_update(expected.bias, g_b, np.zeros_like(g_b), config.eta)
         for name, (ids, rows) in row_grads.items():
@@ -383,6 +400,7 @@ def test_kernel_matches_numpy_epochs(monkeypatch, fine_tune, dropout, l2,
         pytest.skip("no C compiler found; training takes the numpy steps")
     rng = np.random.default_rng(7)
     params, instances = _epoch_setup(rng)
+    params = params.copy(kernels.FLOAT)     # both runs at float32
     contexts = list(instances.contexts)
     assert any(ctx.n1 == ctx.n2 for ctx in contexts)
     assert any(len(set(ctx.w_in + ctx.w_bef + ctx.w_aft))
@@ -398,15 +416,17 @@ def test_kernel_matches_numpy_epochs(monkeypatch, fine_tune, dropout, l2,
     monkeypatch.setattr(kernels, "load", lambda: None)
     want_softmax, want, want_log = cl.train_classifier(instances, params,
                                                        config, opts)
+    rtol = float32_rtol(config.epochs * len(instances))
     np.testing.assert_allclose(got_log.epoch_objective,
-                               want_log.epoch_objective, rtol=1e-9)
+                               want_log.epoch_objective, rtol=rtol)
     pairs = [(getattr(got_softmax, name), getattr(want_softmax, name), name)
              for name in ("weights", "bias")]
     pairs += [(getattr(got, name), getattr(want, name), name)
               for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias")]
     for actual, desired, name in pairs:
-        np.testing.assert_allclose(actual, desired, rtol=1e-9,
-                                   atol=1e-9 * np.abs(desired).max(),
+        assert actual.dtype == desired.dtype == kernels.FLOAT, name
+        np.testing.assert_allclose(actual, desired, rtol=rtol,
+                                   atol=rtol * np.abs(desired).max(),
                                    err_msg=name)
     tuned = [name for name in ("noun_vecs", "word_vecs", "pred_vecs")
              if getattr(got, name).tobytes() != getattr(params, name).tobytes()]
@@ -471,13 +491,15 @@ def _scored_contexts(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     opts = draw(st.sampled_from(_PREDICT_OPTIONS))
     params = rand_params(rng, dim=draw(st.integers(1, 3)),
-                         window=draw(st.integers(1, 3)), n_nouns=3, n_words=6)
+                         window=draw(st.integers(1, 3)), n_nouns=3,
+                         n_words=6).copy(kernels.FLOAT)
     width = 2 if opts.m_out else draw(st.integers(2, 4))
     contexts = pack([rand_ctx(rng, draw(st.integers(0, 5)), width, 3, 6)
                      for _ in range(draw(st.integers(0, 12)))], width)
     dim = feature_dim(params, opts)
-    softmax = cl.SoftmaxParams(rng.normal(size=(19, dim)),
-                               rng.normal(size=19))
+    softmax = cl.SoftmaxParams(
+        rng.normal(size=(19, dim)).astype(kernels.FLOAT),
+        rng.normal(size=19).astype(kernels.FLOAT))
     if draw(st.booleans()):
         softmax.weights[draw(st.integers(0, 18))] *= 0   # a bias-only class
     return params, softmax, contexts, opts
@@ -486,21 +508,23 @@ def _scored_contexts(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_scored_contexts())
 def test_predict_many_matches_per_instance_reference(case):
-    """Scores from projected rows equal each instance's gather, scored; the
-    labels equal the argmax of those scores wherever the top two
-    scores are more than 1e-9 apart."""
+    """Scores from projected rows equal each instance's gather, scored,
+    within the float32 tolerance of a score's sum; the labels equal the
+    argmax of those scores wherever the top two scores are further apart
+    than twice that tolerance."""
     params, softmax, contexts, opts = case
     got = cl._scores(contexts, softmax, params, opts)
     labels = cl.predict_many(contexts, softmax, params, opts)
     assert got.shape == (len(contexts), 19) and len(labels) == len(contexts)
-    assert labels.dtype == np.int64
+    assert labels.dtype == np.int64 and got.dtype == kernels.FLOAT
+    rtol = float32_rtol(softmax.weights.shape[1])
     for ctx, scores, label in zip(contexts, got, labels):
         e = assemble_features(ctx, params, opts)
         want = softmax.weights @ e + softmax.bias
-        np.testing.assert_allclose(scores, want, rtol=1e-12,
-                                   atol=1e-12 * np.abs(want).max())
+        atol = rtol * np.abs(want).max()
+        np.testing.assert_allclose(scores, want, rtol=rtol, atol=atol)
         top = np.sort(want)
-        if top[-1] - top[-2] > 1e-9:
+        if top[-1] - top[-2] > 2 * (atol + rtol * np.abs(top[-2:]).max()):
             assert label == np.argmax(want)
 
 
@@ -674,6 +698,7 @@ def test_compiled_masks_leave_the_generator_as_numpy_s(monkeypatch,
     if kernels.load() is None:
         pytest.skip("no C compiler found; training takes the numpy steps")
     params, instances = _epoch_setup(np.random.default_rng(11))
+    params = params.copy(kernels.FLOAT)     # both runs at float32
     config = cl.SupervisedConfig(epochs=3, dropout=True, fine_tune=fine_tune,
                                  seed=5)
     default_rng, generators = np.random.default_rng, []
@@ -689,11 +714,12 @@ def test_compiled_masks_leave_the_generator_as_numpy_s(monkeypatch,
     got, want = (gen.bit_generator.state for gen in generators)
     assert got == want
     (got_softmax, got_params, _), (want_softmax, want_params, _) = runs
+    rtol = float32_rtol(config.epochs * len(instances))
     for actual, desired in [(got_softmax.weights, want_softmax.weights),
                             (got_softmax.bias, want_softmax.bias),
                             (got_params.word_vecs, want_params.word_vecs)]:
-        np.testing.assert_allclose(actual, desired, rtol=1e-9,
-                                   atol=1e-9 * np.abs(desired).max())
+        np.testing.assert_allclose(actual, desired, rtol=rtol,
+                                   atol=rtol * np.abs(desired).max())
 
 
 class TestCrossValidation:
@@ -748,6 +774,10 @@ class TestClassifierIO:
         path = tmp_path / "clf.bin"
         cl.save_classifier(softmax, opts, path)
         loaded, loaded_opts = cl.load_classifier(path)
-        np.testing.assert_array_equal(loaded.weights, softmax.weights)
-        np.testing.assert_array_equal(loaded.bias, softmax.bias)
+        # float64 weights are stored as their float32 roundings
+        assert loaded.weights.dtype == loaded.bias.dtype == np.float32
+        np.testing.assert_array_equal(loaded.weights,
+                                      softmax.weights.astype(np.float32))
+        np.testing.assert_array_equal(loaded.bias,
+                                      softmax.bias.astype(np.float32))
         assert loaded_opts == opts

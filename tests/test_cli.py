@@ -270,8 +270,8 @@ class TestExitCodes:
         any instance is parsed."""
         bad = tmp_path / "wide.bin"
         blob = (workdir / "clf.bin").read_bytes()
-        assert b",m_out=3\n" in blob
-        bad.write_bytes(blob.replace(b",m_out=3\n", b",m_out=12\n", 1))
+        assert b",m_out=3 " in blob
+        bad.write_bytes(blob.replace(b",m_out=3 ", b",m_out=12 ", 1))
 
         def parsed(*args):
             raise AssertionError("labelled data parsed")
@@ -306,20 +306,44 @@ class TestExitCodes:
         weight, exits 2 naming the file, before anything is printed."""
         source, argv = self._NON_FINITE[reader]
         header, _, blob = (workdir / source).read_bytes().partition(b"\n")
-        values = np.frombuffer(blob, dtype="<f8").copy()
+        values = np.frombuffer(blob, dtype="<f4").copy()
         if source == "clf.bin":
             values[7] = np.inf
         else:   # noun_vecs lead the blob: n_nouns rows of d values
             kv = dict(t.split(b"=") for t in header.split()[2:])
             values[:int(kv[b"nnouns"]) * int(kv[b"d"])] = np.nan
         bad = tmp_path / f"bad-{source}"
-        bad.write_bytes(header + b"\n" + values.astype("<f8").tobytes())
+        bad.write_bytes(header + b"\n" + values.tobytes())
         code = cli.main([arg.format(bad=bad, tmp=tmp_path, w=workdir)
                          for arg in argv]
                         + ["--vocab", str(workdir / "vocab.txt")])
         out, err = capsys.readouterr()
         assert code == 2, err
         assert f"{bad}: non-finite value" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("stated", ["float64", None])
+    @pytest.mark.parametrize("reader", ["train", "eval_clf"])
+    def test_float64_artifact_exit_2(self, workdir, tmp_path, capsys, reader,
+                                     stated):
+        """A model or a classifier stored as float64, with its header
+        stating so or, as written before headers stated an element type,
+        stating none, exits 2 naming the file and what its header says."""
+        source, argv = self._NON_FINITE[reader]
+        header, _, blob = (workdir / source).read_bytes().partition(b"\n")
+        tokens = header.decode().split()
+        assert tokens[-1] == "dtype=float32"
+        tokens[-1:] = [] if stated is None else [f"dtype={stated}"]
+        bad = tmp_path / f"f8-{source}"
+        bad.write_bytes(" ".join(tokens).encode() + b"\n"
+                        + np.frombuffer(blob, "<f4").astype("<f8").tobytes())
+        code = cli.main([arg.format(bad=bad, tmp=tmp_path, w=workdir)
+                         for arg in argv]
+                        + ["--vocab", str(workdir / "vocab.txt")])
+        out, err = capsys.readouterr()
+        assert code == 2, err
+        assert (f"{bad}: header lacks dtype" if stated is None else
+                f"{bad}: element type float64, expected float32") in err
         assert out == ""
 
     def test_truncated_vocab_exit_2(self, workdir, capsys):
@@ -351,17 +375,17 @@ class TestExitCodes:
         if case.startswith("clf"):
             n = int(case[5:])
             bad.write_bytes(header.replace("L=19", f"L={n}").encode() + b"\n"
-                            + bytes(8 * n * (dim + 1)))
+                            + bytes(4 * n * (dim + 1)))
             files["clf"], snippet = bad, f"L={n}"
         elif case == "model_dims_below_0":
-            # the 45 float64s this header's shapes multiply out to
-            bad.write_bytes(b"relemb-model v1 d=-2 c=1 nwords=-3 nnouns=-3\n"
-                            + bytes(8 * 45))
+            # the 45 float32s this header's shapes multiply out to
+            bad.write_bytes(b"relemb-model v1 d=-2 c=1 nwords=-3 nnouns=-3 "
+                            b"dtype=float32\n" + bytes(4 * 45))
             files["model"], snippet = bad, "d=-2"
         elif case == "model_d0":
             bad.write_bytes(f"relemb-model v1 d=0 c=1 nwords={n_words} "
-                            f"nnouns={n_nouns}\n".encode()
-                            + bytes(8 * n_words))
+                            f"nnouns={n_nouns} dtype=float32\n".encode()
+                            + bytes(4 * n_words))
             files["model"], snippet = bad, "d=0"
         else:
             vocab[5] = vocab[4]          # word ids 3 and 4 share a surface
@@ -430,7 +454,7 @@ class TestExitCodes:
         if kind == "directory":
             bad.mkdir()
         elif command == "pretrain":
-            bad.write_text("relemb-contexts v1 m_out=3\n")
+            bad.write_text("relemb-contexts v1 m_out=3 dtype=int32\n")
         else:
             bad.write_text("")
         argv = self._EMPTY[command]

@@ -451,7 +451,7 @@ class TestContextFileFormat:
         cp.write_contexts(cp.ContextArrays.pack([cp.NounPairContext(
             3, 4, (5, 6), (0, 0, 0, 7, 8), (9, 10, 0, 0, 0))], 5), 5, path)
         assert path.read_bytes().startswith(
-            b"relemb-contexts v1 m_out=5 n=1 nin=2\n")
+            b"relemb-contexts v1 m_out=5 n=1 nin=2 dtype=int32\n")
         arrays = cp.ContextFile(path).arrays
         for name in ("n1", "n2", "w_in", "w_bef", "w_aft"):
             assert getattr(arrays, name).dtype == np.int32, name

@@ -302,6 +302,33 @@ class TestPretrainObjectiveAndGrad:
             params, grads)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_numpy_steps_keep_the_parameters_dtype(dtype):
+    """The pretraining and CBOW steps build every array at the dtype of
+    their parameters: feature vector, gradients and moved rows."""
+    from relemb import cbow_baseline as cb
+    rng = np.random.default_rng(3)
+    params = rand_params(rng, dim=3, window=2, n_nouns=4,
+                         n_words=9).copy(dtype)
+    ctx = cp.NounPairContext(1, 2, w_in=(3, 4, 5), w_bef=(6, 7), w_aft=(8, 0))
+    assert et.build_feature_vector(ctx, 2, params).dtype == dtype
+    value, grads = et.pretrain_objective_and_grad(ctx, 2, params,
+                                                  np.array([4, 6, 6]))
+    assert isinstance(value, float)
+    assert sorted(grads) == ["noun_vecs", "pred_bias", "pred_vecs",
+                             "word_vecs"]
+    assert {rows.dtype for _, rows in grads.values()} == {np.dtype(dtype)}
+    cbow = rand_params(rng, dim=3, window=2, n_nouns=4, n_words=9,
+                       pred_dim=3).copy(dtype)
+    _, grads = cb.cbow_objective_and_grad([3, 5], 4, np.array([6, 7]), cbow)
+    assert {rows.dtype for _, rows in grads.values()} == {np.dtype(dtype)}
+    sampler = et.NoiseSampler(np.arange(1, 10))
+    et.pretrain_step(ctx, 2, params, 0.1, 3, sampler, rng)
+    assert {getattr(params, name).dtype for name in (
+        "noun_vecs", "word_vecs", "pred_vecs", "pred_bias")} == {
+        np.dtype(dtype)}
+
+
 class TestPretrainStep:
     def test_target_probability_increases(self, rng):
         params = rand_params(rng, dim=4, window=2, n_nouns=4, n_words=10)
@@ -607,10 +634,12 @@ class TestModelIO:
         et.save_model(params, path)
         loaded = et.load_model(path)
         assert loaded.dim == 5 and loaded.window == 2
-        np.testing.assert_array_equal(loaded.noun_vecs, params.noun_vecs)
-        np.testing.assert_array_equal(loaded.word_vecs, params.word_vecs)
-        np.testing.assert_array_equal(loaded.pred_vecs, params.pred_vecs)
-        np.testing.assert_array_equal(loaded.pred_bias, params.pred_bias)
+        # float64 parameters are stored as their float32 roundings
+        for name in ("noun_vecs", "word_vecs", "pred_vecs", "pred_bias"):
+            assert getattr(loaded, name).dtype == np.float32, name
+            np.testing.assert_array_equal(
+                getattr(loaded, name),
+                getattr(params, name).astype(np.float32), err_msg=name)
 
     def test_round_trip_with_reduced_pred_dim(self, tmp_path, rng):
         params = rand_params(rng, dim=5, window=2, n_nouns=4, n_words=9,
@@ -619,7 +648,8 @@ class TestModelIO:
         et.save_model(params, path)
         loaded = et.load_model(path)
         assert loaded.pred_dim == 5
-        np.testing.assert_array_equal(loaded.pred_vecs, params.pred_vecs)
+        np.testing.assert_array_equal(loaded.pred_vecs,
+                                      params.pred_vecs.astype(np.float32))
 
     def test_initial_params_statistics(self):
         rng = np.random.default_rng(0)
