@@ -50,30 +50,30 @@ blocks and work buffers the compiled loops stream are allocated by
 into one, so a row's vector loads would split two lines.  The C code reads
 arrays at any offset with the same bytes, and asks nothing of alignment.
 
-A classifier epoch runs on the calling thread and, when the process may run on
-two CPUs (:func:`_threads`), one helper thread started and joined within the
-call.  The two split the label rows of the weights and their accumulators: the
-calling thread, which also makes every draw and gather, takes 4 of the 19
-rows, and the helper the rest.  At float32 a row's AdaGrad step costs about
-a fourth of its float64 one, and the 2,000 or so dropout draws of an
-update became the calling thread's largest task: with 3 to 5 rows the
-in-process ``train`` stage took 6-8% less time than with 8 on both benchmark
-workloads (2-vCPU Xeon, 11 interleaved rounds).  A split by columns would have
-each thread's next scores read rows the other has just written; by rows, each
-thread's rows stay in its own core's cache.  Every row's arithmetic is the one
-of a single thread, and the fine-tuning gradient is summed over the rows in
-their order, so the bytes are the same at either thread count.  The threads
-meet through two counters that only grow, one per thread: a wait spins with
-``pause`` for a bounded count, then yields the CPU at each look, since on one
-CPU the other thread can only run if the waiting one gives way.  When the
-calling thread keeps having to yield, the threads are not running at once, and
-it takes every row back for the rest of the epoch; the epoch reports it, and
-the caller runs its later epochs on one thread.  The calling thread draws the
-next update's dropout mask while the helper finishes its rows, and the draws
-keep their order.  The row functions the two threads share are ``noinline``:
-each thread then runs the one compiled copy, where a copy inlined into the
-calling thread's loop could reduce in another order under
-``-fassociative-math``.
+A classifier epoch runs on the calling thread and, when the process may run
+on two CPUs (:func:`_threads`), one helper thread started and joined within
+the call.  The two split the label rows of the weights and their
+accumulators: the calling thread, which also makes every draw and gather,
+takes 4 of the 19 rows, and the helper the rest.  At float32 a row's AdaGrad
+step costs about a fourth of its float64 one, and the 2,000 or so dropout
+draws of an update became the calling thread's largest task: with 3 to 5
+rows the in-process ``train`` stage took 6-8% less time than with 8 on both
+workloads (2-vCPU Xeon, 11 rounds).  A split by columns would
+have each thread's next scores read rows the other has just written; by
+rows, each thread's rows stay in its own core's cache.  Every row's
+arithmetic is the one of a single thread, and the fine-tuning gradient is
+summed over the rows in their order, so the bytes are the same at either
+thread count.  The threads meet through two counters that only grow, one
+per thread: a wait spins with ``pause`` for a bounded count, then yields the
+CPU at each look, since on one CPU the other thread can only run if the
+waiting one gives way.  When the calling thread keeps having to yield, the
+threads are not running at once, and it takes every row back for the rest
+of the epoch; the epoch reports it, and the caller runs its later epochs on
+one thread.  The calling thread draws the next update's dropout mask while
+the helper finishes its rows, and the draws keep their order.  The row
+functions the two threads share are ``noinline``: each thread then runs
+the one compiled copy, where a copy inlined into the calling thread's loop
+could reduce in another order under ``-fassociative-math``.
 
 The flags leave out ``-ffast-math``: an object linked with it as
 ``-shared`` pulls in ``crtfastmath.o``, whose constructor turns on
